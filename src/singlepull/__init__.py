@@ -1,6 +1,6 @@
 """Finite-horizon single-pull restless bandits.
 
-Occupancy-measure LP relaxations with an embedded simplex solver, the SPI
+Occupancy-measure LP relaxations solved by HiGHS dual simplex, the SPI
 index policy and baselines, a constraint-enforcing simulator, exact
 small-instance oracles, and experiment domains.
 """
@@ -26,7 +26,6 @@ from .lp import (
     build_occupancy_lp,
     solve_lp,
     upper_bound,
-    write_lp_text,
 )
 from .whittle import (
     BracketFail,

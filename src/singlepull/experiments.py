@@ -32,7 +32,7 @@ from . import lp
 from .domains import FAMILIES, DomainSpec, make_instance
 from .model import Instance, save_instance
 from .policies import POLICY_NAMES, make_policy
-from .simulator import DegenerateRange, evaluate, normalize_scores, run_episode
+from .simulator import DegenerateRange, InfeasibleAction, evaluate, normalize_scores, run_episode
 from .simplex import SolverStall
 
 THREADS_ENV = "SINGLEPULL_THREADS"
@@ -200,8 +200,10 @@ def _evaluate_policy(instance, name, episodes, base_seed):
 def run_experiment(config: ExperimentConfig, evaluate_fn=_evaluate_policy):
     """Evaluate every (instance draw, policy) pair and write report files.
 
-    Solver failures abort the run after serializing the offending instance
-    for replay. Returns the list of ResultRow in output order.
+    Solver failures abort the run as SolverStall after serializing the
+    offending instance for replay; InfeasibleAction from the simulator's
+    constraint audit propagates unchanged. Returns the list of ResultRow in
+    output order.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     work = []
@@ -225,6 +227,8 @@ def run_experiment(config: ExperimentConfig, evaluate_fn=_evaluate_policy):
         seed, name = item
         try:
             return evaluate_fn(instances[seed], name, config.episodes, config.base_seed)
+        except InfeasibleAction:
+            raise  # a constraint-audit failure, not a solver failure
         except (SolverStall, RuntimeError) as exc:
             path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
             save_instance(instances[seed], path)

@@ -13,6 +13,9 @@ space and in whether an expected single-activation row is present:
 The program is posed per class: one occupancy measure per arm type, with
 the replication factor rho as an objective weight and the activation budget
 normalized to K per class. This keeps the LP size independent of rho.
+
+The constraint matrices are assembled as scipy.sparse blocks straight from
+each type's transition tensor, and `simplex.solve` hands them to HiGHS.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import simplex
-from .model import ArmModel, Instance, expand_initial, expand_with_dummies, require_valid
+from .model import Instance, expand_initial, expand_with_dummies, require_valid
 
 MEAN_FIELD = "mean_field"
 SPRMAB_LP = "sprmab_lp"
@@ -77,32 +80,20 @@ class VarIndex:
 
 
 @dataclass
-class LpConstraint:
-    cols: np.ndarray
-    vals: np.ndarray
-    relation: str  # "<=" or "="
-    rhs: float
-
-
-@dataclass
 class LpProblem:
-    n_vars: int
+    """maximize objective @ x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0."""
+
     objective: np.ndarray
-    constraints: list[LpConstraint]
-    bounds: np.ndarray  # (n_vars, 2) lower/upper
+    A_ub: sps.csr_matrix
+    b_ub: np.ndarray
+    A_eq: sps.csr_matrix
+    b_eq: np.ndarray
     var_index: VarIndex
     variant: str = ""
-    basis_hint: list | np.ndarray | None = None  # warm-start bases, tried in order
 
-    def rows_matrix(self) -> sps.csr_matrix:
-        rows, cols, vals = [], [], []
-        for i, con in enumerate(self.constraints):
-            rows.extend([i] * len(con.cols))
-            cols.extend(con.cols.tolist())
-            vals.extend(con.vals.tolist())
-        return sps.csr_matrix(
-            (vals, (rows, cols)), shape=(len(self.constraints), self.n_vars)
-        )
+    @property
+    def n_vars(self) -> int:
+        return self.var_index.n_vars
 
 
 @dataclass
@@ -135,121 +126,59 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
         initials = list(instance.initial)
 
     T = instance.horizon
-    N = len(models)
     vi = VarIndex(n_states=tuple(m.n_states for m in models), horizon=T)
-    nv = vi.n_vars
-
-    c = np.zeros(nv)
-    for n, m in enumerate(models):
-        for t in range(T):
-            for s in range(m.n_states):
-                for a in (0, 1):
-                    c[vi.col(n, s, a, t)] = instance.rho * m.rewards[s, a]
-
-    cons: list[LpConstraint] = []
+    # Each type's columns are laid out (t, s, a), so per-type row blocks are
+    # Kronecker products over time. An explicit format keeps kron off its BSR
+    # path, which would store the zeros of the right factor.
+    objective = np.concatenate([np.tile(instance.rho * m.rewards.reshape(-1), T)
+                                for m in models])
     # Per-step activation budget, normalized per class.
-    for t in range(T):
-        cols = np.array(
-            [vi.col(n, s, 1, t) for n, m in enumerate(models) for s in range(m.n_states)],
-            dtype=np.int64,
-        )
-        cons.append(LpConstraint(cols, np.ones(cols.size), "<=", float(instance.budget)))
-    # Flow balance for t >= 1 (0-based): mass into (n, s, t) from t-1.
-    for n, m in enumerate(models):
-        S = m.n_states
-        for t in range(1, T):
-            for s in range(S):
-                cols = [vi.col(n, s, 0, t), vi.col(n, s, 1, t)]
-                vals = [1.0, 1.0]
-                for sp in range(S):
-                    for a in (0, 1):
-                        p = m.transitions[sp, a, s]
-                        if p != 0.0:
-                            cols.append(vi.col(n, sp, a, t - 1))
-                            vals.append(-p)
-                cons.append(
-                    LpConstraint(np.array(cols, dtype=np.int64), np.array(vals), "=", 0.0)
-                )
-    # Initial distribution at t = 0 (dummy states carry zero initial mass).
-    for n, m in enumerate(models):
-        for s in range(m.n_states):
-            cols = np.array([vi.col(n, s, 0, 0), vi.col(n, s, 1, 0)], dtype=np.int64)
-            cons.append(LpConstraint(cols, np.ones(2), "=", float(initials[n][s])))
-    # Expected single-activation row per type.
+    ub_blocks = [sps.hstack([sps.kron(sps.eye(T), _active_row(m.n_states), format="csr")
+                             for m in models])]
+    b_ub = [np.full(T, float(instance.budget))]
     if variant == SPRMAB_LP:
-        for n, m in enumerate(models):
-            cols = np.array(
-                [vi.col(n, s, 1, t) for t in range(T) for s in range(m.n_states)],
-                dtype=np.int64,
-            )
-            cons.append(LpConstraint(cols, np.ones(cols.size), "<=", 1.0))
-
-    bounds = np.column_stack([np.zeros(nv), np.full(nv, np.inf)])
-    # Passive columns form a feasible triangular starting basis: the flow
-    # rows propagate the initial distribution under the passive kernel.
-    hints = []
-    if variant != SPRMAB_LP and instance.budget >= N:
-        # Activation rows cannot bind (per-type activation mass <= 1), so
-        # the LP decouples and the per-type backward-induction policy gives
-        # an optimal basis outright.
-        hints.append(_policy_basis(models, vi))
-    hints.append(np.array(
-        [vi.col(n, s, 0, t) for n, m in enumerate(models) for t in range(T)
-         for s in range(m.n_states)],
-        dtype=np.int64,
-    ))
+        # Expected single-activation row per type.
+        ub_blocks.append(sps.block_diag([_active_row(T * m.n_states) for m in models]))
+        b_ub.append(np.ones(len(models)))
+    # Per type, row (t, s) sums both actions of (s, t): at t = 0 it equals the
+    # initial mass (zero on dummy states), for t >= 1 the inflow from t - 1.
+    eq_blocks, b_eq = [], []
+    for m, init in zip(models, initials):
+        S = m.n_states
+        inflow = sps.csr_matrix(m.transitions.transpose(2, 0, 1).reshape(S, 2 * S))
+        eq_blocks.append(sps.kron(sps.eye(T * S), np.ones((1, 2)), format="csr")
+                         - sps.kron(sps.eye(T, k=-1), inflow, format="csr"))
+        b_eq.append(np.concatenate([init, np.zeros((T - 1) * S)]))
     return LpProblem(
-        n_vars=nv,
-        objective=c,
-        constraints=cons,
-        bounds=bounds,
+        objective=objective,
+        A_ub=sps.vstack(ub_blocks, format="csr"),
+        b_ub=np.concatenate(b_ub),
+        A_eq=sps.block_diag(eq_blocks, format="csr"),
+        b_eq=np.concatenate(b_eq),
         var_index=vi,
         variant=variant,
-        basis_hint=hints,
     )
 
 
-def _policy_basis(models, vi: VarIndex) -> np.ndarray:
-    """Basis columns of the per-type optimal deterministic policy's flow."""
-    cols = []
-    for n, m in enumerate(models):
-        v = np.zeros(m.n_states)
-        acts = np.zeros((m.n_states, vi.horizon), dtype=np.int64)
-        for t in range(vi.horizon - 1, -1, -1):
-            q0 = m.rewards[:, 0] + m.transitions[:, 0, :] @ v
-            q1 = m.rewards[:, 1] + m.transitions[:, 1, :] @ v
-            acts[:, t] = q1 > q0 + 1e-12  # ties resolved passive
-            v = np.maximum(q0, q1)
-        for t in range(vi.horizon):
-            for s in range(m.n_states):
-                cols.append(vi.col(n, s, int(acts[s, t]), t))
-    return np.array(cols, dtype=np.int64)
+def _active_row(n_states: int) -> sps.csr_matrix:
+    """One row with a 1 on the active column of each of n_states (s, a) pairs."""
+    return sps.csr_matrix(np.tile([0.0, 1.0], n_states)[None, :])
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve to a deterministic basic optimum; raises SolverStall on failure."""
-    senses = [con.relation for con in problem.constraints]
-    rhs = np.array([con.rhs for con in problem.constraints])
     res = simplex.solve(
         problem.objective,
-        problem.rows_matrix(),
-        senses,
-        rhs,
-        lower=problem.bounds[:, 0],
-        upper=problem.bounds[:, 1],
-        basis_hint=problem.basis_hint,
+        sps.vstack([problem.A_ub, problem.A_eq], format="csr"),
+        ["<="] * problem.A_ub.shape[0] + ["="] * problem.A_eq.shape[0],
+        np.concatenate([problem.b_ub, problem.b_eq]),
     )
-    if res.status != simplex.OPTIMAL:
-        return LpSolution(res.status, None, None, problem.var_index, res.iterations)
     vi = problem.var_index
-    occupancy = []
-    for n, S in enumerate(vi.n_states):
-        block = np.empty((S, 2, vi.horizon))
-        for t in range(vi.horizon):
-            for s in range(S):
-                for a in (0, 1):
-                    block[s, a, t] = res.x[vi.col(n, s, a, t)]
-        occupancy.append(block)
+    if res.status != simplex.OPTIMAL:
+        return LpSolution(res.status, None, None, vi, res.iterations)
+    T = vi.horizon
+    occupancy = [res.x[off:off + 2 * S * T].reshape(T, S, 2).transpose(1, 2, 0)
+                 for off, S in zip(vi.offsets, vi.n_states)]
     return LpSolution(simplex.OPTIMAL, res.objective, occupancy, vi, res.iterations)
 
 
@@ -273,33 +202,3 @@ def measure_residuals(solution: LpSolution) -> float:
         sums = block.sum(axis=(0, 1))
         worst = max(worst, float(np.abs(sums - 1.0).max()))
     return worst
-
-
-def write_lp_text(problem: LpProblem, path: str | None = None) -> str:
-    """Dump the program in LP interchange format for external cross-checks."""
-    lines = ["Maximize", " obj:"]
-    terms = []
-    for j, coef in enumerate(problem.objective):
-        if coef != 0.0:
-            terms.append(f" {'+' if coef >= 0 else '-'} {abs(coef):.12g} x{j}")
-    lines[1] += "".join(terms) if terms else " 0 x0"
-    lines.append("Subject To")
-    for i, con in enumerate(problem.constraints):
-        parts = []
-        for jj, vv in zip(con.cols, con.vals):
-            parts.append(f" {'+' if vv >= 0 else '-'} {abs(vv):.12g} x{jj}")
-        rel = "<=" if con.relation == "<=" else "="
-        lines.append(f" c{i}:{''.join(parts)} {rel} {con.rhs:.12g}")
-    lines.append("Bounds")
-    for j in range(problem.n_vars):
-        lo, hi = problem.bounds[j]
-        if np.isinf(hi):
-            lines.append(f" {lo:.12g} <= x{j}")
-        else:
-            lines.append(f" {lo:.12g} <= x{j} <= {hi:.12g}")
-    lines.append("End")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

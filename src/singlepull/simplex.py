@@ -1,20 +1,18 @@
-"""Dense revised simplex with a sparse constraint matrix.
+"""Linear-program solver adapter over HiGHS dual simplex.
 
-Two-phase primal simplex for problems of the form
+Solves problems of the form
 
     maximize    c @ x
     subject to  A_i @ x (<= or =) b_i
                 l <= x <= u   (l = 0, u = inf by default)
 
-The basis inverse is kept explicitly and updated by elementary row
-operations; the constraint matrix is stored column-sparse so pricing and
-column extraction stay cheap on the large, very sparse occupancy programs
-this package produces. Pivot selection is deterministic: entering variable
-by largest reduced cost with ties broken toward the lowest column index,
-leaving row by minimum ratio with ties broken toward the lowest basic
-column index. After 2 * n_vars consecutive degenerate pivots the entering
-rule switches to Bland's (lowest eligible index), which guarantees
-termination.
+with scipy's HiGHS dual simplex (``linprog(method="highs-ds")``), which
+returns a basic optimum and is deterministic for a given input. HiGHS
+presolve can report some feasible-but-unbounded programs as infeasible, so
+every non-optimal outcome is settled by a second solve of the same
+constraints with a zero objective: a feasible second solve means the
+program is unbounded, an infeasible one means it is infeasible, and
+anything else raises SolverStall.
 """
 
 from __future__ import annotations
@@ -23,21 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dger
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
-PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
-OPT_TOL = 1e-9
-REFRESH_EVERY = 400
+
+# scipy.optimize.linprog status codes
+_LINPROG_OPTIMAL = 0
+_LINPROG_INFEASIBLE = 2
 
 
 class SolverStall(RuntimeError):
-    """Raised when the pivot loop exceeds its iteration budget."""
+    """Raised when the solver ends without a definite status."""
 
 
 @dataclass
@@ -45,162 +42,7 @@ class SimplexResult:
     status: str
     x: np.ndarray | None
     objective: float | None
-    iterations: int
-
-
-class _Tableau:
-    """Revised-simplex state: sparse columns, dense basis inverse."""
-
-    def __init__(self, A: sps.csc_matrix, b: np.ndarray):
-        self.A = A.tocsc()
-        self.At = self.A.T.tocsr()
-        self.b = np.asarray(b, dtype=float)
-        self.m, self.n = A.shape
-        self.basis: np.ndarray | None = None
-        self.binv: np.ndarray | None = None
-        self.xb: np.ndarray | None = None
-
-    def set_basis(self, basis: np.ndarray) -> bool:
-        B = self.A[:, basis].toarray()
-        try:
-            binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return False
-        xb = binv @ self.b
-        if xb.size and np.min(xb) < -FEAS_TOL:
-            return False
-        self.basis = np.asarray(basis, dtype=np.int64).copy()
-        self.binv = np.asfortranarray(binv)  # F-order keeps dger in place
-        self.xb = np.maximum(xb, 0.0)
-        return True
-
-    def set_identity_basis(self, first_col: int):
-        self.basis = first_col + np.arange(self.m, dtype=np.int64)
-        self.binv = np.asfortranarray(np.eye(self.m))
-        self.xb = self.b.copy()
-
-    def refresh(self):
-        B = self.A[:, self.basis].toarray()
-        self.binv = np.asfortranarray(np.linalg.inv(B))
-        self.xb = np.maximum(self.binv @ self.b, 0.0)
-
-    def column(self, j: int) -> np.ndarray:
-        a = self.A
-        lo, hi = a.indptr[j], a.indptr[j + 1]
-        return self.binv[:, a.indices[lo:hi]] @ a.data[lo:hi]
-
-    def pivot(self, r: int, j: int, w: np.ndarray) -> float:
-        """Bring column j into the basis at row position r."""
-        wr = w[r]
-        theta = self.xb[r] / wr
-        self.xb -= theta * w
-        self.xb[r] = theta
-        np.maximum(self.xb, 0.0, out=self.xb)
-        row = self.binv[r] / wr
-        w_rest = w.copy()
-        w_rest[r] = 0.0
-        # in-place rank-1 update binv -= w_rest * row^T (no 2d temporary)
-        self.binv = dger(-1.0, w_rest, row, a=self.binv, overwrite_a=1)
-        self.binv[r] = row
-        self.basis[r] = j
-        return theta
-
-    def run(self, c: np.ndarray, max_iter: int, frozen: np.ndarray | None = None):
-        """Pivot until optimal or unbounded for objective c (maximize).
-
-        Reduced costs are maintained incrementally (objective-row update
-        with the transformed pivot row) and recomputed exactly at every
-        basis refresh; frozen marks columns that may never enter (locks
-        Phase I artificials out of Phase II).
-        """
-        m = self.m
-        n = c.size
-        bland = False
-        degenerate_run = 0
-        in_basis = np.zeros(n, dtype=bool)
-        in_basis[self.basis] = True
-        iters = 0
-        d = None
-        while True:
-            if iters >= max_iter:
-                raise SolverStall(f"simplex exceeded {max_iter} pivots")
-            iters += 1
-            if d is None:
-                y = c[self.basis] @ self.binv
-                d = c - self.At.dot(y)
-            d[in_basis] = 0.0
-            if frozen is not None:
-                d[frozen] = 0.0
-            eligible = d > OPT_TOL
-            if not eligible.any():
-                return OPTIMAL, iters
-            if bland:
-                j = int(np.argmax(eligible))  # lowest eligible index
-            else:
-                j = int(np.argmax(np.where(eligible, d, -np.inf)))
-            w = self.column(j)
-            pos = w > PIVOT_TOL
-            if not pos.any():
-                return UNBOUNDED, iters
-            ratios = np.full(m, np.inf)
-            ratios[pos] = self.xb[pos] / w[pos]
-            tmin = ratios.min()
-            cand = np.flatnonzero(ratios <= tmin + 1e-9 * (1.0 + abs(tmin)))
-            r = int(cand[np.argmin(self.basis[cand])])
-            leave = self.basis[r]
-            dj = d[j]
-            theta = self.pivot(r, j, w)
-            d -= dj * self.At.dot(self.binv[r])
-            in_basis[leave] = False
-            in_basis[j] = True
-            if theta <= FEAS_TOL:
-                degenerate_run += 1
-                if not bland and degenerate_run > 2 * n:
-                    bland = True
-            else:
-                degenerate_run = 0
-            if iters % REFRESH_EVERY == 0:
-                self.refresh()
-                d = None
-
-    def drive_out(self, first_artificial: int):
-        """Pivot basic artificials (at level zero) out where possible.
-
-        Rows whose transformed coefficients vanish on every structural
-        column are redundant; their artificials stay basic at zero and can
-        never move, which is safe.
-        """
-        for r in np.flatnonzero(self.basis >= first_artificial):
-            row = self.binv[r] @ self.A[:, :first_artificial]
-            cols = np.flatnonzero(np.abs(row) > PIVOT_TOL * 10)
-            cols = [j for j in cols if j not in set(self.basis.tolist())]
-            if cols:
-                j = int(cols[0])
-                w = self.column(j)
-                self.pivot(int(r), j, w)
-
-
-def _confirm_with_lu(A, b, c, basis, frozen=None):
-    """Cheap optimality check of a candidate basis via sparse LU.
-
-    Returns (xb, optimal) where xb is the basic solution when the basis is
-    feasible, else (None, False). Avoids the dense inverse entirely, which
-    matters when the hint is already optimal (one factorization, two
-    triangular solves).
-    """
-    try:
-        lu = spla.splu(sps.csc_matrix(A[:, basis]), permc_spec="NATURAL")
-    except RuntimeError:
-        return None, False
-    xb = lu.solve(b)
-    if not np.all(np.isfinite(xb)) or (xb.size and xb.min() < -FEAS_TOL):
-        return None, False
-    y = lu.solve(c[basis], trans="T")
-    d = c - A.T.dot(y)
-    d[basis] = 0.0
-    if frozen is not None:
-        d[frozen] = 0.0
-    return np.maximum(xb, 0.0), bool((d <= OPT_TOL).all())
+    iterations: int  # simplex iterations reported by HiGHS, over every solve made
 
 
 def solve(
@@ -210,122 +52,44 @@ def solve(
     b: np.ndarray,
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
-    basis_hint: np.ndarray | None = None,
-    max_iter: int | None = None,
 ) -> SimplexResult:
-    """Solve max c@x s.t. a_rows x (senses) b, lower <= x <= upper.
+    """Solve max c@x s.t. a_rows x (senses) b, lower <= x <= upper."""
+    # Imported here: scipy.optimize is the slowest import in the package
+    # and only runs that solve a program need it.
+    from scipy.optimize import linprog
 
-    basis_hint, if given, is one array (or a list of arrays, tried in
-    order) of structural column indices that together with one slack per
-    inequality row form a feasible starting basis. A hint that prices out
-    optimal under a sparse LU check returns immediately; otherwise the
-    first feasible hint warm-starts the pivot loop and Phase I is skipped.
-    """
     c = np.asarray(c, dtype=float)
     n = c.size
-    A = sps.csc_matrix(a_rows, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    senses = list(senses)
+    A = sps.csr_matrix(a_rows, dtype=float)
+    b = np.asarray(b, dtype=float)
     m = A.shape[0]
     if A.shape != (m, n) or len(senses) != m or b.size != m:
         raise ValueError("inconsistent problem dimensions")
+    if any(s not in ("<=", "=") for s in senses):
+        raise ValueError(f"senses must be '<=' or '=', got {sorted(set(senses))}")
 
-    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).copy()
-    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).copy()
+    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
     if np.any(lower > upper + FEAS_TOL):
         return SimplexResult(INFEASIBLE, None, None, 0)
 
-    # Shift lower bounds to zero; finite upper bounds become extra rows.
-    shift = np.where(np.isfinite(lower), lower, 0.0)
-    b = b - A @ shift
-    ub = upper - shift
-    extra = np.flatnonzero(np.isfinite(ub))
-    if extra.size:
-        E = sps.csc_matrix(
-            (np.ones(extra.size), (np.arange(extra.size), extra)), shape=(extra.size, n)
-        )
-        A = sps.vstack([A, E], format="csc")
-        b = np.concatenate([b, ub[extra]])
-        senses = senses + ["<="] * extra.size
-        m = A.shape[0]
+    is_eq = np.array([s == "=" for s in senses], dtype=bool)
+    constraints = {"bounds": np.column_stack([lower, upper]), "method": "highs-ds"}
+    if (~is_eq).any():
+        constraints.update(A_ub=A[~is_eq], b_ub=b[~is_eq])
+    if is_eq.any():
+        constraints.update(A_eq=A[is_eq], b_eq=b[is_eq])
+    res = linprog(-c, **constraints)
+    iterations = int(res.nit)
+    if res.status == _LINPROG_OPTIMAL:
+        x = np.asarray(res.x, dtype=float)
+        return SimplexResult(OPTIMAL, x, float(c @ x), iterations)
 
-    ineq_rows = np.flatnonzero(np.array([s == "<=" for s in senses]))
-    n_slack = ineq_rows.size
-    if n_slack:
-        S = sps.csc_matrix(
-            (np.ones(n_slack), (ineq_rows, np.arange(n_slack))), shape=(m, n_slack)
-        )
-        A = sps.hstack([A, S], format="csc")
-    n_total = n + n_slack
-
-    neg = b < 0
-    if neg.any():
-        b[neg] *= -1
-        A = (sps.diags(np.where(neg, -1.0, 1.0)) @ A).tocsc()
-
-    c_full = np.concatenate([c, np.zeros(n_slack)])
-    if max_iter is None:
-        max_iter = 50 * (m + n_total) + 10_000
-
-    hints = []
-    if basis_hint is not None and not neg.any():
-        raw = basis_hint if isinstance(basis_hint, (list, tuple)) else [basis_hint]
-        for h in raw:
-            if h is None:
-                continue
-            full = np.concatenate(
-                [np.asarray(h, dtype=np.int64), n + np.arange(n_slack, dtype=np.int64)]
-            )
-            if full.size == m and np.unique(full).size == m:
-                hints.append(full)
-
-    total_iters = 0
-    started = None
-    for full in hints:
-        xb, optimal = _confirm_with_lu(A, b, c_full, full)
-        if xb is None:
-            continue
-        if optimal:
-            x_full = np.zeros(n_total)
-            x_full[full] = xb
-            x = x_full[:n] + shift
-            return SimplexResult(OPTIMAL, x, float(c @ x), total_iters)
-        tab = _Tableau(A, b)
-        if tab.set_basis(full):
-            started = tab
-            break
-    if started is None:
-        # Phase I: artificial columns on every row, minimize their sum.
-        art = sps.eye(m, format="csc")
-        tab = _Tableau(sps.hstack([A, art], format="csc"), b)
-        tab.set_identity_basis(n_total)
-        c1 = np.concatenate([np.zeros(n_total), -np.ones(m)])
-        status, it1 = tab.run(c1, max_iter)
-        total_iters += it1
-        art_basic = tab.basis >= n_total
-        art_level = float(tab.xb[art_basic].sum()) if art_basic.any() else 0.0
-        if status != OPTIMAL or art_level > FEAS_TOL * max(1.0, float(np.abs(b).max())):
-            return SimplexResult(INFEASIBLE, None, None, total_iters)
-        tab.drive_out(n_total)
-        frozen = np.zeros(n_total + m, dtype=bool)
-        frozen[n_total:] = True
-        c_run = np.concatenate([c_full, np.zeros(m)])
-    else:
-        tab = started
-        frozen = None
-        c_run = c_full
-    status, it2 = tab.run(c_run, max_iter, frozen=frozen)
-    total_iters += it2
-    if status == OPTIMAL and m > 0:
-        # recompute the inverse from scratch and confirm optimality, so
-        # accumulated eta-update drift cannot leak into the solution
-        tab.refresh()
-        status, it3 = tab.run(c_run, max_iter, frozen=frozen)
-        total_iters += it3
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, total_iters)
-
-    x_full = np.zeros(tab.n)
-    x_full[tab.basis] = tab.xb
-    x = x_full[:n] + shift
-    return SimplexResult(OPTIMAL, x, float(c @ x), total_iters)
+    feas = linprog(np.zeros(n), **constraints)
+    iterations += int(feas.nit)
+    if feas.status == _LINPROG_OPTIMAL:
+        return SimplexResult(UNBOUNDED, None, None, iterations)
+    if feas.status == _LINPROG_INFEASIBLE:
+        return SimplexResult(INFEASIBLE, None, None, iterations)
+    raise SolverStall(f"HiGHS ended with status {res.status} ({res.message}); "
+                      f"feasibility re-solve ended with status {feas.status} ({feas.message})")

@@ -1,0 +1,80 @@
+"""Loop-by-loop occupancy LP builder, kept as the reference for lp.build_occupancy_lp.
+
+It writes every row one coefficient at a time from the model tensors, in
+the column layout of lp.VarIndex, so the vectorized builder can be checked
+against it entry by entry.
+"""
+
+import numpy as np
+
+from singlepull import lp
+from singlepull.model import expand_initial, expand_with_dummies
+
+
+def reference_lp(instance, variant):
+    """Return (objective, rows); each row is (cols, vals, relation, rhs)."""
+    if variant == lp.DUMMY:
+        models = [expand_with_dummies(m) for m in instance.types]
+        initials = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)]
+    else:
+        models = list(instance.types)
+        initials = list(instance.initial)
+    T = instance.horizon
+    vi = lp.VarIndex(n_states=tuple(m.n_states for m in models), horizon=T)
+
+    c = np.zeros(vi.n_vars)
+    for n, m in enumerate(models):
+        for t in range(T):
+            for s in range(m.n_states):
+                for a in (0, 1):
+                    c[vi.col(n, s, a, t)] = instance.rho * m.rewards[s, a]
+
+    rows = []
+    # Per-step activation budget, normalized per class.
+    for t in range(T):
+        cols = [vi.col(n, s, 1, t) for n, m in enumerate(models) for s in range(m.n_states)]
+        rows.append((cols, [1.0] * len(cols), "<=", float(instance.budget)))
+    # Flow balance for t >= 1 (0-based): mass into (n, s, t) from t-1.
+    for n, m in enumerate(models):
+        S = m.n_states
+        for t in range(1, T):
+            for s in range(S):
+                cols = [vi.col(n, s, 0, t), vi.col(n, s, 1, t)]
+                vals = [1.0, 1.0]
+                for sp in range(S):
+                    for a in (0, 1):
+                        p = m.transitions[sp, a, s]
+                        if p != 0.0:
+                            cols.append(vi.col(n, sp, a, t - 1))
+                            vals.append(-p)
+                rows.append((cols, vals, "=", 0.0))
+    # Initial distribution at t = 0 (dummy states carry zero initial mass).
+    for n, m in enumerate(models):
+        for s in range(m.n_states):
+            rows.append(([vi.col(n, s, 0, 0), vi.col(n, s, 1, 0)], [1.0, 1.0], "=",
+                         float(initials[n][s])))
+    # Expected single-activation row per type.
+    if variant == lp.SPRMAB_LP:
+        for n, m in enumerate(models):
+            cols = [vi.col(n, s, 1, t) for t in range(T) for s in range(m.n_states)]
+            rows.append((cols, [1.0] * len(cols), "<=", 1.0))
+    return c, rows
+
+
+def canonical_rows(rows):
+    """Rows as sorted ((col, val), ...) tuples with relation and rhs, in sorted order."""
+    return sorted(
+        (relation, rhs, tuple(sorted(zip((int(j) for j in cols), (float(v) for v in vals)))))
+        for cols, vals, relation, rhs in rows
+    )
+
+
+def problem_rows(problem):
+    """The rows an lp.LpProblem stores, in the shape reference_lp returns."""
+    rows = []
+    for A, b, relation in ((problem.A_ub, problem.b_ub, "<="), (problem.A_eq, problem.b_eq, "=")):
+        A = A.tocsr()
+        for i in range(A.shape[0]):
+            lo, hi = A.indptr[i], A.indptr[i + 1]
+            rows.append((A.indices[lo:hi], A.data[lo:hi], relation, float(b[i])))
+    return rows

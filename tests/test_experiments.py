@@ -14,8 +14,8 @@ from singlepull.experiments import (
     sweep_rho,
     time_policies,
 )
-from singlepull.simulator import Summary
-from singlepull import lp
+from singlepull.simulator import InfeasibleAction, Summary
+from singlepull import experiments, lp, simplex
 from singlepull.domains import make_instance
 
 
@@ -204,3 +204,20 @@ class TestCli:
         assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "results.csv").read_bytes() == \
                (tmp_path / "b" / "results.csv").read_bytes()
+
+    def test_audit_failure_exit_code(self, tmp_path, monkeypatch):
+        def breach(*args, **kwargs):
+            raise InfeasibleAction("constraint audit failed: injected")
+
+        monkeypatch.setattr(experiments, "evaluate", breach)
+        rc = cli.main(["--config", self.write_config(tmp_path), "--episodes", "2"])
+        assert rc == cli.EXIT_AUDIT
+
+    def test_lp_failure_exit_code(self, tmp_path, monkeypatch):
+        def infeasible(*args, **kwargs):
+            return simplex.SimplexResult(simplex.INFEASIBLE, None, None, 0)
+
+        monkeypatch.setattr(simplex, "solve", infeasible)
+        rc = cli.main(["--config", self.write_config(tmp_path), "--episodes", "2"])
+        assert rc == cli.EXIT_SOLVER
+        assert (tmp_path / "out" / "failed_instance_0.json").exists()

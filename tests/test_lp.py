@@ -9,18 +9,31 @@ from singlepull import (
     exact_optimum,
     solve_lp,
     upper_bound,
-    write_lp_text,
 )
-from singlepull import lp
-from singlepull.model import expand_with_dummies, point_initial
+from singlepull import domains, lp
+from singlepull.model import expand_initial, expand_with_dummies, point_initial
 
 from conftest import random_arm, random_tiny_instance
+from lp_reference import canonical_rows, problem_rows, reference_lp
 
 
 def tiny_instance(rng, n_types=1, S=2, T=2, rho=1, budget=1):
     types = tuple(random_arm(rng, S, label=f"t{i}") for i in range(n_types))
     initial = tuple(point_initial(S, 0) for _ in range(n_types))
     return Instance(types=types, rho=rho, budget=budget, horizon=T, initial=initial)
+
+
+def mixed_size_instance(rng, covering_budget=False):
+    """One to three types of 2-4 states each, with spread initial distributions.
+
+    With covering_budget the budget K is at least the number of types N.
+    """
+    sizes = rng.integers(2, 5, size=int(rng.integers(1, 4)))
+    types = tuple(random_arm(rng, int(S), active_only_rewards=False) for S in sizes)
+    initial = tuple(rng.dirichlet(np.ones(int(S))) for S in sizes)
+    budget = len(types) + int(rng.integers(0, 2)) if covering_budget else int(rng.integers(0, 3))
+    return Instance(types=types, rho=int(rng.integers(1, 4)), budget=budget,
+                    horizon=int(rng.integers(1, 6)), initial=initial)
 
 
 class TestBuilder:
@@ -33,15 +46,16 @@ class TestBuilder:
         inst = tiny_instance(rng, n_types=1, S=2, T=2)
         prob = build_occupancy_lp(inst, lp.MEAN_FIELD)
         # T activation rows + |S| flow rows at t=1 + |S| initial rows
-        assert len(prob.constraints) == 2 + 2 + 2
+        assert prob.A_ub.shape == (2, prob.n_vars)
+        assert prob.A_eq.shape == (2 + 2, prob.n_vars)
 
     def test_sprmab_adds_one_row_per_type(self, rng):
         inst = tiny_instance(rng, n_types=3, S=2, T=2)
         base = build_occupancy_lp(inst, lp.MEAN_FIELD)
         plus = build_occupancy_lp(inst, lp.SPRMAB_LP)
-        assert len(plus.constraints) == len(base.constraints) + 3
-        extra = plus.constraints[-3:]
-        assert all(c.relation == "<=" and c.rhs == 1.0 for c in extra)
+        assert plus.A_ub.shape[0] == base.A_ub.shape[0] + 3
+        assert (plus.A_eq != base.A_eq).nnz == 0
+        assert np.array_equal(plus.b_ub[-3:], np.ones(3))
 
     def test_var_index_bijection(self, rng):
         inst = tiny_instance(rng, n_types=2, S=3, T=2)
@@ -56,6 +70,21 @@ class TestBuilder:
                         assert vi.key(col) == (n, s, a, t)
                         seen.add(col)
         assert seen == set(range(prob.n_vars))
+
+    def test_matches_reference_builder(self, rng):
+        """Same objective and rows, entry for entry, as the loop-by-loop builder."""
+        instances = [mixed_size_instance(rng) for _ in range(6)]
+        # domain kernels carry exact zeros, which the reference builder skips
+        for family in domains.FAMILIES:
+            spec = domains.DomainSpec(family, 2, 3, seed=1)
+            instances.append(domains.make_instance(spec, budget=1, rho=2, horizon=3))
+        for inst in instances:
+            for variant in lp.VARIANTS:
+                prob = build_occupancy_lp(inst, variant)
+                c, rows = reference_lp(inst, variant)
+                assert np.array_equal(prob.objective, c)
+                assert prob.n_vars == c.size
+                assert canonical_rows(problem_rows(prob)) == canonical_rows(rows)
 
     def test_rejects_horizon_zero(self, rng):
         inst = tiny_instance(rng)
@@ -90,12 +119,8 @@ class TestSolve:
                     for s in range(S):
                         for a in (0, 1):
                             x[vi.col(n, s, a, t)] = sol.occupancy[n][s, a, t]
-            for con in prob.constraints:
-                lhs = float(con.vals @ x[con.cols])
-                if con.relation == "=":
-                    assert lhs == pytest.approx(con.rhs, abs=1e-7)
-                else:
-                    assert lhs <= con.rhs + 1e-7
+            assert np.allclose(prob.A_eq @ x, prob.b_eq, rtol=0.0, atol=1e-7)
+            assert np.all(prob.A_ub @ x <= prob.b_ub + 1e-7)
 
     def test_matches_scipy_on_all_variants(self, rng):
         for _ in range(5):
@@ -103,25 +128,14 @@ class TestSolve:
             for variant in lp.VARIANTS:
                 prob = build_occupancy_lp(inst, variant)
                 sol = solve_lp(prob)
-                A = prob.rows_matrix().toarray()
-                is_eq = np.array([c.relation == "=" for c in prob.constraints])
-                rhs = np.array([c.rhs for c in prob.constraints])
                 ref = scipy.optimize.linprog(
                     -prob.objective,
-                    A_ub=A[~is_eq], b_ub=rhs[~is_eq],
-                    A_eq=A[is_eq], b_eq=rhs[is_eq],
+                    A_ub=prob.A_ub.toarray(), b_ub=prob.b_ub,
+                    A_eq=prob.A_eq.toarray(), b_eq=prob.b_eq,
                     bounds=[(0, None)] * prob.n_vars, method="highs",
                 )
                 assert ref.status == 0 and sol.status == lp.OPTIMAL
                 assert sol.objective == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
-
-    def test_hint_and_phase_one_agree(self, rng):
-        inst = tiny_instance(rng, n_types=2, S=3, T=3, rho=2)
-        prob = build_occupancy_lp(inst, lp.DUMMY)
-        hinted = solve_lp(prob)
-        prob.basis_hint = None
-        cold = solve_lp(prob)
-        assert hinted.objective == pytest.approx(cold.objective, abs=1e-8)
 
     def test_deterministic_resolve(self, rng):
         inst = tiny_instance(rng, n_types=2, S=2, T=3)
@@ -130,6 +144,7 @@ class TestSolve:
         b = solve_lp(prob)
         for ba, bb in zip(a.occupancy, b.occupancy):
             assert np.array_equal(ba, bb)
+        assert a.iterations == b.iterations
 
 
 class TestOrderings:
@@ -149,6 +164,23 @@ class TestOrderings:
     def test_upper_bound_dominates_exact(self, rng):
         inst = random_tiny_instance(rng)
         assert upper_bound(inst) >= exact_optimum(inst) - 1e-6
+
+    def test_dummy_bound_decouples_when_budget_covers_types(self, rng):
+        """With K >= N the budget rows cannot bind (each type's activation mass
+        per step is at most 1), so the DUMMY bound is rho times the sum of the
+        per-type finite-horizon optima on the expanded models."""
+        instances = [mixed_size_instance(rng, covering_budget=True) for _ in range(4)]
+        spec = domains.DomainSpec(domains.CPAP, 10, 5, seed=0)
+        instances.append(domains.make_instance(spec, budget=10, rho=10, horizon=20))
+        for inst in instances:
+            expected = 0.0
+            for m, d in zip(inst.types, inst.initial):
+                big = expand_with_dummies(m)
+                v = np.zeros(big.n_states)
+                for _ in range(inst.horizon):
+                    v = (big.rewards + big.transitions @ v).max(axis=1)
+                expected += inst.rho * float(expand_initial(m, d) @ v)
+            assert upper_bound(inst) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_upper_bound_k0_equals_passive_reward(self, rng):
         types = tuple(random_arm(rng, 3, active_only_rewards=False) for _ in range(2))
@@ -181,17 +213,3 @@ class TestOrderings:
             moved += inst.rho * float((block * m.rewards[:, :, None]).sum())
         assert moved == pytest.approx(base, abs=1e-9)
         assert base == pytest.approx(sol.objective, abs=1e-7)
-
-
-class TestLpText:
-    def test_dump_contains_structure(self, rng, tmp_path):
-        inst = tiny_instance(rng)
-        prob = build_occupancy_lp(inst, lp.MEAN_FIELD)
-        path = tmp_path / "debug.lp"
-        text = write_lp_text(prob, str(path))
-        assert path.read_text() == text
-        assert text.startswith("Maximize")
-        assert "Subject To" in text and text.rstrip().endswith("End")
-        # activation row mentions the two activation columns of t=0
-        vi = prob.var_index
-        assert f"x{vi.col(0, 0, 1, 0)}" in text

@@ -129,23 +129,32 @@ class TestAgainstScipy:
         assert res.objective == pytest.approx(n, abs=1e-8)
 
 
-class TestBasisHint:
-    def test_valid_hint_skips_phase_one(self):
-        # x + y = 1; start from basis {x} plus the slack of the <= row.
-        c = np.array([0.0, 1.0])
-        A = sps.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        senses = ["=", "<="]
-        b = np.array([1.0, 0.8])
-        hinted = simplex.solve(c, A, senses, b, basis_hint=np.array([0]))
-        plain = simplex.solve(c, A, senses, b)
-        assert hinted.status == plain.status == simplex.OPTIMAL
-        assert hinted.objective == pytest.approx(plain.objective, abs=1e-9)
+class TestStatus:
+    def test_presolve_mislabel_is_reported_unbounded(self):
+        # Feasible at x = 0 (b > 0) and unbounded along the ray (0, 1, 1, 0);
+        # HiGHS dual simplex with presolve (scipy 1.17) labels it infeasible.
+        c = [1.0, 1.7, 1.6, 0.6]
+        A = [[-1.3, 0.2, -0.8, -0.7], [0.5, -1.0, 0.4, 0.4]]
+        b = [1.7, 1.1]
+        res = solve_dense(c, A, ["<=", "<="], b)
+        assert res.status == simplex.UNBOUNDED
+        assert res.x is None and res.objective is None
 
-    def test_bad_hint_falls_back(self):
-        c = np.array([1.0, 1.0])
-        A = sps.csr_matrix(np.array([[1.0, 1.0]]))
-        # hint column set is rank-deficient for the single row -> fallback
-        res = simplex.solve(c, A, ["="], np.array([1.0]),
-                            basis_hint=np.array([0, 1]))
-        assert res.status == simplex.OPTIMAL
-        assert res.objective == pytest.approx(1.0, abs=1e-9)
+    @pytest.mark.parametrize("second, expected", [(0, simplex.UNBOUNDED),
+                                                  (2, simplex.INFEASIBLE),
+                                                  (4, simplex.SolverStall)])
+    def test_non_optimal_status_settled_by_feasibility_solve(self, monkeypatch,
+                                                             second, expected):
+        statuses = iter([4, second])
+
+        def fake_linprog(c, **kw):
+            return scipy.optimize.OptimizeResult(status=next(statuses), nit=1,
+                                                 message="injected", x=None)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", fake_linprog)
+        if expected is simplex.SolverStall:
+            with pytest.raises(simplex.SolverStall):
+                solve_dense([1.0], [[1.0]], ["<="], [1.0])
+        else:
+            res = solve_dense([1.0], [[1.0]], ["<="], [1.0])
+            assert res.status == expected and res.iterations == 2
