@@ -20,6 +20,7 @@ it the runtime_ms column is written as 0.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +35,8 @@ from .model import Instance, save_instance
 from .policies import POLICY_NAMES, make_policy
 from .simulator import DegenerateRange, InfeasibleAction, evaluate, normalize_scores, run_episode
 from .simplex import SolverStall
+
+log = logging.getLogger(__name__)
 
 THREADS_ENV = "SINGLEPULL_THREADS"
 NEAR_OPTIMAL_FRACTION = 0.03
@@ -145,8 +148,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
     if cfg.budget > cfg.n_types * cfg.rho:
         # mirrored from instance validation: never-binding budgets are legal
-        print(f"warning: budget {cfg.budget} exceeds n_types*rho = "
-              f"{cfg.n_types * cfg.rho}; the budget never binds")
+        log.warning("budget %d exceeds n_types*rho = %d; the budget never binds",
+                    cfg.budget, cfg.n_types * cfg.rho)
     return cfg
 
 

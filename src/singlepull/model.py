@@ -66,9 +66,6 @@ class ArmModel:
             return self.n_states
         return self.n_states - len(self.dummy_of)
 
-    def is_dummy(self, s: int) -> bool:
-        return self.dummy_of is not None and s in self.dummy_of
-
     @property
     def dummy_mask(self) -> np.ndarray:
         m = np.zeros(self.n_states, dtype=bool)

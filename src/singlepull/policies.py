@@ -88,9 +88,7 @@ def spi_select(
     else:
         visit_limit = n_arms
     visited = order[: min(budget, visit_limit)]
-    dummy = np.array(
-        [types[type_of[i]].is_dummy(states[i]) for i in visited], dtype=bool
-    )
+    dummy = dummy_mask_for(types, type_of[visited], states[visited])
     actions[visited[~dummy]] = 1
     return actions
 
@@ -281,13 +279,9 @@ class OriginalWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-original"
     expanded = False
 
-    def __init__(self, tol: float = 1e-6):
-        super().__init__()
-        self.tol = tol
-
     def _build_table(self, instance):
         return IndexTable.stack(
-            [whittle_index_infinite(m, self.tol) for m in instance.types]
+            [whittle_index_infinite(m) for m in instance.types]
         )
 
 
@@ -295,13 +289,9 @@ class InfiniteWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-infinite"
     expanded = True
 
-    def __init__(self, tol: float = 1e-6):
-        super().__init__()
-        self.tol = tol
-
     def _build_table(self, instance):
         return IndexTable.stack(
-            [whittle_index_infinite(m, self.tol) for m in self.sim_models]
+            [whittle_index_infinite(m) for m in self.sim_models]
         )
 
 
@@ -309,13 +299,9 @@ class FiniteWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-finite"
     expanded = True
 
-    def __init__(self, tol: float = 1e-6):
-        super().__init__()
-        self.tol = tol
-
     def _build_table(self, instance):
         return IndexTable.stack(
-            [whittle_index_finite(m, instance.horizon, self.tol) for m in self.sim_models]
+            [whittle_index_finite(m, instance.horizon) for m in self.sim_models]
         )
 
 

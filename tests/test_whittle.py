@@ -3,8 +3,12 @@ import pytest
 
 from singlepull import ArmModel, expand_with_dummies
 from singlepull.domains import closed_form_whittle, ehrenfest_arm
+from singlepull import whittle
 from singlepull.whittle import (
+    DEFAULT_TOL,
+    BracketFail,
     NonConvergent,
+    _subsidy_index,
     finite_horizon_qdiff,
     q_difference_indices,
     relative_value_iteration,
@@ -13,6 +17,12 @@ from singlepull.whittle import (
 )
 
 from conftest import random_arm
+from whittle_reference import (
+    backward_qdiff,
+    reference_finite,
+    reference_infinite,
+    rvi_qdiff,
+)
 
 
 def cpap3_arm(q=0.6):
@@ -73,15 +83,103 @@ class TestInfinite:
         qd, h = relative_value_iteration(model, 0.0)
         assert np.allclose(qd, 0.0, atol=1e-8)  # identical action rows
 
-    def test_nonconvergent_on_disconnected_gains(self):
+    def test_nonconvergent_on_disconnected_gains(self, monkeypatch):
         # two absorbing components with different rewards: no single gain
         P = np.zeros((2, 2, 2))
         P[0, :, 0] = 1.0
         P[1, :, 1] = 1.0
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
+        monkeypatch.setattr(whittle, "RVI_MAX_SWEEPS", 500)
         with pytest.raises(NonConvergent):
-            relative_value_iteration(model, 0.0, max_sweeps=500)
+            relative_value_iteration(model, 0.0)
+
+    def test_nonconvergent_names_only_unfinished_subsidies(self, monkeypatch):
+        # two absorbing states, gains max(lam, 1) and max(lam, 0): one gain
+        # exactly when lam >= 1
+        P = np.zeros((2, 2, 2))
+        P[0, :, 0] = 1.0
+        P[1, :, 1] = 1.0
+        r = np.array([[0.0, 1.0], [0.0, 0.0]])
+        model = ArmModel(n_states=2, transitions=P, rewards=r)
+        monkeypatch.setattr(whittle, "RVI_MAX_SWEEPS", 500)
+        qd, _ = relative_value_iteration(model, 2.0)
+        assert np.allclose(qd, [-1.0, -2.0])
+        with pytest.raises(NonConvergent, match=r"\(lambda=0\.25\)"):
+            relative_value_iteration(model, np.array([2.0, 0.25, 3.0]))
+
+
+class TestBatchedDp:
+    def test_rvi_rows_match_scalar_solves(self, rng):
+        model = random_arm(rng, 4, active_only_rewards=False)
+        lams = np.array([-1.5, 0.0, 0.3, 2.0])
+        qd, h = relative_value_iteration(model, lams)
+        assert qd.shape == h.shape == (4, 4)
+        for lam, row in zip(lams, qd):
+            assert np.allclose(row, rvi_qdiff(model, lam), rtol=0, atol=1e-9)
+
+    def test_finite_rows_match_scalar_solves(self, rng):
+        model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
+        T = 5
+        lams = np.array([-0.7, 0.0, 1.1])
+        qd = finite_horizon_qdiff(model, T, lams)
+        assert qd.shape == (3, model.n_states, T)
+        assert finite_horizon_qdiff(model, T, 0.4).shape == (model.n_states, T)
+        for lam, block in zip(lams, qd):
+            assert np.allclose(block, backward_qdiff(model, T, lam), rtol=0, atol=1e-12)
+
+
+def _ehrenfest4():
+    return ehrenfest_arm(c=2.0, mu=1.0, lam=1.0, S=3, dt=0.05)
+
+
+class TestAgainstScalarReference:
+    """Batched tables agree with one scalar bisection per entry (tests/whittle_reference.py)."""
+
+    def models(self):
+        rng = np.random.default_rng(7)
+        arms = [random_arm(rng, S, active_only_rewards=a) for S, a in
+                ((3, False), (4, True), (4, False))]
+        return arms + [cpap3_arm(0.4), _ehrenfest4()]
+
+    def test_infinite_matches_reference(self):
+        for model in self.models():
+            for m in (model, expand_with_dummies(model)):
+                table = whittle_index_infinite(m)
+                assert np.allclose(table.values[0][:, 0], reference_infinite(m),
+                                   rtol=0, atol=DEFAULT_TOL)
+
+    def test_finite_matches_reference(self):
+        for model, T in zip(self.models(), (4, 5, 6, 4, 6)):
+            m = expand_with_dummies(model)
+            table = whittle_index_finite(m, T)
+            assert np.allclose(table.values[0], reference_finite(m, T),
+                               rtol=0, atol=DEFAULT_TOL)
+
+
+class TestSubsidyIndex:
+    MODEL = ArmModel(n_states=1, transitions=np.ones((1, 2, 1)), rewards=np.zeros((1, 2)))
+
+    def test_gap_that_never_crosses_raises_bracket_fail(self):
+        with pytest.raises(BracketFail):
+            _subsidy_index(self.MODEL, lambda lam: np.ones(np.shape(lam) + (3,)), 1e-6)
+
+    def test_linear_gaps_stop_independently(self):
+        # gap a_e - lam: entries on a bisection midpoint stop after 1, 2, 3
+        # steps, the irrational one runs until |gap| <= tol / 2
+        a = np.array([[0.0, 0.5], [-0.25, np.sqrt(2) / 10]])
+        calls = []
+
+        def qdiff_at(lam):
+            lam = np.asarray(lam, dtype=float)
+            calls.append(lam.size)
+            return a - lam[..., None, None]
+
+        tol = 1e-6
+        index = _subsidy_index(self.MODEL, qdiff_at, tol)  # bracket [-1, 1]
+        assert index[0, 0] == 0.0 and index[0, 1] == 0.5 and index[1, 0] == -0.25
+        assert abs(index[1, 1] - a[1, 1]) <= 0.5 * tol
+        assert calls[2:5] == [4, 3, 2]  # live entries shrink as they stop
 
 
 class TestFinite:
