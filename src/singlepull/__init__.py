@@ -7,6 +7,7 @@ small-instance oracles, and experiment domains.
 
 from .model import (
     ArmModel,
+    ArmTables,
     Instance,
     Population,
     ValidationReport,

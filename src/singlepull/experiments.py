@@ -389,8 +389,10 @@ def time_policies(config: ExperimentConfig):
     ):
         raise ConfigError("timing comparison needs spi and a whittle variant")
     seeds = list(config.instance_seeds)
+    fresh = max(seeds, default=0) + 1  # above every configured seed, so draws stay distinct
     while len(seeds) < 3:
-        seeds.append((seeds[-1] if seeds else 0) + 1)
+        seeds.append(fresh)
+        fresh += 1
     stats = []
     for name in config.policies:
         clocks = []

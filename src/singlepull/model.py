@@ -253,8 +253,11 @@ def expand_initial(model: ArmModel, initial: np.ndarray) -> np.ndarray:
 
 
 def replicate(instance: Instance, seed: int) -> Population:
-    """Materialize rho arms per type with initial states sampled per type."""
-    require_valid(instance)
+    """Materialize rho arms per type with initial states sampled per type.
+
+    The instance is not validated here; callers validate it once, when the
+    policy that runs the episodes builds its ArmTables.
+    """
     rng = np.random.default_rng(seed)
     type_of = np.repeat(np.arange(instance.n_types), instance.rho)
     states = np.empty(instance.n_arms, dtype=np.int64)
@@ -262,6 +265,61 @@ def replicate(instance: Instance, seed: int) -> Population:
         lo, hi = n * instance.rho, (n + 1) * instance.rho
         states[lo:hi] = rng.choice(model.n_states, size=instance.rho, p=dist)
     return Population(type_of=type_of, states=states, pulled=np.zeros(instance.n_arms, dtype=bool))
+
+
+def stack_types(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-type arrays, each indexed by state on axis 0, into one table.
+
+    Returns (offset, flat): row offset[n] + s of flat is blocks[n][s], so
+    the rows of a whole population are one gather at offset[type_of] + states.
+    """
+    sizes = [len(b) for b in blocks]
+    offset = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
+    return offset, np.concatenate(blocks)
+
+
+@dataclass(frozen=True, eq=False)
+class ArmTables:
+    """The arm models of one population, flattened over global state ids.
+
+    g = offset[n] + s numbers every (type, state) pair, and column 2g + a
+    of cdf, like entry 2g + a of rewards, belongs to the pair (s, a).
+    cdf[j, 2g + a] is P(next state <= j | s, a). It is 1.0 from a type's
+    last state on, not the row sum, because rows are stochastic only to
+    ROW_SUM_TOL; so the next state is the count of entries below a uniform
+    draw in [0, 1) and always a real state. Row S_max - 1 would be all
+    1.0 and is not stored. dummy[g] flags dummy states.
+    """
+
+    offset: np.ndarray   # (N,)
+    cdf: np.ndarray      # (S_max - 1, 2G)
+    rewards: np.ndarray  # (2G,)
+    dummy: np.ndarray    # (G,) bool
+
+    @classmethod
+    def build(cls, models) -> "ArmTables":
+        width = max(m.n_states for m in models)
+        cdfs = []
+        for m in models:
+            c = np.ones((m.n_states, 2, width))
+            c[:, :, : m.n_states] = np.cumsum(m.transitions, axis=2)
+            c[:, :, m.n_states - 1] = 1.0
+            cdfs.append(c)
+        offset, cdf = stack_types(cdfs)
+        return cls(
+            offset=offset,
+            cdf=np.ascontiguousarray(cdf.reshape(-1, width).T[:-1]),
+            rewards=np.concatenate([m.rewards for m in models]).reshape(-1),
+            dummy=np.concatenate([m.dummy_mask for m in models]),
+        )
+
+    def ids(self, type_of: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Global state id of every arm."""
+        return self.offset[type_of] + states
+
+    def pair_ids(self, type_of: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Id 2g + a of every arm's (state, action) pair: a cdf column, a rewards entry."""
+        return 2 * self.ids(type_of, states) + actions
 
 
 def point_initial(n_states: int, s: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .model import ArmModel, Instance, expand_with_dummies
+from .model import ArmModel, ArmTables, Instance, expand_with_dummies, require_valid, stack_types
 from .whittle import (
     IndexTable,
     q_difference_indices,
@@ -65,7 +65,7 @@ def spi_indices(chi: ActivationProbabilities, types: list[ArmModel]) -> IndexTab
 
 def spi_select(
     indices: IndexTable,
-    types: list[ArmModel],
+    tables: ArmTables,
     type_of: np.ndarray,
     states: np.ndarray,
     t: int,
@@ -88,13 +88,14 @@ def spi_select(
     else:
         visit_limit = n_arms
     visited = order[: min(budget, visit_limit)]
-    dummy = dummy_mask_for(types, type_of[visited], states[visited])
+    dummy = dummy_mask_for(tables, type_of[visited], states[visited])
     actions[visited[~dummy]] = 1
     return actions
 
 
 def mean_field_select(
-    solution: lp.LpSolution,
+    occupancy: np.ndarray,
+    offset: np.ndarray,
     type_of: np.ndarray,
     states: np.ndarray,
     pulled: np.ndarray,
@@ -103,21 +104,17 @@ def mean_field_select(
 ) -> np.ndarray:
     """Three-tier priority fill from the relaxed-budget LP.
 
-    High priority (zero passive occupancy) arms are pulled first, then
-    medium-priority arms in decreasing chi; arms whose active occupancy is
-    zero are never pulled.
+    occupancy is the LP's optimal measure stacked over global state ids,
+    shape (G, 2, T), with offset from stack_types. High priority (zero
+    passive occupancy) arms are pulled first, then medium-priority arms in
+    decreasing chi; arms whose active occupancy is zero are never pulled.
     """
     n_arms = len(type_of)
     actions = np.zeros(n_arms, dtype=np.int64)
     if budget <= 0:
         return actions
-    mu0 = np.empty(n_arms)
-    mu1 = np.empty(n_arms)
-    for n in np.unique(type_of):
-        mask = type_of == n
-        block = solution.occupancy[n]
-        mu0[mask] = block[states[mask], 0, t]
-        mu1[mask] = block[states[mask], 1, t]
+    mu = np.take(occupancy[:, :, t], offset[type_of] + states, axis=0)
+    mu0, mu1 = mu[:, 0], mu[:, 1]
     denom = mu0 + mu1
     with np.errstate(invalid="ignore", divide="ignore"):
         chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
@@ -176,13 +173,9 @@ def random_select(
     return actions
 
 
-def dummy_mask_for(types: list[ArmModel], type_of: np.ndarray, states: np.ndarray) -> np.ndarray:
-    masks = [m.dummy_mask for m in types]
-    out = np.zeros(len(type_of), dtype=bool)
-    for n in np.unique(type_of):
-        sel = type_of == n
-        out[sel] = masks[n][states[sel]]
-    return out
+def dummy_mask_for(tables: ArmTables, type_of: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Which arms sit in an expanded-space dummy state."""
+    return tables.dummy[tables.ids(type_of, states)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +190,13 @@ class BasePolicy:
 
     def __init__(self):
         self.sim_models: list[ArmModel] | None = None
+        self.tables: ArmTables | None = None
+
+    def _use_models(self, instance: Instance, models: list[ArmModel]):
+        """Validate the instance and flatten the models its episodes run on."""
+        require_valid(instance)
+        self.sim_models = models
+        self.tables = ArmTables.build(models)
 
     def prepare(self, instance: Instance):
         raise NotImplementedError
@@ -217,7 +217,7 @@ class SpiPolicy(BasePolicy):
         self.table = None
 
     def prepare(self, instance: Instance):
-        self.sim_models = [expand_with_dummies(m) for m in instance.types]
+        self._use_models(instance, [expand_with_dummies(m) for m in instance.types])
         problem = lp.build_occupancy_lp(instance, lp.DUMMY)
         self.solution = lp.solve_lp(problem)
         if self.solution.status != lp.OPTIMAL:
@@ -227,7 +227,7 @@ class SpiPolicy(BasePolicy):
 
     def select(self, type_of, states, pulled, t, budget, rng):
         return spi_select(
-            self.table, self.sim_models, type_of, states, t, budget,
+            self.table, self.tables, type_of, states, t, budget,
             stop_at_nonpositive=self.stop_at_nonpositive,
         )
 
@@ -239,16 +239,19 @@ class MeanFieldPolicy(BasePolicy):
     def __init__(self):
         super().__init__()
         self.solution = None
+        self.offset = None
+        self.occupancy = None
 
     def prepare(self, instance: Instance):
-        self.sim_models = list(instance.types)
+        self._use_models(instance, list(instance.types))
         problem = lp.build_occupancy_lp(instance, lp.MEAN_FIELD)
         self.solution = lp.solve_lp(problem)
         if self.solution.status != lp.OPTIMAL:
             raise RuntimeError(f"mean-field LP ended {self.solution.status}")
+        self.offset, self.occupancy = stack_types(self.solution.occupancy)
 
     def select(self, type_of, states, pulled, t, budget, rng):
-        return mean_field_select(self.solution, type_of, states, pulled, t, budget)
+        return mean_field_select(self.occupancy, self.offset, type_of, states, pulled, t, budget)
 
 
 class _GreedyIndexPolicy(BasePolicy):
@@ -262,14 +265,14 @@ class _GreedyIndexPolicy(BasePolicy):
         raise NotImplementedError
 
     def prepare(self, instance: Instance):
+        models = list(instance.types)
         if self.expanded:
-            self.sim_models = [expand_with_dummies(m) for m in instance.types]
-        else:
-            self.sim_models = list(instance.types)
+            models = [expand_with_dummies(m) for m in models]
+        self._use_models(instance, models)
         self.table = self._build_table(instance)
 
     def select(self, type_of, states, pulled, t, budget, rng):
-        dmask = dummy_mask_for(self.sim_models, type_of, states) if self.expanded else None
+        dmask = dummy_mask_for(self.tables, type_of, states) if self.expanded else None
         return greedy_budget_select(
             self.table, type_of, states, t, budget, pulled, dummy_mask=dmask
         )
@@ -320,7 +323,7 @@ class RandomPolicy(BasePolicy):
     expanded = False
 
     def prepare(self, instance: Instance):
-        self.sim_models = list(instance.types)
+        self._use_models(instance, list(instance.types))
 
     def select(self, type_of, states, pulled, t, budget, rng):
         return random_select(pulled, budget, rng)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Instance, replicate
+from .model import ArmTables, Instance, replicate
 
 CI_Z = 1.96  # normal-approximation 95% interval
 
@@ -52,10 +52,34 @@ def _episode_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def _sum_by_type(values: np.ndarray, type_of: np.ndarray) -> float:
+    """Sum values type by type in ascending type order, then add the sums left to right.
+
+    Each type's entries keep arm order, which pins the float result to that
+    of a per-type loop. Equal type blocks, as replicate lays them out, are
+    one row-wise sum; other layouts are stable-sorted into blocks first.
+    """
+    if len(values) == 0:
+        return 0.0
+    if np.any(type_of[1:] < type_of[:-1]):
+        order = np.argsort(type_of, kind="stable")
+        values, type_of = values[order], type_of[order]
+    sizes = np.bincount(type_of)
+    sizes = sizes[sizes > 0]
+    if np.all(sizes == sizes[0]):
+        sums = values.reshape(len(sizes), -1).sum(axis=1).tolist()
+    else:
+        sums = [float(part.sum()) for part in np.split(values, np.cumsum(sizes)[:-1])]
+    total = 0.0
+    for x in sums:
+        total += x
+    return total
+
+
 def step(
     states: np.ndarray,
     actions: np.ndarray,
-    models: list,
+    tables: ArmTables,
     type_of: np.ndarray,
     pulled: np.ndarray,
     budget: int,
@@ -71,17 +95,10 @@ def step(
         raise InfeasibleAction(f"{int(actions.sum())} activations exceed budget {budget}")
     if np.any(actions[pulled] == 1):
         raise InfeasibleAction("activation assigned to an already-pulled arm")
-    reward = 0.0
-    next_states = np.empty_like(states)
+    pairs = tables.pair_ids(type_of, states, actions)
     u = rng.random(len(states))
-    for n in np.unique(type_of):
-        mask = type_of == n
-        m = models[n]
-        reward += float(m.rewards[states[mask], actions[mask]].sum())
-        cdf = np.cumsum(m.transitions[states[mask], actions[mask], :], axis=1)
-        cdf[:, -1] = 1.0  # rows are stochastic only to ROW_SUM_TOL; never step past S - 1
-        next_states[mask] = (cdf < u[mask, None]).sum(axis=1)
-    return next_states, reward
+    next_states = (np.take(tables.cdf, pairs, axis=1) < u).sum(axis=0)
+    return next_states, _sum_by_type(tables.rewards[pairs], type_of)
 
 
 def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> EpisodeResult:
@@ -90,7 +107,7 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
     Expanded-space policies track pulled arms through dummy states; the
     others use the explicit pulled mask. Both views are kept in sync.
     """
-    models = policy.sim_models
+    tables = policy.tables
     pop = replicate(instance, seed)
     states = pop.states.copy()
     pulled = pop.pulled.copy()
@@ -111,13 +128,12 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
         actions = policy.select(type_of, states, pulled, t, budget, rng)
         select_seconds += time.perf_counter() - t0
         if record:
-            rewards_now = np.array(
-                [models[type_of[i]].rewards[states[i], actions[i]] for i in range(len(states))]
+            rewards_now = tables.rewards[tables.pair_ids(type_of, states, actions)]
+            trajectory.extend(
+                (t, i, s, a, r) for i, (s, a, r) in enumerate(
+                    zip(states.tolist(), actions.tolist(), rewards_now.tolist()))
             )
-            for i in range(len(states)):
-                trajectory.append((t, int(i), int(states[i]), int(actions[i]),
-                                   float(rewards_now[i])))
-        next_states, reward = step(states, actions, models, type_of, pulled, budget, rng)
+        next_states, reward = step(states, actions, tables, type_of, pulled, budget, rng)
         total += reward
         hit = actions == 1
         per_step[t] = int(hit.sum())
@@ -161,7 +177,8 @@ def evaluate(
     """Run n_episodes with seeds base_seed..base_seed+n-1 and summarize.
 
     Wall clock covers policy precomputation plus all per-step selection
-    calls; environment sampling is excluded.
+    calls; environment sampling is excluded. The instance is validated
+    once, when prepare builds the policy's ArmTables, not per episode.
     """
     if n_episodes < 2:
         raise ValueError("need at least 2 episodes for a confidence interval")

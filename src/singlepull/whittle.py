@@ -15,11 +15,11 @@ spurious crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ArmModel
+from .model import ArmModel, stack_types
 
 BISECT_MAX_ITERS = 60
 DEFAULT_TOL = 1e-6
@@ -40,11 +40,18 @@ class IndexTable:
     """Index values per (type, state, time).
 
     values[n] has shape (S_n, T) for time-dependent tables and (S_n, 1)
-    for stationary ones; stationary lookups ignore t.
+    for stationary ones; stationary lookups ignore t. flat stacks the
+    values over global state ids offset[n] + s, once, at construction.
     """
 
     values: list[np.ndarray]
     time_dependent: bool
+    offset: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.offset, flat = stack_types(self.values)
+        self.flat = np.asarray(flat, dtype=float)
 
     def value(self, n: int, s: int, t: int = 0) -> float:
         v = self.values[n]
@@ -52,12 +59,8 @@ class IndexTable:
 
     def lookup(self, type_of: np.ndarray, states: np.ndarray, t: int) -> np.ndarray:
         """Vectorized per-arm index lookup."""
-        out = np.empty(len(type_of))
-        col = t if self.time_dependent else 0
-        for n in np.unique(type_of):
-            mask = type_of == n
-            out[mask] = self.values[n][states[mask], col]
-        return out
+        column = self.flat[:, t if self.time_dependent else 0]
+        return np.take(column, self.offset[type_of] + states)
 
     @classmethod
     def stack(cls, tables: list["IndexTable"]) -> "IndexTable":

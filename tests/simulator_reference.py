@@ -1,0 +1,156 @@
+"""Per-type loops over np.unique(type_of), kept as the reference for the flat arm tables.
+
+Each function walks the types present in a population and gathers from
+that type's own arrays through a boolean mask, the way the simulator and
+the selection rules worked before ArmTables, IndexTable.flat and the
+stacked mean-field occupancy replaced them with one gather per call.
+run_episode composes them with the package's replicate and random
+selection into a whole episode.
+"""
+
+import numpy as np
+
+from singlepull.model import replicate
+from singlepull.policies import CHI_DENOM_TOL, PRIORITY_TOL, greedy_budget_select, random_select
+from singlepull.simulator import EpisodeResult, InfeasibleAction, _episode_rng
+
+
+def step(states, actions, models, type_of, pulled, budget, rng):
+    """One transition round over a list of ArmModels; returns (next_states, reward)."""
+    actions = np.asarray(actions)
+    if actions.sum() > budget:
+        raise InfeasibleAction(f"{int(actions.sum())} activations exceed budget {budget}")
+    if np.any(actions[pulled] == 1):
+        raise InfeasibleAction("activation assigned to an already-pulled arm")
+    reward = 0.0
+    next_states = np.empty_like(states)
+    u = rng.random(len(states))
+    for n in np.unique(type_of):
+        mask = type_of == n
+        m = models[n]
+        reward += float(m.rewards[states[mask], actions[mask]].sum())
+        cdf = np.cumsum(m.transitions[states[mask], actions[mask], :], axis=1)
+        cdf[:, -1] = 1.0
+        next_states[mask] = (cdf < u[mask, None]).sum(axis=1)
+    return next_states, reward
+
+
+def lookup(values, time_dependent, type_of, states, t):
+    """IndexTable.lookup over the per-type value arrays."""
+    out = np.empty(len(type_of))
+    col = t if time_dependent else 0
+    for n in np.unique(type_of):
+        mask = type_of == n
+        out[mask] = values[n][states[mask], col]
+    return out
+
+
+def dummy_mask_for(models, type_of, states):
+    masks = [m.dummy_mask for m in models]
+    out = np.zeros(len(type_of), dtype=bool)
+    for n in np.unique(type_of):
+        sel = type_of == n
+        out[sel] = masks[n][states[sel]]
+    return out
+
+
+def mean_field_select(occupancy_blocks, type_of, states, pulled, t, budget):
+    """Three-tier priority fill over per-type occupancy blocks (S_n, 2, T)."""
+    n_arms = len(type_of)
+    actions = np.zeros(n_arms, dtype=np.int64)
+    if budget <= 0:
+        return actions
+    mu0 = np.empty(n_arms)
+    mu1 = np.empty(n_arms)
+    for n in np.unique(type_of):
+        mask = type_of == n
+        block = occupancy_blocks[n]
+        mu0[mask] = block[states[mask], 0, t]
+        mu1[mask] = block[states[mask], 1, t]
+    denom = mu0 + mu1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
+    eligible = (~pulled) & (mu1 > PRIORITY_TOL)
+    high = eligible & (mu0 <= PRIORITY_TOL)
+    medium = eligible & ~high
+    take = np.flatnonzero(high)[:budget]
+    actions[take] = 1
+    remaining = budget - take.size
+    if remaining > 0:
+        med = np.flatnonzero(medium)
+        med = med[np.argsort(-chi[med], kind="stable")]
+        actions[med[:remaining]] = 1
+    return actions
+
+
+def spi_select(values, models, type_of, states, t, budget, stop_at_nonpositive=True):
+    n_arms = len(type_of)
+    actions = np.zeros(n_arms, dtype=np.int64)
+    if budget <= 0 or n_arms == 0:
+        return actions
+    idx = lookup(values, True, type_of, states, t)
+    order = np.argsort(-idx, kind="stable")
+    visit_limit = int((idx[order] > 0).sum()) if stop_at_nonpositive else n_arms
+    visited = order[: min(budget, visit_limit)]
+    dummy = dummy_mask_for(models, type_of[visited], states[visited])
+    actions[visited[~dummy]] = 1
+    return actions
+
+
+class _LoopTable:
+    """IndexTable stand-in whose lookup is the per-type loop."""
+
+    def __init__(self, table):
+        self.values, self.time_dependent = table.values, table.time_dependent
+
+    def lookup(self, type_of, states, t):
+        return lookup(self.values, self.time_dependent, type_of, states, t)
+
+
+def select(policy, type_of, states, pulled, t, budget, rng):
+    """A prepared policy's selection rule, rebuilt from the loops above."""
+    if policy.name == "spi":
+        return spi_select(policy.table.values, policy.sim_models, type_of, states, t, budget,
+                          stop_at_nonpositive=policy.stop_at_nonpositive)
+    if policy.name == "meanfield":
+        return mean_field_select(policy.solution.occupancy, type_of, states, pulled, t, budget)
+    if policy.name == "random":
+        return random_select(pulled, budget, rng)
+    dmask = dummy_mask_for(policy.sim_models, type_of, states) if policy.expanded else None
+    return greedy_budget_select(_LoopTable(policy.table), type_of, states, t, budget, pulled,
+                                dummy_mask=dmask)
+
+
+def run_episode(instance, policy, seed):
+    """One episode with the loop step and loop selection; same seeds and streams."""
+    models = policy.sim_models
+    pop = replicate(instance, seed)
+    states = pop.states.copy()
+    pulled = pop.pulled.copy()
+    type_of = pop.type_of
+    budget = instance.step_budget
+    rng = _episode_rng(seed)
+    T = instance.horizon
+    total = 0.0
+    per_step = np.zeros(T, dtype=np.int64)
+    pulls_per_arm = np.zeros(instance.n_arms, dtype=np.int64)
+    pull_time = np.full(instance.n_arms, -1, dtype=np.int64)
+    trajectory = []
+    for t in range(T):
+        actions = select(policy, type_of, states, pulled, t, budget, rng)
+        rewards_now = np.array(
+            [models[type_of[i]].rewards[states[i], actions[i]] for i in range(len(states))]
+        )
+        for i in range(len(states)):
+            trajectory.append((t, int(i), int(states[i]), int(actions[i]), float(rewards_now[i])))
+        next_states, reward = step(states, actions, models, type_of, pulled, budget, rng)
+        total += reward
+        hit = actions == 1
+        per_step[t] = int(hit.sum())
+        pulls_per_arm[hit] += 1
+        pull_time[hit & (pull_time == -1)] = t
+        pulled |= hit
+        states = next_states
+    return EpisodeResult(total_reward=total, per_step_pulls=per_step,
+                         pulls_per_arm=pulls_per_arm, pull_time=pull_time,
+                         trajectory=trajectory)

@@ -170,6 +170,21 @@ class TestTiming:
         assert all(s["mean_ms"] > 0 for s in stats)
         assert (tmp_path / "out" / "timing.csv").exists()
 
+    def test_pads_with_distinct_fresh_seeds(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def recording_make_instance(spec, **kw):
+            drawn.append(spec.seed)
+            return make_instance(spec, **kw)
+
+        monkeypatch.setattr(experiments, "make_instance", recording_make_instance)
+        cfg = parse_config(small_config(tmp_path, episodes=2, instance_seeds=[3, 2],
+                                        policies=["spi", "whittle-finite"]))
+        time_policies(cfg)
+        assert drawn == [3, 2, 4] * 2
+        header = (tmp_path / "out" / "timing.csv").read_text().splitlines()[0]
+        assert header == "policy,mean_ms,std_ms"
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):

@@ -114,9 +114,18 @@ class TestExactPolicyValue:
             assert val <= exact_optimum(inst) + 1e-9
 
     def test_mask_space_policy_through_adapter(self, rng):
-        inst = random_tiny_instance(rng)
-        pol = make_policy("whittle-original")
-        pol.prepare(inst)
-        val = exact_policy_value(inst, policy_select_adapter(inst, pol))
-        summary = evaluate(inst, pol, 3000, base_seed=0, prepared=True)
-        assert abs(summary.mean - val) <= 3 * max(summary.half_width, 1e-9)
+        assert_monte_carlo_matches_exact(random_tiny_instance(rng), "whittle-original")
+
+    @pytest.mark.parametrize("name", ["meanfield", "whittle-finite", "qdiff"])
+    def test_table_policy_matches_exact_value(self, rng, name):
+        for _ in range(2):
+            assert_monte_carlo_matches_exact(random_tiny_instance(rng), name)
+
+
+def assert_monte_carlo_matches_exact(inst, name):
+    """The simulated mean lies within 3 half-widths of the policy's exact value."""
+    pol = make_policy(name)
+    pol.prepare(inst)
+    val = exact_policy_value(inst, policy_select_adapter(inst, pol))
+    summary = evaluate(inst, pol, 3000, base_seed=0, prepared=True)
+    assert abs(summary.mean - val) <= 3 * max(summary.half_width, 1e-9)

@@ -16,7 +16,7 @@ from singlepull import (
     spi_select,
 )
 from singlepull import lp
-from singlepull.model import point_initial
+from singlepull.model import ArmTables, point_initial, stack_types
 from singlepull.policies import dummy_mask_for
 from singlepull.whittle import IndexTable
 
@@ -91,7 +91,8 @@ class TestSpiSelect:
     def select(self, idx_by_state, states, budget, **kw):
         table = manual_table(np.asarray(idx_by_state, dtype=float)[:, None])
         type_of = np.zeros(len(states), dtype=int)
-        return spi_select(table, [self.model], type_of, np.asarray(states), 0, budget, **kw)
+        return spi_select(table, ArmTables.build([self.model]), type_of, np.asarray(states), 0,
+                          budget, **kw)
 
     def test_dummy_arm_consumes_budget(self):
         # highest index sits on a dummy arm; budget one unit -> nothing pulled
@@ -127,24 +128,25 @@ class TestMeanFieldSelect:
         block = np.zeros((len(mu0), 2, 1))
         block[:, 0, 0] = mu0
         block[:, 1, 0] = mu1
-        return fake_solution([block])
+        offset, occupancy = stack_types([block])
+        return occupancy, offset
 
     def test_high_priority_pulled_first(self):
         sol = self.make_solution([0.0, 0.5], [0.4, 0.1])
-        actions = mean_field_select(sol, np.zeros(2, dtype=int), np.array([0, 1]),
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]),
                                     np.zeros(2, dtype=bool), 0, budget=1)
         assert actions.tolist() == [1, 0]
 
     def test_low_priority_never_pulled(self):
         sol = self.make_solution([0.5, 0.5], [0.0, 0.0])
-        actions = mean_field_select(sol, np.zeros(2, dtype=int), np.array([0, 1]),
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]),
                                     np.zeros(2, dtype=bool), 0, budget=5)
         assert actions.sum() == 0
 
     def test_medium_filled_by_descending_chi(self):
         # chi = 0.7 vs 0.3; exhaustive check over the two single-pull choices
         sol = self.make_solution([0.3, 0.7], [0.7, 0.3])
-        actions = mean_field_select(sol, np.zeros(2, dtype=int), np.array([0, 1]),
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]),
                                     np.zeros(2, dtype=bool), 0, budget=1)
         chis = [0.7, 0.3]
         best = int(np.argmax(chis))
@@ -152,7 +154,7 @@ class TestMeanFieldSelect:
 
     def test_skips_pulled_arms(self):
         sol = self.make_solution([0.0], [0.4])
-        actions = mean_field_select(sol, np.zeros(2, dtype=int), np.array([0, 0]),
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 0]),
                                     np.array([True, False]), 0, budget=2)
         assert actions.tolist() == [0, 1]
 
@@ -184,7 +186,7 @@ class TestGreedySelect:
         model = expand_with_dummies(random_arm(rng, 2))
         table = manual_table(np.ones((4, 1)))
         states = np.array([2, 0])  # arm 0 in dummy space
-        dmask = dummy_mask_for([model], np.zeros(2, dtype=int), states)
+        dmask = dummy_mask_for(ArmTables.build([model]), np.zeros(2, dtype=int), states)
         actions = greedy_budget_select(table, np.zeros(2, dtype=int), states, 0, 2,
                                        np.zeros(2, dtype=bool), dummy_mask=dmask)
         assert actions.tolist() == [0, 1]

@@ -11,9 +11,13 @@ from singlepull import (
     run_episode,
     step,
 )
-from singlepull.model import point_initial, validate_arm
+from singlepull import POLICY_NAMES, domains, model, simulator
+from singlepull.model import ArmTables, expand_with_dummies, point_initial, validate_arm
+from singlepull.policies import dummy_mask_for, mean_field_select, spi_select
 from singlepull.simulator import DegenerateRange, audit_episode
+from singlepull.whittle import IndexTable
 
+import simulator_reference as ref
 from conftest import random_arm
 
 
@@ -36,7 +40,7 @@ class TestStep:
         m = cpap3_arm()
         rng = np.random.default_rng(0)
         states = np.array([2, 1])
-        nxt, reward = step(states, np.zeros(2, dtype=int), [m],
+        nxt, reward = step(states, np.zeros(2, dtype=int), ArmTables.build([m]),
                            np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, rng)
         assert nxt.tolist() == [1, 0]
         assert reward == pytest.approx(3.0 + 2.0)
@@ -44,7 +48,7 @@ class TestStep:
     def test_zero_actions_zero_passive_reward(self, rng):
         m = zero_passive_arm(rng)
         local = np.random.default_rng(0)
-        _, reward = step(np.array([0, 1, 2]), np.zeros(3, dtype=int), [m],
+        _, reward = step(np.array([0, 1, 2]), np.zeros(3, dtype=int), ArmTables.build([m]),
                          np.zeros(3, dtype=int), np.zeros(3, dtype=bool), 3, local)
         assert reward == 0.0
 
@@ -59,23 +63,38 @@ class TestStep:
             def random(self, n):
                 return np.full(n, 1.0 - 1e-12)
 
-        nxt, _ = step(np.array([0, 1]), np.array([0, 1]), [m], np.zeros(2, dtype=int),
-                      np.zeros(2, dtype=bool), 2, NearOne())
+        nxt, _ = step(np.array([0, 1]), np.array([0, 1]), ArmTables.build([m]),
+                      np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, NearOne())
         assert nxt.tolist() == [1, 1]
+
+    def test_short_rows_stay_in_range_beside_a_wider_type(self, rng):
+        # the flat table pads the 2-state type to the 3-state type's width;
+        # its own last state must still absorb the draw above the row sum
+        short = ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5 - 2.5e-10),
+                         rewards=np.zeros((2, 2)))
+        tables = ArmTables.build([short, random_arm(rng, 3)])
+
+        class NearOne:
+            def random(self, n):
+                return np.full(n, 1.0 - 1e-12)
+
+        nxt, _ = step(np.array([0, 1, 0]), np.array([0, 1, 0]), tables, np.array([0, 0, 1]),
+                      np.zeros(3, dtype=bool), 3, NearOne())
+        assert nxt.tolist() == [1, 1, 2]
 
     def test_budget_violation_raises(self, rng):
         m = zero_passive_arm(rng)
         local = np.random.default_rng(0)
         with pytest.raises(InfeasibleAction):
-            step(np.array([0, 1]), np.array([1, 1]), [m], np.zeros(2, dtype=int),
-                 np.zeros(2, dtype=bool), 1, local)
+            step(np.array([0, 1]), np.array([1, 1]), ArmTables.build([m]),
+                 np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 1, local)
 
     def test_repull_raises(self, rng):
         m = zero_passive_arm(rng)
         local = np.random.default_rng(0)
         with pytest.raises(InfeasibleAction):
-            step(np.array([0]), np.array([1]), [m], np.zeros(1, dtype=int),
-                 np.array([True]), 5, local)
+            step(np.array([0]), np.array([1]), ArmTables.build([m]),
+                 np.zeros(1, dtype=int), np.array([True]), 5, local)
 
 
 class TestRunEpisode:
@@ -215,3 +234,163 @@ class TestNormalize:
     def test_degenerate_range(self):
         with pytest.raises(DegenerateRange):
             normalize_scores(1.0, upper_bound=1.0, random_mean=2.0)
+
+
+def mixed_instance(rng, rho=3, horizon=4):
+    """Two types with different state counts, S=2 and S=3."""
+    types = (random_arm(rng, 2, active_only_rewards=False), random_arm(rng, 3))
+    initial = (np.array([0.4, 0.6]), np.array([0.2, 0.3, 0.5]))
+    return Instance(types=types, rho=rho, budget=1, horizon=horizon, initial=initial)
+
+
+def family_instances():
+    return [domains.make_instance(domains.DomainSpec(fam, 2, 3, seed=1),
+                                  budget=1, rho=3, horizon=4)
+            for fam in domains.FAMILIES]
+
+
+def shuffled_population(rng, models, n_arms, counts=None):
+    """A non-contiguous type_of (uneven per-type counts when given) and in-range states."""
+    if counts is None:
+        type_of = rng.integers(0, len(models), size=n_arms)
+    else:
+        type_of = rng.permutation(np.repeat(np.arange(len(models)), counts))
+    states = np.array([rng.integers(0, models[n].n_states) for n in type_of])
+    return type_of, states
+
+
+class TestAgainstLoopReference:
+    """Flat tables give bit-identical results to the per-type loops in simulator_reference."""
+
+    def model_sets(self, rng):
+        mixed = [random_arm(rng, 2, active_only_rewards=False), random_arm(rng, 3)]
+        sets = [mixed, [expand_with_dummies(m) for m in mixed]]
+        for inst in family_instances():
+            sets.append(list(inst.types))
+            sets.append([expand_with_dummies(m) for m in inst.types])
+        return sets
+
+    def test_step(self, rng):
+        for models in self.model_sets(rng):
+            tables = ArmTables.build(models)
+            for counts in (None, [5, 9], [700, 1300]):
+                n_arms = 14 if counts is None else sum(counts)
+                type_of, states = shuffled_population(rng, models, n_arms, counts)
+                pulled = rng.random(n_arms) < 0.3
+                actions = ((rng.random(n_arms) < 0.5) & ~pulled).astype(np.int64)
+                seed = int(rng.integers(1 << 30))
+                got = step(states, actions, tables, type_of, pulled, n_arms,
+                           np.random.default_rng(seed))
+                want = ref.step(states, actions, models, type_of, pulled, n_arms,
+                                np.random.default_rng(seed))
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1]
+
+    def test_step_reward_keeps_type_order_in_blocks(self, rng):
+        # equal type blocks take the row-wise sum; values span magnitudes so
+        # a different summation order would change the last bits
+        models = [ArmModel(n_states=1, transitions=np.ones((1, 2, 1)),
+                           rewards=np.array([[v, v]])) for v in (1e16, 1.0, -1e16, 3.0)]
+        tables = ArmTables.build(models)
+        type_of = np.repeat(np.arange(4), 250)
+        states = np.zeros(1000, dtype=np.int64)
+        actions = np.zeros(1000, dtype=np.int64)
+        pulled = np.zeros(1000, dtype=bool)
+        got = step(states, actions, tables, type_of, pulled, 0, np.random.default_rng(0))[1]
+        want = ref.step(states, actions, models, type_of, pulled, 0, np.random.default_rng(0))[1]
+        assert got == want
+
+    def test_lookup_dummy_mask_and_spi_select(self, rng):
+        for models in self.model_sets(rng):
+            tables = ArmTables.build(models)
+            T = 4
+            values = [rng.standard_normal((m.n_states, T)) for m in models]
+            values[0][0, :] = 0.0  # ties and non-positive indices
+            table = IndexTable(values=values, time_dependent=True)
+            stationary = IndexTable(values=[v[:, :1] for v in values], time_dependent=False)
+            type_of, states = shuffled_population(rng, models, 17)
+            for t in range(T):
+                assert np.array_equal(table.lookup(type_of, states, t),
+                                      ref.lookup(values, True, type_of, states, t))
+                assert np.array_equal(stationary.lookup(type_of, states, t),
+                                      ref.lookup(stationary.values, False, type_of, states, t))
+                for budget in (0, 3, 17):
+                    assert np.array_equal(
+                        spi_select(table, tables, type_of, states, t, budget),
+                        ref.spi_select(values, models, type_of, states, t, budget))
+            assert np.array_equal(dummy_mask_for(tables, type_of, states),
+                                  ref.dummy_mask_for(models, type_of, states))
+
+    def test_mean_field_select(self, rng):
+        for models in self.model_sets(rng):
+            T = 3
+            blocks = [rng.random((m.n_states, 2, T)) * (rng.random((m.n_states, 2, T)) < 0.7)
+                      for m in models]
+            offset, occupancy = model.stack_types(blocks)
+            type_of, states = shuffled_population(rng, models, 15)
+            pulled = rng.random(15) < 0.2
+            for t in range(T):
+                for budget in (0, 2, 15):
+                    assert np.array_equal(
+                        mean_field_select(occupancy, offset, type_of, states, pulled, t, budget),
+                        ref.mean_field_select(blocks, type_of, states, pulled, t, budget))
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_episode_results(self, name, rng):
+        for inst in [mixed_instance(rng)] + family_instances():
+            pol = make_policy(name)
+            pol.prepare(inst)
+            for seed in range(4):
+                got = run_episode(inst, pol, seed, record=True)
+                want = ref.run_episode(inst, pol, seed)
+                assert got.total_reward == want.total_reward
+                assert np.array_equal(got.per_step_pulls, want.per_step_pulls)
+                assert np.array_equal(got.pulls_per_arm, want.pulls_per_arm)
+                assert np.array_equal(got.pull_time, want.pull_time)
+                assert got.trajectory == want.trajectory
+
+
+class TestTraceBindings:
+    """run_episode reaches step and replicate through the simulator module, and
+    evaluate validates once per call."""
+
+    def count(self, monkeypatch, owner, name, counts):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def install(self, monkeypatch):
+        counts = {}
+        self.count(monkeypatch, simulator, "step", counts)
+        self.count(monkeypatch, simulator, "replicate", counts)
+        self.count(monkeypatch, model, "validate_instance", counts)
+        return counts
+
+    def test_run_episode_uses_module_bindings(self, monkeypatch, rng):
+        inst = mixed_instance(rng, horizon=5)
+        pol = make_policy("random")
+        pol.prepare(inst)
+        counts = self.install(monkeypatch)
+        run_episode(inst, pol, seed=0)
+        assert counts == {"replicate": 1, "step": 5}
+
+    @pytest.mark.parametrize("episodes", [2, 7])
+    def test_evaluate_validates_once(self, monkeypatch, rng, episodes):
+        inst = mixed_instance(rng, horizon=3)
+        counts = self.install(monkeypatch)
+        evaluate(inst, make_policy("random"), episodes, base_seed=0)
+        assert counts == {"validate_instance": 1, "replicate": episodes, "step": 3 * episodes}
+
+    def test_invalid_instance_raises_before_any_episode(self, monkeypatch, rng):
+        good = mixed_instance(rng)
+        bad = Instance(types=good.types, rho=good.rho, budget=good.budget,
+                       horizon=good.horizon, initial=(good.initial[0] * 0.5, good.initial[1]))
+        counts = self.install(monkeypatch)
+        for name in ("random", "spi"):
+            with pytest.raises(ValueError, match="invalid instance"):
+                evaluate(bad, make_policy(name), 3, base_seed=0)
+        assert "replicate" not in counts and "step" not in counts
