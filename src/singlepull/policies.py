@@ -189,12 +189,14 @@ class BasePolicy:
     expanded = False  # whether episodes run on the dummy-expanded system
 
     def __init__(self):
+        self.instance: Instance | None = None
         self.sim_models: list[ArmModel] | None = None
         self.tables: ArmTables | None = None
 
     def _use_models(self, instance: Instance, models: list[ArmModel]):
-        """Validate the instance and flatten the models its episodes run on."""
+        """Validate the instance, record it and flatten the models its episodes run on."""
         require_valid(instance)
+        self.instance = instance
         self.sim_models = models
         self.tables = ArmTables.build(models)
 

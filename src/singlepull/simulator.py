@@ -106,7 +106,11 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
 
     Expanded-space policies track pulled arms through dummy states; the
     others use the explicit pulled mask. Both views are kept in sync.
+    Raises ValueError unless policy was prepared for this very instance
+    object, whose dynamics its tables hold.
     """
+    if policy.instance is not instance:
+        raise ValueError(f"policy {policy.name!r} was not prepared for this instance")
     tables = policy.tables
     pop = replicate(instance, seed)
     states = pop.states.copy()
@@ -179,6 +183,8 @@ def evaluate(
     Wall clock covers policy precomputation plus all per-step selection
     calls; environment sampling is excluded. The instance is validated
     once, when prepare builds the policy's ArmTables, not per episode.
+    With prepared=True the policy must have been prepared for this
+    instance; run_episode raises ValueError otherwise.
     """
     if n_episodes < 2:
         raise ValueError("need at least 2 episodes for a confidence interval")

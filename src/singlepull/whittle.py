@@ -2,9 +2,11 @@
 
 The infinite-horizon index of a state is the passive subsidy at which
 activating and resting are equally attractive under the average-reward
-criterion; the inner evaluation is relative value iteration. The
-finite-horizon variant replaces the inner evaluation with backward
-induction from the end of the horizon, giving a time-dependent index.
+criterion; the inner evaluation is exact multichain policy iteration,
+which ends after finitely many policy changes and needs no sweep cap or
+damping. The finite-horizon variant replaces the inner evaluation with
+backward induction from the end of the horizon, giving a time-dependent
+index.
 
 Both DPs solve one problem per entry of a subsidy vector, so one
 bisection moves every state (or (state, t) pair) at once. Indexability is
@@ -23,8 +25,8 @@ from .model import ArmModel, stack_types
 
 BISECT_MAX_ITERS = 60
 DEFAULT_TOL = 1e-6
-RVI_SPAN_TOL = 1e-9
-RVI_MAX_SWEEPS = 100_000
+TIE_TOL = 1e-10  # value gaps below TIE_TOL times the values' scale are ties
+CESARO_MAX_SQUARINGS = 64
 
 
 class BracketFail(RuntimeError):
@@ -32,7 +34,7 @@ class BracketFail(RuntimeError):
 
 
 class NonConvergent(RuntimeError):
-    """Relative value iteration failed to contract."""
+    """The optimal average reward differs across states, so relative values are undefined."""
 
 
 @dataclass
@@ -129,46 +131,80 @@ def _subsidy_index(model: ArmModel, qdiff_at, tol: float) -> np.ndarray:
     return lam.reshape(qd_lo.shape)
 
 
+def _cesaro_limit(P: np.ndarray) -> np.ndarray:
+    """Cesaro limit P* = lim (1/n) sum_k P^k of a stack of stochastic matrices (..., S, S).
+
+    The aperiodic transform (I + P) / 2 has the same limit and its powers
+    converge to it, so it is squared, with rows renormalised against
+    round-off, until a square moves no entry by more than TIE_TOL (the next
+    square's error is then of order TIE_TOL ** 2), at most
+    CESARO_MAX_SQUARINGS times.
+    """
+    M = 0.5 * (np.eye(P.shape[-1]) + P)
+    for _ in range(CESARO_MAX_SQUARINGS):
+        M2 = M @ M
+        M2 /= M2.sum(axis=-1, keepdims=True)
+        moved = np.abs(M2 - M).max()
+        M = M2
+        if moved <= TIE_TOL:
+            break
+    return M
+
+
 def relative_value_iteration(model: ArmModel, lam):
     """Average-reward DP with passive subsidy lam, a scalar or a (B,) vector.
 
-    Damped relative value iteration (aperiodicity transform): the update
-    averages the Bellman image with the current iterate, which leaves the
-    gain and bias structure untouched but removes the near-periodic modes
-    that stall plain value iteration on nearly deterministic cycles. Each
-    subsidy is one row of a (B, S) value matrix, dropped from later sweeps
-    once the span of its undamped Bellman residual is below RVI_SPAN_TOL.
+    Solved exactly by multichain Howard policy iteration (Puterman 1994,
+    section 9.2), one row per subsidy, all rows together as (B, S, S)
+    arrays. Starting from the myopic policy, each round evaluates every
+    row's policy P exactly: the gain g = P* r and the bias
+    h = (I - P + P*)^-1 (r - g), with P* the Cesaro limit of P, so the
+    multichain models that dummy expansion produces need no special case.
+    Each state then keeps only the actions maximising P_a g and, among
+    those, takes the one maximising r_a + P_a h; its current action stays
+    unless another is better by more than TIE_TOL (relative to the values'
+    scale). The loop ends when no row changes, which takes finitely many
+    rounds because every change strictly improves the policy.
 
-    Returns (qdiff, h), each lam.shape + (S,): qdiff = Q(s, 1) - Q(s, 0) at
-    the fixed point and h the relative values (reference state 0). Raises
-    NonConvergent, naming the unfinished subsidies, after RVI_MAX_SWEEPS.
+    Returns (qdiff, h), each lam.shape + (S,): qdiff = Q(s, 1) - Q(s, 0)
+    with Q(s, a) = r_a(s) + P_a h, and h the bias shifted to h(0) = 0.
+    Raises NonConvergent, naming those subsidies, when the optimal gain is
+    not the same in every state: the relative values (and qdiff) are then
+    undefined, and that is the one case where relative value iteration
+    does not converge.
     """
     lam = np.asarray(lam, dtype=float)
     lams = lam.reshape(-1)
-    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T for a = 0, 1
+    S = model.n_states
+    P0, P1 = model.transitions.transpose(1, 0, 2)  # P_a
     r0 = model.rewards[:, 0] + lams[:, None]
     r1 = model.rewards[:, 1]
-    qdiff, h = np.empty((2, lams.size, model.n_states))
-    live = np.arange(lams.size)
-    v = np.zeros_like(qdiff)
-    for _ in range(RVI_MAX_SWEEPS):
-        q0 = r0 + v @ P0T
-        q1 = r1 + v @ P1T
-        bellman = np.maximum(q0, q1)
-        residual = bellman - v
-        done = residual.max(axis=1) - residual.min(axis=1) < RVI_SPAN_TOL
-        if done.any():
-            qdiff[live[done]] = (q1 - q0)[done]
-            h[live[done]] = v[done]
-            live, v, r0, bellman = live[~done], v[~done], r0[~done], bellman[~done]
-            if live.size == 0:
-                return qdiff.reshape(lam.shape + (-1,)), h.reshape(lam.shape + (-1,))
-        v = 0.5 * v + 0.5 * bellman
-        v = v - v[:, :1]
-    raise NonConvergent(
-        f"relative value iteration did not reach span {RVI_SPAN_TOL:g} "
-        f"in {RVI_MAX_SWEEPS} sweeps (lambda={', '.join(f'{x:g}' for x in lams[live])})"
-    )
+    active = r1 > r0  # the myopic policy, one row per subsidy
+    while True:
+        P_pi = np.where(active[..., None], P1, P0)
+        r_pi = np.where(active, r1, r0)
+        P_star = _cesaro_limit(P_pi)
+        g = (P_star @ r_pi[..., None])[..., 0]
+        h = np.linalg.solve(np.eye(S) - P_pi + P_star, (r_pi - g)[..., None])[..., 0]
+        q0 = r0 + h @ P0.T
+        q1 = r1 + h @ P1.T
+        qdiff = q1 - q0
+        tie = TIE_TOL * (1.0 + np.abs(np.hstack([q0, q1, g])).max(axis=1, keepdims=True))
+        sign = np.where(active, -1.0, 1.0)  # turns action-1-minus-0 gaps into switching gains
+        gain_up = sign * (g @ P1.T - g @ P0.T)
+        bias_up = sign * qdiff
+        switch = (gain_up > tie) | ((gain_up >= -tie) & (bias_up > tie))
+        if not switch.any():
+            break
+        active ^= switch
+    split = np.ptp(g, axis=1) > tie[:, 0]
+    if split.any():
+        raise NonConvergent(
+            f"optimal gain differs across states, so relative values are undefined "
+            f"(lambda={', '.join(f'{x:g}' for x in lams[split])})"
+        )
+    h = h - h[:, :1]
+    return qdiff.reshape(lam.shape + (S,)), h.reshape(lam.shape + (S,))
 
 
 def whittle_index_infinite(model: ArmModel, tol: float = DEFAULT_TOL) -> IndexTable:

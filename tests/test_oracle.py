@@ -116,7 +116,8 @@ class TestExactPolicyValue:
     def test_mask_space_policy_through_adapter(self, rng):
         assert_monte_carlo_matches_exact(random_tiny_instance(rng), "whittle-original")
 
-    @pytest.mark.parametrize("name", ["meanfield", "whittle-finite", "qdiff"])
+    @pytest.mark.parametrize("name", ["meanfield", "whittle-original", "whittle-infinite",
+                                      "whittle-finite", "qdiff"])
     def test_table_policy_matches_exact_value(self, rng, name):
         for _ in range(2):
             assert_monte_carlo_matches_exact(random_tiny_instance(rng), name)

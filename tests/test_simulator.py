@@ -173,6 +173,22 @@ class TestEvaluate:
         b = evaluate(inst, make_policy("spi"), 50, base_seed=11)
         assert np.array_equal(a.rewards, b.rewards)
 
+    def test_prepared_policy_runs_only_on_its_own_instance(self):
+        def random_instance(seed):
+            return domains.make_instance(domains.DomainSpec(domains.RANDOM, 2, 3, seed=seed),
+                                         budget=1, rho=2, horizon=4)
+
+        inst = random_instance(0)
+        pol = make_policy("spi")
+        pol.prepare(inst)
+        assert evaluate(inst, pol, 5, base_seed=0, prepared=True).n_episodes == 5
+        with pytest.raises(ValueError, match="not prepared for this instance"):
+            evaluate(random_instance(1), pol, 5, base_seed=0, prepared=True)
+        with pytest.raises(ValueError, match="not prepared for this instance"):
+            run_episode(random_instance(0), pol, seed=0)  # an equal copy is not the instance
+        with pytest.raises(ValueError, match="not prepared for this instance"):
+            run_episode(inst, make_policy("spi"), seed=0)
+
     def test_needs_two_episodes(self, rng):
         m = random_arm(rng, 2)
         inst = Instance(types=(m,), rho=1, budget=1, horizon=1,

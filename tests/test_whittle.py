@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from singlepull import ArmModel, expand_with_dummies
-from singlepull.domains import closed_form_whittle, ehrenfest_arm
-from singlepull import whittle
+from singlepull import ArmModel, domains, expand_with_dummies, make_policy
+from singlepull.domains import DomainSpec, closed_form_whittle, ehrenfest_arm
 from singlepull.whittle import (
     DEFAULT_TOL,
     BracketFail,
@@ -83,18 +82,17 @@ class TestInfinite:
         qd, h = relative_value_iteration(model, 0.0)
         assert np.allclose(qd, 0.0, atol=1e-8)  # identical action rows
 
-    def test_nonconvergent_on_disconnected_gains(self, monkeypatch):
+    def test_nonconvergent_on_disconnected_gains(self):
         # two absorbing components with different rewards: no single gain
         P = np.zeros((2, 2, 2))
         P[0, :, 0] = 1.0
         P[1, :, 1] = 1.0
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        monkeypatch.setattr(whittle, "RVI_MAX_SWEEPS", 500)
         with pytest.raises(NonConvergent):
             relative_value_iteration(model, 0.0)
 
-    def test_nonconvergent_names_only_unfinished_subsidies(self, monkeypatch):
+    def test_nonconvergent_names_only_unfinished_subsidies(self):
         # two absorbing states, gains max(lam, 1) and max(lam, 0): one gain
         # exactly when lam >= 1
         P = np.zeros((2, 2, 2))
@@ -102,11 +100,55 @@ class TestInfinite:
         P[1, :, 1] = 1.0
         r = np.array([[0.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        monkeypatch.setattr(whittle, "RVI_MAX_SWEEPS", 500)
         qd, _ = relative_value_iteration(model, 2.0)
         assert np.allclose(qd, [-1.0, -2.0])
         with pytest.raises(NonConvergent, match=r"\(lambda=0\.25\)"):
             relative_value_iteration(model, np.array([2.0, 0.25, 3.0]))
+
+
+class TestPolicyIteration:
+    def test_whittle_original_prepares_on_cpap(self):
+        # the instance where relative value iteration never converged
+        inst = domains.make_instance(DomainSpec(domains.CPAP, 10, 5, seed=0),
+                                     budget=3, rho=1, horizon=10)
+        policy = make_policy("whittle-original")
+        policy.prepare(inst)
+        for model, values in zip(inst.types, policy.table.values):
+            assert np.all(np.isfinite(values))
+            for s in range(model.n_states):
+                qd, _ = relative_value_iteration(model, values[s, 0])
+                assert abs(qd[s]) <= DEFAULT_TOL
+
+    def test_gain_step_leaves_a_lower_gain_class(self):
+        # state 0 rests at gain lam = 0.5 or moves, unpaid, to state 1, which
+        # earns 1 when active. The myopic start rests in state 0, and the bias
+        # alone ties there (0 + h(1) vs 0.5 + h(0), both 0), so only the gain
+        # comparison P_a g finds the move.
+        P = np.zeros((2, 2, 2))
+        P[0, 0, 0] = 1.0
+        P[0, 1, 1] = 1.0
+        P[1, :, 1] = 1.0
+        r = np.array([[0.0, 0.0], [0.0, 1.0]])
+        model = ArmModel(n_states=2, transitions=P, rewards=r)
+        qd, h = relative_value_iteration(model, 0.5)
+        assert np.allclose(qd, [0.5, 0.5], rtol=0, atol=1e-12)
+        assert np.allclose(h, [0.0, 1.0], rtol=0, atol=1e-12)
+        assert np.allclose(qd, rvi_qdiff(model, 0.5), rtol=0, atol=1e-8)
+
+    def test_bias_solves_the_optimality_equation(self, rng):
+        # h + g = max_a (r_a + P_a h) with one gain g in every state, also on
+        # the multichain dummy-expanded model
+        lams = np.array([-2.0, -0.1, 0.0, 0.4, 3.0])
+        for model in (random_arm(rng, 4, active_only_rewards=False),
+                      expand_with_dummies(random_arm(rng, 3)), expand_with_dummies(cpap3_arm())):
+            qd, h = relative_value_iteration(model, lams)
+            assert np.all(h[:, 0] == 0.0)
+            r0 = model.rewards[:, 0] + lams[:, None]
+            q0 = r0 + h @ model.transitions[:, 0, :].T
+            q1 = model.rewards[:, 1] + h @ model.transitions[:, 1, :].T
+            assert np.allclose(q1 - q0, qd, rtol=0, atol=1e-12)
+            gain = np.maximum(q0, q1) - h
+            assert np.allclose(gain, gain[:, :1], rtol=0, atol=1e-9)
 
 
 class TestBatchedDp:
@@ -148,6 +190,17 @@ class TestAgainstScalarReference:
                 table = whittle_index_infinite(m)
                 assert np.allclose(table.values[0][:, 0], reference_infinite(m),
                                    rtol=0, atol=DEFAULT_TOL)
+
+    def test_family_arms_match_reference(self):
+        specs = (DomainSpec(domains.CPAP, 3, 3), DomainSpec(domains.MHMH, 2, 3),
+                 DomainSpec(domains.RANDOM, 2, 4),
+                 DomainSpec(domains.EHRENFEST, 1, 3, params={"dt": 0.1}))
+        for spec in specs:
+            for model in domains.make_models(spec):
+                for m in (model, expand_with_dummies(model)):
+                    table = whittle_index_infinite(m)
+                    assert np.allclose(table.values[0][:, 0], reference_infinite(m),
+                                       rtol=0, atol=DEFAULT_TOL)
 
     def test_finite_matches_reference(self):
         for model, T in zip(self.models(), (4, 5, 6, 4, 6)):

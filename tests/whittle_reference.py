@@ -2,7 +2,9 @@
 
 Every bisection step solves one full DP at a single subsidy and reads one
 entry of it, exactly the per-state (infinite) and per-(state, t) (finite)
-loops that the batched index layer replaces.
+loops that the batched index layer replaces. The infinite-horizon DP here
+is damped relative value iteration, an independent method from the
+package's policy iteration, with its own span tolerance and sweep cap.
 """
 
 import numpy as np
@@ -10,13 +12,14 @@ import numpy as np
 from singlepull.whittle import (
     BISECT_MAX_ITERS,
     DEFAULT_TOL,
-    RVI_MAX_SWEEPS,
-    RVI_SPAN_TOL,
     BracketFail,
     NonConvergent,
     _bracket_halfwidth,
     _expand_bracket,
 )
+
+RVI_SPAN_TOL = 1e-9
+RVI_MAX_SWEEPS = 100_000
 
 
 def rvi_qdiff(model, lam, damping=0.5):
