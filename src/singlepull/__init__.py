@@ -37,7 +37,6 @@ from .whittle import (
     whittle_index_infinite,
 )
 from .policies import (
-    ActivationProbabilities,
     POLICY_NAMES,
     compute_chi,
     greedy_budget_select,

@@ -5,6 +5,10 @@
                [--resample-instances M] [--dump-trajectories] [--timing]
                [--sweep-rho 2,5,10,20]
 
+The overrides replace keys of the config document, which is then checked
+against the config schema once; --seeds and --resample-instances exclude
+each other.
+
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 constraint-audit
 failure (the simulator's feasibility authority was breached).
 """
@@ -16,12 +20,13 @@ import sys
 
 from .experiments import (
     ConfigError,
-    load_config,
+    parse_config,
+    read_config,
+    require_timing_policies,
     run_experiment,
     sweep_rho,
     time_policies,
 )
-from .policies import POLICY_NAMES
 from .simulator import InfeasibleAction
 from .simplex import SolverStall
 
@@ -55,38 +60,41 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_seed_range(text: str) -> list[int]:
     try:
         a, b = text.split("..")
-        lo, hi = int(a), int(b)
+        return list(range(int(a), int(b) + 1))
     except ValueError:
         raise ConfigError(f"--seeds expects A..B, got {text!r}") from None
-    if hi < lo:
-        raise ConfigError(f"--seeds range is empty: {text!r}")
-    return list(range(lo, hi + 1))
+
+
+SEED_KEYS = ("instance_seeds", "resample_instances")
+
+
+def _overrides(args) -> dict:
+    """The config keys the command line sets, as JSON values for the schema to check."""
+    if args.seeds is not None and args.resample_instances is not None:
+        raise ConfigError("--seeds and --resample-instances both choose the instance seeds")
+    given = {
+        "out_dir": args.out,
+        "instance_seeds": None if args.seeds is None else _parse_seed_range(args.seeds),
+        "resample_instances": args.resample_instances,
+        "policies": None if args.policies is None else
+                    [p.strip() for p in args.policies.split(",") if p.strip()],
+        "episodes": args.episodes,
+        "dump_trajectories": args.dump_trajectories or None,
+        "measure_runtime": args.timing or None,
+    }
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.out:
-            config.out_dir = args.out
-        if args.seeds:
-            config.instance_seeds = _parse_seed_range(args.seeds)
-        if args.policies:
-            names = [p.strip() for p in args.policies.split(",") if p.strip()]
-            bad = [p for p in names if p not in POLICY_NAMES]
-            if bad:
-                raise ConfigError(f"unknown policies: {bad}")
-            config.policies = names
-        if args.episodes is not None:
-            if args.episodes < 2:
-                raise ConfigError("--episodes must be at least 2")
-            config.episodes = args.episodes
-        if args.resample_instances is not None:
-            config.instance_seeds = list(range(args.resample_instances))
-        if args.dump_trajectories:
-            config.dump_trajectories = True
-        if args.timing:
-            config.measure_runtime = True
+        doc = read_config(args.config)
+        overrides = _overrides(args)
+        if any(key in overrides for key in SEED_KEYS):
+            doc = {key: value for key, value in doc.items() if key not in SEED_KEYS}
+        config = parse_config({**doc, **overrides})
+        if config.measure_runtime and not args.sweep_rho:
+            require_timing_policies(config.policies)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

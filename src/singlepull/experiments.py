@@ -15,6 +15,12 @@ dummy-LP upper bound, evaluates every requested policy, and writes
 Outputs are a pure function of the config: reruns produce byte-identical
 CSVs. Wall-clock measurement is therefore opt-in (measure_runtime); without
 it the runtime_ms column is written as 0.
+
+A config is a JSON document checked once against CONFIG_SCHEMA; command-line
+overrides are applied to the document before that check. The runner
+evaluates the (instance draw, policy) pairs one after another in this
+process. A failed LP solve or index build aborts the run as SolverStall
+after the instance is saved for replay.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -38,7 +43,6 @@ from .simplex import SolverStall
 
 log = logging.getLogger(__name__)
 
-THREADS_ENV = "SINGLEPULL_THREADS"
 NEAR_OPTIMAL_FRACTION = 0.03
 
 CONFIG_SCHEMA = {
@@ -75,7 +79,7 @@ CONFIG_SCHEMA = {
         "episodes": {"type": "integer", "minimum": 2},
         "base_seed": {"type": "integer"},
         "resample_instances": {"type": "integer", "minimum": 1},
-        "instance_seeds": {"type": "array", "items": {"type": "integer"}},
+        "instance_seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
         "out_dir": {"type": "string"},
         "dump_trajectories": {"type": "boolean"},
         "measure_runtime": {"type": "boolean"},
@@ -153,13 +157,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> dict:
+    """The JSON config object, not yet checked against the schema."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return doc
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 @dataclass
@@ -188,13 +199,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _evaluate_policy(instance, name, episodes, base_seed):
     policy = make_policy(name)
     return evaluate(instance, policy, episodes, base_seed)
@@ -209,48 +213,35 @@ def run_experiment(config: ExperimentConfig, evaluate_fn=_evaluate_policy):
     output order.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    work = []
-    instances = {}
-    for seed in config.instance_seeds:
-        instances[seed] = config.instance(seed)
-        for name in config.policies:
-            work.append((seed, name))
+    instances = {seed: config.instance(seed) for seed in config.instance_seeds}
+
+    def failed(seed, what, exc):
+        path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
+        save_instance(instances[seed], path)
+        return SolverStall(f"{what} failed on seed {seed} (instance saved to {path}): {exc}")
 
     bounds = {}
     for seed, instance in instances.items():
         try:
             bounds[seed] = lp.upper_bound(instance)
-        except (SolverStall, RuntimeError) as exc:
-            path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
-            save_instance(instance, path)
-            raise SolverStall(f"upper-bound solve failed for seed {seed} "
-                              f"(instance saved to {path}): {exc}") from exc
+        except SolverStall as exc:
+            raise failed(seed, "upper-bound solve", exc) from exc
+    summaries = {}
+    for seed, instance in instances.items():
+        for name in config.policies:
+            try:
+                summaries[seed, name] = evaluate_fn(instance, name, config.episodes,
+                                                    config.base_seed)
+            except InfeasibleAction:
+                raise  # a constraint-audit failure, not a solver failure
+            except RuntimeError as exc:  # SolverStall, NonConvergent, BracketFail
+                raise failed(seed, f"policy {name}", exc) from exc
 
-    def job(item):
-        seed, name = item
-        try:
-            return evaluate_fn(instances[seed], name, config.episodes, config.base_seed)
-        except InfeasibleAction:
-            raise  # a constraint-audit failure, not a solver failure
-        except (SolverStall, RuntimeError) as exc:
-            path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
-            save_instance(instances[seed], path)
-            raise SolverStall(f"policy {name} failed on seed {seed} "
-                              f"(instance saved to {path}): {exc}") from exc
-
-    workers = _n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(job, work))
-    else:
-        summaries = [job(item) for item in work]
-
-    by_key = {item: summary for item, summary in zip(work, summaries)}
     rows = []
     for seed in config.instance_seeds:
-        random_mean = by_key[(seed, "random")].mean if (seed, "random") in by_key else None
+        random_mean = summaries[seed, "random"].mean if (seed, "random") in summaries else None
         for name in config.policies:
-            summary = by_key[(seed, name)]
+            summary = summaries[seed, name]
             ub = bounds[seed]
             if random_mean is not None and ub > random_mean:
                 norm = float(normalize_scores(summary.mean, ub, random_mean))
@@ -378,16 +369,19 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+def require_timing_policies(policies: list[str]):
+    """Raise ConfigError unless policies holds spi and a whittle variant."""
+    if "spi" not in policies or not any(p.startswith("whittle") for p in policies):
+        raise ConfigError("timing comparison needs spi and a whittle variant")
+
+
 def time_policies(config: ExperimentConfig):
     """Per-policy wall-clock statistics over >= 3 instance draws.
 
     Wall time covers index/LP precomputation plus all per-step selection
     calls, matching the evaluation timing convention.
     """
-    if "spi" not in config.policies or not any(
-        p.startswith("whittle") for p in config.policies
-    ):
-        raise ConfigError("timing comparison needs spi and a whittle variant")
+    require_timing_policies(config.policies)
     seeds = list(config.instance_seeds)
     fresh = max(seeds, default=0) + 1  # above every configured seed, so draws stay distinct
     while len(seeds) < 3:

@@ -15,7 +15,9 @@ the replication factor rho as an objective weight and the activation budget
 normalized to K per class. This keeps the LP size independent of rho.
 
 The constraint matrices are assembled as scipy.sparse blocks straight from
-each type's transition tensor, and `simplex.solve` hands them to HiGHS.
+each type's transition tensor, and `simplex.solve` hands them to HiGHS in
+one call. Every variant is feasible and bounded, so a solve either returns
+the optimum or raises SolverStall.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ MEAN_FIELD = "mean_field"
 SPRMAB_LP = "sprmab_lp"
 DUMMY = "dummy"
 VARIANTS = (MEAN_FIELD, SPRMAB_LP, DUMMY)
-
-OPTIMAL = simplex.OPTIMAL
-INFEASIBLE = simplex.INFEASIBLE
-UNBOUNDED = simplex.UNBOUNDED
 
 MEASURE_TOL = 1e-7
 
@@ -69,15 +67,6 @@ class VarIndex:
             raise IndexError(f"bad variable key ({n}, {s}, {a}, {t})")
         return self.offsets[n] + (t * S + s) * 2 + a
 
-    def key(self, col: int) -> tuple[int, int, int, int]:
-        offs = self.offsets
-        n = int(np.searchsorted(np.array(offs + (self.n_vars,)), col, side="right")) - 1
-        rel = col - offs[n]
-        S = self.n_states[n]
-        t, rem = divmod(rel, S * 2)
-        s, a = divmod(rem, 2)
-        return n, s, a, t
-
 
 @dataclass
 class LpProblem:
@@ -98,14 +87,11 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str
-    objective: float | None
-    occupancy: list[np.ndarray] | None  # per type, shape (S_n, 2, T)
-    var_index: VarIndex | None = None
+    objective: float
+    occupancy: list[np.ndarray]  # per type, shape (S_n, 2, T)
+    var_index: VarIndex
     iterations: int = 0
-
-    def mu(self, n: int, s: int, a: int, t: int) -> float:
-        return float(self.occupancy[n][s, a, t])
+    status = "OPTIMAL"  # not a field: solve_lp returns only optima
 
 
 def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
@@ -167,19 +153,13 @@ def _active_row(n_states: int) -> sps.csr_matrix:
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve to a deterministic basic optimum; raises SolverStall on failure."""
-    res = simplex.solve(
-        problem.objective,
-        sps.vstack([problem.A_ub, problem.A_eq], format="csr"),
-        ["<="] * problem.A_ub.shape[0] + ["="] * problem.A_eq.shape[0],
-        np.concatenate([problem.b_ub, problem.b_eq]),
-    )
+    res = simplex.solve(problem.objective, problem.A_ub, problem.b_ub,
+                        problem.A_eq, problem.b_eq)
     vi = problem.var_index
-    if res.status != simplex.OPTIMAL:
-        return LpSolution(res.status, None, None, vi, res.iterations)
     T = vi.horizon
     occupancy = [res.x[off:off + 2 * S * T].reshape(T, S, 2).transpose(1, 2, 0)
                  for off, S in zip(vi.offsets, vi.n_states)]
-    return LpSolution(simplex.OPTIMAL, res.objective, occupancy, vi, res.iterations)
+    return LpSolution(res.objective, occupancy, vi, res.iterations)
 
 
 def upper_bound(instance: Instance) -> float:
@@ -189,10 +169,7 @@ def upper_bound(instance: Instance) -> float:
     bounds the expected total reward of any feasible policy on the
     replicated population from above.
     """
-    sol = solve_lp(build_occupancy_lp(instance, DUMMY))
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"upper-bound LP terminated with status {sol.status}")
-    return float(sol.objective)
+    return solve_lp(build_occupancy_lp(instance, DUMMY)).objective
 
 
 def measure_residuals(solution: LpSolution) -> float:

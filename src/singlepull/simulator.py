@@ -175,7 +175,6 @@ def evaluate(
     policy,
     n_episodes: int,
     base_seed: int,
-    record: bool = False,
     prepared: bool = False,
 ) -> Summary:
     """Run n_episodes with seeds base_seed..base_seed+n-1 and summarize.
@@ -197,7 +196,7 @@ def evaluate(
     select_seconds = 0.0
     cap = instance.step_budget
     for e in range(n_episodes):
-        result = run_episode(instance, policy, base_seed + e, record=record)
+        result = run_episode(instance, policy, base_seed + e)
         problems = audit_episode(result, cap)
         if problems:
             raise InfeasibleAction("constraint audit failed: " + "; ".join(problems))

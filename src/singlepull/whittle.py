@@ -55,10 +55,6 @@ class IndexTable:
         self.offset, flat = stack_types(self.values)
         self.flat = np.asarray(flat, dtype=float)
 
-    def value(self, n: int, s: int, t: int = 0) -> float:
-        v = self.values[n]
-        return float(v[s, t]) if self.time_dependent else float(v[s, 0])
-
     def lookup(self, type_of: np.ndarray, states: np.ndarray, t: int) -> np.ndarray:
         """Vectorized per-arm index lookup."""
         column = self.flat[:, t if self.time_dependent else 0]

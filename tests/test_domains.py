@@ -132,7 +132,7 @@ class TestEhrenfest:
             S, dt = 6, 0.01
             arm = ehrenfest_arm(c, mu, lam, S, dt)
             table = whittle_index_infinite(arm)
-            computed = np.array([table.value(0, s) for s in range(S + 1)]) / dt
+            computed = table.values[0][:, 0] / dt
             reference = np.array([closed_form_whittle(c, mu, lam, S, s) for s in range(S + 1)])
             assert np.array_equal(np.argsort(computed), np.argsort(reference))
             big = np.abs(reference) > 0.2 * (reference.max() - reference.min())
@@ -148,7 +148,7 @@ class TestEhrenfest:
             S, dt = 6, 0.01
             arm = ehrenfest_arm(c, mu, lam, S, dt)
             table = whittle_index_infinite(arm)
-            computed = np.array([table.value(0, s) for s in range(S + 1)])
+            computed = table.values[0][:, 0]
             reference = np.array([closed_form_whittle(c, mu, lam, S, s) for s in range(S + 1)])
             assert np.array_equal(np.argsort(computed), np.argsort(reference))
 

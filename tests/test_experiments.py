@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from singlepull import cli
 from singlepull.experiments import (
@@ -15,7 +16,7 @@ from singlepull.experiments import (
     time_policies,
 )
 from singlepull.simulator import InfeasibleAction, Summary
-from singlepull import experiments, lp, simplex
+from singlepull import experiments, lp
 from singlepull.domains import make_instance
 
 
@@ -222,13 +223,25 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "out" / "gap_curve.csv").exists()
 
-    def test_threads_env_same_output(self, tmp_path, monkeypatch):
-        cfg_path = self.write_config(tmp_path, episodes=5)
-        assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "a")]) == 0
-        monkeypatch.setenv("SINGLEPULL_THREADS", "4")
-        assert cli.main(["--config", cfg_path, "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "a" / "results.csv").read_bytes() == \
-               (tmp_path / "b" / "results.csv").read_bytes()
+    @pytest.mark.parametrize("flags", [["--resample-instances", "0"], ["--policies", ","],
+                                       ["--seeds", "3..4", "--resample-instances", "1"],
+                                       ["--episodes", "1"], ["--seeds", "4..3"]])
+    def test_rejected_override_writes_nothing(self, tmp_path, flags):
+        rc = cli.main(["--config", self.write_config(tmp_path)] + flags)
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_resample_override_replaces_config_seeds(self, tmp_path):
+        rc = cli.main(["--config", self.write_config(tmp_path, episodes=2, instance_seeds=[7]),
+                       "--resample-instances", "2"])
+        assert rc == cli.EXIT_OK
+        csv = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert {line.split(",")[2] for line in csv[1:]} == {"0", "1"}
+
+    def test_timing_without_whittle_writes_no_report(self, tmp_path):
+        rc = cli.main(["--config", self.write_config(tmp_path), "--timing"])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_audit_failure_exit_code(self, tmp_path, monkeypatch):
         def breach(*args, **kwargs):
@@ -239,10 +252,10 @@ class TestCli:
         assert rc == cli.EXIT_AUDIT
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch):
-        def infeasible(*args, **kwargs):
-            return simplex.SimplexResult(simplex.INFEASIBLE, None, None, 0)
+        def numerical_difficulties(c, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, nit=0, x=None, message="injected")
 
-        monkeypatch.setattr(simplex, "solve", infeasible)
+        monkeypatch.setattr(scipy.optimize, "linprog", numerical_difficulties)
         rc = cli.main(["--config", self.write_config(tmp_path), "--episodes", "2"])
         assert rc == cli.EXIT_SOLVER
         assert (tmp_path / "out" / "failed_instance_0.json").exists()

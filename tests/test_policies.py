@@ -16,6 +16,7 @@ from singlepull import (
     spi_select,
 )
 from singlepull import lp
+from singlepull.domains import RANDOM, DomainSpec, make_instance
 from singlepull.model import ArmTables, point_initial, stack_types
 from singlepull.policies import dummy_mask_for
 from singlepull.whittle import IndexTable
@@ -25,7 +26,7 @@ from conftest import random_arm
 
 def fake_solution(mu_blocks):
     """LpSolution stand-in from explicit occupancy blocks (S, 2, T)."""
-    return lp.LpSolution(status=lp.OPTIMAL, objective=0.0,
+    return lp.LpSolution(objective=0.0, var_index=None,
                          occupancy=[np.asarray(b, dtype=float) for b in mu_blocks])
 
 
@@ -33,15 +34,15 @@ class TestChi:
     def test_direct_ratio(self):
         sol = fake_solution([np.array([[[0.6], [0.2]]])])  # mu0=0.6, mu1=0.2
         chi = compute_chi(sol)
-        assert chi.value(0, 0, 0) == pytest.approx(0.25)
+        assert chi[0][0, 0] == pytest.approx(0.25)
 
     def test_zero_denominator_gives_zero(self):
         sol = fake_solution([np.array([[[0.0], [0.0]]])])
-        assert compute_chi(sol).value(0, 0, 0) == 0.0
+        assert compute_chi(sol)[0][0, 0] == 0.0
 
     def test_boundary_one(self):
         sol = fake_solution([np.array([[[0.0], [0.5]]])])
-        assert compute_chi(sol).value(0, 0, 0) == pytest.approx(1.0)
+        assert compute_chi(sol)[0][0, 0] == pytest.approx(1.0)
 
     def test_range_invariant_on_solved_lp(self, rng):
         types = tuple(random_arm(rng, 3) for _ in range(2))
@@ -50,7 +51,7 @@ class TestChi:
         sol = solve_lp(build_occupancy_lp(inst, lp.DUMMY))
         chi = compute_chi(sol)
         for n, block in enumerate(sol.occupancy):
-            c = chi.chi[n]
+            c = chi[n]
             assert np.all(c >= 0.0) and np.all(c <= 1.0)
             dead = (block[:, 0, :] + block[:, 1, :]) <= 1e-12
             assert np.all(c[dead] == 0.0)
@@ -62,16 +63,14 @@ class TestSpiIndices:
             n_states=1, transitions=np.ones((1, 2, 1)), rewards=np.array([[0.5, 2.0]])
         ))
         chi_blocks = [np.array([[0.25], [0.3]])]
-        from singlepull.policies import ActivationProbabilities
-        table = spi_indices(ActivationProbabilities(chi=chi_blocks), [m])
-        assert table.value(0, 0, 0) == pytest.approx(0.25 * 2.0)
+        table = spi_indices(chi_blocks, [m])
+        assert table.values[0][0, 0] == pytest.approx(0.25 * 2.0)
         # dummy state: active reward ties to the origin's passive reward
-        assert table.value(0, 1, 0) == pytest.approx(0.3 * 0.5)
+        assert table.values[0][1, 0] == pytest.approx(0.3 * 0.5)
 
     def test_zero_chi_zero_index(self, rng):
         m = expand_with_dummies(random_arm(rng, 2))
-        from singlepull.policies import ActivationProbabilities
-        table = spi_indices(ActivationProbabilities(chi=[np.zeros((4, 2))]), [m])
+        table = spi_indices([np.zeros((4, 2))], [m])
         assert np.allclose(table.values[0], 0.0)
 
 
@@ -254,3 +253,22 @@ class TestSelectorInvariants:
             actions = pol.select(np.zeros(4, dtype=int), states, pulled, 0,
                                  inst.step_budget, local)
             assert actions.sum() == min(inst.step_budget, 4)
+
+
+class TestInfiniteWhittleOnExpandedModel:
+    def test_normal_state_indices_are_degenerate(self):
+        """Pins the expanded-model indices that InfiniteWhittlePolicy documents.
+
+        On RANDOM N=4 S=10 seed 0 every normal-state index is <= 0 and the
+        largest is exactly 0.0, while the same types unexpanded
+        (whittle-original) reach 6.9-8.2.
+        """
+        inst = make_instance(DomainSpec(RANDOM, 4, 10, seed=0), budget=1, rho=1, horizon=20)
+        expanded, original = make_policy("whittle-infinite"), make_policy("whittle-original")
+        expanded.prepare(inst)
+        original.prepare(inst)
+        for n, top_state in enumerate([8, 9, 9, 9]):
+            normal = expanded.table.values[n][:10, 0]
+            assert np.all(normal <= 0.0)
+            assert normal.max() == 0.0 and int(np.argmax(normal)) == top_state
+            assert 6.9 <= original.table.values[n].max() <= 8.25

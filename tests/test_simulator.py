@@ -115,7 +115,7 @@ class TestRunEpisode:
                         initial=(point_initial(2, 1),))
         pol = make_policy("spi")
         pol.prepare(inst)
-        assert pol.table.value(0, 1, 0) > 0
+        assert pol.table.values[0][1, 0] > 0
         result = run_episode(inst, pol, seed=4)
         assert result.total_reward == pytest.approx(m.rewards[1, 1])
         assert result.pull_time.tolist() == [0]

@@ -42,36 +42,37 @@ class TestInfinite:
         P[:, 1] = P[:, 0]
         r = np.array([[0.0, 1.25], [0.5, 0.5]])
         table = whittle_index_infinite(ArmModel(n_states=2, transitions=P, rewards=r))
-        assert table.value(0, 0) == pytest.approx(1.25, abs=1e-5)
-        assert table.value(0, 1) == pytest.approx(0.0, abs=1e-5)
+        assert table.values[0][0, 0] == pytest.approx(1.25, abs=1e-5)
+        assert table.values[0][1, 0] == pytest.approx(0.0, abs=1e-5)
 
     def test_equalization_at_returned_index(self, rng):
         for model in (cpap3_arm(0.4), random_arm(rng, 3, active_only_rewards=False)):
             tol = 1e-6
             table = whittle_index_infinite(model, tol)
             for s in range(model.n_states):
-                qd, _ = relative_value_iteration(model, table.value(0, s))
+                qd, _ = relative_value_iteration(model, table.values[0][s, 0])
                 assert abs(qd[s]) <= tol
 
     def test_stationary_table_shape(self):
         table = whittle_index_infinite(cpap3_arm())
         assert not table.time_dependent
         assert table.values[0].shape == (3, 1)
-        assert table.value(0, 2, t=0) == table.value(0, 2, t=5)
+        one_arm = (np.array([0]), np.array([2]))
+        assert table.lookup(*one_arm, t=0) == table.lookup(*one_arm, t=5)
 
     def test_ehrenfest_symmetric_state_has_zero_index(self):
         S = 4
         arm = ehrenfest_arm(c=2.0, mu=1.0, lam=1.0, S=S, dt=0.01)
         assert closed_form_whittle(2.0, 1.0, 1.0, S, S // 2) == 0.0
         table = whittle_index_infinite(arm)
-        assert abs(table.value(0, S // 2) / 0.01) < 0.2
+        assert abs(table.values[0][S // 2, 0] / 0.01) < 0.2
 
     def test_ehrenfest_closed_form_top_state(self):
         # v(4) = 2 / (1*4) * (1*16 - 1*0) = 8 in rate units
         assert closed_form_whittle(2.0, 1.0, 1.0, 4, 4) == pytest.approx(8.0)
         arm = ehrenfest_arm(c=2.0, mu=1.0, lam=1.0, S=4, dt=0.01)
         table = whittle_index_infinite(arm)
-        assert table.value(0, 4) / 0.01 == pytest.approx(8.0, rel=0.10)
+        assert table.values[0][4, 0] / 0.01 == pytest.approx(8.0, rel=0.10)
 
     def test_periodic_chain_converges_with_damping(self):
         P = np.zeros((2, 2, 2))
@@ -242,14 +243,14 @@ class TestFinite:
         table = whittle_index_finite(model, T)
         gaps = model.rewards[:, 1] - model.rewards[:, 0]
         for s in range(model.n_states):
-            assert table.value(0, s, T - 1) == pytest.approx(gaps[s], abs=1e-5)
+            assert table.values[0][s, T - 1] == pytest.approx(gaps[s], abs=1e-5)
 
     def test_dummy_states_have_zero_index(self, rng):
         model = expand_with_dummies(random_arm(rng, 2))
         table = whittle_index_finite(model, 3)
         for sd in model.dummy_of:
             for t in range(3):
-                assert table.value(0, sd, t) == pytest.approx(0.0, abs=1e-5)
+                assert table.values[0][sd, t] == pytest.approx(0.0, abs=1e-5)
 
     def test_matches_grid_search_oracle(self, rng):
         model = expand_with_dummies(random_arm(rng, 2, active_only_rewards=False))
@@ -262,7 +263,7 @@ class TestFinite:
         for s in range(model.n_states):
             for t in range(T):
                 best = grid[np.argmin(np.abs(qd[:, s, t]))]
-                assert table.value(0, s, t) == pytest.approx(best, abs=2e-4)
+                assert table.values[0][s, t] == pytest.approx(best, abs=2e-4)
 
 
 class TestQDifference:
@@ -271,7 +272,7 @@ class TestQDifference:
         T = 3
         table = q_difference_indices(model, T)
         gaps = model.rewards[:, 1] - model.rewards[:, 0]
-        assert np.allclose([table.value(0, s, T - 1) for s in range(model.n_states)], gaps)
+        assert np.allclose([table.values[0][s, T - 1] for s in range(model.n_states)], gaps)
 
     def test_dummy_states_zero(self, rng):
         model = expand_with_dummies(random_arm(rng, 3))
