@@ -65,6 +65,13 @@ def _parse_seed_range(text: str) -> list[int]:
         raise ConfigError(f"--seeds expects A..B, got {text!r}") from None
 
 
+def _parse_rho_list(text: str) -> list[int]:
+    try:
+        return [int(r) for r in text.split(",") if r.strip()]
+    except ValueError:
+        raise ConfigError(f"--sweep-rho expects comma-separated integers, got {text!r}") from None
+
+
 SEED_KEYS = ("instance_seeds", "resample_instances")
 
 
@@ -93,15 +100,15 @@ def main(argv=None) -> int:
         if any(key in overrides for key in SEED_KEYS):
             doc = {key: value for key, value in doc.items() if key not in SEED_KEYS}
         config = parse_config({**doc, **overrides})
-        if config.measure_runtime and not args.sweep_rho:
+        rho_list = None if args.sweep_rho is None else _parse_rho_list(args.sweep_rho)
+        if config.measure_runtime and rho_list is None:
             require_timing_policies(config.policies)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if args.sweep_rho:
-            rho_list = [int(r) for r in args.sweep_rho.split(",") if r.strip()]
+        if rho_list is not None:
             rows, slope = sweep_rho(config, rho_list)
             print(f"wrote {config.out_dir}/gap_curve.csv (log-log slope {slope:.3f})")
         else:

@@ -10,7 +10,8 @@ dummy-LP upper bound, evaluates every requested policy, and writes
     gap_curve.csv   (sweep_rho) per-rho optimality gaps plus a fitted
                     log-log slope comment line
     timing.csv      (time_policies) per-policy wall-clock statistics
-    trajectories.jsonl  optional per-(episode, t, arm) audit records
+    trajectories.jsonl  optional per-(episode, t, arm) audit records; state
+                    is the dummy-expanded id, s + S_n once the arm is pulled
 
 Outputs are a pure function of the config: reruns produce byte-identical
 CSVs. Wall-clock measurement is therefore opt-in (measure_runtime); without
@@ -327,10 +328,12 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
     Evaluates the first configured policy at each rho (ascending), reports
     the per-arm gap (upper_bound - mean) / (rho * N) and the normalized gap
     1 - mean / upper_bound, and fits a log-log slope of the normalized gap
-    against rho.
+    against rho. Raises ConfigError, before anything is written, unless
+    rho_list is a non-empty ascending list of rho >= 1.
     """
-    if list(rho_list) != sorted(rho_list):
-        raise ConfigError("rho_list must be ascending")
+    rho_list = list(rho_list)
+    if not rho_list or min(rho_list) < 1 or rho_list != sorted(rho_list):
+        raise ConfigError(f"rho_list must be non-empty, ascending and >= 1, got {rho_list}")
     policy_name = config.policies[0]
     rows = []
     for rho in rho_list:

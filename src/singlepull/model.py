@@ -60,13 +60,6 @@ class ArmModel:
         return self.dummy_of is not None
 
     @property
-    def n_normal(self) -> int:
-        """Count of non-dummy states."""
-        if self.dummy_of is None:
-            return self.n_states
-        return self.n_states - len(self.dummy_of)
-
-    @property
     def dummy_mask(self) -> np.ndarray:
         m = np.zeros(self.n_states, dtype=bool)
         if self.dummy_of:
@@ -280,37 +273,47 @@ def stack_types(blocks) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ArmTables:
-    """The arm models of one population, flattened over global state ids.
+    """The dummy-expanded arms of one population, flattened over global state ids.
 
-    g = offset[n] + s numbers every (type, state) pair, and column 2g + a
-    of cdf, like entry 2g + a of rewards, belongs to the pair (s, a).
-    cdf[j, 2g + a] is P(next state <= j | s, a). It is 1.0 from a type's
-    last state on, not the row sum, because rows are stochastic only to
-    ROW_SUM_TOL; so the next state is the count of entries below a uniform
-    draw in [0, 1) and always a real state. Row S_max - 1 would be all
-    1.0 and is not stored. dummy[g] flags dummy states.
+    Type n gets the 2 S_n states of expand_with_dummies, numbered
+    g = offset[n] + s; dummy[g] flags the upper half. Column 2g + a of cdf,
+    like entry 2g + a of base and rewards, belongs to the pair (s, a), which
+    follows an original row: P[s, a] from a normal state, P[s - S_n, 0] from
+    a dummy one. base is S_n where the move lands in the dummy half (any
+    pull, every move from a dummy state), else 0. cdf[j, 2g + a] is that
+    row's P(next <= j), set to 1.0 from the type's last state on because
+    rows are stochastic only to ROW_SUM_TOL; so the next state is base plus
+    the count of entries below a uniform draw in [0, 1), always a state of
+    the right half. Row S_max - 1 would be all 1.0 and is not stored.
     """
 
     offset: np.ndarray   # (N,)
     cdf: np.ndarray      # (S_max - 1, 2G)
+    base: np.ndarray     # (2G,) int
     rewards: np.ndarray  # (2G,)
     dummy: np.ndarray    # (G,) bool
 
     @classmethod
-    def build(cls, models) -> "ArmTables":
-        width = max(m.n_states for m in models)
-        cdfs = []
-        for m in models:
-            c = np.ones((m.n_states, 2, width))
-            c[:, :, : m.n_states] = np.cumsum(m.transitions, axis=2)
-            c[:, :, m.n_states - 1] = 1.0
+    def build(cls, types) -> "ArmTables":
+        """Tables of the unexpanded types' dummy-expanded arms."""
+        width = max(m.n_states for m in types)
+        models = [expand_with_dummies(m) for m in types]
+        cdfs, bases = [], []
+        for m, e in zip(types, models):
+            S = m.n_states
+            lower, upper = e.transitions[:, :, :S], e.transitions[:, :, S:]
+            c = np.ones((2 * S, 2, width))
+            c[:, :, :S] = np.cumsum(lower + upper, axis=2)  # each row lives in one half
+            c[:, :, S - 1] = 1.0
             cdfs.append(c)
+            bases.append(np.where(upper.any(axis=2), S, 0))
         offset, cdf = stack_types(cdfs)
         return cls(
             offset=offset,
             cdf=np.ascontiguousarray(cdf.reshape(-1, width).T[:-1]),
-            rewards=np.concatenate([m.rewards for m in models]).reshape(-1),
-            dummy=np.concatenate([m.dummy_mask for m in models]),
+            base=np.concatenate(bases).reshape(-1).astype(np.int64),
+            rewards=np.concatenate([e.rewards for e in models]).reshape(-1),
+            dummy=np.concatenate([e.dummy_mask for e in models]),
         )
 
     def ids(self, type_of: np.ndarray, states: np.ndarray) -> np.ndarray:

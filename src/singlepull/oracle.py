@@ -40,14 +40,14 @@ def _check_cap(instance: Instance):
 def _arm_setup(instance: Instance):
     """Per-arm expanded models, initial vectors, and joint-space helpers."""
     require_valid(instance)
-    expanded = [expand_with_dummies(m) for m in instance.types]
+    models = [expand_with_dummies(m) for m in instance.types]
     initials = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)]
     arm_models = []
     arm_init = []
     arm_type = []
     for n in range(instance.n_types):
         for _ in range(instance.rho):
-            arm_models.append(expanded[n])
+            arm_models.append(models[n])
             arm_init.append(initials[n])
             arm_type.append(n)
     dims = tuple(m.n_states for m in arm_models)
@@ -123,19 +123,16 @@ def _joint_states(dims) -> np.ndarray:
 def policy_select_adapter(instance: Instance, policy):
     """Wrap a prepared policy object as select(states_row, pulled_row, t).
 
-    The oracle state space is always the expanded one; mask-space policies
-    receive collapsed state indices plus the pulled flags.
+    The oracle's joint states are the dummy-expanded states every policy
+    reads pulled-ness from, so they pass straight through; pulled_row is
+    implied by them and not needed.
     """
-    arm_models, _, arm_type, _ = _arm_setup(instance)
-    n_normal = np.array([m.n_normal for m in arm_models])
+    _, _, arm_type, _ = _arm_setup(instance)
     cap = instance.step_budget
     rng = np.random.default_rng(0)  # deterministic policies never draw
 
     def select(states_row, pulled_row, t):
-        if policy.expanded:
-            return policy.select(arm_type, states_row, pulled_row, t, cap, rng)
-        collapsed = np.where(states_row >= n_normal, states_row - n_normal, states_row)
-        return policy.select(arm_type, collapsed, pulled_row, t, cap, rng)
+        return policy.select(arm_type, states_row, t, cap, rng)
 
     return select
 
@@ -168,9 +165,8 @@ def exact_policy_value(instance: Instance, select) -> float:
     """
     _check_cap(instance)
     arm_models, arm_init, _, dims = _arm_setup(instance)
-    n_normal = np.array([m.n_normal for m in arm_models])
     states = _joint_states(dims)
-    pulled_all = states >= n_normal[None, :]
+    pulled_all = states >= np.array(dims)[None, :] // 2  # the dummy half of each arm
     dist = _joint_initial(arm_init, dims).reshape(-1)
 
     total = 0.0

@@ -1,20 +1,22 @@
 """Index policies: SPI and the baseline selectors.
 
+Every policy runs on the dummy-expanded arms of ArmTables, where a pulled
+arm sits in the dummy half, so select(type_of, states, t, budget, rng)
+reads pulled-ness from the states alone.
+
 The SPI policy solves the dummy-expanded occupancy LP once, converts the
 optimal measure into per-(state, time) activation probabilities chi (one
-(S_n, T) array per type), and ranks arms by chi * active reward. Its
+(2 S_n, T) array per type), and ranks arms by chi * active reward. Its
 selection walk follows the budget rule of the single-pull algorithm: arms
 are visited in decreasing index order, every visited arm consumes one
 budget unit, but an arm sitting in a dummy state is never actually pulled.
-The walk stops at the first non-positive index (configurable), which
-conserves budget exactly where the LP never activates. An LP solve in
-`prepare` returns the optimum or raises SolverStall; there is no other
-outcome to handle.
+The walk stops at the first non-positive index, which conserves budget
+exactly where the LP never activates. An LP solve in `prepare` returns the
+optimum or raises SolverStall; there is no other outcome to handle.
 
 Baselines: the mean-field LP priority policy, the original stationary
-Whittle policy applied with a pulled mask, modified infinite/finite
-Whittle and Q-difference policies on the expanded system, and uniform
-random selection.
+Whittle indices, modified infinite/finite Whittle and Q-difference indices
+of the expanded arms, and uniform random selection among unpulled arms.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ def spi_select(
     states: np.ndarray,
     t: int,
     budget: int,
-    stop_at_nonpositive: bool = True,
 ) -> np.ndarray:
     """Budget walk in decreasing index order over expanded-space states.
 
     Every visited arm consumes a budget unit; only non-dummy arms are
-    pulled. With stop_at_nonpositive the walk ends at the first index <= 0.
+    pulled. The walk ends at the first index <= 0.
     """
     n_arms = len(type_of)
     actions = np.zeros(n_arms, dtype=np.int64)
@@ -71,11 +72,7 @@ def spi_select(
         return actions
     idx = indices.lookup(type_of, states, t)
     order = np.argsort(-idx, kind="stable")  # ties -> lower arm id first
-    if stop_at_nonpositive:
-        visit_limit = int((idx[order] > 0).sum())
-    else:
-        visit_limit = n_arms
-    visited = order[: min(budget, visit_limit)]
+    visited = order[: min(budget, int((idx[order] > 0).sum()))]
     dummy = dummy_mask_for(tables, type_of[visited], states[visited])
     actions[visited[~dummy]] = 1
     return actions
@@ -86,7 +83,6 @@ def mean_field_select(
     offset: np.ndarray,
     type_of: np.ndarray,
     states: np.ndarray,
-    pulled: np.ndarray,
     t: int,
     budget: int,
 ) -> np.ndarray:
@@ -95,7 +91,8 @@ def mean_field_select(
     occupancy is the LP's optimal measure stacked over global state ids,
     shape (G, 2, T), with offset from stack_types. High priority (zero
     passive occupancy) arms are pulled first, then medium-priority arms in
-    decreasing chi; arms whose active occupancy is zero are never pulled.
+    decreasing chi; arms whose active occupancy is zero, which includes
+    every arm in a dummy state, are never pulled.
     """
     n_arms = len(type_of)
     actions = np.zeros(n_arms, dtype=np.int64)
@@ -106,7 +103,7 @@ def mean_field_select(
     denom = mu0 + mu1
     with np.errstate(invalid="ignore", divide="ignore"):
         chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
-    eligible = (~pulled) & (mu1 > PRIORITY_TOL)
+    eligible = mu1 > PRIORITY_TOL
     high = eligible & (mu0 <= PRIORITY_TOL)
     medium = eligible & ~high
     take = np.flatnonzero(high)[:budget]
@@ -125,22 +122,17 @@ def greedy_budget_select(
     states: np.ndarray,
     t: int,
     budget: int,
-    pulled: np.ndarray,
-    dummy_mask: np.ndarray | None = None,
+    dummy_mask: np.ndarray,
 ) -> np.ndarray:
-    """Pull up to budget non-pulled arms in decreasing index order.
+    """Pull up to budget arms outside dummy_mask in decreasing index order.
 
     Classic index-policy behaviour: indices of any sign are eligible.
-    dummy_mask excludes expanded-space dummy arms from candidacy.
     """
     n_arms = len(type_of)
     actions = np.zeros(n_arms, dtype=np.int64)
     if budget <= 0:
         return actions
-    candidates = ~pulled
-    if dummy_mask is not None:
-        candidates &= ~dummy_mask
-    cand = np.flatnonzero(candidates)
+    cand = np.flatnonzero(~dummy_mask)
     if cand.size == 0:
         return actions
     idx = indices.lookup(type_of[cand], states[cand], t)
@@ -149,20 +141,18 @@ def greedy_budget_select(
     return actions
 
 
-def random_select(
-    pulled: np.ndarray, budget: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniformly pull min(budget, #non-pulled) distinct non-pulled arms."""
-    actions = np.zeros(len(pulled), dtype=np.int64)
-    free = np.flatnonzero(~pulled)
-    k = min(budget, free.size)
+def random_select(free: np.ndarray, budget: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly pull min(budget, #free) distinct arms among those flagged free."""
+    actions = np.zeros(len(free), dtype=np.int64)
+    candidates = np.flatnonzero(free)
+    k = min(budget, candidates.size)
     if k > 0:
-        actions[rng.choice(free, size=k, replace=False)] = 1
+        actions[rng.choice(candidates, size=k, replace=False)] = 1
     return actions
 
 
 def dummy_mask_for(tables: ArmTables, type_of: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Which arms sit in an expanded-space dummy state."""
+    """Which arms sit in an expanded-space dummy state, i.e. have been pulled."""
     return tables.dummy[tables.ids(type_of, states)]
 
 
@@ -170,59 +160,51 @@ def dummy_mask_for(tables: ArmTables, type_of: np.ndarray, states: np.ndarray) -
 # Policy objects used by the simulator and the experiment runner.
 # ---------------------------------------------------------------------------
 
+def _expanded_types(instance: Instance) -> list[ArmModel]:
+    return [expand_with_dummies(m) for m in instance.types]
+
+
 class BasePolicy:
-    """Shared plumbing: prepare() builds tables once per instance."""
+    """Shared plumbing: prepare() validates the instance and builds its tables once."""
 
     name = "base"
-    expanded = False  # whether episodes run on the dummy-expanded system
 
     def __init__(self):
         self.instance: Instance | None = None
-        self.sim_models: list[ArmModel] | None = None
         self.tables: ArmTables | None = None
 
-    def _use_models(self, instance: Instance, models: list[ArmModel]):
-        """Validate the instance, record it and flatten the models its episodes run on."""
+    def prepare(self, instance: Instance):
+        """Validate the instance, record it and flatten its dummy-expanded arms."""
         require_valid(instance)
         self.instance = instance
-        self.sim_models = models
-        self.tables = ArmTables.build(models)
+        self.tables = ArmTables.build(instance.types)
 
-    def prepare(self, instance: Instance):
-        raise NotImplementedError
-
-    def select(self, type_of, states, pulled, t, budget, rng) -> np.ndarray:
+    def select(self, type_of, states, t, budget, rng) -> np.ndarray:
         raise NotImplementedError
 
 
 class SpiPolicy(BasePolicy):
     name = "spi"
-    expanded = True
 
-    def __init__(self, stop_at_nonpositive: bool = True):
+    def __init__(self):
         super().__init__()
-        self.stop_at_nonpositive = stop_at_nonpositive
         self.solution = None
         self.chi = None
         self.table = None
 
     def prepare(self, instance: Instance):
-        self._use_models(instance, [expand_with_dummies(m) for m in instance.types])
+        super().prepare(instance)
         problem = lp.build_occupancy_lp(instance, lp.DUMMY)
         self.solution = lp.solve_lp(problem)
         self.chi = compute_chi(self.solution)
-        self.table = spi_indices(self.chi, self.sim_models)
+        self.table = spi_indices(self.chi, _expanded_types(instance))
 
-    def select(self, type_of, states, pulled, t, budget, rng):
-        return spi_select(
-            self.table, self.tables, type_of, states, t, budget,
-            stop_at_nonpositive=self.stop_at_nonpositive,
-        )
+    def select(self, type_of, states, t, budget, rng):
+        return spi_select(self.table, self.tables, type_of, states, t, budget)
 
 
 class MeanFieldPolicy(BasePolicy):
     name = "meanfield"
-    expanded = False
 
     def __init__(self):
         super().__init__()
@@ -231,13 +213,15 @@ class MeanFieldPolicy(BasePolicy):
         self.occupancy = None
 
     def prepare(self, instance: Instance):
-        self._use_models(instance, list(instance.types))
+        super().prepare(instance)
         problem = lp.build_occupancy_lp(instance, lp.MEAN_FIELD)
         self.solution = lp.solve_lp(problem)
-        self.offset, self.occupancy = stack_types(self.solution.occupancy)
+        self.offset, self.occupancy = stack_types(
+            [np.concatenate([b, np.zeros_like(b)]) for b in self.solution.occupancy]
+        )
 
-    def select(self, type_of, states, pulled, t, budget, rng):
-        return mean_field_select(self.occupancy, self.offset, type_of, states, pulled, t, budget)
+    def select(self, type_of, states, t, budget, rng):
+        return mean_field_select(self.occupancy, self.offset, type_of, states, t, budget)
 
 
 class _GreedyIndexPolicy(BasePolicy):
@@ -251,27 +235,23 @@ class _GreedyIndexPolicy(BasePolicy):
         raise NotImplementedError
 
     def prepare(self, instance: Instance):
-        models = list(instance.types)
-        if self.expanded:
-            models = [expand_with_dummies(m) for m in models]
-        self._use_models(instance, models)
+        super().prepare(instance)
         self.table = self._build_table(instance)
 
-    def select(self, type_of, states, pulled, t, budget, rng):
-        dmask = dummy_mask_for(self.tables, type_of, states) if self.expanded else None
+    def select(self, type_of, states, t, budget, rng):
         return greedy_budget_select(
-            self.table, type_of, states, t, budget, pulled, dummy_mask=dmask
+            self.table, type_of, states, t, budget, dummy_mask_for(self.tables, type_of, states)
         )
 
 
 class OriginalWhittlePolicy(_GreedyIndexPolicy):
+    """Stationary Whittle indices of the unexpanded arms, repeated over the unused dummy half."""
+
     name = "whittle-original"
-    expanded = False
 
     def _build_table(self, instance):
-        return IndexTable.stack(
-            [whittle_index_infinite(m) for m in instance.types]
-        )
+        values = [whittle_index_infinite(m).values[0] for m in instance.types]
+        return IndexTable(values=[np.concatenate([v, v]) for v in values], time_dependent=False)
 
 
 class InfiniteWhittlePolicy(_GreedyIndexPolicy):
@@ -285,43 +265,36 @@ class InfiniteWhittlePolicy(_GreedyIndexPolicy):
     """
 
     name = "whittle-infinite"
-    expanded = True
 
     def _build_table(self, instance):
         return IndexTable.stack(
-            [whittle_index_infinite(m) for m in self.sim_models]
+            [whittle_index_infinite(m) for m in _expanded_types(instance)]
         )
 
 
 class FiniteWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-finite"
-    expanded = True
 
     def _build_table(self, instance):
         return IndexTable.stack(
-            [whittle_index_finite(m, instance.horizon) for m in self.sim_models]
+            [whittle_index_finite(m, instance.horizon) for m in _expanded_types(instance)]
         )
 
 
 class QDifferencePolicy(_GreedyIndexPolicy):
     name = "qdiff"
-    expanded = True
 
     def _build_table(self, instance):
         return IndexTable.stack(
-            [q_difference_indices(m, instance.horizon) for m in self.sim_models]
+            [q_difference_indices(m, instance.horizon) for m in _expanded_types(instance)]
         )
 
 
 class RandomPolicy(BasePolicy):
     name = "random"
-    expanded = False
 
-    def prepare(self, instance: Instance):
-        self._use_models(instance, list(instance.types))
-
-    def select(self, type_of, states, pulled, t, budget, rng):
-        return random_select(pulled, budget, rng)
+    def select(self, type_of, states, t, budget, rng):
+        return random_select(~dummy_mask_for(self.tables, type_of, states), budget, rng)
 
 
 POLICY_REGISTRY = {
@@ -340,9 +313,9 @@ POLICY_REGISTRY = {
 POLICY_NAMES = tuple(POLICY_REGISTRY)
 
 
-def make_policy(name: str, **kwargs) -> BasePolicy:
+def make_policy(name: str) -> BasePolicy:
     try:
         cls = POLICY_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}") from None
-    return cls(**kwargs)
+    return cls()

@@ -87,8 +87,9 @@ def step(
 ):
     """Apply one transition round; returns (next_states, step_reward).
 
-    Raises InfeasibleAction when the action vector exceeds the budget or
-    pulls an already-pulled arm.
+    states are ids of the dummy-expanded arms that tables hold. Raises
+    InfeasibleAction when the action vector exceeds the budget or pulls an
+    already-pulled arm.
     """
     actions = np.asarray(actions)
     if actions.sum() > budget:
@@ -97,17 +98,18 @@ def step(
         raise InfeasibleAction("activation assigned to an already-pulled arm")
     pairs = tables.pair_ids(type_of, states, actions)
     u = rng.random(len(states))
-    next_states = (np.take(tables.cdf, pairs, axis=1) < u).sum(axis=0)
+    next_states = tables.base[pairs] + (np.take(tables.cdf, pairs, axis=1) < u).sum(axis=0)
     return next_states, _sum_by_type(tables.rewards[pairs], type_of)
 
 
 def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> EpisodeResult:
     """Simulate one T-step episode; deterministic given (instance, policy, seed).
 
-    Expanded-space policies track pulled arms through dummy states; the
-    others use the explicit pulled mask. Both views are kept in sync.
-    Raises ValueError unless policy was prepared for this very instance
-    object, whose dynamics its tables hold.
+    Arms run on the dummy-expanded system, so policies read pulled-ness
+    from the states, and a recorded trajectory holds expanded state ids;
+    the pulled mask that step checks stays the simulator's own. Raises
+    ValueError unless policy was prepared for this very instance object,
+    whose dynamics its tables hold.
     """
     if policy.instance is not instance:
         raise ValueError(f"policy {policy.name!r} was not prepared for this instance")
@@ -129,7 +131,7 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
 
     for t in range(T):
         t0 = time.perf_counter()
-        actions = policy.select(type_of, states, pulled, t, budget, rng)
+        actions = policy.select(type_of, states, t, budget, rng)
         select_seconds += time.perf_counter() - t0
         if record:
             rewards_now = tables.rewards[tables.pair_ids(type_of, states, actions)]

@@ -1,18 +1,25 @@
-"""Per-type loops over np.unique(type_of), kept as the reference for the flat arm tables.
+"""Per-type loops over np.unique(type_of) on two simulated systems, kept as a reference.
 
 Each function walks the types present in a population and gathers from
 that type's own arrays through a boolean mask, the way the simulator and
 the selection rules worked before ArmTables, IndexTable.flat and the
 stacked mean-field occupancy replaced them with one gather per call.
-run_episode composes them with the package's replicate and random
-selection into a whole episode.
+
+run_episode also keeps the engine's former split into two systems: the
+mask-space policies (MASK_SPACE) step on the original models and see
+collapsed states plus a pulled mask, while the others step on the
+dummy-expanded models. It composes the loops with the package's
+replicate, greedy and random selection into a whole episode, whose
+trajectory records each system's own state ids.
 """
 
 import numpy as np
 
-from singlepull.model import replicate
+from singlepull.model import expand_with_dummies, replicate
 from singlepull.policies import CHI_DENOM_TOL, PRIORITY_TOL, greedy_budget_select, random_select
 from singlepull.simulator import EpisodeResult, InfeasibleAction, _episode_rng
+
+MASK_SPACE = ("meanfield", "whittle-original", "random")
 
 
 def step(states, actions, models, type_of, pulled, budget, rng):
@@ -83,15 +90,14 @@ def mean_field_select(occupancy_blocks, type_of, states, pulled, t, budget):
     return actions
 
 
-def spi_select(values, models, type_of, states, t, budget, stop_at_nonpositive=True):
+def spi_select(values, models, type_of, states, t, budget):
     n_arms = len(type_of)
     actions = np.zeros(n_arms, dtype=np.int64)
     if budget <= 0 or n_arms == 0:
         return actions
     idx = lookup(values, True, type_of, states, t)
     order = np.argsort(-idx, kind="stable")
-    visit_limit = int((idx[order] > 0).sum()) if stop_at_nonpositive else n_arms
-    visited = order[: min(budget, visit_limit)]
+    visited = order[: min(budget, int((idx[order] > 0).sum()))]
     dummy = dummy_mask_for(models, type_of[visited], states[visited])
     actions[visited[~dummy]] = 1
     return actions
@@ -107,23 +113,29 @@ class _LoopTable:
         return lookup(self.values, self.time_dependent, type_of, states, t)
 
 
-def select(policy, type_of, states, pulled, t, budget, rng):
-    """A prepared policy's selection rule, rebuilt from the loops above."""
+def select(policy, models, type_of, states, pulled, t, budget, rng):
+    """A prepared policy's selection rule on its system, rebuilt from the loops above.
+
+    Mask-space policies get collapsed states, so only the normal rows of
+    their tables are read, and exclude the pulled arms by the mask.
+    """
     if policy.name == "spi":
-        return spi_select(policy.table.values, policy.sim_models, type_of, states, t, budget,
-                          stop_at_nonpositive=policy.stop_at_nonpositive)
+        return spi_select(policy.table.values, models, type_of, states, t, budget)
     if policy.name == "meanfield":
         return mean_field_select(policy.solution.occupancy, type_of, states, pulled, t, budget)
     if policy.name == "random":
-        return random_select(pulled, budget, rng)
-    dmask = dummy_mask_for(policy.sim_models, type_of, states) if policy.expanded else None
-    return greedy_budget_select(_LoopTable(policy.table), type_of, states, t, budget, pulled,
-                                dummy_mask=dmask)
+        return random_select(~pulled, budget, rng)
+    excluded = pulled
+    if policy.name not in MASK_SPACE:
+        excluded = pulled | dummy_mask_for(models, type_of, states)
+    return greedy_budget_select(_LoopTable(policy.table), type_of, states, t, budget, excluded)
 
 
 def run_episode(instance, policy, seed):
     """One episode with the loop step and loop selection; same seeds and streams."""
-    models = policy.sim_models
+    models = list(instance.types)
+    if policy.name not in MASK_SPACE:
+        models = [expand_with_dummies(m) for m in models]
     pop = replicate(instance, seed)
     states = pop.states.copy()
     pulled = pop.pulled.copy()
@@ -137,7 +149,7 @@ def run_episode(instance, policy, seed):
     pull_time = np.full(instance.n_arms, -1, dtype=np.int64)
     trajectory = []
     for t in range(T):
-        actions = select(policy, type_of, states, pulled, t, budget, rng)
+        actions = select(policy, models, type_of, states, pulled, t, budget, rng)
         rewards_now = np.array(
             [models[type_of[i]].rewards[states[i], actions[i]] for i in range(len(states))]
         )

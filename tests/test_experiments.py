@@ -231,6 +231,13 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rho_list", ["a", "0", ",", "4,2"])
+    def test_rejected_sweep_rho_writes_nothing(self, tmp_path, rho_list):
+        rc = cli.main(["--config", self.write_config(tmp_path, policies=["spi"]),
+                       "--sweep-rho", rho_list])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_resample_override_replaces_config_seeds(self, tmp_path):
         rc = cli.main(["--config", self.write_config(tmp_path, episodes=2, instance_seeds=[7]),
                        "--resample-instances", "2"])

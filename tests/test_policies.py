@@ -81,17 +81,16 @@ def manual_table(values):
 class TestSpiSelect:
     def setup_method(self):
         # 2 normal states (0, 1) + dummies (2, 3)
-        self.model = expand_with_dummies(ArmModel(
+        self.tables = ArmTables.build([ArmModel(
             n_states=2,
             transitions=np.stack([np.eye(2), np.eye(2)], axis=1),
             rewards=np.array([[0.0, 1.0], [0.0, 2.0]]),
-        ))
+        )])
 
-    def select(self, idx_by_state, states, budget, **kw):
+    def select(self, idx_by_state, states, budget):
         table = manual_table(np.asarray(idx_by_state, dtype=float)[:, None])
         type_of = np.zeros(len(states), dtype=int)
-        return spi_select(table, ArmTables.build([self.model]), type_of, np.asarray(states), 0,
-                          budget, **kw)
+        return spi_select(table, self.tables, type_of, np.asarray(states), 0, budget)
 
     def test_dummy_arm_consumes_budget(self):
         # highest index sits on a dummy arm; budget one unit -> nothing pulled
@@ -105,11 +104,6 @@ class TestSpiSelect:
     def test_zero_indices_spend_nothing(self):
         actions = self.select([0.0, 0.0, 0.0, 0.0], states=[0, 1, 0], budget=5)
         assert actions.sum() == 0
-
-    def test_cutoff_toggle(self):
-        actions = self.select([0.0, 0.0, 0.0, 0.0], states=[0, 1], budget=5,
-                              stop_at_nonpositive=False)
-        assert actions.tolist() == [1, 1]
 
     def test_invariant_under_appended_zero_arms(self):
         base = self.select([0.5, 0.4, 0.0, 0.0], states=[0, 1], budget=1)
@@ -132,29 +126,26 @@ class TestMeanFieldSelect:
 
     def test_high_priority_pulled_first(self):
         sol = self.make_solution([0.0, 0.5], [0.4, 0.1])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]),
-                                    np.zeros(2, dtype=bool), 0, budget=1)
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]), 0, budget=1)
         assert actions.tolist() == [1, 0]
 
     def test_low_priority_never_pulled(self):
         sol = self.make_solution([0.5, 0.5], [0.0, 0.0])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]),
-                                    np.zeros(2, dtype=bool), 0, budget=5)
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]), 0, budget=5)
         assert actions.sum() == 0
 
     def test_medium_filled_by_descending_chi(self):
         # chi = 0.7 vs 0.3; exhaustive check over the two single-pull choices
         sol = self.make_solution([0.3, 0.7], [0.7, 0.3])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]),
-                                    np.zeros(2, dtype=bool), 0, budget=1)
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]), 0, budget=1)
         chis = [0.7, 0.3]
         best = int(np.argmax(chis))
         assert actions[best] == 1 and actions.sum() == 1
 
     def test_skips_pulled_arms(self):
-        sol = self.make_solution([0.0], [0.4])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 0]),
-                                    np.array([True, False]), 0, budget=2)
+        # state 1 is the dummy copy of state 0, whose occupancy rows are zero
+        sol = self.make_solution([0.0, 0.0], [0.4, 0.0])
+        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([1, 0]), 0, budget=2)
         assert actions.tolist() == [0, 1]
 
 
@@ -182,23 +173,22 @@ class TestGreedySelect:
             assert actions.tolist() == [1, 0, 0]
 
     def test_dummy_mask_excludes(self, rng):
-        model = expand_with_dummies(random_arm(rng, 2))
         table = manual_table(np.ones((4, 1)))
         states = np.array([2, 0])  # arm 0 in dummy space
-        dmask = dummy_mask_for(ArmTables.build([model]), np.zeros(2, dtype=int), states)
-        actions = greedy_budget_select(table, np.zeros(2, dtype=int), states, 0, 2,
-                                       np.zeros(2, dtype=bool), dummy_mask=dmask)
+        dmask = dummy_mask_for(ArmTables.build([random_arm(rng, 2)]), np.zeros(2, dtype=int),
+                               states)
+        actions = greedy_budget_select(table, np.zeros(2, dtype=int), states, 0, 2, dmask)
         assert actions.tolist() == [0, 1]
 
 
 class TestRandomSelect:
     def test_budget_zero(self):
         rng = np.random.default_rng(0)
-        assert random_select(np.zeros(4, dtype=bool), 0, rng).sum() == 0
+        assert random_select(np.ones(4, dtype=bool), 0, rng).sum() == 0
 
     def test_budget_covers_everyone(self):
         rng = np.random.default_rng(0)
-        actions = random_select(np.array([False, True, False]), 5, rng)
+        actions = random_select(np.array([True, False, True]), 5, rng)
         assert actions.tolist() == [1, 0, 1]
 
     def test_uniformity(self):
@@ -206,7 +196,7 @@ class TestRandomSelect:
         counts = np.zeros(4)
         n = 10_000
         for _ in range(n):
-            counts += random_select(np.zeros(4, dtype=bool), 1, rng)
+            counts += random_select(np.ones(4, dtype=bool), 1, rng)
         p = 0.25
         sigma = np.sqrt(n * p * (1 - p))
         assert np.all(np.abs(counts - n * p) < 3 * sigma)
@@ -222,14 +212,10 @@ class TestSelectorInvariants:
             pol = make_policy(name)
             pol.prepare(inst)
             local = np.random.default_rng(7)
-            states = np.array([1, 2, 1, 2, 0, 1])
             pulled = np.array([True, False, False, True, False, False])
-            if pol.expanded:
-                S = inst.types[0].n_states
-                states = np.where(pulled, states + S, states)
+            states = np.where(pulled, 3, 0) + np.array([1, 2, 1, 2, 0, 1])
             for budget in (0, 1, 3, 10):
-                actions = pol.select(np.repeat([0, 1], 3), states, pulled, 0,
-                                     budget, local)
+                actions = pol.select(np.repeat([0, 1], 3), states, 0, budget, local)
                 assert actions.sum() <= budget
                 assert not np.any(actions[pulled] == 1)
 
@@ -249,9 +235,7 @@ class TestSelectorInvariants:
             pol.prepare(inst)
             local = np.random.default_rng(3)
             states = np.full(4, 2)
-            pulled = np.zeros(4, dtype=bool)
-            actions = pol.select(np.zeros(4, dtype=int), states, pulled, 0,
-                                 inst.step_budget, local)
+            actions = pol.select(np.zeros(4, dtype=int), states, 0, inst.step_budget, local)
             assert actions.sum() == min(inst.step_budget, 4)
 
 

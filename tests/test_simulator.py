@@ -35,6 +35,31 @@ def zero_passive_arm(rng):
     return random_arm(rng, 3)  # r(s, 0) = 0 by construction
 
 
+def short_rows_arm():
+    """Two states whose rows sum to 1 - 5e-10, inside the validation tolerance."""
+    return ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5 - 2.5e-10),
+                    rewards=np.zeros((2, 2)))
+
+
+class Fixed:
+    """Stand-in generator whose uniform draws all equal u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def spi_tables(arm):
+    """The arm tables an SPI policy prepared on one type of arm runs its episodes on."""
+    inst = Instance(types=(arm,), rho=2, budget=1, horizon=2,
+                    initial=(point_initial(arm.n_states, 0),))
+    pol = make_policy("spi")
+    pol.prepare(inst)
+    return pol.tables
+
+
 class TestStep:
     def test_deterministic_passive_decay(self):
         m = cpap3_arm()
@@ -54,33 +79,31 @@ class TestStep:
 
     def test_next_state_stays_in_range_when_row_sums_short_of_one(self):
         # rows sum to 1 - 5e-10, inside the validation tolerance, and a
-        # uniform draw above the last cumulative sum must land in state S - 1
-        P = np.full((2, 2, 2), 0.5 - 2.5e-10)
-        m = ArmModel(n_states=2, transitions=P, rewards=np.zeros((2, 2)))
+        # uniform draw above the last cumulative sum must land in the last
+        # state of the arm's half: S - 1 when passive, 2S - 1 when pulled
+        m = short_rows_arm()
         assert validate_arm(m).ok
-
-        class NearOne:
-            def random(self, n):
-                return np.full(n, 1.0 - 1e-12)
-
         nxt, _ = step(np.array([0, 1]), np.array([0, 1]), ArmTables.build([m]),
-                      np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, NearOne())
+                      np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, Fixed(1.0 - 1e-12))
+        assert nxt.tolist() == [1, 3]
+
+    def test_unpulled_passive_arm_stays_in_normal_half_on_a_draw_above_the_row_sum(self):
+        nxt, _ = step(np.array([0, 1]), np.array([0, 0]), spi_tables(short_rows_arm()),
+                      np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, Fixed(1.0 - 1e-12))
         assert nxt.tolist() == [1, 1]
+
+    def test_pull_on_a_zero_draw_lands_in_dummy_half(self):
+        nxt, _ = step(np.array([1]), np.array([1]), spi_tables(cpap3_arm()),
+                      np.zeros(1, dtype=int), np.zeros(1, dtype=bool), 1, Fixed(0.0))
+        assert nxt.tolist() == [3]
 
     def test_short_rows_stay_in_range_beside_a_wider_type(self, rng):
         # the flat table pads the 2-state type to the 3-state type's width;
         # its own last state must still absorb the draw above the row sum
-        short = ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5 - 2.5e-10),
-                         rewards=np.zeros((2, 2)))
-        tables = ArmTables.build([short, random_arm(rng, 3)])
-
-        class NearOne:
-            def random(self, n):
-                return np.full(n, 1.0 - 1e-12)
-
+        tables = ArmTables.build([short_rows_arm(), random_arm(rng, 3)])
         nxt, _ = step(np.array([0, 1, 0]), np.array([0, 1, 0]), tables, np.array([0, 0, 1]),
-                      np.zeros(3, dtype=bool), 3, NearOne())
-        assert nxt.tolist() == [1, 1, 2]
+                      np.zeros(3, dtype=bool), 3, Fixed(1.0 - 1e-12))
+        assert nxt.tolist() == [1, 3, 2]
 
     def test_budget_violation_raises(self, rng):
         m = zero_passive_arm(rng)
@@ -142,6 +165,20 @@ class TestRunEpisode:
         assert len(result.trajectory) == 3 * 2  # (t, arm) pairs
         t, arm, state, action, reward = result.trajectory[0]
         assert t == 0 and arm in (0, 1) and action in (0, 1)
+
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_dummy_half_exactly_after_the_first_pull(self, name):
+        for inst in family_instances():
+            pol = make_policy(name)
+            pol.prepare(inst)
+            sizes = [m.n_states for m in inst.types]
+            for seed in range(3):
+                result = run_episode(inst, pol, seed, record=True)
+                assert result.pull_time.max() >= 0
+                for t, arm, state, _, _ in result.trajectory:
+                    pulled_before = 0 <= result.pull_time[arm] < t
+                    assert (state >= sizes[arm // inst.rho]) == pulled_before
 
 
 class TestEvaluate:
@@ -275,20 +312,23 @@ def shuffled_population(rng, models, n_arms, counts=None):
     return type_of, states
 
 
+def expanded_ids(trajectory, pull_time, sizes, rho):
+    """Map a mask-space trajectory's pulled states s to their dummy copies s + S_n."""
+    return [(t, i, s + sizes[i // rho] if 0 <= pull_time[i] < t else s, a, r)
+            for t, i, s, a, r in trajectory]
+
+
 class TestAgainstLoopReference:
     """Flat tables give bit-identical results to the per-type loops in simulator_reference."""
 
-    def model_sets(self, rng):
-        mixed = [random_arm(rng, 2, active_only_rewards=False), random_arm(rng, 3)]
-        sets = [mixed, [expand_with_dummies(m) for m in mixed]]
-        for inst in family_instances():
-            sets.append(list(inst.types))
-            sets.append([expand_with_dummies(m) for m in inst.types])
-        return sets
+    def type_sets(self, rng):
+        sets = [[random_arm(rng, 2, active_only_rewards=False), random_arm(rng, 3)]]
+        return sets + [list(inst.types) for inst in family_instances()]
 
     def test_step(self, rng):
-        for models in self.model_sets(rng):
-            tables = ArmTables.build(models)
+        for types in self.type_sets(rng):
+            tables = ArmTables.build(types)
+            models = [expand_with_dummies(m) for m in types]
             for counts in (None, [5, 9], [700, 1300]):
                 n_arms = 14 if counts is None else sum(counts)
                 type_of, states = shuffled_population(rng, models, n_arms, counts)
@@ -305,9 +345,10 @@ class TestAgainstLoopReference:
     def test_step_reward_keeps_type_order_in_blocks(self, rng):
         # equal type blocks take the row-wise sum; values span magnitudes so
         # a different summation order would change the last bits
-        models = [ArmModel(n_states=1, transitions=np.ones((1, 2, 1)),
-                           rewards=np.array([[v, v]])) for v in (1e16, 1.0, -1e16, 3.0)]
-        tables = ArmTables.build(models)
+        types = [ArmModel(n_states=1, transitions=np.ones((1, 2, 1)),
+                          rewards=np.array([[v, v]])) for v in (1e16, 1.0, -1e16, 3.0)]
+        tables = ArmTables.build(types)
+        models = [expand_with_dummies(m) for m in types]
         type_of = np.repeat(np.arange(4), 250)
         states = np.zeros(1000, dtype=np.int64)
         actions = np.zeros(1000, dtype=np.int64)
@@ -317,8 +358,9 @@ class TestAgainstLoopReference:
         assert got == want
 
     def test_lookup_dummy_mask_and_spi_select(self, rng):
-        for models in self.model_sets(rng):
-            tables = ArmTables.build(models)
+        for types in self.type_sets(rng):
+            tables = ArmTables.build(types)
+            models = [expand_with_dummies(m) for m in types]
             T = 4
             values = [rng.standard_normal((m.n_states, T)) for m in models]
             values[0][0, :] = 0.0  # ties and non-positive indices
@@ -338,17 +380,22 @@ class TestAgainstLoopReference:
                                   ref.dummy_mask_for(models, type_of, states))
 
     def test_mean_field_select(self, rng):
-        for models in self.model_sets(rng):
+        # zero occupancy rows on the dummy half exclude the pulled arms as
+        # the reference's pulled mask does on the collapsed states
+        for types in self.type_sets(rng):
             T = 3
             blocks = [rng.random((m.n_states, 2, T)) * (rng.random((m.n_states, 2, T)) < 0.7)
-                      for m in models]
-            offset, occupancy = model.stack_types(blocks)
-            type_of, states = shuffled_population(rng, models, 15)
+                      for m in types]
+            offset, occupancy = model.stack_types(
+                [np.concatenate([b, np.zeros_like(b)]) for b in blocks])
+            type_of, states = shuffled_population(rng, types, 15)
             pulled = rng.random(15) < 0.2
+            sizes = np.array([m.n_states for m in types])
+            expanded = np.where(pulled, states + sizes[type_of], states)
             for t in range(T):
                 for budget in (0, 2, 15):
                     assert np.array_equal(
-                        mean_field_select(occupancy, offset, type_of, states, pulled, t, budget),
+                        mean_field_select(occupancy, offset, type_of, expanded, t, budget),
                         ref.mean_field_select(blocks, type_of, states, pulled, t, budget))
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
@@ -356,6 +403,7 @@ class TestAgainstLoopReference:
         for inst in [mixed_instance(rng)] + family_instances():
             pol = make_policy(name)
             pol.prepare(inst)
+            sizes = [m.n_states for m in inst.types]
             for seed in range(4):
                 got = run_episode(inst, pol, seed, record=True)
                 want = ref.run_episode(inst, pol, seed)
@@ -363,7 +411,11 @@ class TestAgainstLoopReference:
                 assert np.array_equal(got.per_step_pulls, want.per_step_pulls)
                 assert np.array_equal(got.pulls_per_arm, want.pulls_per_arm)
                 assert np.array_equal(got.pull_time, want.pull_time)
-                assert got.trajectory == want.trajectory
+                want_trajectory = want.trajectory
+                if name in ref.MASK_SPACE:
+                    want_trajectory = expanded_ids(want.trajectory, want.pull_time, sizes,
+                                                   inst.rho)
+                assert got.trajectory == want_trajectory
 
 
 class TestTraceBindings:
