@@ -9,11 +9,9 @@ from .model import (
     ArmModel,
     ArmTables,
     Instance,
-    Population,
     ValidationReport,
     expand_with_dummies,
     load_instance,
-    replicate,
     save_instance,
     validate_arm,
     validate_instance,

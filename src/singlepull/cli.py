@@ -7,7 +7,8 @@
 
 The overrides replace keys of the config document, which is then checked
 against the config schema once; --seeds and --resample-instances exclude
-each other.
+each other, and --sweep-rho excludes --timing and --dump-trajectories (or
+the config keys they set).
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 constraint-audit
 failure (the simulator's feasibility authority was breached).

@@ -13,9 +13,14 @@ dummy-LP upper bound, evaluates every requested policy, and writes
     trajectories.jsonl  optional per-(episode, t, arm) audit records; state
                     is the dummy-expanded id, s + S_n once the arm is pulled
 
+The simulator runs episodes on arm counts per expanded state; the
+trajectory dump lifts the same episodes to arms (simulator.run_episode
+with record=True), so its records describe the very episodes results.csv
+averages.
+
 Outputs are a pure function of the config: reruns produce byte-identical
-CSVs. Wall-clock measurement is therefore opt-in (measure_runtime); without
-it the runtime_ms column is written as 0.
+CSVs and trajectories. Wall-clock measurement is therefore opt-in
+(measure_runtime); without it the runtime_ms column is written as 0.
 
 A config is a JSON document checked once against CONFIG_SCHEMA; command-line
 overrides are applied to the document before that check. The runner
@@ -38,7 +43,7 @@ import numpy as np
 from . import lp
 from .domains import FAMILIES, DomainSpec, make_instance
 from .model import Instance, save_instance
-from .policies import POLICY_NAMES, make_policy
+from .policies import POLICY_NAMES, RANDOM_MAX_ARMS, make_policy
 from .simulator import DegenerateRange, InfeasibleAction, evaluate, normalize_scores, run_episode
 from .simplex import SolverStall
 
@@ -151,11 +156,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
         dump_trajectories=bool(doc.get("dump_trajectories", False)),
         measure_runtime=bool(doc.get("measure_runtime", False)),
     )
+    _check_random_size(cfg.policies, cfg.n_types, cfg.rho)
     if cfg.budget > cfg.n_types * cfg.rho:
         # mirrored from instance validation: never-binding budgets are legal
         log.warning("budget %d exceeds n_types*rho = %d; the budget never binds",
                     cfg.budget, cfg.n_types * cfg.rho)
     return cfg
+
+
+def _check_random_size(policies, n_types: int, rho: int) -> None:
+    if "random" in policies and n_types * rho > RANDOM_MAX_ARMS:
+        raise ConfigError(f"the random policy draws among at most {RANDOM_MAX_ARMS} arms, "
+                          f"got n_types*rho = {n_types * rho}")
 
 
 def read_config(path: str) -> dict:
@@ -329,12 +341,18 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
     the per-arm gap (upper_bound - mean) / (rho * N) and the normalized gap
     1 - mean / upper_bound, and fits a log-log slope of the normalized gap
     against rho. Raises ConfigError, before anything is written, unless
-    rho_list is a non-empty ascending list of rho >= 1.
+    rho_list is a non-empty ascending list of rho >= 1, when the config
+    asks for timing or a trajectory dump, which a sweep does not write, and
+    when a random sweep would exceed RANDOM_MAX_ARMS arms.
     """
     rho_list = list(rho_list)
     if not rho_list or min(rho_list) < 1 or rho_list != sorted(rho_list):
         raise ConfigError(f"rho_list must be non-empty, ascending and >= 1, got {rho_list}")
+    if config.measure_runtime or config.dump_trajectories:
+        raise ConfigError("a rho sweep writes gap_curve.csv only; "
+                          "it takes neither timing nor a trajectory dump")
     policy_name = config.policies[0]
+    _check_random_size([policy_name], config.n_types, rho_list[-1])
     rows = []
     for rho in rho_list:
         inst = make_instance(config.domain_spec(config.instance_seeds[0]),
@@ -382,7 +400,9 @@ def time_policies(config: ExperimentConfig):
     """Per-policy wall-clock statistics over >= 3 instance draws.
 
     Wall time covers index/LP precomputation plus all per-step selection
-    calls, matching the evaluation timing convention.
+    calls, matching the evaluation timing convention. Selection runs on
+    counts per expanded state, so its cost grows with the number of groups
+    and not with rho.
     """
     require_timing_policies(config.policies)
     seeds = list(config.instance_seeds)

@@ -115,19 +115,6 @@ class ValidationReport:
         return [msg for sev, msg in self.issues if sev == ERROR]
 
 
-@dataclass
-class Population:
-    """Materialized arm slots: type index, current state, pulled flag."""
-
-    type_of: np.ndarray
-    states: np.ndarray
-    pulled: np.ndarray
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.type_of)
-
-
 def validate_arm(model: ArmModel) -> ValidationReport:
     """Check stochasticity and dummy-state invariants; report, never raise."""
     report = ValidationReport()
@@ -245,21 +232,6 @@ def expand_initial(model: ArmModel, initial: np.ndarray) -> np.ndarray:
     return out
 
 
-def replicate(instance: Instance, seed: int) -> Population:
-    """Materialize rho arms per type with initial states sampled per type.
-
-    The instance is not validated here; callers validate it once, when the
-    policy that runs the episodes builds its ArmTables.
-    """
-    rng = np.random.default_rng(seed)
-    type_of = np.repeat(np.arange(instance.n_types), instance.rho)
-    states = np.empty(instance.n_arms, dtype=np.int64)
-    for n, (model, dist) in enumerate(zip(instance.types, instance.initial)):
-        lo, hi = n * instance.rho, (n + 1) * instance.rho
-        states[lo:hi] = rng.choice(model.n_states, size=instance.rho, p=dist)
-    return Population(type_of=type_of, states=states, pulled=np.zeros(instance.n_arms, dtype=bool))
-
-
 def stack_types(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Stack per-type arrays, each indexed by state on axis 0, into one table.
 
@@ -271,58 +243,72 @@ def stack_types(blocks) -> tuple[np.ndarray, np.ndarray]:
     return offset, np.concatenate(blocks)
 
 
+def stochastic_rows(P: np.ndarray, width: int) -> np.ndarray:
+    """Probability rows of width entries from rows over S <= width states.
+
+    P's rows are stochastic only to ROW_SUM_TOL, so they are read through
+    their cumulative sums, clipped to [0, 1], made monotone and set to 1.0
+    from the last state S - 1 on. Every entry is then in [0, 1], the first
+    width - 1 sum to at most 1 up to round-off, as a multinomial draw
+    requires, and the mass a short row leaves falls on state S - 1.
+    """
+    S = P.shape[-1]
+    cdf = np.ones(P.shape[:-1] + (width,))
+    cdf[..., :S] = np.clip(np.maximum.accumulate(np.cumsum(P, axis=-1), axis=-1), 0.0, 1.0)
+    cdf[..., S - 1:] = 1.0
+    return np.diff(cdf, axis=-1, prepend=0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class ArmTables:
     """The dummy-expanded arms of one population, flattened over global state ids.
 
     Type n gets the 2 S_n states of expand_with_dummies, numbered
-    g = offset[n] + s; dummy[g] flags the upper half. Column 2g + a of cdf,
-    like entry 2g + a of base and rewards, belongs to the pair (s, a), which
-    follows an original row: P[s, a] from a normal state, P[s - S_n, 0] from
-    a dummy one. base is S_n where the move lands in the dummy half (any
-    pull, every move from a dummy state), else 0. cdf[j, 2g + a] is that
-    row's P(next <= j), set to 1.0 from the type's last state on because
-    rows are stochastic only to ROW_SUM_TOL; so the next state is base plus
-    the count of entries below a uniform draw in [0, 1), always a state of
-    the right half. Row S_max - 1 would be all 1.0 and is not stored.
+    g = offset[n] + s; dummy[g] flags the upper half. Row 2g + a of probs
+    and dest, like entry 2g + a of rewards, belongs to the pair (s, a),
+    which follows an original row: P[s, a] from a normal state, P[s - S_n, 0]
+    from a dummy one. The move lands in the dummy half on any pull and on
+    every move from a dummy state, else in the normal half; column j of
+    the row is state j of that half, and dest holds its global id. probs
+    comes from stochastic_rows, so the width is S_max for every type; the
+    columns from S_n on have probability 0 up to round-off, and dest maps
+    them to the half's last state. Row n of start is the initial
+    distribution of type n over its normal half, columns as in probs, and
+    row 2 offset[n] of dest (normal state 0, passive) maps them.
     """
 
     offset: np.ndarray   # (N,)
-    cdf: np.ndarray      # (S_max - 1, 2G)
-    base: np.ndarray     # (2G,) int
+    probs: np.ndarray    # (2G, S_max)
+    dest: np.ndarray     # (2G, S_max) int
     rewards: np.ndarray  # (2G,)
     dummy: np.ndarray    # (G,) bool
+    start: np.ndarray    # (N, S_max)
 
     @classmethod
-    def build(cls, types) -> "ArmTables":
-        """Tables of the unexpanded types' dummy-expanded arms."""
+    def build(cls, types, initial) -> "ArmTables":
+        """Tables of the unexpanded types' dummy-expanded arms, started from initial."""
         width = max(m.n_states for m in types)
         models = [expand_with_dummies(m) for m in types]
-        cdfs, bases = [], []
-        for m, e in zip(types, models):
+        offset, rewards = stack_types([e.rewards for e in models])
+        probs, dest = [], []
+        for m, e, first in zip(types, models, offset):
             S = m.n_states
             lower, upper = e.transitions[:, :, :S], e.transitions[:, :, S:]
-            c = np.ones((2 * S, 2, width))
-            c[:, :, :S] = np.cumsum(lower + upper, axis=2)  # each row lives in one half
-            c[:, :, S - 1] = 1.0
-            cdfs.append(c)
-            bases.append(np.where(upper.any(axis=2), S, 0))
-        offset, cdf = stack_types(cdfs)
+            probs.append(stochastic_rows(lower + upper, width))  # each row lives in one half
+            half = first + np.where(upper.any(axis=2), S, 0)
+            dest.append(half[:, :, None] + np.minimum(np.arange(width), S - 1))
         return cls(
             offset=offset,
-            cdf=np.ascontiguousarray(cdf.reshape(-1, width).T[:-1]),
-            base=np.concatenate(bases).reshape(-1).astype(np.int64),
-            rewards=np.concatenate([e.rewards for e in models]).reshape(-1),
+            probs=np.concatenate(probs).reshape(-1, width),
+            dest=np.concatenate(dest).reshape(-1, width).astype(np.int64),
+            rewards=rewards.reshape(-1),
             dummy=np.concatenate([e.dummy_mask for e in models]),
+            start=np.stack([stochastic_rows(d, width) for d in initial]),
         )
 
     def ids(self, type_of: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Global state id of every arm."""
         return self.offset[type_of] + states
-
-    def pair_ids(self, type_of: np.ndarray, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Id 2g + a of every arm's (state, action) pair: a cdf column, a rewards entry."""
-        return 2 * self.ids(type_of, states) + actions
 
 
 def point_initial(n_states: int, s: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import itertools
 import numpy as np
 
 from .model import Instance, expand_initial, expand_with_dummies, require_valid
+from .simulator import lift
 
 CAP_ARMS = 4
 CAP_STATES = 3
@@ -124,15 +125,20 @@ def policy_select_adapter(instance: Instance, policy):
     """Wrap a prepared policy object as select(states_row, pulled_row, t).
 
     The oracle's joint states are the dummy-expanded states every policy
-    reads pulled-ness from, so they pass straight through; pulled_row is
-    implied by them and not needed.
+    reads pulled-ness from; the policy selects once on their counts, and
+    its pulls are lifted to the lowest-id arms of each group, as a
+    recorded episode lifts them. pulled_row is implied by the states and
+    not needed.
     """
     _, _, arm_type, _ = _arm_setup(instance)
     cap = instance.step_budget
+    tables = policy.tables
     rng = np.random.default_rng(0)  # deterministic policies never draw
 
     def select(states_row, pulled_row, t):
-        return policy.select(arm_type, states_row, t, cap, rng)
+        ids = tables.ids(arm_type, states_row)
+        counts = np.bincount(ids, minlength=len(tables.dummy))
+        return lift(policy.select(counts, t, cap, rng), ids)
 
     return select
 

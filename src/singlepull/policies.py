@@ -1,12 +1,20 @@
 """Index policies: SPI and the baseline selectors.
 
-Every policy runs on the dummy-expanded arms of ArmTables, where a pulled
-arm sits in the dummy half, so select(type_of, states, t, budget, rng)
-reads pulled-ness from the states alone.
+Every policy runs on the counts of the dummy-expanded arms of ArmTables:
+select(counts, t, budget, rng) reads counts[g], the number of arms in
+global state g, and returns the pulls per group, k[g]. A pulled arm sits
+in the dummy half, so pulled-ness is part of the counts.
+
+Groups are ranked by a key (an index, a priority tier, a chi value).
+Equal keys are ordered by global state id, lowest first; within a group
+the simulator pulls the lowest-id arms. Each rule is therefore a function
+of the counts alone, which is what a count engine and an exact oracle
+over counts need, and it picks exactly the arms an arm-id tie-break would
+wherever no two groups tie at the budget cut.
 
 The SPI policy solves the dummy-expanded occupancy LP once, converts the
 optimal measure into per-(state, time) activation probabilities chi (one
-(2 S_n, T) array per type), and ranks arms by chi * active reward. Its
+(2 S_n, T) array per type), and ranks groups by chi * active reward. Its
 selection walk follows the budget rule of the single-pull algorithm: arms
 are visited in decreasing index order, every visited arm consumes one
 budget unit, but an arm sitting in a dummy state is never actually pulled.
@@ -53,107 +61,73 @@ def spi_indices(chi: list[np.ndarray], types: list[ArmModel]) -> IndexTable:
     return IndexTable(values=values, time_dependent=True)
 
 
-def spi_select(
-    indices: IndexTable,
-    tables: ArmTables,
-    type_of: np.ndarray,
-    states: np.ndarray,
-    t: int,
-    budget: int,
-) -> np.ndarray:
-    """Budget walk in decreasing index order over expanded-space states.
+def _by_key(groups: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """groups (ascending ids) in decreasing key order, equal keys by id."""
+    return groups[np.argsort(-key[groups], kind="stable")]
 
-    Every visited arm consumes a budget unit; only non-dummy arms are
-    pulled. The walk ends at the first index <= 0.
+
+def budget_fill(counts: np.ndarray, order: np.ndarray, budget: int) -> np.ndarray:
+    """Pulls per group when the groups in order each give arms until budget runs out."""
+    c = counts[order]
+    pulls = np.zeros_like(counts)
+    pulls[order] = np.minimum(np.maximum(budget - (np.cumsum(c) - c), 0), c)
+    return pulls
+
+
+def spi_select(indices: IndexTable, tables: ArmTables, counts: np.ndarray, t: int,
+               budget: int) -> np.ndarray:
+    """Budget walk over the groups with a positive index, in decreasing index order.
+
+    Every visited arm consumes a budget unit; only the arms of non-dummy
+    groups are pulled.
     """
-    n_arms = len(type_of)
-    actions = np.zeros(n_arms, dtype=np.int64)
-    if budget <= 0 or n_arms == 0:
-        return actions
-    idx = indices.lookup(type_of, states, t)
-    order = np.argsort(-idx, kind="stable")  # ties -> lower arm id first
-    visited = order[: min(budget, int((idx[order] > 0).sum()))]
-    dummy = dummy_mask_for(tables, type_of[visited], states[visited])
-    actions[visited[~dummy]] = 1
-    return actions
+    idx = indices.column(t)
+    visited = budget_fill(counts, _by_key(np.flatnonzero(idx > 0), idx), budget)
+    visited[tables.dummy] = 0
+    return visited
 
 
-def mean_field_select(
-    occupancy: np.ndarray,
-    offset: np.ndarray,
-    type_of: np.ndarray,
-    states: np.ndarray,
-    t: int,
-    budget: int,
-) -> np.ndarray:
+def mean_field_select(occupancy: np.ndarray, counts: np.ndarray, t: int,
+                      budget: int) -> np.ndarray:
     """Three-tier priority fill from the relaxed-budget LP.
 
     occupancy is the LP's optimal measure stacked over global state ids,
-    shape (G, 2, T), with offset from stack_types. High priority (zero
-    passive occupancy) arms are pulled first, then medium-priority arms in
-    decreasing chi; arms whose active occupancy is zero, which includes
-    every arm in a dummy state, are never pulled.
+    shape (G, 2, T). High priority (zero passive occupancy) groups are
+    pulled first, then medium-priority groups in decreasing chi; groups
+    whose active occupancy is zero, which includes every dummy group, are
+    never pulled.
     """
-    n_arms = len(type_of)
-    actions = np.zeros(n_arms, dtype=np.int64)
-    if budget <= 0:
-        return actions
-    mu = np.take(occupancy[:, :, t], offset[type_of] + states, axis=0)
-    mu0, mu1 = mu[:, 0], mu[:, 1]
+    mu0, mu1 = occupancy[:, 0, t], occupancy[:, 1, t]
     denom = mu0 + mu1
     with np.errstate(invalid="ignore", divide="ignore"):
         chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
     eligible = mu1 > PRIORITY_TOL
     high = eligible & (mu0 <= PRIORITY_TOL)
-    medium = eligible & ~high
-    take = np.flatnonzero(high)[:budget]
-    actions[take] = 1
-    remaining = budget - take.size
-    if remaining > 0:
-        med = np.flatnonzero(medium)
-        med = med[np.argsort(-chi[med], kind="stable")]
-        actions[med[:remaining]] = 1
-    return actions
+    order = np.concatenate((np.flatnonzero(high), _by_key(np.flatnonzero(eligible & ~high), chi)))
+    return budget_fill(counts, order, budget)
 
 
-def greedy_budget_select(
-    indices: IndexTable,
-    type_of: np.ndarray,
-    states: np.ndarray,
-    t: int,
-    budget: int,
-    dummy_mask: np.ndarray,
-) -> np.ndarray:
-    """Pull up to budget arms outside dummy_mask in decreasing index order.
+def greedy_budget_select(indices: IndexTable, tables: ArmTables, counts: np.ndarray, t: int,
+                         budget: int) -> np.ndarray:
+    """Pull up to budget arms outside the dummy groups in decreasing index order.
 
     Classic index-policy behaviour: indices of any sign are eligible.
     """
-    n_arms = len(type_of)
-    actions = np.zeros(n_arms, dtype=np.int64)
-    if budget <= 0:
-        return actions
-    cand = np.flatnonzero(~dummy_mask)
-    if cand.size == 0:
-        return actions
-    idx = indices.lookup(type_of[cand], states[cand], t)
-    order = cand[np.argsort(-idx, kind="stable")]
-    actions[order[:budget]] = 1
-    return actions
+    return budget_fill(counts, _by_key(np.flatnonzero(~tables.dummy), indices.column(t)), budget)
+
+
+# Generator.multivariate_hypergeometric (its "marginals" method) needs fewer
+# than 1e9 arms in all; experiments rejects larger random runs as ConfigError.
+RANDOM_MAX_ARMS = 10**9 - 1
 
 
 def random_select(free: np.ndarray, budget: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly pull min(budget, #free) distinct arms among those flagged free."""
-    actions = np.zeros(len(free), dtype=np.int64)
-    candidates = np.flatnonzero(free)
-    k = min(budget, candidates.size)
-    if k > 0:
-        actions[rng.choice(candidates, size=k, replace=False)] = 1
-    return actions
+    """Pulls per group of min(budget, free arms) distinct arms drawn uniformly among the free.
 
-
-def dummy_mask_for(tables: ArmTables, type_of: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Which arms sit in an expanded-space dummy state, i.e. have been pulled."""
-    return tables.dummy[tables.ids(type_of, states)]
+    free[g] counts the arms of group g that may be pulled; their sum must
+    not exceed RANDOM_MAX_ARMS.
+    """
+    return rng.multivariate_hypergeometric(free, min(budget, int(free.sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +151,9 @@ class BasePolicy:
         """Validate the instance, record it and flatten its dummy-expanded arms."""
         require_valid(instance)
         self.instance = instance
-        self.tables = ArmTables.build(instance.types)
+        self.tables = ArmTables.build(instance.types, instance.initial)
 
-    def select(self, type_of, states, t, budget, rng) -> np.ndarray:
+    def select(self, counts, t, budget, rng) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -199,8 +173,8 @@ class SpiPolicy(BasePolicy):
         self.chi = compute_chi(self.solution)
         self.table = spi_indices(self.chi, _expanded_types(instance))
 
-    def select(self, type_of, states, t, budget, rng):
-        return spi_select(self.table, self.tables, type_of, states, t, budget)
+    def select(self, counts, t, budget, rng):
+        return spi_select(self.table, self.tables, counts, t, budget)
 
 
 class MeanFieldPolicy(BasePolicy):
@@ -209,19 +183,18 @@ class MeanFieldPolicy(BasePolicy):
     def __init__(self):
         super().__init__()
         self.solution = None
-        self.offset = None
         self.occupancy = None
 
     def prepare(self, instance: Instance):
         super().prepare(instance)
         problem = lp.build_occupancy_lp(instance, lp.MEAN_FIELD)
         self.solution = lp.solve_lp(problem)
-        self.offset, self.occupancy = stack_types(
+        _, self.occupancy = stack_types(
             [np.concatenate([b, np.zeros_like(b)]) for b in self.solution.occupancy]
         )
 
-    def select(self, type_of, states, t, budget, rng):
-        return mean_field_select(self.occupancy, self.offset, type_of, states, t, budget)
+    def select(self, counts, t, budget, rng):
+        return mean_field_select(self.occupancy, counts, t, budget)
 
 
 class _GreedyIndexPolicy(BasePolicy):
@@ -238,10 +211,8 @@ class _GreedyIndexPolicy(BasePolicy):
         super().prepare(instance)
         self.table = self._build_table(instance)
 
-    def select(self, type_of, states, t, budget, rng):
-        return greedy_budget_select(
-            self.table, type_of, states, t, budget, dummy_mask_for(self.tables, type_of, states)
-        )
+    def select(self, counts, t, budget, rng):
+        return greedy_budget_select(self.table, self.tables, counts, t, budget)
 
 
 class OriginalWhittlePolicy(_GreedyIndexPolicy):
@@ -293,8 +264,8 @@ class QDifferencePolicy(_GreedyIndexPolicy):
 class RandomPolicy(BasePolicy):
     name = "random"
 
-    def select(self, type_of, states, t, budget, rng):
-        return random_select(~dummy_mask_for(self.tables, type_of, states), budget, rng)
+    def select(self, counts, t, budget, rng):
+        return random_select(counts * ~self.tables.dummy, budget, rng)
 
 
 POLICY_REGISTRY = {

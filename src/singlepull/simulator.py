@@ -1,12 +1,24 @@
-"""Monte Carlo engine enforcing the hard budget and single-pull constraints.
+"""Monte Carlo engine over arm counts, enforcing the hard budget and single-pull constraints.
 
-The simulator, not the policy, is the constraint authority: every action
-vector is checked against the per-step cap budget * rho and against the
-one-pull-per-arm rule before it is applied, and every finished episode is
-audited again from its recorded pull bookkeeping.
+Arms of one type in one expanded state are exchangeable, so an episode
+simulates the count vector X[g]: the number of arms in each global state
+g = offset[n] + s of the policy's ArmTables. A pulled arm sits in the
+dummy half, so pulled-ness is part of X. Each step a policy's select
+returns the pulls per group, k, and one multinomial draw per live
+(group, action) pair moves the counts; a step costs O(N S) at any rho.
+The random policy's draw caps one population at
+policies.RANDOM_MAX_ARMS (just under 1e9) arms.
+
+The simulator, not the policy, is the constraint authority: step checks
+every pull vector against the per-step cap budget * rho and against the
+single-pull rule (no pull from a dummy group) before it applies it, and
+every finished episode is audited again from its pull bookkeeping.
 
 Episodes draw from counter-based Philox streams keyed by the episode seed,
-so evaluation is bit-reproducible and episode order is irrelevant.
+so evaluation is bit-reproducible and episode order is irrelevant. Only a
+recorded episode touches arms: it lifts the count path to arms on a
+second Philox stream of the same seed, so recording never moves a count
+draw.
 """
 
 from __future__ import annotations
@@ -16,13 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ArmTables, Instance, replicate
+from .model import ArmTables, Instance
 
 CI_Z = 1.96  # normal-approximation 95% interval
 
 
 class InfeasibleAction(RuntimeError):
-    """Action vector violates the budget or the single-pull constraint."""
+    """Pull vector violates the budget or the single-pull constraint."""
 
 
 class DegenerateRange(ValueError):
@@ -33,8 +45,8 @@ class DegenerateRange(ValueError):
 class EpisodeResult:
     total_reward: float
     per_step_pulls: np.ndarray          # (T,)
-    pulls_per_arm: np.ndarray           # (M,)
-    pull_time: np.ndarray               # (M,) first pull epoch, -1 if never
+    pulls_per_type: np.ndarray          # (N,) pulls over the episode
+    dummy_per_type: np.ndarray          # (N,) arms in the dummy half at the end
     select_seconds: float = 0.0
     trajectory: list[tuple] | None = None  # (t, arm, state, action, reward)
 
@@ -48,127 +60,143 @@ class Summary:
     rewards: np.ndarray = field(repr=False, default=None)
 
 
-def _episode_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+def _episode_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _sum_by_type(values: np.ndarray, type_of: np.ndarray) -> float:
-    """Sum values type by type in ascending type order, then add the sums left to right.
-
-    Each type's entries keep arm order, which pins the float result to that
-    of a per-type loop. Equal type blocks, as replicate lays them out, are
-    one row-wise sum; other layouts are stable-sorted into blocks first.
-    """
-    if len(values) == 0:
-        return 0.0
-    if np.any(type_of[1:] < type_of[:-1]):
-        order = np.argsort(type_of, kind="stable")
-        values, type_of = values[order], type_of[order]
-    sizes = np.bincount(type_of)
-    sizes = sizes[sizes > 0]
-    if np.all(sizes == sizes[0]):
-        sums = values.reshape(len(sizes), -1).sum(axis=1).tolist()
-    else:
-        sums = [float(part.sum()) for part in np.split(values, np.cumsum(sizes)[:-1])]
-    total = 0.0
-    for x in sums:
-        total += x
-    return total
+def start_counts(tables: ArmTables, rho: int, rng: np.random.Generator) -> np.ndarray:
+    """X_0: one multinomial draw of rho arms per type over its normal half."""
+    draws = rng.multinomial(rho, tables.start)
+    return np.bincount(tables.dest[2 * tables.offset].reshape(-1), weights=draws.reshape(-1),
+                       minlength=len(tables.dummy)).astype(np.int64)
 
 
 def step(
-    states: np.ndarray,
-    actions: np.ndarray,
+    counts: np.ndarray,
+    pulls: np.ndarray,
     tables: ArmTables,
-    type_of: np.ndarray,
-    pulled: np.ndarray,
     budget: int,
     rng: np.random.Generator,
 ):
-    """Apply one transition round; returns (next_states, step_reward).
+    """Apply one transition round; returns (next_counts, step_reward, moves).
 
-    states are ids of the dummy-expanded arms that tables hold. Raises
-    InfeasibleAction when the action vector exceeds the budget or pulls an
-    already-pulled arm.
+    counts[g] arms sit in global state g and pulls[g] of them are pulled.
+    moves[p, j] arms of the (group, action) pair p = 2g + a go to
+    tables.dest[p, j]. Raises InfeasibleAction unless 0 <= pulls <= counts,
+    no dummy group is pulled and the pulls total at most budget.
     """
-    actions = np.asarray(actions)
-    if actions.sum() > budget:
-        raise InfeasibleAction(f"{int(actions.sum())} activations exceed budget {budget}")
-    if np.any(actions[pulled] == 1):
+    pulls = np.asarray(pulls)
+    if (pulls < 0).any() or (pulls > counts).any():
+        raise InfeasibleAction("pulls outside [0, arms in the group]")
+    if pulls[tables.dummy].any():
         raise InfeasibleAction("activation assigned to an already-pulled arm")
-    pairs = tables.pair_ids(type_of, states, actions)
-    u = rng.random(len(states))
-    next_states = tables.base[pairs] + (np.take(tables.cdf, pairs, axis=1) < u).sum(axis=0)
-    return next_states, _sum_by_type(tables.rewards[pairs], type_of)
+    if pulls.sum() > budget:
+        raise InfeasibleAction(f"{int(pulls.sum())} activations exceed budget {budget}")
+    pairs = np.empty(2 * len(counts), dtype=np.int64)
+    pairs[0::2] = counts - pulls
+    pairs[1::2] = pulls
+    live = pairs.nonzero()[0]
+    moves = np.zeros(tables.probs.shape, dtype=np.int64)
+    moves[live] = rng.multinomial(pairs[live], tables.probs[live])
+    next_counts = np.bincount(tables.dest.reshape(-1), weights=moves.reshape(-1),
+                              minlength=len(counts)).astype(np.int64)
+    return next_counts, float(pairs @ tables.rewards), moves
+
+
+def lift(pulls: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per-arm actions that pull pulls[g] of the arms in group g, the lowest ids first."""
+    order = np.argsort(ids, kind="stable")
+    grouped = ids[order]
+    rank = np.arange(len(ids)) - np.searchsorted(grouped, grouped)
+    actions = np.empty(len(ids), dtype=np.int64)
+    actions[order] = rank < pulls[grouped]
+    return actions
+
+
+def _deal(values: np.ndarray, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Deal values, sorted by key, to the arms holding each key in a uniformly random order.
+
+    values holds one entry per arm, and keys[i] is arm i's key.
+    """
+    dealt = np.empty_like(values)
+    dealt[np.lexsort((rng.random(len(keys)), keys))] = values
+    return dealt
 
 
 def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> EpisodeResult:
     """Simulate one T-step episode; deterministic given (instance, policy, seed).
 
-    Arms run on the dummy-expanded system, so policies read pulled-ness
-    from the states, and a recorded trajectory holds expanded state ids;
-    the pulled mask that step checks stays the simulator's own. Raises
-    ValueError unless policy was prepared for this very instance object,
-    whose dynamics its tables hold.
+    With record=True the count path is lifted to arms: arm ids run type by
+    type, each type's initial states are dealt to its arms in a uniformly
+    random order, pulls[g] goes to the lowest-id arms of group g, and the
+    next states drawn for a (group, action) pair go to its arms in a
+    uniformly random order. The arms then have exactly the per-arm law, and
+    the trajectory holds each arm's expanded state id, s + S_n once pulled.
+    Raises ValueError unless policy was prepared for this very instance
+    object, whose dynamics its tables hold.
     """
     if policy.instance is not instance:
         raise ValueError(f"policy {policy.name!r} was not prepared for this instance")
     tables = policy.tables
-    pop = replicate(instance, seed)
-    states = pop.states.copy()
-    pulled = pop.pulled.copy()
-    type_of = pop.type_of
     budget = instance.step_budget
     rng = _episode_rng(seed)
+    counts = start_counts(tables, instance.rho, rng)
 
     T = instance.horizon
     total = 0.0
     per_step = np.zeros(T, dtype=np.int64)
-    pulls_per_arm = np.zeros(instance.n_arms, dtype=np.int64)
-    pull_time = np.full(instance.n_arms, -1, dtype=np.int64)
-    trajectory = [] if record else None
+    pulls_per_group = np.zeros(len(counts), dtype=np.int64)
     select_seconds = 0.0
+    trajectory = None
+    if record:
+        trajectory = []
+        lifting = _episode_rng(seed, stream=1)
+        type_of = np.repeat(np.arange(instance.n_types), instance.rho)
+        ids = _deal(np.repeat(np.arange(len(counts)), counts), type_of, lifting)
 
     for t in range(T):
         t0 = time.perf_counter()
-        actions = policy.select(type_of, states, t, budget, rng)
+        pulls = policy.select(counts, t, budget, rng)
         select_seconds += time.perf_counter() - t0
+        next_counts, reward, moves = step(counts, pulls, tables, budget, rng)
         if record:
-            rewards_now = tables.rewards[tables.pair_ids(type_of, states, actions)]
-            trajectory.extend(
-                (t, i, s, a, r) for i, (s, a, r) in enumerate(
-                    zip(states.tolist(), actions.tolist(), rewards_now.tolist()))
-            )
-        next_states, reward = step(states, actions, tables, type_of, pulled, budget, rng)
+            actions = lift(pulls, ids)
+            pair = 2 * ids + actions
+            trajectory.extend(zip([t] * len(ids), range(len(ids)),
+                                  (ids - tables.offset[type_of]).tolist(), actions.tolist(),
+                                  tables.rewards[pair].tolist()))
+            ids = _deal(np.repeat(tables.dest.reshape(-1), moves.reshape(-1)), pair, lifting)
         total += reward
-        hit = actions == 1
-        per_step[t] = int(hit.sum())
-        pulls_per_arm[hit] += 1
-        pull_time[hit & (pull_time == -1)] = t
-        pulled |= hit
-        states = next_states
+        per_step[t] = int(pulls.sum())
+        pulls_per_group += pulls
+        counts = next_counts
 
     return EpisodeResult(
         total_reward=total,
         per_step_pulls=per_step,
-        pulls_per_arm=pulls_per_arm,
-        pull_time=pull_time,
+        pulls_per_type=np.add.reduceat(pulls_per_group, tables.offset),
+        dummy_per_type=np.add.reduceat(counts * tables.dummy, tables.offset),
         select_seconds=select_seconds,
         trajectory=trajectory,
     )
 
 
 def audit_episode(result: EpisodeResult, step_budget: int) -> list[str]:
-    """Post-hoc hard-constraint audit, independent of policy correctness."""
+    """Post-hoc hard-constraint audit, independent of policy correctness.
+
+    Flags a step above the cap, and a type whose arms in the dummy half at
+    the end differ in number from its pulls: each pulled arm enters the
+    dummy half and never leaves it.
+    """
     problems = []
     if np.any(result.per_step_pulls > step_budget):
         t = int(np.argmax(result.per_step_pulls > step_budget))
         problems.append(
             f"step {t}: {int(result.per_step_pulls[t])} pulls exceed cap {step_budget}"
         )
-    if np.any(result.pulls_per_arm > 1):
-        arm = int(np.argmax(result.pulls_per_arm > 1))
-        problems.append(f"arm {arm}: pulled {int(result.pulls_per_arm[arm])} times")
+    for n in np.flatnonzero(result.pulls_per_type != result.dummy_per_type):
+        problems.append(f"type {n}: {int(result.pulls_per_type[n])} pulls but "
+                        f"{int(result.dummy_per_type[n])} arms in the dummy half")
     return problems
 
 

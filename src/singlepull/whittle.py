@@ -42,23 +42,20 @@ class IndexTable:
     """Index values per (type, state, time).
 
     values[n] has shape (S_n, T) for time-dependent tables and (S_n, 1)
-    for stationary ones; stationary lookups ignore t. flat stacks the
+    for stationary ones; stationary columns ignore t. flat stacks the
     values over global state ids offset[n] + s, once, at construction.
     """
 
     values: list[np.ndarray]
     time_dependent: bool
-    offset: np.ndarray = field(init=False, repr=False, compare=False)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.offset, flat = stack_types(self.values)
-        self.flat = np.asarray(flat, dtype=float)
+        self.flat = np.asarray(stack_types(self.values)[1], dtype=float)
 
-    def lookup(self, type_of: np.ndarray, states: np.ndarray, t: int) -> np.ndarray:
-        """Vectorized per-arm index lookup."""
-        column = self.flat[:, t if self.time_dependent else 0]
-        return np.take(column, self.offset[type_of] + states)
+    def column(self, t: int) -> np.ndarray:
+        """The index of every global state id at time t."""
+        return self.flat[:, t if self.time_dependent else 0]
 
     @classmethod
     def stack(cls, tables: list["IndexTable"]) -> "IndexTable":

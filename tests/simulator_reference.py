@@ -1,25 +1,31 @@
-"""Per-type loops over np.unique(type_of) on two simulated systems, kept as a reference.
+"""A per-arm engine with per-type loops, kept as the reference for the count engine.
 
-Each function walks the types present in a population and gathers from
-that type's own arrays through a boolean mask, the way the simulator and
-the selection rules worked before ArmTables, IndexTable.flat and the
-stacked mean-field occupancy replaced them with one gather per call.
-
-run_episode also keeps the engine's former split into two systems: the
-mask-space policies (MASK_SPACE) step on the original models and see
-collapsed states plus a pulled mask, while the others step on the
-dummy-expanded models. It composes the loops with the package's
-replicate, greedy and random selection into a whole episode, whose
-trajectory records each system's own state ids.
+Every arm is simulated on its own, on the dummy-expanded models: its
+initial state is drawn per type, each step it moves by one uniform draw
+through the cumulative sums of its row, and the selection rules rank arms
+by the prepared policy's own tables with the package's tie order: key
+descending, then global state id, then arm id. Lifted to arms, the count
+engine's selections must equal these bit for bit, and its episodes must
+have the same law, which the tests compare through means.
 """
 
 import numpy as np
 
-from singlepull.model import expand_with_dummies, replicate
-from singlepull.policies import CHI_DENOM_TOL, PRIORITY_TOL, greedy_budget_select, random_select
-from singlepull.simulator import EpisodeResult, InfeasibleAction, _episode_rng
+from singlepull.model import expand_with_dummies
+from singlepull.policies import CHI_DENOM_TOL, PRIORITY_TOL
+from singlepull.simulator import InfeasibleAction
 
-MASK_SPACE = ("meanfield", "whittle-original", "random")
+
+def expanded_models(instance):
+    return [expand_with_dummies(m) for m in instance.types]
+
+
+def populate(instance, rng):
+    """type_of and initial states of rho arms per type, in type blocks."""
+    type_of = np.repeat(np.arange(instance.n_types), instance.rho)
+    states = np.concatenate([rng.choice(m.n_states, size=instance.rho, p=d)
+                             for m, d in zip(instance.types, instance.initial)])
+    return type_of, states
 
 
 def step(states, actions, models, type_of, pulled, budget, rng):
@@ -43,7 +49,7 @@ def step(states, actions, models, type_of, pulled, budget, rng):
 
 
 def lookup(values, time_dependent, type_of, states, t):
-    """IndexTable.lookup over the per-type value arrays."""
+    """Per-arm index from per-type value arrays (S_n, T) or (S_n, 1)."""
     out = np.empty(len(type_of))
     col = t if time_dependent else 0
     for n in np.unique(type_of):
@@ -61,108 +67,93 @@ def dummy_mask_for(models, type_of, states):
     return out
 
 
-def mean_field_select(occupancy_blocks, type_of, states, pulled, t, budget):
-    """Three-tier priority fill over per-type occupancy blocks (S_n, 2, T)."""
-    n_arms = len(type_of)
-    actions = np.zeros(n_arms, dtype=np.int64)
-    if budget <= 0:
-        return actions
-    mu0 = np.empty(n_arms)
-    mu1 = np.empty(n_arms)
-    for n in np.unique(type_of):
-        mask = type_of == n
-        block = occupancy_blocks[n]
-        mu0[mask] = block[states[mask], 0, t]
-        mu1[mask] = block[states[mask], 1, t]
-    denom = mu0 + mu1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
-    eligible = (~pulled) & (mu1 > PRIORITY_TOL)
-    high = eligible & (mu0 <= PRIORITY_TOL)
-    medium = eligible & ~high
-    take = np.flatnonzero(high)[:budget]
-    actions[take] = 1
-    remaining = budget - take.size
-    if remaining > 0:
-        med = np.flatnonzero(medium)
-        med = med[np.argsort(-chi[med], kind="stable")]
-        actions[med[:remaining]] = 1
-    return actions
+def global_ids(models, type_of, states):
+    offsets = np.cumsum([0] + [m.n_states for m in models])
+    return np.array([offsets[n] + s for n, s in zip(type_of, states)], dtype=np.int64)
+
+
+def ranked(arms, key, gid):
+    """arms by key descending, then global state id, then arm id."""
+    return arms[np.lexsort((arms, gid[arms], -key[arms]))]
 
 
 def spi_select(values, models, type_of, states, t, budget):
-    n_arms = len(type_of)
-    actions = np.zeros(n_arms, dtype=np.int64)
-    if budget <= 0 or n_arms == 0:
-        return actions
+    actions = np.zeros(len(type_of), dtype=np.int64)
     idx = lookup(values, True, type_of, states, t)
-    order = np.argsort(-idx, kind="stable")
-    visited = order[: min(budget, int((idx[order] > 0).sum()))]
-    dummy = dummy_mask_for(models, type_of[visited], states[visited])
-    actions[visited[~dummy]] = 1
+    order = ranked(np.flatnonzero(idx > 0), idx, global_ids(models, type_of, states))
+    visited = order[:budget]
+    actions[visited[~dummy_mask_for(models, type_of[visited], states[visited])]] = 1
     return actions
 
 
-class _LoopTable:
-    """IndexTable stand-in whose lookup is the per-type loop."""
-
-    def __init__(self, table):
-        self.values, self.time_dependent = table.values, table.time_dependent
-
-    def lookup(self, type_of, states, t):
-        return lookup(self.values, self.time_dependent, type_of, states, t)
+def greedy_select(values, time_dependent, models, type_of, states, t, budget):
+    actions = np.zeros(len(type_of), dtype=np.int64)
+    idx = lookup(values, time_dependent, type_of, states, t)
+    free = np.flatnonzero(~dummy_mask_for(models, type_of, states))
+    actions[ranked(free, idx, global_ids(models, type_of, states))[:budget]] = 1
+    return actions
 
 
-def select(policy, models, type_of, states, pulled, t, budget, rng):
-    """A prepared policy's selection rule on its system, rebuilt from the loops above.
+def mean_field_select(occupancy_blocks, models, type_of, states, t, budget):
+    """Three-tier priority fill over the normal-state occupancy blocks (S_n, 2, T).
 
-    Mask-space policies get collapsed states, so only the normal rows of
-    their tables are read, and exclude the pulled arms by the mask.
+    An arm in a dummy state has zero occupancy, so it is never eligible.
     """
+    n_arms = len(type_of)
+    actions = np.zeros(n_arms, dtype=np.int64)
+    mu0 = np.zeros(n_arms)
+    mu1 = np.zeros(n_arms)
+    for i, (n, s) in enumerate(zip(type_of, states)):
+        block = occupancy_blocks[n]
+        if s < len(block):
+            mu0[i], mu1[i] = block[s, 0, t], block[s, 1, t]
+    denom = mu0 + mu1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
+    gid = global_ids(models, type_of, states)
+    eligible = mu1 > PRIORITY_TOL
+    high = eligible & (mu0 <= PRIORITY_TOL)
+    order = np.concatenate((ranked(np.flatnonzero(high), np.zeros(n_arms), gid),
+                            ranked(np.flatnonzero(eligible & ~high), chi, gid)))
+    actions[order[:budget]] = 1
+    return actions
+
+
+def random_select(free, budget, rng):
+    """Uniformly pull min(budget, #free) distinct arms among those flagged free."""
+    actions = np.zeros(len(free), dtype=np.int64)
+    candidates = np.flatnonzero(free)
+    k = min(budget, candidates.size)
+    if k > 0:
+        actions[rng.choice(candidates, size=k, replace=False)] = 1
+    return actions
+
+
+def select(policy, models, type_of, states, t, budget, rng):
+    """A prepared policy's selection rule on arms, rebuilt from its tables."""
     if policy.name == "spi":
         return spi_select(policy.table.values, models, type_of, states, t, budget)
     if policy.name == "meanfield":
-        return mean_field_select(policy.solution.occupancy, type_of, states, pulled, t, budget)
+        return mean_field_select(policy.solution.occupancy, models, type_of, states, t, budget)
     if policy.name == "random":
-        return random_select(~pulled, budget, rng)
-    excluded = pulled
-    if policy.name not in MASK_SPACE:
-        excluded = pulled | dummy_mask_for(models, type_of, states)
-    return greedy_budget_select(_LoopTable(policy.table), type_of, states, t, budget, excluded)
+        return random_select(~dummy_mask_for(models, type_of, states), budget, rng)
+    return greedy_select(policy.table.values, policy.table.time_dependent, models,
+                         type_of, states, t, budget)
 
 
 def run_episode(instance, policy, seed):
-    """One episode with the loop step and loop selection; same seeds and streams."""
-    models = list(instance.types)
-    if policy.name not in MASK_SPACE:
-        models = [expand_with_dummies(m) for m in models]
-    pop = replicate(instance, seed)
-    states = pop.states.copy()
-    pulled = pop.pulled.copy()
-    type_of = pop.type_of
+    """One per-arm episode; returns (total_reward, per_step_pulls)."""
+    models = expanded_models(instance)
+    rng = np.random.default_rng(seed)
+    type_of, states = populate(instance, rng)
+    pulled = np.zeros(len(type_of), dtype=bool)
     budget = instance.step_budget
-    rng = _episode_rng(seed)
-    T = instance.horizon
     total = 0.0
-    per_step = np.zeros(T, dtype=np.int64)
-    pulls_per_arm = np.zeros(instance.n_arms, dtype=np.int64)
-    pull_time = np.full(instance.n_arms, -1, dtype=np.int64)
-    trajectory = []
-    for t in range(T):
-        actions = select(policy, models, type_of, states, pulled, t, budget, rng)
-        rewards_now = np.array(
-            [models[type_of[i]].rewards[states[i], actions[i]] for i in range(len(states))]
-        )
-        for i in range(len(states)):
-            trajectory.append((t, int(i), int(states[i]), int(actions[i]), float(rewards_now[i])))
-        next_states, reward = step(states, actions, models, type_of, pulled, budget, rng)
+    per_step = np.zeros(instance.horizon, dtype=np.int64)
+    for t in range(instance.horizon):
+        actions = select(policy, models, type_of, states, t, budget, rng)
+        states, reward = step(states, actions, models, type_of, pulled, budget, rng)
         total += reward
-        hit = actions == 1
-        per_step[t] = int(hit.sum())
-        pulls_per_arm[hit] += 1
-        pull_time[hit & (pull_time == -1)] = t
-        pulled |= hit
-        states = next_states
-    return EpisodeResult(total_reward=total, per_step_pulls=per_step,
-                         pulls_per_arm=pulls_per_arm, pull_time=pull_time,
-                         trajectory=trajectory)
+        per_step[t] = int(actions.sum())
+        pulled |= actions == 1
+    return total, per_step

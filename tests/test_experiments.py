@@ -238,6 +238,26 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    def test_random_beyond_its_arm_limit_writes_nothing(self, tmp_path):
+        setting = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 5 * 10**8, "horizon": 3}
+        rc = cli.main(["--config", self.write_config(tmp_path, setting=setting)])
+        assert rc == cli.EXIT_CONFIG
+        rc = cli.main(["--config", self.write_config(tmp_path, policies=["random"]),
+                       "--sweep-rho", f"1,{5 * 10**8}"])
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, key", [("--timing", "measure_runtime"),
+                                           ("--dump-trajectories", "dump_trajectories")])
+    @pytest.mark.parametrize("given_as", ["flag", "config key"])
+    def test_sweep_rho_rejects_timing_and_dump(self, tmp_path, flag, key, given_as):
+        extra = {key: True} if given_as == "config key" else {}
+        argv = ["--config", self.write_config(tmp_path, policies=["spi"], **extra),
+                "--sweep-rho", "1,2"]
+        rc = cli.main(argv + ([flag] if given_as == "flag" else []))
+        assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_resample_override_replaces_config_seeds(self, tmp_path):
         rc = cli.main(["--config", self.write_config(tmp_path, episodes=2, instance_seeds=[7]),
                        "--resample-instances", "2"])

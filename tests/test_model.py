@@ -6,12 +6,11 @@ from singlepull import (
     Instance,
     expand_with_dummies,
     load_instance,
-    replicate,
     save_instance,
     validate_arm,
     validate_instance,
 )
-from singlepull.model import ERROR, WARNING, point_initial
+from singlepull.model import ERROR, WARNING, point_initial, stochastic_rows
 
 from conftest import random_arm
 
@@ -129,33 +128,24 @@ class TestExpandWithDummies:
             mass = new_mass
 
 
-class TestReplicate:
-    def make_instance(self):
-        types = (cpap3_arm(0.5), cpap3_arm(0.9))
-        initial = (point_initial(3, 2), point_initial(3, 1))
-        return Instance(types=types, rho=3, budget=1, horizon=4, initial=initial)
+class TestStochasticRows:
+    @pytest.mark.parametrize("row", [[0.5 - 2.5e-10, 0.5 - 2.5e-10],
+                                     [0.5 + 2.5e-10, 0.5 + 2.5e-10],
+                                     [1.0 + 5e-10, -1e-16],
+                                     [-1e-16, 0.3, 0.7 + 5e-10],
+                                     [0.6, 0.4 + 5e-10, 0.0]])
+    def test_rows_within_tolerance_give_a_multinomial_row(self, row):
+        row = np.array(row)
+        probs = stochastic_rows(row, 4)
+        assert np.all((0.0 <= probs) & (probs <= 1.0))
+        assert probs[:len(row) - 1].sum() <= 1.0 and probs[len(row):].sum() == 0.0
+        assert np.allclose(probs[:len(row)], np.clip(row, 0, None), atol=1e-9)
+        draw = np.random.default_rng(0).multinomial(10**6, probs)
+        assert draw.sum() == 10**6
 
-    def test_deterministic_initials(self):
-        pop = replicate(self.make_instance(), seed=11)
-        assert pop.n_arms == 6
-        assert np.array_equal(pop.type_of, [0, 0, 0, 1, 1, 1])
-        assert np.array_equal(pop.states, [2, 2, 2, 1, 1, 1])
-        assert not pop.pulled.any()
-
-    def test_same_seed_same_population(self):
-        a = replicate(self.make_instance(), seed=5)
-        b = replicate(self.make_instance(), seed=5)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.type_of, b.type_of)
-
-    def test_binomial_concentration(self):
-        m = two_state_arm()
-        inst = Instance(types=(m,), rho=1000, budget=1, horizon=2,
-                        initial=(np.array([0.5, 0.5]),))
-        pop = replicate(inst, seed=3)
-        frac = (pop.states == 0).mean()
-        sigma = np.sqrt(0.25 / 1000)
-        assert abs(frac - 0.5) < 3 * sigma
+    def test_short_row_leaves_its_mass_on_the_last_state(self):
+        probs = stochastic_rows(np.array([0.25, 0.25, 0.5 - 5e-10]), 3)
+        assert probs.tolist() == [0.25, 0.25, 0.5]
 
 
 class TestValidateInstance:

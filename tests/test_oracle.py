@@ -116,17 +116,33 @@ class TestExactPolicyValue:
     def test_mask_space_policy_through_adapter(self, rng):
         assert_monte_carlo_matches_exact(random_tiny_instance(rng), "whittle-original")
 
-    @pytest.mark.parametrize("name", ["meanfield", "whittle-original", "whittle-infinite",
-                                      "whittle-finite", "qdiff"])
+    @pytest.mark.parametrize("name", ["spi", "meanfield", "whittle-original",
+                                      "whittle-infinite", "whittle-finite", "qdiff", "random"])
     def test_table_policy_matches_exact_value(self, rng, name):
         for _ in range(2):
             assert_monte_carlo_matches_exact(random_tiny_instance(rng), name)
+
+    def test_adapter_lifts_ties_by_state_id_then_arm_id(self):
+        # two identical types of two arms each, every normal state with the
+        # same index and a cap of 2: the lower global state id goes first,
+        # and within a group the lowest arm ids
+        P = np.stack([np.eye(2), np.eye(2)], axis=1)
+        m = ArmModel(n_states=2, transitions=P, rewards=np.array([[0.0, 1.0], [0.0, 1.0]]))
+        inst = Instance(types=(m, m), rho=2, budget=1, horizon=1,
+                        initial=(np.array([0.5, 0.5]),) * 2)
+        pol = make_policy("whittle-finite")
+        pol.prepare(inst)
+        select = policy_select_adapter(inst, pol)
+        assert select(np.array([1, 0, 0, 0]), None, 0).tolist() == [1, 1, 0, 0]
+        assert select(np.array([0, 2, 0, 0]), None, 0).tolist() == [1, 0, 1, 0]
 
 
 def assert_monte_carlo_matches_exact(inst, name):
     """The simulated mean lies within 3 half-widths of the policy's exact value."""
     pol = make_policy(name)
     pol.prepare(inst)
-    val = exact_policy_value(inst, policy_select_adapter(inst, pol))
+    select = (uniform_random_select(inst) if name == "random"
+              else policy_select_adapter(inst, pol))
+    val = exact_policy_value(inst, select)
     summary = evaluate(inst, pol, 3000, base_seed=0, prepared=True)
     assert abs(summary.mean - val) <= 3 * max(summary.half_width, 1e-9)

@@ -18,7 +18,7 @@ from singlepull import (
 from singlepull import lp
 from singlepull.domains import RANDOM, DomainSpec, make_instance
 from singlepull.model import ArmTables, point_initial, stack_types
-from singlepull.policies import dummy_mask_for
+from singlepull.simulator import lift
 from singlepull.whittle import IndexTable
 
 from conftest import random_arm
@@ -78,128 +78,137 @@ def manual_table(values):
     return IndexTable(values=[np.asarray(values, dtype=float)], time_dependent=True)
 
 
+def identity_tables(n_states=2):
+    """Tables of one type that never moves: normal states 0.. S-1, dummies S.. 2S-1."""
+    P = np.stack([np.eye(n_states), np.eye(n_states)], axis=1)
+    m = ArmModel(n_states=n_states, transitions=P, rewards=np.zeros((n_states, 2)))
+    return ArmTables.build([m], [point_initial(n_states, 0)])
+
+
+def counts_of(tables, states):
+    return np.bincount(np.asarray(states), minlength=len(tables.dummy))
+
+
 class TestSpiSelect:
     def setup_method(self):
-        # 2 normal states (0, 1) + dummies (2, 3)
-        self.tables = ArmTables.build([ArmModel(
-            n_states=2,
-            transitions=np.stack([np.eye(2), np.eye(2)], axis=1),
-            rewards=np.array([[0.0, 1.0], [0.0, 2.0]]),
-        )])
+        self.tables = identity_tables()  # 2 normal states (0, 1) + dummies (2, 3)
 
     def select(self, idx_by_state, states, budget):
         table = manual_table(np.asarray(idx_by_state, dtype=float)[:, None])
-        type_of = np.zeros(len(states), dtype=int)
-        return spi_select(table, self.tables, type_of, np.asarray(states), 0, budget)
+        return spi_select(table, self.tables, counts_of(self.tables, states), 0, budget)
 
     def test_dummy_arm_consumes_budget(self):
         # highest index sits on a dummy arm; budget one unit -> nothing pulled
-        actions = self.select([0.1, 0.8, 0.9, 0.0], states=[2, 1, 0], budget=1)
-        assert actions.sum() == 0
+        pulls = self.select([0.1, 0.8, 0.9, 0.0], states=[2, 1, 0], budget=1)
+        assert pulls.sum() == 0
 
     def test_two_pulls_within_budget(self):
-        actions = self.select([0.8, 0.5, 0.0, 0.0], states=[0, 1], budget=2)
-        assert actions.tolist() == [1, 1]
+        pulls = self.select([0.8, 0.5, 0.0, 0.0], states=[0, 1], budget=2)
+        assert pulls.tolist() == [1, 1, 0, 0]
 
     def test_zero_indices_spend_nothing(self):
-        actions = self.select([0.0, 0.0, 0.0, 0.0], states=[0, 1, 0], budget=5)
-        assert actions.sum() == 0
+        pulls = self.select([0.0, 0.0, 0.0, 0.0], states=[0, 1, 0], budget=5)
+        assert pulls.sum() == 0
 
     def test_invariant_under_appended_zero_arms(self):
         base = self.select([0.5, 0.4, 0.0, 0.0], states=[0, 1], budget=1)
         padded = self.select([0.5, 0.4, 0.0, 0.0], states=[0, 1, 3, 3, 3], budget=1)
-        assert padded[:2].tolist() == base.tolist()
-        assert padded[2:].sum() == 0
+        assert padded.tolist() == base.tolist() == [1, 0, 0, 0]
 
     def test_tie_break_lowest_arm_id(self):
-        actions = self.select([0.5, 0.4, 0.0, 0.0], states=[0, 0, 0], budget=1)
-        assert actions.tolist() == [1, 0, 0]
+        # equal indices: the lower global state id goes first, and within
+        # a group the lowest-id arms are pulled
+        pulls = self.select([0.5, 0.5, 0.0, 0.0], states=[1, 0, 0, 1], budget=3)
+        assert pulls.tolist() == [2, 1, 0, 0]
+        assert lift(pulls, np.array([1, 0, 0, 1])).tolist() == [1, 1, 1, 0]
 
 
 class TestMeanFieldSelect:
-    def make_solution(self, mu0, mu1):
+    def make_occupancy(self, mu0, mu1):
         block = np.zeros((len(mu0), 2, 1))
         block[:, 0, 0] = mu0
         block[:, 1, 0] = mu1
-        offset, occupancy = stack_types([block])
-        return occupancy, offset
+        return stack_types([block])[1]
 
     def test_high_priority_pulled_first(self):
-        sol = self.make_solution([0.0, 0.5], [0.4, 0.1])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]), 0, budget=1)
-        assert actions.tolist() == [1, 0]
+        occupancy = self.make_occupancy([0.0, 0.5], [0.4, 0.1])
+        pulls = mean_field_select(occupancy, np.array([1, 1]), 0, budget=1)
+        assert pulls.tolist() == [1, 0]
 
     def test_low_priority_never_pulled(self):
-        sol = self.make_solution([0.5, 0.5], [0.0, 0.0])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]), 0, budget=5)
-        assert actions.sum() == 0
+        occupancy = self.make_occupancy([0.5, 0.5], [0.0, 0.0])
+        pulls = mean_field_select(occupancy, np.array([3, 3]), 0, budget=5)
+        assert pulls.sum() == 0
 
     def test_medium_filled_by_descending_chi(self):
         # chi = 0.7 vs 0.3; exhaustive check over the two single-pull choices
-        sol = self.make_solution([0.3, 0.7], [0.7, 0.3])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([0, 1]), 0, budget=1)
+        occupancy = self.make_occupancy([0.3, 0.7], [0.7, 0.3])
+        pulls = mean_field_select(occupancy, np.array([1, 1]), 0, budget=1)
         chis = [0.7, 0.3]
         best = int(np.argmax(chis))
-        assert actions[best] == 1 and actions.sum() == 1
+        assert pulls[best] == 1 and pulls.sum() == 1
 
     def test_skips_pulled_arms(self):
         # state 1 is the dummy copy of state 0, whose occupancy rows are zero
-        sol = self.make_solution([0.0, 0.0], [0.4, 0.0])
-        actions = mean_field_select(*sol, np.zeros(2, dtype=int), np.array([1, 0]), 0, budget=2)
-        assert actions.tolist() == [0, 1]
+        occupancy = self.make_occupancy([0.0, 0.0], [0.4, 0.0])
+        pulls = mean_field_select(occupancy, np.array([1, 1]), 0, budget=2)
+        assert pulls.tolist() == [1, 0]
+
+    def test_equal_chi_lowest_state_id(self):
+        occupancy = self.make_occupancy([0.5, 0.5, 0.0], [0.5, 0.5, 0.0])
+        pulls = mean_field_select(occupancy, np.array([2, 2, 0]), 0, budget=3)
+        assert pulls.tolist() == [2, 1, 0]
 
 
 class TestGreedySelect:
+    def select(self, values, states, budget, n_states=3):
+        tables = identity_tables(n_states)
+        table = manual_table(values)
+        return greedy_budget_select(table, tables, counts_of(tables, states), 0, budget)
+
     def test_descending_order(self):
-        table = manual_table([[3.0], [2.0], [1.0]])
-        actions = greedy_budget_select(table, np.zeros(3, dtype=int),
-                                       np.array([0, 1, 2]), 0, 2,
-                                       np.zeros(3, dtype=bool))
-        assert actions.tolist() == [1, 1, 0]
+        pulls = self.select([[3.0], [2.0], [1.0], [0.0], [0.0], [0.0]], [0, 1, 2], 2)
+        assert pulls.tolist() == [1, 1, 0, 0, 0, 0]
 
     def test_pulled_mask_blocks_top(self):
-        table = manual_table([[3.0], [2.0]])
-        actions = greedy_budget_select(table, np.zeros(2, dtype=int),
-                                       np.array([0, 1]), 0, 1,
-                                       np.array([True, False]))
-        assert actions.tolist() == [0, 1]
+        # the arm in dummy state 2 (the copy of 0) is never pulled, whatever its index
+        pulls = self.select([[2.0], [1.0], [3.0], [0.0]], [2, 1], 1, n_states=2)
+        assert pulls.tolist() == [0, 1, 0, 0]
 
     def test_equal_indices_lowest_id(self):
-        table = manual_table([[1.0], [1.0]])
+        # equal indices in two groups: the lower global state id is filled first
         for _ in range(5):
-            actions = greedy_budget_select(table, np.zeros(3, dtype=int),
-                                           np.array([0, 0, 0]), 0, 1,
-                                           np.zeros(3, dtype=bool))
-            assert actions.tolist() == [1, 0, 0]
+            pulls = self.select([[1.0], [1.0], [1.0], [0.0], [0.0], [0.0]], [2, 1, 1], 2)
+            assert pulls.tolist() == [0, 2, 0, 0, 0, 0]
 
-    def test_dummy_mask_excludes(self, rng):
-        table = manual_table(np.ones((4, 1)))
-        states = np.array([2, 0])  # arm 0 in dummy space
-        dmask = dummy_mask_for(ArmTables.build([random_arm(rng, 2)]), np.zeros(2, dtype=int),
-                               states)
-        actions = greedy_budget_select(table, np.zeros(2, dtype=int), states, 0, 2, dmask)
-        assert actions.tolist() == [0, 1]
+    def test_dummy_mask_excludes(self):
+        pulls = self.select(np.ones((4, 1)), [2, 0], 2, n_states=2)
+        assert pulls.tolist() == [1, 0, 0, 0]
 
 
 class TestRandomSelect:
     def test_budget_zero(self):
         rng = np.random.default_rng(0)
-        assert random_select(np.ones(4, dtype=bool), 0, rng).sum() == 0
+        assert random_select(np.array([4, 1]), 0, rng).sum() == 0
 
     def test_budget_covers_everyone(self):
         rng = np.random.default_rng(0)
-        actions = random_select(np.array([True, False, True]), 5, rng)
-        assert actions.tolist() == [1, 0, 1]
+        pulls = random_select(np.array([1, 0, 2]), 5, rng)
+        assert pulls.tolist() == [1, 0, 2]
 
     def test_uniformity(self):
+        # each free arm is pulled with probability budget / free arms, so a
+        # group's pulls are proportional to its free arms
         rng = np.random.default_rng(123)
-        counts = np.zeros(4)
+        free = np.array([1, 0, 2, 1])
+        totals = np.zeros(4)
         n = 10_000
         for _ in range(n):
-            counts += random_select(np.ones(4, dtype=bool), 1, rng)
-        p = 0.25
+            totals += random_select(free, 1, rng)
+        p = free / free.sum()
         sigma = np.sqrt(n * p * (1 - p))
-        assert np.all(np.abs(counts - n * p) < 3 * sigma)
+        assert totals[1] == 0
+        assert np.all(np.abs(totals - n * p) <= 3 * sigma)
 
 
 class TestSelectorInvariants:
@@ -214,10 +223,12 @@ class TestSelectorInvariants:
             local = np.random.default_rng(7)
             pulled = np.array([True, False, False, True, False, False])
             states = np.where(pulled, 3, 0) + np.array([1, 2, 1, 2, 0, 1])
+            counts = np.bincount(pol.tables.ids(np.repeat([0, 1], 3), states), minlength=12)
             for budget in (0, 1, 3, 10):
-                actions = pol.select(np.repeat([0, 1], 3), states, 0, budget, local)
-                assert actions.sum() <= budget
-                assert not np.any(actions[pulled] == 1)
+                pulls = pol.select(counts, 0, budget, local)
+                assert pulls.sum() <= budget
+                assert np.all((0 <= pulls) & (pulls <= counts))
+                assert not np.any(pulls[pol.tables.dummy])
 
     def test_dominant_action_spends_full_budget(self, rng):
         # action 1 strictly dominates in reward, transitions identical
@@ -234,9 +245,9 @@ class TestSelectorInvariants:
             pol = make_policy(name)
             pol.prepare(inst)
             local = np.random.default_rng(3)
-            states = np.full(4, 2)
-            actions = pol.select(np.zeros(4, dtype=int), states, 0, inst.step_budget, local)
-            assert actions.sum() == min(inst.step_budget, 4)
+            counts = np.array([0, 0, 4, 0, 0, 0])
+            pulls = pol.select(counts, 0, inst.step_budget, local)
+            assert pulls.sum() == min(inst.step_budget, 4)
 
 
 class TestInfiniteWhittleOnExpandedModel:

@@ -13,12 +13,21 @@ from singlepull import (
 )
 from singlepull import POLICY_NAMES, domains, model, simulator
 from singlepull.model import ArmTables, expand_with_dummies, point_initial, validate_arm
-from singlepull.policies import dummy_mask_for, mean_field_select, spi_select
-from singlepull.simulator import DegenerateRange, audit_episode
+from singlepull.policies import mean_field_select, spi_select
+from singlepull.simulator import (
+    DegenerateRange,
+    EpisodeResult,
+    _episode_rng,
+    audit_episode,
+    lift,
+    start_counts,
+)
 from singlepull.whittle import IndexTable
 
 import simulator_reference as ref
 from conftest import random_arm
+
+DETERMINISTIC = tuple(name for name in POLICY_NAMES if name != "random")
 
 
 def cpap3_arm(q=0.6):
@@ -35,89 +44,185 @@ def zero_passive_arm(rng):
     return random_arm(rng, 3)  # r(s, 0) = 0 by construction
 
 
-def short_rows_arm():
-    """Two states whose rows sum to 1 - 5e-10, inside the validation tolerance."""
-    return ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5 - 2.5e-10),
+def off_rows_arm(excess):
+    """Two states whose rows sum to 1 + excess; |excess| = 5e-10 is inside the tolerance."""
+    return ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5 + excess / 2),
                     rewards=np.zeros((2, 2)))
 
 
-class Fixed:
-    """Stand-in generator whose uniform draws all equal u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n):
-        return np.full(n, self.u)
+OFF_ROWS = [-5e-10, 5e-10]
 
 
-def spi_tables(arm):
-    """The arm tables an SPI policy prepared on one type of arm runs its episodes on."""
-    inst = Instance(types=(arm,), rho=2, budget=1, horizon=2,
-                    initial=(point_initial(arm.n_states, 0),))
-    pol = make_policy("spi")
-    pol.prepare(inst)
-    return pol.tables
+def tables_of(types):
+    return ArmTables.build(types, [point_initial(m.n_states, 0) for m in types])
+
+
+def counts_of(tables, type_of, states):
+    return np.bincount(tables.ids(np.asarray(type_of), np.asarray(states)),
+                       minlength=len(tables.dummy))
+
+
+def half_totals(tables, counts):
+    """Arms per (type, half): rows are types, columns normal and dummy."""
+    normal = np.add.reduceat(counts * ~tables.dummy, tables.offset)
+    dummy = np.add.reduceat(counts * tables.dummy, tables.offset)
+    return np.column_stack((normal, dummy))
 
 
 class TestStep:
     def test_deterministic_passive_decay(self):
-        m = cpap3_arm()
-        rng = np.random.default_rng(0)
-        states = np.array([2, 1])
-        nxt, reward = step(states, np.zeros(2, dtype=int), ArmTables.build([m]),
-                           np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, rng)
-        assert nxt.tolist() == [1, 0]
+        tables = tables_of([cpap3_arm()])
+        nxt, reward, _ = step(counts_of(tables, [0, 0], [2, 1]), np.zeros(6, dtype=int),
+                              tables, 2, np.random.default_rng(0))
+        assert nxt.tolist() == [1, 1, 0, 0, 0, 0]
         assert reward == pytest.approx(3.0 + 2.0)
 
     def test_zero_actions_zero_passive_reward(self, rng):
-        m = zero_passive_arm(rng)
-        local = np.random.default_rng(0)
-        _, reward = step(np.array([0, 1, 2]), np.zeros(3, dtype=int), ArmTables.build([m]),
-                         np.zeros(3, dtype=int), np.zeros(3, dtype=bool), 3, local)
+        tables = tables_of([zero_passive_arm(rng)])
+        _, reward, _ = step(counts_of(tables, [0, 0, 0], [0, 1, 2]), np.zeros(6, dtype=int),
+                            tables, 3, np.random.default_rng(0))
         assert reward == 0.0
 
     def test_next_state_stays_in_range_when_row_sums_short_of_one(self):
-        # rows sum to 1 - 5e-10, inside the validation tolerance, and a
-        # uniform draw above the last cumulative sum must land in the last
-        # state of the arm's half: S - 1 when passive, 2S - 1 when pulled
-        m = short_rows_arm()
-        assert validate_arm(m).ok
-        nxt, _ = step(np.array([0, 1]), np.array([0, 1]), ArmTables.build([m]),
-                      np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, Fixed(1.0 - 1e-12))
-        assert nxt.tolist() == [1, 3]
+        # rows stochastic only to the validation tolerance, short or long,
+        # still give a valid multinomial draw, and every arm lands in its own half
+        for excess in OFF_ROWS:
+            arm = off_rows_arm(excess)
+            assert validate_arm(arm).ok
+            tables = tables_of([arm])
+            local = np.random.default_rng(0)
+            counts = np.array([400_000, 600_000, 0, 0])
+            for _ in range(20):
+                pulls = np.array([1000, 2000, 0, 0])
+                nxt, _, _ = step(counts, pulls, tables, 3000, local)
+                assert half_totals(tables, nxt).tolist() == [[counts[:2].sum() - 3000,
+                                                              counts[2:].sum() + 3000]]
+                counts = nxt
 
     def test_unpulled_passive_arm_stays_in_normal_half_on_a_draw_above_the_row_sum(self):
-        nxt, _ = step(np.array([0, 1]), np.array([0, 0]), spi_tables(short_rows_arm()),
-                      np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 2, Fixed(1.0 - 1e-12))
-        assert nxt.tolist() == [1, 1]
+        for excess in OFF_ROWS:
+            tables = tables_of([off_rows_arm(excess)])
+            local = np.random.default_rng(1)
+            counts = np.array([10**6, 10**6, 0, 0])
+            for _ in range(50):
+                counts, _, _ = step(counts, np.zeros(4, dtype=int), tables, 0, local)
+                assert counts[2:].tolist() == [0, 0] and counts.sum() == 2 * 10**6
 
     def test_pull_on_a_zero_draw_lands_in_dummy_half(self):
-        nxt, _ = step(np.array([1]), np.array([1]), spi_tables(cpap3_arm()),
-                      np.zeros(1, dtype=int), np.zeros(1, dtype=bool), 1, Fixed(0.0))
-        assert nxt.tolist() == [3]
+        # a pull always lands in the dummy half, on the first dummy state too
+        tables = tables_of([cpap3_arm()])
+        local = np.random.default_rng(2)
+        for _ in range(20):
+            counts = np.array([1000, 1000, 1000, 0, 0, 0])
+            nxt, _, _ = step(counts, counts * ~tables.dummy, tables, 3000, local)
+            assert nxt[:3].tolist() == [0, 0, 0] and nxt[3:].sum() == 3000
+            assert nxt[3] > 0  # the pulls from state 0 and 1 that move down
 
     def test_short_rows_stay_in_range_beside_a_wider_type(self, rng):
         # the flat table pads the 2-state type to the 3-state type's width;
-        # its own last state must still absorb the draw above the row sum
-        tables = ArmTables.build([short_rows_arm(), random_arm(rng, 3)])
-        nxt, _ = step(np.array([0, 1, 0]), np.array([0, 1, 0]), tables, np.array([0, 0, 1]),
-                      np.zeros(3, dtype=bool), 3, Fixed(1.0 - 1e-12))
-        assert nxt.tolist() == [1, 3, 2]
+        # its arms must still stay among its own states and halves
+        for excess in OFF_ROWS:
+            tables = tables_of([off_rows_arm(excess), random_arm(rng, 3)])
+            local = np.random.default_rng(3)
+            counts = np.array([5000, 5000, 0, 0, 4000, 3000, 3000, 0, 0, 0])
+            pulls = np.array([100, 200, 0, 0, 300, 0, 0, 0, 0, 0])
+            for _ in range(20):
+                nxt, _, _ = step(counts, pulls, tables, 600, local)
+                pulled = np.add.reduceat(pulls, tables.offset)[:, None]
+                assert np.array_equal(half_totals(tables, nxt),
+                                      half_totals(tables, counts) + pulled * [-1, 1])
+                counts = nxt
+                pulls = np.minimum(pulls, counts)
 
     def test_budget_violation_raises(self, rng):
-        m = zero_passive_arm(rng)
-        local = np.random.default_rng(0)
-        with pytest.raises(InfeasibleAction):
-            step(np.array([0, 1]), np.array([1, 1]), ArmTables.build([m]),
-                 np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 1, local)
+        tables = tables_of([zero_passive_arm(rng)])
+        with pytest.raises(InfeasibleAction, match="exceed budget"):
+            step(np.array([1, 1, 0, 0, 0, 0]), np.array([1, 1, 0, 0, 0, 0]), tables, 1,
+                 np.random.default_rng(0))
 
     def test_repull_raises(self, rng):
-        m = zero_passive_arm(rng)
-        local = np.random.default_rng(0)
-        with pytest.raises(InfeasibleAction):
-            step(np.array([0]), np.array([1]), ArmTables.build([m]),
-                 np.zeros(1, dtype=int), np.array([True]), 5, local)
+        tables = tables_of([zero_passive_arm(rng)])
+        with pytest.raises(InfeasibleAction, match="already-pulled"):
+            step(np.array([0, 0, 0, 1, 0, 0]), np.array([0, 0, 0, 1, 0, 0]), tables, 5,
+                 np.random.default_rng(0))
+
+    def test_pull_beyond_the_group_raises(self, rng):
+        tables = tables_of([zero_passive_arm(rng)])
+        with pytest.raises(InfeasibleAction, match="outside"):
+            step(np.array([1, 0, 0, 0, 0, 0]), np.array([2, 0, 0, 0, 0, 0]), tables, 5,
+                 np.random.default_rng(0))
+
+    def test_negative_pull_raises(self, rng):
+        tables = tables_of([zero_passive_arm(rng)])
+        with pytest.raises(InfeasibleAction, match="outside"):
+            step(np.array([1, 1, 0, 0, 0, 0]), np.array([1, -1, 0, 0, 0, 0]), tables, 5,
+                 np.random.default_rng(0))
+
+    def test_moves_account_for_every_arm(self, rng):
+        tables = tables_of([random_arm(rng, 2), random_arm(rng, 3)])
+        counts = np.array([7, 3, 2, 0, 5, 0, 4, 1, 0, 6])
+        pulls = np.array([2, 3, 0, 0, 1, 0, 4, 0, 0, 0])
+        nxt, _, moves = step(counts, pulls, tables, 10, np.random.default_rng(4))
+        pairs = np.column_stack((counts - pulls, pulls)).reshape(-1)
+        assert moves.sum(axis=1).tolist() == pairs.tolist()
+        assert np.array_equal(np.bincount(tables.dest.reshape(-1), weights=moves.reshape(-1),
+                                          minlength=10), nxt)
+
+
+class TestStartCounts:
+    def make_instance(self, rho=3):
+        types = (cpap3_arm(0.5), cpap3_arm(0.9))
+        initial = (point_initial(3, 2), point_initial(3, 1))
+        return Instance(types=types, rho=rho, budget=1, horizon=4, initial=initial)
+
+    def tables(self, inst):
+        return ArmTables.build(inst.types, inst.initial)
+
+    def test_deterministic_initials(self):
+        inst = self.make_instance()
+        counts = start_counts(self.tables(inst), inst.rho, _episode_rng(11))
+        assert counts.tolist() == [0, 0, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0]
+
+    def test_same_seed_same_population(self):
+        inst = Instance(types=(random_arm(np.random.default_rng(0), 3),), rho=50, budget=1,
+                        horizon=2, initial=(np.full(3, 1 / 3),))
+        tables = self.tables(inst)
+        a = start_counts(tables, inst.rho, _episode_rng(5))
+        b = start_counts(tables, inst.rho, _episode_rng(5))
+        assert np.array_equal(a, b) and a.sum() == 50
+
+    def test_binomial_concentration(self):
+        P = np.full((2, 2, 2), 0.5)
+        m = ArmModel(n_states=2, transitions=P, rewards=np.zeros((2, 2)))
+        tables = ArmTables.build([m], [np.array([0.5, 0.5])])
+        counts = start_counts(tables, 1000, _episode_rng(3))
+        sigma = np.sqrt(0.25 / 1000)
+        assert abs(counts[0] / 1000 - 0.5) < 3 * sigma
+        assert counts[2:].tolist() == [0, 0]
+
+    def test_narrower_type_beside_a_wider_one(self, rng):
+        # the S=2 type's start row is padded to width 3; no arm may land in
+        # the padding or in either dummy half
+        types = (random_arm(rng, 2, active_only_rewards=False), random_arm(rng, 3))
+        point = ArmTables.build(types, (point_initial(2, 1), point_initial(3, 2)))
+        assert start_counts(point, 4, _episode_rng(0)).tolist() == [0, 4, 0, 0, 0, 0, 4, 0, 0, 0]
+        tables = ArmTables.build(types, (np.array([0.4, 0.6]), np.array([0.2, 0.3, 0.5])))
+        for seed in range(20):
+            counts = start_counts(tables, 500, _episode_rng(seed))
+            assert counts[[0, 1]].sum() == 500 and counts[[4, 5, 6]].sum() == 500
+            assert not counts[tables.dummy].any()
+
+
+class TestLift:
+    def test_lowest_ids_of_each_group(self):
+        ids = np.array([4, 1, 4, 1, 1, 0])
+        pulls = np.array([0, 2, 0, 0, 1])
+        assert lift(pulls, ids).tolist() == [1, 1, 0, 1, 0, 0]
+
+    def test_inverse_of_the_group_totals(self, rng):
+        ids = rng.integers(0, 6, size=40)
+        pulls = np.array([rng.integers(0, c + 1) for c in np.bincount(ids, minlength=6)])
+        assert np.array_equal(np.bincount(ids, weights=lift(pulls, ids), minlength=6), pulls)
 
 
 class TestRunEpisode:
@@ -141,7 +246,8 @@ class TestRunEpisode:
         assert pol.table.values[0][1, 0] > 0
         result = run_episode(inst, pol, seed=4)
         assert result.total_reward == pytest.approx(m.rewards[1, 1])
-        assert result.pull_time.tolist() == [0]
+        assert result.per_step_pulls.tolist() == [1]
+        assert result.pulls_per_type.tolist() == result.dummy_per_type.tolist() == [1]
 
     def test_same_seed_identical(self, rng):
         types = tuple(random_arm(rng, 3) for _ in range(2))
@@ -149,11 +255,12 @@ class TestRunEpisode:
                         initial=(np.full(3, 1 / 3), np.full(3, 1 / 3)))
         pol = make_policy("spi")
         pol.prepare(inst)
-        a = run_episode(inst, pol, seed=9)
-        b = run_episode(inst, pol, seed=9)
+        a = run_episode(inst, pol, seed=9, record=True)
+        b = run_episode(inst, pol, seed=9, record=True)
         assert a.total_reward == b.total_reward
         assert np.array_equal(a.per_step_pulls, b.per_step_pulls)
-        assert np.array_equal(a.pull_time, b.pull_time)
+        assert np.array_equal(a.pulls_per_type, b.pulls_per_type)
+        assert a.trajectory == b.trajectory
 
     def test_trajectory_record_shape(self, rng):
         m = random_arm(rng, 2)
@@ -166,7 +273,6 @@ class TestRunEpisode:
         t, arm, state, action, reward = result.trajectory[0]
         assert t == 0 and arm in (0, 1) and action in (0, 1)
 
-
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_dummy_half_exactly_after_the_first_pull(self, name):
         for inst in family_instances():
@@ -175,10 +281,64 @@ class TestRunEpisode:
             sizes = [m.n_states for m in inst.types]
             for seed in range(3):
                 result = run_episode(inst, pol, seed, record=True)
-                assert result.pull_time.max() >= 0
+                pull_time = {}
+                for t, arm, _, action, _ in result.trajectory:
+                    if action == 1:
+                        assert arm not in pull_time
+                        pull_time[arm] = t
+                assert pull_time
                 for t, arm, state, _, _ in result.trajectory:
-                    pulled_before = 0 <= result.pull_time[arm] < t
+                    pulled_before = pull_time.get(arm, inst.horizon) < t
                     assert (state >= sizes[arm // inst.rho]) == pulled_before
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_record_lifts_the_count_path(self, name, monkeypatch):
+        # recording moves no count draw, and the recorded arms add up to
+        # the counts the engine stepped at every t
+        stepped = []
+        real_step = simulator.step
+
+        def spy(counts, *args):
+            stepped.append(counts.copy())
+            return real_step(counts, *args)
+
+        monkeypatch.setattr(simulator, "step", spy)
+        for inst in family_instances(rho=5):
+            pol = make_policy(name)
+            pol.prepare(inst)
+            for seed in range(3):
+                plain = run_episode(inst, pol, seed)
+                del stepped[:]
+                recorded = run_episode(inst, pol, seed, record=True)
+                assert recorded.total_reward == plain.total_reward
+                assert np.array_equal(recorded.per_step_pulls, plain.per_step_pulls)
+                records = np.array(recorded.trajectory)
+                arms = records[:, 1].astype(int)
+                type_of = arms // inst.rho
+                for t, counts in enumerate(stepped):
+                    at = records[:, 0] == t
+                    ids = pol.tables.ids(type_of[at], records[at, 2].astype(int))
+                    assert np.array_equal(np.bincount(ids, minlength=len(counts)), counts)
+                    assert records[at, 3].sum() == plain.per_step_pulls[t]
+                assert records[:, 4].sum() == pytest.approx(plain.total_reward, rel=1e-12)
+
+
+    def test_recorded_arms_have_the_per_arm_law(self):
+        # two arms start and move independently, each to state 1 with
+        # probability 1/2: a lift that dealt states in id order would put
+        # arm 0 in state 1 only when both are there, with probability 1/4
+        P = np.full((2, 2, 2), 0.5)
+        m = ArmModel(n_states=2, transitions=P, rewards=np.zeros((2, 2)))
+        inst = Instance(types=(m,), rho=2, budget=0, horizon=2, initial=(np.array([0.5, 0.5]),))
+        pol = make_policy("random")
+        pol.prepare(inst)
+        n = 4000
+        states = np.array([[s for _, _, s, _, _ in run_episode(inst, pol, seed, record=True)
+                            .trajectory] for seed in range(n)])  # columns (t, arm) in order
+        for arm_t in states.T:
+            assert abs(arm_t.mean() - 0.5) <= 4 * np.sqrt(0.25 / n)
+        both = (states[:, 0] & states[:, 1]).mean()
+        assert abs(both - 0.25) <= 4 * np.sqrt(0.25 * 0.75 / n)
 
 
 class TestEvaluate:
@@ -259,20 +419,15 @@ class TestAudit:
                 assert audit_episode(result, inst.step_budget) == []
 
     def test_audit_flags_overbudget(self):
-        from singlepull.simulator import EpisodeResult
-        r = EpisodeResult(total_reward=0.0,
-                          per_step_pulls=np.array([3, 0]),
-                          pulls_per_arm=np.array([1, 1, 1]),
-                          pull_time=np.array([0, 0, 0]))
-        assert audit_episode(r, 2) != []
+        r = EpisodeResult(total_reward=0.0, per_step_pulls=np.array([3, 0]),
+                          pulls_per_type=np.array([3]), dummy_per_type=np.array([3]))
+        assert audit_episode(r, 2) == ["step 0: 3 pulls exceed cap 2"]
 
     def test_audit_flags_repull(self):
-        from singlepull.simulator import EpisodeResult
-        r = EpisodeResult(total_reward=0.0,
-                          per_step_pulls=np.array([1, 1]),
-                          pulls_per_arm=np.array([2]),
-                          pull_time=np.array([0]))
-        assert audit_episode(r, 5) != []
+        # an arm pulled twice counts two pulls but enters the dummy half once
+        r = EpisodeResult(total_reward=0.0, per_step_pulls=np.array([1, 1]),
+                          pulls_per_type=np.array([0, 2]), dummy_per_type=np.array([0, 1]))
+        assert audit_episode(r, 5) == ["type 1: 2 pulls but 1 arms in the dummy half"]
 
 
 class TestNormalize:
@@ -296,131 +451,138 @@ def mixed_instance(rng, rho=3, horizon=4):
     return Instance(types=types, rho=rho, budget=1, horizon=horizon, initial=initial)
 
 
-def family_instances():
+def family_instances(rho=3):
     return [domains.make_instance(domains.DomainSpec(fam, 2, 3, seed=1),
-                                  budget=1, rho=3, horizon=4)
+                                  budget=1, rho=rho, horizon=4)
             for fam in domains.FAMILIES]
 
 
-def shuffled_population(rng, models, n_arms, counts=None):
-    """A non-contiguous type_of (uneven per-type counts when given) and in-range states."""
-    if counts is None:
-        type_of = rng.integers(0, len(models), size=n_arms)
-    else:
-        type_of = rng.permutation(np.repeat(np.arange(len(models)), counts))
+def shuffled_population(rng, models, n_arms):
+    """A non-contiguous type_of and in-range (expanded) states."""
+    type_of = rng.integers(0, len(models), size=n_arms)
     states = np.array([rng.integers(0, models[n].n_states) for n in type_of])
     return type_of, states
 
 
-def expanded_ids(trajectory, pull_time, sizes, rho):
-    """Map a mask-space trajectory's pulled states s to their dummy copies s + S_n."""
-    return [(t, i, s + sizes[i // rho] if 0 <= pull_time[i] < t else s, a, r)
-            for t, i, s, a, r in trajectory]
+def combined_se(a, b):
+    return np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
 
 
 class TestAgainstLoopReference:
-    """Flat tables give bit-identical results to the per-type loops in simulator_reference."""
+    """The count engine against the per-arm loops of simulator_reference.
+
+    Selections lifted to arms are equal bit for bit; steps and episodes,
+    which draw from other streams, agree in law.
+    """
 
     def type_sets(self, rng):
         sets = [[random_arm(rng, 2, active_only_rewards=False), random_arm(rng, 3)]]
         return sets + [list(inst.types) for inst in family_instances()]
 
     def test_step(self, rng):
+        # same reward, and next counts whose mean over many draws matches
+        # the per-arm rows of the expanded models
         for types in self.type_sets(rng):
-            tables = ArmTables.build(types)
+            tables = tables_of(types)
             models = [expand_with_dummies(m) for m in types]
-            for counts in (None, [5, 9], [700, 1300]):
-                n_arms = 14 if counts is None else sum(counts)
-                type_of, states = shuffled_population(rng, models, n_arms, counts)
-                pulled = rng.random(n_arms) < 0.3
-                actions = ((rng.random(n_arms) < 0.5) & ~pulled).astype(np.int64)
-                seed = int(rng.integers(1 << 30))
-                got = step(states, actions, tables, type_of, pulled, n_arms,
-                           np.random.default_rng(seed))
-                want = ref.step(states, actions, models, type_of, pulled, n_arms,
-                                np.random.default_rng(seed))
-                assert np.array_equal(got[0], want[0])
-                assert got[1] == want[1]
-
-    def test_step_reward_keeps_type_order_in_blocks(self, rng):
-        # equal type blocks take the row-wise sum; values span magnitudes so
-        # a different summation order would change the last bits
-        types = [ArmModel(n_states=1, transitions=np.ones((1, 2, 1)),
-                          rewards=np.array([[v, v]])) for v in (1e16, 1.0, -1e16, 3.0)]
-        tables = ArmTables.build(types)
-        models = [expand_with_dummies(m) for m in types]
-        type_of = np.repeat(np.arange(4), 250)
-        states = np.zeros(1000, dtype=np.int64)
-        actions = np.zeros(1000, dtype=np.int64)
-        pulled = np.zeros(1000, dtype=bool)
-        got = step(states, actions, tables, type_of, pulled, 0, np.random.default_rng(0))[1]
-        want = ref.step(states, actions, models, type_of, pulled, 0, np.random.default_rng(0))[1]
-        assert got == want
+            type_of, states = shuffled_population(rng, models, 40)
+            pulled = tables.dummy[tables.ids(type_of, states)]
+            actions = ((rng.random(40) < 0.5) & ~pulled).astype(np.int64)
+            counts = counts_of(tables, type_of, states)
+            pulls = counts_of(tables, type_of[actions == 1], states[actions == 1])
+            local = np.random.default_rng(int(rng.integers(1 << 30)))
+            draws = np.array([step(counts, pulls, tables, 40, local)[0] for _ in range(400)])
+            _, want_reward = ref.step(states, actions, models, type_of, pulled, 40, local)
+            got_reward = step(counts, pulls, tables, 40, local)[1]
+            assert got_reward == pytest.approx(want_reward, rel=1e-12, abs=1e-12)
+            expected = np.zeros(len(counts))
+            for n, s, a in zip(type_of, states, actions):
+                expected[tables.offset[n]:tables.offset[n] + models[n].n_states] += \
+                    models[n].transitions[s, a]
+            se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+            assert np.all(np.abs(draws.mean(axis=0) - expected) <= 4 * se + 1e-9)
 
     def test_lookup_dummy_mask_and_spi_select(self, rng):
         for types in self.type_sets(rng):
-            tables = ArmTables.build(types)
+            tables = tables_of(types)
             models = [expand_with_dummies(m) for m in types]
             T = 4
             values = [rng.standard_normal((m.n_states, T)) for m in models]
-            values[0][0, :] = 0.0  # ties and non-positive indices
+            values[0][0, :] = 0.0  # non-positive indices
+            values[1][1, :] = values[0][1, :]  # equal indices in two groups
             table = IndexTable(values=values, time_dependent=True)
             stationary = IndexTable(values=[v[:, :1] for v in values], time_dependent=False)
             type_of, states = shuffled_population(rng, models, 17)
+            ids = tables.ids(type_of, states)
+            counts = counts_of(tables, type_of, states)
             for t in range(T):
-                assert np.array_equal(table.lookup(type_of, states, t),
+                assert np.array_equal(table.column(t)[ids],
                                       ref.lookup(values, True, type_of, states, t))
-                assert np.array_equal(stationary.lookup(type_of, states, t),
+                assert np.array_equal(stationary.column(t)[ids],
                                       ref.lookup(stationary.values, False, type_of, states, t))
                 for budget in (0, 3, 17):
                     assert np.array_equal(
-                        spi_select(table, tables, type_of, states, t, budget),
+                        lift(spi_select(table, tables, counts, t, budget), ids),
                         ref.spi_select(values, models, type_of, states, t, budget))
-            assert np.array_equal(dummy_mask_for(tables, type_of, states),
-                                  ref.dummy_mask_for(models, type_of, states))
+            assert np.array_equal(tables.dummy[ids], ref.dummy_mask_for(models, type_of, states))
 
     def test_mean_field_select(self, rng):
-        # zero occupancy rows on the dummy half exclude the pulled arms as
-        # the reference's pulled mask does on the collapsed states
+        # zero occupancy rows on the dummy half exclude the pulled arms
         for types in self.type_sets(rng):
             T = 3
             blocks = [rng.random((m.n_states, 2, T)) * (rng.random((m.n_states, 2, T)) < 0.7)
                       for m in types]
-            offset, occupancy = model.stack_types(
+            blocks[1][1] = blocks[0][1]  # equal chi in two groups
+            _, occupancy = model.stack_types(
                 [np.concatenate([b, np.zeros_like(b)]) for b in blocks])
-            type_of, states = shuffled_population(rng, types, 15)
-            pulled = rng.random(15) < 0.2
-            sizes = np.array([m.n_states for m in types])
-            expanded = np.where(pulled, states + sizes[type_of], states)
+            tables = tables_of(types)
+            models = [expand_with_dummies(m) for m in types]
+            type_of, states = shuffled_population(rng, models, 15)
+            ids = tables.ids(type_of, states)
+            counts = counts_of(tables, type_of, states)
             for t in range(T):
                 for budget in (0, 2, 15):
                     assert np.array_equal(
-                        mean_field_select(occupancy, offset, type_of, expanded, t, budget),
-                        ref.mean_field_select(blocks, type_of, states, pulled, t, budget))
+                        lift(mean_field_select(occupancy, counts, t, budget), ids),
+                        ref.mean_field_select(blocks, models, type_of, states, t, budget))
+
+    @pytest.mark.parametrize("name", DETERMINISTIC)
+    def test_policy_select(self, name, rng):
+        # random expanded states, dummy states included, of the four families
+        for inst in family_instances(rho=6):
+            pol = make_policy(name)
+            pol.prepare(inst)
+            models = ref.expanded_models(inst)
+            for _ in range(5):
+                type_of = rng.permutation(np.repeat(np.arange(inst.n_types), inst.rho))
+                states = np.array([rng.integers(0, models[n].n_states) for n in type_of])
+                ids = pol.tables.ids(type_of, states)
+                counts = counts_of(pol.tables, type_of, states)
+                for t in range(inst.horizon):
+                    for budget in (0, 1, 3, 5, len(ids)):
+                        got = lift(pol.select(counts, t, budget, None), ids)
+                        want = ref.select(pol, models, type_of, states, t, budget, None)
+                        assert np.array_equal(got, want), (t, budget)
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_episode_results(self, name, rng):
-        for inst in [mixed_instance(rng)] + family_instances():
-            pol = make_policy(name)
-            pol.prepare(inst)
-            sizes = [m.n_states for m in inst.types]
-            for seed in range(4):
-                got = run_episode(inst, pol, seed, record=True)
-                want = ref.run_episode(inst, pol, seed)
-                assert got.total_reward == want.total_reward
-                assert np.array_equal(got.per_step_pulls, want.per_step_pulls)
-                assert np.array_equal(got.pulls_per_arm, want.pulls_per_arm)
-                assert np.array_equal(got.pull_time, want.pull_time)
-                want_trajectory = want.trajectory
-                if name in ref.MASK_SPACE:
-                    want_trajectory = expanded_ids(want.trajectory, want.pull_time, sizes,
-                                                   inst.rho)
-                assert got.trajectory == want_trajectory
+        # same law: the means agree within 4 combined standard errors; the
+        # mixed instance puts an S=2 type beside an S=3 one
+        for rho, episodes in ((10, 200), (200, 60)):
+            for inst in [mixed_instance(rng, rho=rho)] + family_instances(rho=rho):
+                pol = make_policy(name)
+                pol.prepare(inst)
+                got = evaluate(inst, pol, episodes, base_seed=0, prepared=True).rewards
+                want = np.array([ref.run_episode(inst, pol, 10_000 + seed)[0]
+                                 for seed in range(episodes)])
+                gap = abs(got.mean() - want.mean())
+                assert gap <= 4 * combined_se(got, want) + 1e-9 * abs(want.mean()), (
+                    rho, inst.types[0].label, got.mean(), want.mean())
 
 
 class TestTraceBindings:
-    """run_episode reaches step and replicate through the simulator module, and
-    evaluate validates once per call."""
+    """run_episode reaches step through the simulator module, and evaluate
+    validates once per call."""
 
     def count(self, monkeypatch, owner, name, counts):
         fn = getattr(owner, name)
@@ -434,7 +596,6 @@ class TestTraceBindings:
     def install(self, monkeypatch):
         counts = {}
         self.count(monkeypatch, simulator, "step", counts)
-        self.count(monkeypatch, simulator, "replicate", counts)
         self.count(monkeypatch, model, "validate_instance", counts)
         return counts
 
@@ -444,14 +605,15 @@ class TestTraceBindings:
         pol.prepare(inst)
         counts = self.install(monkeypatch)
         run_episode(inst, pol, seed=0)
-        assert counts == {"replicate": 1, "step": 5}
+        assert counts == {"step": 5}
+        assert not hasattr(simulator, "replicate")
 
     @pytest.mark.parametrize("episodes", [2, 7])
     def test_evaluate_validates_once(self, monkeypatch, rng, episodes):
         inst = mixed_instance(rng, horizon=3)
         counts = self.install(monkeypatch)
         evaluate(inst, make_policy("random"), episodes, base_seed=0)
-        assert counts == {"validate_instance": 1, "replicate": episodes, "step": 3 * episodes}
+        assert counts == {"validate_instance": 1, "step": 3 * episodes}
 
     def test_invalid_instance_raises_before_any_episode(self, monkeypatch, rng):
         good = mixed_instance(rng)
@@ -461,4 +623,4 @@ class TestTraceBindings:
         for name in ("random", "spi"):
             with pytest.raises(ValueError, match="invalid instance"):
                 evaluate(bad, make_policy(name), 3, base_seed=0)
-        assert "replicate" not in counts and "step" not in counts
+        assert "step" not in counts
