@@ -83,9 +83,10 @@ CONFIG_SCHEMA = {
             "minItems": 1,
         },
         "episodes": {"type": "integer", "minimum": 2},
-        "base_seed": {"type": "integer"},
+        "base_seed": {"type": "integer", "minimum": 0},
         "resample_instances": {"type": "integer", "minimum": 1},
-        "instance_seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+        "instance_seeds": {"type": "array", "items": {"type": "integer", "minimum": 0},
+                           "minItems": 1, "uniqueItems": True},
         "out_dir": {"type": "string"},
         "dump_trajectories": {"type": "boolean"},
         "measure_runtime": {"type": "boolean"},
@@ -340,10 +341,12 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
     Evaluates the first configured policy at each rho (ascending), reports
     the per-arm gap (upper_bound - mean) / (rho * N) and the normalized gap
     1 - mean / upper_bound, and fits a log-log slope of the normalized gap
-    against rho. Raises ConfigError, before anything is written, unless
-    rho_list is a non-empty ascending list of rho >= 1, when the config
-    asks for timing or a trajectory dump, which a sweep does not write, and
-    when a random sweep would exceed RANDOM_MAX_ARMS arms.
+    against rho. The bound is solved at the first rho and scaled by
+    rho / rho_0 for the others. Raises ConfigError, before anything is
+    written, unless rho_list is a non-empty ascending list of rho >= 1,
+    when the config asks for timing or a trajectory dump, which a sweep
+    does not write, and when a random sweep would exceed RANDOM_MAX_ARMS
+    arms.
     """
     rho_list = list(rho_list)
     if not rho_list or min(rho_list) < 1 or rho_list != sorted(rho_list):
@@ -358,7 +361,11 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
         inst = make_instance(config.domain_spec(config.instance_seeds[0]),
                              budget=config.budget, rho=int(rho),
                              horizon=config.horizon)
-        ub = lp.upper_bound(inst)
+        if not rows:
+            # rho only weights the objective, so the optimal occupancy is the
+            # same at every rho and the bound scales linearly: solve once
+            ub0, rho0 = lp.upper_bound(inst), rho
+        ub = ub0 * rho / rho0
         summary = evaluate_fn(inst, policy_name, config.episodes, config.base_seed)
         n_arms = inst.n_arms
         rows.append({

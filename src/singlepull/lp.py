@@ -14,10 +14,13 @@ The program is posed per class: one occupancy measure per arm type, with
 the replication factor rho as an objective weight and the activation budget
 normalized to K per class. This keeps the LP size independent of rho.
 
-The constraint matrices are assembled as scipy.sparse blocks straight from
-each type's transition tensor, and `simplex.solve` hands them to HiGHS in
-one call. Every variant is feasible and bounded, so a solve either returns
-the optimum or raises SolverStall.
+Each constraint matrix is written once as a COO triple, from column
+arithmetic over (type, t, s, a) on the stacked transition tensors of the
+types that share a state count, and converted once to canonical CSR; no
+per-type sparse blocks (Kronecker products, block diagonals) are built.
+`simplex.solve` hands the matrices to HiGHS in one call. Every variant is
+feasible and bounded, so a solve either returns the optimum or raises
+SolverStall.
 """
 
 from __future__ import annotations
@@ -60,12 +63,6 @@ class VarIndex:
     @property
     def n_vars(self) -> int:
         return sum(s * 2 * self.horizon for s in self.n_states)
-
-    def col(self, n: int, s: int, a: int, t: int) -> int:
-        S = self.n_states[n]
-        if not (0 <= s < S and a in (0, 1) and 0 <= t < self.horizon):
-            raise IndexError(f"bad variable key ({n}, {s}, {a}, {t})")
-        return self.offsets[n] + (t * S + s) * 2 + a
 
 
 @dataclass
@@ -113,42 +110,60 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
 
     T = instance.horizon
     vi = VarIndex(n_states=tuple(m.n_states for m in models), horizon=T)
-    # Each type's columns are laid out (t, s, a), so per-type row blocks are
-    # Kronecker products over time. An explicit format keeps kron off its BSR
-    # path, which would store the zeros of the right factor.
-    objective = np.concatenate([np.tile(instance.rho * m.rewards.reshape(-1), T)
-                                for m in models])
-    # Per-step activation budget, normalized per class.
-    ub_blocks = [sps.hstack([sps.kron(sps.eye(T), _active_row(m.n_states), format="csr")
-                             for m in models])]
-    b_ub = [np.full(T, float(instance.budget))]
+    sizes = np.array(vi.n_states)
+    offsets = np.array(vi.offsets)
+    eq_first = T * (np.cumsum(sizes) - sizes)  # each type's first flow row, (t, s) order
+    objective = np.empty(vi.n_vars)
+    b_eq = np.zeros(T * sizes.sum())
+    t = np.arange(T)
+    ub, eq = ([], [], []), ([], [], [])  # (rows, cols, vals) of each matrix
+    # Types that share a state count share one index arithmetic: type n's
+    # column of (t, s, a) is offsets[n] + (t S + s) 2 + a.
+    for S in dict.fromkeys(vi.n_states):
+        members = np.flatnonzero(sizes == S)
+        P = np.stack([models[n].transitions for n in members])  # (type, s', a, s)
+        rewards = np.stack([models[n].rewards for n in members])
+        col = offsets[members, None, None, None] + (t[:, None, None] * S
+                                                     + np.arange(S)[:, None]) * 2 + np.arange(2)
+        objective[col] = instance.rho * rewards[:, None]
+        # Per-step activation budget, normalized per class: row t.
+        _append(ub, t[:, None], col[..., 1], 1.0)
+        if variant == SPRMAB_LP:
+            # Expected single-activation row per type.
+            _append(ub, T + members[:, None, None], col[..., 1], 1.0)
+        # Row (t, s) of a type sums both actions of (s, t): at t = 0 it equals
+        # the initial mass (zero on dummy states), for t >= 1 the inflow,
+        # sum over (s', a) of P[s', a, s] mu(s', a, t - 1).
+        row = eq_first[members, None, None] + t[:, None] * S + np.arange(S)
+        _append(eq, row[..., None], col, 1.0)
+        k, sp, a, s2 = np.nonzero(P)
+        _append(eq, row[k, 1:, s2].T, col[k, :-1, sp, a].T, -P[k, sp, a, s2])
+        b_eq[row[:, 0]] = [initials[n] for n in members]
+    b_ub = np.full(T, float(instance.budget))
     if variant == SPRMAB_LP:
-        # Expected single-activation row per type.
-        ub_blocks.append(sps.block_diag([_active_row(T * m.n_states) for m in models]))
-        b_ub.append(np.ones(len(models)))
-    # Per type, row (t, s) sums both actions of (s, t): at t = 0 it equals the
-    # initial mass (zero on dummy states), for t >= 1 the inflow from t - 1.
-    eq_blocks, b_eq = [], []
-    for m, init in zip(models, initials):
-        S = m.n_states
-        inflow = sps.csr_matrix(m.transitions.transpose(2, 0, 1).reshape(S, 2 * S))
-        eq_blocks.append(sps.kron(sps.eye(T * S), np.ones((1, 2)), format="csr")
-                         - sps.kron(sps.eye(T, k=-1), inflow, format="csr"))
-        b_eq.append(np.concatenate([init, np.zeros((T - 1) * S)]))
+        b_ub = np.concatenate([b_ub, np.ones(len(models))])
     return LpProblem(
         objective=objective,
-        A_ub=sps.vstack(ub_blocks, format="csr"),
-        b_ub=np.concatenate(b_ub),
-        A_eq=sps.block_diag(eq_blocks, format="csr"),
-        b_eq=np.concatenate(b_eq),
+        A_ub=_csr(ub, (b_ub.size, vi.n_vars)),
+        b_ub=b_ub,
+        A_eq=_csr(eq, (b_eq.size, vi.n_vars)),
+        b_eq=b_eq,
         var_index=vi,
         variant=variant,
     )
 
 
-def _active_row(n_states: int) -> sps.csr_matrix:
-    """One row with a 1 on the active column of each of n_states (s, a) pairs."""
-    return sps.csr_matrix(np.tile([0.0, 1.0], n_states)[None, :])
+def _append(triple, rows, cols, vals):
+    """Add the entries (rows, cols, vals), broadcast together, to a (rows, cols, vals) triple."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    for part, x in zip(triple, (rows, cols, vals)):
+        part.append(x.ravel())
+
+
+def _csr(triple, shape) -> sps.csr_matrix:
+    """The canonical CSR matrix (sorted columns, no duplicates) of a COO triple."""
+    rows, cols, vals = (np.concatenate(part) for part in triple)
+    return sps.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:

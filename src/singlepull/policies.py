@@ -221,7 +221,7 @@ class OriginalWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-original"
 
     def _build_table(self, instance):
-        values = [whittle_index_infinite(m).values[0] for m in instance.types]
+        values = whittle_index_infinite(list(instance.types)).values
         return IndexTable(values=[np.concatenate([v, v]) for v in values], time_dependent=False)
 
 
@@ -238,27 +238,21 @@ class InfiniteWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-infinite"
 
     def _build_table(self, instance):
-        return IndexTable.stack(
-            [whittle_index_infinite(m) for m in _expanded_types(instance)]
-        )
+        return whittle_index_infinite(_expanded_types(instance))
 
 
 class FiniteWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-finite"
 
     def _build_table(self, instance):
-        return IndexTable.stack(
-            [whittle_index_finite(m, instance.horizon) for m in _expanded_types(instance)]
-        )
+        return whittle_index_finite(_expanded_types(instance), instance.horizon)
 
 
 class QDifferencePolicy(_GreedyIndexPolicy):
     name = "qdiff"
 
     def _build_table(self, instance):
-        return IndexTable.stack(
-            [q_difference_indices(m, instance.horizon) for m in _expanded_types(instance)]
-        )
+        return q_difference_indices(_expanded_types(instance), instance.horizon)
 
 
 class RandomPolicy(BasePolicy):

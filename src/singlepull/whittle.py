@@ -8,11 +8,24 @@ damping. The finite-horizon variant replaces the inner evaluation with
 backward induction from the end of the horizon, giving a time-dependent
 index.
 
-Both DPs solve one problem per entry of a subsidy vector, so one
-bisection moves every state (or (state, t) pair) at once. Indexability is
-assumed, not verified: a bracket whose endpoints do not straddle the
-activation/passivity switch raises BracketFail instead of reporting a
-spurious crossing.
+Both DPs solve one problem per row of a subsidy vector, so one bisection
+moves every entry at once. The infinite-horizon index goes further: the
+types of an instance that share a state count are bisected together, one
+policy-iteration row per (type, subsidy), so an instance costs one
+bisection per distinct state count rather than one per type. Policy
+iteration meets the same few policies at every step of a bisection, so
+the Cesaro limit of each policy's matrix is squared out once per
+bisection, not once per step. The finite-horizon indices stay one
+bisection per type: each step's backward induction is T sweeps over the
+type's whole value array, so its cost lies in the arrays rather than in
+the per-call overhead that stacking saves.
+
+Every entry keeps the bracket and the midpoints a bisection of its type
+alone would visit, and each DP row comes out bit for bit as in a call for
+its type alone, so the tables do not depend on which types share a
+bisection. Indexability is assumed, not verified: a bracket whose
+endpoints do not straddle the activation/passivity switch raises
+BracketFail instead of reporting a spurious crossing.
 """
 
 from __future__ import annotations
@@ -57,13 +70,6 @@ class IndexTable:
         """The index of every global state id at time t."""
         return self.flat[:, t if self.time_dependent else 0]
 
-    @classmethod
-    def stack(cls, tables: list["IndexTable"]) -> "IndexTable":
-        flags = {tb.time_dependent for tb in tables}
-        if len(flags) != 1:
-            raise ValueError("cannot stack stationary and time-dependent tables")
-        return cls(values=[tb.values[0] for tb in tables], time_dependent=flags.pop())
-
 
 BRACKET_GROWTH_LIMIT = 24  # doublings of the initial half-width
 
@@ -73,47 +79,50 @@ def _bracket_halfwidth(model: ArmModel) -> float:
     return 2.0 * span if span > 0 else 1.0
 
 
-def _expand_bracket(hw0: float, qdiff_at):
-    """Grow [-hw, hw] geometrically until the endpoint gaps straddle zero.
+def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
+    """Indifference subsidy of every entry of every type's gap array, all bisected together.
 
-    The equalizing subsidy can exceed the per-step reward span by the bias
-    range, which is large for lazy chains (small per-step motion), so a
-    fixed bracket is not enough. Returns (hw, qd_lo, qd_hi).
+    halfwidths maps each type id to its starting half-width. qdiff_at(lam,
+    type_of) maps (B,) subsidies, row b for type type_of[b], to gaps
+    shaped (B,) + E. Each type grows its own bracket [-hw, hw], doubling
+    hw until its entries' endpoint gaps straddle zero, at most
+    BRACKET_GROWTH_LIMIT times: the equalizing subsidy can exceed the
+    per-step reward span by the bias range, which is large for lazy chains
+    (small per-step motion), so a fixed bracket is not enough. Each entry
+    then keeps the scalar rule: take the midpoint, stop once |gap| <= tol /
+    2, else move lo (gap > 0) or hi; each step evaluates only the entries
+    still searching, one DP row each. Returns shape (len(halfwidths),) + E,
+    types in the order of halfwidths.
     """
-    hw = hw0
-    qd_lo = qdiff_at(-hw)
-    qd_hi = qdiff_at(hw)
-    for _ in range(BRACKET_GROWTH_LIMIT):
-        if (qd_lo >= 0.0).all() and (qd_hi <= 0.0).all():
-            return hw, qd_lo, qd_hi
-        hw *= 2.0
-        qd_lo = qdiff_at(-hw)
-        qd_hi = qdiff_at(hw)
-    return hw, qd_lo, qd_hi
-
-
-def _subsidy_index(model: ArmModel, qdiff_at, tol: float) -> np.ndarray:
-    """Indifference subsidy of every entry of the gap array, all bisected together.
-
-    qdiff_at maps a scalar or (B,) subsidy to gaps shaped lam.shape + E.
-    Each entry keeps the scalar rule: take the midpoint, stop once |gap| <=
-    tol / 2, else move lo (gap > 0) or hi; each step evaluates only the
-    entries still searching, one DP row each. Returns shape E.
-    """
-    hw, qd_lo, qd_hi = _expand_bracket(_bracket_halfwidth(model), qdiff_at)
+    types = np.array(list(halfwidths), dtype=np.int64)
+    hw = np.array(list(halfwidths.values()), dtype=float)
+    grow = np.arange(types.size)
+    for doublings in range(BRACKET_GROWTH_LIMIT + 1):
+        if doublings:
+            hw[grow] *= 2.0
+        lo_gap = qdiff_at(-hw[grow], types[grow])
+        hi_gap = qdiff_at(hw[grow], types[grow])
+        if not doublings:
+            qd_lo, qd_hi = np.empty_like(lo_gap), np.empty_like(hi_gap)
+        qd_lo[grow], qd_hi[grow] = lo_gap, hi_gap
+        axes = tuple(range(1, lo_gap.ndim))
+        grow = grow[~((lo_gap >= 0.0).all(axis=axes) & (hi_gap <= 0.0).all(axis=axes))]
+        if grow.size == 0:
+            break
     bad = np.argwhere((qd_lo < -tol) | (qd_hi > tol))
     if bad.size:
-        e = tuple(int(i) for i in bad[0])
+        k, *e = (int(i) for i in bad[0])
         raise BracketFail(
-            f"entry {e}: no activation/passivity crossing in [{-hw:g}, {hw:g}] "
-            f"(endpoint gaps {qd_lo[e]:.3g}, {qd_hi[e]:.3g})"
+            f"type {types[k]}, entry {tuple(e)}: no activation/passivity crossing in "
+            f"[{-hw[k]:g}, {hw[k]:g}] (endpoint gaps {qd_lo[(k, *e)]:.3g}, {qd_hi[(k, *e)]:.3g})"
         )
-    n = qd_lo.size
-    lo, hi, lam, live = np.full(n, -hw), np.full(n, hw), np.zeros(n), np.arange(n)
+    n = qd_lo[0].size  # entries per type
+    lo, hi = np.repeat(-hw, n), np.repeat(hw, n)
+    lam, live = np.zeros(lo.size), np.arange(lo.size)
     for _ in range(BISECT_MAX_ITERS):
         mid = 0.5 * (lo[live] + hi[live])
         lam[live] = mid
-        qd = qdiff_at(mid).reshape(live.size, n)[np.arange(live.size), live]
+        qd = qdiff_at(mid, types[live // n]).reshape(live.size, n)[np.arange(live.size), live % n]
         searching = np.abs(qd) > 0.5 * tol
         up = searching & (qd > 0)
         lo[live[up]] = mid[up]
@@ -124,86 +133,193 @@ def _subsidy_index(model: ArmModel, qdiff_at, tol: float) -> np.ndarray:
     return lam.reshape(qd_lo.shape)
 
 
-def _cesaro_limit(P: np.ndarray) -> np.ndarray:
-    """Cesaro limit P* = lim (1/n) sum_k P^k of a stack of stochastic matrices (..., S, S).
+def _per_type_products(x: np.ndarray, Pt: np.ndarray, alone: np.ndarray) -> np.ndarray:
+    """x[b, i] @ Pt[b, a] for every row b, action a and vector i, shaped (B, 2, 2, S).
 
-    The aperiodic transform (I + P) / 2 has the same limit and its powers
-    converge to it, so it is squared, with rows renormalised against
-    round-off, until a square moves no entry by more than TIE_TOL (the next
-    square's error is then of order TIE_TOL ** 2), at most
-    CESARO_MAX_SQUARINGS times.
+    Bit for bit as per-type products give them: a type's rows, (rows, S)
+    @ (S, S), go through BLAS's matrix kernel, whose rows agree whatever
+    their count, so each row's two vectors make one two-row product; a
+    type's only row goes through the vector kernel instead, and alone
+    flags those rows.
     """
-    M = 0.5 * (np.eye(P.shape[-1]) + P)
-    for _ in range(CESARO_MAX_SQUARINGS):
-        M2 = M @ M
-        M2 /= M2.sum(axis=-1, keepdims=True)
-        moved = np.abs(M2 - M).max()
-        M = M2
-        if moved <= TIE_TOL:
-            break
-    return M
+    out = x[:, None] @ Pt
+    if alone.any():
+        out[alone] = (x[alone][:, None, :, None, :] @ Pt[alone][:, :, None])[..., 0, :]
+    return out
 
 
-def relative_value_iteration(model: ArmModel, lam):
+def _normalised_square(M: np.ndarray):
+    """The row-renormalised square of a stack (B, S, S) and each matrix's largest move."""
+    M2 = M @ M
+    M2 /= M2.sum(axis=-1, keepdims=True)
+    return M2, np.abs(M2 - M).max(axis=(1, 2))
+
+
+class _CesaroLimits:
+    """Cesaro limits P* = lim (1/n) sum_k P^k of stochastic matrices, each square taken once.
+
+    The aperiodic transform M_0 = (I + P) / 2 has the same limit and its
+    powers converge to it, so it is squared, with rows renormalised against
+    round-off (M_j). The rows of one type are squared until a square moves
+    no entry of any of them by more than TIE_TOL (the next square's error
+    is then of order TIE_TOL ** 2), at most CESARO_MAX_SQUARINGS times. A
+    bisection meets the same policy matrices at many subsidies, so every
+    matrix keeps its moves max |M_j - M_{j-1}| and its squares from its own
+    first move below TIE_TOL on, the earliest its type can stop; a call
+    returns each row's square at its type's stopping count, bit for bit as
+    squaring the type's rows together gives it.
+    """
+
+    def __init__(self):
+        self._moves = {}    # matrix bytes -> [move_1, move_2, ...]
+        self._squares = {}  # matrix bytes -> [M_c, M_c+1, ...], c its first move <= TIE_TOL
+
+    def __call__(self, P: np.ndarray, type_of: np.ndarray) -> np.ndarray:
+        """P* of every row of P (B, S, S); type_of[b] is row b's type."""
+        keys = [p.tobytes() for p in P]
+        new = {k: b for b, k in enumerate(keys) if k not in self._moves}
+        if new:
+            self._start(list(new), P[list(new.values())])
+        by_type = {}
+        for t, k in dict.fromkeys(zip(type_of.tolist(), keys)):
+            by_type.setdefault(t, []).append(k)
+        stop = {}
+        for t, ks in by_type.items():
+            j = max(self._first(k) for k in ks)
+            while j < CESARO_MAX_SQUARINGS and max(self._move(k, j) for k in ks) > TIE_TOL:
+                j += 1
+            stop[t] = j
+        return np.array([self._power(k, stop[t]) for t, k in zip(type_of.tolist(), keys)])
+
+    def _start(self, keys, P):
+        """Square each new matrix until its own first move <= TIE_TOL (or the cap)."""
+        M = 0.5 * (np.eye(P.shape[-1]) + P)
+        moves = [[] for _ in keys]
+        going = np.arange(len(keys))
+        for _ in range(CESARO_MAX_SQUARINGS):
+            M[going], moved = _normalised_square(M[going])
+            for b, move in zip(going.tolist(), moved.tolist()):
+                moves[b].append(move)
+            going = going[moved > TIE_TOL]
+            if going.size == 0:
+                break
+        for k, m, move in zip(keys, M, moves):
+            self._moves[k], self._squares[k] = move, [m]
+
+    def _first(self, k) -> int:
+        return len(self._moves[k]) - len(self._squares[k]) + 1
+
+    def _power(self, k, j: int) -> np.ndarray:
+        """M_j of matrix k, j >= its first move <= TIE_TOL, squaring further as needed."""
+        while len(self._squares[k]) <= j - self._first(k):
+            M2, moved = _normalised_square(self._squares[k][-1][None])
+            self._moves[k].append(float(moved[0]))
+            self._squares[k].append(M2[0])
+        return self._squares[k][j - self._first(k)]
+
+    def _move(self, k, j: int) -> float:
+        """max |M_j - M_{j-1}| of matrix k."""
+        self._power(k, j)
+        return self._moves[k][j - 1]
+
+
+def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=None):
     """Average-reward DP with passive subsidy lam, a scalar or a (B,) vector.
 
+    Row b solves type models[type_of[b]] (default: type 0 for every row)
+    at subsidy lam[b]; the types the rows name share a state count. Each
+    type's rows come out bit for bit as a call with that type and those
+    rows alone. limits, a _CesaroLimits, may be shared by calls that meet
+    the same policies, such as the steps of one bisection; it changes no
+    result.
+
     Solved exactly by multichain Howard policy iteration (Puterman 1994,
-    section 9.2), one row per subsidy, all rows together as (B, S, S)
-    arrays. Starting from the myopic policy, each round evaluates every
-    row's policy P exactly: the gain g = P* r and the bias
-    h = (I - P + P*)^-1 (r - g), with P* the Cesaro limit of P, so the
-    multichain models that dummy expansion produces need no special case.
-    Each state then keeps only the actions maximising P_a g and, among
-    those, takes the one maximising r_a + P_a h; its current action stays
-    unless another is better by more than TIE_TOL (relative to the values'
-    scale). The loop ends when no row changes, which takes finitely many
-    rounds because every change strictly improves the policy.
+    section 9.2), all rows together as (B, S, S) arrays. Starting from
+    the myopic policy, each round evaluates every row's policy P exactly:
+    the gain g = P* r and the bias h = (I - P + P*)^-1 (r - g), with P*
+    the Cesaro limit of P, so the multichain models that dummy expansion
+    produces need no special case. Each state then keeps only the actions
+    maximising P_a g and, among those, takes the one maximising
+    r_a + P_a h; its current action stays unless another is better by more
+    than TIE_TOL (relative to the values' scale). The loop ends when no
+    row changes, which takes finitely many rounds because every change
+    strictly improves the policy.
 
     Returns (qdiff, h), each lam.shape + (S,): qdiff = Q(s, 1) - Q(s, 0)
     with Q(s, a) = r_a(s) + P_a h, and h the bias shifted to h(0) = 0.
-    Raises NonConvergent, naming those subsidies, when the optimal gain is
-    not the same in every state: the relative values (and qdiff) are then
-    undefined, and that is the one case where relative value iteration
-    does not converge.
+    Raises NonConvergent, naming those types and subsidies, when the
+    optimal gain is not the same in every state: the relative values (and
+    qdiff) are then undefined, and that is the one case where relative
+    value iteration does not converge.
     """
     lam = np.asarray(lam, dtype=float)
     lams = lam.reshape(-1)
-    S = model.n_states
-    P0, P1 = model.transitions.transpose(1, 0, 2)  # P_a
-    r0 = model.rewards[:, 0] + lams[:, None]
-    r1 = model.rewards[:, 1]
+    type_of = np.zeros(lams.size, dtype=np.int64) if type_of is None else np.asarray(type_of)
+    limits = _CesaroLimits() if limits is None else limits
+    counts = np.bincount(type_of)
+    present = np.flatnonzero(counts)
+    local = (np.cumsum(counts > 0) - 1)[type_of]  # row type, numbered among present types
+    S = models[present[0]].n_states
+    P = np.array([models[n].transitions for n in present])[local]  # (B, S, 2, S)
+    Pt = P.transpose(0, 2, 3, 1)  # Pt[b, a] = P_a.T
+    rewards = np.array([models[n].rewards for n in present])[local]
+    r0 = rewards[:, :, 0] + lams[:, None]
+    r1 = rewards[:, :, 1]
+    alone = counts[type_of] == 1
+    eye = np.eye(S)
     active = r1 > r0  # the myopic policy, one row per subsidy
-    while True:
-        P_pi = np.where(active[..., None], P1, P0)
-        r_pi = np.where(active, r1, r0)
-        P_star = _cesaro_limit(P_pi)
-        g = (P_star @ r_pi[..., None])[..., 0]
-        h = np.linalg.solve(np.eye(S) - P_pi + P_star, (r_pi - g)[..., None])[..., 0]
-        q0 = r0 + h @ P0.T
-        q1 = r1 + h @ P1.T
-        qdiff = q1 - q0
-        tie = TIE_TOL * (1.0 + np.abs(np.hstack([q0, q1, g])).max(axis=1, keepdims=True))
-        sign = np.where(active, -1.0, 1.0)  # turns action-1-minus-0 gaps into switching gains
-        gain_up = sign * (g @ P1.T - g @ P0.T)
-        bias_up = sign * qdiff
-        switch = (gain_up > tie) | ((gain_up >= -tie) & (bias_up > tie))
-        if not switch.any():
-            break
-        active ^= switch
+    qdiff, h, g, tie = (np.empty((lams.size, n)) for n in (S, S, S, 1))
+    rows = np.arange(lams.size)  # the rows of the types whose policies still change
+    while rows.size:
+        a, p, pt, q_r0, q_r1, single = (x if rows.size == len(x) else x[rows]
+                                        for x in (active, P, Pt, r0, r1, alone))
+        P_pi = np.where(a[..., None], p[:, :, 1], p[:, :, 0])
+        r_pi = np.where(a, q_r1, q_r0)
+        P_star = limits(P_pi, type_of[rows])
+        g_pi = (P_star @ r_pi[..., None])[..., 0]
+        h_pi = np.linalg.solve(eye - P_pi + P_star, (r_pi - g_pi)[..., None])[..., 0]
+        x = np.empty((rows.size, 2, S))
+        x[:, 0], x[:, 1] = h_pi, g_pi
+        (h0, g0), (h1, g1) = _per_type_products(x, pt, single).transpose(1, 2, 0, 3)
+        q0, q1 = q_r0 + h0, q_r1 + h1
+        qd = q1 - q0
+        scale = np.abs(np.concatenate((q0, q1, g_pi), axis=1)).max(axis=1, keepdims=True)
+        tie_pi = TIE_TOL * (1.0 + scale)
+        sign = np.where(a, -1.0, 1.0)  # turns action-1-minus-0 gaps into switching gains
+        gain_up = sign * (g1 - g0)
+        bias_up = sign * qd
+        switch = (gain_up > tie_pi) | ((gain_up >= -tie_pi) & (bias_up > tie_pi))
+        qdiff[rows], h[rows], g[rows], tie[rows] = qd, h_pi, g_pi, tie_pi
+        active[rows] = a ^ switch
+        changed = np.zeros(len(present), dtype=bool)
+        changed[local[rows][switch.any(axis=1)]] = True
+        rows = rows[changed[local[rows]]]
     split = np.ptp(g, axis=1) > tie[:, 0]
     if split.any():
-        raise NonConvergent(
-            f"optimal gain differs across states, so relative values are undefined "
-            f"(lambda={', '.join(f'{x:g}' for x in lams[split])})"
+        named = ", ".join(
+            f"type {n} (lambda={', '.join(f'{x:g}' for x in lams[split & (type_of == n)])})"
+            for n in np.unique(type_of[split])
         )
+        raise NonConvergent(f"optimal gain differs across states, so relative values "
+                            f"are undefined: {named}")
     h = h - h[:, :1]
     return qdiff.reshape(lam.shape + (S,)), h.reshape(lam.shape + (S,))
 
 
-def whittle_index_infinite(model: ArmModel, tol: float = DEFAULT_TOL) -> IndexTable:
-    """Stationary subsidy index per state, by bisection over the average-reward DP."""
-    index = _subsidy_index(model, lambda lam: relative_value_iteration(model, lam)[0], tol)
-    return IndexTable(values=[index[:, None]], time_dependent=False)
+def whittle_index_infinite(models: list[ArmModel], tol: float = DEFAULT_TOL) -> IndexTable:
+    """Stationary subsidy index per (type, state), one bisection per state count."""
+    values = [None] * len(models)
+    limits = _CesaroLimits()
+    for S in dict.fromkeys(m.n_states for m in models):
+        members = [n for n, m in enumerate(models) if m.n_states == S]
+        index = _subsidy_index(
+            {n: _bracket_halfwidth(models[n]) for n in members},
+            lambda lam, type_of: relative_value_iteration(models, lam, type_of, limits)[0],
+            tol,
+        )
+        for n, v in zip(members, index):
+            values[n] = v[:, None]
+    return IndexTable(values=values, time_dependent=False)
 
 
 def finite_horizon_qdiff(model: ArmModel, T: int, lam) -> np.ndarray:
@@ -225,12 +341,17 @@ def finite_horizon_qdiff(model: ArmModel, T: int, lam) -> np.ndarray:
     return qdiff
 
 
-def whittle_index_finite(model: ArmModel, T: int, tol: float = DEFAULT_TOL) -> IndexTable:
-    """Time-dependent subsidy index per (state, t), by bisection over backward induction."""
-    index = _subsidy_index(model, lambda lam: finite_horizon_qdiff(model, T, lam), tol)
-    return IndexTable(values=[index], time_dependent=True)
+def whittle_index_finite(models: list[ArmModel], T: int, tol: float = DEFAULT_TOL) -> IndexTable:
+    """Time-dependent subsidy index per (type, state, t), one bisection per type."""
+    values = [
+        _subsidy_index({n: _bracket_halfwidth(m)},
+                       lambda lam, type_of, m=m: finite_horizon_qdiff(m, T, lam), tol)[0]
+        for n, m in enumerate(models)
+    ]
+    return IndexTable(values=values, time_dependent=True)
 
 
-def q_difference_indices(model: ArmModel, T: int) -> IndexTable:
-    """Plain Q-value gaps from unsubsidized backward induction."""
-    return IndexTable(values=[finite_horizon_qdiff(model, T, 0.0)], time_dependent=True)
+def q_difference_indices(models: list[ArmModel], T: int) -> IndexTable:
+    """Plain Q-value gaps from unsubsidized backward induction, per type."""
+    return IndexTable(values=[finite_horizon_qdiff(m, T, 0.0) for m in models],
+                      time_dependent=True)

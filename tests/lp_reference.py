@@ -1,14 +1,21 @@
 """Loop-by-loop occupancy LP builder, kept as the reference for lp.build_occupancy_lp.
 
 It writes every row one coefficient at a time from the model tensors, in
-the column layout of lp.VarIndex, so the vectorized builder can be checked
-against it entry by entry.
+its own statement of the column layout (col below), so the vectorized
+builder can be checked against it entry by entry.
 """
 
 import numpy as np
 
 from singlepull import lp
 from singlepull.model import expand_initial, expand_with_dummies
+
+
+def col(n_states, horizon, n, s, a, t):
+    """Column of (type n, state s, action a, time t): types in order, then t, s, a."""
+    if not (0 <= s < n_states[n] and a in (0, 1) and 0 <= t < horizon):
+        raise IndexError(f"bad variable key ({n}, {s}, {a}, {t})")
+    return 2 * horizon * sum(n_states[:n]) + (t * n_states[n] + s) * 2 + a
 
 
 def reference_lp(instance, variant):
@@ -20,43 +27,46 @@ def reference_lp(instance, variant):
         models = list(instance.types)
         initials = list(instance.initial)
     T = instance.horizon
-    vi = lp.VarIndex(n_states=tuple(m.n_states for m in models), horizon=T)
+    sizes = tuple(m.n_states for m in models)
 
-    c = np.zeros(vi.n_vars)
+    def column(n, s, a, t):
+        return col(sizes, T, n, s, a, t)
+
+    c = np.zeros(2 * T * sum(sizes))
     for n, m in enumerate(models):
         for t in range(T):
             for s in range(m.n_states):
                 for a in (0, 1):
-                    c[vi.col(n, s, a, t)] = instance.rho * m.rewards[s, a]
+                    c[column(n, s, a, t)] = instance.rho * m.rewards[s, a]
 
     rows = []
     # Per-step activation budget, normalized per class.
     for t in range(T):
-        cols = [vi.col(n, s, 1, t) for n, m in enumerate(models) for s in range(m.n_states)]
+        cols = [column(n, s, 1, t) for n, m in enumerate(models) for s in range(m.n_states)]
         rows.append((cols, [1.0] * len(cols), "<=", float(instance.budget)))
     # Flow balance for t >= 1 (0-based): mass into (n, s, t) from t-1.
     for n, m in enumerate(models):
         S = m.n_states
         for t in range(1, T):
             for s in range(S):
-                cols = [vi.col(n, s, 0, t), vi.col(n, s, 1, t)]
+                cols = [column(n, s, 0, t), column(n, s, 1, t)]
                 vals = [1.0, 1.0]
                 for sp in range(S):
                     for a in (0, 1):
                         p = m.transitions[sp, a, s]
                         if p != 0.0:
-                            cols.append(vi.col(n, sp, a, t - 1))
+                            cols.append(column(n, sp, a, t - 1))
                             vals.append(-p)
                 rows.append((cols, vals, "=", 0.0))
     # Initial distribution at t = 0 (dummy states carry zero initial mass).
     for n, m in enumerate(models):
         for s in range(m.n_states):
-            rows.append(([vi.col(n, s, 0, 0), vi.col(n, s, 1, 0)], [1.0, 1.0], "=",
+            rows.append(([column(n, s, 0, 0), column(n, s, 1, 0)], [1.0, 1.0], "=",
                          float(initials[n][s])))
     # Expected single-activation row per type.
     if variant == lp.SPRMAB_LP:
         for n, m in enumerate(models):
-            cols = [vi.col(n, s, 1, t) for t in range(T) for s in range(m.n_states)]
+            cols = [column(n, s, 1, t) for t in range(T) for s in range(m.n_states)]
             rows.append((cols, [1.0] * len(cols), "<=", 1.0))
     return c, rows
 

@@ -131,7 +131,7 @@ class TestEhrenfest:
             lam = rng.uniform(2.0, 10)
             S, dt = 6, 0.01
             arm = ehrenfest_arm(c, mu, lam, S, dt)
-            table = whittle_index_infinite(arm)
+            table = whittle_index_infinite([arm])
             computed = table.values[0][:, 0] / dt
             reference = np.array([closed_form_whittle(c, mu, lam, S, s) for s in range(S + 1)])
             assert np.array_equal(np.argsort(computed), np.argsort(reference))
@@ -147,7 +147,7 @@ class TestEhrenfest:
             lam = rng.uniform(0, 10)
             S, dt = 6, 0.01
             arm = ehrenfest_arm(c, mu, lam, S, dt)
-            table = whittle_index_infinite(arm)
+            table = whittle_index_infinite([arm])
             computed = table.values[0][:, 0]
             reference = np.array([closed_form_whittle(c, mu, lam, S, s) for s in range(S + 1)])
             assert np.array_equal(np.argsort(computed), np.argsort(reference))

@@ -151,6 +151,25 @@ class TestSweepRho:
         for r in rows:
             assert r["gap"] == pytest.approx(g, abs=1e-12)
 
+    def test_solves_the_lp_once_and_scales_it(self, tmp_path, monkeypatch):
+        cfg = parse_config(small_config(tmp_path, policies=["spi"]))
+        solve = lp.upper_bound
+        solved = []
+        monkeypatch.setattr(lp, "upper_bound", lambda inst: solved.append(inst.rho) or solve(inst))
+
+        def zero_mean(instance, name, episodes, base_seed):
+            return Summary(mean=0.0, half_width=0.0, n_episodes=episodes,
+                           wall_clock=0.0, rewards=np.zeros(episodes))
+
+        rho_list = [2, 5, 10, 100, 1000]
+        rows, _ = sweep_rho(cfg, rho_list, evaluate_fn=zero_mean)
+        assert solved == [2]
+        for rho, r in zip(rho_list, rows):
+            inst = make_instance(cfg.domain_spec(cfg.instance_seeds[0]), budget=cfg.budget,
+                                 rho=rho, horizon=cfg.horizon)
+            fresh = solve(inst)
+            assert r["gap"] * inst.n_arms == pytest.approx(fresh, rel=1e-12, abs=0.0)
+
     def test_slope_fit(self):
         xs = [1, 2, 4, 8]
         ys = [1.0, 0.5, 0.25, 0.125]
@@ -229,6 +248,16 @@ class TestCli:
     def test_rejected_override_writes_nothing(self, tmp_path, flags):
         rc = cli.main(["--config", self.write_config(tmp_path)] + flags)
         assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given", [{"base_seed": -1}, {"instance_seeds": [-1]},
+                                       {"instance_seeds": [0, 0]}, "--seeds=-1..1"])
+    def test_rejected_seeds_write_nothing(self, tmp_path, given):
+        if isinstance(given, dict):
+            argv = ["--config", self.write_config(tmp_path, **given)]
+        else:
+            argv = ["--config", self.write_config(tmp_path), given]
+        assert cli.main(argv) == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rho_list", ["a", "0", ",", "4,2"])

@@ -14,7 +14,7 @@ from singlepull import domains, lp
 from singlepull.model import expand_initial, expand_with_dummies, point_initial
 
 from conftest import random_arm, random_tiny_instance
-from lp_reference import canonical_rows, problem_rows, reference_lp
+from lp_reference import canonical_rows, col, problem_rows, reference_lp
 
 
 def tiny_instance(rng, n_types=1, S=2, T=2, rho=1, budget=1):
@@ -58,18 +58,32 @@ class TestBuilder:
         assert np.array_equal(plus.b_ub[-3:], np.ones(3))
 
     def test_var_index_bijection(self, rng):
-        inst = tiny_instance(rng, n_types=2, S=3, T=2)
+        # the reference layout starts each type at VarIndex.offsets and
+        # covers 0..n_vars-1 exactly once
+        inst = mixed_size_instance(rng)
         prob = build_occupancy_lp(inst, lp.DUMMY)
         vi = prob.var_index
-        seen = set()
+        seen = []
         for n, S in enumerate(vi.n_states):
-            for t in range(vi.horizon):
-                for s in range(S):
-                    for a in (0, 1):
-                        col = vi.col(n, s, a, t)
-                        assert col not in seen
-                        seen.add(col)
-        assert seen == set(range(prob.n_vars))
+            assert col(vi.n_states, vi.horizon, n, 0, 0, 0) == vi.offsets[n]
+            seen += [col(vi.n_states, vi.horizon, n, s, a, t)
+                     for t in range(vi.horizon) for s in range(S) for a in (0, 1)]
+        assert seen == list(range(vi.n_vars)) and vi.n_vars == prob.n_vars
+
+    def test_matrices_are_canonical_csr(self, rng):
+        instances = [mixed_size_instance(rng) for _ in range(3)]
+        instances.append(domains.make_instance(domains.DomainSpec(domains.CPAP, 3, 3, seed=2),
+                                               budget=1, rho=2, horizon=3))
+        for inst in instances:
+            for variant in lp.VARIANTS:
+                prob = build_occupancy_lp(inst, variant)
+                for A in (prob.A_ub, prob.A_eq):
+                    assert A.format == "csr" and A.has_canonical_format
+                    assert np.all(np.diff(A.indptr) > 0)  # no empty row
+                    for i in range(A.shape[0]):
+                        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+                        assert np.all(np.diff(cols) > 0)  # sorted, no duplicates
+                    assert np.all(A.data != 0.0)
 
     def test_matches_reference_builder(self, rng):
         """Same objective and rows, entry for entry, as the loop-by-loop builder."""
@@ -117,7 +131,8 @@ class TestSolve:
                 for t in range(vi.horizon):
                     for s in range(S):
                         for a in (0, 1):
-                            x[vi.col(n, s, a, t)] = sol.occupancy[n][s, a, t]
+                            x[col(vi.n_states, vi.horizon, n, s, a, t)] = \
+                                sol.occupancy[n][s, a, t]
             assert np.allclose(prob.A_eq @ x, prob.b_eq, rtol=0.0, atol=1e-7)
             assert np.all(prob.A_ub @ x <= prob.b_ub + 1e-7)
 

@@ -7,6 +7,8 @@ from singlepull.whittle import (
     DEFAULT_TOL,
     BracketFail,
     NonConvergent,
+    _CesaroLimits,
+    _per_type_products,
     _subsidy_index,
     finite_horizon_qdiff,
     q_difference_indices,
@@ -18,6 +20,7 @@ from singlepull.whittle import (
 from conftest import random_arm
 from whittle_reference import (
     backward_qdiff,
+    cesaro_limit,
     reference_finite,
     reference_infinite,
     rvi_qdiff,
@@ -41,20 +44,20 @@ class TestInfinite:
         P[:, 0] = [[0.3, 0.7], [0.6, 0.4]]
         P[:, 1] = P[:, 0]
         r = np.array([[0.0, 1.25], [0.5, 0.5]])
-        table = whittle_index_infinite(ArmModel(n_states=2, transitions=P, rewards=r))
+        table = whittle_index_infinite([ArmModel(n_states=2, transitions=P, rewards=r)])
         assert table.values[0][0, 0] == pytest.approx(1.25, abs=1e-5)
         assert table.values[0][1, 0] == pytest.approx(0.0, abs=1e-5)
 
     def test_equalization_at_returned_index(self, rng):
         for model in (cpap3_arm(0.4), random_arm(rng, 3, active_only_rewards=False)):
             tol = 1e-6
-            table = whittle_index_infinite(model, tol)
+            table = whittle_index_infinite([model], tol)
             for s in range(model.n_states):
-                qd, _ = relative_value_iteration(model, table.values[0][s, 0])
+                qd, _ = relative_value_iteration([model], table.values[0][s, 0])
                 assert abs(qd[s]) <= tol
 
     def test_stationary_table_shape(self):
-        table = whittle_index_infinite(cpap3_arm())
+        table = whittle_index_infinite([cpap3_arm()])
         assert not table.time_dependent
         assert table.values[0].shape == (3, 1)
         assert np.array_equal(table.column(0), table.column(5))
@@ -63,14 +66,14 @@ class TestInfinite:
         S = 4
         arm = ehrenfest_arm(c=2.0, mu=1.0, lam=1.0, S=S, dt=0.01)
         assert closed_form_whittle(2.0, 1.0, 1.0, S, S // 2) == 0.0
-        table = whittle_index_infinite(arm)
+        table = whittle_index_infinite([arm])
         assert abs(table.values[0][S // 2, 0] / 0.01) < 0.2
 
     def test_ehrenfest_closed_form_top_state(self):
         # v(4) = 2 / (1*4) * (1*16 - 1*0) = 8 in rate units
         assert closed_form_whittle(2.0, 1.0, 1.0, 4, 4) == pytest.approx(8.0)
         arm = ehrenfest_arm(c=2.0, mu=1.0, lam=1.0, S=4, dt=0.01)
-        table = whittle_index_infinite(arm)
+        table = whittle_index_infinite([arm])
         assert table.values[0][4, 0] / 0.01 == pytest.approx(8.0, rel=0.10)
 
     def test_periodic_chain_converges_with_damping(self):
@@ -79,7 +82,7 @@ class TestInfinite:
         P[1, :, 0] = 1.0
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, h = relative_value_iteration(model, 0.0)
+        qd, h = relative_value_iteration([model], 0.0)
         assert np.allclose(qd, 0.0, atol=1e-8)  # identical action rows
 
     def test_nonconvergent_on_disconnected_gains(self):
@@ -90,7 +93,7 @@ class TestInfinite:
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
         with pytest.raises(NonConvergent):
-            relative_value_iteration(model, 0.0)
+            relative_value_iteration([model], 0.0)
 
     def test_nonconvergent_names_only_unfinished_subsidies(self):
         # two absorbing states, gains max(lam, 1) and max(lam, 0): one gain
@@ -100,10 +103,10 @@ class TestInfinite:
         P[1, :, 1] = 1.0
         r = np.array([[0.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, _ = relative_value_iteration(model, 2.0)
+        qd, _ = relative_value_iteration([model], 2.0)
         assert np.allclose(qd, [-1.0, -2.0])
         with pytest.raises(NonConvergent, match=r"\(lambda=0\.25\)"):
-            relative_value_iteration(model, np.array([2.0, 0.25, 3.0]))
+            relative_value_iteration([model], np.array([2.0, 0.25, 3.0]))
 
 
 class TestPolicyIteration:
@@ -116,7 +119,7 @@ class TestPolicyIteration:
         for model, values in zip(inst.types, policy.table.values):
             assert np.all(np.isfinite(values))
             for s in range(model.n_states):
-                qd, _ = relative_value_iteration(model, values[s, 0])
+                qd, _ = relative_value_iteration([model], values[s, 0])
                 assert abs(qd[s]) <= DEFAULT_TOL
 
     def test_gain_step_leaves_a_lower_gain_class(self):
@@ -130,7 +133,7 @@ class TestPolicyIteration:
         P[1, :, 1] = 1.0
         r = np.array([[0.0, 0.0], [0.0, 1.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, h = relative_value_iteration(model, 0.5)
+        qd, h = relative_value_iteration([model], 0.5)
         assert np.allclose(qd, [0.5, 0.5], rtol=0, atol=1e-12)
         assert np.allclose(h, [0.0, 1.0], rtol=0, atol=1e-12)
         assert np.allclose(qd, rvi_qdiff(model, 0.5), rtol=0, atol=1e-8)
@@ -141,7 +144,7 @@ class TestPolicyIteration:
         lams = np.array([-2.0, -0.1, 0.0, 0.4, 3.0])
         for model in (random_arm(rng, 4, active_only_rewards=False),
                       expand_with_dummies(random_arm(rng, 3)), expand_with_dummies(cpap3_arm())):
-            qd, h = relative_value_iteration(model, lams)
+            qd, h = relative_value_iteration([model], lams)
             assert np.all(h[:, 0] == 0.0)
             r0 = model.rewards[:, 0] + lams[:, None]
             q0 = r0 + h @ model.transitions[:, 0, :].T
@@ -155,7 +158,7 @@ class TestBatchedDp:
     def test_rvi_rows_match_scalar_solves(self, rng):
         model = random_arm(rng, 4, active_only_rewards=False)
         lams = np.array([-1.5, 0.0, 0.3, 2.0])
-        qd, h = relative_value_iteration(model, lams)
+        qd, h = relative_value_iteration([model], lams)
         assert qd.shape == h.shape == (4, 4)
         for lam, row in zip(lams, qd):
             assert np.allclose(row, rvi_qdiff(model, lam), rtol=0, atol=1e-9)
@@ -187,7 +190,7 @@ class TestAgainstScalarReference:
     def test_infinite_matches_reference(self):
         for model in self.models():
             for m in (model, expand_with_dummies(model)):
-                table = whittle_index_infinite(m)
+                table = whittle_index_infinite([m])
                 assert np.allclose(table.values[0][:, 0], reference_infinite(m),
                                    rtol=0, atol=DEFAULT_TOL)
 
@@ -198,24 +201,33 @@ class TestAgainstScalarReference:
         for spec in specs:
             for model in domains.make_models(spec):
                 for m in (model, expand_with_dummies(model)):
-                    table = whittle_index_infinite(m)
+                    table = whittle_index_infinite([m])
                     assert np.allclose(table.values[0][:, 0], reference_infinite(m),
                                        rtol=0, atol=DEFAULT_TOL)
 
     def test_finite_matches_reference(self):
         for model, T in zip(self.models(), (4, 5, 6, 4, 6)):
             m = expand_with_dummies(model)
-            table = whittle_index_finite(m, T)
+            table = whittle_index_finite([m], T)
             assert np.allclose(table.values[0], reference_finite(m, T),
                                rtol=0, atol=DEFAULT_TOL)
 
 
 class TestSubsidyIndex:
-    MODEL = ArmModel(n_states=1, transitions=np.ones((1, 2, 1)), rewards=np.zeros((1, 2)))
-
     def test_gap_that_never_crosses_raises_bracket_fail(self):
-        with pytest.raises(BracketFail):
-            _subsidy_index(self.MODEL, lambda lam: np.ones(np.shape(lam) + (3,)), 1e-6)
+        with pytest.raises(BracketFail, match=r"^type 0, entry \(0,\)"):
+            _subsidy_index({0: 1.0}, lambda lam, type_of: np.ones(np.shape(lam) + (3,)), 1e-6)
+
+    def test_bracket_fail_names_the_type_that_cannot_bracket(self):
+        # type 0's gaps cross zero at lam = 0.3; type 1's stay positive
+        def qdiff_at(lam, type_of):
+            return np.where((type_of == 0)[:, None], 0.3 - lam[:, None], 1.0) * np.ones(2)
+
+        with pytest.raises(BracketFail, match=r"^type 1, entry \(0,\)"):
+            _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-6)
+        with pytest.raises(BracketFail, match=r"^type 7, "):
+            _subsidy_index({4: 1.0, 7: 1.0},
+                           lambda lam, type_of: qdiff_at(lam, (type_of == 7).astype(int)), 1e-6)
 
     def test_linear_gaps_stop_independently(self):
         # gap a_e - lam: entries on a bisection midpoint stop after 1, 2, 3
@@ -223,30 +235,133 @@ class TestSubsidyIndex:
         a = np.array([[0.0, 0.5], [-0.25, np.sqrt(2) / 10]])
         calls = []
 
-        def qdiff_at(lam):
-            lam = np.asarray(lam, dtype=float)
+        def qdiff_at(lam, type_of):
+            assert np.all(type_of == 0)
             calls.append(lam.size)
             return a - lam[..., None, None]
 
         tol = 1e-6
-        index = _subsidy_index(self.MODEL, qdiff_at, tol)  # bracket [-1, 1]
+        index = _subsidy_index({0: 1.0}, qdiff_at, tol)[0]  # bracket [-1, 1]
         assert index[0, 0] == 0.0 and index[0, 1] == 0.5 and index[1, 0] == -0.25
         assert abs(index[1, 1] - a[1, 1]) <= 0.5 * tol
         assert calls[2:5] == [4, 3, 2]  # live entries shrink as they stop
+
+    def test_each_type_grows_its_own_bracket(self):
+        # type 0 crosses at 0.5 inside [-1, 1]; type 1 crosses at 5, so its
+        # bracket doubles to [-8, 8] while type 0 keeps [-1, 1]
+        cross = np.array([0.5, 5.0])
+        seen = {0: set(), 1: set()}
+
+        def qdiff_at(lam, type_of):
+            for x, n in zip(lam, type_of):
+                seen[int(n)].add(abs(float(x)))
+            return (cross[type_of] - lam)[:, None]
+
+        index = _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-9)
+        assert index[0, 0] == 0.5 and abs(index[1, 0] - 5.0) <= 0.5e-9
+        assert max(seen[0]) == 1.0 and max(seen[1]) == 8.0
+
+
+class TestStackedTypes:
+    """One bisection over many types gives every type's table bit for bit."""
+
+    def instances(self):
+        out = []
+        for family in domains.FAMILIES:
+            for seed in range(4):
+                out.append(domains.make_models(DomainSpec(family, 3, 3, seed=seed)))
+        rng = np.random.default_rng(3)
+        mixed = [random_arm(rng, S, active_only_rewards=False) for S in (2, 3, 2, 3, 3)]
+        return out + [mixed]
+
+    def test_infinite_equals_per_type_calls(self):
+        for types in self.instances():
+            for models in (types, [expand_with_dummies(m) for m in types]):
+                stacked = whittle_index_infinite(models)
+                for m, values in zip(models, stacked.values):
+                    assert np.array_equal(values, whittle_index_infinite([m]).values[0])
+
+    def test_finite_and_qdiff_equal_per_type_calls(self):
+        rng = np.random.default_rng(4)
+        models = [expand_with_dummies(random_arm(rng, S, active_only_rewards=False))
+                  for S in (2, 3, 2)]
+        for build in (lambda ms: whittle_index_finite(ms, 4),
+                      lambda ms: q_difference_indices(ms, 4)):
+            stacked = build(models)
+            for m, values in zip(models, stacked.values):
+                assert np.array_equal(values, build([m]).values[0])
+
+    def test_rvi_rows_equal_single_type_calls(self, rng):
+        # three S=4 types, one of them a multichain dummy expansion
+        models = [random_arm(rng, 4, active_only_rewards=False), random_arm(rng, 4),
+                  expand_with_dummies(random_arm(rng, 2))]
+        lams = np.array([-0.5, 0.1, 0.7, 0.2, -1.0, 0.4])
+        type_of = np.array([0, 0, 1, 2, 2, 2])  # type 1 has a single row
+        qd, h = relative_value_iteration(models, lams, type_of)
+        for n in range(3):
+            rows = type_of == n
+            qd_n, h_n = relative_value_iteration([models[n]], lams[rows])
+            assert np.array_equal(qd[rows], qd_n) and np.array_equal(h[rows], h_n)
+
+    def test_products_match_per_type_matrix_products(self):
+        # one (rows, S) @ P_a.T product per type; a lone row is a (1, S) one
+        rng = np.random.default_rng(12)
+        for S in (2, 3, 5):
+            P = rng.dirichlet(np.ones(S), size=(2, S, 2))  # (type, s, a, s')
+            type_of = np.array([0, 0, 0, 1])
+            h, g = rng.normal(size=(2, 4, S))
+            out = _per_type_products(np.stack([h, g], axis=1), P[type_of].transpose(0, 2, 3, 1),
+                                     np.bincount(type_of)[type_of] == 1)
+            for n in (0, 1):
+                rows = type_of == n
+                for a in (0, 1):
+                    assert np.array_equal(out[rows, a, 0], h[rows] @ P[n][:, a, :].T)
+                    assert np.array_equal(out[rows, a, 1], g[rows] @ P[n][:, a, :].T)
+
+    def test_shared_cesaro_limits_match_squaring_each_call(self):
+        # lazy chains converge after different numbers of squares, so a
+        # type's count depends on which of its matrices share a call
+        rng = np.random.default_rng(11)
+        mats = []
+        for stay in (0.2, 0.9, 0.99, 0.999):
+            P = stay * np.eye(3) + (1 - stay) * rng.dirichlet(np.ones(3), size=3)
+            mats.append(P / P.sum(axis=1, keepdims=True))
+        mats = np.array(mats)
+        limits = _CesaroLimits()
+        for _ in range(12):
+            pick = rng.integers(0, 4, size=int(rng.integers(1, 7)))
+            type_of = rng.integers(0, 2, size=pick.size)
+            got = limits(mats[pick], type_of)
+            for t in (0, 1):
+                rows = type_of == t
+                if rows.any():
+                    assert np.array_equal(got[rows], cesaro_limit(mats[pick[rows]]))
+
+    def test_nonconvergent_names_the_type(self):
+        # type 1 has two absorbing states whose gains differ below lam = 1
+        P = np.zeros((2, 2, 2))
+        P[0, :, 0] = 1.0
+        P[1, :, 1] = 1.0
+        split = ArmModel(n_states=2, transitions=P, rewards=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        fine = ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5),
+                        rewards=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NonConvergent, match=r"type 1 \(lambda=0\.25\)$"):
+            relative_value_iteration([fine, split], np.array([0.25, 2.0, 0.25]),
+                                     np.array([0, 1, 1]))
 
 
 class TestFinite:
     def test_last_step_index_is_reward_gap(self, rng):
         model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
         T = 4
-        table = whittle_index_finite(model, T)
+        table = whittle_index_finite([model], T)
         gaps = model.rewards[:, 1] - model.rewards[:, 0]
         for s in range(model.n_states):
             assert table.values[0][s, T - 1] == pytest.approx(gaps[s], abs=1e-5)
 
     def test_dummy_states_have_zero_index(self, rng):
         model = expand_with_dummies(random_arm(rng, 2))
-        table = whittle_index_finite(model, 3)
+        table = whittle_index_finite([model], 3)
         for sd in model.dummy_of:
             for t in range(3):
                 assert table.values[0][sd, t] == pytest.approx(0.0, abs=1e-5)
@@ -255,7 +370,7 @@ class TestFinite:
         model = expand_with_dummies(random_arm(rng, 2, active_only_rewards=False))
         T = 2
         tol = 1e-6
-        table = whittle_index_finite(model, T, tol)
+        table = whittle_index_finite([model], T, tol)
         span = float(model.rewards.max() - model.rewards.min())
         grid = np.arange(-2 * span, 2 * span + 1e-12, 1e-4)
         qd = np.stack([finite_horizon_qdiff(model, T, lam) for lam in grid])  # (G, S, T)
@@ -269,20 +384,20 @@ class TestQDifference:
     def test_last_step(self, rng):
         model = expand_with_dummies(random_arm(rng, 3))
         T = 3
-        table = q_difference_indices(model, T)
+        table = q_difference_indices([model], T)
         gaps = model.rewards[:, 1] - model.rewards[:, 0]
         assert np.allclose([table.values[0][s, T - 1] for s in range(model.n_states)], gaps)
 
     def test_dummy_states_zero(self, rng):
         model = expand_with_dummies(random_arm(rng, 3))
-        table = q_difference_indices(model, 4)
+        table = q_difference_indices([model], 4)
         for sd in model.dummy_of:
             assert np.allclose(table.values[0][sd], 0.0)
 
     def test_cpap_hand_rolled_three_step(self):
         model = expand_with_dummies(cpap3_arm(0.6))
         T = 3
-        table = q_difference_indices(model, T)
+        table = q_difference_indices([model], T)
         # independent scalar-loop backward induction
         S = model.n_states
         V = np.zeros(S)

@@ -11,11 +11,13 @@ import numpy as np
 
 from singlepull.whittle import (
     BISECT_MAX_ITERS,
+    BRACKET_GROWTH_LIMIT,
+    CESARO_MAX_SQUARINGS,
     DEFAULT_TOL,
+    TIE_TOL,
     BracketFail,
     NonConvergent,
     _bracket_halfwidth,
-    _expand_bracket,
 )
 
 RVI_SPAN_TOL = 1e-9
@@ -55,6 +57,40 @@ def backward_qdiff(model, T, lam):
         qdiff[:, t] = q1 - q0
         v = np.maximum(q0, q1)
     return qdiff
+
+
+def cesaro_limit(P):
+    """Squares of (I + P) / 2 for a stack (B, S, S) of one type's matrices, squared together.
+
+    Rows are renormalised after each square; the stack stops once a square
+    moves no entry by more than TIE_TOL, at most CESARO_MAX_SQUARINGS times.
+    """
+    M = 0.5 * (np.eye(P.shape[-1]) + P)
+    for _ in range(CESARO_MAX_SQUARINGS):
+        M2 = M @ M
+        M2 /= M2.sum(axis=-1, keepdims=True)
+        moved = np.abs(M2 - M).max()
+        M = M2
+        if moved <= TIE_TOL:
+            break
+    return M
+
+
+def _expand_bracket(hw0, qdiff_at):
+    """Double [-hw, hw] until every entry's endpoint gaps straddle zero.
+
+    Returns (hw, qd_lo, qd_hi).
+    """
+    hw = hw0
+    qd_lo = qdiff_at(-hw)
+    qd_hi = qdiff_at(hw)
+    for _ in range(BRACKET_GROWTH_LIMIT):
+        if (qd_lo >= 0.0).all() and (qd_hi <= 0.0).all():
+            return hw, qd_lo, qd_hi
+        hw *= 2.0
+        qd_lo = qdiff_at(-hw)
+        qd_hi = qdiff_at(hw)
+    return hw, qd_lo, qd_hi
 
 
 def _bisect(qdiff_at, entry, hw, tol):
