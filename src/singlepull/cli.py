@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write per-(episode, t, arm) records to trajectories.jsonl")
     parser.add_argument("--timing", action="store_true",
                         help="measure wall clocks and write timing.csv")
-    parser.add_argument("--sweep-rho", help="comma-separated ascending rho list; "
+    parser.add_argument("--sweep-rho", help="comma-separated strictly ascending rho list; "
                                             "writes gap_curve.csv instead of results.csv")
     return parser
 

@@ -14,9 +14,9 @@ dummy-LP upper bound, evaluates every requested policy, and writes
                     is the dummy-expanded id, s + S_n once the arm is pulled
 
 The simulator runs episodes on arm counts per expanded state; the
-trajectory dump lifts the same episodes to arms (simulator.run_episode
-with record=True), so its records describe the very episodes results.csv
-averages.
+trajectory dump reruns the evaluated episodes with record=True
+(simulator.run_episode) on the same prepared policies, which lifts them to
+arms, so its records describe the very episodes results.csv averages.
 
 Outputs are a pure function of the config: reruns produce byte-identical
 CSVs and trajectories. Wall-clock measurement is therefore opt-in
@@ -81,6 +81,7 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {"enum": list(POLICY_NAMES)},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "episodes": {"type": "integer", "minimum": 2},
         "base_seed": {"type": "integer", "minimum": 0},
@@ -218,7 +219,7 @@ def _evaluate_policy(instance, name, episodes, base_seed):
     return evaluate(instance, policy, episodes, base_seed)
 
 
-def run_experiment(config: ExperimentConfig, evaluate_fn=_evaluate_policy):
+def run_experiment(config: ExperimentConfig):
     """Evaluate every (instance draw, policy) pair and write report files.
 
     Solver failures abort the run as SolverStall after serializing the
@@ -241,15 +242,19 @@ def run_experiment(config: ExperimentConfig, evaluate_fn=_evaluate_policy):
         except SolverStall as exc:
             raise failed(seed, "upper-bound solve", exc) from exc
     summaries = {}
+    prepared = {}  # (seed, name) -> evaluated policy, kept only for the dump
     for seed, instance in instances.items():
         for name in config.policies:
+            policy = make_policy(name)
             try:
-                summaries[seed, name] = evaluate_fn(instance, name, config.episodes,
-                                                    config.base_seed)
+                summaries[seed, name] = evaluate(instance, policy, config.episodes,
+                                                 config.base_seed)
             except InfeasibleAction:
                 raise  # a constraint-audit failure, not a solver failure
             except RuntimeError as exc:  # SolverStall, NonConvergent, BracketFail
                 raise failed(seed, f"policy {name}", exc) from exc
+            if config.dump_trajectories:
+                prepared[seed, name] = policy
 
     rows = []
     for seed in config.instance_seeds:
@@ -277,7 +282,7 @@ def run_experiment(config: ExperimentConfig, evaluate_fn=_evaluate_policy):
     _write_results_csv(config, rows)
     _write_results_table(config, rows)
     if config.dump_trajectories:
-        _dump_trajectories(config, instances)
+        _dump_trajectories(config, instances, prepared)
     return rows
 
 
@@ -316,22 +321,28 @@ def _write_results_table(config, rows):
     return path
 
 
-def _dump_trajectories(config, instances):
+def _dump_trajectories(config, instances, prepared):
+    """Write trajectories.jsonl: the evaluated episodes rerun with record=True.
+
+    prepared maps (seed, name) to the policy the evaluation prepared on
+    instances[seed]; a policy keeps no state after prepare, so the reruns
+    repeat the evaluated episodes. Each line is the json.dumps text of the
+    record dict, formatted directly: every field is a Python int or a
+    finite Python float, and json.dumps writes a float as its repr.
+    """
     path = os.path.join(config.out_dir, "trajectories.jsonl")
     with open(path, "w") as fh:
         for seed, instance in instances.items():
             for name in config.policies:
-                policy = make_policy(name)
-                policy.prepare(instance)
+                policy = prepared[seed, name]
+                head = f'{{"instance_seed": {seed}, "policy": {json.dumps(name)}, "episode": '
                 for episode in range(config.episodes):
                     result = run_episode(instance, policy,
                                          config.base_seed + episode, record=True)
-                    for t, arm, state, action, reward in result.trajectory:
-                        fh.write(json.dumps({
-                            "instance_seed": seed, "policy": name,
-                            "episode": episode, "t": t, "arm": arm,
-                            "state": state, "action": action, "reward": reward,
-                        }) + "\n")
+                    fh.write("".join(
+                        f'{head}{episode}, "t": {t}, "arm": {arm}, "state": {state}, '
+                        f'"action": {action}, "reward": {reward!r}}}\n'
+                        for t, arm, state, action, reward in result.trajectory))
     return path
 
 
@@ -343,14 +354,15 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
     1 - mean / upper_bound, and fits a log-log slope of the normalized gap
     against rho. The bound is solved at the first rho and scaled by
     rho / rho_0 for the others. Raises ConfigError, before anything is
-    written, unless rho_list is a non-empty ascending list of rho >= 1,
-    when the config asks for timing or a trajectory dump, which a sweep
-    does not write, and when a random sweep would exceed RANDOM_MAX_ARMS
-    arms.
+    written, unless rho_list is a non-empty strictly ascending list of
+    rho >= 1, when the config asks for timing or a trajectory dump, which a
+    sweep does not write, and when a random sweep would exceed
+    RANDOM_MAX_ARMS arms.
     """
     rho_list = list(rho_list)
-    if not rho_list or min(rho_list) < 1 or rho_list != sorted(rho_list):
-        raise ConfigError(f"rho_list must be non-empty, ascending and >= 1, got {rho_list}")
+    if not rho_list or min(rho_list) < 1 or any(b <= a for a, b in zip(rho_list, rho_list[1:])):
+        raise ConfigError(f"rho_list must be non-empty, strictly ascending and >= 1, "
+                          f"got {rho_list}")
     if config.measure_runtime or config.dump_trajectories:
         raise ConfigError("a rho sweep writes gap_curve.csv only; "
                           "it takes neither timing nor a trajectory dump")

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from singlepull.experiments import (
 from singlepull.simulator import InfeasibleAction, Summary
 from singlepull import experiments, lp
 from singlepull.domains import make_instance
+from singlepull.policies import POLICY_NAMES, BasePolicy, make_policy
 
 
 def small_config(tmp_path, **overrides):
@@ -120,6 +122,88 @@ class TestRunExperiment:
         rec = json.loads(lines[0])
         assert set(rec) == {"instance_seed", "policy", "episode", "t", "arm",
                             "state", "action", "reward"}
+
+
+def reference_dump(config, instances, prepared):
+    """The trajectory lines as the loop with one json.dumps per record wrote them."""
+    lines = []
+    for seed, instance in instances.items():
+        for name in config.policies:
+            policy = prepared[seed, name]
+            for episode in range(config.episodes):
+                result = experiments.run_episode(instance, policy,
+                                                 config.base_seed + episode, record=True)
+                for t, arm, state, action, reward in result.trajectory:
+                    lines.append(json.dumps({
+                        "instance_seed": seed, "policy": name,
+                        "episode": episode, "t": t, "arm": arm,
+                        "state": state, "action": action, "reward": reward,
+                    }) + "\n")
+    return "".join(lines)
+
+
+class TestTrajectorySerializer:
+    REWARDS = [-0.0, 0.1 + 0.2, 1 / 3, 1e-17, 1e16, -2.5, 1.0]
+
+    def dump_and_reference(self, tmp_path, monkeypatch, reward_type):
+        def fake_episode(instance, policy, seed, record=False):
+            assert record
+            return SimpleNamespace(trajectory=[
+                (t, arm, 3 * arm + t, (arm + t) % 2, reward_type(self.REWARDS[(2 * t + arm) % 7]))
+                for t in range(4) for arm in range(2)])
+
+        monkeypatch.setattr(experiments, "run_episode", fake_episode)
+        cfg = parse_config(small_config(tmp_path, episodes=2, instance_seeds=[5, 11],
+                                        policies=["spi", "whittle-finite", "random"],
+                                        out_dir=str(tmp_path)))
+        instances = {seed: f"instance {seed}" for seed in cfg.instance_seeds}
+        prepared = {(seed, name): f"{name} on {seed}"
+                    for seed in cfg.instance_seeds for name in cfg.policies}
+        path = experiments._dump_trajectories(cfg, instances, prepared)
+        with open(path) as fh:
+            written = fh.read()
+        return written, reference_dump(cfg, instances, prepared)
+
+    def test_every_line_equals_json_dumps(self, tmp_path, monkeypatch):
+        written, reference = self.dump_and_reference(tmp_path, monkeypatch, float)
+        assert written.splitlines(keepends=True) == reference.splitlines(keepends=True)
+        assert len(reference.splitlines()) == 2 * 3 * 2 * 4 * 2
+        rewards = {json.loads(line)["reward"] for line in written.splitlines()}
+        assert rewards == set(self.REWARDS)
+        assert '"reward": -0.0}' in written and '"reward": 1e+16}' in written
+
+    def test_a_numpy_float_reward_would_not_match(self, tmp_path, monkeypatch):
+        written, reference = self.dump_and_reference(tmp_path, monkeypatch, np.float64)
+        assert written != reference
+        assert "np.float64(" in written
+
+
+class TestDumpReusesEvaluatedPolicies:
+    def test_one_prepare_per_seed_and_policy(self, tmp_path, monkeypatch):
+        calls = []
+        prepare = BasePolicy.prepare
+        monkeypatch.setattr(BasePolicy, "prepare",
+                            lambda self, inst: calls.append(self.name) or prepare(self, inst))
+        cfg = parse_config(small_config(tmp_path, episodes=2, instance_seeds=[0, 1],
+                                        policies=["spi", "qdiff", "random"],
+                                        dump_trajectories=True))
+        run_experiment(cfg)
+        assert sorted(calls) == sorted(cfg.policies * 2)
+
+    def test_dump_equals_one_from_fresh_policies(self, tmp_path):
+        setting = {"n_types": 2, "n_states": 3, "budget": 2, "rho": 3, "horizon": 4}
+        cfg = parse_config(small_config(tmp_path, domain={"family": "MHMH"}, setting=setting,
+                                        episodes=3, instance_seeds=[2],
+                                        policies=list(POLICY_NAMES), dump_trajectories=True))
+        run_experiment(cfg)
+        written = (tmp_path / "out" / "trajectories.jsonl").read_text()
+        instances = {2: cfg.instance(2)}
+        fresh = {}
+        for name in cfg.policies:
+            fresh[2, name] = make_policy(name)
+            fresh[2, name].prepare(instances[2])
+        assert written == reference_dump(cfg, instances, fresh)
+        assert len(written.splitlines()) == len(POLICY_NAMES) * 3 * 4 * 2 * 3
 
 
 class TestSweepRho:
@@ -260,7 +344,17 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("rho_list", ["a", "0", ",", "4,2"])
+    @pytest.mark.parametrize("given", [{"policies": ["spi", "spi", "random"]},
+                                       "--policies=spi,spi"])
+    def test_repeated_policies_write_nothing(self, tmp_path, given):
+        if isinstance(given, dict):
+            argv = ["--config", self.write_config(tmp_path, **given)]
+        else:
+            argv = ["--config", self.write_config(tmp_path), given]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rho_list", ["a", "0", ",", "4,2", "2,2,4"])
     def test_rejected_sweep_rho_writes_nothing(self, tmp_path, rho_list):
         rc = cli.main(["--config", self.write_config(tmp_path, policies=["spi"]),
                        "--sweep-rho", rho_list])
