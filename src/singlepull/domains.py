@@ -11,7 +11,9 @@ RANDOM      -- fully random kernels (flat Dirichlet rows) with
                active-collected rewards.
 
 All generators are pure functions of (parameters, seed) and their outputs
-pass validation with zero errors.
+pass validation with zero errors. A DomainSpec takes only the params keys
+its family's generator reads (PARAM_KEYS) and raises ValueError on any
+other.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        unknown = sorted(set(self.params) - set(PARAM_KEYS[self.family]))
+        if unknown:
+            raise ValueError(f"unknown {self.family} params {unknown}; "
+                             f"choose from {list(PARAM_KEYS[self.family])}")
 
 
 def make_cpap(spec: DomainSpec, active_only_rewards: bool = False) -> list[ArmModel]:
@@ -78,6 +84,14 @@ MHMH_DEFAULT_RANGES = {
     "eta_g_d": (0.1, 0.5),
     "eta_r_d": (0.1, 0.5),
     "C": (0.4, 0.9),
+}
+
+# The params keys each family's generator reads.
+PARAM_KEYS = {
+    CPAP: ("active_only_rewards",),
+    MHMH: tuple(MHMH_DEFAULT_RANGES),
+    EHRENFEST: ("dt",),
+    RANDOM: (),
 }
 
 # State order for the engagement chains.
@@ -203,8 +217,7 @@ def make_random(spec: DomainSpec) -> list[ArmModel]:
 
 def make_models(spec: DomainSpec) -> list[ArmModel]:
     if spec.family == CPAP:
-        return make_cpap(spec, **{k: v for k, v in spec.params.items()
-                                  if k == "active_only_rewards"})
+        return make_cpap(spec, **spec.params)
     if spec.family == MHMH:
         return make_mhmh(spec)
     if spec.family == EHRENFEST:

@@ -35,7 +35,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import jsonschema
 import numpy as np
@@ -44,7 +44,7 @@ from . import lp
 from .domains import FAMILIES, DomainSpec, make_instance
 from .model import Instance, save_instance
 from .policies import POLICY_NAMES, RANDOM_MAX_ARMS, make_policy
-from .simulator import DegenerateRange, InfeasibleAction, evaluate, normalize_scores, run_episode
+from .simulator import InfeasibleAction, evaluate, normalize_scores, run_episode
 from .simplex import SolverStall
 
 log = logging.getLogger(__name__)
@@ -130,8 +130,12 @@ class ExperimentConfig:
         )
 
     def instance(self, seed: int) -> Instance:
-        return make_instance(self.domain_spec(seed), budget=self.budget,
-                             rho=self.rho, horizon=self.horizon)
+        """The checked instance of seed; a domain the generator rejects is a ConfigError."""
+        try:
+            return make_instance(self.domain_spec(seed), budget=self.budget,
+                                 rho=self.rho, horizon=self.horizon)
+        except ValueError as exc:
+            raise ConfigError(f"instance seed {seed}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -184,10 +188,6 @@ def read_config(path: str) -> dict:
     return doc
 
 
-def load_config(path: str) -> ExperimentConfig:
-    return parse_config(read_config(path))
-
-
 @dataclass
 class ResultRow:
     domain: str
@@ -224,11 +224,12 @@ def run_experiment(config: ExperimentConfig):
 
     Solver failures abort the run as SolverStall after serializing the
     offending instance for replay; InfeasibleAction from the simulator's
-    constraint audit propagates unchanged. Returns the list of ResultRow in
-    output order.
+    constraint audit propagates unchanged. Every instance is drawn before
+    the output directory is made, so a ConfigError from a draw writes
+    nothing. Returns the list of ResultRow in output order.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
     instances = {seed: config.instance(seed) for seed in config.instance_seeds}
+    os.makedirs(config.out_dir, exist_ok=True)
 
     def failed(seed, what, exc):
         path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
@@ -370,9 +371,7 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
     _check_random_size([policy_name], config.n_types, rho_list[-1])
     rows = []
     for rho in rho_list:
-        inst = make_instance(config.domain_spec(config.instance_seeds[0]),
-                             budget=config.budget, rho=int(rho),
-                             horizon=config.horizon)
+        inst = replace(config, rho=int(rho)).instance(config.instance_seeds[0])
         if not rows:
             # rho only weights the objective, so the optimal occupancy is the
             # same at every rho and the bound scales linearly: solve once
@@ -418,10 +417,12 @@ def require_timing_policies(policies: list[str]):
 def time_policies(config: ExperimentConfig):
     """Per-policy wall-clock statistics over >= 3 instance draws.
 
-    Wall time covers index/LP precomputation plus all per-step selection
-    calls, matching the evaluation timing convention. Selection runs on
-    counts per expanded state, so its cost grows with the number of groups
-    and not with rho.
+    Each timing seed's instance is drawn once and every policy is timed on
+    it. Wall time covers index/LP precomputation plus all per-step
+    selection calls, matching the evaluation timing convention; the
+    instance check and the ArmTables build happen when the instance is
+    made, outside the clock. Selection runs on counts per expanded state,
+    so its cost grows with the number of groups and not with rho.
     """
     require_timing_policies(config.policies)
     seeds = list(config.instance_seeds)
@@ -429,11 +430,11 @@ def time_policies(config: ExperimentConfig):
     while len(seeds) < 3:
         seeds.append(fresh)
         fresh += 1
+    instances = [config.instance(seed) for seed in seeds]
     stats = []
     for name in config.policies:
         clocks = []
-        for seed in seeds:
-            instance = config.instance(seed)
+        for instance in instances:
             policy = make_policy(name)
             t0 = time.perf_counter()
             policy.prepare(instance)

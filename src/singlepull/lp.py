@@ -31,14 +31,12 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import simplex
-from .model import Instance, expand_initial, expand_with_dummies, require_valid
+from .model import Instance, expand_initial
 
 MEAN_FIELD = "mean_field"
 SPRMAB_LP = "sprmab_lp"
 DUMMY = "dummy"
 VARIANTS = (MEAN_FIELD, SPRMAB_LP, DUMMY)
-
-MEASURE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -92,17 +90,16 @@ class LpSolution:
 
 
 def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
-    """Assemble one of the three occupancy LPs for a validated instance."""
+    """Assemble one of the three occupancy LPs.
+
+    The instance was checked when it was made; the DUMMY variant reads its
+    dummy-expanded types, instance.expanded.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    require_valid(instance)
-    if instance.horizon < 1:
-        raise ValueError("horizon must be at least 1")
 
     if variant == DUMMY:
-        if any(m.expanded for m in instance.types):
-            raise ValueError("dummy variant expects unexpanded types")
-        models = [expand_with_dummies(m) for m in instance.types]
+        models = instance.expanded
         initials = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)]
     else:
         models = list(instance.types)
@@ -185,12 +182,3 @@ def upper_bound(instance: Instance) -> float:
     replicated population from above.
     """
     return solve_lp(build_occupancy_lp(instance, DUMMY)).objective
-
-
-def measure_residuals(solution: LpSolution) -> float:
-    """Largest deviation of any per-(type, t) occupancy sum from 1."""
-    worst = 0.0
-    for block in solution.occupancy:
-        sums = block.sum(axis=(0, 1))
-        worst = max(worst, float(np.abs(sums - 1.0).max()))
-    return worst

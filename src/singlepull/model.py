@@ -6,6 +6,10 @@ expanding the state space with *dummy states*: the dummy copy of state s is
 entered when s is pulled, evolves like s under the passive kernel, and pays
 the passive reward under both actions, so a pulled arm can never gain from
 further activation.
+
+An Instance is checked and dummy-expanded once, when it is made. The LP
+builder, the policies, the simulator and the oracle read its expanded types
+and ArmTables, and none of them checks or expands again.
 """
 
 from __future__ import annotations
@@ -73,7 +77,11 @@ class Instance:
 
     budget is the per-class activation budget K; the physical per-step cap
     in a replicated population is K * rho. initial[n] is the initial state
-    distribution of type n over its non-dummy states.
+    distribution of type n over its states. The types are unexpanded.
+
+    Construction raises ValueError("invalid instance: ...") on any error
+    validate_instance reports, then stores expanded (expand_with_dummies of
+    each type) and tables (the ArmTables of those expanded arms).
     """
 
     types: tuple[ArmModel, ...]
@@ -81,10 +89,15 @@ class Instance:
     budget: int
     horizon: int
     initial: tuple[np.ndarray, ...]
+    expanded: tuple[ArmModel, ...] = field(init=False, repr=False, compare=False)
+    tables: ArmTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "types", tuple(self.types))
         object.__setattr__(self, "initial", tuple(_freeze(d) for d in self.initial))
+        require_valid(self)
+        object.__setattr__(self, "expanded", tuple(expand_with_dummies(m) for m in self.types))
+        object.__setattr__(self, "tables", ArmTables.build(self.expanded, self.initial))
 
     @property
     def n_types(self) -> int:
@@ -116,7 +129,7 @@ class ValidationReport:
 
 
 def validate_arm(model: ArmModel) -> ValidationReport:
-    """Check stochasticity and dummy-state invariants; report, never raise."""
+    """Check stochasticity and finite rewards; report, never raise."""
     report = ValidationReport()
     P, r = model.transitions, model.rewards
     S = model.n_states
@@ -131,23 +144,6 @@ def validate_arm(model: ArmModel) -> ValidationReport:
                 report.add(ERROR, f"row sum {row_sums[s, a]:.12g} != 1 at state {s}, action {a}")
     if not np.all(np.isfinite(r)):
         report.add(ERROR, "non-finite reward entries")
-
-    if model.dummy_of is not None:
-        for sd, s in model.dummy_of.items():
-            if not (0 <= sd < S and 0 <= s < S):
-                report.add(ERROR, f"dummy_of maps out-of-range states {sd} -> {s}")
-                continue
-            if not np.allclose(P[sd, 0], P[sd, 1], atol=ROW_SUM_TOL, rtol=0):
-                report.add(ERROR, f"dummy state {sd}: action rows differ")
-            if abs(r[sd, 0] - r[sd, 1]) > ROW_SUM_TOL or abs(r[sd, 0] - r[s, 0]) > ROW_SUM_TOL:
-                report.add(
-                    ERROR,
-                    f"dummy state {sd}: rewards ({r[sd, 0]:g}, {r[sd, 1]:g}) "
-                    f"not tied to passive reward {r[s, 0]:g} of origin {s}",
-                )
-            normal = [t for t in range(S) if t not in model.dummy_of]
-            if normal and np.any(P[sd][:, normal] > ROW_SUM_TOL):
-                report.add(ERROR, f"dummy state {sd} leaks probability onto normal states")
 
     # Unreachability is a warning only: unichain-ness is assumed, not verified.
     incoming = P.sum(axis=(0, 1)) - P[np.arange(S), :, np.arange(S)].sum(axis=1)
@@ -169,6 +165,10 @@ def validate_instance(instance: Instance) -> ValidationReport:
         report.add(ERROR, "one initial distribution required per type")
         return report
     for n, (model, dist) in enumerate(zip(instance.types, instance.initial)):
+        if model.expanded:
+            report.add(ERROR, f"type {n}: already contains dummy states; "
+                              "an instance expands its types itself")
+            continue
         sub = validate_arm(model)
         for sev, msg in sub.issues:
             report.add(sev, f"type {n}: {msg}")
@@ -180,8 +180,6 @@ def validate_instance(instance: Instance) -> ValidationReport:
             report.add(ERROR, f"type {n}: initial distribution sums to {dist.sum():.12g}")
         if np.any(dist < -1e-15):
             report.add(ERROR, f"type {n}: negative initial probabilities")
-        if model.dummy_of and np.any(dist[list(model.dummy_of)] > 0):
-            report.add(ERROR, f"type {n}: initial mass on dummy states")
     if instance.budget > instance.rho * len(instance.types):
         report.add(WARNING, f"budget {instance.budget} exceeds rho*N = "
                             f"{instance.rho * len(instance.types)}; never binding")
@@ -285,14 +283,13 @@ class ArmTables:
     start: np.ndarray    # (N, S_max)
 
     @classmethod
-    def build(cls, types, initial) -> "ArmTables":
-        """Tables of the unexpanded types' dummy-expanded arms, started from initial."""
-        width = max(m.n_states for m in types)
-        models = [expand_with_dummies(m) for m in types]
-        offset, rewards = stack_types([e.rewards for e in models])
+    def build(cls, expanded, initial) -> "ArmTables":
+        """Tables of the dummy-expanded types, started from initial over their normal halves."""
+        width = max(e.n_states for e in expanded) // 2
+        offset, rewards = stack_types([e.rewards for e in expanded])
         probs, dest = [], []
-        for m, e, first in zip(types, models, offset):
-            S = m.n_states
+        for e, first in zip(expanded, offset):
+            S = e.n_states // 2
             lower, upper = e.transitions[:, :, :S], e.transitions[:, :, S:]
             probs.append(stochastic_rows(lower + upper, width))  # each row lives in one half
             half = first + np.where(upper.any(axis=2), S, 0)
@@ -302,7 +299,7 @@ class ArmTables:
             probs=np.concatenate(probs).reshape(-1, width),
             dest=np.concatenate(dest).reshape(-1, width).astype(np.int64),
             rewards=rewards.reshape(-1),
-            dummy=np.concatenate([e.dummy_mask for e in models]),
+            dummy=np.concatenate([e.dummy_mask for e in expanded]),
             start=np.stack([stochastic_rows(d, width) for d in initial]),
         )
 
@@ -350,7 +347,7 @@ def save_instance(instance: Instance, path: str):
 
 
 def load_instance(path: str) -> Instance:
-    """Load an instance document, renormalizing rows within tolerance."""
+    """Load an instance document, renormalizing rows within tolerance; construction checks it."""
     with open(path) as fh:
         doc = json.load(fh)
     types = []
@@ -365,12 +362,10 @@ def load_instance(path: str) -> Instance:
             )
         )
     initial = [np.asarray(d, dtype=float) for d in doc["initial"]]
-    instance = Instance(
+    return Instance(
         types=tuple(types),
         rho=int(doc["rho"]),
         budget=int(doc["budget"]),
         horizon=int(doc["horizon"]),
         initial=tuple(initial),
     )
-    require_valid(instance)
-    return instance

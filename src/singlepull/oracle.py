@@ -5,8 +5,9 @@ so pulled-ness is part of the state and the single-pull rule is structural.
 The optimum is a backward induction maximizing over all action vectors
 within the step budget; the policy value is a forward propagation of the
 joint distribution under a given (deterministic or explicitly enumerated
-stochastic) selection rule. Sizes are hard-capped: these are desk-scale
-certification tools, not solvers.
+stochastic) selection rule. Both read the instance's expanded types, which
+construction checked and expanded once. Sizes are hard-capped: these are
+desk-scale certification tools, not solvers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .model import Instance, expand_initial, expand_with_dummies, require_valid
+from .model import Instance, expand_initial
 from .simulator import lift
 
 CAP_ARMS = 4
@@ -39,20 +40,15 @@ def _check_cap(instance: Instance):
 
 
 def _arm_setup(instance: Instance):
-    """Per-arm expanded models, initial vectors, and joint-space helpers."""
-    require_valid(instance)
-    models = [expand_with_dummies(m) for m in instance.types]
+    """Per-arm expanded models, expanded initial vectors and joint-space dims.
+
+    Arms run type by type, rho arms of each type.
+    """
     initials = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)]
-    arm_models = []
-    arm_init = []
-    arm_type = []
-    for n in range(instance.n_types):
-        for _ in range(instance.rho):
-            arm_models.append(models[n])
-            arm_init.append(initials[n])
-            arm_type.append(n)
+    arm_models = [m for m in instance.expanded for _ in range(instance.rho)]
+    arm_init = [d for d in initials for _ in range(instance.rho)]
     dims = tuple(m.n_states for m in arm_models)
-    return arm_models, arm_init, np.array(arm_type), dims
+    return arm_models, arm_init, dims
 
 
 def _action_vectors(n_arms: int, cap: int):
@@ -91,7 +87,7 @@ def exact_optimum(instance: Instance) -> float:
     budget and maximizing is exact for the single-pull problem.
     """
     _check_cap(instance)
-    arm_models, arm_init, _, dims = _arm_setup(instance)
+    arm_models, arm_init, dims = _arm_setup(instance)
     cap = instance.step_budget
     vectors = _action_vectors(len(arm_models), cap)
     rewards = [_reward_tensor(arm_models, a, dims) for a in vectors]
@@ -122,20 +118,19 @@ def _joint_states(dims) -> np.ndarray:
 
 
 def policy_select_adapter(instance: Instance, policy):
-    """Wrap a prepared policy object as select(states_row, pulled_row, t).
+    """Wrap a policy prepared on instance as select(states_row, t).
 
     The oracle's joint states are the dummy-expanded states every policy
-    reads pulled-ness from; the policy selects once on their counts, and
-    its pulls are lifted to the lowest-id arms of each group, as a
-    recorded episode lifts them. pulled_row is implied by the states and
-    not needed.
+    reads pulled-ness from; the policy selects once on their counts over
+    instance.tables, and its pulls are lifted to the lowest-id arms of each
+    group, as a recorded episode lifts them.
     """
-    _, _, arm_type, _ = _arm_setup(instance)
+    arm_type = np.repeat(np.arange(instance.n_types), instance.rho)
     cap = instance.step_budget
-    tables = policy.tables
+    tables = instance.tables
     rng = np.random.default_rng(0)  # deterministic policies never draw
 
-    def select(states_row, pulled_row, t):
+    def select(states_row, t):
         ids = tables.ids(arm_type, states_row)
         counts = np.bincount(ids, minlength=len(tables.dummy))
         return lift(policy.select(counts, t, cap, rng), ids)
@@ -144,11 +139,16 @@ def policy_select_adapter(instance: Instance, policy):
 
 
 def uniform_random_select(instance: Instance):
-    """Exact action distribution of the uniform random policy."""
-    cap = instance.step_budget
+    """Exact action distribution of the uniform random policy.
 
-    def select(states_row, pulled_row, t):
-        free = np.flatnonzero(~pulled_row)
+    An arm is free while its expanded state is below its type's S, that is
+    in the normal half.
+    """
+    cap = instance.step_budget
+    n_states = np.repeat([m.n_states for m in instance.types], instance.rho)
+
+    def select(states_row, t):
+        free = np.flatnonzero(states_row < n_states)
         k = min(cap, free.size)
         if k == 0:
             return [(1.0, np.zeros(len(states_row), dtype=np.int64))]
@@ -166,13 +166,13 @@ def uniform_random_select(instance: Instance):
 def exact_policy_value(instance: Instance, select) -> float:
     """Exact expected total reward of a selection rule, no sampling.
 
-    select(states_row, pulled_row, t) returns an action vector, or a list
-    of (probability, action vector) pairs for stochastic rules.
+    select(states_row, t) returns an action vector, or a list of
+    (probability, action vector) pairs for stochastic rules; states_row
+    holds each arm's expanded state, s + S_n once the arm is pulled.
     """
     _check_cap(instance)
-    arm_models, arm_init, _, dims = _arm_setup(instance)
+    arm_models, arm_init, dims = _arm_setup(instance)
     states = _joint_states(dims)
-    pulled_all = states >= np.array(dims)[None, :] // 2  # the dummy half of each arm
     dist = _joint_initial(arm_init, dims).reshape(-1)
 
     total = 0.0
@@ -180,7 +180,7 @@ def exact_policy_value(instance: Instance, select) -> float:
         groups: dict[tuple, np.ndarray] = {}
         support = np.flatnonzero(dist > 0)
         for j in support:
-            chosen = select(states[j], pulled_all[j], t)
+            chosen = select(states[j], t)
             if isinstance(chosen, np.ndarray):
                 chosen = [(1.0, chosen)]
             for p, a in chosen:

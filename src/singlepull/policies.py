@@ -1,9 +1,9 @@
 """Index policies: SPI and the baseline selectors.
 
-Every policy runs on the counts of the dummy-expanded arms of ArmTables:
-select(counts, t, budget, rng) reads counts[g], the number of arms in
-global state g, and returns the pulls per group, k[g]. A pulled arm sits
-in the dummy half, so pulled-ness is part of the counts.
+Every policy runs on the counts of its instance's dummy-expanded arms,
+instance.tables: select(counts, t, budget, rng) reads counts[g], the number
+of arms in global state g, and returns the pulls per group, k[g]. A pulled
+arm sits in the dummy half, so pulled-ness is part of the counts.
 
 Groups are ranked by a key (an index, a priority tier, a chi value).
 Equal keys are ordered by global state id, lowest first; within a group
@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lp
-from .model import ArmModel, ArmTables, Instance, expand_with_dummies, require_valid, stack_types
+from .model import ArmModel, ArmTables, Instance, stack_types
 from .whittle import (
     IndexTable,
     q_difference_indices,
@@ -134,24 +134,21 @@ def random_select(free: np.ndarray, budget: int, rng: np.random.Generator) -> np
 # Policy objects used by the simulator and the experiment runner.
 # ---------------------------------------------------------------------------
 
-def _expanded_types(instance: Instance) -> list[ArmModel]:
-    return [expand_with_dummies(m) for m in instance.types]
-
-
 class BasePolicy:
-    """Shared plumbing: prepare() validates the instance and builds its tables once."""
+    """Shared plumbing: prepare() records the instance whose tables select reads."""
 
     name = "base"
 
     def __init__(self):
         self.instance: Instance | None = None
-        self.tables: ArmTables | None = None
 
     def prepare(self, instance: Instance):
-        """Validate the instance, record it and flatten its dummy-expanded arms."""
-        require_valid(instance)
+        """Record the instance, whose ArmTables every select runs on.
+
+        The instance was checked and dummy-expanded when it was made, so
+        prepare neither checks nor expands it again.
+        """
         self.instance = instance
-        self.tables = ArmTables.build(instance.types, instance.initial)
 
     def select(self, counts, t, budget, rng) -> np.ndarray:
         raise NotImplementedError
@@ -171,10 +168,10 @@ class SpiPolicy(BasePolicy):
         problem = lp.build_occupancy_lp(instance, lp.DUMMY)
         self.solution = lp.solve_lp(problem)
         self.chi = compute_chi(self.solution)
-        self.table = spi_indices(self.chi, _expanded_types(instance))
+        self.table = spi_indices(self.chi, instance.expanded)
 
     def select(self, counts, t, budget, rng):
-        return spi_select(self.table, self.tables, counts, t, budget)
+        return spi_select(self.table, self.instance.tables, counts, t, budget)
 
 
 class MeanFieldPolicy(BasePolicy):
@@ -212,7 +209,7 @@ class _GreedyIndexPolicy(BasePolicy):
         self.table = self._build_table(instance)
 
     def select(self, counts, t, budget, rng):
-        return greedy_budget_select(self.table, self.tables, counts, t, budget)
+        return greedy_budget_select(self.table, self.instance.tables, counts, t, budget)
 
 
 class OriginalWhittlePolicy(_GreedyIndexPolicy):
@@ -238,28 +235,28 @@ class InfiniteWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-infinite"
 
     def _build_table(self, instance):
-        return whittle_index_infinite(_expanded_types(instance))
+        return whittle_index_infinite(list(instance.expanded))
 
 
 class FiniteWhittlePolicy(_GreedyIndexPolicy):
     name = "whittle-finite"
 
     def _build_table(self, instance):
-        return whittle_index_finite(_expanded_types(instance), instance.horizon)
+        return whittle_index_finite(list(instance.expanded), instance.horizon)
 
 
 class QDifferencePolicy(_GreedyIndexPolicy):
     name = "qdiff"
 
     def _build_table(self, instance):
-        return q_difference_indices(_expanded_types(instance), instance.horizon)
+        return q_difference_indices(list(instance.expanded), instance.horizon)
 
 
 class RandomPolicy(BasePolicy):
     name = "random"
 
     def select(self, counts, t, budget, rng):
-        return random_select(counts * ~self.tables.dummy, budget, rng)
+        return random_select(counts * ~self.instance.tables.dummy, budget, rng)
 
 
 POLICY_REGISTRY = {

@@ -2,7 +2,7 @@
 
 Arms of one type in one expanded state are exchangeable, so an episode
 simulates the count vector X[g]: the number of arms in each global state
-g = offset[n] + s of the policy's ArmTables. A pulled arm sits in the
+g = offset[n] + s of the instance's ArmTables. A pulled arm sits in the
 dummy half, so pulled-ness is part of X. Each step a policy's select
 returns the pulls per group, k, and one multinomial draw per live
 (group, action) pair moves the counts; a step costs O(N S) at any rho.
@@ -133,11 +133,11 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
     uniformly random order. The arms then have exactly the per-arm law, and
     the trajectory holds each arm's expanded state id, s + S_n once pulled.
     Raises ValueError unless policy was prepared for this very instance
-    object, whose dynamics its tables hold.
+    object, whose tables its index tables and selections refer to.
     """
     if policy.instance is not instance:
         raise ValueError(f"policy {policy.name!r} was not prepared for this instance")
-    tables = policy.tables
+    tables = instance.tables
     budget = instance.step_budget
     rng = _episode_rng(seed)
     counts = start_counts(tables, instance.rho, rng)
@@ -210,8 +210,8 @@ def evaluate(
     """Run n_episodes with seeds base_seed..base_seed+n-1 and summarize.
 
     Wall clock covers policy precomputation plus all per-step selection
-    calls; environment sampling is excluded. The instance is validated
-    once, when prepare builds the policy's ArmTables, not per episode.
+    calls; environment sampling is excluded. The instance was checked and
+    expanded when it was made; nothing here checks it again.
     With prepared=True the policy must have been prepared for this
     instance; run_episode raises ValueError otherwise.
     """

@@ -201,3 +201,15 @@ class TestAssembly:
             assert len(models) == 2
             for m in models:
                 assert validate_arm(m).ok
+
+    @pytest.mark.parametrize("family, known, unknown", [
+        (domains.CPAP, {"active_only_rewards": True}, "bogus"),
+        (domains.MHMH, {"C": 0.5, "eta_r_e": (0.6, 0.7)}, "eta_r_x"),
+        (domains.EHRENFEST, {"dt": 0.02}, "active_only_rewards"),
+        (domains.RANDOM, {}, "dt"),
+    ])
+    def test_params_limited_to_the_keys_the_family_reads(self, family, known, unknown):
+        n_states = 3
+        make_models(DomainSpec(family, n_types=2, n_states=n_states, params=known))
+        with pytest.raises(ValueError, match=f"unknown {family} params \\['{unknown}'\\]"):
+            DomainSpec(family, n_types=2, n_states=n_states, params={**known, unknown: 1})

@@ -10,14 +10,14 @@ from singlepull.experiments import (
     ConfigError,
     ExperimentConfig,
     fit_loglog_slope,
-    load_config,
     parse_config,
+    read_config,
     run_experiment,
     sweep_rho,
     time_policies,
 )
 from singlepull.simulator import InfeasibleAction, Summary
-from singlepull import experiments, lp
+from singlepull import evaluate, experiments, lp, model, oracle, policies
 from singlepull.domains import make_instance
 from singlepull.policies import POLICY_NAMES, BasePolicy, make_policy
 
@@ -65,14 +65,14 @@ class TestConfig:
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config(tmp_path)))
-        cfg = load_config(str(path))
+        cfg = parse_config(read_config(str(path)))
         assert cfg.episodes == 10
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            load_config(str(path))
+            parse_config(read_config(str(path)))
 
 
 class TestRunExperiment:
@@ -122,6 +122,51 @@ class TestRunExperiment:
         rec = json.loads(lines[0])
         assert set(rec) == {"instance_seed", "policy", "episode", "t", "arm",
                             "state", "action", "reward"}
+
+
+class TestOnePreparationPerInstance:
+    """An instance is checked, expanded and tabled once, when it is made."""
+
+    def count(self, monkeypatch):
+        calls = {"validate_instance": 0, "ArmTables.build": 0, "expand_with_dummies": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(model, "validate_instance",
+                            counted("validate_instance", model.validate_instance))
+        monkeypatch.setattr(model.ArmTables, "build",
+                            counted("ArmTables.build", model.ArmTables.build))
+        expand = counted("expand_with_dummies", model.expand_with_dummies)
+        for module in (model, lp, policies, oracle, experiments):
+            if hasattr(module, "expand_with_dummies"):
+                monkeypatch.setattr(module, "expand_with_dummies", expand)
+        return calls
+
+    def test_a_full_run_checks_and_expands_its_instance_once(self, tmp_path, monkeypatch):
+        setting = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 2, "horizon": 3}
+        cfg = parse_config(small_config(tmp_path, domain={"family": "MHMH"}, setting=setting,
+                                        episodes=2, policies=list(POLICY_NAMES),
+                                        dump_trajectories=True))
+        calls = self.count(monkeypatch)
+        run_experiment(cfg)
+        once = {"validate_instance": 1, "ArmTables.build": 1, "expand_with_dummies": 2}
+        assert calls == once
+        # no later layer adds a check, an expansion or a table build
+        inst = cfg.instance(0)
+        calls.update(dict.fromkeys(calls, 0))
+        lp.upper_bound(inst)
+        for variant in lp.VARIANTS:
+            lp.build_occupancy_lp(inst, variant)
+        for name in POLICY_NAMES:
+            policy = make_policy(name)
+            policy.prepare(inst)
+            evaluate(inst, policy, 2, base_seed=0, prepared=True)
+            evaluate(inst, make_policy(name), 2, base_seed=0)
+        assert calls == dict.fromkeys(calls, 0)
 
 
 def reference_dump(config, instances, prepared):
@@ -285,7 +330,7 @@ class TestTiming:
         cfg = parse_config(small_config(tmp_path, episodes=2, instance_seeds=[3, 2],
                                         policies=["spi", "whittle-finite"]))
         time_policies(cfg)
-        assert drawn == [3, 2, 4] * 2
+        assert drawn == [3, 2, 4]
         header = (tmp_path / "out" / "timing.csv").read_text().splitlines()[0]
         assert header == "policy,mean_ms,std_ms"
 
@@ -379,6 +424,22 @@ class TestCli:
                 "--sweep-rho", "1,2"]
         rc = cli.main(argv + ([flag] if given_as == "flag" else []))
         assert rc == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("domain, n_states", [
+        pytest.param({"family": "MHMH"}, 4, id="mhmh-4-states"),
+        pytest.param({"family": "EHRENFEST"}, 12, id="ehrenfest-dt-too-coarse"),
+        pytest.param({"family": "MHMH", "params": {"C": 1.5}}, 3, id="mhmh-C-outside-0-1"),
+        pytest.param({"family": "CPAP", "params": {"bogus": 1}}, 3, id="cpap-unknown-key"),
+        pytest.param({"family": "MHMH", "params": {"eta_r_x": [0.1, 0.2]}}, 3,
+                     id="mhmh-misspelled-range"),
+    ])
+    @pytest.mark.parametrize("sweep", [[], ["--sweep-rho", "1,2"]], ids=["run", "sweep"])
+    def test_domain_the_generator_rejects_writes_nothing(self, tmp_path, domain, n_states,
+                                                           sweep):
+        setting = {"n_types": 2, "n_states": n_states, "budget": 1, "rho": 2, "horizon": 3}
+        path = self.write_config(tmp_path, domain=domain, setting=setting)
+        assert cli.main(["--config", path] + sweep) == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     def test_resample_override_replaces_config_seeds(self, tmp_path):

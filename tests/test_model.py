@@ -10,7 +10,7 @@ from singlepull import (
     validate_arm,
     validate_instance,
 )
-from singlepull.model import ERROR, WARNING, point_initial, stochastic_rows
+from singlepull.model import WARNING, ArmTables, point_initial, stochastic_rows
 
 from conftest import random_arm
 
@@ -46,16 +46,6 @@ class TestValidateArm:
         report = validate_arm(bad)
         assert not report.ok
         assert any("row sum" in msg for msg in report.errors())
-
-    def test_dummy_reward_tie_violation(self):
-        em = expand_with_dummies(two_state_arm())
-        r = em.rewards.copy()
-        r[2, 1] += 1.0  # break r(s_d, 1) == r(s, 0)
-        broken = ArmModel(n_states=4, transitions=em.transitions, rewards=r,
-                          dummy_of=em.dummy_of)
-        report = validate_arm(broken)
-        assert not report.ok
-        assert any("dummy" in msg for msg in report.errors())
 
     def test_entries_outside_unit_interval(self):
         P = np.zeros((2, 2, 2))
@@ -157,18 +147,43 @@ class TestValidateInstance:
         assert report.ok
         assert any(sev == WARNING and "budget" in msg for sev, msg in report.issues)
 
-    def test_initial_mass_on_dummy_rejected(self):
+    def test_expanded_types_rejected(self):
+        # an instance expands its types itself: a well-formed expansion, one
+        # with a broken dummy reward tie, initial mass on a dummy state and
+        # an expansion beside an unexpanded type are all rejected when the
+        # instance is made
         em = expand_with_dummies(two_state_arm())
-        bad = Instance(types=(em,), rho=1, budget=1, horizon=2,
-                       initial=(np.array([0.5, 0.0, 0.5, 0.0]),))
-        report = validate_instance(bad)
-        assert any(sev == ERROR and "dummy" in msg for sev, msg in report.issues)
+        r = em.rewards.copy()
+        r[2, 1] += 1.0  # break r(s_d, 1) == r(s, 0)
+        broken = ArmModel(n_states=4, transitions=em.transitions, rewards=r,
+                          dummy_of=em.dummy_of)
+        for types, initial in (((em,), [1.0, 0.0, 0.0, 0.0]),
+                               ((broken,), [1.0, 0.0, 0.0, 0.0]),
+                               ((em,), [0.5, 0.0, 0.5, 0.0]),
+                               ((two_state_arm(), em), [1.0, 0.0, 0.0, 0.0])):
+            starts = tuple(point_initial(m.n_states, 0) for m in types[:-1])
+            with pytest.raises(ValueError, match=rf"invalid instance: type {len(types) - 1}: "
+                                                 "already contains dummy states"):
+                Instance(types=types, rho=1, budget=1, horizon=2,
+                         initial=starts + (np.array(initial),))
 
     def test_initial_sum_checked(self):
         m = two_state_arm()
-        bad = Instance(types=(m,), rho=1, budget=1, horizon=2,
-                       initial=(np.array([0.6, 0.6]),))
-        assert not validate_instance(bad).ok
+        with pytest.raises(ValueError, match="invalid instance: type 0: initial distribution "
+                                             "sums to 1.2"):
+            Instance(types=(m,), rho=1, budget=1, horizon=2, initial=(np.array([0.6, 0.6]),))
+
+    def test_valid_instance_holds_its_expansion_and_tables(self, rng):
+        types = (random_arm(rng, 2), random_arm(rng, 3))
+        inst = Instance(types=types, rho=2, budget=1, horizon=2,
+                        initial=(point_initial(2, 1), point_initial(3, 0)))
+        for m, e in zip(types, inst.expanded):
+            want = expand_with_dummies(m)
+            assert np.array_equal(e.transitions, want.transitions)
+            assert np.array_equal(e.rewards, want.rewards) and e.dummy_of == want.dummy_of
+        want = ArmTables.build([expand_with_dummies(m) for m in types], inst.initial)
+        for name in ("offset", "probs", "dest", "rewards", "dummy", "start"):
+            assert np.array_equal(getattr(inst.tables, name), getattr(want, name)), name
 
 
 class TestInstanceIo:

@@ -52,7 +52,7 @@ class TestExactOptimum:
         inst2 = Instance(types=(m,), rho=2, budget=1, horizon=9,
                          initial=(point_initial(3, 0),))
         with pytest.raises(CapExceeded):
-            exact_policy_value(inst2, lambda s, p, t: np.zeros(2, dtype=int))
+            exact_policy_value(inst2, lambda s, t: np.zeros(2, dtype=int))
 
 
 class TestExactPolicyValue:
@@ -60,7 +60,7 @@ class TestExactPolicyValue:
         types = tuple(random_arm(rng, 3, active_only_rewards=False) for _ in range(2))
         initial = (point_initial(3, 0), point_initial(3, 2))
         inst = Instance(types=types, rho=2, budget=0, horizon=4, initial=initial)
-        got = exact_policy_value(inst, lambda s, p, t: np.zeros(4, dtype=int))
+        got = exact_policy_value(inst, lambda s, t: np.zeros(4, dtype=int))
         expected = 0.0
         for m, d in zip(types, initial):
             dist = d.copy()
@@ -75,11 +75,11 @@ class TestExactPolicyValue:
                         initial=(np.array([0.5, 0.5]),))
 
         def pull_first(which):
-            def sel(states, pulled, t):
+            def sel(states, t):
                 a = np.zeros(2, dtype=int)
                 order = [which, 1 - which]
                 for i in order:
-                    if not pulled[i]:
+                    if states[i] < m.n_states:  # not pulled: still in the normal half
                         a[i] = 1
                         break
                 return a
@@ -133,8 +133,8 @@ class TestExactPolicyValue:
         pol = make_policy("whittle-finite")
         pol.prepare(inst)
         select = policy_select_adapter(inst, pol)
-        assert select(np.array([1, 0, 0, 0]), None, 0).tolist() == [1, 1, 0, 0]
-        assert select(np.array([0, 2, 0, 0]), None, 0).tolist() == [1, 0, 1, 0]
+        assert select(np.array([1, 0, 0, 0]), 0).tolist() == [1, 1, 0, 0]
+        assert select(np.array([0, 2, 0, 0]), 0).tolist() == [1, 0, 1, 0]
 
 
 def assert_monte_carlo_matches_exact(inst, name):

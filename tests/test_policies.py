@@ -82,7 +82,7 @@ def identity_tables(n_states=2):
     """Tables of one type that never moves: normal states 0.. S-1, dummies S.. 2S-1."""
     P = np.stack([np.eye(n_states), np.eye(n_states)], axis=1)
     m = ArmModel(n_states=n_states, transitions=P, rewards=np.zeros((n_states, 2)))
-    return ArmTables.build([m], [point_initial(n_states, 0)])
+    return ArmTables.build([expand_with_dummies(m)], [point_initial(n_states, 0)])
 
 
 def counts_of(tables, states):
@@ -223,12 +223,12 @@ class TestSelectorInvariants:
             local = np.random.default_rng(7)
             pulled = np.array([True, False, False, True, False, False])
             states = np.where(pulled, 3, 0) + np.array([1, 2, 1, 2, 0, 1])
-            counts = np.bincount(pol.tables.ids(np.repeat([0, 1], 3), states), minlength=12)
+            counts = np.bincount(inst.tables.ids(np.repeat([0, 1], 3), states), minlength=12)
             for budget in (0, 1, 3, 10):
                 pulls = pol.select(counts, 0, budget, local)
                 assert pulls.sum() <= budget
                 assert np.all((0 <= pulls) & (pulls <= counts))
-                assert not np.any(pulls[pol.tables.dummy])
+                assert not np.any(pulls[inst.tables.dummy])
 
     def test_dominant_action_spends_full_budget(self, rng):
         # action 1 strictly dominates in reward, transitions identical

@@ -54,7 +54,8 @@ OFF_ROWS = [-5e-10, 5e-10]
 
 
 def tables_of(types):
-    return ArmTables.build(types, [point_initial(m.n_states, 0) for m in types])
+    return ArmTables.build([expand_with_dummies(m) for m in types],
+                           [point_initial(m.n_states, 0) for m in types])
 
 
 def counts_of(tables, type_of, states):
@@ -175,18 +176,15 @@ class TestStartCounts:
         initial = (point_initial(3, 2), point_initial(3, 1))
         return Instance(types=types, rho=rho, budget=1, horizon=4, initial=initial)
 
-    def tables(self, inst):
-        return ArmTables.build(inst.types, inst.initial)
-
     def test_deterministic_initials(self):
         inst = self.make_instance()
-        counts = start_counts(self.tables(inst), inst.rho, _episode_rng(11))
+        counts = start_counts(inst.tables, inst.rho, _episode_rng(11))
         assert counts.tolist() == [0, 0, 3, 0, 0, 0, 0, 3, 0, 0, 0, 0]
 
     def test_same_seed_same_population(self):
         inst = Instance(types=(random_arm(np.random.default_rng(0), 3),), rho=50, budget=1,
                         horizon=2, initial=(np.full(3, 1 / 3),))
-        tables = self.tables(inst)
+        tables = inst.tables
         a = start_counts(tables, inst.rho, _episode_rng(5))
         b = start_counts(tables, inst.rho, _episode_rng(5))
         assert np.array_equal(a, b) and a.sum() == 50
@@ -194,7 +192,7 @@ class TestStartCounts:
     def test_binomial_concentration(self):
         P = np.full((2, 2, 2), 0.5)
         m = ArmModel(n_states=2, transitions=P, rewards=np.zeros((2, 2)))
-        tables = ArmTables.build([m], [np.array([0.5, 0.5])])
+        tables = ArmTables.build([expand_with_dummies(m)], [np.array([0.5, 0.5])])
         counts = start_counts(tables, 1000, _episode_rng(3))
         sigma = np.sqrt(0.25 / 1000)
         assert abs(counts[0] / 1000 - 0.5) < 3 * sigma
@@ -204,9 +202,10 @@ class TestStartCounts:
         # the S=2 type's start row is padded to width 3; no arm may land in
         # the padding or in either dummy half
         types = (random_arm(rng, 2, active_only_rewards=False), random_arm(rng, 3))
-        point = ArmTables.build(types, (point_initial(2, 1), point_initial(3, 2)))
+        expanded = [expand_with_dummies(m) for m in types]
+        point = ArmTables.build(expanded, (point_initial(2, 1), point_initial(3, 2)))
         assert start_counts(point, 4, _episode_rng(0)).tolist() == [0, 4, 0, 0, 0, 0, 4, 0, 0, 0]
-        tables = ArmTables.build(types, (np.array([0.4, 0.6]), np.array([0.2, 0.3, 0.5])))
+        tables = ArmTables.build(expanded, (np.array([0.4, 0.6]), np.array([0.2, 0.3, 0.5])))
         for seed in range(20):
             counts = start_counts(tables, 500, _episode_rng(seed))
             assert counts[[0, 1]].sum() == 500 and counts[[4, 5, 6]].sum() == 500
@@ -317,7 +316,7 @@ class TestRunEpisode:
                 type_of = arms // inst.rho
                 for t, counts in enumerate(stepped):
                     at = records[:, 0] == t
-                    ids = pol.tables.ids(type_of[at], records[at, 2].astype(int))
+                    ids = inst.tables.ids(type_of[at], records[at, 2].astype(int))
                     assert np.array_equal(np.bincount(ids, minlength=len(counts)), counts)
                     assert records[at, 3].sum() == plain.per_step_pulls[t]
                 assert records[:, 4].sum() == pytest.approx(plain.total_reward, rel=1e-12)
@@ -556,8 +555,8 @@ class TestAgainstLoopReference:
             for _ in range(5):
                 type_of = rng.permutation(np.repeat(np.arange(inst.n_types), inst.rho))
                 states = np.array([rng.integers(0, models[n].n_states) for n in type_of])
-                ids = pol.tables.ids(type_of, states)
-                counts = counts_of(pol.tables, type_of, states)
+                ids = inst.tables.ids(type_of, states)
+                counts = counts_of(inst.tables, type_of, states)
                 for t in range(inst.horizon):
                     for budget in (0, 1, 3, 5, len(ids)):
                         got = lift(pol.select(counts, t, budget, None), ids)
@@ -581,8 +580,8 @@ class TestAgainstLoopReference:
 
 
 class TestTraceBindings:
-    """run_episode reaches step through the simulator module, and evaluate
-    validates once per call."""
+    """run_episode reaches step through the simulator module, and an
+    instance is validated once, when it is made, not by evaluate."""
 
     def count(self, monkeypatch, owner, name, counts):
         fn = getattr(owner, name)
@@ -610,17 +609,17 @@ class TestTraceBindings:
 
     @pytest.mark.parametrize("episodes", [2, 7])
     def test_evaluate_validates_once(self, monkeypatch, rng, episodes):
-        inst = mixed_instance(rng, horizon=3)
         counts = self.install(monkeypatch)
+        inst = mixed_instance(rng, horizon=3)
+        assert counts == {"validate_instance": 1}
         evaluate(inst, make_policy("random"), episodes, base_seed=0)
         assert counts == {"validate_instance": 1, "step": 3 * episodes}
 
     def test_invalid_instance_raises_before_any_episode(self, monkeypatch, rng):
+        # the instance cannot be made, so no policy prepares or steps on it
         good = mixed_instance(rng)
-        bad = Instance(types=good.types, rho=good.rho, budget=good.budget,
-                       horizon=good.horizon, initial=(good.initial[0] * 0.5, good.initial[1]))
         counts = self.install(monkeypatch)
-        for name in ("random", "spi"):
-            with pytest.raises(ValueError, match="invalid instance"):
-                evaluate(bad, make_policy(name), 3, base_seed=0)
-        assert "step" not in counts
+        with pytest.raises(ValueError, match="invalid instance: type 0: initial distribution"):
+            Instance(types=good.types, rho=good.rho, budget=good.budget,
+                     horizon=good.horizon, initial=(good.initial[0] * 0.5, good.initial[1]))
+        assert counts == {"validate_instance": 1}
