@@ -105,6 +105,12 @@ class TestBuilder:
         with pytest.raises(ValueError, match="invalid instance: horizon must be positive"):
             tiny_instance(rng, T=0)
 
+    def test_rejects_expanded_types_for_dummy(self, rng):
+        # the DUMMY LP would expand the types again; the instance cannot be made
+        m = expand_with_dummies(random_arm(rng, 2))
+        with pytest.raises(ValueError, match="already contains dummy states"):
+            Instance(types=(m,), rho=1, budget=1, horizon=2, initial=(point_initial(4, 0),))
+
 
 class TestSolve:
     def test_measure_property_and_flow_residuals(self, rng):

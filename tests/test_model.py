@@ -47,6 +47,19 @@ class TestValidateArm:
         assert not report.ok
         assert any("row sum" in msg for msg in report.errors())
 
+    def test_dummy_reward_tie_violation(self):
+        # the dummy reward tie is not an arm check any more: an expanded type
+        # cannot enter an instance, broken tie or not
+        em = expand_with_dummies(two_state_arm())
+        r = em.rewards.copy()
+        r[2, 1] += 1.0  # break r(s_d, 1) == r(s, 0)
+        broken = ArmModel(n_states=4, transitions=em.transitions, rewards=r,
+                          dummy_of=em.dummy_of)
+        with pytest.raises(ValueError, match="invalid instance: type 0: "
+                                             "already contains dummy states"):
+            Instance(types=(broken,), rho=1, budget=1, horizon=2,
+                     initial=(point_initial(4, 0),))
+
     def test_entries_outside_unit_interval(self):
         P = np.zeros((2, 2, 2))
         P[:, :, 0] = 1.5
@@ -148,24 +161,21 @@ class TestValidateInstance:
         assert any(sev == WARNING and "budget" in msg for sev, msg in report.issues)
 
     def test_expanded_types_rejected(self):
-        # an instance expands its types itself: a well-formed expansion, one
-        # with a broken dummy reward tie, initial mass on a dummy state and
-        # an expansion beside an unexpanded type are all rejected when the
-        # instance is made
+        # an instance expands its types itself: a well-formed expansion, alone
+        # or beside an unexpanded type, is rejected when the instance is made
         em = expand_with_dummies(two_state_arm())
-        r = em.rewards.copy()
-        r[2, 1] += 1.0  # break r(s_d, 1) == r(s, 0)
-        broken = ArmModel(n_states=4, transitions=em.transitions, rewards=r,
-                          dummy_of=em.dummy_of)
-        for types, initial in (((em,), [1.0, 0.0, 0.0, 0.0]),
-                               ((broken,), [1.0, 0.0, 0.0, 0.0]),
-                               ((em,), [0.5, 0.0, 0.5, 0.0]),
-                               ((two_state_arm(), em), [1.0, 0.0, 0.0, 0.0])):
-            starts = tuple(point_initial(m.n_states, 0) for m in types[:-1])
+        for types in ((em,), (two_state_arm(), em)):
+            starts = tuple(point_initial(m.n_states, 0) for m in types)
             with pytest.raises(ValueError, match=rf"invalid instance: type {len(types) - 1}: "
                                                  "already contains dummy states"):
-                Instance(types=types, rho=1, budget=1, horizon=2,
-                         initial=starts + (np.array(initial),))
+                Instance(types=types, rho=1, budget=1, horizon=2, initial=starts)
+
+    def test_initial_mass_on_dummy_rejected(self):
+        em = expand_with_dummies(two_state_arm())
+        with pytest.raises(ValueError, match="invalid instance: type 0: "
+                                             "already contains dummy states"):
+            Instance(types=(em,), rho=1, budget=1, horizon=2,
+                     initial=(np.array([0.5, 0.0, 0.5, 0.0]),))
 
     def test_initial_sum_checked(self):
         m = two_state_arm()
