@@ -37,12 +37,12 @@ from .whittle import (
 from .policies import (
     POLICY_NAMES,
     compute_chi,
-    greedy_budget_select,
+    greedy_orders,
     make_policy,
-    mean_field_select,
+    mean_field_orders,
     random_select,
     spi_indices,
-    spi_select,
+    spi_orders,
 )
 from .simulator import (
     EpisodeResult,

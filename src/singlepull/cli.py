@@ -27,6 +27,7 @@ from .experiments import (
     run_experiment,
     sweep_rho,
     time_policies,
+    timing_instances,
 )
 from .simulator import InfeasibleAction
 from .simplex import SolverStall
@@ -113,10 +114,12 @@ def main(argv=None) -> int:
             rows, slope = sweep_rho(config, rho_list)
             print(f"wrote {config.out_dir}/gap_curve.csv (log-log slope {slope:.3f})")
         else:
+            # drawn before anything is written, so a rejected draw writes nothing
+            timed = timing_instances(config) if config.measure_runtime else None
             rows = run_experiment(config)
             print(f"wrote {config.out_dir}/results.csv ({len(rows)} rows)")
-            if config.measure_runtime:
-                time_policies(config)
+            if timed is not None:
+                time_policies(config, timed)
                 print(f"wrote {config.out_dir}/timing.csv")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,12 +12,13 @@ RANDOM      -- fully random kernels (flat Dirichlet rows) with
 
 All generators are pure functions of (parameters, seed) and their outputs
 pass validation with zero errors. A DomainSpec takes only the params keys
-its family's generator reads (PARAM_KEYS) and raises ValueError on any
-other.
+its family's generator reads, with values of the type it reads
+(PARAM_KEYS), and raises ValueError on any other.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,10 @@ class DomainSpec:
         if unknown:
             raise ValueError(f"unknown {self.family} params {unknown}; "
                              f"choose from {list(PARAM_KEYS[self.family])}")
+        for key, value in self.params.items():
+            kind, check = PARAM_KEYS[self.family][key]
+            if not check(value):
+                raise ValueError(f"{self.family} param {key!r} must be {kind}, got {value!r}")
 
 
 def make_cpap(spec: DomainSpec, active_only_rewards: bool = False) -> list[ArmModel]:
@@ -86,12 +91,25 @@ MHMH_DEFAULT_RANGES = {
     "C": (0.4, 0.9),
 }
 
-# The params keys each family's generator reads.
+
+def _is_number(value) -> bool:
+    """An int or a float, the Python value of a JSON number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_range(value) -> bool:
+    return _is_number(value) or (isinstance(value, (list, tuple)) and len(value) == 2
+                                 and all(map(_is_number, value)))
+
+
+# The params keys each family's generator reads, each with the type of
+# value it reads: a description and a check.
 PARAM_KEYS = {
-    CPAP: ("active_only_rewards",),
-    MHMH: tuple(MHMH_DEFAULT_RANGES),
-    EHRENFEST: ("dt",),
-    RANDOM: (),
+    CPAP: {"active_only_rewards": ("a boolean", lambda value: isinstance(value, bool))},
+    MHMH: {key: ("a number or a [lo, hi] pair of numbers", _is_range)
+           for key in MHMH_DEFAULT_RANGES},
+    EHRENFEST: {"dt": ("a number", _is_number)},
+    RANDOM: {},
 }
 
 # State order for the engagement chains.

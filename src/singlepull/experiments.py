@@ -414,23 +414,35 @@ def require_timing_policies(policies: list[str]):
         raise ConfigError("timing comparison needs spi and a whittle variant")
 
 
-def time_policies(config: ExperimentConfig):
-    """Per-policy wall-clock statistics over >= 3 instance draws.
+def timing_instances(config: ExperimentConfig) -> list[Instance]:
+    """The instances time_policies runs on, one per timing seed.
 
-    Each timing seed's instance is drawn once and every policy is timed on
-    it. Wall time covers index/LP precomputation plus all per-step
-    selection calls, matching the evaluation timing convention; the
-    instance check and the ArmTables build happen when the instance is
-    made, outside the clock. Selection runs on counts per expanded state,
-    so its cost grows with the number of groups and not with rho.
+    The timing seeds are the instance seeds, padded to three with fresh
+    seeds above them, so the draws stay distinct. A draw the generator
+    rejects raises ConfigError; the CLI draws these before run_experiment
+    writes anything, so such a config writes nothing.
     """
-    require_timing_policies(config.policies)
     seeds = list(config.instance_seeds)
-    fresh = max(seeds, default=0) + 1  # above every configured seed, so draws stay distinct
+    fresh = max(seeds, default=0) + 1
     while len(seeds) < 3:
         seeds.append(fresh)
         fresh += 1
-    instances = [config.instance(seed) for seed in seeds]
+    return [config.instance(seed) for seed in seeds]
+
+
+def time_policies(config: ExperimentConfig, instances: list[Instance]):
+    """Per-policy wall-clock statistics over the instances of timing_instances.
+
+    Every policy is timed on each instance. Wall time covers prepare plus
+    all per-step selection calls, matching the evaluation timing
+    convention; the instance check and the ArmTables build happen when the
+    instance is made, outside the clock. prepare builds the policy's tables
+    and plans its visiting order for every epoch, so the ranking is on the
+    prepare clock and a selection is a budget fill along a planned order,
+    whose cost grows with the number of groups and not with rho. Moving
+    the ranking into prepare shifted timing.csv values, not its columns.
+    """
+    require_timing_policies(config.policies)
     stats = []
     for name in config.policies:
         clocks = []

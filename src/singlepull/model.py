@@ -272,7 +272,9 @@ class ArmTables:
     columns from S_n on have probability 0 up to round-off, and dest maps
     them to the half's last state. Row n of start is the initial
     distribution of type n over its normal half, columns as in probs, and
-    row 2 offset[n] of dest (normal state 0, passive) maps them.
+    row 2 offset[n] of dest (normal state 0, passive) maps them. normal is
+    ~dummy as 0/1 integers: counts * normal are the arms that may still be
+    pulled, and pulls @ normal the pulls from groups outside the dummy half.
     """
 
     offset: np.ndarray   # (N,)
@@ -280,6 +282,7 @@ class ArmTables:
     dest: np.ndarray     # (2G, S_max) int
     rewards: np.ndarray  # (2G,)
     dummy: np.ndarray    # (G,) bool
+    normal: np.ndarray   # (G,) int64, 1 - dummy
     start: np.ndarray    # (N, S_max)
 
     @classmethod
@@ -294,12 +297,14 @@ class ArmTables:
             probs.append(stochastic_rows(lower + upper, width))  # each row lives in one half
             half = first + np.where(upper.any(axis=2), S, 0)
             dest.append(half[:, :, None] + np.minimum(np.arange(width), S - 1))
+        dummy = np.concatenate([e.dummy_mask for e in expanded])
         return cls(
             offset=offset,
             probs=np.concatenate(probs).reshape(-1, width),
             dest=np.concatenate(dest).reshape(-1, width).astype(np.int64),
             rewards=rewards.reshape(-1),
-            dummy=np.concatenate([e.dummy_mask for e in expanded]),
+            dummy=dummy,
+            normal=(~dummy).astype(np.int64),
             start=np.stack([stochastic_rows(d, width) for d in initial]),
         )
 

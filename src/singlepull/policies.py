@@ -12,6 +12,13 @@ of the counts alone, which is what a count engine and an exact oracle
 over counts need, and it picks exactly the arms an arm-id tie-break would
 wherever no two groups tie at the budget cut.
 
+The keys of every deterministic policy depend on its table and on t,
+never on the counts. So prepare ranks the groups once per decision epoch
+into orders[t] (one order shared by all epochs for a stationary table),
+and the one select they share fills the budget along orders[t] and zeroes
+the dummy groups: a handful of array operations per step, whatever the
+table or rho.
+
 The SPI policy solves the dummy-expanded occupancy LP once, converts the
 optimal measure into per-(state, time) activation probabilities chi (one
 (2 S_n, T) array per type), and ranks groups by chi * active reward. Its
@@ -19,8 +26,10 @@ selection walk follows the budget rule of the single-pull algorithm: arms
 are visited in decreasing index order, every visited arm consumes one
 budget unit, but an arm sitting in a dummy state is never actually pulled.
 The walk stops at the first non-positive index, which conserves budget
-exactly where the LP never activates. An LP solve in `prepare` returns the
-optimum or raises SolverStall; there is no other outcome to handle.
+exactly where the LP never activates: its orders hold the groups with a
+positive index only, dummy groups included, and the zeroing is what keeps
+those unpulled. An LP solve in `prepare` returns the optimum or raises
+SolverStall; there is no other outcome to handle.
 
 Baselines: the mean-field LP priority policy, the original stationary
 Whittle indices, modified infinite/finite Whittle and Q-difference indices
@@ -67,53 +76,67 @@ def _by_key(groups: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 def budget_fill(counts: np.ndarray, order: np.ndarray, budget: int) -> np.ndarray:
-    """Pulls per group when the groups in order each give arms until budget runs out."""
-    c = counts[order]
-    pulls = np.zeros_like(counts)
-    pulls[order] = np.minimum(np.maximum(budget - (np.cumsum(c) - c), 0), c)
+    """Pulls per group when the groups in order each give arms until budget runs out.
+
+    The first i groups of order give min(their arms, budget) in all, so
+    group i gives the difference of two such running totals; budget >= 0.
+    """
+    given = np.minimum(np.add.accumulate(counts[order]), budget)
+    given[1:] -= given[:-1]  # ufuncs buffer overlapping operands: this reads the old values
+    pulls = np.zeros(counts.shape, counts.dtype)
+    pulls[order] = given
     return pulls
 
 
-def spi_select(indices: IndexTable, tables: ArmTables, counts: np.ndarray, t: int,
-               budget: int) -> np.ndarray:
-    """Budget walk over the groups with a positive index, in decreasing index order.
-
-    Every visited arm consumes a budget unit; only the arms of non-dummy
-    groups are pulled.
-    """
-    idx = indices.column(t)
-    visited = budget_fill(counts, _by_key(np.flatnonzero(idx > 0), idx), budget)
-    visited[tables.dummy] = 0
-    return visited
+def _per_epoch(horizon: int, time_dependent: bool, order_at) -> list[np.ndarray]:
+    """orders[t] = order_at(t) for t < horizon; a stationary rule builds one order and shares it."""
+    if time_dependent:
+        return [order_at(t) for t in range(horizon)]
+    return [order_at(0)] * horizon
 
 
-def mean_field_select(occupancy: np.ndarray, counts: np.ndarray, t: int,
-                      budget: int) -> np.ndarray:
-    """Three-tier priority fill from the relaxed-budget LP.
+def spi_orders(indices: IndexTable, horizon: int) -> list[np.ndarray]:
+    """Per epoch, the groups with a positive index in decreasing index order.
 
-    occupancy is the LP's optimal measure stacked over global state ids,
-    shape (G, 2, T). High priority (zero passive occupancy) groups are
-    pulled first, then medium-priority groups in decreasing chi; groups
-    whose active occupancy is zero, which includes every dummy group, are
+    The budget walk visits them in this order and every visited arm
+    consumes a budget unit; the dummy groups among them are visited but
     never pulled.
     """
-    mu0, mu1 = occupancy[:, 0, t], occupancy[:, 1, t]
-    denom = mu0 + mu1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
-    eligible = mu1 > PRIORITY_TOL
-    high = eligible & (mu0 <= PRIORITY_TOL)
-    order = np.concatenate((np.flatnonzero(high), _by_key(np.flatnonzero(eligible & ~high), chi)))
-    return budget_fill(counts, order, budget)
+    def order_at(t):
+        idx = indices.column(t)
+        return _by_key(np.flatnonzero(idx > 0), idx)
+    return _per_epoch(horizon, indices.time_dependent, order_at)
 
 
-def greedy_budget_select(indices: IndexTable, tables: ArmTables, counts: np.ndarray, t: int,
-                         budget: int) -> np.ndarray:
-    """Pull up to budget arms outside the dummy groups in decreasing index order.
+def mean_field_orders(occupancy: np.ndarray) -> list[np.ndarray]:
+    """Per epoch, the three-tier priority order of the relaxed-budget LP.
+
+    occupancy is the LP's optimal measure stacked over global state ids,
+    shape (G, 2, T). High priority (zero passive occupancy) groups come
+    first, then medium-priority groups in decreasing chi; groups whose
+    active occupancy is zero, which includes every dummy group, are left
+    out and never pulled.
+    """
+    def order_at(t):
+        mu0, mu1 = occupancy[:, 0, t], occupancy[:, 1, t]
+        denom = mu0 + mu1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
+        eligible = mu1 > PRIORITY_TOL
+        high = eligible & (mu0 <= PRIORITY_TOL)
+        return np.concatenate((np.flatnonzero(high),
+                               _by_key(np.flatnonzero(eligible & ~high), chi)))
+    return _per_epoch(occupancy.shape[2], True, order_at)
+
+
+def greedy_orders(indices: IndexTable, tables: ArmTables, horizon: int) -> list[np.ndarray]:
+    """Per epoch, the groups outside the dummy half in decreasing index order.
 
     Classic index-policy behaviour: indices of any sign are eligible.
     """
-    return budget_fill(counts, _by_key(np.flatnonzero(~tables.dummy), indices.column(t)), budget)
+    groups = np.flatnonzero(~tables.dummy)
+    return _per_epoch(horizon, indices.time_dependent,
+                      lambda t: _by_key(groups, indices.column(t)))
 
 
 # Generator.multivariate_hypergeometric (its "marginals" method) needs fewer
@@ -135,12 +158,18 @@ def random_select(free: np.ndarray, budget: int, rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 class BasePolicy:
-    """Shared plumbing: prepare() records the instance whose tables select reads."""
+    """Shared plumbing: prepare() records the instance whose tables select reads.
+
+    A deterministic policy's prepare also plans orders[t], the groups it
+    visits at epoch t; select fills the budget along them and zeroes the
+    dummy groups. RandomPolicy plans nothing and has a select of its own.
+    """
 
     name = "base"
 
     def __init__(self):
         self.instance: Instance | None = None
+        self.orders: list[np.ndarray] | None = None
 
     def prepare(self, instance: Instance):
         """Record the instance, whose ArmTables every select runs on.
@@ -151,7 +180,9 @@ class BasePolicy:
         self.instance = instance
 
     def select(self, counts, t, budget, rng) -> np.ndarray:
-        raise NotImplementedError
+        pulls = budget_fill(counts, self.orders[t], budget)
+        pulls *= self.instance.tables.normal
+        return pulls
 
 
 class SpiPolicy(BasePolicy):
@@ -169,9 +200,7 @@ class SpiPolicy(BasePolicy):
         self.solution = lp.solve_lp(problem)
         self.chi = compute_chi(self.solution)
         self.table = spi_indices(self.chi, instance.expanded)
-
-    def select(self, counts, t, budget, rng):
-        return spi_select(self.table, self.instance.tables, counts, t, budget)
+        self.orders = spi_orders(self.table, instance.horizon)
 
 
 class MeanFieldPolicy(BasePolicy):
@@ -189,9 +218,7 @@ class MeanFieldPolicy(BasePolicy):
         _, self.occupancy = stack_types(
             [np.concatenate([b, np.zeros_like(b)]) for b in self.solution.occupancy]
         )
-
-    def select(self, counts, t, budget, rng):
-        return mean_field_select(self.occupancy, counts, t, budget)
+        self.orders = mean_field_orders(self.occupancy)
 
 
 class _GreedyIndexPolicy(BasePolicy):
@@ -207,9 +234,7 @@ class _GreedyIndexPolicy(BasePolicy):
     def prepare(self, instance: Instance):
         super().prepare(instance)
         self.table = self._build_table(instance)
-
-    def select(self, counts, t, budget, rng):
-        return greedy_budget_select(self.table, self.instance.tables, counts, t, budget)
+        self.orders = greedy_orders(self.table, instance.tables, instance.horizon)
 
 
 class OriginalWhittlePolicy(_GreedyIndexPolicy):
@@ -256,7 +281,7 @@ class RandomPolicy(BasePolicy):
     name = "random"
 
     def select(self, counts, t, budget, rng):
-        return random_select(counts * ~self.instance.tables.dummy, budget, rng)
+        return random_select(counts * self.instance.tables.normal, budget, rng)
 
 
 POLICY_REGISTRY = {

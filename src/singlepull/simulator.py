@@ -4,10 +4,13 @@ Arms of one type in one expanded state are exchangeable, so an episode
 simulates the count vector X[g]: the number of arms in each global state
 g = offset[n] + s of the instance's ArmTables. A pulled arm sits in the
 dummy half, so pulled-ness is part of X. Each step a policy's select
-returns the pulls per group, k, and one multinomial draw per live
-(group, action) pair moves the counts; a step costs O(N S) at any rho.
-The random policy's draw caps one population at
-policies.RANDOM_MAX_ARMS (just under 1e9) arms.
+returns the pulls per group, k, and one multinomial call, one draw per
+live (group, action) pair, moves the counts. That call is a step's floor:
+the deterministic policies planned their visiting orders at prepare, so
+their select, like step's checks and count update, is a few whole-array
+operations over the O(N S) groups, at any rho. The random policy's
+hypergeometric draw caps one population at policies.RANDOM_MAX_ARMS (just
+under 1e9) arms.
 
 The simulator, not the policy, is the constraint authority: step checks
 every pull vector against the per-step cap budget * rho and against the
@@ -82,25 +85,30 @@ def step(
 
     counts[g] arms sit in global state g and pulls[g] of them are pulled.
     moves[p, j] arms of the (group, action) pair p = 2g + a go to
-    tables.dest[p, j]. Raises InfeasibleAction unless 0 <= pulls <= counts,
-    no dummy group is pulled and the pulls total at most budget.
+    tables.dest[p, j]. Raises InfeasibleAction unless pulls is an integer
+    array shaped like counts, 0 <= pulls <= counts, no dummy group is
+    pulled and the pulls total at most budget.
     """
     pulls = np.asarray(pulls)
-    if (pulls < 0).any() or (pulls > counts).any():
-        raise InfeasibleAction("pulls outside [0, arms in the group]")
-    if pulls[tables.dummy].any():
-        raise InfeasibleAction("activation assigned to an already-pulled arm")
-    if pulls.sum() > budget:
-        raise InfeasibleAction(f"{int(pulls.sum())} activations exceed budget {budget}")
+    if pulls.shape != counts.shape or pulls.dtype.kind not in "iu":
+        raise InfeasibleAction(f"pull vector must be an integer array of shape {counts.shape}, "
+                               f"got {pulls.dtype} of shape {pulls.shape}")
     pairs = np.empty(2 * len(counts), dtype=np.int64)
     pairs[0::2] = counts - pulls
     pairs[1::2] = pulls
+    if pairs.min() < 0:  # a negative pull, or more pulls than arms
+        raise InfeasibleAction("pulls outside [0, arms in the group]")
+    total = pulls.sum()
+    if pulls.dot(tables.normal) != total:
+        raise InfeasibleAction("activation assigned to an already-pulled arm")
+    if total > budget:
+        raise InfeasibleAction(f"{int(total)} activations exceed budget {budget}")
     live = pairs.nonzero()[0]
     moves = np.zeros(tables.probs.shape, dtype=np.int64)
-    moves[live] = rng.multinomial(pairs[live], tables.probs[live])
-    next_counts = np.bincount(tables.dest.reshape(-1), weights=moves.reshape(-1),
+    moves[live] = rng.multinomial(pairs[live], tables.probs.take(live, axis=0))
+    next_counts = np.bincount(tables.dest.ravel(), weights=moves.ravel(),
                               minlength=len(counts)).astype(np.int64)
-    return next_counts, float(pairs @ tables.rewards), moves
+    return next_counts, float(pairs.dot(tables.rewards)), moves
 
 
 def lift(pulls: np.ndarray, ids: np.ndarray) -> np.ndarray:

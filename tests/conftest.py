@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from singlepull import ArmModel, Instance
 from singlepull.model import point_initial
+from singlepull.policies import BasePolicy
 
 
 def random_arm(rng, n_states, active_only_rewards=True, label="arm"):
@@ -26,6 +29,14 @@ def random_tiny_instance(rng, max_arms=4, max_states=3, max_horizon=4):
     types = tuple(random_arm(rng, S, label=f"t{i}") for i in range(n_types))
     initial = tuple(point_initial(S, int(rng.integers(0, S))) for _ in range(n_types))
     return Instance(types=types, rho=rho, budget=budget, horizon=T, initial=initial)
+
+
+def planned_select(orders, tables, counts, t, budget):
+    """The shared select of the deterministic policies, on the given orders and tables."""
+    policy = BasePolicy()
+    policy.instance = SimpleNamespace(tables=tables)
+    policy.orders = orders
+    return policy.select(counts, t, budget, None)
 
 
 @pytest.fixture

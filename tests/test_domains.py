@@ -204,7 +204,7 @@ class TestAssembly:
 
     @pytest.mark.parametrize("family, known, unknown", [
         (domains.CPAP, {"active_only_rewards": True}, "bogus"),
-        (domains.MHMH, {"C": 0.5, "eta_r_e": (0.6, 0.7)}, "eta_r_x"),
+        (domains.MHMH, {"C": 0.5, "eta_r_e": [0.6, 0.7], "eta_g_s": (0.3, 0.4)}, "eta_r_x"),
         (domains.EHRENFEST, {"dt": 0.02}, "active_only_rewards"),
         (domains.RANDOM, {}, "dt"),
     ])
@@ -213,3 +213,19 @@ class TestAssembly:
         make_models(DomainSpec(family, n_types=2, n_states=n_states, params=known))
         with pytest.raises(ValueError, match=f"unknown {family} params \\['{unknown}'\\]"):
             DomainSpec(family, n_types=2, n_states=n_states, params={**known, unknown: 1})
+
+    @pytest.mark.parametrize("family, key, value", [
+        (domains.CPAP, "active_only_rewards", "false"),
+        (domains.CPAP, "active_only_rewards", 0),
+        (domains.MHMH, "C", "0.5"),
+        (domains.MHMH, "C", True),
+        (domains.MHMH, "eta_r_e", [0.6]),
+        (domains.MHMH, "eta_r_e", [0.6, "0.7"]),
+        (domains.MHMH, "eta_r_e", [0.5, 0.6, 0.7]),
+        (domains.EHRENFEST, "dt", "0.01"),
+        (domains.EHRENFEST, "dt", False),
+    ])
+    def test_params_of_a_type_the_generator_does_not_read_rejected(self, family, key, value):
+        # the string "false" is truthy, so CPAP would pay on pull only
+        with pytest.raises(ValueError, match=f"{family} param '{key}' must be"):
+            DomainSpec(family, n_types=2, n_states=3, params={key: value})

@@ -15,6 +15,7 @@ from singlepull.experiments import (
     run_experiment,
     sweep_rho,
     time_policies,
+    timing_instances,
 )
 from singlepull.simulator import InfeasibleAction, Summary
 from singlepull import evaluate, experiments, lp, model, oracle, policies
@@ -309,12 +310,12 @@ class TestTiming:
     def test_requires_spi_and_whittle(self, tmp_path):
         cfg = parse_config(small_config(tmp_path, policies=["spi", "random"]))
         with pytest.raises(ConfigError):
-            time_policies(cfg)
+            time_policies(cfg, timing_instances(cfg))
 
     def test_emits_positive_times(self, tmp_path):
         cfg = parse_config(small_config(tmp_path, episodes=2,
                                         policies=["spi", "whittle-finite"]))
-        stats = time_policies(cfg)
+        stats = time_policies(cfg, timing_instances(cfg))
         assert {s["policy"] for s in stats} == {"spi", "whittle-finite"}
         assert all(s["mean_ms"] > 0 for s in stats)
         assert (tmp_path / "out" / "timing.csv").exists()
@@ -329,7 +330,7 @@ class TestTiming:
         monkeypatch.setattr(experiments, "make_instance", recording_make_instance)
         cfg = parse_config(small_config(tmp_path, episodes=2, instance_seeds=[3, 2],
                                         policies=["spi", "whittle-finite"]))
-        time_policies(cfg)
+        time_policies(cfg, timing_instances(cfg))
         assert drawn == [3, 2, 4]
         header = (tmp_path / "out" / "timing.csv").read_text().splitlines()[0]
         assert header == "policy,mean_ms,std_ms"
@@ -433,6 +434,8 @@ class TestCli:
         pytest.param({"family": "CPAP", "params": {"bogus": 1}}, 3, id="cpap-unknown-key"),
         pytest.param({"family": "MHMH", "params": {"eta_r_x": [0.1, 0.2]}}, 3,
                      id="mhmh-misspelled-range"),
+        pytest.param({"family": "CPAP", "params": {"active_only_rewards": "false"}}, 3,
+                     id="cpap-string-boolean"),
     ])
     @pytest.mark.parametrize("sweep", [[], ["--sweep-rho", "1,2"]], ids=["run", "sweep"])
     def test_domain_the_generator_rejects_writes_nothing(self, tmp_path, domain, n_states,
@@ -448,6 +451,15 @@ class TestCli:
         assert rc == cli.EXIT_OK
         csv = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert {line.split(",")[2] for line in csv[1:]} == {"0", "1"}
+
+    def test_timing_seed_the_generator_rejects_writes_nothing(self, tmp_path):
+        # instance seed 0 draws a valid EHRENFEST instance; the timing
+        # padding's seed 1 does not (dt*max(mu*S, lam*S) >= 1)
+        setting = {"n_types": 1, "n_states": 11, "budget": 1, "rho": 2, "horizon": 4}
+        path = self.write_config(tmp_path, domain={"family": "EHRENFEST"}, setting=setting,
+                                 instance_seeds=[0], policies=["spi", "whittle-finite"])
+        assert cli.main(["--config", path, "--timing"]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_timing_without_whittle_writes_no_report(self, tmp_path):
         rc = cli.main(["--config", self.write_config(tmp_path), "--timing"])

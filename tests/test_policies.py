@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,21 +9,25 @@ from singlepull import (
     build_occupancy_lp,
     compute_chi,
     expand_with_dummies,
-    greedy_budget_select,
+    greedy_orders,
     make_policy,
-    mean_field_select,
+    mean_field_orders,
     random_select,
     solve_lp,
     spi_indices,
-    spi_select,
+    spi_orders,
 )
 from singlepull import lp
-from singlepull.domains import RANDOM, DomainSpec, make_instance
+from singlepull.domains import CPAP, FAMILIES, RANDOM, DomainSpec, make_instance
 from singlepull.model import ArmTables, point_initial, stack_types
+from singlepull.policies import POLICY_NAMES
 from singlepull.simulator import lift
 from singlepull.whittle import IndexTable
 
-from conftest import random_arm
+import select_reference as ref
+from conftest import planned_select, random_arm
+
+DETERMINISTIC = tuple(name for name in POLICY_NAMES if name != "random")
 
 
 def fake_solution(mu_blocks):
@@ -89,13 +95,19 @@ def counts_of(tables, states):
     return np.bincount(np.asarray(states), minlength=len(tables.dummy))
 
 
+def all_normal(n_groups):
+    """Tables stand-in without a dummy half, for occupancy-only tests."""
+    return SimpleNamespace(normal=np.ones(n_groups, dtype=np.int64))
+
+
 class TestSpiSelect:
     def setup_method(self):
         self.tables = identity_tables()  # 2 normal states (0, 1) + dummies (2, 3)
 
     def select(self, idx_by_state, states, budget):
         table = manual_table(np.asarray(idx_by_state, dtype=float)[:, None])
-        return spi_select(table, self.tables, counts_of(self.tables, states), 0, budget)
+        return planned_select(spi_orders(table, 1), self.tables,
+                              counts_of(self.tables, states), 0, budget)
 
     def test_dummy_arm_consumes_budget(self):
         # highest index sits on a dummy arm; budget one unit -> nothing pulled
@@ -130,20 +142,24 @@ class TestMeanFieldSelect:
         block[:, 1, 0] = mu1
         return stack_types([block])[1]
 
+    def select(self, occupancy, counts, t, budget):
+        return planned_select(mean_field_orders(occupancy), all_normal(len(counts)),
+                              counts, t, budget)
+
     def test_high_priority_pulled_first(self):
         occupancy = self.make_occupancy([0.0, 0.5], [0.4, 0.1])
-        pulls = mean_field_select(occupancy, np.array([1, 1]), 0, budget=1)
+        pulls = self.select(occupancy, np.array([1, 1]), 0, budget=1)
         assert pulls.tolist() == [1, 0]
 
     def test_low_priority_never_pulled(self):
         occupancy = self.make_occupancy([0.5, 0.5], [0.0, 0.0])
-        pulls = mean_field_select(occupancy, np.array([3, 3]), 0, budget=5)
+        pulls = self.select(occupancy, np.array([3, 3]), 0, budget=5)
         assert pulls.sum() == 0
 
     def test_medium_filled_by_descending_chi(self):
         # chi = 0.7 vs 0.3; exhaustive check over the two single-pull choices
         occupancy = self.make_occupancy([0.3, 0.7], [0.7, 0.3])
-        pulls = mean_field_select(occupancy, np.array([1, 1]), 0, budget=1)
+        pulls = self.select(occupancy, np.array([1, 1]), 0, budget=1)
         chis = [0.7, 0.3]
         best = int(np.argmax(chis))
         assert pulls[best] == 1 and pulls.sum() == 1
@@ -151,12 +167,12 @@ class TestMeanFieldSelect:
     def test_skips_pulled_arms(self):
         # state 1 is the dummy copy of state 0, whose occupancy rows are zero
         occupancy = self.make_occupancy([0.0, 0.0], [0.4, 0.0])
-        pulls = mean_field_select(occupancy, np.array([1, 1]), 0, budget=2)
+        pulls = self.select(occupancy, np.array([1, 1]), 0, budget=2)
         assert pulls.tolist() == [1, 0]
 
     def test_equal_chi_lowest_state_id(self):
         occupancy = self.make_occupancy([0.5, 0.5, 0.0], [0.5, 0.5, 0.0])
-        pulls = mean_field_select(occupancy, np.array([2, 2, 0]), 0, budget=3)
+        pulls = self.select(occupancy, np.array([2, 2, 0]), 0, budget=3)
         assert pulls.tolist() == [2, 1, 0]
 
 
@@ -164,7 +180,8 @@ class TestGreedySelect:
     def select(self, values, states, budget, n_states=3):
         tables = identity_tables(n_states)
         table = manual_table(values)
-        return greedy_budget_select(table, tables, counts_of(tables, states), 0, budget)
+        return planned_select(greedy_orders(table, tables, 1), tables,
+                              counts_of(tables, states), 0, budget)
 
     def test_descending_order(self):
         pulls = self.select([[3.0], [2.0], [1.0], [0.0], [0.0], [0.0]], [0, 1, 2], 2)
@@ -184,6 +201,55 @@ class TestGreedySelect:
     def test_dummy_mask_excludes(self):
         pulls = self.select(np.ones((4, 1)), [2, 0], 2, n_states=2)
         assert pulls.tolist() == [1, 0, 0, 0]
+
+
+def planning_instances():
+    """The four families at N=2 S=3, and CPAP N=10 S=3 T=10 K=3 seed 0, whose
+    whittle-finite and qdiff indices tie between states of one type at t=7 and t=8."""
+    small = [make_instance(DomainSpec(fam, 2, 3, seed=1), budget=1, rho=4, horizon=4)
+             for fam in FAMILIES]
+    return small + [make_instance(DomainSpec(CPAP, 10, 3, seed=0), budget=3, rho=5, horizon=10)]
+
+
+class TestPlannedOrders:
+    """select along the orders planned at prepare equals the per-step rule it replaces."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return planning_instances()
+
+    @pytest.mark.parametrize("name", DETERMINISTIC)
+    def test_select_matches_the_per_step_rule(self, name, instances):
+        rng = np.random.default_rng(5)
+        for inst in instances:
+            pol = make_policy(name)
+            pol.prepare(inst)
+            G = len(inst.tables.dummy)
+            vectors = [rng.integers(0, inst.rho + 1, size=G) for _ in range(50)]
+            vectors.append(np.full(G, inst.rho))
+            for counts in vectors:
+                total = int(counts.sum())
+                for t in range(inst.horizon):
+                    for budget in (0, int(rng.integers(1, total + 1)), total):
+                        got = pol.select(counts, t, budget, None)
+                        want = ref.select(pol, counts, t, budget)
+                        assert np.array_equal(got, want), (inst.types[0].label, t, budget)
+
+    @pytest.mark.parametrize("name", ["whittle-finite", "qdiff"])
+    def test_the_cpap_instance_ties_within_a_type(self, name, instances):
+        # keeps the tie-break above exercised: equal indices on different
+        # states of one type at t=7 and t=8
+        pol = make_policy(name)
+        pol.prepare(instances[-1])
+        for t in (7, 8):
+            assert any(len(np.unique(v[:3, t])) < 3 for v in pol.table.values)
+
+    @pytest.mark.parametrize("name", ["whittle-original", "whittle-infinite"])
+    def test_a_stationary_table_shares_one_order(self, name, instances):
+        pol = make_policy(name)
+        pol.prepare(instances[0])
+        assert len(pol.orders) == instances[0].horizon
+        assert all(order is pol.orders[0] for order in pol.orders)
 
 
 class TestRandomSelect:

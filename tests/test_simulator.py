@@ -13,7 +13,7 @@ from singlepull import (
 )
 from singlepull import POLICY_NAMES, domains, model, simulator
 from singlepull.model import ArmTables, expand_with_dummies, point_initial, validate_arm
-from singlepull.policies import mean_field_select, spi_select
+from singlepull.policies import mean_field_orders, spi_orders
 from singlepull.simulator import (
     DegenerateRange,
     EpisodeResult,
@@ -25,7 +25,7 @@ from singlepull.simulator import (
 from singlepull.whittle import IndexTable
 
 import simulator_reference as ref
-from conftest import random_arm
+from conftest import planned_select, random_arm
 
 DETERMINISTIC = tuple(name for name in POLICY_NAMES if name != "random")
 
@@ -158,6 +158,21 @@ class TestStep:
         with pytest.raises(InfeasibleAction, match="outside"):
             step(np.array([1, 1, 0, 0, 0, 0]), np.array([1, -1, 0, 0, 0, 0]), tables, 5,
                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("malformed", ["fractional", "too short", "too long"])
+    def test_malformed_pull_vector_raises(self, malformed):
+        # RANDOM N=2 S=3 seed 0 at rho=2 starts with both arms of each type
+        # in its state 0, groups 0 and 6; half a pull on each would vanish
+        # two arms, and a wrong length would escape as IndexError or ValueError
+        inst = domains.make_instance(domains.DomainSpec(domains.RANDOM, 2, 3, seed=0),
+                                     budget=1, rho=2, horizon=3)
+        counts = start_counts(inst.tables, inst.rho, _episode_rng(0))
+        assert np.flatnonzero(counts).tolist() == [0, 6]
+        pulls = {"fractional": np.where(counts > 0, 0.5, 0.0),
+                 "too short": np.array([1]),
+                 "too long": np.append(np.zeros_like(counts), 1)}[malformed]
+        with pytest.raises(InfeasibleAction, match="integer array of shape"):
+            step(counts, pulls, inst.tables, inst.step_budget, np.random.default_rng(0))
 
     def test_moves_account_for_every_arm(self, rng):
         tables = tables_of([random_arm(rng, 2), random_arm(rng, 3)])
@@ -514,6 +529,7 @@ class TestAgainstLoopReference:
             type_of, states = shuffled_population(rng, models, 17)
             ids = tables.ids(type_of, states)
             counts = counts_of(tables, type_of, states)
+            orders = spi_orders(table, T)
             for t in range(T):
                 assert np.array_equal(table.column(t)[ids],
                                       ref.lookup(values, True, type_of, states, t))
@@ -521,7 +537,7 @@ class TestAgainstLoopReference:
                                       ref.lookup(stationary.values, False, type_of, states, t))
                 for budget in (0, 3, 17):
                     assert np.array_equal(
-                        lift(spi_select(table, tables, counts, t, budget), ids),
+                        lift(planned_select(orders, tables, counts, t, budget), ids),
                         ref.spi_select(values, models, type_of, states, t, budget))
             assert np.array_equal(tables.dummy[ids], ref.dummy_mask_for(models, type_of, states))
 
@@ -539,10 +555,11 @@ class TestAgainstLoopReference:
             type_of, states = shuffled_population(rng, models, 15)
             ids = tables.ids(type_of, states)
             counts = counts_of(tables, type_of, states)
+            orders = mean_field_orders(occupancy)
             for t in range(T):
                 for budget in (0, 2, 15):
                     assert np.array_equal(
-                        lift(mean_field_select(occupancy, counts, t, budget), ids),
+                        lift(planned_select(orders, tables, counts, t, budget), ids),
                         ref.mean_field_select(blocks, models, type_of, states, t, budget))
 
     @pytest.mark.parametrize("name", DETERMINISTIC)
