@@ -9,7 +9,6 @@ from .model import (
     ArmModel,
     ArmTables,
     Instance,
-    ValidationReport,
     expand_with_dummies,
     load_instance,
     save_instance,

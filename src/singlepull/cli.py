@@ -2,13 +2,13 @@
 
     singlepull --config experiment.json [--out DIR] [--seeds A..B]
                [--policies spi,random] [--episodes N]
-               [--resample-instances M] [--dump-trajectories] [--timing]
-               [--sweep-rho 2,5,10,20]
+               [--dump-trajectories] [--timing] [--sweep-rho 2,5,10,20]
 
 The overrides replace keys of the config document, which is then checked
-against the config schema once; --seeds and --resample-instances exclude
-each other, and --sweep-rho excludes --timing and --dump-trajectories (or
-the config keys they set).
+against the config schema once; --seeds sets instance_seeds. --timing also
+writes timing.csv; results.csv holds no clock, so it is the same with or
+without it. --sweep-rho takes one policy and one instance seed, and excludes
+--timing and --dump-trajectories (or the config keys they set).
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 constraint-audit
 failure (the simulator's feasibility authority was breached).
@@ -48,12 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", help="instance seed range A..B inclusive")
     parser.add_argument("--policies", help="comma-separated policy list (overrides config)")
     parser.add_argument("--episodes", type=int, help="episodes per evaluation")
-    parser.add_argument("--resample-instances", type=int,
-                        help="number of instance draws (seeds 0..M-1)")
     parser.add_argument("--dump-trajectories", action="store_true",
                         help="write per-(episode, t, arm) records to trajectories.jsonl")
     parser.add_argument("--timing", action="store_true",
-                        help="measure wall clocks and write timing.csv")
+                        help="also write per-policy wall clocks to timing.csv")
     parser.add_argument("--sweep-rho", help="comma-separated strictly ascending rho list; "
                                             "writes gap_curve.csv instead of results.csv")
     return parser
@@ -74,17 +72,11 @@ def _parse_rho_list(text: str) -> list[int]:
         raise ConfigError(f"--sweep-rho expects comma-separated integers, got {text!r}") from None
 
 
-SEED_KEYS = ("instance_seeds", "resample_instances")
-
-
 def _overrides(args) -> dict:
     """The config keys the command line sets, as JSON values for the schema to check."""
-    if args.seeds is not None and args.resample_instances is not None:
-        raise ConfigError("--seeds and --resample-instances both choose the instance seeds")
     given = {
         "out_dir": args.out,
         "instance_seeds": None if args.seeds is None else _parse_seed_range(args.seeds),
-        "resample_instances": args.resample_instances,
         "policies": None if args.policies is None else
                     [p.strip() for p in args.policies.split(",") if p.strip()],
         "episodes": args.episodes,
@@ -98,10 +90,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = read_config(args.config)
-        overrides = _overrides(args)
-        if any(key in overrides for key in SEED_KEYS):
-            doc = {key: value for key, value in doc.items() if key not in SEED_KEYS}
-        config = parse_config({**doc, **overrides})
+        config = parse_config({**doc, **_overrides(args)})
         rho_list = None if args.sweep_rho is None else _parse_rho_list(args.sweep_rho)
         if config.measure_runtime and rho_list is None:
             require_timing_policies(config.policies)

@@ -9,7 +9,8 @@ dummy-LP upper bound, evaluates every requested policy, and writes
     results.txt     human-readable table, near-optimal rows starred
     gap_curve.csv   (sweep_rho) per-rho optimality gaps plus a fitted
                     log-log slope comment line
-    timing.csv      (time_policies) per-policy wall-clock statistics
+    timing.csv      (time_policies) per-policy wall-clock statistics, read
+                    from the Summary.wall_clock of simulator.evaluate
     trajectories.jsonl  optional per-(episode, t, arm) audit records; state
                     is the dummy-expanded id, s + S_n once the arm is pulled
 
@@ -18,9 +19,11 @@ trajectory dump reruns the evaluated episodes with record=True
 (simulator.run_episode) on the same prepared policies, which lifts them to
 arms, so its records describe the very episodes results.csv averages.
 
-Outputs are a pure function of the config: reruns produce byte-identical
-CSVs and trajectories. Wall-clock measurement is therefore opt-in
-(measure_runtime); without it the runtime_ms column is written as 0.
+results.csv, results.txt, gap_curve.csv and trajectories.jsonl are a pure
+function of the config: reruns produce byte-identical files, with or
+without timing. results.csv therefore holds no clock; its runtime_ms column
+is always 0. Wall clocks go to timing.csv only, which measure_runtime
+selects.
 
 A config is a JSON document checked once against CONFIG_SCHEMA; command-line
 overrides are applied to the document before that check. The runner
@@ -34,8 +37,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import jsonschema
 import numpy as np
@@ -85,7 +87,6 @@ CONFIG_SCHEMA = {
         },
         "episodes": {"type": "integer", "minimum": 2},
         "base_seed": {"type": "integer", "minimum": 0},
-        "resample_instances": {"type": "integer", "minimum": 1},
         "instance_seeds": {"type": "array", "items": {"type": "integer", "minimum": 0},
                            "minItems": 1, "uniqueItems": True},
         "out_dir": {"type": "string"},
@@ -144,8 +145,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config rejected by schema: {exc.message}") from exc
     setting = doc["setting"]
-    resample = int(doc.get("resample_instances", 1))
-    seeds = [int(s) for s in doc.get("instance_seeds", range(resample))]
     cfg = ExperimentConfig(
         domain_family=doc["domain"]["family"],
         n_types=setting["n_types"],
@@ -156,7 +155,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         policies=list(doc["policies"]),
         episodes=int(doc["episodes"]),
         base_seed=int(doc.get("base_seed", 0)),
-        instance_seeds=seeds,
+        instance_seeds=[int(s) for s in doc.get("instance_seeds", [0])],
         out_dir=doc.get("out_dir", "results"),
         domain_params=dict(doc["domain"].get("params", {})),
         dump_trajectories=bool(doc.get("dump_trajectories", False)),
@@ -164,7 +163,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
     _check_random_size(cfg.policies, cfg.n_types, cfg.rho)
     if cfg.budget > cfg.n_types * cfg.rho:
-        # mirrored from instance validation: never-binding budgets are legal
+        # a never-binding budget is legal: warn only
         log.warning("budget %d exceeds n_types*rho = %d; the budget never binds",
                     cfg.budget, cfg.n_types * cfg.rho)
     return cfg
@@ -198,12 +197,11 @@ class ResultRow:
     ci95: float
     upper_bound: float
     normalized: float  # nan when no random baseline in the run
-    runtime_ms: float
+    runtime_ms: float  # always 0: results.csv holds no clock
     n_episodes: int
 
 
-RESULT_COLUMNS = ("domain", "setting", "instance_seed", "policy", "mean_reward",
-                  "ci95", "upper_bound", "normalized", "runtime_ms", "n_episodes")
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _fmt(x) -> str:
@@ -276,7 +274,7 @@ def run_experiment(config: ExperimentConfig):
                 ci95=summary.half_width,
                 upper_bound=ub,
                 normalized=norm,
-                runtime_ms=summary.wall_clock * 1e3 if config.measure_runtime else 0.0,
+                runtime_ms=0.0,
                 n_episodes=summary.n_episodes,
             ))
 
@@ -350,15 +348,18 @@ def _dump_trajectories(config, instances, prepared):
 def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
     """Optimality-gap decay against the replication factor.
 
-    Evaluates the first configured policy at each rho (ascending), reports
+    Evaluates the configured policy at each rho (ascending), reports
     the per-arm gap (upper_bound - mean) / (rho * N) and the normalized gap
     1 - mean / upper_bound, and fits a log-log slope of the normalized gap
     against rho. The bound is solved at the first rho and scaled by
     rho / rho_0 for the others. Raises ConfigError, before anything is
-    written, unless rho_list is a non-empty strictly ascending list of
-    rho >= 1, when the config asks for timing or a trajectory dump, which a
-    sweep does not write, and when a random sweep would exceed
-    RANDOM_MAX_ARMS arms.
+    written, when
+      - rho_list is not a non-empty strictly ascending list of rho >= 1;
+      - the config asks for timing or a trajectory dump, which a sweep does
+        not write;
+      - the config names more than one policy or instance seed, which
+        gap_curve.csv does not record;
+      - a random sweep would exceed RANDOM_MAX_ARMS arms.
     """
     rho_list = list(rho_list)
     if not rho_list or min(rho_list) < 1 or any(b <= a for a, b in zip(rho_list, rho_list[1:])):
@@ -367,7 +368,10 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
     if config.measure_runtime or config.dump_trajectories:
         raise ConfigError("a rho sweep writes gap_curve.csv only; "
                           "it takes neither timing nor a trajectory dump")
-    policy_name = config.policies[0]
+    if len(config.policies) != 1 or len(config.instance_seeds) != 1:
+        raise ConfigError(f"a rho sweep takes one policy and one instance seed, got "
+                          f"policies {config.policies} and seeds {config.instance_seeds}")
+    [policy_name] = config.policies
     _check_random_size([policy_name], config.n_types, rho_list[-1])
     rows = []
     for rho in rho_list:
@@ -433,30 +437,22 @@ def timing_instances(config: ExperimentConfig) -> list[Instance]:
 def time_policies(config: ExperimentConfig, instances: list[Instance]):
     """Per-policy wall-clock statistics over the instances of timing_instances.
 
-    Every policy is timed on each instance. Wall time covers prepare plus
-    all per-step selection calls, matching the evaluation timing
-    convention; the instance check and the ArmTables build happen when the
-    instance is made, outside the clock. prepare builds the policy's tables
-    and plans its visiting order for every epoch, so the ranking is on the
-    prepare clock and a selection is a budget fill along a planned order,
-    whose cost grows with the number of groups and not with rho. Moving
-    the ranking into prepare shifted timing.csv values, not its columns.
+    Every policy is evaluated afresh on each instance, and its clock is the
+    Summary.wall_clock of that evaluate call: prepare plus all per-step
+    selection calls, environment sampling excluded. The instance check and
+    the ArmTables build happen when the instance is made, outside the
+    clock. prepare builds the policy's tables and plans its visiting order
+    for every epoch, so the ranking is on the prepare clock and a selection
+    is a budget fill along a planned order, whose cost grows with the
+    number of groups and not with rho. Every timed episode passes the
+    simulator's constraint audit, like every evaluated one.
     """
     require_timing_policies(config.policies)
     stats = []
     for name in config.policies:
-        clocks = []
-        for instance in instances:
-            policy = make_policy(name)
-            t0 = time.perf_counter()
-            policy.prepare(instance)
-            prep = time.perf_counter() - t0
-            select_seconds = 0.0
-            for episode in range(config.episodes):
-                result = run_episode(instance, policy, config.base_seed + episode)
-                select_seconds += result.select_seconds
-            clocks.append((prep + select_seconds) * 1e3)
-        clocks = np.array(clocks)
+        clocks = np.array([
+            _evaluate_policy(instance, name, config.episodes, config.base_seed).wall_clock * 1e3
+            for instance in instances])
         stats.append({"policy": name, "mean_ms": float(clocks.mean()),
                       "std_ms": float(clocks.std(ddof=1)) if len(clocks) > 1 else 0.0})
     os.makedirs(config.out_dir, exist_ok=True)

@@ -73,7 +73,6 @@ class LpProblem:
     A_eq: sps.csr_matrix
     b_eq: np.ndarray
     var_index: VarIndex
-    variant: str = ""
 
     @property
     def n_vars(self) -> int:
@@ -146,7 +145,6 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
         A_eq=_csr(eq, (b_eq.size, vi.n_vars)),
         b_eq=b_eq,
         var_index=vi,
-        variant=variant,
     )
 
 

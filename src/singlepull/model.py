@@ -21,9 +21,6 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
-ERROR = "ERROR"
-WARNING = "WARNING"
-
 
 def _freeze(a):
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -113,84 +110,57 @@ class Instance:
         return self.budget * self.rho
 
 
-@dataclass
-class ValidationReport:
-    issues: list[tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not any(sev == ERROR for sev, _ in self.issues)
-
-    def add(self, severity: str, message: str):
-        self.issues.append((severity, message))
-
-    def errors(self) -> list[str]:
-        return [msg for sev, msg in self.issues if sev == ERROR]
-
-
-def validate_arm(model: ArmModel) -> ValidationReport:
-    """Check stochasticity and finite rewards; report, never raise."""
-    report = ValidationReport()
+def validate_arm(model: ArmModel) -> list[str]:
+    """The errors in stochasticity and rewards; report, never raise."""
+    errors = []
     P, r = model.transitions, model.rewards
-    S = model.n_states
 
     if np.any(P < -1e-15) or np.any(P > 1 + 1e-15):
         bad = int(np.sum((P < -1e-15) | (P > 1 + 1e-15)))
-        report.add(ERROR, f"{bad} transition entries outside [0, 1]")
+        errors.append(f"{bad} transition entries outside [0, 1]")
     row_sums = P.sum(axis=2)
-    for s in range(S):
+    for s in range(model.n_states):
         for a in (0, 1):
             if abs(row_sums[s, a] - 1.0) > ROW_SUM_TOL:
-                report.add(ERROR, f"row sum {row_sums[s, a]:.12g} != 1 at state {s}, action {a}")
+                errors.append(f"row sum {row_sums[s, a]:.12g} != 1 at state {s}, action {a}")
     if not np.all(np.isfinite(r)):
-        report.add(ERROR, "non-finite reward entries")
-
-    # Unreachability is a warning only: unichain-ness is assumed, not verified.
-    incoming = P.sum(axis=(0, 1)) - P[np.arange(S), :, np.arange(S)].sum(axis=1)
-    for s in np.flatnonzero(incoming <= ROW_SUM_TOL):
-        report.add(WARNING, f"state {int(s)} has no incoming transitions from other states")
-    return report
+        errors.append("non-finite reward entries")
+    return errors
 
 
-def validate_instance(instance: Instance) -> ValidationReport:
-    """Instance-level checks on top of per-type validate_arm."""
-    report = ValidationReport()
+def validate_instance(instance: Instance) -> list[str]:
+    """The instance-level errors, on top of each type's validate_arm errors."""
+    errors = []
     if instance.rho < 1:
-        report.add(ERROR, f"rho must be positive, got {instance.rho}")
+        errors.append(f"rho must be positive, got {instance.rho}")
     if instance.horizon < 1:
-        report.add(ERROR, f"horizon must be positive, got {instance.horizon}")
+        errors.append(f"horizon must be positive, got {instance.horizon}")
     if instance.budget < 0:
-        report.add(ERROR, f"budget must be non-negative, got {instance.budget}")
+        errors.append(f"budget must be non-negative, got {instance.budget}")
     if len(instance.initial) != len(instance.types):
-        report.add(ERROR, "one initial distribution required per type")
-        return report
+        errors.append("one initial distribution required per type")
+        return errors
     for n, (model, dist) in enumerate(zip(instance.types, instance.initial)):
         if model.expanded:
-            report.add(ERROR, f"type {n}: already contains dummy states; "
-                              "an instance expands its types itself")
+            errors.append(f"type {n}: already contains dummy states; "
+                          "an instance expands its types itself")
             continue
-        sub = validate_arm(model)
-        for sev, msg in sub.issues:
-            report.add(sev, f"type {n}: {msg}")
+        errors.extend(f"type {n}: {msg}" for msg in validate_arm(model))
         if len(dist) != model.n_states:
-            report.add(ERROR, f"type {n}: initial distribution has length {len(dist)}, "
-                              f"expected {model.n_states}")
+            errors.append(f"type {n}: initial distribution has length {len(dist)}, "
+                          f"expected {model.n_states}")
             continue
         if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
-            report.add(ERROR, f"type {n}: initial distribution sums to {dist.sum():.12g}")
+            errors.append(f"type {n}: initial distribution sums to {dist.sum():.12g}")
         if np.any(dist < -1e-15):
-            report.add(ERROR, f"type {n}: negative initial probabilities")
-    if instance.budget > instance.rho * len(instance.types):
-        report.add(WARNING, f"budget {instance.budget} exceeds rho*N = "
-                            f"{instance.rho * len(instance.types)}; never binding")
-    return report
+            errors.append(f"type {n}: negative initial probabilities")
+    return errors
 
 
 def require_valid(instance: Instance):
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValueError("invalid instance: " + "; ".join(report.errors()))
-    return report
+    errors = validate_instance(instance)
+    if errors:
+        raise ValueError("invalid instance: " + "; ".join(errors))
 
 
 def expand_with_dummies(model: ArmModel) -> ArmModel:

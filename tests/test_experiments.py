@@ -30,7 +30,6 @@ def small_config(tmp_path, **overrides):
         "policies": ["spi", "random"],
         "episodes": 10,
         "base_seed": 0,
-        "resample_instances": 1,
         "out_dir": str(tmp_path / "out"),
     }
     doc.update(overrides)
@@ -99,12 +98,13 @@ class TestRunExperiment:
         assert first == second
 
     def test_runtime_column_zero_without_timing(self, tmp_path):
+        # results.csv holds no clock, with or without timing
         cfg = parse_config(small_config(tmp_path))
         rows = run_experiment(cfg)
         assert all(r.runtime_ms == 0.0 for r in rows)
         cfg.measure_runtime = True
         rows = run_experiment(cfg)
-        assert all(r.runtime_ms > 0.0 for r in rows)
+        assert all(r.runtime_ms == 0.0 for r in rows)
 
     def test_bound_holds_up_to_noise(self, tmp_path):
         cfg = parse_config(small_config(tmp_path, episodes=50,
@@ -263,7 +263,7 @@ class TestSweepRho:
         assert "# loglog_slope=" in text
 
     def test_rejects_unsorted(self, tmp_path):
-        cfg = parse_config(small_config(tmp_path))
+        cfg = parse_config(small_config(tmp_path, policies=["spi"]))
         with pytest.raises(ConfigError):
             sweep_rho(cfg, [4, 2])
 
@@ -335,6 +335,26 @@ class TestTiming:
         header = (tmp_path / "out" / "timing.csv").read_text().splitlines()[0]
         assert header == "policy,mean_ms,std_ms"
 
+    def test_clocks_are_the_evaluation_wall_clocks(self, tmp_path, monkeypatch):
+        cfg = parse_config(small_config(tmp_path, episodes=2,
+                                        policies=["spi", "whittle-finite", "random"]))
+        instances = timing_instances(cfg)
+        clock = {id(inst): ms / 1e3 for inst, ms in zip(instances, (1.0, 2.0, 3.0))}
+
+        def fake_evaluate(instance, policy, n_episodes, base_seed):
+            return Summary(mean=0.0, half_width=0.0, n_episodes=n_episodes,
+                           wall_clock=clock[id(instance)])
+
+        monkeypatch.setattr(experiments, "evaluate", fake_evaluate)
+        stats = time_policies(cfg, instances)
+        assert [s["policy"] for s in stats] == cfg.policies
+        for s in stats:
+            assert s["mean_ms"] == pytest.approx(2.0, rel=1e-12)
+            assert s["std_ms"] == pytest.approx(1.0, rel=1e-12)
+        lines = (tmp_path / "out" / "timing.csv").read_text().splitlines()
+        assert lines[0] == "policy,mean_ms,std_ms"
+        assert len(lines) == 1 + len(cfg.policies)
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):
@@ -372,16 +392,16 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "out" / "gap_curve.csv").exists()
 
-    @pytest.mark.parametrize("flags", [["--resample-instances", "0"], ["--policies", ","],
-                                       ["--seeds", "3..4", "--resample-instances", "1"],
-                                       ["--episodes", "1"], ["--seeds", "4..3"]])
+    @pytest.mark.parametrize("flags", [["--policies", ","], ["--episodes", "1"],
+                                       ["--seeds", "4..3"]])
     def test_rejected_override_writes_nothing(self, tmp_path, flags):
         rc = cli.main(["--config", self.write_config(tmp_path)] + flags)
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("given", [{"base_seed": -1}, {"instance_seeds": [-1]},
-                                       {"instance_seeds": [0, 0]}, "--seeds=-1..1"])
+                                       {"instance_seeds": [0, 0]}, "--seeds=-1..1",
+                                       {"resample_instances": 3, "instance_seeds": [5]}])
     def test_rejected_seeds_write_nothing(self, tmp_path, given):
         if isinstance(given, dict):
             argv = ["--config", self.write_config(tmp_path, **given)]
@@ -416,6 +436,16 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("given", [{"policies": ["random", "spi"]},
+                                       {"policies": ["spi"], "instance_seeds": [3, 5]}],
+                             ids=["two-policies", "two-seeds"])
+    def test_sweep_rho_with_more_than_one_policy_or_seed_writes_nothing(self, tmp_path, given):
+        # gap_curve.csv names neither, so the sweep takes exactly one of each
+        argv = ["--config", self.write_config(tmp_path, episodes=2, **given),
+                "--sweep-rho", "1,2"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, key", [("--timing", "measure_runtime"),
                                            ("--dump-trajectories", "dump_trajectories")])
     @pytest.mark.parametrize("given_as", ["flag", "config key"])
@@ -441,16 +471,9 @@ class TestCli:
     def test_domain_the_generator_rejects_writes_nothing(self, tmp_path, domain, n_states,
                                                            sweep):
         setting = {"n_types": 2, "n_states": n_states, "budget": 1, "rho": 2, "horizon": 3}
-        path = self.write_config(tmp_path, domain=domain, setting=setting)
+        path = self.write_config(tmp_path, domain=domain, setting=setting, policies=["spi"])
         assert cli.main(["--config", path] + sweep) == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
-
-    def test_resample_override_replaces_config_seeds(self, tmp_path):
-        rc = cli.main(["--config", self.write_config(tmp_path, episodes=2, instance_seeds=[7]),
-                       "--resample-instances", "2"])
-        assert rc == cli.EXIT_OK
-        csv = (tmp_path / "out" / "results.csv").read_text().splitlines()
-        assert {line.split(",")[2] for line in csv[1:]} == {"0", "1"}
 
     def test_timing_seed_the_generator_rejects_writes_nothing(self, tmp_path):
         # instance seed 0 draws a valid EHRENFEST instance; the timing
@@ -460,6 +483,22 @@ class TestCli:
                                  instance_seeds=[0], policies=["spi", "whittle-finite"])
         assert cli.main(["--config", path, "--timing"]) == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+    def test_timing_leaves_every_report_byte_identical(self, tmp_path):
+        # the cli-report benchmark case: MHMH N=10 S=3 T=10 K=3 rho=10, all policies
+        setting = {"n_types": 10, "n_states": 3, "budget": 3, "rho": 10, "horizon": 10}
+        path = self.write_config(tmp_path, domain={"family": "MHMH"}, setting=setting,
+                                 policies=list(POLICY_NAMES), base_seed=1)
+        written = {}
+        for timing in ([], ["--timing"]):
+            out = tmp_path / ("timed" if timing else "plain")
+            argv = ["--config", path, "--out", str(out), "--dump-trajectories"] + timing
+            assert cli.main(argv) == cli.EXIT_OK
+            written[bool(timing)] = [(out / name).read_bytes() for name in
+                                     ("results.csv", "results.txt", "trajectories.jsonl")]
+        assert written[True] == written[False]
+        assert (tmp_path / "timed" / "timing.csv").exists()
+        assert not (tmp_path / "plain" / "timing.csv").exists()
 
     def test_timing_without_whittle_writes_no_report(self, tmp_path):
         rc = cli.main(["--config", self.write_config(tmp_path), "--timing"])

@@ -89,7 +89,7 @@ class TestStep:
         # still give a valid multinomial draw, and every arm lands in its own half
         for excess in OFF_ROWS:
             arm = off_rows_arm(excess)
-            assert validate_arm(arm).ok
+            assert validate_arm(arm) == []
             tables = tables_of([arm])
             local = np.random.default_rng(0)
             counts = np.array([400_000, 600_000, 0, 0])
