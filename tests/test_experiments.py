@@ -392,8 +392,9 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "out" / "gap_curve.csv").exists()
 
-    @pytest.mark.parametrize("flags", [["--policies", ","], ["--episodes", "1"],
-                                       ["--seeds", "4..3"]])
+    @pytest.mark.parametrize("flags", [["--seeds", "3-4"], ["--policies", ","],
+                                       ["--policies", "spi,nosuch"],
+                                       ["--episodes", "1"], ["--seeds", "4..3"]])
     def test_rejected_override_writes_nothing(self, tmp_path, flags):
         rc = cli.main(["--config", self.write_config(tmp_path)] + flags)
         assert rc == cli.EXIT_CONFIG
