@@ -217,6 +217,29 @@ def _evaluate_policy(instance, name, episodes, base_seed):
     return evaluate(instance, policy, episodes, base_seed)
 
 
+def _saved_failure(config, seed, instance, what, exc) -> SolverStall:
+    """Save instance to failed_instance_<seed>.json; the SolverStall that names the file."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
+    save_instance(instance, path)
+    return SolverStall(f"{what} failed on seed {seed} (instance saved to {path}): {exc}")
+
+
+def _evaluate_or_stall(config, seed, instance, policy):
+    """evaluate(instance, policy) over the configured episodes, failing as SolverStall.
+
+    A solver or index failure (SolverStall, NonConvergent, BracketFail)
+    saves the instance for replay first; InfeasibleAction from the
+    simulator's constraint audit propagates unchanged.
+    """
+    try:
+        return evaluate(instance, policy, config.episodes, config.base_seed)
+    except InfeasibleAction:
+        raise  # a constraint-audit failure, not a solver failure
+    except RuntimeError as exc:
+        raise _saved_failure(config, seed, instance, f"policy {policy.name}", exc) from exc
+
+
 def run_experiment(config: ExperimentConfig):
     """Evaluate every (instance draw, policy) pair and write report files.
 
@@ -228,30 +251,18 @@ def run_experiment(config: ExperimentConfig):
     """
     instances = {seed: config.instance(seed) for seed in config.instance_seeds}
     os.makedirs(config.out_dir, exist_ok=True)
-
-    def failed(seed, what, exc):
-        path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
-        save_instance(instances[seed], path)
-        return SolverStall(f"{what} failed on seed {seed} (instance saved to {path}): {exc}")
-
     bounds = {}
     for seed, instance in instances.items():
         try:
             bounds[seed] = lp.upper_bound(instance)
         except SolverStall as exc:
-            raise failed(seed, "upper-bound solve", exc) from exc
+            raise _saved_failure(config, seed, instance, "upper-bound solve", exc) from exc
     summaries = {}
     prepared = {}  # (seed, name) -> evaluated policy, kept only for the dump
     for seed, instance in instances.items():
         for name in config.policies:
             policy = make_policy(name)
-            try:
-                summaries[seed, name] = evaluate(instance, policy, config.episodes,
-                                                 config.base_seed)
-            except InfeasibleAction:
-                raise  # a constraint-audit failure, not a solver failure
-            except RuntimeError as exc:  # SolverStall, NonConvergent, BracketFail
-                raise failed(seed, f"policy {name}", exc) from exc
+            summaries[seed, name] = _evaluate_or_stall(config, seed, instance, policy)
             if config.dump_trajectories:
                 prepared[seed, name] = policy
 
@@ -426,12 +437,16 @@ def timing_instances(config: ExperimentConfig) -> list[Instance]:
     rejects raises ConfigError; the CLI draws these before run_experiment
     writes anything, so such a config writes nothing.
     """
+    return [config.instance(seed) for seed in _timing_seeds(config)]
+
+
+def _timing_seeds(config: ExperimentConfig) -> list[int]:
     seeds = list(config.instance_seeds)
     fresh = max(seeds, default=0) + 1
     while len(seeds) < 3:
         seeds.append(fresh)
         fresh += 1
-    return [config.instance(seed) for seed in seeds]
+    return seeds
 
 
 def time_policies(config: ExperimentConfig, instances: list[Instance]):
@@ -445,14 +460,16 @@ def time_policies(config: ExperimentConfig, instances: list[Instance]):
     for every epoch, so the ranking is on the prepare clock and a selection
     is a budget fill along a planned order, whose cost grows with the
     number of groups and not with rho. Every timed episode passes the
-    simulator's constraint audit, like every evaluated one.
+    simulator's constraint audit, like every evaluated one, and a solver or
+    index failure is saved for replay and raised as SolverStall, as in
+    run_experiment.
     """
     require_timing_policies(config.policies)
     stats = []
     for name in config.policies:
         clocks = np.array([
-            _evaluate_policy(instance, name, config.episodes, config.base_seed).wall_clock * 1e3
-            for instance in instances])
+            _evaluate_or_stall(config, seed, instance, make_policy(name)).wall_clock * 1e3
+            for seed, instance in zip(_timing_seeds(config), instances)])
         stats.append({"policy": name, "mean_ms": float(clocks.mean()),
                       "std_ms": float(clocks.std(ddof=1)) if len(clocks) > 1 else 0.0})
     os.makedirs(config.out_dir, exist_ok=True)

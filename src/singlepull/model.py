@@ -290,14 +290,22 @@ def point_initial(n_states: int, s: int) -> np.ndarray:
 
 
 def _renormalize_rows(P: np.ndarray) -> np.ndarray:
-    """Renormalize rows whose sums are within ROW_SUM_TOL of 1; reject others."""
+    """Renormalize rows whose sums are within ROW_SUM_TOL of 1; reject others.
+
+    A row whose sum is within round-off of 1 (S ulps for S entries) is kept
+    bit for bit: dividing it by its sum would move entries by an ulp or two
+    without making it any more stochastic, and a saved instance must reload
+    as the very instance it was.
+    """
     P = np.array(P, dtype=float)
     sums = P.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        worst = float(np.abs(sums - 1.0).max())
-        raise ValueError(f"transition row sums deviate from 1 by up to {worst:.3g} "
+    deviation = np.abs(sums - 1.0)
+    if np.any(deviation > ROW_SUM_TOL):
+        raise ValueError(f"transition row sums deviate from 1 by up to {deviation.max():.3g} "
                          f"(tolerance {ROW_SUM_TOL:g})")
-    return P / sums[..., None]
+    off = deviation > P.shape[-1] * np.finfo(float).eps
+    P[off] /= sums[off][:, None]
+    return P
 
 
 def save_instance(instance: Instance, path: str):
@@ -322,7 +330,11 @@ def save_instance(instance: Instance, path: str):
 
 
 def load_instance(path: str) -> Instance:
-    """Load an instance document, renormalizing rows within tolerance; construction checks it."""
+    """Load an instance document; construction checks it.
+
+    Transition rows off by more than round-off are renormalized (within
+    ROW_SUM_TOL), and the others are kept bit for bit.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     types = []

@@ -8,17 +8,19 @@ damping. The finite-horizon variant replaces the inner evaluation with
 backward induction from the end of the horizon, giving a time-dependent
 index.
 
-Both DPs solve one problem per row of a subsidy vector, so one bisection
-moves every entry at once. The infinite-horizon index goes further: the
-types of an instance that share a state count are bisected together, one
-policy-iteration row per (type, subsidy), so an instance costs one
-bisection per distinct state count rather than one per type. Policy
-iteration meets the same few policies at every step of a bisection, so
-the Cesaro limit of each policy's matrix is squared out once per
-bisection, not once per step. The finite-horizon indices stay one
-bisection per type: each step's backward induction is T sweeps over the
-type's whole value array, so its cost lies in the arrays rather than in
-the per-call overhead that stacking saves.
+Both DPs solve one problem per row of a subsidy vector, and the types of
+an instance that share a state count are bisected together, so one
+bisection moves every entry of those types at once and an instance costs
+one bisection per distinct state count rather than one per type; a step's
+cost is then one DP call however many types share it. Policy iteration
+solves one row per entry still searching. It meets the same few policies
+at every step of a bisection, so the Cesaro limit of each policy's matrix
+is squared out once per bisection, not once per step, and a call keeps its
+books once per distinct (type, policy), not once per row. Backward
+induction solves one row per distinct (type, subsidy) among the entries
+still searching (at the first midpoint every entry of a type shares one),
+swept back only to the earliest epoch those entries ask for; each epoch is
+one batched product over the types.
 
 Every entry keeps the bracket and the midpoints a bisection of its type
 alone would visit, and each DP row comes out bit for bit as in a call for
@@ -83,15 +85,18 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     """Indifference subsidy of every entry of every type's gap array, all bisected together.
 
     halfwidths maps each type id to its starting half-width. qdiff_at(lam,
-    type_of) maps (B,) subsidies, row b for type type_of[b], to gaps
-    shaped (B,) + E. Each type grows its own bracket [-hw, hw], doubling
+    type_of, entry) maps (B,) subsidies, row b for type type_of[b], to gaps
+    shaped (B,) + E. The bracket search reads every entry (entry is None);
+    a bisection step passes one row per entry still searching and reads
+    row b only at its flat entry entry[b], so the callback may solve each
+    distinct (type, subsidy) once and only as far as those entries need.
+    Each type grows its own bracket [-hw, hw], doubling
     hw until its entries' endpoint gaps straddle zero, at most
     BRACKET_GROWTH_LIMIT times: the equalizing subsidy can exceed the
     per-step reward span by the bias range, which is large for lazy chains
     (small per-step motion), so a fixed bracket is not enough. Each entry
     then keeps the scalar rule: take the midpoint, stop once |gap| <= tol /
-    2, else move lo (gap > 0) or hi; each step evaluates only the entries
-    still searching, one DP row each. Returns shape (len(halfwidths),) + E,
+    2, else move lo (gap > 0) or hi. Returns shape (len(halfwidths),) + E,
     types in the order of halfwidths.
     """
     types = np.array(list(halfwidths), dtype=np.int64)
@@ -100,8 +105,8 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     for doublings in range(BRACKET_GROWTH_LIMIT + 1):
         if doublings:
             hw[grow] *= 2.0
-        lo_gap = qdiff_at(-hw[grow], types[grow])
-        hi_gap = qdiff_at(hw[grow], types[grow])
+        lo_gap = qdiff_at(-hw[grow], types[grow], None)
+        hi_gap = qdiff_at(hw[grow], types[grow], None)
         if not doublings:
             qd_lo, qd_hi = np.empty_like(lo_gap), np.empty_like(hi_gap)
         qd_lo[grow], qd_hi[grow] = lo_gap, hi_gap
@@ -122,7 +127,9 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     for _ in range(BISECT_MAX_ITERS):
         mid = 0.5 * (lo[live] + hi[live])
         lam[live] = mid
-        qd = qdiff_at(mid, types[live // n]).reshape(live.size, n)[np.arange(live.size), live % n]
+        entry = live % n
+        qd = qdiff_at(mid, types[live // n], entry).reshape(live.size, n)
+        qd = qd[np.arange(live.size), entry]
         searching = np.abs(qd) > 0.5 * tol
         up = searching & (qd > 0)
         lo[live[up]] = mid[up]
@@ -171,25 +178,42 @@ class _CesaroLimits:
     """
 
     def __init__(self):
-        self._moves = {}    # matrix bytes -> [move_1, move_2, ...]
-        self._squares = {}  # matrix bytes -> [M_c, M_c+1, ...], c its first move <= TIE_TOL
+        self._named = {}  # (type, name bytes) -> matrix bytes
+        self._known = {}  # matrix bytes -> _Squares
 
-    def __call__(self, P: np.ndarray, type_of: np.ndarray) -> np.ndarray:
-        """P* of every row of P (B, S, S); type_of[b] is row b's type."""
-        keys = [p.tobytes() for p in P]
-        new = {k: b for b, k in enumerate(keys) if k not in self._moves}
-        if new:
-            self._start(list(new), P[list(new.values())])
+    def __call__(self, P: np.ndarray, type_of: np.ndarray, names: np.ndarray) -> np.ndarray:
+        """P* of every row of P (B, S, S); type_of[b] is row b's type.
+
+        Row b's matrix is named by its type and the bytes of names[b], such
+        as the policy that picks its rows: across all calls on this object,
+        rows of one type with equal names must have equal matrices. The
+        bookkeeping runs once per distinct (type, name) pair, and each row
+        takes its pair's limit; a matrix's bytes are read once per name.
+        """
+        pairs = {}  # (type, name bytes) -> its place among the distinct pairs
+        at = np.array([pairs.setdefault(pair, len(pairs))
+                       for pair in zip(type_of.tolist(), (x.tobytes() for x in names))])
+        if any(pair not in self._named for pair in pairs):
+            new = {}
+            rows = np.flatnonzero(np.diff(np.maximum.accumulate(at), prepend=-1))  # pair's first
+            for pair, b in zip(pairs, rows.tolist()):
+                if pair not in self._named:
+                    key = self._named[pair] = P[b].tobytes()
+                    if key not in self._known:
+                        new.setdefault(key, b)
+            if new:
+                self._start(list(new), P[list(new.values())])
+        squares = [self._known[self._named[pair]] for pair in pairs]
         by_type = {}
-        for t, k in dict.fromkeys(zip(type_of.tolist(), keys)):
-            by_type.setdefault(t, []).append(k)
+        for (t, _), m in zip(pairs, squares):
+            by_type.setdefault(t, []).append(m)
         stop = {}
-        for t, ks in by_type.items():
-            j = max(self._first(k) for k in ks)
-            while j < CESARO_MAX_SQUARINGS and max(self._move(k, j) for k in ks) > TIE_TOL:
+        for t, known in by_type.items():
+            j = max(m.first for m in known)
+            while j < CESARO_MAX_SQUARINGS and max(m.move(j) for m in known) > TIE_TOL:
                 j += 1
             stop[t] = j
-        return np.array([self._power(k, stop[t]) for t, k in zip(type_of.tolist(), keys)])
+        return np.array([m.power(stop[t]) for (t, _), m in zip(pairs, squares)])[at]
 
     def _start(self, keys, P):
         """Square each new matrix until its own first move <= TIE_TOL (or the cap)."""
@@ -204,23 +228,29 @@ class _CesaroLimits:
             if going.size == 0:
                 break
         for k, m, move in zip(keys, M, moves):
-            self._moves[k], self._squares[k] = move, [m]
+            self._known[k] = _Squares(move, m)
 
-    def _first(self, k) -> int:
-        return len(self._moves[k]) - len(self._squares[k]) + 1
 
-    def _power(self, k, j: int) -> np.ndarray:
-        """M_j of matrix k, j >= its first move <= TIE_TOL, squaring further as needed."""
-        while len(self._squares[k]) <= j - self._first(k):
-            M2, moved = _normalised_square(self._squares[k][-1][None])
-            self._moves[k].append(float(moved[0]))
-            self._squares[k].append(M2[0])
-        return self._squares[k][j - self._first(k)]
+class _Squares:
+    """One matrix's moves max |M_j - M_{j-1}| and its squares M_j from its first move <= TIE_TOL."""
 
-    def _move(self, k, j: int) -> float:
-        """max |M_j - M_{j-1}| of matrix k."""
-        self._power(k, j)
-        return self._moves[k][j - 1]
+    __slots__ = ("moves", "squares", "first")
+
+    def __init__(self, moves: list, square: np.ndarray):
+        self.moves, self.squares, self.first = moves, [square], len(moves)
+
+    def power(self, j: int) -> np.ndarray:
+        """M_j, j >= first, squaring further as needed."""
+        while len(self.squares) <= j - self.first:
+            M2, moved = _normalised_square(self.squares[-1][None])
+            self.moves.append(float(moved[0]))
+            self.squares.append(M2[0])
+        return self.squares[j - self.first]
+
+    def move(self, j: int) -> float:
+        """max |M_j - M_{j-1}|."""
+        self.power(j)
+        return self.moves[j - 1]
 
 
 def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=None):
@@ -229,8 +259,9 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     Row b solves type models[type_of[b]] (default: type 0 for every row)
     at subsidy lam[b]; the types the rows name share a state count. Each
     type's rows come out bit for bit as a call with that type and those
-    rows alone. limits, a _CesaroLimits, may be shared by calls that meet
-    the same policies, such as the steps of one bisection; it changes no
+    rows alone. limits, a _CesaroLimits, may be shared by calls on the same
+    models, such as the steps of one bisection, which meet the same
+    policies; it names each matrix by its type and policy, and changes no
     result.
 
     Solved exactly by multichain Howard policy iteration (Puterman 1994,
@@ -275,7 +306,7 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
                                         for x in (active, P, Pt, r0, r1, alone))
         P_pi = np.where(a[..., None], p[:, :, 1], p[:, :, 0])
         r_pi = np.where(a, q_r1, q_r0)
-        P_star = limits(P_pi, type_of[rows])
+        P_star = limits(P_pi, type_of[rows], a)
         g_pi = (P_star @ r_pi[..., None])[..., 0]
         h_pi = np.linalg.solve(eye - P_pi + P_star, (r_pi - g_pi)[..., None])[..., 0]
         x = np.empty((rows.size, 2, S))
@@ -306,52 +337,152 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     return qdiff.reshape(lam.shape + (S,)), h.reshape(lam.shape + (S,))
 
 
+def _state_count_groups(models: list[ArmModel]) -> list[list[int]]:
+    """The type ids of each distinct state count, counts in order of first appearance."""
+    groups = {}
+    for n, m in enumerate(models):
+        groups.setdefault(m.n_states, []).append(n)
+    return list(groups.values())
+
+
+def _index_per_state_count(models: list[ArmModel], qdiff_at, tol: float) -> list[np.ndarray]:
+    """Every type's index array, one _subsidy_index bisection per state count."""
+    values = [None] * len(models)
+    for members in _state_count_groups(models):
+        index = _subsidy_index({n: _bracket_halfwidth(models[n]) for n in members}, qdiff_at, tol)
+        for n, v in zip(members, index):
+            values[n] = v
+    return values
+
+
 def whittle_index_infinite(models: list[ArmModel], tol: float = DEFAULT_TOL) -> IndexTable:
     """Stationary subsidy index per (type, state), one bisection per state count."""
-    values = [None] * len(models)
     limits = _CesaroLimits()
-    for S in dict.fromkeys(m.n_states for m in models):
-        members = [n for n, m in enumerate(models) if m.n_states == S]
-        index = _subsidy_index(
-            {n: _bracket_halfwidth(models[n]) for n in members},
-            lambda lam, type_of: relative_value_iteration(models, lam, type_of, limits)[0],
-            tol,
-        )
-        for n, v in zip(members, index):
-            values[n] = v[:, None]
-    return IndexTable(values=values, time_dependent=False)
+    values = _index_per_state_count(
+        models,
+        lambda lam, type_of, entry: relative_value_iteration(models, lam, type_of, limits)[0],
+        tol,
+    )
+    return IndexTable(values=[v[:, None] for v in values], time_dependent=False)
 
 
-def finite_horizon_qdiff(model: ArmModel, T: int, lam) -> np.ndarray:
+def finite_horizon_qdiff(models: list[ArmModel], T: int, lam, type_of=None, first=None):
     """Q_t(s,1) - Q_t(s,0) under passive subsidy lam (scalar or (B,)), shaped lam.shape + (S, T).
 
-    One backward induction over a lam.shape + (S,) value array.
+    Row b solves type models[type_of[b]] (default: type 0 for every row)
+    at subsidy lam[b]; the types the rows name share a state count. One
+    backward induction sweeps every row: each epoch is one (rows, S) @
+    P_a.T product per type, through BLAS's matrix kernel, whose rows agree
+    whatever their count, and a type's only row goes through the vector
+    kernel instead, so each type's rows come out bit for bit as a call
+    with that type and those rows alone. Row b is swept back only to epoch
+    first[b] (default 0); its epochs before that are left unset.
     """
     lam = np.asarray(lam, dtype=float)
-    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T for a = 0, 1
-    r0 = model.rewards[:, 0] + lam[..., None]
-    r1 = model.rewards[:, 1]
-    qdiff = np.empty(lam.shape + (model.n_states, T))
-    v = np.zeros(lam.shape + (model.n_states,))
-    for t in range(T - 1, -1, -1):
-        q0 = r0 + v @ P0T
-        q1 = r1 + v @ P1T
-        qdiff[..., t] = q1 - q0
-        v = np.maximum(q0, q1)
-    return qdiff
+    lams = lam.reshape(-1)
+    B = lams.size
+    type_of = np.zeros(B, dtype=np.int64) if type_of is None else np.asarray(type_of)
+    first = np.zeros(B, dtype=np.int64) if first is None else np.asarray(first)
+    S = models[type_of[0]].n_states
+    qdiff = np.empty((T, B + 1, S))  # row B takes the padding slots' values
+    counts = np.bincount(type_of)
+    for alone in (True, False):
+        rows = np.flatnonzero((counts[type_of] == 1) == alone)
+        if rows.size:
+            _sweep(models, T, np.append(lams, 0.0), type_of, first, rows, qdiff)
+    return np.moveaxis(qdiff[:, :B], 0, -1).reshape(lam.shape + (S, T))
+
+
+def _sweep(models, T, lams, type_of, first, rows, out):
+    """Backward induction of the given rows, one batched product per epoch, into out[t, b].
+
+    The rows are laid out as (types, slots), each type's rows by first
+    epoch and the types by their earliest one, so the rows an epoch still
+    needs are a leading block, and only that block is swept. Padding slots
+    solve their type at subsidy lams[-1] = 0 and write to out[:, -1]. A
+    type of two or more rows keeps at least two slots in every block, so
+    its products never fall to the vector kernel.
+    """
+    order = rows[np.lexsort((first[rows], type_of[rows]))]
+    types = type_of[order]
+    new = np.diff(types, prepend=-1) != 0
+    start = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    by_first = np.argsort(first[order][start], kind="stable")
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    k, R = start.size, int(np.diff(np.append(start, order.size)).max())
+    slot = (rank[group], np.arange(order.size) - start[group])
+    row_of = np.full((k, R), lams.size - 1)
+    row_of[slot] = order
+    first_of = np.full((k, R), T)
+    first_of[slot] = first[order]
+    epochs = np.arange(T)
+    n_types = np.searchsorted(first_of[:, 0], epochs, side="right").tolist()
+    n_slots = np.maximum(np.searchsorted(first_of.min(axis=0), epochs, side="right"),
+                         min(R, 2)).tolist()
+    ids = types[start][by_first]
+    Pt = np.array([models[n].transitions for n in ids]).transpose(0, 2, 3, 1)  # P_a.T
+    rewards = np.array([models[n].rewards for n in ids])
+    r0 = rewards[:, None, :, 0] + lams[row_of][..., None]
+    r1 = rewards[:, None, :, 1]
+    v = np.zeros(row_of.shape + (Pt.shape[-1],))
+    for t in range(T - 1, int(first[rows].min()) - 1, -1):
+        m, r = n_types[t], n_slots[t]
+        q = v[:m, None, :r] @ Pt[:m]
+        q0, q1 = q[:, 0], q[:, 1]
+        q0 += r0[:m, :r]
+        q1 += r1[:m]
+        out[t, row_of[:m, :r]] = q1 - q0
+        np.maximum(q0, q1, out=v[:m, :r])
+
+
+def _distinct_rows(lam: np.ndarray, type_of: np.ndarray):
+    """Group the entries of a bisection step into the DP rows that solve them.
+
+    A row is one distinct (type, subsidy): at the first midpoint every
+    entry of a type shares one. A type of two or more entries but one
+    subsidy still gets two rows, its last entry one of its own, so its
+    products stay on BLAS's matrix kernel as in a bisection of that type
+    alone, and every row comes out bit for bit as there. Returns (order,
+    start, at): the entries sorted so that each row's entries are a run,
+    where each run starts in that order, and the row of every entry.
+    """
+    order = np.lexsort((lam, type_of))
+    ls, ts = lam[order], type_of[order]
+    new = np.ones(lam.size, dtype=bool)
+    new[1:] = (ls[1:] != ls[:-1]) | (ts[1:] != ts[:-1])
+    last = np.append(ts[1:] != ts[:-1], True)  # each type's last entry
+    new |= last & (np.bincount(ts, weights=new)[ts] == 1)
+    at = np.empty(lam.size, dtype=np.int64)
+    at[order] = np.cumsum(new) - 1
+    return order, np.flatnonzero(new), at
 
 
 def whittle_index_finite(models: list[ArmModel], T: int, tol: float = DEFAULT_TOL) -> IndexTable:
-    """Time-dependent subsidy index per (type, state, t), one bisection per type."""
-    values = [
-        _subsidy_index({n: _bracket_halfwidth(m)},
-                       lambda lam, type_of, m=m: finite_horizon_qdiff(m, T, lam), tol)[0]
-        for n, m in enumerate(models)
-    ]
-    return IndexTable(values=values, time_dependent=True)
+    """Time-dependent subsidy index per (type, state, t), one bisection per state count.
+
+    Each bisection step solves the rows of _distinct_rows, each swept back
+    to the earliest epoch any of its entries asks for.
+    """
+    def gaps(lam, type_of, entry):
+        if entry is None:
+            return finite_horizon_qdiff(models, T, lam, type_of)
+        order, start, at = _distinct_rows(lam, type_of)
+        rows = order[start]
+        epoch = entry % T
+        first = np.minimum.reduceat(epoch[order], start)
+        q = finite_horizon_qdiff(models, T, lam[rows], type_of[rows], first)
+        # only entry[b] of row b is read, so each row's gap fills its block
+        return np.broadcast_to(q[at, entry // T, epoch][:, None, None], (lam.size,) + q.shape[1:])
+
+    return IndexTable(values=_index_per_state_count(models, gaps, tol), time_dependent=True)
 
 
 def q_difference_indices(models: list[ArmModel], T: int) -> IndexTable:
-    """Plain Q-value gaps from unsubsidized backward induction, per type."""
-    return IndexTable(values=[finite_horizon_qdiff(m, T, 0.0) for m in models],
-                      time_dependent=True)
+    """Plain Q-value gaps from unsubsidized backward induction, one DP per state count."""
+    values = [None] * len(models)
+    for members in _state_count_groups(models):
+        for n, v in zip(members, finite_horizon_qdiff(models, T, np.zeros(len(members)), members)):
+            values[n] = v
+    return IndexTable(values=values, time_dependent=True)

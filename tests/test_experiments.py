@@ -17,7 +17,10 @@ from singlepull.experiments import (
     time_policies,
     timing_instances,
 )
+from singlepull.model import load_instance
+from singlepull.simplex import SolverStall
 from singlepull.simulator import InfeasibleAction, Summary
+from singlepull.whittle import BracketFail, NonConvergent
 from singlepull import evaluate, experiments, lp, model, oracle, policies
 from singlepull.domains import make_instance
 from singlepull.policies import POLICY_NAMES, BasePolicy, make_policy
@@ -522,3 +525,28 @@ class TestCli:
         rc = cli.main(["--config", self.write_config(tmp_path), "--episodes", "2"])
         assert rc == cli.EXIT_SOLVER
         assert (tmp_path / "out" / "failed_instance_0.json").exists()
+
+    @pytest.mark.parametrize("failure", [NonConvergent, BracketFail, SolverStall])
+    def test_timing_failure_saves_its_instance_and_exits_3(self, tmp_path, monkeypatch, failure):
+        # whittle-infinite prepares on seed 0 in the evaluation pass, then on
+        # the timing seeds 0, 1, 2: its third build, on timing seed 1, fails
+        real, builds = policies.whittle_index_infinite, []
+
+        def third_build_fails(models, *args):
+            builds.append(len(models))
+            if len(builds) == 3:
+                raise failure("injected")
+            return real(models, *args)
+
+        monkeypatch.setattr(policies, "whittle_index_infinite", third_build_fails)
+        setting = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 2, "horizon": 4}
+        path = self.write_config(tmp_path, setting=setting, policies=["spi", "whittle-infinite"])
+        rc = cli.main(["--config", path, "--episodes", "2", "--timing"])
+        assert rc == cli.EXIT_SOLVER
+        assert len(builds) == 3
+        saved = load_instance(str(tmp_path / "out" / "failed_instance_1.json"))
+        drawn = parse_config(json.loads((tmp_path / "cfg.json").read_text())).instance(1)
+        for a, b in zip(saved.types, drawn.types):
+            assert np.array_equal(a.transitions, b.transitions)
+            assert np.array_equal(a.rewards, b.rewards)
+        assert not (tmp_path / "out" / "timing.csv").exists()

@@ -4,6 +4,7 @@ import pytest
 from singlepull import (
     ArmModel,
     Instance,
+    domains,
     expand_with_dummies,
     load_instance,
     save_instance,
@@ -203,9 +204,26 @@ class TestInstanceIo:
         loaded = load_instance(str(path))
         assert loaded.rho == 4 and loaded.budget == 2 and loaded.horizon == 5
         for a, b in zip(inst.types, loaded.types):
-            assert np.allclose(a.transitions, b.transitions, atol=1e-12)
-            assert np.allclose(a.rewards, b.rewards)
+            assert np.array_equal(a.transitions, b.transitions)
+            assert np.array_equal(a.rewards, b.rewards)
             assert a.label == b.label
+
+    @pytest.mark.parametrize("family", domains.FAMILIES)
+    def test_every_family_reloads_bit_for_bit(self, tmp_path, family):
+        # a replay file is only a replay if index failures, which hinge on
+        # TIE_TOL-scale gaps, meet the very same instance
+        n_states = 3 if family == domains.MHMH else 5
+        for seed in range(10):
+            inst = domains.make_instance(domains.DomainSpec(family, 4, n_states, seed=seed),
+                                         budget=1, rho=1, horizon=4)
+            path = tmp_path / f"instance_{seed}.json"
+            save_instance(inst, str(path))
+            loaded = load_instance(str(path))
+            for a, b in zip(inst.types, loaded.types):
+                assert np.array_equal(a.transitions, b.transitions)
+                assert np.array_equal(a.rewards, b.rewards)
+            for a, b in zip(inst.initial, loaded.initial):
+                assert np.array_equal(a, b)
 
     def test_loader_renormalizes_within_tolerance(self, tmp_path):
         m = two_state_arm()

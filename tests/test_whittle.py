@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from singlepull import ArmModel, domains, expand_with_dummies, make_policy
+from singlepull import ArmModel, domains, expand_with_dummies, make_policy, whittle
 from singlepull.domains import DomainSpec, closed_form_whittle, ehrenfest_arm
 from singlepull.whittle import (
     DEFAULT_TOL,
@@ -21,6 +21,8 @@ from conftest import random_arm
 from whittle_reference import (
     backward_qdiff,
     cesaro_limit,
+    per_type_finite,
+    per_type_qdiff,
     reference_finite,
     reference_infinite,
     rvi_qdiff,
@@ -167,9 +169,9 @@ class TestBatchedDp:
         model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
         T = 5
         lams = np.array([-0.7, 0.0, 1.1])
-        qd = finite_horizon_qdiff(model, T, lams)
+        qd = finite_horizon_qdiff([model], T, lams)
         assert qd.shape == (3, model.n_states, T)
-        assert finite_horizon_qdiff(model, T, 0.4).shape == (model.n_states, T)
+        assert finite_horizon_qdiff([model], T, 0.4).shape == (model.n_states, T)
         for lam, block in zip(lams, qd):
             assert np.allclose(block, backward_qdiff(model, T, lam), rtol=0, atol=1e-12)
 
@@ -216,18 +218,20 @@ class TestAgainstScalarReference:
 class TestSubsidyIndex:
     def test_gap_that_never_crosses_raises_bracket_fail(self):
         with pytest.raises(BracketFail, match=r"^type 0, entry \(0,\)"):
-            _subsidy_index({0: 1.0}, lambda lam, type_of: np.ones(np.shape(lam) + (3,)), 1e-6)
+            _subsidy_index({0: 1.0},
+                           lambda lam, type_of, entry: np.ones(np.shape(lam) + (3,)), 1e-6)
 
     def test_bracket_fail_names_the_type_that_cannot_bracket(self):
         # type 0's gaps cross zero at lam = 0.3; type 1's stay positive
-        def qdiff_at(lam, type_of):
+        def qdiff_at(lam, type_of, entry=None):
             return np.where((type_of == 0)[:, None], 0.3 - lam[:, None], 1.0) * np.ones(2)
 
         with pytest.raises(BracketFail, match=r"^type 1, entry \(0,\)"):
             _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-6)
         with pytest.raises(BracketFail, match=r"^type 7, "):
             _subsidy_index({4: 1.0, 7: 1.0},
-                           lambda lam, type_of: qdiff_at(lam, (type_of == 7).astype(int)), 1e-6)
+                           lambda lam, type_of, entry:
+                           qdiff_at(lam, (type_of == 7).astype(int)), 1e-6)
 
     def test_linear_gaps_stop_independently(self):
         # gap a_e - lam: entries on a bisection midpoint stop after 1, 2, 3
@@ -235,7 +239,7 @@ class TestSubsidyIndex:
         a = np.array([[0.0, 0.5], [-0.25, np.sqrt(2) / 10]])
         calls = []
 
-        def qdiff_at(lam, type_of):
+        def qdiff_at(lam, type_of, entry):
             assert np.all(type_of == 0)
             calls.append(lam.size)
             return a - lam[..., None, None]
@@ -252,7 +256,7 @@ class TestSubsidyIndex:
         cross = np.array([0.5, 5.0])
         seen = {0: set(), 1: set()}
 
-        def qdiff_at(lam, type_of):
+        def qdiff_at(lam, type_of, entry):
             for x, n in zip(lam, type_of):
                 seen[int(n)].add(abs(float(x)))
             return (cross[type_of] - lam)[:, None]
@@ -290,6 +294,67 @@ class TestStackedTypes:
             stacked = build(models)
             for m, values in zip(models, stacked.values):
                 assert np.array_equal(values, build([m]).values[0])
+
+    def test_merged_trimmed_finite_rows_equal_per_type_sweeps(self):
+        # type 1 has one row beside two multi-row types; types 0 and 2 repeat
+        # a subsidy; the rows' first epochs cover 0..T-1
+        rng = np.random.default_rng(21)
+        models = [expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
+                  for _ in range(3)]
+        T = 6
+        type_of = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
+        lams = np.array([0.3, -0.2, 0.3, 1.1, 0.4, 0.0, 0.0, -0.7, 0.0])
+        first = np.array([0, 3, 5, 2, 4, 1, 5, 0, 2])
+        qd = finite_horizon_qdiff(models, T, lams, type_of, first)
+        assert qd.shape == (9, models[0].n_states, T)
+        for n in range(3):
+            rows = np.flatnonzero(type_of == n)
+            full = per_type_qdiff(models[n], T, lams[rows])
+            for b, sweep in zip(rows, full):
+                assert np.array_equal(qd[b, :, first[b]:], sweep[:, first[b]:])
+        untrimmed = finite_horizon_qdiff(models, T, lams, type_of)
+        for n in range(3):
+            rows = type_of == n
+            assert np.array_equal(untrimmed[rows], per_type_qdiff(models[n], T, lams[rows]))
+
+    def test_finite_tables_equal_per_type_bisections(self):
+        # one bisection per state count, one DP row per distinct (type,
+        # subsidy), each swept back only as far as its entries ask, against
+        # one bisection per type with one full sweep per entry
+        for types in self.instances():
+            models = [expand_with_dummies(m) for m in types]
+            for T in (1, 4):
+                table = whittle_index_finite(models, T)
+                for m, values in zip(models, table.values):
+                    assert np.array_equal(values, per_type_finite(m, T))
+
+    def test_finite_bisection_gaps_equal_per_type_rows(self, monkeypatch):
+        # every gap a merged bisection step reads equals, bit for bit, the
+        # gap of a sweep over that type's searching entries alone, one row
+        # each: a type with one entry on the vector kernel, others on the
+        # matrix kernel even where all their entries share one subsidy
+        models = [expand_with_dummies(m)
+                  for m in domains.make_models(DomainSpec(domains.RANDOM, 3, 3, seed=1))]
+        T = 4
+        steps = []
+        bisect = whittle._subsidy_index
+
+        def checked(halfwidths, qdiff_at, tol):
+            def gaps(lam, type_of, entry):
+                out = qdiff_at(lam, type_of, entry)
+                if entry is not None:
+                    got = out.reshape(lam.size, -1)[np.arange(lam.size), entry]
+                    for n in np.unique(type_of):
+                        rows = type_of == n
+                        want = per_type_qdiff(models[n], T, lam[rows]).reshape(rows.sum(), -1)
+                        assert np.array_equal(got[rows], want[np.arange(rows.sum()), entry[rows]])
+                    steps.append(np.bincount(type_of))
+                return out
+            return bisect(halfwidths, gaps, tol)
+
+        monkeypatch.setattr(whittle, "_subsidy_index", checked)
+        whittle_index_finite(models, T)
+        assert any((c == 1).any() for c in steps) and any((c > 1).all() for c in steps)
 
     def test_rvi_rows_equal_single_type_calls(self, rng):
         # three S=4 types, one of them a multichain dummy expansion
@@ -331,11 +396,48 @@ class TestStackedTypes:
         for _ in range(12):
             pick = rng.integers(0, 4, size=int(rng.integers(1, 7)))
             type_of = rng.integers(0, 2, size=pick.size)
-            got = limits(mats[pick], type_of)
+            got = limits(mats[pick], type_of, mats[pick])
             for t in (0, 1):
                 rows = type_of == t
                 if rows.any():
                     assert np.array_equal(got[rows], cesaro_limit(mats[pick[rows]]))
+
+    def test_cesaro_limits_named_by_policy_match_squaring_each_call(self):
+        # rows named by a policy row (here the matrix's index) share their
+        # bookkeeping; each still gets its type's stopping count
+        rng = np.random.default_rng(5)
+        mats = []
+        for stay in (0.3, 0.95, 0.995, 0.9995, 0.5):
+            P = stay * np.eye(4) + (1 - stay) * rng.dirichlet(np.ones(4), size=4)
+            mats.append(P / P.sum(axis=1, keepdims=True))
+        mats = np.array(mats)
+        limits = _CesaroLimits()
+        for _ in range(20):
+            pick = rng.integers(0, 5, size=int(rng.integers(1, 9)))
+            type_of = rng.integers(0, 3, size=pick.size)
+            got = limits(mats[pick], type_of, pick[:, None])
+            for t in range(3):
+                rows = type_of == t
+                if rows.any():
+                    assert np.array_equal(got[rows], cesaro_limit(mats[pick[rows]]))
+
+    def test_a_type_stops_once_every_matrix_has_settled(self):
+        # B mixes fast inside two blocks joined by 1e-15: its squares move by
+        # less than TIE_TOL at square 7, then by more again as the blocks
+        # mix, up to square ~57; the lazy A first settles at square 30. A
+        # type holding both stops only where neither moves
+        B = np.zeros((4, 4))
+        B[:2, :2] = B[2:, 2:] = 0.5
+        B[0, 0] -= 1e-15
+        B[0, 2] = 1e-15
+        B[3, 3] -= 1e-15
+        B[3, 1] = 1e-15
+        A = (1 - 1e-7) * np.eye(4) + 1e-7 * np.full((4, 4), 0.25)
+        limits = _CesaroLimits()
+        for P in (np.array([A, B]), np.array([B, A])):
+            got = limits(P, np.zeros(2, dtype=np.int64), P)
+            assert np.array_equal(got, cesaro_limit(P))
+            assert not np.array_equal(got[1], cesaro_limit(P[1:])[0])
 
     def test_nonconvergent_names_the_type(self):
         # type 1 has two absorbing states whose gains differ below lam = 1
@@ -351,6 +453,29 @@ class TestStackedTypes:
 
 
 class TestFinite:
+    def test_three_types_take_one_bisection(self, monkeypatch):
+        # the three CPAP types bracket without doubling, so one bisection
+        # over all of them takes as many DP calls as the longest of the
+        # three bisections alone, and the Q-value gaps take one DP
+        models = [expand_with_dummies(m)
+                  for m in domains.make_models(DomainSpec(domains.CPAP, 3, 3, seed=0))]
+        T = 5
+        calls = []
+        dp = whittle.finite_horizon_qdiff
+        monkeypatch.setattr(whittle, "finite_horizon_qdiff",
+                            lambda *args, **kw: calls.append(1) or dp(*args, **kw))
+        whittle_index_finite(models, T)
+        merged = len(calls)
+        alone = []
+        for m in models:
+            calls.clear()
+            whittle_index_finite([m], T)
+            alone.append(len(calls))
+        assert merged == max(alone) < sum(alone)
+        calls.clear()
+        q_difference_indices(models, T)
+        assert len(calls) == 1
+
     def test_last_step_index_is_reward_gap(self, rng):
         model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
         T = 4
@@ -373,7 +498,7 @@ class TestFinite:
         table = whittle_index_finite([model], T, tol)
         span = float(model.rewards.max() - model.rewards.min())
         grid = np.arange(-2 * span, 2 * span + 1e-12, 1e-4)
-        qd = np.stack([finite_horizon_qdiff(model, T, lam) for lam in grid])  # (G, S, T)
+        qd = np.stack([finite_horizon_qdiff([model], T, lam) for lam in grid])  # (G, S, T)
         for s in range(model.n_states):
             for t in range(T):
                 best = grid[np.argmin(np.abs(qd[:, s, t]))]

@@ -18,6 +18,7 @@ from singlepull.whittle import (
     BracketFail,
     NonConvergent,
     _bracket_halfwidth,
+    _subsidy_index,
 )
 
 RVI_SPAN_TOL = 1e-9
@@ -57,6 +58,31 @@ def backward_qdiff(model, T, lam):
         qdiff[:, t] = q1 - q0
         v = np.maximum(q0, q1)
     return qdiff
+
+
+def per_type_qdiff(model, T, lams):
+    """One type's backward induction at (B,) subsidies, one (B, S) @ P_a.T product per epoch.
+
+    Every row is swept over the whole horizon; a single row is a (1, S)
+    product, which BLAS runs on its vector kernel.
+    """
+    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T for a = 0, 1
+    r0 = model.rewards[:, 0] + lams[:, None]
+    r1 = model.rewards[:, 1]
+    qdiff = np.empty(lams.shape + (model.n_states, T))
+    v = np.zeros(lams.shape + (model.n_states,))
+    for t in range(T - 1, -1, -1):
+        q0 = r0 + v @ P0T
+        q1 = r1 + v @ P1T
+        qdiff[..., t] = q1 - q0
+        v = np.maximum(q0, q1)
+    return qdiff
+
+
+def per_type_finite(model, T, tol=DEFAULT_TOL):
+    """Time-dependent index (S, T) by a bisection of this type alone, one full sweep per entry."""
+    return _subsidy_index({0: _bracket_halfwidth(model)},
+                          lambda lam, type_of, entry: per_type_qdiff(model, T, lam), tol)[0]
 
 
 def cesaro_limit(P):
