@@ -17,7 +17,10 @@ dummy-LP upper bound, evaluates every requested policy, and writes
 The simulator runs episodes on arm counts per expanded state; the
 trajectory dump reruns the evaluated episodes with record=True
 (simulator.run_episode) on the same prepared policies, which lifts them to
-arms, so its records describe the very episodes results.csv averages.
+arms, so its records describe the very episodes results.csv averages. A
+recorded episode is a (T, n_arms) array of pair ids p = 2g + a, and the
+dump writes each line from string tables made once per instance: the
+state, action and reward fields of every pair id are one precomputed tail.
 
 results.csv, results.txt, gap_curve.csv and trajectories.jsonl are a pure
 function of the config: reruns produce byte-identical files, with or
@@ -28,12 +31,13 @@ selects.
 A config is a JSON document checked once against CONFIG_SCHEMA; command-line
 overrides are applied to the document before that check. The runner
 evaluates the (instance draw, policy) pairs one after another in this
-process. A failed LP solve or index build aborts the run as SolverStall
-after the instance is saved for replay.
+process. A failed LP solve or index build aborts the run, a rho sweep
+included, as SolverStall after the instance is saved for replay.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -139,11 +143,21 @@ class ExperimentConfig:
             raise ConfigError(f"instance seed {seed}: {exc}") from exc
 
 
+@functools.cache
+def _config_validator():
+    """The validator of CONFIG_SCHEMA, made on first use.
+
+    The schema is a constant, so it is not checked against its metaschema
+    here; the test suite checks it once.
+    """
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+    # the error jsonschema.validate would raise, without its per-call schema check
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"config rejected by schema: {error.message}") from error
     setting = doc["setting"]
     cfg = ExperimentConfig(
         domain_family=doc["domain"]["family"],
@@ -212,17 +226,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _evaluate_policy(instance, name, episodes, base_seed):
-    policy = make_policy(name)
-    return evaluate(instance, policy, episodes, base_seed)
-
-
 def _saved_failure(config, seed, instance, what, exc) -> SolverStall:
     """Save instance to failed_instance_<seed>.json; the SolverStall that names the file."""
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
     save_instance(instance, path)
     return SolverStall(f"{what} failed on seed {seed} (instance saved to {path}): {exc}")
+
+
+def _bound_or_stall(config, seed, instance):
+    """lp.upper_bound(instance); a SolverStall saves the instance for replay first."""
+    try:
+        return lp.upper_bound(instance)
+    except SolverStall as exc:
+        raise _saved_failure(config, seed, instance, "upper-bound solve", exc) from exc
 
 
 def _evaluate_or_stall(config, seed, instance, policy):
@@ -251,12 +268,8 @@ def run_experiment(config: ExperimentConfig):
     """
     instances = {seed: config.instance(seed) for seed in config.instance_seeds}
     os.makedirs(config.out_dir, exist_ok=True)
-    bounds = {}
-    for seed, instance in instances.items():
-        try:
-            bounds[seed] = lp.upper_bound(instance)
-        except SolverStall as exc:
-            raise _saved_failure(config, seed, instance, "upper-bound solve", exc) from exc
+    bounds = {seed: _bound_or_stall(config, seed, instance)
+              for seed, instance in instances.items()}
     summaries = {}
     prepared = {}  # (seed, name) -> evaluated policy, kept only for the dump
     for seed, instance in instances.items():
@@ -336,35 +349,53 @@ def _dump_trajectories(config, instances, prepared):
 
     prepared maps (seed, name) to the policy the evaluation prepared on
     instances[seed]; a policy keeps no state after prepare, so the reruns
-    repeat the evaluated episodes. Each line is the json.dumps text of the
-    record dict, formatted directly: every field is a Python int or a
-    finite Python float, and json.dumps writes a float as its repr.
+    repeat the evaluated episodes. A recorded episode is a (T, n_arms)
+    array of pair ids, and each line is the json.dumps text of its record
+    dict, assembled from string tables built once per instance: a head per
+    (policy, episode, t), an id per arm and a tail per pair id, which holds
+    the state, action and reward the id stands for. Every field is a Python
+    int or a finite Python float, and json.dumps writes a float as its repr.
     """
     path = os.path.join(config.out_dir, "trajectories.jsonl")
     with open(path, "w") as fh:
         for seed, instance in instances.items():
+            tails = _pair_tails(instance.tables)
+            arms = [str(arm) for arm in range(instance.n_arms)]
             for name in config.policies:
                 policy = prepared[seed, name]
                 head = f'{{"instance_seed": {seed}, "policy": {json.dumps(name)}, "episode": '
                 for episode in range(config.episodes):
                     result = run_episode(instance, policy,
                                          config.base_seed + episode, record=True)
-                    fh.write("".join(
-                        f'{head}{episode}, "t": {t}, "arm": {arm}, "state": {state}, '
-                        f'"action": {action}, "reward": {reward!r}}}\n'
-                        for t, arm, state, action, reward in result.trajectory))
+                    for t, pairs in enumerate(result.trajectory.tolist()):
+                        head_t = f'{head}{episode}, "t": {t}, "arm": '
+                        fh.write("".join([head_t + arm + tails[p]
+                                          for arm, p in zip(arms, pairs)]))
     return path
 
 
-def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
+def _pair_tails(tables):
+    """The record text after "arm" for every pair id p = 2g + a, closing the line.
+
+    g is the global state offset[n] + s of a type-n arm in expanded state s.
+    """
+    n_groups = len(tables.dummy)
+    first = np.repeat(tables.offset, np.diff(tables.offset, append=n_groups))
+    states = np.repeat(np.arange(n_groups) - first, 2).tolist()
+    return [f', "state": {state}, "action": {p & 1}, "reward": {reward!r}}}\n'
+            for p, (state, reward) in enumerate(zip(states, tables.rewards.tolist()))]
+
+
+def sweep_rho(config: ExperimentConfig, rho_list):
     """Optimality-gap decay against the replication factor.
 
     Evaluates the configured policy at each rho (ascending), reports
     the per-arm gap (upper_bound - mean) / (rho * N) and the normalized gap
     1 - mean / upper_bound, and fits a log-log slope of the normalized gap
     against rho. The bound is solved at the first rho and scaled by
-    rho / rho_0 for the others. Raises ConfigError, before anything is
-    written, when
+    rho / rho_0 for the others. A solver or index failure saves the instance
+    at the failing rho and raises SolverStall, as in run_experiment. Raises
+    ConfigError, before anything is written, when
       - rho_list is not a non-empty strictly ascending list of rho >= 1;
       - the config asks for timing or a trajectory dump, which a sweep does
         not write;
@@ -383,16 +414,17 @@ def sweep_rho(config: ExperimentConfig, rho_list, evaluate_fn=_evaluate_policy):
         raise ConfigError(f"a rho sweep takes one policy and one instance seed, got "
                           f"policies {config.policies} and seeds {config.instance_seeds}")
     [policy_name] = config.policies
+    [seed] = config.instance_seeds
     _check_random_size([policy_name], config.n_types, rho_list[-1])
     rows = []
     for rho in rho_list:
-        inst = replace(config, rho=int(rho)).instance(config.instance_seeds[0])
+        inst = replace(config, rho=int(rho)).instance(seed)
         if not rows:
             # rho only weights the objective, so the optimal occupancy is the
             # same at every rho and the bound scales linearly: solve once
-            ub0, rho0 = lp.upper_bound(inst), rho
+            ub0, rho0 = _bound_or_stall(config, seed, inst), rho
         ub = ub0 * rho / rho0
-        summary = evaluate_fn(inst, policy_name, config.episodes, config.base_seed)
+        summary = _evaluate_or_stall(config, seed, inst, make_policy(policy_name))
         n_arms = inst.n_arms
         rows.append({
             "rho": int(rho),

@@ -4,13 +4,14 @@ Arms of one type in one expanded state are exchangeable, so an episode
 simulates the count vector X[g]: the number of arms in each global state
 g = offset[n] + s of the instance's ArmTables. A pulled arm sits in the
 dummy half, so pulled-ness is part of X. Each step a policy's select
-returns the pulls per group, k, and one multinomial call, one draw per
-live (group, action) pair, moves the counts. That call is a step's floor:
-the deterministic policies planned their visiting orders at prepare, so
-their select, like step's checks and count update, is a few whole-array
-operations over the O(N S) groups, at any rho. The random policy's
-hypergeometric draw caps one population at policies.RANDOM_MAX_ARMS (just
-under 1e9) arms.
+returns the pulls per group, k, and one multinomial call over every
+(group, action) pair moves the counts; a pair without arms draws nothing,
+so the streams are those of a call on the live pairs alone. That call is
+a step's floor: the deterministic policies planned their visiting orders
+at prepare, so their select, like step's checks and count update, is a
+few whole-array operations over the O(N S) groups, at any rho. The random
+policy's hypergeometric draw caps one population at
+policies.RANDOM_MAX_ARMS (just under 1e9) arms.
 
 The simulator, not the policy, is the constraint authority: step checks
 every pull vector against the per-step cap budget * rho and against the
@@ -21,7 +22,9 @@ Episodes draw from counter-based Philox streams keyed by the episode seed,
 so evaluation is bit-reproducible and episode order is irrelevant. Only a
 recorded episode touches arms: it lifts the count path to arms on a
 second Philox stream of the same seed, so recording never moves a count
-draw.
+draw. Its record is one (T, n_arms) array of pair ids p = 2g + a, arm i's
+global state g and action a at epoch t; every field of a record follows
+from p and the ArmTables (see EpisodeResult).
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ class EpisodeResult:
     pulls_per_type: np.ndarray          # (N,) pulls over the episode
     dummy_per_type: np.ndarray          # (N,) arms in the dummy half at the end
     select_seconds: float = 0.0
-    trajectory: list[tuple] | None = None  # (t, arm, state, action, reward)
+    # record=True: (T, n_arms) int64 pair ids p = 2g + a of arm i at epoch t.
+    # Arm i has type n = i // rho, state g - offset[n] (its expanded state
+    # id, s + S_n once pulled), action p & 1 and reward tables.rewards[p].
+    trajectory: np.ndarray | None = None
 
 
 @dataclass
@@ -103,9 +109,8 @@ def step(
         raise InfeasibleAction("activation assigned to an already-pulled arm")
     if total > budget:
         raise InfeasibleAction(f"{int(total)} activations exceed budget {budget}")
-    live = pairs.nonzero()[0]
-    moves = np.zeros(tables.probs.shape, dtype=np.int64)
-    moves[live] = rng.multinomial(pairs[live], tables.probs.take(live, axis=0))
+    # a pair without arms returns a zero row before any draw
+    moves = rng.multinomial(pairs, tables.probs)
     next_counts = np.bincount(tables.dest.ravel(), weights=moves.ravel(),
                               minlength=len(counts)).astype(np.int64)
     return next_counts, float(pairs.dot(tables.rewards)), moves
@@ -139,7 +144,8 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
     random order, pulls[g] goes to the lowest-id arms of group g, and the
     next states drawn for a (group, action) pair go to its arms in a
     uniformly random order. The arms then have exactly the per-arm law, and
-    the trajectory holds each arm's expanded state id, s + S_n once pulled.
+    row t of the trajectory holds each arm's pair id 2g + a at epoch t, as
+    EpisodeResult describes.
     Raises ValueError unless policy was prepared for this very instance
     object, whose tables its index tables and selections refer to.
     """
@@ -157,7 +163,7 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
     select_seconds = 0.0
     trajectory = None
     if record:
-        trajectory = []
+        trajectory = np.empty((T, instance.n_arms), dtype=np.int64)
         lifting = _episode_rng(seed, stream=1)
         type_of = np.repeat(np.arange(instance.n_types), instance.rho)
         ids = _deal(np.repeat(np.arange(len(counts)), counts), type_of, lifting)
@@ -169,10 +175,7 @@ def run_episode(instance: Instance, policy, seed: int, record: bool = False) -> 
         next_counts, reward, moves = step(counts, pulls, tables, budget, rng)
         if record:
             actions = lift(pulls, ids)
-            pair = 2 * ids + actions
-            trajectory.extend(zip([t] * len(ids), range(len(ids)),
-                                  (ids - tables.offset[type_of]).tolist(), actions.tolist(),
-                                  tables.rewards[pair].tolist()))
+            pair = trajectory[t] = 2 * ids + actions
             ids = _deal(np.repeat(tables.dest.reshape(-1), moves.reshape(-1)), pair, lifting)
         total += reward
         per_step[t] = int(pulls.sum())

@@ -39,6 +39,18 @@ def planned_select(orders, tables, counts, t, budget):
     return policy.select(counts, t, budget, None)
 
 
+def trajectory_records(instance, trajectory):
+    """The (t, arm, state, action, reward) record of every entry of a pair-id trajectory.
+
+    Entry (t, arm) is the pair id p = 2g + a; arm has type arm // rho, and
+    its state is g less the type's offset. Fields are Python ints and floats.
+    """
+    tables = instance.tables
+    return [(t, arm, (p >> 1) - int(tables.offset[arm // instance.rho]), p & 1,
+             float(tables.rewards[p]))
+            for t, row in enumerate(trajectory.tolist()) for arm, p in enumerate(row)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -1,12 +1,14 @@
 import json
-from types import SimpleNamespace
+from dataclasses import replace
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.optimize
 
 from singlepull import cli
 from singlepull.experiments import (
+    CONFIG_SCHEMA,
     ConfigError,
     ExperimentConfig,
     fit_loglog_slope,
@@ -22,8 +24,10 @@ from singlepull.simplex import SolverStall
 from singlepull.simulator import InfeasibleAction, Summary
 from singlepull.whittle import BracketFail, NonConvergent
 from singlepull import evaluate, experiments, lp, model, oracle, policies
-from singlepull.domains import make_instance
+from singlepull.domains import FAMILIES, make_instance
 from singlepull.policies import POLICY_NAMES, BasePolicy, make_policy
+
+from conftest import trajectory_records
 
 
 def small_config(tmp_path, **overrides):
@@ -40,6 +44,20 @@ def small_config(tmp_path, **overrides):
 
 
 class TestConfig:
+    def test_schema_passes_its_metaschema_check(self):
+        # parse_config builds its validator without checking the schema
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("doc", [{}, {"policies": []}, {"episodes": "2"},
+                                     {"setting": {"n_types": 0}}, {"bogus": 1}])
+    def test_errors_are_those_jsonschema_validate_raises(self, tmp_path, doc):
+        doc = {**small_config(tmp_path), **doc} if doc else doc
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            parse_config(doc)
+        assert str(got.value) == f"config rejected by schema: {want.value.message}"
+
     def test_parse_round_trip(self, tmp_path):
         cfg = parse_config(small_config(tmp_path))
         assert cfg.setting == (2, 3, 1, 2, 3)
@@ -182,7 +200,8 @@ def reference_dump(config, instances, prepared):
             for episode in range(config.episodes):
                 result = experiments.run_episode(instance, policy,
                                                  config.base_seed + episode, record=True)
-                for t, arm, state, action, reward in result.trajectory:
+                for t, arm, state, action, reward in trajectory_records(instance,
+                                                                        result.trajectory):
                     lines.append(json.dumps({
                         "instance_seed": seed, "policy": name,
                         "episode": episode, "t": t, "arm": arm,
@@ -191,40 +210,72 @@ def reference_dump(config, instances, prepared):
     return "".join(lines)
 
 
+def prepared_policies(config, instances):
+    prepared = {}
+    for seed, instance in instances.items():
+        for name in config.policies:
+            prepared[seed, name] = make_policy(name)
+            prepared[seed, name].prepare(instance)
+    return prepared
+
+
 class TestTrajectorySerializer:
     REWARDS = [-0.0, 0.1 + 0.2, 1 / 3, 1e-17, 1e16, -2.5, 1.0]
 
-    def dump_and_reference(self, tmp_path, monkeypatch, reward_type):
-        def fake_episode(instance, policy, seed, record=False):
-            assert record
-            return SimpleNamespace(trajectory=[
-                (t, arm, 3 * arm + t, (arm + t) % 2, reward_type(self.REWARDS[(2 * t + arm) % 7]))
-                for t in range(4) for arm in range(2)])
+    def edge_instance(self, shift):
+        """Two 2-state types whose rewards are REWARDS, shifted; random's episodes pay each one."""
+        r = np.roll(self.REWARDS + self.REWARDS[:1], shift).reshape(2, 2, 2)
+        types = tuple(model.ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5),
+                                     rewards=r[n]) for n in range(2))
+        return model.Instance(types=types, rho=3, budget=1, horizon=4,
+                              initial=(np.array([0.5, 0.5]),) * 2)
 
-        monkeypatch.setattr(experiments, "run_episode", fake_episode)
+    def dump_and_reference(self, tmp_path):
+        # the LP policies cannot solve with a 1e16 reward; the index policies can
         cfg = parse_config(small_config(tmp_path, episodes=2, instance_seeds=[5, 11],
-                                        policies=["spi", "whittle-finite", "random"],
+                                        policies=["whittle-finite", "qdiff", "random"],
                                         out_dir=str(tmp_path)))
-        instances = {seed: f"instance {seed}" for seed in cfg.instance_seeds}
-        prepared = {(seed, name): f"{name} on {seed}"
-                    for seed in cfg.instance_seeds for name in cfg.policies}
+        instances = {5: self.edge_instance(0), 11: self.edge_instance(3)}
+        prepared = prepared_policies(cfg, instances)
         path = experiments._dump_trajectories(cfg, instances, prepared)
         with open(path) as fh:
             written = fh.read()
-        return written, reference_dump(cfg, instances, prepared)
+        return written, reference_dump(cfg, instances, prepared), instances
 
-    def test_every_line_equals_json_dumps(self, tmp_path, monkeypatch):
-        written, reference = self.dump_and_reference(tmp_path, monkeypatch, float)
+    def test_every_line_equals_json_dumps(self, tmp_path):
+        written, reference, instances = self.dump_and_reference(tmp_path)
+        assert all(set(inst.tables.rewards.tolist()) == set(self.REWARDS)
+                   for inst in instances.values())
         assert written.splitlines(keepends=True) == reference.splitlines(keepends=True)
-        assert len(reference.splitlines()) == 2 * 3 * 2 * 4 * 2
+        assert len(reference.splitlines()) == 2 * 3 * 2 * 4 * 6
         rewards = {json.loads(line)["reward"] for line in written.splitlines()}
         assert rewards == set(self.REWARDS)
         assert '"reward": -0.0}' in written and '"reward": 1e+16}' in written
 
-    def test_a_numpy_float_reward_would_not_match(self, tmp_path, monkeypatch):
-        written, reference = self.dump_and_reference(tmp_path, monkeypatch, np.float64)
-        assert written != reference
-        assert "np.float64(" in written
+    def test_a_numpy_float_reward_would_not_match(self):
+        # the tails must format Python floats: a numpy float's repr is not its JSON text
+        tables = self.edge_instance(0).tables
+        as_numpy = np.array([np.float64(r) for r in tables.rewards.tolist()], dtype=object)
+        tails = experiments._pair_tails(tables)
+        numpy_tails = experiments._pair_tails(replace(tables, rewards=as_numpy))
+        assert numpy_tails != tails
+        assert all("np.float64(" in tail for tail in numpy_tails)
+        for p, tail in enumerate(tails):
+            state = (p >> 1) % 4  # each type has 4 expanded states
+            record = {"state": state, "action": p & 1, "reward": float(tables.rewards[p])}
+            assert tail == ", " + json.dumps(record)[1:] + "\n"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_dump_equals_reference_on_every_family(self, tmp_path, family):
+        setting = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
+        cfg = parse_config(small_config(tmp_path, domain={"family": family}, setting=setting,
+                                        episodes=2, instance_seeds=[1],
+                                        policies=list(POLICY_NAMES), out_dir=str(tmp_path)))
+        instances = {1: cfg.instance(1)}
+        prepared = prepared_policies(cfg, instances)
+        path = experiments._dump_trajectories(cfg, instances, prepared)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_dump(cfg, instances, prepared).encode()
 
 
 class TestDumpReusesEvaluatedPolicies:
@@ -247,10 +298,7 @@ class TestDumpReusesEvaluatedPolicies:
         run_experiment(cfg)
         written = (tmp_path / "out" / "trajectories.jsonl").read_text()
         instances = {2: cfg.instance(2)}
-        fresh = {}
-        for name in cfg.policies:
-            fresh[2, name] = make_policy(name)
-            fresh[2, name].prepare(instances[2])
+        fresh = prepared_policies(cfg, instances)
         assert written == reference_dump(cfg, instances, fresh)
         assert len(written.splitlines()) == len(POLICY_NAMES) * 3 * 4 * 2 * 3
 
@@ -270,17 +318,18 @@ class TestSweepRho:
         with pytest.raises(ConfigError):
             sweep_rho(cfg, [4, 2])
 
-    def test_injected_constant_gap(self, tmp_path):
+    def test_injected_constant_gap(self, tmp_path, monkeypatch):
         cfg = parse_config(small_config(tmp_path, policies=["spi"]))
         g = 0.125  # per-arm gap to inject
 
-        def fake_evaluate(instance, name, episodes, base_seed):
+        def fake_evaluate(instance, policy, episodes, base_seed):
             ub = lp.upper_bound(instance)
             mean = ub - g * instance.n_arms
             return Summary(mean=mean, half_width=0.0, n_episodes=episodes,
                            wall_clock=0.0, rewards=np.full(episodes, mean))
 
-        rows, slope = sweep_rho(cfg, [1, 2, 4], evaluate_fn=fake_evaluate)
+        monkeypatch.setattr(experiments, "evaluate", fake_evaluate)
+        rows, slope = sweep_rho(cfg, [1, 2, 4])
         for r in rows:
             assert r["gap"] == pytest.approx(g, abs=1e-12)
 
@@ -290,12 +339,13 @@ class TestSweepRho:
         solved = []
         monkeypatch.setattr(lp, "upper_bound", lambda inst: solved.append(inst.rho) or solve(inst))
 
-        def zero_mean(instance, name, episodes, base_seed):
+        def zero_mean(instance, policy, episodes, base_seed):
             return Summary(mean=0.0, half_width=0.0, n_episodes=episodes,
                            wall_clock=0.0, rewards=np.zeros(episodes))
 
+        monkeypatch.setattr(experiments, "evaluate", zero_mean)
         rho_list = [2, 5, 10, 100, 1000]
-        rows, _ = sweep_rho(cfg, rho_list, evaluate_fn=zero_mean)
+        rows, _ = sweep_rho(cfg, rho_list)
         assert solved == [2]
         for rho, r in zip(rho_list, rows):
             inst = make_instance(cfg.domain_spec(cfg.instance_seeds[0]), budget=cfg.budget,
@@ -550,3 +600,41 @@ class TestCli:
             assert np.array_equal(a.transitions, b.transitions)
             assert np.array_equal(a.rewards, b.rewards)
         assert not (tmp_path / "out" / "timing.csv").exists()
+
+    def test_sweep_bound_failure_saves_its_instance_and_exits_3(self, tmp_path, monkeypatch):
+        def numerical_difficulties(c, **kwargs):
+            return scipy.optimize.OptimizeResult(status=4, nit=0, x=None, message="injected")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", numerical_difficulties)
+        path = self.write_config(tmp_path, policies=["spi"], instance_seeds=[3])
+        rc = cli.main(["--config", path, "--episodes", "2", "--sweep-rho", "1,2"])
+        assert rc == cli.EXIT_SOLVER
+        assert load_instance(str(tmp_path / "out" / "failed_instance_3.json")).rho == 1
+        assert not (tmp_path / "out" / "gap_curve.csv").exists()
+
+    @pytest.mark.parametrize("failure", [NonConvergent, BracketFail, SolverStall])
+    def test_sweep_evaluation_failure_saves_its_instance_and_exits_3(self, tmp_path,
+                                                                      monkeypatch, failure):
+        # whittle-infinite prepares once per rho: the build at rho=2 fails
+        real, builds = policies.whittle_index_infinite, []
+
+        def second_build_fails(models, *args):
+            builds.append(len(models))
+            if len(builds) == 2:
+                raise failure("injected")
+            return real(models, *args)
+
+        monkeypatch.setattr(policies, "whittle_index_infinite", second_build_fails)
+        setting = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 2, "horizon": 4}
+        path = self.write_config(tmp_path, setting=setting, policies=["whittle-infinite"],
+                                 instance_seeds=[3])
+        rc = cli.main(["--config", path, "--episodes", "2", "--sweep-rho", "1,2,4"])
+        assert rc == cli.EXIT_SOLVER
+        assert len(builds) == 2
+        saved = load_instance(str(tmp_path / "out" / "failed_instance_3.json"))
+        drawn = parse_config(json.loads((tmp_path / "cfg.json").read_text())).instance(3)
+        assert saved.rho == 2
+        for a, b in zip(saved.types, drawn.types):
+            assert np.array_equal(a.transitions, b.transitions)
+            assert np.array_equal(a.rewards, b.rewards)
+        assert not (tmp_path / "out" / "gap_curve.csv").exists()

@@ -25,7 +25,7 @@ from singlepull.simulator import (
 from singlepull.whittle import IndexTable
 
 import simulator_reference as ref
-from conftest import planned_select, random_arm
+from conftest import planned_select, random_arm, trajectory_records
 
 DETERMINISTIC = tuple(name for name in POLICY_NAMES if name != "random")
 
@@ -174,6 +174,26 @@ class TestStep:
         with pytest.raises(InfeasibleAction, match="integer array of shape"):
             step(counts, pulls, inst.tables, inst.step_budget, np.random.default_rng(0))
 
+    def test_one_draw_over_all_pairs_equals_a_draw_over_the_live_pairs(self, rng):
+        # a pair without arms draws nothing, so moves and the stream after
+        # the step are those of a multinomial call on the live pairs alone
+        for inst in [mixed_instance(rng)] + family_instances(rho=4):
+            tables = inst.tables
+            for seed in range(10):
+                n_groups = len(tables.dummy)
+                counts = rng.integers(0, 5, size=n_groups) * (rng.random(n_groups) < 0.5)
+                counts[rng.integers(n_groups)] += 1
+                pulls = rng.integers(0, counts + 1) * tables.normal
+                pairs = np.column_stack((counts - pulls, pulls)).reshape(-1)
+                live = pairs.nonzero()[0]
+                assert 0 < len(live) < len(pairs)
+                stepped, reference = _episode_rng(seed), _episode_rng(seed)
+                _, _, moves = step(counts, pulls, tables, int(pulls.sum()), stepped)
+                want = np.zeros_like(moves)
+                want[live] = reference.multinomial(pairs[live], tables.probs[live])
+                assert np.array_equal(moves, want)
+                assert np.array_equal(stepped.random(8), reference.random(8))
+
     def test_moves_account_for_every_arm(self, rng):
         tables = tables_of([random_arm(rng, 2), random_arm(rng, 3)])
         counts = np.array([7, 3, 2, 0, 5, 0, 4, 1, 0, 6])
@@ -274,7 +294,7 @@ class TestRunEpisode:
         assert a.total_reward == b.total_reward
         assert np.array_equal(a.per_step_pulls, b.per_step_pulls)
         assert np.array_equal(a.pulls_per_type, b.pulls_per_type)
-        assert a.trajectory == b.trajectory
+        assert np.array_equal(a.trajectory, b.trajectory)
 
     def test_trajectory_record_shape(self, rng):
         m = random_arm(rng, 2)
@@ -283,9 +303,16 @@ class TestRunEpisode:
         pol = make_policy("random")
         pol.prepare(inst)
         result = run_episode(inst, pol, seed=1, record=True)
-        assert len(result.trajectory) == 3 * 2  # (t, arm) pairs
-        t, arm, state, action, reward = result.trajectory[0]
-        assert t == 0 and arm in (0, 1) and action in (0, 1)
+        assert result.trajectory.shape == (3, 2)  # (t, arm)
+        assert result.trajectory.dtype == np.int64
+        records = trajectory_records(inst, result.trajectory)
+        assert [(t, arm) for t, arm, _, _, _ in records] == [(t, arm) for t in range(3)
+                                                             for arm in range(2)]
+        for _, _, state, action, reward in records:
+            assert 0 <= state < 4 and action in (0, 1)
+            assert reward == inst.expanded[0].rewards[state, action]
+        plain = run_episode(inst, pol, seed=1)
+        assert sum(r[4] for r in records) == pytest.approx(plain.total_reward, rel=1e-12)
 
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_dummy_half_exactly_after_the_first_pull(self, name):
@@ -294,14 +321,15 @@ class TestRunEpisode:
             pol.prepare(inst)
             sizes = [m.n_states for m in inst.types]
             for seed in range(3):
-                result = run_episode(inst, pol, seed, record=True)
+                records = trajectory_records(inst, run_episode(inst, pol, seed, record=True)
+                                             .trajectory)
                 pull_time = {}
-                for t, arm, _, action, _ in result.trajectory:
+                for t, arm, _, action, _ in records:
                     if action == 1:
                         assert arm not in pull_time
                         pull_time[arm] = t
                 assert pull_time
-                for t, arm, state, _, _ in result.trajectory:
+                for t, arm, state, _, _ in records:
                     pulled_before = pull_time.get(arm, inst.horizon) < t
                     assert (state >= sizes[arm // inst.rho]) == pulled_before
 
@@ -326,7 +354,7 @@ class TestRunEpisode:
                 recorded = run_episode(inst, pol, seed, record=True)
                 assert recorded.total_reward == plain.total_reward
                 assert np.array_equal(recorded.per_step_pulls, plain.per_step_pulls)
-                records = np.array(recorded.trajectory)
+                records = np.array(trajectory_records(inst, recorded.trajectory))
                 arms = records[:, 1].astype(int)
                 type_of = arms // inst.rho
                 for t, counts in enumerate(stepped):
@@ -347,8 +375,9 @@ class TestRunEpisode:
         pol = make_policy("random")
         pol.prepare(inst)
         n = 4000
-        states = np.array([[s for _, _, s, _, _ in run_episode(inst, pol, seed, record=True)
-                            .trajectory] for seed in range(n)])  # columns (t, arm) in order
+        # one type, so a pair id p is state p >> 1; columns (t, arm) in order
+        states = np.array([run_episode(inst, pol, seed, record=True).trajectory.reshape(-1) >> 1
+                           for seed in range(n)])
         for arm_t in states.T:
             assert abs(arm_t.mean() - 0.5) <= 4 * np.sqrt(0.25 / n)
         both = (states[:, 0] & states[:, 1]).mean()
