@@ -7,8 +7,8 @@ dummy-LP upper bound, evaluates every requested policy, and writes
 
     results.csv     one row per (instance draw, policy)
     results.txt     human-readable table, near-optimal rows starred
-    gap_curve.csv   (sweep_rho) per-rho optimality gaps plus a fitted
-                    log-log slope comment line
+    gap_curve.csv   (sweep_rho) per-rho optimality gaps plus comment lines
+                    with a fitted log-log slope and the rhos it used
     timing.csv      (time_policies) per-policy wall-clock statistics, read
                     from the Summary.wall_clock of simulator.evaluate
     trajectories.jsonl  optional per-(episode, t, arm) audit records; state
@@ -392,10 +392,12 @@ def sweep_rho(config: ExperimentConfig, rho_list):
     Evaluates the configured policy at each rho (ascending), reports
     the per-arm gap (upper_bound - mean) / (rho * N) and the normalized gap
     1 - mean / upper_bound, and fits a log-log slope of the normalized gap
-    against rho. The bound is solved at the first rho and scaled by
-    rho / rho_0 for the others. A solver or index failure saves the instance
-    at the failing rho and raises SolverStall, as in run_experiment. Raises
-    ConfigError, before anything is written, when
+    against rho over the points whose normalized gap is positive; the
+    fitted_rho comment line under the slope names them. The bound is
+    solved at the first rho and scaled by rho / rho_0 for the others. A
+    solver or index failure saves the instance at the failing rho and
+    raises SolverStall, as in run_experiment. Raises ConfigError, before
+    anything is written, when
       - rho_list is not a non-empty strictly ascending list of rho >= 1;
       - the config asks for timing or a trajectory dump, which a sweep does
         not write;
@@ -432,8 +434,8 @@ def sweep_rho(config: ExperimentConfig, rho_list):
             "ci": summary.half_width / n_arms,
             "normalized_gap": 1.0 - summary.mean / ub,
         })
-    slope = fit_loglog_slope([r["rho"] for r in rows],
-                             [r["normalized_gap"] for r in rows])
+    fitted = [r for r in rows if r["normalized_gap"] > 0]  # the points a log-log fit can use
+    slope = fit_loglog_slope([r["rho"] for r in fitted], [r["normalized_gap"] for r in fitted])
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "gap_curve.csv")
     with open(path, "w") as fh:
@@ -442,6 +444,7 @@ def sweep_rho(config: ExperimentConfig, rho_list):
             fh.write(f"{r['rho']},{_fmt(r['gap'])},{_fmt(r['ci'])},"
                      f"{_fmt(r['normalized_gap'])}\n")
         fh.write(f"# loglog_slope={_fmt(slope)}\n")
+        fh.write(f"# fitted_rho={';'.join(str(r['rho']) for r in fitted)}\n")
     return rows, slope
 
 

@@ -1,33 +1,40 @@
-"""Whittle-style subsidy indices by bisection over single-arm DPs.
+"""Whittle-style subsidy indices of single arms.
 
 The infinite-horizon index of a state is the passive subsidy at which
 activating and resting are equally attractive under the average-reward
-criterion; the inner evaluation is exact multichain policy iteration,
-which ends after finitely many policy changes and needs no sweep cap or
-damping. The finite-horizon variant replaces the inner evaluation with
-backward induction from the end of the horizon, giving a time-dependent
-index.
+criterion. It is found by bisection over exact multichain policy
+iteration, which ends after finitely many policy changes and needs no
+sweep cap or damping. The types of an instance that share a state count
+are bisected together, so an instance costs one bisection per distinct
+state count, and each bisection step is one policy-iteration call over the
+entries still searching. Policy iteration meets the same few policies at
+every step of a bisection, so the Cesaro limit of each policy's matrix is
+squared out once per bisection, not once per step, and a call keeps its
+books once per distinct (type, policy), not once per row. Every entry
+keeps the bracket and the midpoints a bisection of its type alone would
+visit, and each row comes out bit for bit as in a call for its type alone,
+so the tables do not depend on which types share a bisection.
+Indexability is assumed, not verified: a bracket whose endpoints do not
+straddle the activation/passivity switch raises BracketFail instead of
+reporting a spurious crossing.
 
-Both DPs solve one problem per row of a subsidy vector, and the types of
-an instance that share a state count are bisected together, so one
-bisection moves every entry of those types at once and an instance costs
-one bisection per distinct state count rather than one per type; a step's
-cost is then one DP call however many types share it. Policy iteration
-solves one row per entry still searching. It meets the same few policies
-at every step of a bisection, so the Cesaro limit of each policy's matrix
-is squared out once per bisection, not once per step, and a call keeps its
-books once per distinct (type, policy), not once per row. Backward
-induction solves one row per distinct (type, subsidy) among the entries
-still searching (at the first midpoint every entry of a type shares one),
-swept back only to the earliest epoch those entries ask for; each epoch is
-one batched product over the types.
-
-Every entry keeps the bracket and the midpoints a bisection of its type
-alone would visit, and each DP row comes out bit for bit as in a call for
-its type alone, so the tables do not depend on which types share a
-bisection. Indexability is assumed, not verified: a bracket whose
-endpoints do not straddle the activation/passivity switch raises
-BracketFail instead of reporting a spurious crossing.
+The finite-horizon index of a dummy-expanded arm is exact and needs no
+bisection. A pull moves the arm into the dummy half, which earns the
+subsidy lambda every later step just as resting would, so a pull costs
+lambda exactly once and the index problem is a retirement (optimal
+stopping) problem (Whittle 1980). For lambda >= 0 the slope in lambda of
+the gap Q_t(s, 1) - Q_t(s, 0) is -1 + Pr(pull later), in [-1, 0]; for
+lambda < 0 the dummies pull as well, and the slope is <= -1. So the gap is
+nonincreasing and every expanded arm is indexable. The value
+V_t(.; lambda) is piecewise linear in lambda, with kinks only at 0 (the
+dummies' index) and at the indices of later epochs. One backward pass per
+type keeps V_{t+1} at its kinks, starting from 0 and the sentinels +-H,
+H = T * (reward span) + 1: beyond them never pulling and pulling now are
+optimal, so they bracket every root. Between kinks the gap is linear, so
+each entry's root is one interpolation. An entry whose gap is 0 on a whole
+interval of subsidies takes its left end, inf{lambda : gap <= 0}. Roots
+of one epoch that differ by round-off only are merged to the smallest, so
+genuine ties stay bit-equal. The roots then join the kink set.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .model import ArmModel, stack_types
 BISECT_MAX_ITERS = 60
 DEFAULT_TOL = 1e-6
 TIE_TOL = 1e-10  # value gaps below TIE_TOL times the values' scale are ties
+ROOT_TOL = 64 * np.finfo(float).eps  # finite-index gaps below ROOT_TOL times the scale are zero
 CESARO_MAX_SQUARINGS = 64
 
 
@@ -85,19 +93,16 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     """Indifference subsidy of every entry of every type's gap array, all bisected together.
 
     halfwidths maps each type id to its starting half-width. qdiff_at(lam,
-    type_of, entry) maps (B,) subsidies, row b for type type_of[b], to gaps
-    shaped (B,) + E. The bracket search reads every entry (entry is None);
-    a bisection step passes one row per entry still searching and reads
-    row b only at its flat entry entry[b], so the callback may solve each
-    distinct (type, subsidy) once and only as far as those entries need.
-    Each type grows its own bracket [-hw, hw], doubling
-    hw until its entries' endpoint gaps straddle zero, at most
-    BRACKET_GROWTH_LIMIT times: the equalizing subsidy can exceed the
-    per-step reward span by the bias range, which is large for lazy chains
-    (small per-step motion), so a fixed bracket is not enough. Each entry
-    then keeps the scalar rule: take the midpoint, stop once |gap| <= tol /
-    2, else move lo (gap > 0) or hi. Returns shape (len(halfwidths),) + E,
-    types in the order of halfwidths.
+    type_of) maps (B,) subsidies, row b for type type_of[b], to gaps shaped
+    (B,) + E; a bisection step passes one row per entry still searching and
+    reads row b at that entry only. Each type grows its own bracket
+    [-hw, hw], doubling hw until its entries' endpoint gaps straddle zero,
+    at most BRACKET_GROWTH_LIMIT times: the equalizing subsidy can exceed
+    the per-step reward span by the bias range, which is large for lazy
+    chains (small per-step motion), so a fixed bracket is not enough. Each
+    entry then keeps the scalar rule: take the midpoint, stop once
+    |gap| <= tol / 2, else move lo (gap > 0) or hi. Returns shape
+    (len(halfwidths),) + E, types in the order of halfwidths.
     """
     types = np.array(list(halfwidths), dtype=np.int64)
     hw = np.array(list(halfwidths.values()), dtype=float)
@@ -105,8 +110,8 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     for doublings in range(BRACKET_GROWTH_LIMIT + 1):
         if doublings:
             hw[grow] *= 2.0
-        lo_gap = qdiff_at(-hw[grow], types[grow], None)
-        hi_gap = qdiff_at(hw[grow], types[grow], None)
+        lo_gap = qdiff_at(-hw[grow], types[grow])
+        hi_gap = qdiff_at(hw[grow], types[grow])
         if not doublings:
             qd_lo, qd_hi = np.empty_like(lo_gap), np.empty_like(hi_gap)
         qd_lo[grow], qd_hi[grow] = lo_gap, hi_gap
@@ -127,9 +132,7 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     for _ in range(BISECT_MAX_ITERS):
         mid = 0.5 * (lo[live] + hi[live])
         lam[live] = mid
-        entry = live % n
-        qd = qdiff_at(mid, types[live // n], entry).reshape(live.size, n)
-        qd = qd[np.arange(live.size), entry]
+        qd = qdiff_at(mid, types[live // n]).reshape(live.size, n)[np.arange(live.size), live % n]
         searching = np.abs(qd) > 0.5 * tol
         up = searching & (qd > 0)
         lo[live[up]] = mid[up]
@@ -337,152 +340,100 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     return qdiff.reshape(lam.shape + (S,)), h.reshape(lam.shape + (S,))
 
 
-def _state_count_groups(models: list[ArmModel]) -> list[list[int]]:
-    """The type ids of each distinct state count, counts in order of first appearance."""
-    groups = {}
-    for n, m in enumerate(models):
-        groups.setdefault(m.n_states, []).append(n)
-    return list(groups.values())
-
-
-def _index_per_state_count(models: list[ArmModel], qdiff_at, tol: float) -> list[np.ndarray]:
-    """Every type's index array, one _subsidy_index bisection per state count."""
-    values = [None] * len(models)
-    for members in _state_count_groups(models):
-        index = _subsidy_index({n: _bracket_halfwidth(models[n]) for n in members}, qdiff_at, tol)
-        for n, v in zip(members, index):
-            values[n] = v
-    return values
-
-
 def whittle_index_infinite(models: list[ArmModel], tol: float = DEFAULT_TOL) -> IndexTable:
     """Stationary subsidy index per (type, state), one bisection per state count."""
     limits = _CesaroLimits()
-    values = _index_per_state_count(
-        models,
-        lambda lam, type_of, entry: relative_value_iteration(models, lam, type_of, limits)[0],
-        tol,
-    )
-    return IndexTable(values=[v[:, None] for v in values], time_dependent=False)
+    groups = {}
+    for n, m in enumerate(models):
+        groups.setdefault(m.n_states, []).append(n)
+    values = [None] * len(models)
+    for members in groups.values():
+        index = _subsidy_index(
+            {n: _bracket_halfwidth(models[n]) for n in members},
+            lambda lam, type_of: relative_value_iteration(models, lam, type_of, limits)[0],
+            tol,
+        )
+        for n, v in zip(members, index):
+            values[n] = v[:, None]
+    return IndexTable(values=values, time_dependent=False)
 
 
-def finite_horizon_qdiff(models: list[ArmModel], T: int, lam, type_of=None, first=None):
+def finite_horizon_qdiff(model: ArmModel, T: int, lam):
     """Q_t(s,1) - Q_t(s,0) under passive subsidy lam (scalar or (B,)), shaped lam.shape + (S, T).
 
-    Row b solves type models[type_of[b]] (default: type 0 for every row)
-    at subsidy lam[b]; the types the rows name share a state count. One
-    backward induction sweeps every row: each epoch is one (rows, S) @
-    P_a.T product per type, through BLAS's matrix kernel, whose rows agree
-    whatever their count, and a type's only row goes through the vector
-    kernel instead, so each type's rows come out bit for bit as a call
-    with that type and those rows alone. Row b is swept back only to epoch
-    first[b] (default 0); its epochs before that are left unset.
+    Plain backward induction of one type from V_T = 0, every subsidy at
+    once: each epoch is one (B, S) @ P_a.T product per action.
     """
     lam = np.asarray(lam, dtype=float)
-    lams = lam.reshape(-1)
-    B = lams.size
-    type_of = np.zeros(B, dtype=np.int64) if type_of is None else np.asarray(type_of)
-    first = np.zeros(B, dtype=np.int64) if first is None else np.asarray(first)
-    S = models[type_of[0]].n_states
-    qdiff = np.empty((T, B + 1, S))  # row B takes the padding slots' values
-    counts = np.bincount(type_of)
-    for alone in (True, False):
-        rows = np.flatnonzero((counts[type_of] == 1) == alone)
-        if rows.size:
-            _sweep(models, T, np.append(lams, 0.0), type_of, first, rows, qdiff)
-    return np.moveaxis(qdiff[:, :B], 0, -1).reshape(lam.shape + (S, T))
+    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T
+    r0 = model.rewards[:, 0] + lam[..., None]
+    r1 = model.rewards[:, 1]
+    qdiff = np.empty(lam.shape + (model.n_states, T))
+    v = np.zeros(lam.shape + (model.n_states,))
+    for t in range(T - 1, -1, -1):
+        q0 = v @ P0T + r0
+        q1 = v @ P1T + r1
+        qdiff[..., t] = q1 - q0
+        v = np.maximum(q0, q1)
+    return qdiff
 
 
-def _sweep(models, T, lams, type_of, first, rows, out):
-    """Backward induction of the given rows, one batched product per epoch, into out[t, b].
+def _retirement_index(model: ArmModel, T: int) -> np.ndarray:
+    """One dummy-expanded type's exact index (S, T), one backward pass over the kinks of V.
 
-    The rows are laid out as (types, slots), each type's rows by first
-    epoch and the types by their earliest one, so the rows an epoch still
-    needs are a leading block, and only that block is swept. Padding slots
-    solve their type at subsidy lams[-1] = 0 and write to out[:, -1]. A
-    type of two or more rows keeps at least two slots in every block, so
-    its products never fall to the vector kernel.
+    lam holds the kinks of V_{t+1}(.; lambda) in ascending order and v its
+    values there, one row per kink. A gap within ROOT_TOL times the
+    values' scale at its kink counts as zero, and so does the distance
+    between two roots of one epoch.
     """
-    order = rows[np.lexsort((first[rows], type_of[rows]))]
-    types = type_of[order]
-    new = np.diff(types, prepend=-1) != 0
-    start = np.flatnonzero(new)
-    group = np.cumsum(new) - 1
-    by_first = np.argsort(first[order][start], kind="stable")
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    k, R = start.size, int(np.diff(np.append(start, order.size)).max())
-    slot = (rank[group], np.arange(order.size) - start[group])
-    row_of = np.full((k, R), lams.size - 1)
-    row_of[slot] = order
-    first_of = np.full((k, R), T)
-    first_of[slot] = first[order]
-    epochs = np.arange(T)
-    n_types = np.searchsorted(first_of[:, 0], epochs, side="right").tolist()
-    n_slots = np.maximum(np.searchsorted(first_of.min(axis=0), epochs, side="right"),
-                         min(R, 2)).tolist()
-    ids = types[start][by_first]
-    Pt = np.array([models[n].transitions for n in ids]).transpose(0, 2, 3, 1)  # P_a.T
-    rewards = np.array([models[n].rewards for n in ids])
-    r0 = rewards[:, None, :, 0] + lams[row_of][..., None]
-    r1 = rewards[:, None, :, 1]
-    v = np.zeros(row_of.shape + (Pt.shape[-1],))
-    for t in range(T - 1, int(first[rows].min()) - 1, -1):
-        m, r = n_types[t], n_slots[t]
-        q = v[:m, None, :r] @ Pt[:m]
-        q0, q1 = q[:, 0], q[:, 1]
-        q0 += r0[:m, :r]
-        q1 += r1[:m]
-        out[t, row_of[:m, :r]] = q1 - q0
-        np.maximum(q0, q1, out=v[:m, :r])
+    PT = model.transitions.transpose(1, 2, 0)  # PT[a] = P_a.T
+    r = model.rewards.T[:, None, :]
+    H = T * float(np.ptp(model.rewards)) + 1.0
+    lam = np.array([-H, 0.0, H])
+    v = np.zeros((3, model.n_states))
+    states = np.arange(model.n_states)
+    index = np.empty((model.n_states, T))
+    for t in range(T - 1, -1, -1):
+        q = v @ PT + r  # (action, kink, state)
+        q[0] += lam[:, None]
+        gap = q[1] - q[0]
+        tol = ROOT_TOL * np.abs(q).max(axis=(0, 2))
+        k = np.argmax(gap <= tol[:, None], axis=0)  # each state's first kink at or past its root
+        root = lam[k]
+        inside = gap[k, states] < -tol[k]  # the root lies strictly between kinks k - 1 and k
+        kc, sc = k[inside], states[inside]
+        left, right = gap[kc - 1, sc], gap[kc, sc]
+        root[inside] = lam[kc - 1] + (lam[kc] - lam[kc - 1]) * left / (left - right)
+        order = np.argsort(root)
+        ranked = root[order]
+        apart = np.ones(root.size, dtype=bool)
+        apart[1:] = ranked[1:] - ranked[:-1] > tol[k[order[1:]]]
+        roots = ranked[apart]  # ascending, round-off twins merged to the smallest
+        root[order] = roots[np.cumsum(apart) - 1]
+        index[:, t] = root
+        at = np.searchsorted(lam, roots)
+        new = lam[at] != roots  # V_t is linear between the old kinks and these
+        roots, at = roots[new], at[new]
+        w = ((roots - lam[at - 1]) / (lam[at] - lam[at - 1]))[:, None]
+        between = q[:, at - 1] + w * (q[:, at] - q[:, at - 1])
+        lam = np.insert(lam, at, roots)
+        v = np.insert(q.max(axis=0), at, between.max(axis=0), axis=0)
+    return index
 
 
-def _distinct_rows(lam: np.ndarray, type_of: np.ndarray):
-    """Group the entries of a bisection step into the DP rows that solve them.
+def whittle_index_finite(models: list[ArmModel], T: int) -> IndexTable:
+    """Time-dependent index per (type, state, t) of dummy-expanded types, exact, one pass per type.
 
-    A row is one distinct (type, subsidy): at the first midpoint every
-    entry of a type shares one. A type of two or more entries but one
-    subsidy still gets two rows, its last entry one of its own, so its
-    products stay on BLAS's matrix kernel as in a bisection of that type
-    alone, and every row comes out bit for bit as there. Returns (order,
-    start, at): the entries sorted so that each row's entries are a run,
-    where each run starts in that order, and the row of every entry.
+    The pass relies on each gap crossing zero once, which the retirement
+    argument proves for dummy-expanded arms only, so other arms raise
+    ValueError.
     """
-    order = np.lexsort((lam, type_of))
-    ls, ts = lam[order], type_of[order]
-    new = np.ones(lam.size, dtype=bool)
-    new[1:] = (ls[1:] != ls[:-1]) | (ts[1:] != ts[:-1])
-    last = np.append(ts[1:] != ts[:-1], True)  # each type's last entry
-    new |= last & (np.bincount(ts, weights=new)[ts] == 1)
-    at = np.empty(lam.size, dtype=np.int64)
-    at[order] = np.cumsum(new) - 1
-    return order, np.flatnonzero(new), at
-
-
-def whittle_index_finite(models: list[ArmModel], T: int, tol: float = DEFAULT_TOL) -> IndexTable:
-    """Time-dependent subsidy index per (type, state, t), one bisection per state count.
-
-    Each bisection step solves the rows of _distinct_rows, each swept back
-    to the earliest epoch any of its entries asks for.
-    """
-    def gaps(lam, type_of, entry):
-        if entry is None:
-            return finite_horizon_qdiff(models, T, lam, type_of)
-        order, start, at = _distinct_rows(lam, type_of)
-        rows = order[start]
-        epoch = entry % T
-        first = np.minimum.reduceat(epoch[order], start)
-        q = finite_horizon_qdiff(models, T, lam[rows], type_of[rows], first)
-        # only entry[b] of row b is read, so each row's gap fills its block
-        return np.broadcast_to(q[at, entry // T, epoch][:, None, None], (lam.size,) + q.shape[1:])
-
-    return IndexTable(values=_index_per_state_count(models, gaps, tol), time_dependent=True)
+    if not all(m.expanded for m in models):
+        raise ValueError("the exact finite-horizon index needs dummy-expanded types")
+    return IndexTable(values=[_retirement_index(m, T) for m in models], time_dependent=True)
 
 
 def q_difference_indices(models: list[ArmModel], T: int) -> IndexTable:
-    """Plain Q-value gaps from unsubsidized backward induction, one DP per state count."""
-    values = [None] * len(models)
-    for members in _state_count_groups(models):
-        for n, v in zip(members, finite_horizon_qdiff(models, T, np.zeros(len(members)), members)):
-            values[n] = v
-    return IndexTable(values=values, time_dependent=True)
+    """Plain Q-value gaps from unsubsidized backward induction, one DP per type."""
+    return IndexTable(values=[finite_horizon_qdiff(m, T, 0.0) for m in models],
+                      time_dependent=True)

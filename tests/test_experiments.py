@@ -353,6 +353,24 @@ class TestSweepRho:
             fresh = solve(inst)
             assert r["gap"] * inst.n_arms == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
+    def test_fit_names_the_points_it_used(self, tmp_path, monkeypatch):
+        # the rho=2 mean beats the bound, so the fit drops that point and says so
+        cfg = parse_config(small_config(tmp_path, policies=["spi"]))
+        gaps = {1: 0.5, 2: -0.01, 4: 0.125, 8: 0.0625}
+
+        def fake_evaluate(instance, policy, episodes, base_seed):
+            mean = lp.upper_bound(instance) * (1.0 - gaps[instance.rho])
+            return Summary(mean=mean, half_width=0.0, n_episodes=episodes,
+                           wall_clock=0.0, rewards=np.full(episodes, mean))
+
+        monkeypatch.setattr(experiments, "evaluate", fake_evaluate)
+        rows, slope = sweep_rho(cfg, [1, 2, 4, 8])
+        assert rows[1]["normalized_gap"] < 0
+        assert slope == pytest.approx(-1.0, abs=1e-9)
+        lines = (tmp_path / "out" / "gap_curve.csv").read_text().splitlines()
+        assert lines[-2].startswith("# loglog_slope=")
+        assert lines[-1] == "# fitted_rho=1;4;8"
+
     def test_slope_fit(self):
         xs = [1, 2, 4, 8]
         ys = [1.0, 0.5, 0.25, 0.125]

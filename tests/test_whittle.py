@@ -5,6 +5,7 @@ from singlepull import ArmModel, domains, expand_with_dummies, make_policy, whit
 from singlepull.domains import DomainSpec, closed_form_whittle, ehrenfest_arm
 from singlepull.whittle import (
     DEFAULT_TOL,
+    TIE_TOL,
     BracketFail,
     NonConvergent,
     _CesaroLimits,
@@ -21,9 +22,6 @@ from conftest import random_arm
 from whittle_reference import (
     backward_qdiff,
     cesaro_limit,
-    per_type_finite,
-    per_type_qdiff,
-    reference_finite,
     reference_infinite,
     rvi_qdiff,
 )
@@ -169,11 +167,32 @@ class TestBatchedDp:
         model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
         T = 5
         lams = np.array([-0.7, 0.0, 1.1])
-        qd = finite_horizon_qdiff([model], T, lams)
+        qd = finite_horizon_qdiff(model, T, lams)
         assert qd.shape == (3, model.n_states, T)
-        assert finite_horizon_qdiff([model], T, 0.4).shape == (model.n_states, T)
+        assert finite_horizon_qdiff(model, T, 0.4).shape == (model.n_states, T)
         for lam, block in zip(lams, qd):
             assert np.allclose(block, backward_qdiff(model, T, lam), rtol=0, atol=1e-12)
+
+
+def finite_roots(model, T, index):
+    """Check a finite index table entry by entry through the scalar backward_qdiff.
+
+    A singleton entry zeroes its gap to 1e-12 relative to the values'
+    scale. Where the gap stays 0 just above the index, the entry is
+    set-valued, and the index is its left end: the gap is 0 (to TIE_TOL)
+    there and positive just below. Returns the counts of both kinds.
+    """
+    kinds = [0, 0]
+    for (s, t), lam in np.ndenumerate(index):
+        scale = 1.0 + T * (np.abs(model.rewards).max() + abs(lam))
+        delta = 1e-6 * (1.0 + abs(lam))
+        here, below, above = (backward_qdiff(model, T, x)[s, t] for x in (lam, lam - delta,
+                                                                             lam + delta))
+        set_valued = abs(above) <= TIE_TOL * scale
+        assert abs(here) <= (TIE_TOL if set_valued else 1e-12) * scale, (s, t, here)
+        assert below > 0, (s, t, below)
+        kinds[int(set_valued)] += 1
+    return kinds
 
 
 def _ehrenfest4():
@@ -208,30 +227,28 @@ class TestAgainstScalarReference:
                                        rtol=0, atol=DEFAULT_TOL)
 
     def test_finite_matches_reference(self):
+        # every entry is a root of the scalar backward induction's gap
         for model, T in zip(self.models(), (4, 5, 6, 4, 6)):
             m = expand_with_dummies(model)
-            table = whittle_index_finite([m], T)
-            assert np.allclose(table.values[0], reference_finite(m, T),
-                               rtol=0, atol=DEFAULT_TOL)
+            finite_roots(m, T, whittle_index_finite([m], T).values[0])
 
 
 class TestSubsidyIndex:
     def test_gap_that_never_crosses_raises_bracket_fail(self):
         with pytest.raises(BracketFail, match=r"^type 0, entry \(0,\)"):
             _subsidy_index({0: 1.0},
-                           lambda lam, type_of, entry: np.ones(np.shape(lam) + (3,)), 1e-6)
+                           lambda lam, type_of: np.ones(np.shape(lam) + (3,)), 1e-6)
 
     def test_bracket_fail_names_the_type_that_cannot_bracket(self):
         # type 0's gaps cross zero at lam = 0.3; type 1's stay positive
-        def qdiff_at(lam, type_of, entry=None):
+        def qdiff_at(lam, type_of):
             return np.where((type_of == 0)[:, None], 0.3 - lam[:, None], 1.0) * np.ones(2)
 
         with pytest.raises(BracketFail, match=r"^type 1, entry \(0,\)"):
             _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-6)
         with pytest.raises(BracketFail, match=r"^type 7, "):
             _subsidy_index({4: 1.0, 7: 1.0},
-                           lambda lam, type_of, entry:
-                           qdiff_at(lam, (type_of == 7).astype(int)), 1e-6)
+                           lambda lam, type_of: qdiff_at(lam, (type_of == 7).astype(int)), 1e-6)
 
     def test_linear_gaps_stop_independently(self):
         # gap a_e - lam: entries on a bisection midpoint stop after 1, 2, 3
@@ -239,7 +256,7 @@ class TestSubsidyIndex:
         a = np.array([[0.0, 0.5], [-0.25, np.sqrt(2) / 10]])
         calls = []
 
-        def qdiff_at(lam, type_of, entry):
+        def qdiff_at(lam, type_of):
             assert np.all(type_of == 0)
             calls.append(lam.size)
             return a - lam[..., None, None]
@@ -256,7 +273,7 @@ class TestSubsidyIndex:
         cross = np.array([0.5, 5.0])
         seen = {0: set(), 1: set()}
 
-        def qdiff_at(lam, type_of, entry):
+        def qdiff_at(lam, type_of):
             for x, n in zip(lam, type_of):
                 seen[int(n)].add(abs(float(x)))
             return (cross[type_of] - lam)[:, None]
@@ -294,67 +311,6 @@ class TestStackedTypes:
             stacked = build(models)
             for m, values in zip(models, stacked.values):
                 assert np.array_equal(values, build([m]).values[0])
-
-    def test_merged_trimmed_finite_rows_equal_per_type_sweeps(self):
-        # type 1 has one row beside two multi-row types; types 0 and 2 repeat
-        # a subsidy; the rows' first epochs cover 0..T-1
-        rng = np.random.default_rng(21)
-        models = [expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
-                  for _ in range(3)]
-        T = 6
-        type_of = np.array([0, 0, 0, 0, 1, 2, 2, 2, 2])
-        lams = np.array([0.3, -0.2, 0.3, 1.1, 0.4, 0.0, 0.0, -0.7, 0.0])
-        first = np.array([0, 3, 5, 2, 4, 1, 5, 0, 2])
-        qd = finite_horizon_qdiff(models, T, lams, type_of, first)
-        assert qd.shape == (9, models[0].n_states, T)
-        for n in range(3):
-            rows = np.flatnonzero(type_of == n)
-            full = per_type_qdiff(models[n], T, lams[rows])
-            for b, sweep in zip(rows, full):
-                assert np.array_equal(qd[b, :, first[b]:], sweep[:, first[b]:])
-        untrimmed = finite_horizon_qdiff(models, T, lams, type_of)
-        for n in range(3):
-            rows = type_of == n
-            assert np.array_equal(untrimmed[rows], per_type_qdiff(models[n], T, lams[rows]))
-
-    def test_finite_tables_equal_per_type_bisections(self):
-        # one bisection per state count, one DP row per distinct (type,
-        # subsidy), each swept back only as far as its entries ask, against
-        # one bisection per type with one full sweep per entry
-        for types in self.instances():
-            models = [expand_with_dummies(m) for m in types]
-            for T in (1, 4):
-                table = whittle_index_finite(models, T)
-                for m, values in zip(models, table.values):
-                    assert np.array_equal(values, per_type_finite(m, T))
-
-    def test_finite_bisection_gaps_equal_per_type_rows(self, monkeypatch):
-        # every gap a merged bisection step reads equals, bit for bit, the
-        # gap of a sweep over that type's searching entries alone, one row
-        # each: a type with one entry on the vector kernel, others on the
-        # matrix kernel even where all their entries share one subsidy
-        models = [expand_with_dummies(m)
-                  for m in domains.make_models(DomainSpec(domains.RANDOM, 3, 3, seed=1))]
-        T = 4
-        steps = []
-        bisect = whittle._subsidy_index
-
-        def checked(halfwidths, qdiff_at, tol):
-            def gaps(lam, type_of, entry):
-                out = qdiff_at(lam, type_of, entry)
-                if entry is not None:
-                    got = out.reshape(lam.size, -1)[np.arange(lam.size), entry]
-                    for n in np.unique(type_of):
-                        rows = type_of == n
-                        want = per_type_qdiff(models[n], T, lam[rows]).reshape(rows.sum(), -1)
-                        assert np.array_equal(got[rows], want[np.arange(rows.sum()), entry[rows]])
-                    steps.append(np.bincount(type_of))
-                return out
-            return bisect(halfwidths, gaps, tol)
-
-        monkeypatch.setattr(whittle, "_subsidy_index", checked)
-        whittle_index_finite(models, T)
-        assert any((c == 1).any() for c in steps) and any((c > 1).all() for c in steps)
 
     def test_rvi_rows_equal_single_type_calls(self, rng):
         # three S=4 types, one of them a multichain dummy expansion
@@ -454,27 +410,33 @@ class TestStackedTypes:
 
 class TestFinite:
     def test_three_types_take_one_bisection(self, monkeypatch):
-        # the three CPAP types bracket without doubling, so one bisection
-        # over all of them takes as many DP calls as the longest of the
-        # three bisections alone, and the Q-value gaps take one DP
+        # one stationary bisection over the three CPAP types takes as many
+        # DP calls as the longest of the three bisections alone; the exact
+        # finite index takes no DP call, and the Q-value gaps one per type
         models = [expand_with_dummies(m)
                   for m in domains.make_models(DomainSpec(domains.CPAP, 3, 3, seed=0))]
-        T = 5
         calls = []
-        dp = whittle.finite_horizon_qdiff
-        monkeypatch.setattr(whittle, "finite_horizon_qdiff",
-                            lambda *args, **kw: calls.append(1) or dp(*args, **kw))
-        whittle_index_finite(models, T)
+        for name in ("relative_value_iteration", "finite_horizon_qdiff"):
+            dp = getattr(whittle, name)
+            monkeypatch.setattr(whittle, name,
+                                lambda *args, dp=dp, **kw: calls.append(1) or dp(*args, **kw))
+        whittle_index_infinite(models)
         merged = len(calls)
         alone = []
         for m in models:
             calls.clear()
-            whittle_index_finite([m], T)
+            whittle_index_infinite([m])
             alone.append(len(calls))
         assert merged == max(alone) < sum(alone)
         calls.clear()
-        q_difference_indices(models, T)
-        assert len(calls) == 1
+        whittle_index_finite(models, 5)
+        assert len(calls) == 0
+        q_difference_indices(models, 5)
+        assert len(calls) == 3
+
+    def test_rejects_unexpanded_types(self, rng):
+        with pytest.raises(ValueError, match="dummy-expanded"):
+            whittle_index_finite([random_arm(rng, 3)], 4)
 
     def test_last_step_index_is_reward_gap(self, rng):
         model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
@@ -482,27 +444,66 @@ class TestFinite:
         table = whittle_index_finite([model], T)
         gaps = model.rewards[:, 1] - model.rewards[:, 0]
         for s in range(model.n_states):
-            assert table.values[0][s, T - 1] == pytest.approx(gaps[s], abs=1e-5)
+            assert table.values[0][s, T - 1] == pytest.approx(gaps[s], abs=1e-12)
 
     def test_dummy_states_have_zero_index(self, rng):
         model = expand_with_dummies(random_arm(rng, 2))
         table = whittle_index_finite([model], 3)
         for sd in model.dummy_of:
             for t in range(3):
-                assert table.values[0][sd, t] == pytest.approx(0.0, abs=1e-5)
+                assert table.values[0][sd, t] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_grid_search_oracle(self, rng):
         model = expand_with_dummies(random_arm(rng, 2, active_only_rewards=False))
         T = 2
-        tol = 1e-6
-        table = whittle_index_finite([model], T, tol)
+        table = whittle_index_finite([model], T)
         span = float(model.rewards.max() - model.rewards.min())
         grid = np.arange(-2 * span, 2 * span + 1e-12, 1e-4)
-        qd = np.stack([finite_horizon_qdiff([model], T, lam) for lam in grid])  # (G, S, T)
+        qd = finite_horizon_qdiff(model, T, grid)  # (G, S, T)
         for s in range(model.n_states):
             for t in range(T):
                 best = grid[np.argmin(np.abs(qd[:, s, t]))]
                 assert table.values[0][s, t] == pytest.approx(best, abs=2e-4)
+
+
+class TestExactFinite:
+    """The finite index is exact on the four families and on random arms (backward_qdiff)."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        cases = []
+        for family in domains.FAMILIES:
+            for seed in range(2):
+                models = [expand_with_dummies(m)
+                          for m in domains.make_models(DomainSpec(family, 3, 3, seed=seed))]
+                cases.append((models, 6))
+        rng = np.random.default_rng(17)
+        arms = [expand_with_dummies(random_arm(rng, S, active_only_rewards=a))
+                for S, a in ((2, False), (4, True), (5, False))]
+        cases += [(arms, 7), (arms, 1)]
+        return [(m, T, values) for models, T in cases
+                for m, values in zip(models, whittle_index_finite(models, T).values)]
+
+    def test_singleton_roots_and_set_valued_left_ends(self, tables):
+        singletons, set_valued = np.sum([finite_roots(m, T, v) for m, T, v in tables], axis=0)
+        assert singletons > 0 and set_valued > 0
+
+    def test_gap_is_nonincreasing(self, tables):
+        # indexability: the gap of every entry falls (weakly) in the subsidy,
+        # on a grid over the sentinels' span and at every index
+        for m, T, values in tables:
+            H = T * np.ptp(m.rewards) + 1.0
+            lams = np.unique(np.concatenate((np.linspace(-H, H, 201), values.ravel())))
+            gaps = np.array([backward_qdiff(m, T, lam) for lam in lams])
+            scale = 1.0 + T * (np.abs(m.rewards).max() + H)
+            assert (np.diff(gaps, axis=0) <= TIE_TOL * scale).all()
+
+    def test_sentinels_bracket_every_root(self, tables):
+        # beyond +-H = T * span + 1, pulling now and never pulling are optimal
+        for m, T, values in tables:
+            H = T * np.ptp(m.rewards) + 1.0
+            assert (backward_qdiff(m, T, -H) > 0).all() and (backward_qdiff(m, T, H) < 0).all()
+            assert (np.abs(values) < H).all()
 
 
 class TestQDifference:

@@ -1,10 +1,12 @@
-"""Scalar, one-entry-at-a-time Whittle bisections, kept as the reference for singlepull.whittle.
+"""Scalar references for singlepull.whittle.
 
-Every bisection step solves one full DP at a single subsidy and reads one
-entry of it, exactly the per-state (infinite) and per-(state, t) (finite)
-loops that the batched index layer replaces. The infinite-horizon DP here
-is damped relative value iteration, an independent method from the
-package's policy iteration, with its own span tolerance and sweep cap.
+The infinite-horizon index is bisected one state at a time: every step
+solves one full DP at a single subsidy and reads one entry of it, exactly
+the per-state loop that the batched bisection replaces. The DP here is
+damped relative value iteration, an independent method from the package's
+policy iteration, with its own span tolerance and sweep cap. The
+finite-horizon reference is scalar backward induction, against which the
+tests check that every finite index zeroes its entry's gap.
 """
 
 import numpy as np
@@ -18,7 +20,6 @@ from singlepull.whittle import (
     BracketFail,
     NonConvergent,
     _bracket_halfwidth,
-    _subsidy_index,
 )
 
 RVI_SPAN_TOL = 1e-9
@@ -58,31 +59,6 @@ def backward_qdiff(model, T, lam):
         qdiff[:, t] = q1 - q0
         v = np.maximum(q0, q1)
     return qdiff
-
-
-def per_type_qdiff(model, T, lams):
-    """One type's backward induction at (B,) subsidies, one (B, S) @ P_a.T product per epoch.
-
-    Every row is swept over the whole horizon; a single row is a (1, S)
-    product, which BLAS runs on its vector kernel.
-    """
-    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T for a = 0, 1
-    r0 = model.rewards[:, 0] + lams[:, None]
-    r1 = model.rewards[:, 1]
-    qdiff = np.empty(lams.shape + (model.n_states, T))
-    v = np.zeros(lams.shape + (model.n_states,))
-    for t in range(T - 1, -1, -1):
-        q0 = r0 + v @ P0T
-        q1 = r1 + v @ P1T
-        qdiff[..., t] = q1 - q0
-        v = np.maximum(q0, q1)
-    return qdiff
-
-
-def per_type_finite(model, T, tol=DEFAULT_TOL):
-    """Time-dependent index (S, T) by a bisection of this type alone, one full sweep per entry."""
-    return _subsidy_index({0: _bracket_halfwidth(model)},
-                          lambda lam, type_of, entry: per_type_qdiff(model, T, lam), tol)[0]
 
 
 def cesaro_limit(P):
@@ -143,17 +119,4 @@ def reference_infinite(model, tol=DEFAULT_TOL):
         if qd_lo[s] < -tol or qd_hi[s] > tol:
             raise BracketFail(f"state {s}")
         out[s] = _bisect(qdiff_at, s, hw, tol)
-    return out
-
-
-def reference_finite(model, T, tol=DEFAULT_TOL):
-    """Time-dependent index (S, T) by one scalar bisection per (state, t)."""
-    qdiff_at = lambda lam: backward_qdiff(model, T, lam)
-    hw, qd_lo, qd_hi = _expand_bracket(_bracket_halfwidth(model), qdiff_at)
-    out = np.zeros((model.n_states, T))
-    for s in range(model.n_states):
-        for t in range(T):
-            if qd_lo[s, t] < -tol or qd_hi[s, t] > tol:
-                raise BracketFail(f"state {s}, t {t}")
-            out[s, t] = _bisect(qdiff_at, (s, t), hw, tol)
     return out
