@@ -1,0 +1,113 @@
+"""Golden corpus: sha256 digests of reports and index tables, pinned as test data.
+
+The corpus is small enough for tier-1:
+- four CLI runs, one per family, at N=2 S=3 K=1 rho=3 T=4, every policy,
+  instance seeds 0 and 1, 10 episodes, --timing --dump-trajectories. Each
+  pins results.csv, results.txt and trajectories.jsonl, and timing.csv's
+  header and policy column (its clocks vary);
+- the four index policies' tables on the three index-build instances of
+  perfbench (CPAP N=10 S=5 T=10, EHRENFEST N=2 S=4 T=20, RANDOM N=4 S=10
+  T=20, seed 0).
+
+A digest moves only with a change that is meant to move outputs. The
+digests depend on numpy's and scipy's arithmetic, so they are recorded with
+those versions, and a version mismatch fails, naming both versions.
+Rewrite golden_digests.json with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from singlepull import cli, domains, policies
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+CLI_SETTING = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
+TABLE_CASES = {  # label -> (family, n_types, n_states, horizon)
+    "CPAP-N10-S5-T10": (domains.CPAP, 10, 5, 10),
+    "EHRENFEST-N2-S4-T20": (domains.EHRENFEST, 2, 4, 20),
+    "RANDOM-N4-S10-T20": (domains.RANDOM, 4, 10, 20),
+}
+INDEX_POLICIES = ("whittle-finite", "whittle-infinite", "whittle-original", "qdiff")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def versions() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def cli_digests(family: str, out_dir: Path) -> dict:
+    """Digests of one corpus CLI run's reports."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = out_dir / "config.json"
+    config.write_text(json.dumps({
+        "domain": {"family": family}, "setting": CLI_SETTING,
+        "policies": list(policies.POLICY_NAMES), "episodes": 10, "base_seed": 0,
+        "instance_seeds": [0, 1], "out_dir": str(out_dir),
+    }))
+    code = cli.main(["--config", str(config), "--timing", "--dump-trajectories"])
+    assert code == cli.EXIT_OK, f"{family}: singlepull exited {code}"
+    out = {name: _sha((out_dir / name).read_bytes())
+           for name in ("results.csv", "results.txt", "trajectories.jsonl")}
+    lines = (out_dir / "timing.csv").read_text().splitlines()
+    out["timing.csv policy column"] = _sha(
+        "\n".join([lines[0]] + [line.split(",")[0] for line in lines[1:]]).encode())
+    return out
+
+
+def table_digest(label: str, policy: str) -> str:
+    """Digest of one index policy's table, every type's shape and bytes."""
+    family, n_types, n_states, horizon = TABLE_CASES[label]
+    inst = domains.make_instance(domains.DomainSpec(family, n_types, n_states, seed=0),
+                                 budget=1, rho=1, horizon=horizon)
+    built = policies.make_policy(policy)
+    built.prepare(inst)
+    digest = hashlib.sha256()
+    for values in built.table.values:
+        digest.update(repr(values.shape).encode())
+        digest.update(np.ascontiguousarray(values, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    doc = json.loads(DIGESTS.read_text())
+    if doc["versions"] != versions():
+        pytest.fail(f"the golden digests were recorded with {doc['versions']}, "
+                    f"but this environment has {versions()}; rerun the corpus at the "
+                    f"recorded versions, or record it again at these ones")
+    return doc
+
+
+@pytest.mark.parametrize("family", domains.FAMILIES)
+def test_cli_reports_match_the_corpus(recorded, tmp_path, family):
+    assert cli_digests(family, tmp_path) == recorded["cli"][family]
+
+
+def test_index_tables_match_the_corpus(recorded):
+    got = {f"{label}/{policy}": table_digest(label, policy)
+           for label in TABLE_CASES for policy in INDEX_POLICIES}
+    assert got == recorded["tables"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {
+            "versions": versions(),
+            "cli": {family: cli_digests(family, Path(tmp) / family)
+                    for family in domains.FAMILIES},
+            "tables": {f"{label}/{policy}": table_digest(label, policy)
+                       for label in TABLE_CASES for policy in INDEX_POLICIES},
+        }
+    DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
