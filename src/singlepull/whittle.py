@@ -3,17 +3,16 @@
 The infinite-horizon index of a state is the passive subsidy at which
 activating and resting are equally attractive under the average-reward
 criterion. It is found by bisection over exact multichain policy
-iteration, which ends after finitely many policy changes and needs no
-sweep cap or damping. The types of an instance that share a state count
-are bisected together, so an instance costs one bisection per distinct
-state count, and each bisection step is one policy-iteration call over the
-entries still searching. Policy iteration meets the same few policies at
-every step of a bisection, so the Cesaro limit of each policy's matrix is
-squared out once per bisection, not once per step, and a call keeps its
-books once per distinct (type, policy), not once per row. Every entry
-keeps the bracket and the midpoints a bisection of its type alone would
-visit, and each row comes out bit for bit as in a call for its type alone,
-so the tables do not depend on which types share a bisection.
+iteration, which holds no policy twice, so it ends after finitely many
+policy changes and needs no sweep cap or damping. The types of an instance
+that share a state count are bisected together, so an instance costs one
+bisection per distinct state count, and each bisection step is one
+policy-iteration call over the entries still searching. Policy iteration
+meets the same few policies at every step of a bisection, so the Cesaro
+limit of each (type, policy) matrix is squared out once per bisection, not
+once per step. Every entry keeps the bracket and the midpoints a bisection
+of its type alone would visit, and no row of a policy-iteration call reads
+another row, so the tables cannot depend on which types share a bisection.
 Indexability is assumed, not verified: a bracket whose endpoints do not
 straddle the activation/passivity switch raises BracketFail instead of
 reporting a spurious crossing.
@@ -143,21 +142,6 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     return lam.reshape(qd_lo.shape)
 
 
-def _per_type_products(x: np.ndarray, Pt: np.ndarray, alone: np.ndarray) -> np.ndarray:
-    """x[b, i] @ Pt[b, a] for every row b, action a and vector i, shaped (B, 2, 2, S).
-
-    Bit for bit as per-type products give them: a type's rows, (rows, S)
-    @ (S, S), go through BLAS's matrix kernel, whose rows agree whatever
-    their count, so each row's two vectors make one two-row product; a
-    type's only row goes through the vector kernel instead, and alone
-    flags those rows.
-    """
-    out = x[:, None] @ Pt
-    if alone.any():
-        out[alone] = (x[alone][:, None, :, None, :] @ Pt[alone][:, :, None])[..., 0, :]
-    return out
-
-
 def _normalised_square(M: np.ndarray):
     """The row-renormalised square of a stack (B, S, S) and each matrix's largest move."""
     M2 = M @ M
@@ -166,106 +150,53 @@ def _normalised_square(M: np.ndarray):
 
 
 class _CesaroLimits:
-    """Cesaro limits P* = lim (1/n) sum_k P^k of stochastic matrices, each square taken once.
+    """Cesaro limits P* = lim (1/n) sum_k P^k of policy matrices, each squared out once.
 
     The aperiodic transform M_0 = (I + P) / 2 has the same limit and its
     powers converge to it, so it is squared, with rows renormalised against
-    round-off (M_j). The rows of one type are squared until a square moves
-    no entry of any of them by more than TIE_TOL (the next square's error
-    is then of order TIE_TOL ** 2), at most CESARO_MAX_SQUARINGS times. A
-    bisection meets the same policy matrices at many subsidies, so every
-    matrix keeps its moves max |M_j - M_{j-1}| and its squares from its own
-    first move below TIE_TOL on, the earliest its type can stop; a call
-    returns each row's square at its type's stopping count, bit for bit as
-    squaring the type's rows together gives it.
+    round-off, until a square moves no entry by more than TIE_TOL (the next
+    square's error is then of order TIE_TOL ** 2), at most
+    CESARO_MAX_SQUARINGS times. Each matrix stops on its own moves, so its
+    limit does not depend on which matrices share a call. A bisection meets
+    the same policies at many subsidies, so every limit is kept under its
+    (type, policy bytes) and squared out once.
     """
 
     def __init__(self):
-        self._named = {}  # (type, name bytes) -> matrix bytes
-        self._known = {}  # matrix bytes -> _Squares
+        self._known = {}  # (type, policy bytes) -> P*
 
-    def __call__(self, P: np.ndarray, type_of: np.ndarray, names: np.ndarray) -> np.ndarray:
-        """P* of every row of P (B, S, S); type_of[b] is row b's type.
+    def __call__(self, P: np.ndarray, type_of: np.ndarray, policy: np.ndarray) -> np.ndarray:
+        """P* of every row of P (B, S, S), row b the matrix of policy[b] on type type_of[b].
 
-        Row b's matrix is named by its type and the bytes of names[b], such
-        as the policy that picks its rows: across all calls on this object,
-        rows of one type with equal names must have equal matrices. The
-        bookkeeping runs once per distinct (type, name) pair, and each row
-        takes its pair's limit; a matrix's bytes are read once per name.
+        Across all calls on this object, rows with equal type and policy
+        bytes must have equal matrices.
         """
-        pairs = {}  # (type, name bytes) -> its place among the distinct pairs
-        at = np.array([pairs.setdefault(pair, len(pairs))
-                       for pair in zip(type_of.tolist(), (x.tobytes() for x in names))])
-        if any(pair not in self._named for pair in pairs):
-            new = {}
-            rows = np.flatnonzero(np.diff(np.maximum.accumulate(at), prepend=-1))  # pair's first
-            for pair, b in zip(pairs, rows.tolist()):
-                if pair not in self._named:
-                    key = self._named[pair] = P[b].tobytes()
-                    if key not in self._known:
-                        new.setdefault(key, b)
-            if new:
-                self._start(list(new), P[list(new.values())])
-        squares = [self._known[self._named[pair]] for pair in pairs]
-        by_type = {}
-        for (t, _), m in zip(pairs, squares):
-            by_type.setdefault(t, []).append(m)
-        stop = {}
-        for t, known in by_type.items():
-            j = max(m.first for m in known)
-            while j < CESARO_MAX_SQUARINGS and max(m.move(j) for m in known) > TIE_TOL:
-                j += 1
-            stop[t] = j
-        return np.array([m.power(stop[t]) for (t, _), m in zip(pairs, squares)])[at]
-
-    def _start(self, keys, P):
-        """Square each new matrix until its own first move <= TIE_TOL (or the cap)."""
-        M = 0.5 * (np.eye(P.shape[-1]) + P)
-        moves = [[] for _ in keys]
-        going = np.arange(len(keys))
-        for _ in range(CESARO_MAX_SQUARINGS):
-            M[going], moved = _normalised_square(M[going])
-            for b, move in zip(going.tolist(), moved.tolist()):
-                moves[b].append(move)
-            going = going[moved > TIE_TOL]
-            if going.size == 0:
-                break
-        for k, m, move in zip(keys, M, moves):
-            self._known[k] = _Squares(move, m)
-
-
-class _Squares:
-    """One matrix's moves max |M_j - M_{j-1}| and its squares M_j from its first move <= TIE_TOL."""
-
-    __slots__ = ("moves", "squares", "first")
-
-    def __init__(self, moves: list, square: np.ndarray):
-        self.moves, self.squares, self.first = moves, [square], len(moves)
-
-    def power(self, j: int) -> np.ndarray:
-        """M_j, j >= first, squaring further as needed."""
-        while len(self.squares) <= j - self.first:
-            M2, moved = _normalised_square(self.squares[-1][None])
-            self.moves.append(float(moved[0]))
-            self.squares.append(M2[0])
-        return self.squares[j - self.first]
-
-    def move(self, j: int) -> float:
-        """max |M_j - M_{j-1}|."""
-        self.power(j)
-        return self.moves[j - 1]
+        keys = list(zip(type_of.tolist(), (x.tobytes() for x in policy)))
+        new = {}
+        for b, key in enumerate(keys):
+            if key not in self._known:
+                new.setdefault(key, b)
+        if new:
+            M = 0.5 * (np.eye(P.shape[-1]) + P[list(new.values())])
+            going = np.arange(len(new))
+            for _ in range(CESARO_MAX_SQUARINGS):
+                M[going], moved = _normalised_square(M[going])
+                going = going[moved > TIE_TOL]
+                if going.size == 0:
+                    break
+            self._known.update(zip(new, M))
+        return np.array([self._known[key] for key in keys])
 
 
 def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=None):
     """Average-reward DP with passive subsidy lam, a scalar or a (B,) vector.
 
     Row b solves type models[type_of[b]] (default: type 0 for every row)
-    at subsidy lam[b]; the types the rows name share a state count. Each
-    type's rows come out bit for bit as a call with that type and those
-    rows alone. limits, a _CesaroLimits, may be shared by calls on the same
-    models, such as the steps of one bisection, which meet the same
-    policies; it names each matrix by its type and policy, and changes no
-    result.
+    at subsidy lam[b]; the types the rows name share a state count. No
+    row's arithmetic reads another row, so each row comes out as in a call
+    with that row alone. limits, a _CesaroLimits, may be shared by calls on
+    the same models, such as the steps of one bisection, which meet the same
+    policies; it keys each limit by type and policy, and changes no result.
 
     Solved exactly by multichain Howard policy iteration (Puterman 1994,
     section 9.2), all rows together as (B, S, S) arrays. Starting from
@@ -275,9 +206,13 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     produces need no special case. Each state then keeps only the actions
     maximising P_a g and, among those, takes the one maximising
     r_a + P_a h; its current action stays unless another is better by more
-    than TIE_TOL (relative to the values' scale). The loop ends when no
-    row changes, which takes finitely many rounds because every change
-    strictly improves the policy.
+    than TIE_TOL (relative to the values' scale). A row ends when its
+    policy does not change. It also ends when its next policy is one it
+    held before in this call: near-singular I - P + P* can leave the sign
+    of a tiny gap to round-off, so two policies may alternate forever. The
+    states that would flip are then indifferent at this subsidy up to
+    round-off, and their gaps are set to 0.0. A row meets each of its
+    2^S policies at most once, so the loop ends.
 
     Returns (qdiff, h), each lam.shape + (S,): qdiff = Q(s, 1) - Q(s, 0)
     with Q(s, a) = r_a(s) + P_a h, and h the bias shifted to h(0) = 0.
@@ -290,23 +225,20 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     lams = lam.reshape(-1)
     type_of = np.zeros(lams.size, dtype=np.int64) if type_of is None else np.asarray(type_of)
     limits = _CesaroLimits() if limits is None else limits
-    counts = np.bincount(type_of)
-    present = np.flatnonzero(counts)
-    local = (np.cumsum(counts > 0) - 1)[type_of]  # row type, numbered among present types
-    S = models[present[0]].n_states
-    P = np.array([models[n].transitions for n in present])[local]  # (B, S, 2, S)
+    S = models[type_of[0]].n_states
+    P = np.array([models[n].transitions for n in type_of.tolist()])  # (B, S, 2, S)
     Pt = P.transpose(0, 2, 3, 1)  # Pt[b, a] = P_a.T
-    rewards = np.array([models[n].rewards for n in present])[local]
+    rewards = np.array([models[n].rewards for n in type_of.tolist()])
     r0 = rewards[:, :, 0] + lams[:, None]
     r1 = rewards[:, :, 1]
-    alone = counts[type_of] == 1
     eye = np.eye(S)
     active = r1 > r0  # the myopic policy, one row per subsidy
+    held = [{a.tobytes()} for a in active]  # every policy each row has held
     qdiff, h, g, tie = (np.empty((lams.size, n)) for n in (S, S, S, 1))
-    rows = np.arange(lams.size)  # the rows of the types whose policies still change
+    rows = np.arange(lams.size)  # the rows whose policies still change
     while rows.size:
-        a, p, pt, q_r0, q_r1, single = (x if rows.size == len(x) else x[rows]
-                                        for x in (active, P, Pt, r0, r1, alone))
+        a, p, pt, q_r0, q_r1 = (x if rows.size == len(x) else x[rows]
+                                for x in (active, P, Pt, r0, r1))
         P_pi = np.where(a[..., None], p[:, :, 1], p[:, :, 0])
         r_pi = np.where(a, q_r1, q_r0)
         P_star = limits(P_pi, type_of[rows], a)
@@ -314,7 +246,7 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
         h_pi = np.linalg.solve(eye - P_pi + P_star, (r_pi - g_pi)[..., None])[..., 0]
         x = np.empty((rows.size, 2, S))
         x[:, 0], x[:, 1] = h_pi, g_pi
-        (h0, g0), (h1, g1) = _per_type_products(x, pt, single).transpose(1, 2, 0, 3)
+        (h0, g0), (h1, g1) = (x[:, None] @ pt).transpose(1, 2, 0, 3)
         q0, q1 = q_r0 + h0, q_r1 + h1
         qd = q1 - q0
         scale = np.abs(np.concatenate((q0, q1, g_pi), axis=1)).max(axis=1, keepdims=True)
@@ -323,11 +255,17 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
         gain_up = sign * (g1 - g0)
         bias_up = sign * qd
         switch = (gain_up > tie_pi) | ((gain_up >= -tie_pi) & (bias_up > tie_pi))
+        nxt = a ^ switch
+        going = switch.any(axis=1)
+        for i in np.flatnonzero(going).tolist():
+            key = nxt[i].tobytes()
+            if key in held[rows[i]]:
+                going[i] = False
+                qd[i, switch[i]] = 0.0
+            held[rows[i]].add(key)
         qdiff[rows], h[rows], g[rows], tie[rows] = qd, h_pi, g_pi, tie_pi
-        active[rows] = a ^ switch
-        changed = np.zeros(len(present), dtype=bool)
-        changed[local[rows][switch.any(axis=1)]] = True
-        rows = rows[changed[local[rows]]]
+        active[rows] = nxt
+        rows = rows[going]
     split = np.ptp(g, axis=1) > tie[:, 0]
     if split.any():
         named = ", ".join(

@@ -62,10 +62,11 @@ def backward_qdiff(model, T, lam):
 
 
 def cesaro_limit(P):
-    """Squares of (I + P) / 2 for a stack (B, S, S) of one type's matrices, squared together.
+    """Squares of (I + P) / 2 for a stack (B, S, S), squared together.
 
     Rows are renormalised after each square; the stack stops once a square
     moves no entry by more than TIE_TOL, at most CESARO_MAX_SQUARINGS times.
+    A stack of one matrix gives that matrix's limit as the package takes it.
     """
     M = 0.5 * (np.eye(P.shape[-1]) + P)
     for _ in range(CESARO_MAX_SQUARINGS):
