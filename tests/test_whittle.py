@@ -343,32 +343,40 @@ class TestStackedTypes:
             qd_n, h_n = relative_value_iteration([models[n]], lams[rows])
             assert np.array_equal(qd[rows], qd_n) and np.array_equal(h[rows], h_n)
 
-    def test_cesaro_limits_are_each_matrix_squared_alone(self, monkeypatch):
-        # lazy chains settle after different numbers of squares, and B mixes
-        # fast inside two blocks joined by 1e-15: its squares move by less
-        # than TIE_TOL at square 7, then by more again as the blocks mix, up
-        # to square ~57. Whatever rows share a call, each row's limit is its
-        # own matrix squared alone, and each (type, policy) is squared once
+    def test_shared_cesaro_limits_match_squaring_each_call(self):
+        # lazy chains converge after different numbers of squares; whatever
+        # rows share a call, each row's limit is its own matrix squared alone
+        rng = np.random.default_rng(11)
+        mats = []
+        for stay in (0.2, 0.9, 0.99, 0.999):
+            P = stay * np.eye(3) + (1 - stay) * rng.dirichlet(np.ones(3), size=3)
+            mats.append(P / P.sum(axis=1, keepdims=True))
+        mats = np.array(mats)
+        limits = _CesaroLimits()
+        for _ in range(12):
+            pick = rng.integers(0, 4, size=int(rng.integers(1, 7)))
+            type_of = rng.integers(0, 2, size=pick.size)
+            got = limits(mats[pick], type_of, mats[pick])
+            for b, m in enumerate(pick):
+                assert np.array_equal(got[b], cesaro_limit(mats[m:m + 1])[0])
+
+    def test_cesaro_limits_named_by_policy_match_squaring_each_call(self, monkeypatch):
+        # rows named by a policy row (here the matrix's index) share their
+        # bookkeeping: each row's limit is its own matrix squared alone, and
+        # each (type, policy) is squared once across all calls
         rng = np.random.default_rng(5)
         mats = []
-        for stay in (0.3, 0.95, 0.995, 0.9995):
+        for stay in (0.3, 0.95, 0.995, 0.9995, 0.5):
             P = stay * np.eye(4) + (1 - stay) * rng.dirichlet(np.ones(4), size=4)
             mats.append(P / P.sum(axis=1, keepdims=True))
-        B = np.zeros((4, 4))
-        B[:2, :2] = B[2:, 2:] = 0.5
-        B[0, 0] -= 1e-15
-        B[0, 2] = 1e-15
-        B[3, 3] -= 1e-15
-        B[3, 1] = 1e-15
-        A = (1 - 1e-7) * np.eye(4) + 1e-7 * np.full((4, 4), 0.25)
-        mats = np.array(mats + [A, B])
+        mats = np.array(mats)
         stacks = []
         square = whittle._normalised_square
         monkeypatch.setattr(whittle, "_normalised_square",
                             lambda M: stacks.append(len(M)) or square(M))
         limits, seen = _CesaroLimits(), set()
         for _ in range(20):
-            pick = rng.integers(0, len(mats), size=int(rng.integers(1, 9)))
+            pick = rng.integers(0, 5, size=int(rng.integers(1, 9)))
             type_of = rng.integers(0, 3, size=pick.size)
             stacks.clear()
             got = limits(mats[pick], type_of, pick[:, None])
@@ -377,6 +385,30 @@ class TestStackedTypes:
             new = set(zip(type_of.tolist(), pick.tolist())) - seen
             assert stacks[:1] == ([len(new)] if new else [])
             seen |= new
+
+    def test_a_type_stops_once_every_matrix_has_settled(self, monkeypatch):
+        # B mixes fast inside two blocks joined by 1e-15: its squares move by
+        # less than TIE_TOL at square 7, then by more again as the blocks
+        # mix, up to square ~57; the lazy A first settles at square 30. A
+        # type holding both squares B 7 times and A 30 times, as each alone,
+        # and stops once the last of them has settled
+        B = np.zeros((4, 4))
+        B[:2, :2] = B[2:, 2:] = 0.5
+        B[0, 0] -= 1e-15
+        B[0, 2] = 1e-15
+        B[3, 3] -= 1e-15
+        B[3, 1] = 1e-15
+        A = (1 - 1e-7) * np.eye(4) + 1e-7 * np.full((4, 4), 0.25)
+        stacks = []
+        square = whittle._normalised_square
+        monkeypatch.setattr(whittle, "_normalised_square",
+                            lambda M: stacks.append(len(M)) or square(M))
+        for P in (np.array([A, B]), np.array([B, A])):
+            stacks.clear()
+            got = _CesaroLimits()(P, np.zeros(2, dtype=np.int64), P)
+            assert stacks == [2] * 7 + [1] * 23
+            for b in range(2):
+                assert np.array_equal(got[b], cesaro_limit(P[b:b + 1])[0])
 
     def test_nonconvergent_names_the_type(self):
         # type 1 has two absorbing states whose gains differ below lam = 1
