@@ -250,11 +250,16 @@ class OriginalWhittlePolicy(_GreedyIndexPolicy):
 class InfiniteWhittlePolicy(_GreedyIndexPolicy):
     """Stationary Whittle indices of the dummy-expanded arms.
 
-    Under the passive action the normal states and their dummy copies form
-    two closed classes, so these indices can be degenerate: on RANDOM N=4
-    S=10 seed 0 every normal-state index is <= 0, with maximum exactly 0.0,
-    while the unexpanded indices (whittle-original) reach 6.9-8.2. Whether
-    the paper defines its modified index this way is not settled.
+    These indices are degenerate: on RANDOM N=4 S=10 seed 0 every
+    normal-state index is <= 0, with maximum exactly 0.0, while the
+    unexpanded indices (whittle-original) reach 6.9-8.2. The gap slopes
+    show why. On expanded type 0, every normal state's gap has slope 0 in
+    the subsidy (to round-off) at lambda = 0 and at lambda = 5, and every
+    dummy state's slope is -1. The slope is -1 + Pr(pull later): a pull
+    costs the subsidy once, and from every normal state the optimal policy
+    pulls later with probability 1, so the subsidy moves no normal-state
+    gap. Whether the paper defines its modified index this way is not
+    settled.
     """
 
     name = "whittle-infinite"

@@ -2,20 +2,29 @@
 
 The infinite-horizon index of a state is the passive subsidy at which
 activating and resting are equally attractive under the average-reward
-criterion. It is found by bisection over exact multichain policy
-iteration, which holds no policy twice, so it ends after finitely many
-policy changes and needs no sweep cap or damping. The types of an instance
-that share a state count are bisected together, so an instance costs one
-bisection per distinct state count, and each bisection step is one
-policy-iteration call over the entries still searching. Policy iteration
-meets the same few policies at every step of a bisection, so the Cesaro
-limit of each (type, policy) matrix is squared out once per bisection, not
-once per step. Every entry keeps the bracket and the midpoints a bisection
-of its type alone would visit, and no row of a policy-iteration call reads
-another row, so the tables cannot depend on which types share a bisection.
-Indexability is assumed, not verified: a bracket whose endpoints do not
-straddle the activation/passivity switch raises BracketFail instead of
-reporting a spurious crossing.
+criterion. Exact multichain policy iteration gives the gap
+Q(s, 1) - Q(s, 0) at a subsidy; it holds no policy twice, so it ends after
+finitely many policy changes and needs no sweep cap or damping. For a fixed
+policy the gap is affine in the subsidy, so under the optimal policy it is
+piecewise affine, and the same factorization that gives the bias gives the
+slope of the current piece. The index search is therefore a safeguarded
+Newton iteration inside a bisection bracket: a Newton step from the root's
+piece lands on the root, and a midpoint is taken wherever Newton would
+leave the bracket or shrinks it too slowly. Where I - P + P* is nearly
+singular the computed gap can jump across zero between two adjacent
+floats; such a jump root ends when its bracket can shrink no further. The
+types of an instance that
+share a state count are searched together, so an instance costs one search
+per distinct state count, and each search step is one policy-iteration
+call over the entries still searching. Policy iteration meets the same few
+policies at every step of a search, so the Cesaro limit of each (type,
+policy) matrix is squared out once per search, not once per step. Every
+entry keeps the bracket and the iterates a search of its type alone would
+visit, and no row of a policy-iteration call reads another row, so the
+tables cannot depend on which types share a search. Indexability is
+assumed, not verified: a bracket whose endpoints do not straddle the
+activation/passivity switch raises BracketFail instead of reporting a
+spurious crossing.
 
 The finite-horizon index of a dummy-expanded arm is exact and needs no
 bisection. A pull moves the arm into the dummy half, which earns the
@@ -89,19 +98,32 @@ def _bracket_halfwidth(model: ArmModel) -> float:
 
 
 def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
-    """Indifference subsidy of every entry of every type's gap array, all bisected together.
+    """Indifference subsidy of every entry of every type's gap array, all searched together.
 
     halfwidths maps each type id to its starting half-width. qdiff_at(lam,
-    type_of) maps (B,) subsidies, row b for type type_of[b], to gaps shaped
-    (B,) + E; a bisection step passes one row per entry still searching and
-    reads row b at that entry only. Each type grows its own bracket
-    [-hw, hw], doubling hw until its entries' endpoint gaps straddle zero,
-    at most BRACKET_GROWTH_LIMIT times: the equalizing subsidy can exceed
-    the per-step reward span by the bias range, which is large for lazy
-    chains (small per-step motion), so a fixed bracket is not enough. Each
-    entry then keeps the scalar rule: take the midpoint, stop once
-    |gap| <= tol / 2, else move lo (gap > 0) or hi. Returns shape
-    (len(halfwidths),) + E, types in the order of halfwidths.
+    type_of) maps (B,) subsidies, row b for type type_of[b], to the gaps
+    and their slopes in the subsidy, each shaped (B,) + E; a search step
+    passes one row per entry still searching and reads row b at that entry
+    only. Each type grows its own bracket [-hw, hw], doubling hw until its
+    entries' endpoint gaps straddle zero, at most BRACKET_GROWTH_LIMIT
+    times: the equalizing subsidy can exceed the per-step reward span by the
+    bias range, which is large for lazy chains (small per-step motion), so a
+    fixed bracket is not enough.
+
+    Each entry then runs a safeguarded Newton search (rtsafe, Press et al.,
+    Numerical Recipes, section 9.4) on its own: the first iterate is the
+    bracket midpoint; stop once |gap| <= tol / 2, else move lo (gap > 0) or
+    hi. The next iterate is the Newton point lam - gap / slope when the slope
+    is negative, the point lies strictly inside the updated (lo, hi) and the
+    last two steps at least halved the bracket; otherwise it is the midpoint.
+    The gap is piecewise affine in lam, so a Newton step from a point on the
+    root's piece lands on the root. An entry whose midpoint equals lo or hi
+    can shrink no further: its gap falls from above tol / 2 to below
+    -tol / 2 between two adjacent floats, and this jump root returns that
+    midpoint. At
+    most BISECT_MAX_ITERS steps are taken; an entry still searching then
+    returns its next iterate. Returns shape (len(halfwidths),) + E, types
+    in the order of halfwidths.
     """
     types = np.array(list(halfwidths), dtype=np.int64)
     hw = np.array(list(halfwidths.values()), dtype=float)
@@ -109,8 +131,8 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
     for doublings in range(BRACKET_GROWTH_LIMIT + 1):
         if doublings:
             hw[grow] *= 2.0
-        lo_gap = qdiff_at(-hw[grow], types[grow])
-        hi_gap = qdiff_at(hw[grow], types[grow])
+        lo_gap = qdiff_at(-hw[grow], types[grow])[0]
+        hi_gap = qdiff_at(hw[grow], types[grow])[0]
         if not doublings:
             qd_lo, qd_hi = np.empty_like(lo_gap), np.empty_like(hi_gap)
         qd_lo[grow], qd_hi[grow] = lo_gap, hi_gap
@@ -127,16 +149,24 @@ def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
         )
     n = qd_lo[0].size  # entries per type
     lo, hi = np.repeat(-hw, n), np.repeat(hw, n)
-    lam, live = np.zeros(lo.size), np.arange(lo.size)
+    lam, live = 0.5 * (lo + hi), np.arange(lo.size)
+    older, old = hi - lo, hi - lo  # bracket widths two steps and one step back
     for _ in range(BISECT_MAX_ITERS):
-        mid = 0.5 * (lo[live] + hi[live])
-        lam[live] = mid
-        qd = qdiff_at(mid, types[live // n]).reshape(live.size, n)[np.arange(live.size), live % n]
+        x = lam[live]
+        pick = (np.arange(live.size), live % n)
+        qd, dqd = (v.reshape(live.size, n)[pick] for v in qdiff_at(x, types[live // n]))
         searching = np.abs(qd) > 0.5 * tol
         up = searching & (qd > 0)
-        lo[live[up]] = mid[up]
-        hi[live[searching & ~up]] = mid[searching & ~up]
-        live = live[searching]
+        lo[live[up]] = x[up]
+        hi[live[searching & ~up]] = x[searching & ~up]
+        live, x, qd, dqd = (v[searching] for v in (live, x, qd, dqd))
+        a, b = lo[live], hi[live]
+        newton = x - np.divide(qd, dqd, out=np.full(live.size, np.inf), where=dqd < 0)
+        take = (a < newton) & (newton < b) & (b - a <= 0.5 * older[live])
+        older[live], old[live] = old[live], b - a
+        nxt = np.where(take, newton, 0.5 * (a + b))
+        lam[live] = nxt
+        live = live[(nxt != a) & (nxt != b)]
         if live.size == 0:
             break
     return lam.reshape(qd_lo.shape)
@@ -157,7 +187,7 @@ class _CesaroLimits:
     round-off, until a square moves no entry by more than TIE_TOL (the next
     square's error is then of order TIE_TOL ** 2), at most
     CESARO_MAX_SQUARINGS times. Each matrix stops on its own moves, so its
-    limit does not depend on which matrices share a call. A bisection meets
+    limit does not depend on which matrices share a call. A search meets
     the same policies at many subsidies, so every limit is kept under its
     (type, policy bytes) and squared out once.
     """
@@ -195,7 +225,7 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     at subsidy lam[b]; the types the rows name share a state count. No
     row's arithmetic reads another row, so each row comes out as in a call
     with that row alone. limits, a _CesaroLimits, may be shared by calls on
-    the same models, such as the steps of one bisection, which meet the same
+    the same models, such as the steps of one search, which meet the same
     policies; it keys each limit by type and policy, and changes no result.
 
     Solved exactly by multichain Howard policy iteration (Puterman 1994,
@@ -214,8 +244,13 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     round-off, and their gaps are set to 0.0. A row meets each of its
     2^S policies at most once, so the loop ends.
 
-    Returns (qdiff, h), each lam.shape + (S,): qdiff = Q(s, 1) - Q(s, 0)
-    with Q(s, a) = r_a(s) + P_a h, and h the bias shifted to h(0) = 0.
+    Returns (qdiff, h, slope), each lam.shape + (S,): qdiff = Q(s, 1) -
+    Q(s, 0) with Q(s, a) = r_a(s) + P_a h, h the bias shifted to h(0) = 0,
+    and slope the derivative of qdiff in lam under the row's final policy
+    pi. The subsidy enters r_pi as lam * u, u the passive indicator of pi,
+    so g' = P* u and h' = (I - P + P*)^-1 (u - g'), solved with h in one
+    call on the same matrix, and slope = (P_1 - P_0) h' - 1. qdiff is
+    affine in lam while pi stays optimal, so slope is exact on that piece.
     Raises NonConvergent, naming those types and subsidies, when the
     optimal gain is not the same in every state: the relative values (and
     qdiff) are then undefined, and that is the one case where relative
@@ -234,7 +269,7 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
     eye = np.eye(S)
     active = r1 > r0  # the myopic policy, one row per subsidy
     held = [{a.tobytes()} for a in active]  # every policy each row has held
-    qdiff, h, g, tie = (np.empty((lams.size, n)) for n in (S, S, S, 1))
+    qdiff, dqdiff, h, g, tie = (np.empty((lams.size, n)) for n in (S, S, S, S, 1))
     rows = np.arange(lams.size)  # the rows whose policies still change
     while rows.size:
         a, p, pt, q_r0, q_r1 = (x if rows.size == len(x) else x[rows]
@@ -243,10 +278,12 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
         r_pi = np.where(a, q_r1, q_r0)
         P_star = limits(P_pi, type_of[rows], a)
         g_pi = (P_star @ r_pi[..., None])[..., 0]
-        h_pi = np.linalg.solve(eye - P_pi + P_star, (r_pi - g_pi)[..., None])[..., 0]
-        x = np.empty((rows.size, 2, S))
-        x[:, 0], x[:, 1] = h_pi, g_pi
-        (h0, g0), (h1, g1) = (x[:, None] @ pt).transpose(1, 2, 0, 3)
+        u = (~a).astype(float)  # d r_pi / d lam: the subsidy is paid where the policy rests
+        rhs = np.stack((r_pi - g_pi, u - (P_star @ u[..., None])[..., 0]), axis=-1)
+        h_pi, dh_pi = np.linalg.solve(eye - P_pi + P_star, rhs).transpose(2, 0, 1)
+        x = np.empty((rows.size, 3, S))
+        x[:, 0], x[:, 1], x[:, 2] = h_pi, g_pi, dh_pi
+        (h0, g0, dh0), (h1, g1, dh1) = (x[:, None] @ pt).transpose(1, 2, 0, 3)
         q0, q1 = q_r0 + h0, q_r1 + h1
         qd = q1 - q0
         scale = np.abs(np.concatenate((q0, q1, g_pi), axis=1)).max(axis=1, keepdims=True)
@@ -263,7 +300,8 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
                 going[i] = False
                 qd[i, switch[i]] = 0.0
             held[rows[i]].add(key)
-        qdiff[rows], h[rows], g[rows], tie[rows] = qd, h_pi, g_pi, tie_pi
+        qdiff[rows], dqdiff[rows] = qd, dh1 - dh0 - 1.0
+        h[rows], g[rows], tie[rows] = h_pi, g_pi, tie_pi
         active[rows] = nxt
         rows = rows[going]
     split = np.ptp(g, axis=1) > tie[:, 0]
@@ -275,11 +313,11 @@ def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=N
         raise NonConvergent(f"optimal gain differs across states, so relative values "
                             f"are undefined: {named}")
     h = h - h[:, :1]
-    return qdiff.reshape(lam.shape + (S,)), h.reshape(lam.shape + (S,))
+    return tuple(x.reshape(lam.shape + (S,)) for x in (qdiff, h, dqdiff))
 
 
 def whittle_index_infinite(models: list[ArmModel], tol: float = DEFAULT_TOL) -> IndexTable:
-    """Stationary subsidy index per (type, state), one bisection per state count."""
+    """Stationary subsidy index per (type, state), one search per state count."""
     limits = _CesaroLimits()
     groups = {}
     for n, m in enumerate(models):
@@ -288,7 +326,7 @@ def whittle_index_infinite(models: list[ArmModel], tol: float = DEFAULT_TOL) -> 
     for members in groups.values():
         index = _subsidy_index(
             {n: _bracket_halfwidth(models[n]) for n in members},
-            lambda lam, type_of: relative_value_iteration(models, lam, type_of, limits)[0],
+            lambda lam, type_of: relative_value_iteration(models, lam, type_of, limits)[::2],
             tol,
         )
         for n, v in zip(members, index):

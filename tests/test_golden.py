@@ -7,7 +7,9 @@ The corpus is small enough for tier-1:
   header and policy column (its clocks vary);
 - the four index policies' tables on the three index-build instances of
   perfbench (CPAP N=10 S=5 T=10, EHRENFEST N=2 S=4 T=20, RANDOM N=4 S=10
-  T=20, seed 0).
+  T=20, seed 0);
+- the whittle-original table on CPAP N=4 S=10 T=10 seed 1, which holds a
+  jump root of the stationary index (type 1, state 1).
 
 A digest moves only with a change that is meant to move outputs. The
 digests depend on numpy's and scipy's arithmetic, so they are recorded with
@@ -30,12 +32,13 @@ from singlepull import cli, domains, policies
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CLI_SETTING = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
-TABLE_CASES = {  # label -> (family, n_types, n_states, horizon)
-    "CPAP-N10-S5-T10": (domains.CPAP, 10, 5, 10),
-    "EHRENFEST-N2-S4-T20": (domains.EHRENFEST, 2, 4, 20),
-    "RANDOM-N4-S10-T20": (domains.RANDOM, 4, 10, 20),
-}
 INDEX_POLICIES = ("whittle-finite", "whittle-infinite", "whittle-original", "qdiff")
+TABLE_CASES = {  # label -> (family, n_types, n_states, horizon, seed, policies)
+    "CPAP-N10-S5-T10": (domains.CPAP, 10, 5, 10, 0, INDEX_POLICIES),
+    "EHRENFEST-N2-S4-T20": (domains.EHRENFEST, 2, 4, 20, 0, INDEX_POLICIES),
+    "RANDOM-N4-S10-T20": (domains.RANDOM, 4, 10, 20, 0, INDEX_POLICIES),
+    "CPAP-N4-S10-T10-seed1": (domains.CPAP, 4, 10, 10, 1, ("whittle-original",)),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -67,8 +70,8 @@ def cli_digests(family: str, out_dir: Path) -> dict:
 
 def table_digest(label: str, policy: str) -> str:
     """Digest of one index policy's table, every type's shape and bytes."""
-    family, n_types, n_states, horizon = TABLE_CASES[label]
-    inst = domains.make_instance(domains.DomainSpec(family, n_types, n_states, seed=0),
+    family, n_types, n_states, horizon, seed, _ = TABLE_CASES[label]
+    inst = domains.make_instance(domains.DomainSpec(family, n_types, n_states, seed=seed),
                                  budget=1, rho=1, horizon=horizon)
     built = policies.make_policy(policy)
     built.prepare(inst)
@@ -94,10 +97,13 @@ def test_cli_reports_match_the_corpus(recorded, tmp_path, family):
     assert cli_digests(family, tmp_path) == recorded["cli"][family]
 
 
+def table_digests() -> dict:
+    return {f"{label}/{policy}": table_digest(label, policy)
+            for label, case in TABLE_CASES.items() for policy in case[-1]}
+
+
 def test_index_tables_match_the_corpus(recorded):
-    got = {f"{label}/{policy}": table_digest(label, policy)
-           for label in TABLE_CASES for policy in INDEX_POLICIES}
-    assert got == recorded["tables"]
+    assert table_digests() == recorded["tables"]
 
 
 if __name__ == "__main__":
@@ -106,8 +112,7 @@ if __name__ == "__main__":
             "versions": versions(),
             "cli": {family: cli_digests(family, Path(tmp) / family)
                     for family in domains.FAMILIES},
-            "tables": {f"{label}/{policy}": table_digest(label, policy)
-                       for label in TABLE_CASES for policy in INDEX_POLICIES},
+            "tables": table_digests(),
         }
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")

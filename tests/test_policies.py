@@ -22,7 +22,7 @@ from singlepull.domains import CPAP, FAMILIES, RANDOM, DomainSpec, make_instance
 from singlepull.model import ArmTables, point_initial, stack_types
 from singlepull.policies import POLICY_NAMES
 from singlepull.simulator import lift
-from singlepull.whittle import IndexTable
+from singlepull.whittle import IndexTable, relative_value_iteration
 
 import select_reference as ref
 from conftest import planned_select, random_arm
@@ -340,3 +340,17 @@ class TestInfiniteWhittleOnExpandedModel:
             assert np.all(normal <= 0.0)
             assert normal.max() == 0.0 and int(np.argmax(normal)) == top_state
             assert 6.9 <= original.table.values[n].max() <= 8.25
+
+    def test_normal_state_gaps_are_flat_in_the_subsidy(self):
+        """The measured mechanism behind the degenerate indices.
+
+        On RANDOM N=4 S=10 seed 0, expanded type 0, the gap of every normal
+        state has slope 0 in the subsidy (to round-off) at lambda = 0 and at
+        lambda = 5, and the gap of every dummy state has slope -1. The slope
+        is -1 + Pr(pull later): a pull costs the subsidy once, and from every
+        normal state the optimal policy pulls later with probability 1.
+        """
+        inst = make_instance(DomainSpec(RANDOM, 4, 10, seed=0), budget=1, rho=1, horizon=20)
+        _, _, slope = relative_value_iteration([inst.expanded[0]], np.array([0.0, 5.0]))
+        assert np.all(np.abs(slope[:, :10]) <= 8 * np.finfo(float).eps)
+        assert np.all(slope[:, 10:] == -1.0)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from singlepull import ArmModel, domains, expand_with_dummies, make_policy, whittle
 from singlepull.domains import DomainSpec, closed_form_whittle, ehrenfest_arm
 from singlepull.whittle import (
+    BISECT_MAX_ITERS,
     DEFAULT_TOL,
     TIE_TOL,
     BracketFail,
@@ -18,12 +21,7 @@ from singlepull.whittle import (
 )
 
 from conftest import random_arm
-from whittle_reference import (
-    backward_qdiff,
-    cesaro_limit,
-    reference_infinite,
-    rvi_qdiff,
-)
+from whittle_reference import backward_qdiff, cesaro_limit, rvi_qdiff
 
 
 def cpap3_arm(q=0.6):
@@ -52,7 +50,7 @@ class TestInfinite:
             tol = 1e-6
             table = whittle_index_infinite([model], tol)
             for s in range(model.n_states):
-                qd, _ = relative_value_iteration([model], table.values[0][s, 0])
+                qd = relative_value_iteration([model], table.values[0][s, 0])[0]
                 assert abs(qd[s]) <= tol
 
     def test_stationary_table_shape(self):
@@ -81,7 +79,7 @@ class TestInfinite:
         P[1, :, 0] = 1.0
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, h = relative_value_iteration([model], 0.0)
+        qd, h, _ = relative_value_iteration([model], 0.0)
         assert np.allclose(qd, 0.0, atol=1e-8)  # identical action rows
 
     def test_nonconvergent_on_disconnected_gains(self):
@@ -102,7 +100,7 @@ class TestInfinite:
         P[1, :, 1] = 1.0
         r = np.array([[0.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, _ = relative_value_iteration([model], 2.0)
+        qd = relative_value_iteration([model], 2.0)[0]
         assert np.allclose(qd, [-1.0, -2.0])
         with pytest.raises(NonConvergent, match=r"\(lambda=0\.25\)"):
             relative_value_iteration([model], np.array([2.0, 0.25, 3.0]))
@@ -118,7 +116,7 @@ class TestPolicyIteration:
         for model, values in zip(inst.types, policy.table.values):
             assert np.all(np.isfinite(values))
             for s in range(model.n_states):
-                qd, _ = relative_value_iteration([model], values[s, 0])
+                qd = relative_value_iteration([model], values[s, 0])[0]
                 assert abs(qd[s]) <= DEFAULT_TOL
 
     @pytest.mark.parametrize("seed", [1, 4, 8])
@@ -136,7 +134,7 @@ class TestPolicyIteration:
         # (I - P + P*) flips the sign of state 1's gap; it is 0 up to round-off
         inst = domains.make_instance(DomainSpec(domains.CPAP, 4, 10, seed=1),
                                      budget=1, rho=1, horizon=10)
-        qd, _ = relative_value_iteration([inst.types[3]], 16.018462125660555)
+        qd = relative_value_iteration([inst.types[3]], 16.018462125660555)[0]
         assert qd[1] == 0.0
         assert np.all(qd[2:9] > 0.0) and qd[0] < 0.0 and qd[9] < 0.0
 
@@ -151,7 +149,7 @@ class TestPolicyIteration:
         P[1, :, 1] = 1.0
         r = np.array([[0.0, 0.0], [0.0, 1.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, h = relative_value_iteration([model], 0.5)
+        qd, h, _ = relative_value_iteration([model], 0.5)
         assert np.allclose(qd, [0.5, 0.5], rtol=0, atol=1e-12)
         assert np.allclose(h, [0.0, 1.0], rtol=0, atol=1e-12)
         assert np.allclose(qd, rvi_qdiff(model, 0.5), rtol=0, atol=1e-8)
@@ -162,7 +160,7 @@ class TestPolicyIteration:
         lams = np.array([-2.0, -0.1, 0.0, 0.4, 3.0])
         for model in (random_arm(rng, 4, active_only_rewards=False),
                       expand_with_dummies(random_arm(rng, 3)), expand_with_dummies(cpap3_arm())):
-            qd, h = relative_value_iteration([model], lams)
+            qd, h, _ = relative_value_iteration([model], lams)
             assert np.all(h[:, 0] == 0.0)
             r0 = model.rewards[:, 0] + lams[:, None]
             q0 = r0 + h @ model.transitions[:, 0, :].T
@@ -176,8 +174,8 @@ class TestBatchedDp:
     def test_rvi_rows_match_scalar_solves(self, rng):
         model = random_arm(rng, 4, active_only_rewards=False)
         lams = np.array([-1.5, 0.0, 0.3, 2.0])
-        qd, h = relative_value_iteration([model], lams)
-        assert qd.shape == h.shape == (4, 4)
+        qd, h, dqd = relative_value_iteration([model], lams)
+        assert qd.shape == h.shape == dqd.shape == (4, 4)
         for lam, row in zip(lams, qd):
             assert np.allclose(row, rvi_qdiff(model, lam), rtol=0, atol=1e-9)
 
@@ -217,8 +215,24 @@ def _ehrenfest4():
     return ehrenfest_arm(c=2.0, mu=1.0, lam=1.0, S=3, dt=0.05)
 
 
+def stationary_roots(model, index, tol=DEFAULT_TOL):
+    """Check a stationary index table entry by entry through the scalar rvi_qdiff.
+
+    Every entry zeroes its gap to tol / 2, or is a jump root: its gap falls
+    across zero by more than tol / 2 each way within +-1e-9. Returns the
+    number of jump roots.
+    """
+    jumps = 0
+    for s, lam in enumerate(index):
+        if abs(rvi_qdiff(model, lam)[s]) > 0.5 * tol:
+            below, above = (rvi_qdiff(model, lam + d)[s] for d in (-1e-9, 1e-9))
+            assert below > 0.5 * tol and above < -0.5 * tol, (s, lam, below, above)
+            jumps += 1
+    return jumps
+
+
 class TestAgainstScalarReference:
-    """Batched tables agree with one scalar bisection per entry (tests/whittle_reference.py)."""
+    """Batched tables zero the gaps of an independent scalar DP (tests/whittle_reference.py)."""
 
     def models(self):
         rng = np.random.default_rng(7)
@@ -229,9 +243,7 @@ class TestAgainstScalarReference:
     def test_infinite_matches_reference(self):
         for model in self.models():
             for m in (model, expand_with_dummies(model)):
-                table = whittle_index_infinite([m])
-                assert np.allclose(table.values[0][:, 0], reference_infinite(m),
-                                   rtol=0, atol=DEFAULT_TOL)
+                assert stationary_roots(m, whittle_index_infinite([m]).values[0][:, 0]) == 0
 
     def test_family_arms_match_reference(self):
         specs = (DomainSpec(domains.CPAP, 3, 3), DomainSpec(domains.MHMH, 2, 3),
@@ -241,8 +253,31 @@ class TestAgainstScalarReference:
             for model in domains.make_models(spec):
                 for m in (model, expand_with_dummies(model)):
                     table = whittle_index_infinite([m])
-                    assert np.allclose(table.values[0][:, 0], reference_infinite(m),
-                                       rtol=0, atol=DEFAULT_TOL)
+                    assert stationary_roots(m, table.values[0][:, 0]) == 0
+
+    def test_slopes_match_reference_difference_quotients(self):
+        # on a grid around the indices, a run of subsidies whose gaps all keep
+        # one sign pattern, none within 1e-9 of a tie, shares the final
+        # policy; the gap is affine there, so the slope at either end is the
+        # difference quotient of the scalar DP across the run
+        for model in self.models():
+            for m in (model, expand_with_dummies(model)):
+                runs = 0
+                index = whittle_index_infinite([m]).values[0][:, 0]
+                grid = np.linspace(index.min() - 1.0, index.max() + 1.0, 81)
+                qd, _, dqd = relative_value_iteration([m], grid)
+                signs = [(g > 0).tobytes() if (np.abs(g) > 1e-9).all() else None for g in qd]
+                for key, run in itertools.groupby(range(grid.size), key=signs.__getitem__):
+                    run = list(run)
+                    if key is None or len(run) < 2:
+                        continue
+                    i, j = run[0], run[-1]
+                    quotient = ((rvi_qdiff(m, grid[j]) - rvi_qdiff(m, grid[i]))
+                                / (grid[j] - grid[i]))
+                    assert np.allclose(dqd[i], dqd[j], rtol=0, atol=1e-12)
+                    assert np.allclose(dqd[i], quotient, rtol=0, atol=1e-8)
+                    runs += 1
+                assert runs >= 2  # below and above every index, at least
 
     def test_finite_matches_reference(self):
         # every entry is a root of the scalar backward induction's gap
@@ -253,14 +288,18 @@ class TestAgainstScalarReference:
 
 class TestSubsidyIndex:
     def test_gap_that_never_crosses_raises_bracket_fail(self):
+        def qdiff_at(lam, type_of):
+            gap = np.ones(np.shape(lam) + (3,))
+            return gap, np.zeros_like(gap)
+
         with pytest.raises(BracketFail, match=r"^type 0, entry \(0,\)"):
-            _subsidy_index({0: 1.0},
-                           lambda lam, type_of: np.ones(np.shape(lam) + (3,)), 1e-6)
+            _subsidy_index({0: 1.0}, qdiff_at, 1e-6)
 
     def test_bracket_fail_names_the_type_that_cannot_bracket(self):
         # type 0's gaps cross zero at lam = 0.3; type 1's stay positive
         def qdiff_at(lam, type_of):
-            return np.where((type_of == 0)[:, None], 0.3 - lam[:, None], 1.0) * np.ones(2)
+            gap = np.where((type_of == 0)[:, None], 0.3 - lam[:, None], 1.0) * np.ones(2)
+            return gap, np.where((type_of == 0)[:, None], -1.0, 0.0) * np.ones(2)
 
         with pytest.raises(BracketFail, match=r"^type 1, entry \(0,\)"):
             _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-6)
@@ -269,21 +308,20 @@ class TestSubsidyIndex:
                            lambda lam, type_of: qdiff_at(lam, (type_of == 7).astype(int)), 1e-6)
 
     def test_linear_gaps_stop_independently(self):
-        # gap a_e - lam: entries on a bisection midpoint stop after 1, 2, 3
-        # steps, the irrational one runs until |gap| <= tol / 2
+        # gap a_e - lam: the entry at the first midpoint 0 stops after one
+        # step, every other one lands exactly on its root with one Newton step
         a = np.array([[0.0, 0.5], [-0.25, np.sqrt(2) / 10]])
         calls = []
 
         def qdiff_at(lam, type_of):
             assert np.all(type_of == 0)
             calls.append(lam.size)
-            return a - lam[..., None, None]
+            gap = a - lam[..., None, None]
+            return gap, -np.ones_like(gap)
 
-        tol = 1e-6
-        index = _subsidy_index({0: 1.0}, qdiff_at, tol)[0]  # bracket [-1, 1]
-        assert index[0, 0] == 0.0 and index[0, 1] == 0.5 and index[1, 0] == -0.25
-        assert abs(index[1, 1] - a[1, 1]) <= 0.5 * tol
-        assert calls[2:5] == [4, 3, 2]  # live entries shrink as they stop
+        index = _subsidy_index({0: 1.0}, qdiff_at, 1e-6)[0]  # bracket [-1, 1]
+        assert np.array_equal(index, a)
+        assert calls == [1, 1, 4, 3]  # the bracket's two ends, then the live entries
 
     def test_each_type_grows_its_own_bracket(self):
         # type 0 crosses at 0.5 inside [-1, 1]; type 1 crosses at 5, so its
@@ -294,16 +332,81 @@ class TestSubsidyIndex:
         def qdiff_at(lam, type_of):
             for x, n in zip(lam, type_of):
                 seen[int(n)].add(abs(float(x)))
-            return (cross[type_of] - lam)[:, None]
+            gap = (cross[type_of] - lam)[:, None]
+            return gap, -np.ones_like(gap)
 
         index = _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-9)
-        assert index[0, 0] == 0.5 and abs(index[1, 0] - 5.0) <= 0.5e-9
+        assert index[0, 0] == 0.5 and index[1, 0] == 5.0
         assert max(seen[0]) == 1.0 and max(seen[1]) == 8.0
+
+    def test_a_midpoint_when_two_steps_do_not_halve_the_bracket(self):
+        # the convex gap max_k (c_k - s_k lam) takes Newton steps from the
+        # left, each to the next line's root, so the bracket goes [0, 1],
+        # [0.5, 1], [0.6, 1], [0.7, 1]: the last two steps kept 0.3 of 0.5,
+        # more than half, so the midpoint 0.85 comes before the Newton step
+        # to the root 0.775
+        c, s = np.array([1.0, 0.3, 0.14, 0.0775]), np.array([2.0, 0.5, 0.2, 0.1])
+        seen = []
+
+        def qdiff_at(lam, type_of):
+            seen.extend(lam.tolist())
+            lines = c - s * lam[:, None]
+            k = lines.argmax(axis=1)
+            return lines[np.arange(lam.size), k][:, None], -s[k][:, None]
+
+        index = _subsidy_index({0: 1.0}, qdiff_at, 1e-9)[0, 0]
+        assert np.allclose(seen[2:], [0.0, 0.5, 0.6, 0.7, 0.85, 0.775], rtol=0, atol=1e-12)
+        assert index == seen[-1]
+
+    def test_no_newton_step_without_a_falling_slope(self):
+        # gap 0.3 - lam reported with slope 0 and with slope +1: both entries
+        # take midpoints only, like a plain bisection, until |gap| <= tol / 2;
+        # a gap flat at 0 keeps the first midpoint
+        steps = []
+
+        def qdiff_at(lam, type_of):
+            steps.append(lam.size)
+            x = lam[:, None]
+            gap = np.concatenate((0.3 - x, 0.3 - x, np.zeros_like(x)), axis=1)
+            slope = np.concatenate((np.zeros_like(x), np.ones_like(x), np.zeros_like(x)), axis=1)
+            return gap, slope
+
+        tol = 1e-6
+        index = _subsidy_index({0: 1.0}, qdiff_at, tol)[0]
+        assert index[0] == index[1] and abs(index[0] - 0.3) <= 0.5 * tol
+        assert index[2] == 0.0
+        assert len(steps) - 2 > 10
+
+    def test_jump_root_stops_once_the_bracket_cannot_shrink(self):
+        # the gap falls from +1 to -1 between two adjacent floats at c; once
+        # the bracket's midpoint is one of its ends the entry stops there,
+        # before BISECT_MAX_ITERS steps
+        c = np.sqrt(2) / 10
+        calls = []
+
+        def qdiff_at(lam, type_of):
+            calls.append(lam.size)
+            gap = np.where(lam < c, 1.0, -1.0)[:, None]
+            return gap, -np.ones_like(gap)
+
+        lam = _subsidy_index({0: 1.0}, qdiff_at, 1e-6)[0, 0]
+        assert lam in (np.nextafter(c, -np.inf), c)
+        assert len(calls) - 2 < BISECT_MAX_ITERS
+
+    def test_cpap_jump_root_keeps_its_value(self):
+        # CPAP N=4 S=10 seed 1, type 1, state 1: the gap falls from +15.9 to
+        # -1.01 within +-1e-9 of the index, the float plain bisection returns
+        models = domains.make_models(DomainSpec(domains.CPAP, 4, 10, seed=1))
+        lam = whittle_index_infinite(models).values[1][1, 0]
+        assert lam == 16.053362854457987
+        below, above = (relative_value_iteration([models[1]], lam + d)[0][1]
+                        for d in (-1e-9, 1e-9))
+        assert below > 15.0 and above < -1.0
 
 
 class TestStackedTypes:
-    """No row of a batched call reads another, so one bisection over many types
-    gives every type's table bit for bit as a bisection of that type alone."""
+    """No row of a batched call reads another, so one index search over many
+    types gives every type's table bit for bit as a search of that type alone."""
 
     def instances(self):
         out = []
@@ -337,11 +440,11 @@ class TestStackedTypes:
                   expand_with_dummies(random_arm(rng, 2))]
         lams = np.array([-0.5, 0.1, 0.7, 0.2, -1.0, 0.4])
         type_of = np.array([0, 0, 1, 2, 2, 2])  # type 1 has a single row
-        qd, h = relative_value_iteration(models, lams, type_of)
+        batched = relative_value_iteration(models, lams, type_of)
         for n in range(3):
             rows = type_of == n
-            qd_n, h_n = relative_value_iteration([models[n]], lams[rows])
-            assert np.array_equal(qd[rows], qd_n) and np.array_equal(h[rows], h_n)
+            alone = relative_value_iteration([models[n]], lams[rows])
+            assert all(np.array_equal(x[rows], y) for x, y in zip(batched, alone))
 
     def test_shared_cesaro_limits_match_squaring_each_call(self):
         # lazy chains converge after different numbers of squares; whatever
@@ -425,8 +528,8 @@ class TestStackedTypes:
 
 class TestFinite:
     def test_three_types_take_one_bisection(self, monkeypatch):
-        # one stationary bisection over the three CPAP types takes as many
-        # DP calls as the longest of the three bisections alone; the exact
+        # one stationary index search over the three CPAP types takes as many
+        # DP calls as the longest of the three searches alone; the exact
         # finite index takes no DP call, and the Q-value gaps one per type
         models = [expand_with_dummies(m)
                   for m in domains.make_models(DomainSpec(domains.CPAP, 3, 3, seed=0))]

@@ -1,26 +1,17 @@
 """Scalar references for singlepull.whittle.
 
-The infinite-horizon index is bisected one state at a time: every step
-solves one full DP at a single subsidy and reads one entry of it, exactly
-the per-state loop that the batched bisection replaces. The DP here is
-damped relative value iteration, an independent method from the package's
-policy iteration, with its own span tolerance and sweep cap. The
-finite-horizon reference is scalar backward induction, against which the
-tests check that every finite index zeroes its entry's gap.
+The stationary reference is damped relative value iteration at one
+subsidy, an independent method from the package's policy iteration, with
+its own span tolerance and sweep cap: the tests check that every
+stationary index zeroes its entry's gap under it, and that the package's
+gap slopes are its difference quotients. The finite-horizon reference is
+scalar backward induction, against which the tests check that every finite
+index zeroes its entry's gap.
 """
 
 import numpy as np
 
-from singlepull.whittle import (
-    BISECT_MAX_ITERS,
-    BRACKET_GROWTH_LIMIT,
-    CESARO_MAX_SQUARINGS,
-    DEFAULT_TOL,
-    TIE_TOL,
-    BracketFail,
-    NonConvergent,
-    _bracket_halfwidth,
-)
+from singlepull.whittle import CESARO_MAX_SQUARINGS, TIE_TOL, NonConvergent
 
 RVI_SPAN_TOL = 1e-9
 RVI_MAX_SWEEPS = 100_000
@@ -77,47 +68,3 @@ def cesaro_limit(P):
         if moved <= TIE_TOL:
             break
     return M
-
-
-def _expand_bracket(hw0, qdiff_at):
-    """Double [-hw, hw] until every entry's endpoint gaps straddle zero.
-
-    Returns (hw, qd_lo, qd_hi).
-    """
-    hw = hw0
-    qd_lo = qdiff_at(-hw)
-    qd_hi = qdiff_at(hw)
-    for _ in range(BRACKET_GROWTH_LIMIT):
-        if (qd_lo >= 0.0).all() and (qd_hi <= 0.0).all():
-            return hw, qd_lo, qd_hi
-        hw *= 2.0
-        qd_lo = qdiff_at(-hw)
-        qd_hi = qdiff_at(hw)
-    return hw, qd_lo, qd_hi
-
-
-def _bisect(qdiff_at, entry, hw, tol):
-    lo, hi = -hw, hw
-    lam = 0.0
-    for _ in range(BISECT_MAX_ITERS):
-        lam = 0.5 * (lo + hi)
-        qd = qdiff_at(lam)[entry]
-        if abs(qd) <= 0.5 * tol:
-            break
-        if qd > 0:
-            lo = lam
-        else:
-            hi = lam
-    return lam
-
-
-def reference_infinite(model, tol=DEFAULT_TOL):
-    """Stationary index (S,) by one scalar bisection per state."""
-    qdiff_at = lambda lam: rvi_qdiff(model, lam)
-    hw, qd_lo, qd_hi = _expand_bracket(_bracket_halfwidth(model), qdiff_at)
-    out = np.zeros(model.n_states)
-    for s in range(model.n_states):
-        if qd_lo[s] < -tol or qd_hi[s] > tol:
-            raise BracketFail(f"state {s}")
-        out[s] = _bisect(qdiff_at, s, hw, tol)
-    return out
