@@ -5,6 +5,10 @@ The corpus is small enough for tier-1:
   instance seeds 0 and 1, 10 episodes, --timing --dump-trajectories. Each
   pins results.csv, results.txt and trajectories.jsonl, and timing.csv's
   header and policy column (its clocks vary);
+- the same pins for perfbench's cli-report config (MHMH N=10 S=3 K=3
+  rho=10 T=10, instance seed 0) at base seed 0;
+- one --sweep-rho 1,3,10 run per family of whittle-original at N=2 S=3 K=1
+  T=4, instance seed 0, 10 episodes, which pins gap_curve.csv;
 - the four index policies' tables on the three index-build instances of
   perfbench (CPAP N=10 S=5 T=10, EHRENFEST N=2 S=4 T=20, RANDOM N=4 S=10
   T=20, seed 0);
@@ -32,6 +36,9 @@ from singlepull import cli, domains, policies
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CLI_SETTING = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
+CLI_REPORT = {"domain": {"family": domains.MHMH}, "instance_seeds": [0], "episodes": 10,
+              "setting": {"n_types": 10, "n_states": 3, "budget": 3, "rho": 10, "horizon": 10}}
+SWEEP_RHO = "1,3,10"
 INDEX_POLICIES = ("whittle-finite", "whittle-infinite", "whittle-original", "qdiff")
 TABLE_CASES = {  # label -> (family, n_types, n_states, horizon, seed, policies)
     "CPAP-N10-S5-T10": (domains.CPAP, 10, 5, 10, 0, INDEX_POLICIES),
@@ -49,23 +56,39 @@ def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def cli_digests(family: str, out_dir: Path) -> dict:
-    """Digests of one corpus CLI run's reports."""
+def _run_cli(doc: dict, flags: list, out_dir: Path):
+    """One singlepull run of config doc at base seed 0, writing into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
     config = out_dir / "config.json"
-    config.write_text(json.dumps({
-        "domain": {"family": family}, "setting": CLI_SETTING,
-        "policies": list(policies.POLICY_NAMES), "episodes": 10, "base_seed": 0,
-        "instance_seeds": [0, 1], "out_dir": str(out_dir),
-    }))
-    code = cli.main(["--config", str(config), "--timing", "--dump-trajectories"])
-    assert code == cli.EXIT_OK, f"{family}: singlepull exited {code}"
+    config.write_text(json.dumps({**doc, "base_seed": 0, "out_dir": str(out_dir)}))
+    code = cli.main(["--config", str(config), *flags])
+    assert code == cli.EXIT_OK, f"{doc['domain']['family']}: singlepull exited {code}"
+
+
+def report_digests(doc: dict, out_dir: Path) -> dict:
+    """Digests of the reports of one run of every policy with --timing --dump-trajectories."""
+    _run_cli({**doc, "policies": list(policies.POLICY_NAMES)},
+             ["--timing", "--dump-trajectories"], out_dir)
     out = {name: _sha((out_dir / name).read_bytes())
            for name in ("results.csv", "results.txt", "trajectories.jsonl")}
     lines = (out_dir / "timing.csv").read_text().splitlines()
     out["timing.csv policy column"] = _sha(
         "\n".join([lines[0]] + [line.split(",")[0] for line in lines[1:]]).encode())
     return out
+
+
+def cli_digests(family: str, out_dir: Path) -> dict:
+    """Digests of one corpus CLI run's reports."""
+    return report_digests({"domain": {"family": family}, "setting": CLI_SETTING,
+                           "episodes": 10, "instance_seeds": [0, 1]}, out_dir)
+
+
+def sweep_digest(family: str, out_dir: Path) -> str:
+    """Digest of gap_curve.csv from one family's whittle-original rho sweep."""
+    _run_cli({"domain": {"family": family}, "setting": CLI_SETTING, "episodes": 10,
+              "instance_seeds": [0], "policies": ["whittle-original"]},
+             ["--sweep-rho", SWEEP_RHO], out_dir)
+    return _sha((out_dir / "gap_curve.csv").read_bytes())
 
 
 def table_digest(label: str, policy: str) -> str:
@@ -97,6 +120,15 @@ def test_cli_reports_match_the_corpus(recorded, tmp_path, family):
     assert cli_digests(family, tmp_path) == recorded["cli"][family]
 
 
+def test_cli_report_config_matches_the_corpus(recorded, tmp_path):
+    assert report_digests(CLI_REPORT, tmp_path) == recorded["cli-report"]
+
+
+@pytest.mark.parametrize("family", domains.FAMILIES)
+def test_sweep_rho_gap_curves_match_the_corpus(recorded, tmp_path, family):
+    assert sweep_digest(family, tmp_path) == recorded["sweep-rho"][family]
+
+
 def table_digests() -> dict:
     return {f"{label}/{policy}": table_digest(label, policy)
             for label, case in TABLE_CASES.items() for policy in case[-1]}
@@ -112,6 +144,9 @@ if __name__ == "__main__":
             "versions": versions(),
             "cli": {family: cli_digests(family, Path(tmp) / family)
                     for family in domains.FAMILIES},
+            "cli-report": report_digests(CLI_REPORT, Path(tmp) / "cli-report"),
+            "sweep-rho": {family: sweep_digest(family, Path(tmp) / f"sweep-{family}")
+                          for family in domains.FAMILIES},
             "tables": table_digests(),
         }
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
