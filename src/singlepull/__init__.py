@@ -26,9 +26,9 @@ from .lp import (
     upper_bound,
 )
 from .whittle import (
-    BracketFail,
     IndexTable,
     NonConvergent,
+    NotIndexable,
     q_difference_indices,
     whittle_index_finite,
     whittle_index_infinite,

@@ -245,7 +245,7 @@ def _bound_or_stall(config, seed, instance):
 def _evaluate_or_stall(config, seed, instance, policy):
     """evaluate(instance, policy) over the configured episodes, failing as SolverStall.
 
-    A solver or index failure (SolverStall, NonConvergent, BracketFail)
+    A solver or index failure (SolverStall, NonConvergent, NotIndexable)
     saves the instance for replay first; InfeasibleAction from the
     simulator's constraint audit propagates unchanged.
     """

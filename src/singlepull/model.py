@@ -115,6 +115,9 @@ def validate_arm(model: ArmModel) -> list[str]:
     errors = []
     P, r = model.transitions, model.rewards
 
+    if not np.all(np.isfinite(P)):
+        # NaN fails every comparison below, so it must be caught here
+        errors.append(f"{int(np.sum(~np.isfinite(P)))} non-finite transition entries")
     if np.any(P < -1e-15) or np.any(P > 1 + 1e-15):
         bad = int(np.sum((P < -1e-15) | (P > 1 + 1e-15)))
         errors.append(f"{bad} transition entries outside [0, 1]")
@@ -150,7 +153,9 @@ def validate_instance(instance: Instance) -> list[str]:
             errors.append(f"type {n}: initial distribution has length {len(dist)}, "
                           f"expected {model.n_states}")
             continue
-        if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
+        if not np.all(np.isfinite(dist)):
+            errors.append(f"type {n}: non-finite initial probabilities")
+        elif abs(dist.sum() - 1.0) > ROW_SUM_TOL:
             errors.append(f"type {n}: initial distribution sums to {dist.sum():.12g}")
         if np.any(dist < -1e-15):
             errors.append(f"type {n}: negative initial probabilities")

@@ -252,14 +252,16 @@ class InfiniteWhittlePolicy(_GreedyIndexPolicy):
 
     These indices are degenerate: on RANDOM N=4 S=10 seed 0 every
     normal-state index is <= 0, with maximum exactly 0.0, while the
-    unexpanded indices (whittle-original) reach 6.9-8.2. The gap slopes
-    show why. On expanded type 0, every normal state's gap has slope 0 in
-    the subsidy (to round-off) at lambda = 0 and at lambda = 5, and every
-    dummy state's slope is -1. The slope is -1 + Pr(pull later): a pull
-    costs the subsidy once, and from every normal state the optimal policy
-    pulls later with probability 1, so the subsidy moves no normal-state
-    gap. Whether the paper defines its modified index this way is not
-    settled.
+    unexpanded indices (whittle-original) reach 6.9-8.2. The sweep's pieces
+    show why. Below subsidy 0 the dummies pull too, so on every piece each
+    normal state's gap falls with slope <= -1, and the last normal state
+    turns passive at 0 together with the dummies, whose gap is -lambda.
+    Above 0 a pull costs the subsidy once, which the average reward does not
+    see: the slope is -1 + Pr(pull later), and from every normal state the
+    optimal policy pulls later with probability 1, so a normal state's gap
+    is the same at lambda = 0 and at lambda = 5, and pulling stays optimal
+    wherever that gap is positive. Whether the paper defines its modified
+    index this way is not settled.
     """
 
     name = "whittle-infinite"

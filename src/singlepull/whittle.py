@@ -2,29 +2,25 @@
 
 The infinite-horizon index of a state is the passive subsidy at which
 activating and resting are equally attractive under the average-reward
-criterion. Exact multichain policy iteration gives the gap
-Q(s, 1) - Q(s, 0) at a subsidy; it holds no policy twice, so it ends after
-finitely many policy changes and needs no sweep cap or damping. For a fixed
-policy the gap is affine in the subsidy, so under the optimal policy it is
-piecewise affine, and the same factorization that gives the bias gives the
-slope of the current piece. The index search is therefore a safeguarded
-Newton iteration inside a bisection bracket: a Newton step from the root's
-piece lands on the root, and a midpoint is taken wherever Newton would
-leave the bracket or shrinks it too slowly. Where I - P + P* is nearly
-singular the computed gap can jump across zero between two adjacent
-floats; such a jump root ends when its bracket can shrink no further. The
-types of an instance that
-share a state count are searched together, so an instance costs one search
-per distinct state count, and each search step is one policy-iteration
-call over the entries still searching. Policy iteration meets the same few
-policies at every step of a search, so the Cesaro limit of each (type,
-policy) matrix is squared out once per search, not once per step. Every
-entry keeps the bracket and the iterates a search of its type alone would
-visit, and no row of a policy-iteration call reads another row, so the
-tables cannot depend on which types share a search. Indexability is
-assumed, not verified: a bracket whose endpoints do not straddle the
-activation/passivity switch raises BracketFail instead of reporting a
-spurious crossing.
+criterion. For a fixed policy the gain g = P* r and the bias
+h = (I - P + P*)^-1 (r - g), with P* the Cesaro limit of the policy's
+matrix, are affine in the subsidy, and so is each gap Q(s, 1) - Q(s, 0);
+one factorization gives the values at subsidy 0 and their slopes, and the
+multichain models that dummy expansion produces need no special case. So
+each type's index is one parametric sweep over policies, in the manner of
+Nino-Mora's adaptive-greedy algorithm (TOP 2007): starting from the
+all-active policy at subsidy -inf, the sweep moves the subsidy to the next
+kink, the smallest subsidy at which an active state's gap falls to 0, and
+those states take it as their index and turn passive. It ends when every
+state is passive, after at most S policy evaluations, and needs no
+bracket, tolerance or policy-improvement loop. A gap within TIE_TOL times
+the values' scale of 0 is a tie, so tied states leave at one kink. Where
+I - P + P* is nearly singular, an active state's gap can jump from above 0
+to below it between two policies at one kink; such a jump root takes that
+kink. Indexability is checked, not assumed: a passive state whose gap is
+positive at the end of a piece, or an active state whose gap never falls
+to 0, raises NotIndexable. A gain that differs across states at the end
+of a piece leaves the relative values undefined and raises NonConvergent.
 
 The finite-horizon index of a dummy-expanded arm is exact and needs no
 bisection. A pull moves the arm into the dummy half, which earns the
@@ -53,15 +49,13 @@ import numpy as np
 
 from .model import ArmModel, stack_types
 
-BISECT_MAX_ITERS = 60
-DEFAULT_TOL = 1e-6
 TIE_TOL = 1e-10  # value gaps below TIE_TOL times the values' scale are ties
 ROOT_TOL = 64 * np.finfo(float).eps  # finite-index gaps below ROOT_TOL times the scale are zero
 CESARO_MAX_SQUARINGS = 64
 
 
-class BracketFail(RuntimeError):
-    """Subsidy bracket does not straddle the indifference point."""
+class NotIndexable(RuntimeError):
+    """A state's gap does not cross zero once, downwards, as the subsidy grows."""
 
 
 class NonConvergent(RuntimeError):
@@ -89,249 +83,93 @@ class IndexTable:
         return self.flat[:, t if self.time_dependent else 0]
 
 
-BRACKET_GROWTH_LIMIT = 24  # doublings of the initial half-width
+def _cesaro_limit(P: np.ndarray) -> np.ndarray:
+    """The Cesaro limit P* = lim (1/n) sum_k P^k of one policy matrix.
 
-
-def _bracket_halfwidth(model: ArmModel) -> float:
-    span = float(model.rewards.max() - model.rewards.min())
-    return 2.0 * span if span > 0 else 1.0
-
-
-def _subsidy_index(halfwidths: dict, qdiff_at, tol: float) -> np.ndarray:
-    """Indifference subsidy of every entry of every type's gap array, all searched together.
-
-    halfwidths maps each type id to its starting half-width. qdiff_at(lam,
-    type_of) maps (B,) subsidies, row b for type type_of[b], to the gaps
-    and their slopes in the subsidy, each shaped (B,) + E; a search step
-    passes one row per entry still searching and reads row b at that entry
-    only. Each type grows its own bracket [-hw, hw], doubling hw until its
-    entries' endpoint gaps straddle zero, at most BRACKET_GROWTH_LIMIT
-    times: the equalizing subsidy can exceed the per-step reward span by the
-    bias range, which is large for lazy chains (small per-step motion), so a
-    fixed bracket is not enough.
-
-    Each entry then runs a safeguarded Newton search (rtsafe, Press et al.,
-    Numerical Recipes, section 9.4) on its own: the first iterate is the
-    bracket midpoint; stop once |gap| <= tol / 2, else move lo (gap > 0) or
-    hi. The next iterate is the Newton point lam - gap / slope when the slope
-    is negative, the point lies strictly inside the updated (lo, hi) and the
-    last two steps at least halved the bracket; otherwise it is the midpoint.
-    The gap is piecewise affine in lam, so a Newton step from a point on the
-    root's piece lands on the root. An entry whose midpoint equals lo or hi
-    can shrink no further: its gap falls from above tol / 2 to below
-    -tol / 2 between two adjacent floats, and this jump root returns that
-    midpoint. At
-    most BISECT_MAX_ITERS steps are taken; an entry still searching then
-    returns its next iterate. Returns shape (len(halfwidths),) + E, types
-    in the order of halfwidths.
-    """
-    types = np.array(list(halfwidths), dtype=np.int64)
-    hw = np.array(list(halfwidths.values()), dtype=float)
-    grow = np.arange(types.size)
-    for doublings in range(BRACKET_GROWTH_LIMIT + 1):
-        if doublings:
-            hw[grow] *= 2.0
-        lo_gap = qdiff_at(-hw[grow], types[grow])[0]
-        hi_gap = qdiff_at(hw[grow], types[grow])[0]
-        if not doublings:
-            qd_lo, qd_hi = np.empty_like(lo_gap), np.empty_like(hi_gap)
-        qd_lo[grow], qd_hi[grow] = lo_gap, hi_gap
-        axes = tuple(range(1, lo_gap.ndim))
-        grow = grow[~((lo_gap >= 0.0).all(axis=axes) & (hi_gap <= 0.0).all(axis=axes))]
-        if grow.size == 0:
-            break
-    bad = np.argwhere((qd_lo < -tol) | (qd_hi > tol))
-    if bad.size:
-        k, *e = (int(i) for i in bad[0])
-        raise BracketFail(
-            f"type {types[k]}, entry {tuple(e)}: no activation/passivity crossing in "
-            f"[{-hw[k]:g}, {hw[k]:g}] (endpoint gaps {qd_lo[(k, *e)]:.3g}, {qd_hi[(k, *e)]:.3g})"
-        )
-    n = qd_lo[0].size  # entries per type
-    lo, hi = np.repeat(-hw, n), np.repeat(hw, n)
-    lam, live = 0.5 * (lo + hi), np.arange(lo.size)
-    older, old = hi - lo, hi - lo  # bracket widths two steps and one step back
-    for _ in range(BISECT_MAX_ITERS):
-        x = lam[live]
-        pick = (np.arange(live.size), live % n)
-        qd, dqd = (v.reshape(live.size, n)[pick] for v in qdiff_at(x, types[live // n]))
-        searching = np.abs(qd) > 0.5 * tol
-        up = searching & (qd > 0)
-        lo[live[up]] = x[up]
-        hi[live[searching & ~up]] = x[searching & ~up]
-        live, x, qd, dqd = (v[searching] for v in (live, x, qd, dqd))
-        a, b = lo[live], hi[live]
-        newton = x - np.divide(qd, dqd, out=np.full(live.size, np.inf), where=dqd < 0)
-        take = (a < newton) & (newton < b) & (b - a <= 0.5 * older[live])
-        older[live], old[live] = old[live], b - a
-        nxt = np.where(take, newton, 0.5 * (a + b))
-        lam[live] = nxt
-        live = live[(nxt != a) & (nxt != b)]
-        if live.size == 0:
-            break
-    return lam.reshape(qd_lo.shape)
-
-
-def _normalised_square(M: np.ndarray):
-    """The row-renormalised square of a stack (B, S, S) and each matrix's largest move."""
-    M2 = M @ M
-    M2 /= M2.sum(axis=-1, keepdims=True)
-    return M2, np.abs(M2 - M).max(axis=(1, 2))
-
-
-class _CesaroLimits:
-    """Cesaro limits P* = lim (1/n) sum_k P^k of policy matrices, each squared out once.
-
-    The aperiodic transform M_0 = (I + P) / 2 has the same limit and its
+    The aperiodic transform M = (I + P) / 2 has the same limit and its
     powers converge to it, so it is squared, with rows renormalised against
     round-off, until a square moves no entry by more than TIE_TOL (the next
     square's error is then of order TIE_TOL ** 2), at most
-    CESARO_MAX_SQUARINGS times. Each matrix stops on its own moves, so its
-    limit does not depend on which matrices share a call. A search meets
-    the same policies at many subsidies, so every limit is kept under its
-    (type, policy bytes) and squared out once.
+    CESARO_MAX_SQUARINGS times.
     """
-
-    def __init__(self):
-        self._known = {}  # (type, policy bytes) -> P*
-
-    def __call__(self, P: np.ndarray, type_of: np.ndarray, policy: np.ndarray) -> np.ndarray:
-        """P* of every row of P (B, S, S), row b the matrix of policy[b] on type type_of[b].
-
-        Across all calls on this object, rows with equal type and policy
-        bytes must have equal matrices.
-        """
-        keys = list(zip(type_of.tolist(), (x.tobytes() for x in policy)))
-        new = {}
-        for b, key in enumerate(keys):
-            if key not in self._known:
-                new.setdefault(key, b)
-        if new:
-            M = 0.5 * (np.eye(P.shape[-1]) + P[list(new.values())])
-            going = np.arange(len(new))
-            for _ in range(CESARO_MAX_SQUARINGS):
-                M[going], moved = _normalised_square(M[going])
-                going = going[moved > TIE_TOL]
-                if going.size == 0:
-                    break
-            self._known.update(zip(new, M))
-        return np.array([self._known[key] for key in keys])
+    M = 0.5 * (np.eye(len(P)) + P)
+    for _ in range(CESARO_MAX_SQUARINGS):
+        M2 = M @ M
+        M2 /= M2.sum(axis=1, keepdims=True)
+        moved = np.abs(M2 - M).max()
+        M = M2
+        if moved <= TIE_TOL:
+            break
+    return M
 
 
-def relative_value_iteration(models: list[ArmModel], lam, type_of=None, limits=None):
-    """Average-reward DP with passive subsidy lam, a scalar or a (B,) vector.
+def _evaluate(model: ArmModel, active: np.ndarray):
+    """One stationary policy's bias and gain terms, each affine in the subsidy lam.
 
-    Row b solves type models[type_of[b]] (default: type 0 for every row)
-    at subsidy lam[b]; the types the rows name share a state count. No
-    row's arithmetic reads another row, so each row comes out as in a call
-    with that row alone. limits, a _CesaroLimits, may be shared by calls on
-    the same models, such as the steps of one search, which meet the same
-    policies; it keys each limit by type and policy, and changes no result.
-
-    Solved exactly by multichain Howard policy iteration (Puterman 1994,
-    section 9.2), all rows together as (B, S, S) arrays. Starting from
-    the myopic policy, each round evaluates every row's policy P exactly:
-    the gain g = P* r and the bias h = (I - P + P*)^-1 (r - g), with P*
-    the Cesaro limit of P, so the multichain models that dummy expansion
-    produces need no special case. Each state then keeps only the actions
-    maximising P_a g and, among those, takes the one maximising
-    r_a + P_a h; its current action stays unless another is better by more
-    than TIE_TOL (relative to the values' scale). A row ends when its
-    policy does not change. It also ends when its next policy is one it
-    held before in this call: near-singular I - P + P* can leave the sign
-    of a tiny gap to round-off, so two policies may alternate forever. The
-    states that would flip are then indifferent at this subsidy up to
-    round-off, and their gaps are set to 0.0. A row meets each of its
-    2^S policies at most once, so the loop ends.
-
-    Returns (qdiff, h, slope), each lam.shape + (S,): qdiff = Q(s, 1) -
-    Q(s, 0) with Q(s, a) = r_a(s) + P_a h, h the bias shifted to h(0) = 0,
-    and slope the derivative of qdiff in lam under the row's final policy
-    pi. The subsidy enters r_pi as lam * u, u the passive indicator of pi,
-    so g' = P* u and h' = (I - P + P*)^-1 (u - g'), solved with h in one
-    call on the same matrix, and slope = (P_1 - P_0) h' - 1. qdiff is
-    affine in lam while pi stays optimal, so slope is exact on that piece.
-    Raises NonConvergent, naming those types and subsidies, when the
-    optimal gain is not the same in every state: the relative values (and
-    qdiff) are then undefined, and that is the one case where relative
-    value iteration does not converge.
+    active[s] says whether the policy pulls in state s. The subsidy enters
+    the policy's reward as lam * u, u the passive indicator, so the gain
+    g = P* r and the bias h = (I - P + P*)^-1 (r - g) are affine in lam,
+    with slopes g' = P* u and h' = (I - P + P*)^-1 (u - g'): one solve with
+    two right-hand sides gives both. Returns (Ph, gains): Ph[a] = (P_a h,
+    P_a h') and gains = (g, g'), all at lam = 0, so that
+    Q(s, a) = r_a(s) + lam [a = 0] + Ph[a, 0, s] + lam Ph[a, 1, s].
     """
-    lam = np.asarray(lam, dtype=float)
-    lams = lam.reshape(-1)
-    type_of = np.zeros(lams.size, dtype=np.int64) if type_of is None else np.asarray(type_of)
-    limits = _CesaroLimits() if limits is None else limits
-    S = models[type_of[0]].n_states
-    P = np.array([models[n].transitions for n in type_of.tolist()])  # (B, S, 2, S)
-    Pt = P.transpose(0, 2, 3, 1)  # Pt[b, a] = P_a.T
-    rewards = np.array([models[n].rewards for n in type_of.tolist()])
-    r0 = rewards[:, :, 0] + lams[:, None]
-    r1 = rewards[:, :, 1]
-    eye = np.eye(S)
-    active = r1 > r0  # the myopic policy, one row per subsidy
-    held = [{a.tobytes()} for a in active]  # every policy each row has held
-    qdiff, dqdiff, h, g, tie = (np.empty((lams.size, n)) for n in (S, S, S, S, 1))
-    rows = np.arange(lams.size)  # the rows whose policies still change
-    while rows.size:
-        a, p, pt, q_r0, q_r1 = (x if rows.size == len(x) else x[rows]
-                                for x in (active, P, Pt, r0, r1))
-        P_pi = np.where(a[..., None], p[:, :, 1], p[:, :, 0])
-        r_pi = np.where(a, q_r1, q_r0)
-        P_star = limits(P_pi, type_of[rows], a)
-        g_pi = (P_star @ r_pi[..., None])[..., 0]
-        u = (~a).astype(float)  # d r_pi / d lam: the subsidy is paid where the policy rests
-        rhs = np.stack((r_pi - g_pi, u - (P_star @ u[..., None])[..., 0]), axis=-1)
-        h_pi, dh_pi = np.linalg.solve(eye - P_pi + P_star, rhs).transpose(2, 0, 1)
-        x = np.empty((rows.size, 3, S))
-        x[:, 0], x[:, 1], x[:, 2] = h_pi, g_pi, dh_pi
-        (h0, g0, dh0), (h1, g1, dh1) = (x[:, None] @ pt).transpose(1, 2, 0, 3)
-        q0, q1 = q_r0 + h0, q_r1 + h1
-        qd = q1 - q0
-        scale = np.abs(np.concatenate((q0, q1, g_pi), axis=1)).max(axis=1, keepdims=True)
-        tie_pi = TIE_TOL * (1.0 + scale)
-        sign = np.where(a, -1.0, 1.0)  # turns action-1-minus-0 gaps into switching gains
-        gain_up = sign * (g1 - g0)
-        bias_up = sign * qd
-        switch = (gain_up > tie_pi) | ((gain_up >= -tie_pi) & (bias_up > tie_pi))
-        nxt = a ^ switch
-        going = switch.any(axis=1)
-        for i in np.flatnonzero(going).tolist():
-            key = nxt[i].tobytes()
-            if key in held[rows[i]]:
-                going[i] = False
-                qd[i, switch[i]] = 0.0
-            held[rows[i]].add(key)
-        qdiff[rows], dqdiff[rows] = qd, dh1 - dh0 - 1.0
-        h[rows], g[rows], tie[rows] = h_pi, g_pi, tie_pi
-        active[rows] = nxt
-        rows = rows[going]
-    split = np.ptp(g, axis=1) > tie[:, 0]
-    if split.any():
-        named = ", ".join(
-            f"type {n} (lambda={', '.join(f'{x:g}' for x in lams[split & (type_of == n)])})"
-            for n in np.unique(type_of[split])
-        )
-        raise NonConvergent(f"optimal gain differs across states, so relative values "
-                            f"are undefined: {named}")
-    h = h - h[:, :1]
-    return tuple(x.reshape(lam.shape + (S,)) for x in (qdiff, h, dqdiff))
+    pick = (np.arange(model.n_states), active.astype(int))
+    P = model.transitions[pick]
+    rhs = np.array((model.rewards[pick], ~active), dtype=float)
+    P_star = _cesaro_limit(P)
+    gains = rhs @ P_star.T
+    bias = np.linalg.solve(np.eye(len(P)) - P + P_star, (rhs - gains).T).T
+    return bias @ model.transitions.transpose(1, 2, 0), gains  # [a, k] = P_a (h, h')[k]
 
 
-def whittle_index_infinite(models: list[ArmModel], tol: float = DEFAULT_TOL) -> IndexTable:
-    """Stationary subsidy index per (type, state), one search per state count."""
-    limits = _CesaroLimits()
-    groups = {}
-    for n, m in enumerate(models):
-        groups.setdefault(m.n_states, []).append(n)
-    values = [None] * len(models)
-    for members in groups.values():
-        index = _subsidy_index(
-            {n: _bracket_halfwidth(models[n]) for n in members},
-            lambda lam, type_of: relative_value_iteration(models, lam, type_of, limits)[::2],
-            tol,
-        )
-        for n, v in zip(members, index):
-            values[n] = v[:, None]
-    return IndexTable(values=values, time_dependent=False)
+def _sweep_index(model: ArmModel, n: int) -> np.ndarray:
+    """Type n's stationary index per state, by one sweep over its policies' pieces.
+
+    On the current policy's piece each gap is c + lam * d. The piece ends at
+    the smallest root -c / d >= lam of an active state with d < 0. That
+    state, every active state whose root lies behind lam (a jump root), and
+    every active state whose gap there is a tie take the end as their index
+    and turn passive. The checks run at the end of each piece.
+    """
+    r0, r1 = model.rewards.T
+    index = np.empty(model.n_states)
+    active = np.ones(model.n_states, dtype=bool)
+    lam = -np.inf
+    while active.any():
+        Ph, g = _evaluate(model, active)
+        c = (r1 - r0) + (Ph[1, 0] - Ph[0, 0])  # exact where both actions' rows agree
+        d = Ph[1, 1] - Ph[0, 1] - 1.0
+        root = np.divide(-c, d, out=np.full(c.size, np.inf), where=active & (d < 0))
+        first = root.min()
+        end = lam if first == np.inf else max(lam, first)
+        q = model.rewards.T + Ph[:, 0] + end * Ph[:, 1]
+        q[0] += end
+        gap, gain = c + end * d, g[0] + end * g[1]
+        tie = TIE_TOL * (1.0 + max(np.abs(q).max(), np.abs(gain).max()))
+        if gain.max() - gain.min() > tie:
+            raise NonConvergent(f"type {n}: optimal gain differs across states for subsidies "
+                                f"in [{lam:g}, {end:g}], so relative values are undefined")
+        rising = np.flatnonzero(~active & (gap > tie))
+        if rising.size:
+            s = rising[0]
+            raise NotIndexable(f"type {n}, state {s}: passive from subsidy {index[s]:g}, "
+                               f"but its gap is {gap[s]:.3g} > 0 at {end:g}")
+        leaving = active & ((gap <= tie) | (root <= end))
+        if not leaving.any():
+            s = np.flatnonzero(active)[0]
+            raise NotIndexable(f"type {n}, state {s}: its gap {gap[s]:.3g} does not fall "
+                               f"to 0 for subsidies above {lam:g}")
+        index[leaving] = end
+        active &= ~leaving
+        lam = end
+    return index
+
+
+def whittle_index_infinite(models: list[ArmModel]) -> IndexTable:
+    """Stationary subsidy index per (type, state), one sweep per type."""
+    return IndexTable(values=[_sweep_index(m, n)[:, None] for n, m in enumerate(models)],
+                      time_dependent=False)
 
 
 def finite_horizon_qdiff(model: ArmModel, T: int, lam):

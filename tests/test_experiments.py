@@ -22,7 +22,7 @@ from singlepull.experiments import (
 from singlepull.model import load_instance
 from singlepull.simplex import SolverStall
 from singlepull.simulator import InfeasibleAction, Summary
-from singlepull.whittle import BracketFail, NonConvergent
+from singlepull.whittle import NonConvergent, NotIndexable
 from singlepull import evaluate, experiments, lp, model, oracle, policies
 from singlepull.domains import FAMILIES, make_instance
 from singlepull.policies import POLICY_NAMES, BasePolicy, make_policy
@@ -594,7 +594,7 @@ class TestCli:
         assert rc == cli.EXIT_SOLVER
         assert (tmp_path / "out" / "failed_instance_0.json").exists()
 
-    @pytest.mark.parametrize("failure", [NonConvergent, BracketFail, SolverStall])
+    @pytest.mark.parametrize("failure", [NonConvergent, NotIndexable, SolverStall])
     def test_timing_failure_saves_its_instance_and_exits_3(self, tmp_path, monkeypatch, failure):
         # whittle-infinite prepares on seed 0 in the evaluation pass, then on
         # the timing seeds 0, 1, 2: its third build, on timing seed 1, fails
@@ -630,7 +630,7 @@ class TestCli:
         assert load_instance(str(tmp_path / "out" / "failed_instance_3.json")).rho == 1
         assert not (tmp_path / "out" / "gap_curve.csv").exists()
 
-    @pytest.mark.parametrize("failure", [NonConvergent, BracketFail, SolverStall])
+    @pytest.mark.parametrize("failure", [NonConvergent, NotIndexable, SolverStall])
     def test_sweep_evaluation_failure_saves_its_instance_and_exits_3(self, tmp_path,
                                                                       monkeypatch, failure):
         # whittle-infinite prepares once per rho: the build at rho=2 fails

@@ -67,6 +67,18 @@ class TestValidateArm:
         assert any("outside [0, 1]" in msg for msg in errors)
 
 
+    def test_non_finite_transitions_rejected(self):
+        # NaN compares False with every bound and row sum, so it needs its own check
+        P = two_state_arm().transitions.copy()
+        P[1, 0] = np.nan
+        P[0, 1, 0] = np.inf
+        bad = ArmModel(n_states=2, transitions=P, rewards=np.zeros((2, 2)))
+        assert "3 non-finite transition entries" in validate_arm(bad)
+        with pytest.raises(ValueError, match="invalid instance: type 0: 3 non-finite "
+                                             "transition entries"):
+            Instance(types=(bad,), rho=1, budget=1, horizon=2, initial=(point_initial(2, 0),))
+
+
 class TestExpandWithDummies:
     def test_two_state_expansion_shape(self):
         m = two_state_arm()
@@ -181,6 +193,13 @@ class TestValidateInstance:
                                              "sums to 1.2"):
             Instance(types=(m,), rho=1, budget=1, horizon=2, initial=(np.array([0.6, 0.6]),))
 
+    def test_non_finite_initial_rejected(self):
+        m = two_state_arm()
+        for dist in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="invalid instance: type 0: non-finite "
+                                                 "initial probabilities$"):
+                Instance(types=(m,), rho=1, budget=1, horizon=2, initial=(np.array(dist),))
+
     def test_valid_instance_holds_its_expansion_and_tables(self, rng):
         types = (random_arm(rng, 2), random_arm(rng, 3))
         inst = Instance(types=types, rho=2, budget=1, horizon=2,
@@ -249,4 +268,22 @@ class TestInstanceIo:
         doc["types"][0]["transitions"][0][0][0] += 1e-3
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
+            load_instance(str(path))
+
+    @pytest.mark.parametrize("where", ["transitions", "initial"])
+    def test_loader_rejects_nan(self, tmp_path, where):
+        # json reads the NaN literal as a float, so a replay file can carry it
+        inst = Instance(types=(two_state_arm(),), rho=1, budget=1, horizon=2,
+                        initial=(point_initial(2, 0),))
+        path = tmp_path / "inst.json"
+        save_instance(inst, str(path))
+        import json
+        doc = json.loads(path.read_text())
+        if where == "transitions":
+            doc["types"][0]["transitions"][1][0] = [float("nan")] * 2
+        else:
+            doc["initial"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="non-finite"):
             load_instance(str(path))

@@ -22,10 +22,11 @@ from singlepull.domains import CPAP, FAMILIES, RANDOM, DomainSpec, make_instance
 from singlepull.model import ArmTables, point_initial, stack_types
 from singlepull.policies import POLICY_NAMES
 from singlepull.simulator import lift
-from singlepull.whittle import IndexTable, relative_value_iteration
+from singlepull.whittle import IndexTable
 
 import select_reference as ref
 from conftest import planned_select, random_arm
+from whittle_reference import rvi_qdiff
 
 DETERMINISTIC = tuple(name for name in POLICY_NAMES if name != "random")
 
@@ -344,13 +345,13 @@ class TestInfiniteWhittleOnExpandedModel:
     def test_normal_state_gaps_are_flat_in_the_subsidy(self):
         """The measured mechanism behind the degenerate indices.
 
-        On RANDOM N=4 S=10 seed 0, expanded type 0, the gap of every normal
-        state has slope 0 in the subsidy (to round-off) at lambda = 0 and at
-        lambda = 5, and the gap of every dummy state has slope -1. The slope
+        On RANDOM N=4 S=10 seed 0, expanded type 0, the scalar reference's
+        gap of every normal state is the same at lambda = 0 and at lambda = 5
+        (to its tolerance), and the gap of every dummy state is -lambda. The slope
         is -1 + Pr(pull later): a pull costs the subsidy once, and from every
         normal state the optimal policy pulls later with probability 1.
         """
         inst = make_instance(DomainSpec(RANDOM, 4, 10, seed=0), budget=1, rho=1, horizon=20)
-        _, _, slope = relative_value_iteration([inst.expanded[0]], np.array([0.0, 5.0]))
-        assert np.all(np.abs(slope[:, :10]) <= 8 * np.finfo(float).eps)
-        assert np.all(slope[:, 10:] == -1.0)
+        at0, at5 = (rvi_qdiff(inst.expanded[0], lam) for lam in (0.0, 5.0))
+        assert np.allclose(at0[:10], at5[:10], rtol=0, atol=1e-9)
+        assert np.array_equal(at0[10:], np.zeros(10)) and np.array_equal(at5[10:], np.full(10, -5.0))

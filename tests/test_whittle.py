@@ -6,16 +6,13 @@ import pytest
 from singlepull import ArmModel, domains, expand_with_dummies, make_policy, whittle
 from singlepull.domains import DomainSpec, closed_form_whittle, ehrenfest_arm
 from singlepull.whittle import (
-    BISECT_MAX_ITERS,
-    DEFAULT_TOL,
     TIE_TOL,
-    BracketFail,
     NonConvergent,
-    _CesaroLimits,
-    _subsidy_index,
+    NotIndexable,
+    _cesaro_limit,
+    _evaluate,
     finite_horizon_qdiff,
     q_difference_indices,
-    relative_value_iteration,
     whittle_index_finite,
     whittle_index_infinite,
 )
@@ -34,6 +31,30 @@ def cpap3_arm(q=0.6):
     return ArmModel(n_states=3, transitions=P, rewards=r)
 
 
+def piece_q(model, active, lam):
+    """Q(s, a) at lam under one policy, shaped (2, S), and its gain (from _evaluate)."""
+    Ph, gains = _evaluate(model, np.asarray(active))
+    q = model.rewards.T + Ph[:, 0] + lam * Ph[:, 1]
+    q[0] += lam
+    return q, gains[0] + lam * gains[1]
+
+
+def piece_gaps(model, active, lam):
+    """Every state's gap at lam under one policy, and its slope in lam."""
+    Ph, _ = _evaluate(model, np.asarray(active))
+    slope = Ph[1, 1] - Ph[0, 1] - 1.0
+    return model.rewards[:, 1] - model.rewards[:, 0] + Ph[1, 0] - Ph[0, 0] + lam * slope, slope
+
+
+def not_indexable_arm():
+    """A 3-state arm whose state 2 rests from an index on but wants to pull again later."""
+    P = np.array([[[0.97, 0.02, 0.01], [0.92, 0.08, 0.00]],
+                  [[0.01, 0.83, 0.16], [0.31, 0.01, 0.68]],
+                  [[0.91, 0.03, 0.06], [0.21, 0.77, 0.02]]])
+    r = np.array([[0.21, 0.5], [0.55, 0.21], [0.59, 0.64]])
+    return ArmModel(n_states=3, transitions=P, rewards=r)
+
+
 class TestInfinite:
     def test_reward_gap_with_identical_transitions(self):
         # both actions share every transition row -> index equals the reward gap
@@ -46,12 +67,11 @@ class TestInfinite:
         assert table.values[0][1, 0] == pytest.approx(0.0, abs=1e-5)
 
     def test_equalization_at_returned_index(self, rng):
+        # the scalar reference's gap vanishes at every returned index
         for model in (cpap3_arm(0.4), random_arm(rng, 3, active_only_rewards=False)):
-            tol = 1e-6
-            table = whittle_index_infinite([model], tol)
+            table = whittle_index_infinite([model])
             for s in range(model.n_states):
-                qd = relative_value_iteration([model], table.values[0][s, 0])[0]
-                assert abs(qd[s]) <= tol
+                assert abs(rvi_qdiff(model, table.values[0][s, 0])[s]) <= 1e-8
 
     def test_stationary_table_shape(self):
         table = whittle_index_infinite([cpap3_arm()])
@@ -74,13 +94,16 @@ class TestInfinite:
         assert table.values[0][4, 0] / 0.01 == pytest.approx(8.0, rel=0.10)
 
     def test_periodic_chain_converges_with_damping(self):
+        # the Cesaro limit of the 2-cycle comes from its damped, aperiodic
+        # transform (I + P) / 2
         P = np.zeros((2, 2, 2))
         P[0, :, 1] = 1.0  # deterministic 2-cycle under both actions
         P[1, :, 0] = 1.0
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, h, _ = relative_value_iteration([model], 0.0)
-        assert np.allclose(qd, 0.0, atol=1e-8)  # identical action rows
+        assert np.array_equal(_cesaro_limit(P[:, 0]), np.full((2, 2), 0.5))
+        table = whittle_index_infinite([model])
+        assert np.array_equal(table.values[0][:, 0], [0.0, 0.0])  # identical action rows
 
     def test_nonconvergent_on_disconnected_gains(self):
         # two absorbing components with different rewards: no single gain
@@ -89,35 +112,41 @@ class TestInfinite:
         P[1, :, 1] = 1.0
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        with pytest.raises(NonConvergent):
-            relative_value_iteration([model], 0.0)
+        with pytest.raises(NonConvergent, match=r"^type 0: optimal gain differs"):
+            whittle_index_infinite([model])
 
     def test_nonconvergent_names_only_unfinished_subsidies(self):
-        # two absorbing states, gains max(lam, 1) and max(lam, 0): one gain
-        # exactly when lam >= 1
+        # state 0 rests in place for 0.5 + lam or pulls, unpaid, into the
+        # absorbing state 1, which earns 1 active. Every state has gain 1 up
+        # to state 0's index 0.5; above it resting in state 0 earns more than
+        # state 1 can, so the message names the piece [0.5, 1] only
         P = np.zeros((2, 2, 2))
-        P[0, :, 0] = 1.0
+        P[0, 0, 0] = 1.0
+        P[0, 1, 1] = 1.0
         P[1, :, 1] = 1.0
-        r = np.array([[0.0, 1.0], [0.0, 0.0]])
+        r = np.array([[0.5, 0.0], [0.0, 1.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd = relative_value_iteration([model], 2.0)[0]
-        assert np.allclose(qd, [-1.0, -2.0])
-        with pytest.raises(NonConvergent, match=r"\(lambda=0\.25\)"):
-            relative_value_iteration([model], np.array([2.0, 0.25, 3.0]))
+        with pytest.raises(NonConvergent, match=r"^type 0: .* subsidies in \[0\.5, 1\],"):
+            whittle_index_infinite([model])
 
 
 class TestPolicyIteration:
+    """Lazy CPAP arms, on which relative value iteration never converged and
+    policy iteration cycled: the sweep evaluates each of their policies once."""
+
     def test_whittle_original_prepares_on_cpap(self):
-        # the instance where relative value iteration never converged
+        # the instance where relative value iteration never converged; the
+        # piece that ends at each index zeroes that state's gap there
         inst = domains.make_instance(DomainSpec(domains.CPAP, 10, 5, seed=0),
                                      budget=3, rho=1, horizon=10)
         policy = make_policy("whittle-original")
         policy.prepare(inst)
         for model, values in zip(inst.types, policy.table.values):
             assert np.all(np.isfinite(values))
-            for s in range(model.n_states):
-                qd = relative_value_iteration([model], values[s, 0])[0]
-                assert abs(qd[s]) <= DEFAULT_TOL
+            index = values[:model.n_states, 0]  # the dummy copies repeat it
+            for s, lam in enumerate(index):
+                gap, _ = piece_gaps(model, index >= lam, lam)
+                assert abs(gap[s]) <= 1e-6
 
     @pytest.mark.parametrize("seed", [1, 4, 8])
     def test_whittle_original_prepares_where_policies_cycle(self, seed):
@@ -129,14 +158,20 @@ class TestPolicyIteration:
         assert all(np.all(np.isfinite(values)) for values in policy.table.values)
 
     def test_cycling_policies_end_with_a_zero_gap(self):
-        # CPAP N=4 S=10 seed 1, type 3: at this subsidy the policies active
-        # on {1..8} and on {2..8} alternate, as round-off in near-singular
-        # (I - P + P*) flips the sign of state 1's gap; it is 0 up to round-off
-        inst = domains.make_instance(DomainSpec(domains.CPAP, 4, 10, seed=1),
-                                     budget=1, rho=1, horizon=10)
-        qd = relative_value_iteration([inst.types[3]], 16.018462125660555)[0]
-        assert qd[1] == 0.0
-        assert np.all(qd[2:9] > 0.0) and qd[0] < 0.0 and qd[9] < 0.0
+        # CPAP N=4 S=10 seed 1, type 3: at subsidy 16.018462125660555 policy
+        # iteration alternated between the policies active on {1..8} and on
+        # {2..8}, as round-off in near-singular (I - P + P*) flipped the sign
+        # of state 1's gap. The sweep ends the piece of {1..8} there, at state
+        # 1's index, and the piece of {2..8} starts there
+        model = domains.make_models(DomainSpec(domains.CPAP, 4, 10, seed=1))[3]
+        index = whittle_index_infinite([model]).values[0][:, 0]
+        lam = index[1]
+        assert lam == pytest.approx(16.018462125660555, rel=0, abs=1e-12)
+        assert np.array_equal(np.flatnonzero(index >= lam), np.arange(1, 9))
+        wide, _ = piece_gaps(model, index >= lam, lam)
+        narrow, _ = piece_gaps(model, index > lam, lam)
+        assert abs(wide[1]) <= 1e-4 * np.abs(wide).max()
+        assert np.all(narrow[2:9] > 0.0) and narrow[0] < 0.0 and narrow[9] < 0.0
 
     def test_gain_step_leaves_a_lower_gain_class(self):
         # state 0 rests at gain lam = 0.5 or moves, unpaid, to state 1, which
@@ -149,35 +184,44 @@ class TestPolicyIteration:
         P[1, :, 1] = 1.0
         r = np.array([[0.0, 0.0], [0.0, 1.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        qd, h, _ = relative_value_iteration([model], 0.5)
+        assert np.array_equal(whittle_index_infinite([model]).values[0][:, 0], [1.0, 1.0])
+        qd, slope = piece_gaps(model, [True, True], 0.5)
         assert np.allclose(qd, [0.5, 0.5], rtol=0, atol=1e-12)
-        assert np.allclose(h, [0.0, 1.0], rtol=0, atol=1e-12)
+        assert np.array_equal(slope, [-1.0, -1.0])
         assert np.allclose(qd, rvi_qdiff(model, 0.5), rtol=0, atol=1e-8)
 
     def test_bias_solves_the_optimality_equation(self, rng):
-        # h + g = max_a (r_a + P_a h) with one gain g in every state, also on
-        # the multichain dummy-expanded model
-        lams = np.array([-2.0, -0.1, 0.0, 0.4, 3.0])
-        for model in (random_arm(rng, 4, active_only_rewards=False),
-                      expand_with_dummies(random_arm(rng, 3)), expand_with_dummies(cpap3_arm())):
-            qd, h, _ = relative_value_iteration([model], lams)
-            assert np.all(h[:, 0] == 0.0)
-            r0 = model.rewards[:, 0] + lams[:, None]
-            q0 = r0 + h @ model.transitions[:, 0, :].T
-            q1 = model.rewards[:, 1] + h @ model.transitions[:, 1, :].T
-            assert np.allclose(q1 - q0, qd, rtol=0, atol=1e-12)
-            gain = np.maximum(q0, q1) - h
-            assert np.allclose(gain, gain[:, :1], rtol=0, atol=1e-9)
+        # under the policy the table prescribes at lam, h + g = max_a (r_a +
+        # P_a h) with one gain g in every state, also on the multichain
+        # dummy-expanded models; h = max_a Q - g, and Q_a = r_a + P_a h. On
+        # [0, 1] an expanded table rests in every normal state, where pulling
+        # can be optimal: the degenerate indices InfiniteWhittlePolicy
+        # documents
+        for model, lams in ((random_arm(rng, 4, active_only_rewards=False),
+                             (-2.0, -0.1, 0.0, 0.4, 3.0)),
+                            (expand_with_dummies(random_arm(rng, 3)), (-2.0, -0.1, 3.0)),
+                            (expand_with_dummies(cpap3_arm()), (-2.0, -0.1, 3.0))):
+            index = whittle_index_infinite([model]).values[0][:, 0]
+            for lam in lams:
+                q, gain = piece_q(model, index > lam, lam)
+                assert np.allclose(gain, gain[0], rtol=0, atol=1e-9)
+                h = q.max(axis=0) - gain
+                r = model.rewards.T + [[lam], [0.0]]
+                for a in (0, 1):
+                    assert np.allclose(q[a] - r[a], model.transitions[:, a] @ h,
+                                       rtol=0, atol=1e-9), (lam, a)
 
 
 class TestBatchedDp:
     def test_rvi_rows_match_scalar_solves(self, rng):
+        # the gaps of the policy the table prescribes at lam are the scalar
+        # relative value iteration's optimal gaps
         model = random_arm(rng, 4, active_only_rewards=False)
-        lams = np.array([-1.5, 0.0, 0.3, 2.0])
-        qd, h, dqd = relative_value_iteration([model], lams)
-        assert qd.shape == h.shape == dqd.shape == (4, 4)
-        for lam, row in zip(lams, qd):
-            assert np.allclose(row, rvi_qdiff(model, lam), rtol=0, atol=1e-9)
+        index = whittle_index_infinite([model]).values[0][:, 0]
+        for lam in (-1.5, 0.0, 0.3, 2.0):
+            qd, slope = piece_gaps(model, index > lam, lam)
+            assert qd.shape == slope.shape == (4,)
+            assert np.allclose(qd, rvi_qdiff(model, lam), rtol=0, atol=1e-9)
 
     def test_finite_rows_match_scalar_solves(self, rng):
         model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
@@ -215,7 +259,7 @@ def _ehrenfest4():
     return ehrenfest_arm(c=2.0, mu=1.0, lam=1.0, S=3, dt=0.05)
 
 
-def stationary_roots(model, index, tol=DEFAULT_TOL):
+def stationary_roots(model, index, tol=1e-6):
     """Check a stationary index table entry by entry through the scalar rvi_qdiff.
 
     Every entry zeroes its gap to tol / 2, or is a jump root: its gap falls
@@ -256,26 +300,31 @@ class TestAgainstScalarReference:
                     assert stationary_roots(m, table.values[0][:, 0]) == 0
 
     def test_slopes_match_reference_difference_quotients(self):
-        # on a grid around the indices, a run of subsidies whose gaps all keep
-        # one sign pattern, none within 1e-9 of a tie, shares the final
-        # policy; the gap is affine there, so the slope at either end is the
-        # difference quotient of the scalar DP across the run
+        # on a grid around the indices, a run of subsidies whose scalar-DP
+        # gaps all keep one sign pattern, none within 1e-9 of a tie, shares
+        # one optimal policy, and the gap is affine there. Where the table
+        # prescribes a policy with the scalar DP's gaps, its slope is the
+        # difference quotient of the scalar DP across the run. That holds on
+        # every run of an unexpanded arm; an expanded table can rest in every
+        # normal state where pulling is optimal (InfiniteWhittlePolicy)
         for model in self.models():
             for m in (model, expand_with_dummies(model)):
                 runs = 0
                 index = whittle_index_infinite([m]).values[0][:, 0]
                 grid = np.linspace(index.min() - 1.0, index.max() + 1.0, 81)
-                qd, _, dqd = relative_value_iteration([m], grid)
+                qd = [rvi_qdiff(m, lam) for lam in grid]
                 signs = [(g > 0).tobytes() if (np.abs(g) > 1e-9).all() else None for g in qd]
                 for key, run in itertools.groupby(range(grid.size), key=signs.__getitem__):
                     run = list(run)
                     if key is None or len(run) < 2:
                         continue
                     i, j = run[0], run[-1]
-                    quotient = ((rvi_qdiff(m, grid[j]) - rvi_qdiff(m, grid[i]))
-                                / (grid[j] - grid[i]))
-                    assert np.allclose(dqd[i], dqd[j], rtol=0, atol=1e-12)
-                    assert np.allclose(dqd[i], quotient, rtol=0, atol=1e-8)
+                    gap, slope = piece_gaps(m, index > grid[i], grid[i])
+                    if m.expanded and not np.allclose(gap, qd[i], rtol=0, atol=1e-8):
+                        continue
+                    assert np.allclose(gap, qd[i], rtol=0, atol=1e-8)
+                    assert np.allclose(slope, (qd[j] - qd[i]) / (grid[j] - grid[i]),
+                                       rtol=0, atol=1e-8)
                     runs += 1
                 assert runs >= 2  # below and above every index, at least
 
@@ -287,120 +336,51 @@ class TestAgainstScalarReference:
 
 
 class TestSubsidyIndex:
-    def test_gap_that_never_crosses_raises_bracket_fail(self):
-        def qdiff_at(lam, type_of):
-            gap = np.ones(np.shape(lam) + (3,))
-            return gap, np.zeros_like(gap)
+    def test_gap_that_never_crosses_raises_not_indexable(self):
+        # state 1 is absorbing and turns passive at its index 0; state 0 then
+        # pulls into it for its passive reward 1 and its subsidy, or rests
+        # for 0 and the subsidy, so its gap stays 1 at every subsidy
+        P = np.zeros((2, 2, 2))
+        P[0, 0, 0] = 1.0
+        P[0, 1, 1] = 1.0
+        P[1, :, 1] = 1.0
+        model = ArmModel(n_states=2, transitions=P, rewards=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(NotIndexable, match=r"^type 0, state 0: its gap 1 does not fall "
+                                               r"to 0 for subsidies above 0$"):
+            whittle_index_infinite([model])
 
-        with pytest.raises(BracketFail, match=r"^type 0, entry \(0,\)"):
-            _subsidy_index({0: 1.0}, qdiff_at, 1e-6)
+    def test_not_indexable_names_the_type_and_state(self):
+        # state 2 of the second type turns passive at its first kink, and its
+        # scalar-DP gap is negative there but positive at a larger subsidy
+        model = not_indexable_arm()
+        with pytest.raises(NotIndexable, match=r"^type 1, state 2: passive from subsidy "):
+            whittle_index_infinite([cpap3_arm(), model])
+        assert rvi_qdiff(model, -0.15)[2] < 0.0 < rvi_qdiff(model, 0.0)[2]
 
-    def test_bracket_fail_names_the_type_that_cannot_bracket(self):
-        # type 0's gaps cross zero at lam = 0.3; type 1's stay positive
-        def qdiff_at(lam, type_of):
-            gap = np.where((type_of == 0)[:, None], 0.3 - lam[:, None], 1.0) * np.ones(2)
-            return gap, np.where((type_of == 0)[:, None], -1.0, 0.0) * np.ones(2)
-
-        with pytest.raises(BracketFail, match=r"^type 1, entry \(0,\)"):
-            _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-6)
-        with pytest.raises(BracketFail, match=r"^type 7, "):
-            _subsidy_index({4: 1.0, 7: 1.0},
-                           lambda lam, type_of: qdiff_at(lam, (type_of == 7).astype(int)), 1e-6)
-
-    def test_linear_gaps_stop_independently(self):
-        # gap a_e - lam: the entry at the first midpoint 0 stops after one
-        # step, every other one lands exactly on its root with one Newton step
-        a = np.array([[0.0, 0.5], [-0.25, np.sqrt(2) / 10]])
+    def test_linear_gaps_stop_independently(self, monkeypatch):
+        # both actions share every row, so each gap is a - lam on every piece,
+        # up to round-off: each state turns passive at its own root, and tied
+        # states at one kink, one policy evaluation per distinct root
+        a = np.array([0.0, 0.5, -0.25, np.sqrt(2) / 10, 0.5])
+        P = np.repeat(np.random.default_rng(2).dirichlet(np.ones(5), size=(5, 1)), 2, axis=1)
+        model = ArmModel(n_states=5, transitions=P, rewards=np.stack((np.zeros(5), a), axis=1))
         calls = []
-
-        def qdiff_at(lam, type_of):
-            assert np.all(type_of == 0)
-            calls.append(lam.size)
-            gap = a - lam[..., None, None]
-            return gap, -np.ones_like(gap)
-
-        index = _subsidy_index({0: 1.0}, qdiff_at, 1e-6)[0]  # bracket [-1, 1]
-        assert np.array_equal(index, a)
-        assert calls == [1, 1, 4, 3]  # the bracket's two ends, then the live entries
-
-    def test_each_type_grows_its_own_bracket(self):
-        # type 0 crosses at 0.5 inside [-1, 1]; type 1 crosses at 5, so its
-        # bracket doubles to [-8, 8] while type 0 keeps [-1, 1]
-        cross = np.array([0.5, 5.0])
-        seen = {0: set(), 1: set()}
-
-        def qdiff_at(lam, type_of):
-            for x, n in zip(lam, type_of):
-                seen[int(n)].add(abs(float(x)))
-            gap = (cross[type_of] - lam)[:, None]
-            return gap, -np.ones_like(gap)
-
-        index = _subsidy_index({0: 1.0, 1: 1.0}, qdiff_at, 1e-9)
-        assert index[0, 0] == 0.5 and index[1, 0] == 5.0
-        assert max(seen[0]) == 1.0 and max(seen[1]) == 8.0
-
-    def test_a_midpoint_when_two_steps_do_not_halve_the_bracket(self):
-        # the convex gap max_k (c_k - s_k lam) takes Newton steps from the
-        # left, each to the next line's root, so the bracket goes [0, 1],
-        # [0.5, 1], [0.6, 1], [0.7, 1]: the last two steps kept 0.3 of 0.5,
-        # more than half, so the midpoint 0.85 comes before the Newton step
-        # to the root 0.775
-        c, s = np.array([1.0, 0.3, 0.14, 0.0775]), np.array([2.0, 0.5, 0.2, 0.1])
-        seen = []
-
-        def qdiff_at(lam, type_of):
-            seen.extend(lam.tolist())
-            lines = c - s * lam[:, None]
-            k = lines.argmax(axis=1)
-            return lines[np.arange(lam.size), k][:, None], -s[k][:, None]
-
-        index = _subsidy_index({0: 1.0}, qdiff_at, 1e-9)[0, 0]
-        assert np.allclose(seen[2:], [0.0, 0.5, 0.6, 0.7, 0.85, 0.775], rtol=0, atol=1e-12)
-        assert index == seen[-1]
-
-    def test_no_newton_step_without_a_falling_slope(self):
-        # gap 0.3 - lam reported with slope 0 and with slope +1: both entries
-        # take midpoints only, like a plain bisection, until |gap| <= tol / 2;
-        # a gap flat at 0 keeps the first midpoint
-        steps = []
-
-        def qdiff_at(lam, type_of):
-            steps.append(lam.size)
-            x = lam[:, None]
-            gap = np.concatenate((0.3 - x, 0.3 - x, np.zeros_like(x)), axis=1)
-            slope = np.concatenate((np.zeros_like(x), np.ones_like(x), np.zeros_like(x)), axis=1)
-            return gap, slope
-
-        tol = 1e-6
-        index = _subsidy_index({0: 1.0}, qdiff_at, tol)[0]
-        assert index[0] == index[1] and abs(index[0] - 0.3) <= 0.5 * tol
-        assert index[2] == 0.0
-        assert len(steps) - 2 > 10
-
-    def test_jump_root_stops_once_the_bracket_cannot_shrink(self):
-        # the gap falls from +1 to -1 between two adjacent floats at c; once
-        # the bracket's midpoint is one of its ends the entry stops there,
-        # before BISECT_MAX_ITERS steps
-        c = np.sqrt(2) / 10
-        calls = []
-
-        def qdiff_at(lam, type_of):
-            calls.append(lam.size)
-            gap = np.where(lam < c, 1.0, -1.0)[:, None]
-            return gap, -np.ones_like(gap)
-
-        lam = _subsidy_index({0: 1.0}, qdiff_at, 1e-6)[0, 0]
-        assert lam in (np.nextafter(c, -np.inf), c)
-        assert len(calls) - 2 < BISECT_MAX_ITERS
+        monkeypatch.setattr(whittle, "_evaluate",
+                            lambda m, active: calls.append(1) or _evaluate(m, active))
+        index = whittle_index_infinite([model]).values[0][:, 0]
+        assert np.allclose(index, a, rtol=0, atol=4 * np.finfo(float).eps)
+        assert index[1] == index[4] and len(calls) == 4
 
     def test_cpap_jump_root_keeps_its_value(self):
-        # CPAP N=4 S=10 seed 1, type 1, state 1: the gap falls from +15.9 to
-        # -1.01 within +-1e-9 of the index, the float plain bisection returns
+        # CPAP N=4 S=10 seed 1, type 1, state 1: across the index the gap
+        # falls from +15.9 to -1.01 within +-1e-9, under the policies the
+        # table prescribes on either side
         models = domains.make_models(DomainSpec(domains.CPAP, 4, 10, seed=1))
-        lam = whittle_index_infinite(models).values[1][1, 0]
-        assert lam == 16.053362854457987
-        below, above = (relative_value_iteration([models[1]], lam + d)[0][1]
-                        for d in (-1e-9, 1e-9))
+        index = whittle_index_infinite(models).values[1][:, 0]
+        lam = index[1]
+        assert lam == 16.05336285445798
+        below, above = (piece_gaps(models[1], index > x, x)[0][1] for x in (lam - 1e-9,
+                                                                            lam + 1e-9))
         assert below > 15.0 and above < -1.0
 
 
@@ -434,67 +414,12 @@ class TestStackedTypes:
             for m, values in zip(models, stacked.values):
                 assert np.array_equal(values, build([m]).values[0])
 
-    def test_rvi_rows_equal_single_type_calls(self, rng):
-        # three S=4 types, one of them a multichain dummy expansion
-        models = [random_arm(rng, 4, active_only_rewards=False), random_arm(rng, 4),
-                  expand_with_dummies(random_arm(rng, 2))]
-        lams = np.array([-0.5, 0.1, 0.7, 0.2, -1.0, 0.4])
-        type_of = np.array([0, 0, 1, 2, 2, 2])  # type 1 has a single row
-        batched = relative_value_iteration(models, lams, type_of)
-        for n in range(3):
-            rows = type_of == n
-            alone = relative_value_iteration([models[n]], lams[rows])
-            assert all(np.array_equal(x[rows], y) for x, y in zip(batched, alone))
-
-    def test_shared_cesaro_limits_match_squaring_each_call(self):
-        # lazy chains converge after different numbers of squares; whatever
-        # rows share a call, each row's limit is its own matrix squared alone
-        rng = np.random.default_rng(11)
-        mats = []
-        for stay in (0.2, 0.9, 0.99, 0.999):
-            P = stay * np.eye(3) + (1 - stay) * rng.dirichlet(np.ones(3), size=3)
-            mats.append(P / P.sum(axis=1, keepdims=True))
-        mats = np.array(mats)
-        limits = _CesaroLimits()
-        for _ in range(12):
-            pick = rng.integers(0, 4, size=int(rng.integers(1, 7)))
-            type_of = rng.integers(0, 2, size=pick.size)
-            got = limits(mats[pick], type_of, mats[pick])
-            for b, m in enumerate(pick):
-                assert np.array_equal(got[b], cesaro_limit(mats[m:m + 1])[0])
-
-    def test_cesaro_limits_named_by_policy_match_squaring_each_call(self, monkeypatch):
-        # rows named by a policy row (here the matrix's index) share their
-        # bookkeeping: each row's limit is its own matrix squared alone, and
-        # each (type, policy) is squared once across all calls
-        rng = np.random.default_rng(5)
-        mats = []
-        for stay in (0.3, 0.95, 0.995, 0.9995, 0.5):
-            P = stay * np.eye(4) + (1 - stay) * rng.dirichlet(np.ones(4), size=4)
-            mats.append(P / P.sum(axis=1, keepdims=True))
-        mats = np.array(mats)
-        stacks = []
-        square = whittle._normalised_square
-        monkeypatch.setattr(whittle, "_normalised_square",
-                            lambda M: stacks.append(len(M)) or square(M))
-        limits, seen = _CesaroLimits(), set()
-        for _ in range(20):
-            pick = rng.integers(0, 5, size=int(rng.integers(1, 9)))
-            type_of = rng.integers(0, 3, size=pick.size)
-            stacks.clear()
-            got = limits(mats[pick], type_of, pick[:, None])
-            for b, m in enumerate(pick):
-                assert np.array_equal(got[b], cesaro_limit(mats[m:m + 1])[0])
-            new = set(zip(type_of.tolist(), pick.tolist())) - seen
-            assert stacks[:1] == ([len(new)] if new else [])
-            seen |= new
-
-    def test_a_type_stops_once_every_matrix_has_settled(self, monkeypatch):
+    def test_cesaro_limit_stops_at_its_first_settle(self):
         # B mixes fast inside two blocks joined by 1e-15: its squares move by
         # less than TIE_TOL at square 7, then by more again as the blocks
-        # mix, up to square ~57; the lazy A first settles at square 30. A
-        # type holding both squares B 7 times and A 30 times, as each alone,
-        # and stops once the last of them has settled
+        # mix; the lazy A first settles at square 30. Each limit is the
+        # reference's, which stops at the first square that moves no entry
+        # by more than TIE_TOL
         B = np.zeros((4, 4))
         B[:2, :2] = B[2:, 2:] = 0.5
         B[0, 0] -= 1e-15
@@ -502,16 +427,9 @@ class TestStackedTypes:
         B[3, 3] -= 1e-15
         B[3, 1] = 1e-15
         A = (1 - 1e-7) * np.eye(4) + 1e-7 * np.full((4, 4), 0.25)
-        stacks = []
-        square = whittle._normalised_square
-        monkeypatch.setattr(whittle, "_normalised_square",
-                            lambda M: stacks.append(len(M)) or square(M))
-        for P in (np.array([A, B]), np.array([B, A])):
-            stacks.clear()
-            got = _CesaroLimits()(P, np.zeros(2, dtype=np.int64), P)
-            assert stacks == [2] * 7 + [1] * 23
-            for b in range(2):
-                assert np.array_equal(got[b], cesaro_limit(P[b:b + 1])[0])
+        for P in (A, B):
+            assert np.array_equal(_cesaro_limit(P), cesaro_limit(P[None])[0])
+        assert np.abs(_cesaro_limit(B) - 0.25).max() > 0.2  # the blocks had not mixed
 
     def test_nonconvergent_names_the_type(self):
         # type 1 has two absorbing states whose gains differ below lam = 1
@@ -521,31 +439,27 @@ class TestStackedTypes:
         split = ArmModel(n_states=2, transitions=P, rewards=np.array([[0.0, 1.0], [0.0, 0.0]]))
         fine = ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5),
                         rewards=np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(NonConvergent, match=r"type 1 \(lambda=0\.25\)$"):
-            relative_value_iteration([fine, split], np.array([0.25, 2.0, 0.25]),
-                                     np.array([0, 1, 1]))
+        with pytest.raises(NonConvergent, match=r"^type 1: optimal gain differs across "
+                                                r"states for subsidies in \[-inf, 0\],"):
+            whittle_index_infinite([fine, split])
 
 
 class TestFinite:
-    def test_three_types_take_one_bisection(self, monkeypatch):
-        # one stationary index search over the three CPAP types takes as many
-        # DP calls as the longest of the three searches alone; the exact
-        # finite index takes no DP call, and the Q-value gaps one per type
+    def test_a_type_takes_at_most_s_policy_evaluations(self, monkeypatch):
+        # the stationary sweep evaluates each policy of its pieces once, at
+        # most S per type; the exact finite index takes no DP call, and the
+        # Q-value gaps one per type
         models = [expand_with_dummies(m)
                   for m in domains.make_models(DomainSpec(domains.CPAP, 3, 3, seed=0))]
         calls = []
-        for name in ("relative_value_iteration", "finite_horizon_qdiff"):
+        for name in ("_evaluate", "finite_horizon_qdiff"):
             dp = getattr(whittle, name)
             monkeypatch.setattr(whittle, name,
                                 lambda *args, dp=dp, **kw: calls.append(1) or dp(*args, **kw))
-        whittle_index_infinite(models)
-        merged = len(calls)
-        alone = []
         for m in models:
             calls.clear()
             whittle_index_infinite([m])
-            alone.append(len(calls))
-        assert merged == max(alone) < sum(alone)
+            assert 1 <= len(calls) <= m.n_states
         calls.clear()
         whittle_index_finite(models, 5)
         assert len(calls) == 0

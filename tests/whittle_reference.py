@@ -1,10 +1,10 @@
 """Scalar references for singlepull.whittle.
 
 The stationary reference is damped relative value iteration at one
-subsidy, an independent method from the package's policy iteration, with
-its own span tolerance and sweep cap: the tests check that every
-stationary index zeroes its entry's gap under it, and that the package's
-gap slopes are its difference quotients. The finite-horizon reference is
+subsidy, an independent method from the package's parametric sweep over
+policies, with its own span tolerance and sweep cap: the tests check that
+every stationary index zeroes its entry's gap under it, and that the
+slopes of the sweep's pieces are its difference quotients. The finite-horizon reference is
 scalar backward induction, against which the tests check that every finite
 index zeroes its entry's gap.
 """
