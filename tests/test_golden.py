@@ -13,7 +13,10 @@ The corpus is small enough for tier-1:
   perfbench (CPAP N=10 S=5 T=10, EHRENFEST N=2 S=4 T=20, RANDOM N=4 S=10
   T=20, seed 0);
 - the whittle-original table on CPAP N=4 S=10 T=10 seed 1, which holds a
-  jump root of the stationary index (type 1, state 1).
+  jump root of the stationary index (type 1, state 1);
+- every deterministic policy's visiting orders, and the HiGHS vertex (the
+  occupancy of lp.solve_lp) of the DUMMY and MEAN_FIELD programs, on each
+  of those four instances.
 
 A digest moves only with a change that is meant to move outputs. The
 digests depend on numpy's and scipy's arithmetic, so they are recorded with
@@ -23,6 +26,7 @@ Rewrite golden_digests.json with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import functools
 import hashlib
 import json
 import tempfile
@@ -32,7 +36,7 @@ import numpy as np
 import pytest
 import scipy
 
-from singlepull import cli, domains, policies
+from singlepull import cli, domains, lp, policies
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CLI_SETTING = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
@@ -40,6 +44,8 @@ CLI_REPORT = {"domain": {"family": domains.MHMH}, "instance_seeds": [0], "episod
               "setting": {"n_types": 10, "n_states": 3, "budget": 3, "rho": 10, "horizon": 10}}
 SWEEP_RHO = "1,3,10"
 INDEX_POLICIES = ("whittle-finite", "whittle-infinite", "whittle-original", "qdiff")
+ORDER_POLICIES = tuple(name for name in policies.POLICY_NAMES if name != "random")
+VERTEX_VARIANTS = (lp.DUMMY, lp.MEAN_FIELD)
 TABLE_CASES = {  # label -> (family, n_types, n_states, horizon, seed, policies)
     "CPAP-N10-S5-T10": (domains.CPAP, 10, 5, 10, 0, INDEX_POLICIES),
     "EHRENFEST-N2-S4-T20": (domains.EHRENFEST, 2, 4, 20, 0, INDEX_POLICIES),
@@ -91,18 +97,43 @@ def sweep_digest(family: str, out_dir: Path) -> str:
     return _sha((out_dir / "gap_curve.csv").read_bytes())
 
 
+def table_instance(label: str):
+    family, n_types, n_states, horizon, seed, _ = TABLE_CASES[label]
+    return domains.make_instance(domains.DomainSpec(family, n_types, n_states, seed=seed),
+                                 budget=1, rho=1, horizon=horizon)
+
+
+@functools.cache
+def prepared(label: str, policy: str):
+    """policy prepared on the instance of TABLE_CASES[label], shared by its digests."""
+    built = policies.make_policy(policy)
+    built.prepare(table_instance(label))
+    return built
+
+
+def _array_digest(arrays, dtype) -> str:
+    """Digest of a sequence of arrays, each one's shape and bytes."""
+    digest = hashlib.sha256()
+    for values in arrays:
+        digest.update(repr(np.shape(values)).encode())
+        digest.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
 def table_digest(label: str, policy: str) -> str:
     """Digest of one index policy's table, every type's shape and bytes."""
-    family, n_types, n_states, horizon, seed, _ = TABLE_CASES[label]
-    inst = domains.make_instance(domains.DomainSpec(family, n_types, n_states, seed=seed),
-                                 budget=1, rho=1, horizon=horizon)
-    built = policies.make_policy(policy)
-    built.prepare(inst)
-    digest = hashlib.sha256()
-    for values in built.table.values:
-        digest.update(repr(values.shape).encode())
-        digest.update(np.ascontiguousarray(values, dtype=float).tobytes())
-    return digest.hexdigest()
+    return _array_digest(prepared(label, policy).table.values, float)
+
+
+def orders_digest(label: str, policy: str) -> str:
+    """Digest of one deterministic policy's orders, every epoch's length and ids."""
+    return _array_digest(prepared(label, policy).orders, np.int64)
+
+
+def vertex_digest(label: str, variant: str) -> str:
+    """Digest of the occupancy HiGHS returns for one program, every type's block."""
+    solution = lp.solve_lp(lp.build_occupancy_lp(table_instance(label), variant))
+    return _array_digest(solution.occupancy, float)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +169,24 @@ def test_index_tables_match_the_corpus(recorded):
     assert table_digests() == recorded["tables"]
 
 
+def orders_digests() -> dict:
+    return {f"{label}/{policy}": orders_digest(label, policy)
+            for label in TABLE_CASES for policy in ORDER_POLICIES}
+
+
+def test_orders_match_the_corpus(recorded):
+    assert orders_digests() == recorded["orders"]
+
+
+def vertex_digests() -> dict:
+    return {f"{label}/{variant}": vertex_digest(label, variant)
+            for label in TABLE_CASES for variant in VERTEX_VARIANTS}
+
+
+def test_highs_vertices_match_the_corpus(recorded):
+    assert vertex_digests() == recorded["vertices"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         doc = {
@@ -148,6 +197,8 @@ if __name__ == "__main__":
             "sweep-rho": {family: sweep_digest(family, Path(tmp) / f"sweep-{family}")
                           for family in domains.FAMILIES},
             "tables": table_digests(),
+            "orders": orders_digests(),
+            "vertices": vertex_digests(),
         }
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
