@@ -4,11 +4,13 @@
                [--policies spi,random] [--episodes N]
                [--dump-trajectories] [--timing] [--sweep-rho 2,5,10,20]
 
-The overrides replace keys of the config document, which is then checked
-against the config schema once; --seeds sets instance_seeds. --timing also
-writes timing.csv; results.csv holds no clock, so it is the same with or
-without it. --sweep-rho takes one policy and one instance seed, and excludes
---timing and --dump-trajectories (or the config keys they set).
+The overrides replace keys of the config document, which parse_config then
+converts and checks once; --seeds sets instance_seeds. main only parses:
+experiments.run_experiment performs the whole run, and with --timing
+(measure_runtime) it also writes timing.csv; results.csv holds no clock, so
+it is the same with or without it. --sweep-rho runs experiments.sweep_rho,
+which takes one policy and one instance seed, and excludes --timing and
+--dump-trajectories (or the config keys they set).
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 constraint-audit
 failure (the simulator's feasibility authority was breached).
@@ -19,16 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import (
-    ConfigError,
-    parse_config,
-    read_config,
-    require_timing_policies,
-    run_experiment,
-    sweep_rho,
-    time_policies,
-    timing_instances,
-)
+from .experiments import ConfigError, parse_config, read_config, run_experiment, sweep_rho
 from .simulator import InfeasibleAction
 from .simplex import SolverStall
 
@@ -89,26 +82,14 @@ def _overrides(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = read_config(args.config)
-        config = parse_config({**doc, **_overrides(args)})
-        rho_list = None if args.sweep_rho is None else _parse_rho_list(args.sweep_rho)
-        if config.measure_runtime and rho_list is None:
-            require_timing_policies(config.policies)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if rho_list is not None:
-            rows, slope = sweep_rho(config, rho_list)
+        config = parse_config({**read_config(args.config), **_overrides(args)})
+        if args.sweep_rho is not None:
+            _, slope = sweep_rho(config, _parse_rho_list(args.sweep_rho))
             print(f"wrote {config.out_dir}/gap_curve.csv (log-log slope {slope:.3f})")
         else:
-            # drawn before anything is written, so a rejected draw writes nothing
-            timed = timing_instances(config) if config.measure_runtime else None
             rows = run_experiment(config)
             print(f"wrote {config.out_dir}/results.csv ({len(rows)} rows)")
-            if timed is not None:
-                time_policies(config, timed)
+            if config.measure_runtime:
                 print(f"wrote {config.out_dir}/timing.csv")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ dummy-LP upper bound, evaluates every requested policy, and writes
     results.txt     human-readable table, near-optimal rows starred
     gap_curve.csv   (sweep_rho) per-rho optimality gaps plus comment lines
                     with a fitted log-log slope and the rhos it used
-    timing.csv      (time_policies) per-policy wall-clock statistics, read
+    timing.csv      (measure_runtime) per-policy wall-clock statistics,
+                    which run_experiment writes last through time_policies
                     from the Summary.wall_clock of simulator.evaluate
     trajectories.jsonl  optional per-(episode, t, arm) audit records; state
                     is the dummy-expanded id, s + S_n once the arm is pulled
@@ -56,6 +57,7 @@ from .simplex import SolverStall
 log = logging.getLogger(__name__)
 
 NEAR_OPTIMAL_FRACTION = 0.03
+MAX_EPISODE_SEED = 2**64 - 1  # an episode seed keys a uint64 Philox stream
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -143,6 +145,9 @@ class ExperimentConfig:
             raise ConfigError(f"instance seed {seed}: {exc}") from exc
 
 
+_INT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig) if f.type == "int")
+
+
 @functools.cache
 def _config_validator():
     """The validator of CONFIG_SCHEMA, made on first use.
@@ -154,27 +159,29 @@ def _config_validator():
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    """The checked ExperimentConfig of a config document; a rejected one is a ConfigError.
+
+    A key left out takes the ExperimentConfig default, and integer fields go
+    through int(), since JSON's integer type admits integral floats (2.0).
+    """
     # the error jsonschema.validate would raise, without its per-call schema check
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(doc))
     if error is not None:
         raise ConfigError(f"config rejected by schema: {error.message}") from error
-    setting = doc["setting"]
-    cfg = ExperimentConfig(
-        domain_family=doc["domain"]["family"],
-        n_types=setting["n_types"],
-        n_states=setting["n_states"],
-        budget=setting["budget"],
-        rho=setting["rho"],
-        horizon=setting["horizon"],
-        policies=list(doc["policies"]),
-        episodes=int(doc["episodes"]),
-        base_seed=int(doc.get("base_seed", 0)),
-        instance_seeds=[int(s) for s in doc.get("instance_seeds", [0])],
-        out_dir=doc.get("out_dir", "results"),
-        domain_params=dict(doc["domain"].get("params", {})),
-        dump_trajectories=bool(doc.get("dump_trajectories", False)),
-        measure_runtime=bool(doc.get("measure_runtime", False)),
-    )
+    given = {key: value for key, value in doc.items() if key not in ("domain", "setting")}
+    given.update(doc["setting"], domain_family=doc["domain"]["family"])
+    if "params" in doc["domain"]:
+        given["domain_params"] = dict(doc["domain"]["params"])
+    for key in given.keys() & _INT_FIELDS:
+        given[key] = int(given[key])
+    given["policies"] = list(given["policies"])
+    if "instance_seeds" in given:
+        given["instance_seeds"] = [int(s) for s in given["instance_seeds"]]
+    cfg = ExperimentConfig(**given)
+    last_seed = cfg.base_seed + cfg.episodes - 1
+    if last_seed > MAX_EPISODE_SEED:
+        raise ConfigError(f"episode seeds run to base_seed + episodes - 1 = {last_seed}, "
+                          f"above the largest uint64 seed {MAX_EPISODE_SEED}")
     _check_random_size(cfg.policies, cfg.n_types, cfg.rho)
     if cfg.budget > cfg.n_types * cfg.rho:
         # a never-binding budget is legal: warn only
@@ -258,15 +265,24 @@ def _evaluate_or_stall(config, seed, instance, policy):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Evaluate every (instance draw, policy) pair and write report files.
+    """Evaluate every (instance draw, policy) pair and write the reports the config asks for.
 
-    Solver failures abort the run as SolverStall after serializing the
-    offending instance for replay; InfeasibleAction from the simulator's
-    constraint audit propagates unchanged. Every instance is drawn before
-    the output directory is made, so a ConfigError from a draw writes
-    nothing. Returns the list of ResultRow in output order.
+    timing.csv (time_policies, run last) needs spi and a whittle variant.
+    Every seed is drawn once, the timing pass's padding included, before
+    the output directory is made, so a ConfigError from the timing rule or
+    a draw writes nothing. Solver failures abort the run as SolverStall
+    after serializing the offending instance for replay; InfeasibleAction
+    from the simulator's constraint audit propagates unchanged. Returns the
+    list of ResultRow in output order.
     """
-    instances = {seed: config.instance(seed) for seed in config.instance_seeds}
+    seeds = list(config.instance_seeds)
+    if config.measure_runtime:
+        require_timing_policies(config.policies)
+        # timing takes three draws or more: pad with fresh seeds above the given ones
+        fresh = max(seeds, default=0) + 1
+        seeds += range(fresh, fresh + 3 - len(seeds))
+    drawn = {seed: config.instance(seed) for seed in seeds}
+    instances = {seed: drawn[seed] for seed in config.instance_seeds}
     os.makedirs(config.out_dir, exist_ok=True)
     bounds = {seed: _bound_or_stall(config, seed, instance)
               for seed, instance in instances.items()}
@@ -306,6 +322,8 @@ def run_experiment(config: ExperimentConfig):
     _write_results_table(config, rows)
     if config.dump_trajectories:
         _dump_trajectories(config, instances, prepared)
+    if config.measure_runtime:
+        time_policies(config, drawn)
     return rows
 
 
@@ -464,28 +482,8 @@ def require_timing_policies(policies: list[str]):
         raise ConfigError("timing comparison needs spi and a whittle variant")
 
 
-def timing_instances(config: ExperimentConfig) -> list[Instance]:
-    """The instances time_policies runs on, one per timing seed.
-
-    The timing seeds are the instance seeds, padded to three with fresh
-    seeds above them, so the draws stay distinct. A draw the generator
-    rejects raises ConfigError; the CLI draws these before run_experiment
-    writes anything, so such a config writes nothing.
-    """
-    return [config.instance(seed) for seed in _timing_seeds(config)]
-
-
-def _timing_seeds(config: ExperimentConfig) -> list[int]:
-    seeds = list(config.instance_seeds)
-    fresh = max(seeds, default=0) + 1
-    while len(seeds) < 3:
-        seeds.append(fresh)
-        fresh += 1
-    return seeds
-
-
-def time_policies(config: ExperimentConfig, instances: list[Instance]):
-    """Per-policy wall-clock statistics over the instances of timing_instances.
+def time_policies(config: ExperimentConfig, instances: dict[int, Instance]):
+    """Per-policy wall-clock statistics over instances, a map of timing seed to draw.
 
     Every policy is evaluated afresh on each instance, and its clock is the
     Summary.wall_clock of that evaluate call: prepare plus all per-step
@@ -499,12 +497,11 @@ def time_policies(config: ExperimentConfig, instances: list[Instance]):
     index failure is saved for replay and raised as SolverStall, as in
     run_experiment.
     """
-    require_timing_policies(config.policies)
     stats = []
     for name in config.policies:
         clocks = np.array([
             _evaluate_or_stall(config, seed, instance, make_policy(name)).wall_clock * 1e3
-            for seed, instance in zip(_timing_seeds(config), instances)])
+            for seed, instance in instances.items()])
         stats.append({"policy": name, "mean_ms": float(clocks.mean()),
                       "std_ms": float(clocks.std(ddof=1)) if len(clocks) > 1 else 0.0})
     os.makedirs(config.out_dir, exist_ok=True)

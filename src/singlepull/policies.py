@@ -53,15 +53,17 @@ CHI_DENOM_TOL = 1e-12
 PRIORITY_TOL = 1e-9
 
 
+def _active_share(mu0: np.ndarray, mu1: np.ndarray) -> np.ndarray:
+    """mu1 / (mu0 + mu1) where the occupancy exceeds CHI_DENOM_TOL, 0 elsewhere."""
+    denom = mu0 + mu1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
+
+
 def compute_chi(solution: lp.LpSolution) -> list[np.ndarray]:
     """chi[n][s, t]: probability of action 1 in (state, time) under the optimal measure."""
-    chi = []
-    for block in solution.occupancy:
-        denom = block[:, 0, :] + block[:, 1, :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.where(denom > CHI_DENOM_TOL, block[:, 1, :] / denom, 0.0)
-        chi.append(np.clip(c, 0.0, 1.0))
-    return chi
+    return [np.clip(_active_share(block[:, 0, :], block[:, 1, :]), 0.0, 1.0)
+            for block in solution.occupancy]
 
 
 def spi_indices(chi: list[np.ndarray], types: list[ArmModel]) -> IndexTable:
@@ -113,19 +115,15 @@ def mean_field_orders(occupancy: np.ndarray) -> list[np.ndarray]:
 
     occupancy is the LP's optimal measure stacked over global state ids,
     shape (G, 2, T). High priority (zero passive occupancy) groups come
-    first, then medium-priority groups in decreasing chi; groups whose
-    active occupancy is zero, which includes every dummy group, are left
-    out and never pulled.
+    first, then medium-priority groups in decreasing chi: one key, +inf on
+    the high tier, so each tier keeps _by_key's id order on ties. Groups
+    whose active occupancy is zero, which includes every dummy group, are
+    left out and never pulled.
     """
     def order_at(t):
         mu0, mu1 = occupancy[:, 0, t], occupancy[:, 1, t]
-        denom = mu0 + mu1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            chi = np.where(denom > CHI_DENOM_TOL, mu1 / denom, 0.0)
-        eligible = mu1 > PRIORITY_TOL
-        high = eligible & (mu0 <= PRIORITY_TOL)
-        return np.concatenate((np.flatnonzero(high),
-                               _by_key(np.flatnonzero(eligible & ~high), chi)))
+        tiered = np.where(mu0 <= PRIORITY_TOL, np.inf, _active_share(mu0, mu1))
+        return _by_key(np.flatnonzero(mu1 > PRIORITY_TOL), tiered)
     return _per_epoch(occupancy.shape[2], True, order_at)
 
 

@@ -118,12 +118,12 @@ class TestEhrenfest:
 
     def test_ranking_matches_closed_form(self):
         # The closed form is a bulk approximation of the true average-reward
-        # index (exact policy iteration agrees with our bisection to <1e-3;
-        # both deviate from the formula near its sign change and for
-        # near-degenerate rates). Ranking agreement holds for arbitrary
-        # rates; the 10% value agreement is asserted in the formula's
-        # validity regime: balanced rates and states carrying at least 20%
-        # of the index range.
+        # index, which whittle_index_infinite computes exactly by one
+        # parametric sweep over policies; the two deviate near the
+        # formula's sign change and for near-degenerate rates. Ranking
+        # agreement holds for arbitrary rates; the 10% value agreement is
+        # asserted in the formula's validity regime: balanced rates and
+        # states carrying at least 20% of the index range.
         rng = np.random.default_rng(11)
         for _ in range(3):
             c = rng.uniform(1, 10)

@@ -17,7 +17,6 @@ from singlepull.experiments import (
     run_experiment,
     sweep_rho,
     time_policies,
-    timing_instances,
 )
 from singlepull.model import load_instance
 from singlepull.simplex import SolverStall
@@ -120,7 +119,7 @@ class TestRunExperiment:
 
     def test_runtime_column_zero_without_timing(self, tmp_path):
         # results.csv holds no clock, with or without timing
-        cfg = parse_config(small_config(tmp_path))
+        cfg = parse_config(small_config(tmp_path, policies=["spi", "whittle-finite", "random"]))
         rows = run_experiment(cfg)
         assert all(r.runtime_ms == 0.0 for r in rows)
         cfg.measure_runtime = True
@@ -377,16 +376,29 @@ class TestSweepRho:
         assert fit_loglog_slope(xs, ys) == pytest.approx(-1.0, abs=1e-12)
 
 
+def drawn_instances(cfg, seeds=(0, 1, 2)):
+    return {seed: cfg.instance(seed) for seed in seeds}
+
+
 class TestTiming:
     def test_requires_spi_and_whittle(self, tmp_path):
-        cfg = parse_config(small_config(tmp_path, policies=["spi", "random"]))
-        with pytest.raises(ConfigError):
-            time_policies(cfg, timing_instances(cfg))
+        cfg = parse_config(small_config(tmp_path, policies=["spi", "random"],
+                                        measure_runtime=True))
+        with pytest.raises(ConfigError, match="spi and a whittle variant"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_run_experiment_writes_timing_csv(self, tmp_path):
+        cfg = parse_config(small_config(tmp_path, episodes=2, measure_runtime=True,
+                                        policies=["spi", "whittle-finite"]))
+        run_experiment(cfg)
+        lines = (tmp_path / "out" / "timing.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["policy", "spi", "whittle-finite"]
 
     def test_emits_positive_times(self, tmp_path):
         cfg = parse_config(small_config(tmp_path, episodes=2,
                                         policies=["spi", "whittle-finite"]))
-        stats = time_policies(cfg, timing_instances(cfg))
+        stats = time_policies(cfg, drawn_instances(cfg))
         assert {s["policy"] for s in stats} == {"spi", "whittle-finite"}
         assert all(s["mean_ms"] > 0 for s in stats)
         assert (tmp_path / "out" / "timing.csv").exists()
@@ -400,8 +412,10 @@ class TestTiming:
 
         monkeypatch.setattr(experiments, "make_instance", recording_make_instance)
         cfg = parse_config(small_config(tmp_path, episodes=2, instance_seeds=[3, 2],
-                                        policies=["spi", "whittle-finite"]))
-        time_policies(cfg, timing_instances(cfg))
+                                        policies=["spi", "whittle-finite"],
+                                        measure_runtime=True))
+        run_experiment(cfg)
+        # each seed once: the evaluation and the timing pass share the draws of 3 and 2
         assert drawn == [3, 2, 4]
         header = (tmp_path / "out" / "timing.csv").read_text().splitlines()[0]
         assert header == "policy,mean_ms,std_ms"
@@ -409,8 +423,8 @@ class TestTiming:
     def test_clocks_are_the_evaluation_wall_clocks(self, tmp_path, monkeypatch):
         cfg = parse_config(small_config(tmp_path, episodes=2,
                                         policies=["spi", "whittle-finite", "random"]))
-        instances = timing_instances(cfg)
-        clock = {id(inst): ms / 1e3 for inst, ms in zip(instances, (1.0, 2.0, 3.0))}
+        instances = drawn_instances(cfg)
+        clock = {id(inst): ms / 1e3 for inst, ms in zip(instances.values(), (1.0, 2.0, 3.0))}
 
         def fake_evaluate(instance, policy, n_episodes, base_seed):
             return Summary(mean=0.0, half_width=0.0, n_episodes=n_episodes,
@@ -571,6 +585,27 @@ class TestCli:
         assert written[True] == written[False]
         assert (tmp_path / "timed" / "timing.csv").exists()
         assert not (tmp_path / "plain" / "timing.csv").exists()
+
+    @pytest.mark.parametrize("key", ["n_types", "n_states", "budget", "rho", "horizon"])
+    def test_integral_float_setting_runs_as_its_integer(self, tmp_path, key):
+        # JSON's integer type admits 2.0; the run must equal the one with 2
+        setting = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 2, "horizon": 3}
+        written = []
+        for given in (setting, {**setting, key: float(setting[key])}):
+            out = tmp_path / f"out-{len(written)}"
+            path = self.write_config(tmp_path, domain={"family": "CPAP"}, setting=given,
+                                     episodes=4, out_dir=str(out))
+            assert cli.main(["--config", path]) == cli.EXIT_OK
+            written.append((out / "results.csv").read_bytes())
+        assert written[1] == written[0]
+
+    @pytest.mark.parametrize("base_seed, code", [(2**64 - 1, cli.EXIT_CONFIG),
+                                                 (2**64 - 2, cli.EXIT_OK)])
+    def test_episode_seeds_fit_in_uint64(self, tmp_path, base_seed, code):
+        # episode seeds base_seed and base_seed + 1 each key a uint64 Philox stream
+        path = self.write_config(tmp_path, base_seed=base_seed, episodes=2)
+        assert cli.main(["--config", path]) == code
+        assert (tmp_path / "out").exists() == (code == cli.EXIT_OK)
 
     def test_timing_without_whittle_writes_no_report(self, tmp_path):
         rc = cli.main(["--config", self.write_config(tmp_path), "--timing"])
