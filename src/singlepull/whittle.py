@@ -7,13 +7,15 @@ h = (I - P + P*)^-1 (r - g), with P* the Cesaro limit of the policy's
 matrix, are affine in the subsidy, and so is each gap Q(s, 1) - Q(s, 0);
 one factorization gives the values at subsidy 0 and their slopes, and the
 multichain models that dummy expansion produces need no special case. So
-each type's index is one parametric sweep over policies, in the manner of
-Nino-Mora's adaptive-greedy algorithm (TOP 2007): starting from the
-all-active policy at subsidy -inf, the sweep moves the subsidy to the next
-kink, the smallest subsidy at which an active state's gap falls to 0, and
-those states take it as their index and turn passive. It ends when every
-state is passive, after at most S policy evaluations, and needs no
-bracket, tolerance or policy-improvement loop. A gap within TIE_TOL times
+the index is one lockstep sweep per state count, bit for bit a sweep of
+each type alone, over policies, in the manner of Nino-Mora's
+adaptive-greedy algorithm (TOP 2007): starting from the all-active policy
+at subsidy -inf, the sweep moves each type's subsidy to its next kink, the
+smallest subsidy at which an active state's gap falls to 0, and those
+states take it as their index and turn passive. Each round evaluates every
+live type's policy in one stacked call; a type leaves once every state is
+passive, after at most S rounds, and the sweep needs no bracket, tolerance
+or policy-improvement loop. A gap within TIE_TOL times
 the values' scale of 0 is a tie, so tied states leave at one kink. Where
 I - P + P* is nearly singular, an active state's gap can jump from above 0
 to below it between two policies at one kink; such a jump root takes that
@@ -84,92 +86,117 @@ class IndexTable:
 
 
 def _cesaro_limit(P: np.ndarray) -> np.ndarray:
-    """The Cesaro limit P* = lim (1/n) sum_k P^k of one policy matrix.
+    """The Cesaro limit P* = lim (1/n) sum_k P^k of each policy matrix of a stack (B, S, S).
 
     The aperiodic transform M = (I + P) / 2 has the same limit and its
     powers converge to it, so it is squared, with rows renormalised against
     round-off, until a square moves no entry by more than TIE_TOL (the next
     square's error is then of order TIE_TOL ** 2), at most
-    CESARO_MAX_SQUARINGS times.
+    CESARO_MAX_SQUARINGS times. Each member stops at its own first settle,
+    so its limit is bit for bit that of squaring it alone.
     """
-    M = 0.5 * (np.eye(len(P)) + P)
-    for _ in range(CESARO_MAX_SQUARINGS):
+    return _square_until_settled(0.5 * (np.eye(P.shape[-1]) + P), CESARO_MAX_SQUARINGS)
+
+
+def _square_until_settled(M: np.ndarray, squarings: int) -> np.ndarray:
+    for k in range(squarings):
         M2 = M @ M
-        M2 /= M2.sum(axis=1, keepdims=True)
-        moved = np.abs(M2 - M).max()
+        M2 /= M2.sum(axis=-1, keepdims=True)
+        moved = np.abs(M2 - M).max(axis=(1, 2))
         M = M2
-        if moved <= TIE_TOL:
+        if moved[moved.argmin()] <= TIE_TOL:  # a member settles and keeps this square
+            if moved[moved.argmax()] > TIE_TOL:
+                M[moved > TIE_TOL] = _square_until_settled(M[moved > TIE_TOL], squarings - k - 1)
             break
     return M
 
 
-def _evaluate(model: ArmModel, active: np.ndarray):
-    """One stationary policy's bias and gain terms, each affine in the subsidy lam.
+def _evaluate(P: np.ndarray, R: np.ndarray, active: np.ndarray):
+    """A stack of stationary policies' bias and gain terms, each affine in the subsidy lam.
 
-    active[s] says whether the policy pulls in state s. The subsidy enters
-    the policy's reward as lam * u, u the passive indicator, so the gain
-    g = P* r and the bias h = (I - P + P*)^-1 (r - g) are affine in lam,
-    with slopes g' = P* u and h' = (I - P + P*)^-1 (u - g'): one solve with
-    two right-hand sides gives both. Returns (Ph, gains): Ph[a] = (P_a h,
-    P_a h') and gains = (g, g'), all at lam = 0, so that
-    Q(s, a) = r_a(s) + lam [a = 0] + Ph[a, 0, s] + lam Ph[a, 1, s].
+    P (B, S, 2, S) holds the types' transitions, R[b, a] = (r_a, u_a) action
+    a's reward and its slope in lam (u_0 = 1, u_1 = 0), and active[b, s] says
+    whether type b's policy pulls in state s. The policy's reward r + lam * u
+    makes the gain g = P* r and the bias h = (I - P + P*)^-1 (r - g) affine in
+    lam, with slopes g' = P* u and h' = (I - P + P*)^-1 (u - g'): one solve
+    with two right-hand sides gives both. Returns (Ph, gains): Ph[b, a] =
+    (P_a h, P_a h') and gains[b] = (g, g'), all at lam = 0, so that
+    Q(s, a) = r_a(s) + lam [a = 0] + Ph[b, a, 0, s] + lam Ph[b, a, 1, s].
     """
-    pick = (np.arange(model.n_states), active.astype(int))
-    P = model.transitions[pick]
-    rhs = np.array((model.rewards[pick], ~active), dtype=float)
-    P_star = _cesaro_limit(P)
-    gains = rhs @ P_star.T
-    bias = np.linalg.solve(np.eye(len(P)) - P + P_star, (rhs - gains).T).T
-    return bias @ model.transitions.transpose(1, 2, 0), gains  # [a, k] = P_a (h, h')[k]
+    Pa = np.where(active[..., None], P[:, :, 1], P[:, :, 0])
+    rhs = np.where(active[:, None], R[:, 1], R[:, 0])
+    P_star = _cesaro_limit(Pa)
+    gains = rhs @ P_star.transpose(0, 2, 1)
+    bias = np.linalg.solve(np.eye(Pa.shape[-1]) - Pa + P_star, (rhs - gains).transpose(0, 2, 1))
+    return bias.transpose(0, 2, 1)[:, None] @ P.transpose(0, 2, 3, 1), gains
 
 
-def _sweep_index(model: ArmModel, n: int) -> np.ndarray:
-    """Type n's stationary index per state, by one sweep over its policies' pieces.
+def _sweep_index(models: list[ArmModel], ids: list[int], values: dict, errors: dict) -> None:
+    """The stationary index of the types ids, all with one state count, by one lockstep sweep.
 
-    On the current policy's piece each gap is c + lam * d. The piece ends at
-    the smallest root -c / d >= lam of an active state with d < 0. That
-    state, every active state whose root lies behind lam (a jump root), and
-    every active state whose gap there is a tie take the end as their index
-    and turn passive. The checks run at the end of each piece.
+    On a type's piece each gap is c + lam * d. The piece ends at the smallest
+    root -c / d >= lam of an active state with d < 0. That state, every active
+    state whose root lies behind lam (a jump root), and every active state
+    whose gap there is a tie take the end as their index and turn passive.
+    The checks run at the end of each piece. A type leaves the batch with
+    its table in values[n] or its error in errors[n].
     """
-    r0, r1 = model.rewards.T
-    index = np.empty(model.n_states)
-    active = np.ones(model.n_states, dtype=bool)
-    lam = -np.inf
-    while active.any():
-        Ph, g = _evaluate(model, active)
-        c = (r1 - r0) + (Ph[1, 0] - Ph[0, 0])  # exact where both actions' rows agree
-        d = Ph[1, 1] - Ph[0, 1] - 1.0
-        root = np.divide(-c, d, out=np.full(c.size, np.inf), where=active & (d < 0))
-        first = root.min()
-        end = lam if first == np.inf else max(lam, first)
-        q = model.rewards.T + Ph[:, 0] + end * Ph[:, 1]
-        q[0] += end
-        gap, gain = c + end * d, g[0] + end * g[1]
-        tie = TIE_TOL * (1.0 + max(np.abs(q).max(), np.abs(gain).max()))
-        if gain.max() - gain.min() > tie:
-            raise NonConvergent(f"type {n}: optimal gain differs across states for subsidies "
-                                f"in [{lam:g}, {end:g}], so relative values are undefined")
-        rising = np.flatnonzero(~active & (gap > tie))
-        if rising.size:
-            s = rising[0]
-            raise NotIndexable(f"type {n}, state {s}: passive from subsidy {index[s]:g}, "
-                               f"but its gap is {gap[s]:.3g} > 0 at {end:g}")
-        leaving = active & ((gap <= tie) | (root <= end))
-        if not leaving.any():
-            s = np.flatnonzero(active)[0]
-            raise NotIndexable(f"type {n}, state {s}: its gap {gap[s]:.3g} does not fall "
-                               f"to 0 for subsidies above {lam:g}")
-        index[leaving] = end
-        active &= ~leaving
+    P = np.array([models[n].transitions for n in ids])
+    R = np.zeros((len(ids), 2, 2, P.shape[1]))
+    R[:, :, 0], R[:, 0, 1] = [models[n].rewards.T for n in ids], 1.0
+    ids, lam = np.array(ids), np.full(len(ids), -np.inf)
+    index, active = np.empty(P.shape[:2]), np.ones(P.shape[:2], dtype=bool)
+    while ids.size:
+        Ph, g = _evaluate(P, R, active)
+        c = (R[:, 1, 0] - R[:, 0, 0]) + (Ph[:, 1, 0] - Ph[:, 0, 0])  # exact where both rows agree
+        d = Ph[:, 1, 1] - Ph[:, 0, 1] - 1.0
+        root = np.divide(-c, d, out=np.full(c.shape, np.inf), where=active & (d < 0))
+        first = root.min(axis=1)
+        end = np.where((first > lam) & (first != np.inf), first, lam)
+        e = end[:, None]
+        q = R[:, :, 0] + Ph[:, :, 0] + e[..., None] * Ph[:, :, 1]
+        q[:, 0] += e
+        gap, gain = c + e * d, g[:, 0] + e * g[:, 1]
+        tie = TIE_TOL * (1.0 + np.maximum(np.abs(q).max(axis=(1, 2)), np.abs(gain).max(axis=1)))
+        split = gain.max(axis=1) - gain.min(axis=1) > tie
+        rising = ~active & (gap > tie[:, None])
+        leaving = active & ((gap <= tie[:, None]) | (root <= e))
+        np.copyto(index, e, where=leaving)
+        active ^= leaving
+        fails = split | rising.any(axis=1) | ~leaving.any(axis=1)
+        out = fails | ~active.any(axis=1)
+        if out[out.argmax()]:  # some type is done or fails a check
+            values.update(zip(ids[out & ~fails], index[out & ~fails, :, None]))
+            for b in np.flatnonzero(fails):
+                n, s = ids[b], np.argmax(rising[b] if rising[b].any() else active[b])
+                if split[b]:
+                    errors[n] = NonConvergent(
+                        f"type {n}: optimal gain differs across states for subsidies "
+                        f"in [{lam[b]:g}, {end[b]:g}], so relative values are undefined")
+                elif rising[b, s]:
+                    errors[n] = NotIndexable(f"type {n}, state {s}: passive from subsidy "
+                                             f"{index[b, s]:g}, but its gap is {gap[b, s]:.3g} "
+                                             f"> 0 at {end[b]:g}")
+                else:
+                    errors[n] = NotIndexable(f"type {n}, state {s}: its gap {gap[b, s]:.3g} "
+                                             f"does not fall to 0 for subsidies above {lam[b]:g}")
+            if out.all():
+                return
+            P, R, ids, index, active, end = (a[~out] for a in (P, R, ids, index, active, end))
         lam = end
-    return index
 
 
 def whittle_index_infinite(models: list[ArmModel]) -> IndexTable:
-    """Stationary subsidy index per (type, state), one sweep per type."""
-    return IndexTable(values=[_sweep_index(m, n)[:, None] for n, m in enumerate(models)],
-                      time_dependent=False)
+    """Stationary subsidy index per (type, state), one lockstep sweep per state count.
+
+    Bit for bit a sweep of each type alone; the lowest-numbered failing type's error is raised.
+    """
+    values, errors = {}, {}
+    for S in sorted({m.n_states for m in models}):
+        _sweep_index(models, [n for n, m in enumerate(models) if m.n_states == S], values, errors)
+    if errors:
+        raise errors[min(errors)]
+    return IndexTable(values=[values[n] for n in range(len(models))], time_dependent=False)
 
 
 def finite_horizon_qdiff(model: ArmModel, T: int, lam):
@@ -230,8 +257,11 @@ def _retirement_index(model: ArmModel, T: int) -> np.ndarray:
         roots, at = roots[new], at[new]
         w = ((roots - lam[at - 1]) / (lam[at] - lam[at - 1]))[:, None]
         between = q[:, at - 1] + w * (q[:, at] - q[:, at - 1])
-        lam = np.insert(lam, at, roots)
-        v = np.insert(q.max(axis=0), at, between.max(axis=0), axis=0)
+        pos = at + np.arange(len(roots))  # the rows np.insert(lam, at, roots) gives the roots
+        kept = np.ones(len(lam) + len(roots), dtype=bool)
+        kept[pos] = False
+        lam, old, v = np.empty(kept.size), lam, np.empty((kept.size, model.n_states))
+        lam[kept], lam[pos], v[kept], v[pos] = old, roots, q.max(axis=0), between.max(axis=0)
     return index
 
 

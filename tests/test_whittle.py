@@ -31,9 +31,16 @@ def cpap3_arm(q=0.6):
     return ArmModel(n_states=3, transitions=P, rewards=r)
 
 
+def evaluate_one(model, active):
+    """_evaluate on a stack of one type: (Ph, gains) of one policy."""
+    R = np.stack((model.rewards.T, np.outer([1.0, 0.0], np.ones(model.n_states))), axis=1)
+    Ph, gains = _evaluate(model.transitions[None], R[None], np.asarray(active)[None])
+    return Ph[0], gains[0]
+
+
 def piece_q(model, active, lam):
     """Q(s, a) at lam under one policy, shaped (2, S), and its gain (from _evaluate)."""
-    Ph, gains = _evaluate(model, np.asarray(active))
+    Ph, gains = evaluate_one(model, active)
     q = model.rewards.T + Ph[:, 0] + lam * Ph[:, 1]
     q[0] += lam
     return q, gains[0] + lam * gains[1]
@@ -41,9 +48,19 @@ def piece_q(model, active, lam):
 
 def piece_gaps(model, active, lam):
     """Every state's gap at lam under one policy, and its slope in lam."""
-    Ph, _ = _evaluate(model, np.asarray(active))
+    Ph, _ = evaluate_one(model, active)
     slope = Ph[1, 1] - Ph[0, 1] - 1.0
     return model.rewards[:, 1] - model.rewards[:, 0] + Ph[1, 0] - Ph[0, 0] + lam * slope, slope
+
+
+def split_arm(S):
+    """An S-state arm whose states 0 and 1 absorb; only state 0 earns, 1 when active."""
+    P = np.zeros((S, 2, S))
+    P[0, :, 0] = 1.0
+    P[1:, :, 1] = 1.0
+    r = np.zeros((S, 2))
+    r[0, 1] = 1.0
+    return ArmModel(n_states=S, transitions=P, rewards=r)
 
 
 def not_indexable_arm():
@@ -101,7 +118,7 @@ class TestInfinite:
         P[1, :, 0] = 1.0
         r = np.array([[1.0, 1.0], [0.0, 0.0]])
         model = ArmModel(n_states=2, transitions=P, rewards=r)
-        assert np.array_equal(_cesaro_limit(P[:, 0]), np.full((2, 2), 0.5))
+        assert np.array_equal(_cesaro_limit(P[None, :, 0])[0], np.full((2, 2), 0.5))
         table = whittle_index_infinite([model])
         assert np.array_equal(table.values[0][:, 0], [0.0, 0.0])  # identical action rows
 
@@ -366,7 +383,7 @@ class TestSubsidyIndex:
         model = ArmModel(n_states=5, transitions=P, rewards=np.stack((np.zeros(5), a), axis=1))
         calls = []
         monkeypatch.setattr(whittle, "_evaluate",
-                            lambda m, active: calls.append(1) or _evaluate(m, active))
+                            lambda *args: calls.append(1) or _evaluate(*args))
         index = whittle_index_infinite([model]).values[0][:, 0]
         assert np.allclose(index, a, rtol=0, atol=4 * np.finfo(float).eps)
         assert index[1] == index[4] and len(calls) == 4
@@ -385,14 +402,17 @@ class TestSubsidyIndex:
 
 
 class TestStackedTypes:
-    """No row of a batched call reads another, so one index search over many
-    types gives every type's table bit for bit as a search of that type alone."""
+    """The stationary index is one lockstep sweep per state count: no row of a
+    stacked call reads another, and each type stops at its own settle and its
+    own last kink, so every type's table is bit for bit a sweep of that type
+    alone, even where the types take different numbers of pieces."""
 
     def instances(self):
         out = []
         for family in domains.FAMILIES:
             for seed in range(4):
                 out.append(domains.make_models(DomainSpec(family, 3, 3, seed=seed)))
+            out.append(domains.make_models(DomainSpec(family, 10, 3, seed=0)))
         rng = np.random.default_rng(3)
         mixed = [random_arm(rng, S, active_only_rewards=False) for S in (2, 3, 2, 3, 3)]
         return out + [mixed]
@@ -428,20 +448,55 @@ class TestStackedTypes:
         B[3, 1] = 1e-15
         A = (1 - 1e-7) * np.eye(4) + 1e-7 * np.full((4, 4), 0.25)
         for P in (A, B):
-            assert np.array_equal(_cesaro_limit(P), cesaro_limit(P[None])[0])
-        assert np.abs(_cesaro_limit(B) - 0.25).max() > 0.2  # the blocks had not mixed
+            assert np.array_equal(_cesaro_limit(P[None])[0], cesaro_limit(P[None])[0])
+        assert np.abs(_cesaro_limit(B[None])[0] - 0.25).max() > 0.2  # the blocks had not mixed
+        # stacked, each member still stops at its own first settle; squaring
+        # the stack until all of it settles would go on mixing B's blocks
+        stacked = _cesaro_limit(np.stack([A, B]))
+        for P, limit in zip((A, B), stacked):
+            assert np.array_equal(limit, _cesaro_limit(P[None])[0])
+        assert not np.array_equal(stacked[1], cesaro_limit(np.stack([A, B]))[1])
+
+    def test_each_round_evaluates_every_type_of_a_state_count_at_once(self, monkeypatch):
+        # one _evaluate call per round covers every live type of one state
+        # count, so at most S calls; a sweep per type would make 50 here
+        types = domains.make_models(DomainSpec(domains.CPAP, 10, 5, seed=0))
+        calls = []
+        monkeypatch.setattr(whittle, "_evaluate",
+                            lambda *args: calls.append(1) or _evaluate(*args))
+        for models in (types, [expand_with_dummies(m) for m in types]):
+            calls.clear()
+            whittle_index_infinite(models)
+            assert 1 <= len(calls) <= models[0].n_states
 
     def test_nonconvergent_names_the_type(self):
         # type 1 has two absorbing states whose gains differ below lam = 1
-        P = np.zeros((2, 2, 2))
-        P[0, :, 0] = 1.0
-        P[1, :, 1] = 1.0
-        split = ArmModel(n_states=2, transitions=P, rewards=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        split = split_arm(2)
         fine = ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5),
                         rewards=np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NonConvergent, match=r"^type 1: optimal gain differs across "
                                                 r"states for subsidies in \[-inf, 0\],"):
             whittle_index_infinite([fine, split])
+
+    @pytest.mark.parametrize("order, error, first", [
+        ((0, 1, 2), NotIndexable, 1),  # type 1 fails later, in the second group (S=3)
+        ((2, 0, 1), NonConvergent, 0),  # the same failures, the lower one in the first group
+        ((0, 1, 3), NotIndexable, 1),  # both failures in one lockstep group
+    ])
+    def test_the_lowest_failing_type_is_reported(self, order, error, first):
+        # the absorbing split arms fail in the first round; state 2 of the
+        # non-indexable arm rises at a later kink. Whatever round or state-count
+        # group a failure comes in, the lowest-numbered failing type's error is
+        # raised, as a sweep of one type after another raises it
+        arms = (cpap3_arm(), not_indexable_arm(), split_arm(2), split_arm(3))
+        models = [arms[i] for i in order]
+        with pytest.raises(error, match=rf"^type {first}[:,]"):
+            whittle_index_infinite(models)
+        for n, m in enumerate(models):
+            try:
+                whittle_index_infinite([m])
+            except (NotIndexable, NonConvergent) as exc:
+                assert n >= first and (n > first or isinstance(exc, error))
 
 
 class TestFinite:
