@@ -48,7 +48,6 @@ from .simulator import (
     InfeasibleAction,
     Summary,
     evaluate,
-    normalize_scores,
     run_episode,
     step,
 )

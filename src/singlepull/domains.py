@@ -11,8 +11,9 @@ RANDOM      -- fully random kernels (flat Dirichlet rows) with
                active-collected rewards.
 
 All generators are pure functions of (parameters, seed) and their outputs
-pass validation with zero errors. A DomainSpec takes only the params keys
-its family's generator reads, with values of the type it reads
+pass validation with zero errors. Each generator reads its own params from
+spec.params and states each default once. A DomainSpec takes only the
+params keys its family's generator reads, with values of the type it reads
 (PARAM_KEYS), and raises ValueError on any other.
 """
 
@@ -53,17 +54,19 @@ class DomainSpec:
                 raise ValueError(f"{self.family} param {key!r} must be {kind}, got {value!r}")
 
 
-def make_cpap(spec: DomainSpec, active_only_rewards: bool = False) -> list[ArmModel]:
+def make_cpap(spec: DomainSpec) -> list[ArmModel]:
     """Adherence chains: states 0..S-1, reward s+1, deterministic passive decay.
 
     Active transitions move up with a per-type probability q drawn
     uniformly from (0, 1); at the top state the up-move stays put, at the
     bottom the down-move stays put. By default the adherence reward is paid
-    under both actions; active_only_rewards switches to pay-on-pull.
+    under both actions; params active_only_rewards=True switches to
+    pay-on-pull.
     """
     S = spec.n_states
     if S < 2:
         raise ValueError("CPAP needs at least 2 states")
+    active_only_rewards = spec.params.get("active_only_rewards", False)
     rng = np.random.default_rng(spec.seed)
     models = []
     for i in range(spec.n_types):
@@ -180,14 +183,15 @@ def closed_form_whittle(c: float, mu: float, lam: float, S: int, s: int) -> floa
     return c / (mu * S) * (mu * s**2 - lam * (S - s) ** 2)
 
 
-def make_ehrenfest(spec: DomainSpec, dt: float = 0.01) -> list[ArmModel]:
-    """Discretized energy chains on states 0..S with step dt.
+def make_ehrenfest(spec: DomainSpec) -> list[ArmModel]:
+    """Discretized energy chains on states 0..S with step params dt (0.01 by default).
 
     Active: move down s -> s-1 at rate mu*s, reward rate c*s. Passive:
     recover s -> s+1 at rate lam*(S-s), no reward. Per-type parameters are
     c ~ U(1, 10) and mu, lam ~ U(0, 10).
     """
     S = spec.n_states
+    dt = float(spec.params.get("dt", 0.01))
     rng = np.random.default_rng(spec.seed)
     models = []
     for i in range(spec.n_types):
@@ -233,14 +237,12 @@ def make_random(spec: DomainSpec) -> list[ArmModel]:
     return models
 
 
+GENERATORS = {CPAP: make_cpap, MHMH: make_mhmh, EHRENFEST: make_ehrenfest, RANDOM: make_random}
+
+
 def make_models(spec: DomainSpec) -> list[ArmModel]:
-    if spec.family == CPAP:
-        return make_cpap(spec, **spec.params)
-    if spec.family == MHMH:
-        return make_mhmh(spec)
-    if spec.family == EHRENFEST:
-        return make_ehrenfest(spec, dt=float(spec.params.get("dt", 0.01)))
-    return make_random(spec)
+    """The arm types of spec, drawn by its family's generator."""
+    return GENERATORS[spec.family](spec)
 
 
 def default_initial_state(family: str, model: ArmModel) -> int:

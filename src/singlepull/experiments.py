@@ -27,13 +27,16 @@ results.csv, results.txt, gap_curve.csv and trajectories.jsonl are a pure
 function of the config: reruns produce byte-identical files, with or
 without timing. results.csv therefore holds no clock; its runtime_ms column
 is always 0. Wall clocks go to timing.csv only, which measure_runtime
-selects.
+selects. A row's normalized score is (mean - random mean) / (UB - random
+mean) on its instance draw: nan when the run has no random policy or the
+bound does not exceed the random mean.
 
 A config is a JSON document checked once against CONFIG_SCHEMA; command-line
 overrides are applied to the document before that check. The runner
 evaluates the (instance draw, policy) pairs one after another in this
-process. A failed LP solve or index build aborts the run, a rho sweep
-included, as SolverStall after the instance is saved for replay.
+process. Every bound and every evaluation goes through _run_or_stall: a
+failed LP solve or index build aborts the run, a rho sweep and the timing
+pass included, as SolverStall after the instance is saved for replay.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from . import lp
 from .domains import FAMILIES, DomainSpec, make_instance
 from .model import Instance, save_instance
 from .policies import POLICY_NAMES, RANDOM_MAX_ARMS, make_policy
-from .simulator import InfeasibleAction, evaluate, normalize_scores, run_episode
+from .simulator import InfeasibleAction, evaluate, run_episode
 from .simplex import SolverStall
 
 log = logging.getLogger(__name__)
@@ -217,7 +220,7 @@ class ResultRow:
     mean_reward: float
     ci95: float
     upper_bound: float
-    normalized: float  # nan when no random baseline in the run
+    normalized: float  # nan without a random baseline or when UB <= its mean
     runtime_ms: float  # always 0: results.csv holds no clock
     n_episodes: int
 
@@ -233,35 +236,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _saved_failure(config, seed, instance, what, exc) -> SolverStall:
-    """Save instance to failed_instance_<seed>.json; the SolverStall that names the file."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
-    save_instance(instance, path)
-    return SolverStall(f"{what} failed on seed {seed} (instance saved to {path}): {exc}")
+def _run_or_stall(config, seed, instance, policy=None):
+    """lp.upper_bound(instance), or with a policy its evaluate over the configured episodes.
 
-
-def _bound_or_stall(config, seed, instance):
-    """lp.upper_bound(instance); a SolverStall saves the instance for replay first."""
-    try:
-        return lp.upper_bound(instance)
-    except SolverStall as exc:
-        raise _saved_failure(config, seed, instance, "upper-bound solve", exc) from exc
-
-
-def _evaluate_or_stall(config, seed, instance, policy):
-    """evaluate(instance, policy) over the configured episodes, failing as SolverStall.
-
-    A solver or index failure (SolverStall, NonConvergent, NotIndexable)
-    saves the instance for replay first; InfeasibleAction from the
+    Any RuntimeError but InfeasibleAction (SolverStall, NonConvergent,
+    NotIndexable) saves the instance to failed_instance_<seed>.json and is
+    raised as the SolverStall that names the file; InfeasibleAction from the
     simulator's constraint audit propagates unchanged.
     """
     try:
+        if policy is None:
+            return lp.upper_bound(instance)
         return evaluate(instance, policy, config.episodes, config.base_seed)
     except InfeasibleAction:
         raise  # a constraint-audit failure, not a solver failure
     except RuntimeError as exc:
-        raise _saved_failure(config, seed, instance, f"policy {policy.name}", exc) from exc
+        what = "upper-bound solve" if policy is None else f"policy {policy.name}"
+        os.makedirs(config.out_dir, exist_ok=True)
+        path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
+        save_instance(instance, path)
+        raise SolverStall(f"{what} failed on seed {seed} (instance saved to {path}): "
+                          f"{exc}") from exc
 
 
 def run_experiment(config: ExperimentConfig):
@@ -277,21 +272,23 @@ def run_experiment(config: ExperimentConfig):
     """
     seeds = list(config.instance_seeds)
     if config.measure_runtime:
-        require_timing_policies(config.policies)
+        whittle = any(name.startswith("whittle") for name in config.policies)
+        if "spi" not in config.policies or not whittle:
+            raise ConfigError("timing comparison needs spi and a whittle variant")
         # timing takes three draws or more: pad with fresh seeds above the given ones
         fresh = max(seeds, default=0) + 1
         seeds += range(fresh, fresh + 3 - len(seeds))
     drawn = {seed: config.instance(seed) for seed in seeds}
     instances = {seed: drawn[seed] for seed in config.instance_seeds}
     os.makedirs(config.out_dir, exist_ok=True)
-    bounds = {seed: _bound_or_stall(config, seed, instance)
+    bounds = {seed: _run_or_stall(config, seed, instance)
               for seed, instance in instances.items()}
     summaries = {}
     prepared = {}  # (seed, name) -> evaluated policy, kept only for the dump
     for seed, instance in instances.items():
         for name in config.policies:
             policy = make_policy(name)
-            summaries[seed, name] = _evaluate_or_stall(config, seed, instance, policy)
+            summaries[seed, name] = _run_or_stall(config, seed, instance, policy)
             if config.dump_trajectories:
                 prepared[seed, name] = policy
 
@@ -302,7 +299,7 @@ def run_experiment(config: ExperimentConfig):
             summary = summaries[seed, name]
             ub = bounds[seed]
             if random_mean is not None and ub > random_mean:
-                norm = float(normalize_scores(summary.mean, ub, random_mean))
+                norm = (summary.mean - random_mean) / (ub - random_mean)
             else:
                 norm = float("nan")
             rows.append(ResultRow(
@@ -442,9 +439,9 @@ def sweep_rho(config: ExperimentConfig, rho_list):
         if not rows:
             # rho only weights the objective, so the optimal occupancy is the
             # same at every rho and the bound scales linearly: solve once
-            ub0, rho0 = _bound_or_stall(config, seed, inst), rho
+            ub0, rho0 = _run_or_stall(config, seed, inst), rho
         ub = ub0 * rho / rho0
-        summary = _evaluate_or_stall(config, seed, inst, make_policy(policy_name))
+        summary = _run_or_stall(config, seed, inst, make_policy(policy_name))
         n_arms = inst.n_arms
         rows.append({
             "rho": int(rho),
@@ -476,12 +473,6 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def require_timing_policies(policies: list[str]):
-    """Raise ConfigError unless policies holds spi and a whittle variant."""
-    if "spi" not in policies or not any(p.startswith("whittle") for p in policies):
-        raise ConfigError("timing comparison needs spi and a whittle variant")
-
-
 def time_policies(config: ExperimentConfig, instances: dict[int, Instance]):
     """Per-policy wall-clock statistics over instances, a map of timing seed to draw.
 
@@ -500,7 +491,7 @@ def time_policies(config: ExperimentConfig, instances: dict[int, Instance]):
     stats = []
     for name in config.policies:
         clocks = np.array([
-            _evaluate_or_stall(config, seed, instance, make_policy(name)).wall_clock * 1e3
+            _run_or_stall(config, seed, instance, make_policy(name)).wall_clock * 1e3
             for seed, instance in instances.items()])
         stats.append({"policy": name, "mean_ms": float(clocks.mean()),
                       "std_ms": float(clocks.std(ddof=1)) if len(clocks) > 1 else 0.0})

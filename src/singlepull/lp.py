@@ -83,7 +83,6 @@ class LpProblem:
 class LpSolution:
     objective: float
     occupancy: list[np.ndarray]  # per type, shape (S_n, 2, T)
-    var_index: VarIndex
     iterations: int = 0
     status = "OPTIMAL"  # not a field: solve_lp returns only optima
 
@@ -169,7 +168,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     T = vi.horizon
     occupancy = [res.x[off:off + 2 * S * T].reshape(T, S, 2).transpose(1, 2, 0)
                  for off, S in zip(vi.offsets, vi.n_states)]
-    return LpSolution(res.objective, occupancy, vi, res.iterations)
+    return LpSolution(res.objective, occupancy, res.iterations)
 
 
 def upper_bound(instance: Instance) -> float:

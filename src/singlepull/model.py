@@ -33,15 +33,15 @@ class ArmModel:
     """One arm type: transition tensor, reward table, dummy bookkeeping.
 
     transitions[s, a, s2] is P(s2 | s, a); rewards[s, a] is the immediate
-    reward. dummy_of maps a dummy state index to the normal state it shadows
-    (None for unexpanded models). Arrays are frozen after construction and
+    reward. An expanded model (expand_with_dummies) holds the dummy copy of
+    state s at s + n_states // 2. Arrays are frozen after construction and
     safe to share across threads.
     """
 
     n_states: int
     transitions: np.ndarray
     rewards: np.ndarray
-    dummy_of: dict[int, int] | None = None
+    expanded: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -57,15 +57,10 @@ class ArmModel:
         object.__setattr__(self, "rewards", r)
 
     @property
-    def expanded(self) -> bool:
-        return self.dummy_of is not None
-
-    @property
     def dummy_mask(self) -> np.ndarray:
-        m = np.zeros(self.n_states, dtype=bool)
-        if self.dummy_of:
-            m[list(self.dummy_of)] = True
-        return m
+        """True on the dummy half, the upper n_states // 2 states of an expanded model."""
+        first_dummy = self.n_states // 2 if self.expanded else self.n_states
+        return np.arange(self.n_states) >= first_dummy
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ def expand_with_dummies(model: ArmModel) -> ArmModel:
         n_states=2 * S,
         transitions=P2,
         rewards=r2,
-        dummy_of={S + s: s for s in range(S)},
+        expanded=True,
         label=model.label,
     )
 

@@ -25,6 +25,9 @@ second Philox stream of the same seed, so recording never moves a count
 draw. Its record is one (T, n_arms) array of pair ids p = 2g + a, arm i's
 global state g and action a at epoch t; every field of a record follows
 from p and the ArmTables (see EpisodeResult).
+
+evaluate summarizes raw episode totals; the score normalized against the
+bound and the random policy is computed in experiments.run_experiment.
 """
 
 from __future__ import annotations
@@ -41,10 +44,6 @@ CI_Z = 1.96  # normal-approximation 95% interval
 
 class InfeasibleAction(RuntimeError):
     """Pull vector violates the budget or the single-pull constraint."""
-
-
-class DegenerateRange(ValueError):
-    """Upper bound does not exceed the random-policy mean."""
 
 
 @dataclass
@@ -252,15 +251,3 @@ def evaluate(
         wall_clock=prep_seconds + select_seconds,
         rewards=rewards,
     )
-
-
-def normalize_scores(means, upper_bound: float, random_mean: float):
-    """Affine rescale: upper bound -> 1, random-policy mean -> 0."""
-    if upper_bound <= random_mean:
-        raise DegenerateRange(
-            f"upper bound {upper_bound:g} does not exceed random mean {random_mean:g}"
-        )
-    scale = upper_bound - random_mean
-    arr = np.asarray(means, dtype=float)
-    out = (arr - random_mean) / scale
-    return float(out) if np.isscalar(means) or arr.ndim == 0 else out

@@ -31,8 +31,8 @@ class TestCpap:
         assert m.rewards[:, 1].tolist() == [1.0, 2.0, 3.0]
 
     def test_active_only_reward_toggle(self):
-        (m,) = make_cpap(DomainSpec(domains.CPAP, n_types=1, n_states=3, seed=1),
-                         active_only_rewards=True)
+        (m,) = make_cpap(DomainSpec(domains.CPAP, n_types=1, n_states=3, seed=1,
+                                    params={"active_only_rewards": True}))
         assert np.allclose(m.rewards[:, 0], 0.0)
         assert m.rewards[:, 1].tolist() == [1.0, 2.0, 3.0]
 

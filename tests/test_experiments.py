@@ -133,6 +133,32 @@ class TestRunExperiment:
         for r in rows:
             assert r.mean_reward <= r.upper_bound + 3 * r.ci95 + 1e-9
 
+    def test_normalized_is_nan_in_every_row_without_random(self, tmp_path):
+        cfg = parse_config(small_config(tmp_path, policies=["spi", "meanfield"],
+                                        instance_seeds=[0, 1]))
+        rows = run_experiment(cfg)
+        assert len(rows) == 4 and all(np.isnan(r.normalized) for r in rows)
+        csv = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        column = csv[0].split(",").index("normalized")
+        assert all(line.split(",")[column] == "" for line in csv[1:])
+
+    def test_normalized_is_the_formula_of_each_rows_own_columns(self, tmp_path):
+        cfg = parse_config(small_config(tmp_path, policies=["spi", "whittle-finite", "random"],
+                                        instance_seeds=[0, 1]))
+        rows = run_experiment(cfg)
+        random_mean = {r.instance_seed: r.mean_reward for r in rows if r.policy == "random"}
+        for r in rows:
+            base = random_mean[r.instance_seed]
+            assert r.upper_bound > base
+            assert r.normalized == (r.mean_reward - base) / (r.upper_bound - base)
+
+    def test_normalized_is_nan_when_the_bound_does_not_exceed_the_random_mean(
+            self, tmp_path, monkeypatch):
+        # RANDOM rewards are non-negative, so a zero bound is at most the random mean
+        monkeypatch.setattr(lp, "upper_bound", lambda instance: 0.0)
+        rows = run_experiment(parse_config(small_config(tmp_path)))
+        assert len(rows) == 2 and all(np.isnan(r.normalized) for r in rows)
+
     def test_trajectory_dump(self, tmp_path):
         cfg = parse_config(small_config(tmp_path, episodes=3,
                                         dump_trajectories=True))

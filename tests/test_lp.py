@@ -218,7 +218,7 @@ class TestOrderings:
         for n, m in enumerate(models):
             block = sol.occupancy[n].copy()
             base += inst.rho * float((block * m.rewards[:, :, None]).sum())
-            for sd in m.dummy_of:
+            for sd in np.flatnonzero(m.dummy_mask):
                 block[sd, 0, :] += block[sd, 1, :]
                 block[sd, 1, :] = 0.0
             moved += inst.rho * float((block * m.rewards[:, :, None]).sum())

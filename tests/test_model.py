@@ -52,8 +52,7 @@ class TestValidateArm:
         em = expand_with_dummies(two_state_arm())
         r = em.rewards.copy()
         r[2, 1] += 1.0  # break r(s_d, 1) == r(s, 0)
-        broken = ArmModel(n_states=4, transitions=em.transitions, rewards=r,
-                          dummy_of=em.dummy_of)
+        broken = ArmModel(n_states=4, transitions=em.transitions, rewards=r, expanded=True)
         with pytest.raises(ValueError, match="invalid instance: type 0: "
                                              "already contains dummy states"):
             Instance(types=(broken,), rho=1, budget=1, horizon=2,
@@ -84,15 +83,15 @@ class TestExpandWithDummies:
         m = two_state_arm()
         em = expand_with_dummies(m)
         assert em.n_states == 4
-        assert em.dummy_of == {2: 0, 3: 1}
+        assert em.expanded and em.dummy_mask.tolist() == [False, False, True, True]
         # action 1 from normal states lands on the dummy copies of the
         # original action-1 targets
         assert np.allclose(em.transitions[0, 1, 2:], m.transitions[0, 1])
         assert np.allclose(em.transitions[0, 1, :2], 0.0)
         # both dummy rows equal the original passive rows
-        for sd, s in em.dummy_of.items():
+        for s in range(2):
             for a in (0, 1):
-                assert np.allclose(em.transitions[sd, a, 2:], m.transitions[s, 0])
+                assert np.allclose(em.transitions[2 + s, a, 2:], m.transitions[s, 0])
 
     def test_action_indifferent_input(self):
         m = two_state_arm()  # already has identical rows per action? make it so
@@ -109,9 +108,9 @@ class TestExpandWithDummies:
         m = cpap3_arm()
         em = expand_with_dummies(m)
         assert em.n_states == 6
-        for sd, s in em.dummy_of.items():
-            assert em.rewards[sd, 1] == pytest.approx(m.rewards[s, 0])
-            assert em.rewards[sd, 0] == pytest.approx(m.rewards[s, 0])
+        for s in range(3):
+            assert em.rewards[3 + s, 1] == pytest.approx(m.rewards[s, 0])
+            assert em.rewards[3 + s, 0] == pytest.approx(m.rewards[s, 0])
 
     def test_rejects_expanded_input(self):
         em = expand_with_dummies(two_state_arm())
@@ -130,7 +129,7 @@ class TestExpandWithDummies:
         m = random_arm(rng, 3)
         em = expand_with_dummies(m)
         # structurally: no dummy row leaks onto normal states
-        dummy = list(em.dummy_of)
+        dummy = np.flatnonzero(em.dummy_mask)
         assert np.allclose(em.transitions[dummy][:, :, :3], 0.0)
         # dynamically: dummy mass is non-decreasing under any action sequence
         dist = np.array([0.3, 0.3, 0.2, 0.2, 0.0, 0.0])
@@ -207,7 +206,7 @@ class TestValidateInstance:
         for m, e in zip(types, inst.expanded):
             want = expand_with_dummies(m)
             assert np.array_equal(e.transitions, want.transitions)
-            assert np.array_equal(e.rewards, want.rewards) and e.dummy_of == want.dummy_of
+            assert np.array_equal(e.rewards, want.rewards) and e.expanded and want.expanded
         want = ArmTables.build([expand_with_dummies(m) for m in types], inst.initial)
         for name in ("offset", "probs", "dest", "rewards", "dummy", "start"):
             assert np.array_equal(getattr(inst.tables, name), getattr(want, name)), name

@@ -33,8 +33,7 @@ DETERMINISTIC = tuple(name for name in POLICY_NAMES if name != "random")
 
 def fake_solution(mu_blocks):
     """LpSolution stand-in from explicit occupancy blocks (S, 2, T)."""
-    return lp.LpSolution(objective=0.0, var_index=None,
-                         occupancy=[np.asarray(b, dtype=float) for b in mu_blocks])
+    return lp.LpSolution(objective=0.0, occupancy=[np.asarray(b, dtype=float) for b in mu_blocks])
 
 
 class TestChi:

@@ -7,7 +7,6 @@ from singlepull import (
     InfeasibleAction,
     evaluate,
     make_policy,
-    normalize_scores,
     run_episode,
     step,
 )
@@ -15,7 +14,6 @@ from singlepull import POLICY_NAMES, domains, model, simulator
 from singlepull.model import ArmTables, expand_with_dummies, point_initial, validate_arm
 from singlepull.policies import mean_field_orders, spi_orders
 from singlepull.simulator import (
-    DegenerateRange,
     EpisodeResult,
     _episode_rng,
     audit_episode,
@@ -471,20 +469,6 @@ class TestAudit:
         r = EpisodeResult(total_reward=0.0, per_step_pulls=np.array([1, 1]),
                           pulls_per_type=np.array([0, 2]), dummy_per_type=np.array([0, 1]))
         assert audit_episode(r, 5) == ["type 1: 2 pulls but 1 arms in the dummy half"]
-
-
-class TestNormalize:
-    def test_endpoints(self):
-        assert normalize_scores(10.0, upper_bound=10.0, random_mean=2.0) == pytest.approx(1.0)
-        assert normalize_scores(2.0, upper_bound=10.0, random_mean=2.0) == pytest.approx(0.0)
-
-    def test_vector_input(self):
-        out = normalize_scores([2.0, 6.0, 10.0], upper_bound=10.0, random_mean=2.0)
-        assert np.allclose(out, [0.0, 0.5, 1.0])
-
-    def test_degenerate_range(self):
-        with pytest.raises(DegenerateRange):
-            normalize_scores(1.0, upper_bound=1.0, random_mean=2.0)
 
 
 def mixed_instance(rng, rho=3, horizon=4):

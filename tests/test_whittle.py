@@ -536,7 +536,7 @@ class TestFinite:
     def test_dummy_states_have_zero_index(self, rng):
         model = expand_with_dummies(random_arm(rng, 2))
         table = whittle_index_finite([model], 3)
-        for sd in model.dummy_of:
+        for sd in np.flatnonzero(model.dummy_mask):
             for t in range(3):
                 assert table.values[0][sd, t] == pytest.approx(0.0, abs=1e-12)
 
@@ -604,7 +604,7 @@ class TestQDifference:
     def test_dummy_states_zero(self, rng):
         model = expand_with_dummies(random_arm(rng, 3))
         table = q_difference_indices([model], 4)
-        for sd in model.dummy_of:
+        for sd in np.flatnonzero(model.dummy_mask):
             assert np.allclose(table.values[0][sd], 0.0)
 
     def test_cpap_hand_rolled_three_step(self):
