@@ -12,8 +12,9 @@ it is the same with or without it. --sweep-rho runs experiments.sweep_rho,
 which takes one policy and one instance seed, and excludes --timing and
 --dump-trajectories (or the config keys they set).
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 constraint-audit
-failure (the simulator's feasibility authority was breached).
+Exit codes: 0 success, 2 config error (an output directory that cannot be
+made included), 3 solver failure, 4 constraint-audit failure (the
+simulator's feasibility authority was breached).
 """
 
 from __future__ import annotations

@@ -36,7 +36,9 @@ overrides are applied to the document before that check. The runner
 evaluates the (instance draw, policy) pairs one after another in this
 process. Every bound and every evaluation goes through _run_or_stall: a
 failed LP solve or index build aborts the run, a rho sweep and the timing
-pass included, as SolverStall after the instance is saved for replay.
+pass included, as SolverStall after the instance is saved for replay. An
+output directory that cannot be made is a ConfigError, raised before the
+first bound is solved.
 """
 
 from __future__ import annotations
@@ -236,6 +238,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _make_out_dir(config):
+    """Make config.out_dir; a path that cannot be made is a ConfigError."""
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {config.out_dir}: {exc}") from exc
+
+
 def _run_or_stall(config, seed, instance, policy=None):
     """lp.upper_bound(instance), or with a policy its evaluate over the configured episodes.
 
@@ -252,7 +262,7 @@ def _run_or_stall(config, seed, instance, policy=None):
         raise  # a constraint-audit failure, not a solver failure
     except RuntimeError as exc:
         what = "upper-bound solve" if policy is None else f"policy {policy.name}"
-        os.makedirs(config.out_dir, exist_ok=True)
+        _make_out_dir(config)
         path = os.path.join(config.out_dir, f"failed_instance_{seed}.json")
         save_instance(instance, path)
         raise SolverStall(f"{what} failed on seed {seed} (instance saved to {path}): "
@@ -280,7 +290,7 @@ def run_experiment(config: ExperimentConfig):
         seeds += range(fresh, fresh + 3 - len(seeds))
     drawn = {seed: config.instance(seed) for seed in seeds}
     instances = {seed: drawn[seed] for seed in config.instance_seeds}
-    os.makedirs(config.out_dir, exist_ok=True)
+    _make_out_dir(config)
     bounds = {seed: _run_or_stall(config, seed, instance)
               for seed, instance in instances.items()}
     summaries = {}
@@ -419,6 +429,8 @@ def sweep_rho(config: ExperimentConfig, rho_list):
       - the config names more than one policy or instance seed, which
         gap_curve.csv does not record;
       - a random sweep would exceed RANDOM_MAX_ARMS arms.
+    An output directory that cannot be made is a ConfigError too, raised
+    after the first draw and before its bound is solved.
     """
     rho_list = list(rho_list)
     if not rho_list or min(rho_list) < 1 or any(b <= a for a, b in zip(rho_list, rho_list[1:])):
@@ -437,6 +449,7 @@ def sweep_rho(config: ExperimentConfig, rho_list):
     for rho in rho_list:
         inst = replace(config, rho=int(rho)).instance(seed)
         if not rows:
+            _make_out_dir(config)
             # rho only weights the objective, so the optimal occupancy is the
             # same at every rho and the bound scales linearly: solve once
             ub0, rho0 = _run_or_stall(config, seed, inst), rho
@@ -451,7 +464,6 @@ def sweep_rho(config: ExperimentConfig, rho_list):
         })
     fitted = [r for r in rows if r["normalized_gap"] > 0]  # the points a log-log fit can use
     slope = fit_loglog_slope([r["rho"] for r in fitted], [r["normalized_gap"] for r in fitted])
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "gap_curve.csv")
     with open(path, "w") as fh:
         fh.write("rho,gap,ci,normalized_gap\n")
@@ -495,7 +507,7 @@ def time_policies(config: ExperimentConfig, instances: dict[int, Instance]):
             for seed, instance in instances.items()])
         stats.append({"policy": name, "mean_ms": float(clocks.mean()),
                       "std_ms": float(clocks.std(ddof=1)) if len(clocks) > 1 else 0.0})
-    os.makedirs(config.out_dir, exist_ok=True)
+    _make_out_dir(config)
     path = os.path.join(config.out_dir, "timing.csv")
     with open(path, "w") as fh:
         fh.write("policy,mean_ms,std_ms\n")

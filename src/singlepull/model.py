@@ -289,25 +289,6 @@ def point_initial(n_states: int, s: int) -> np.ndarray:
     return d
 
 
-def _renormalize_rows(P: np.ndarray) -> np.ndarray:
-    """Renormalize rows whose sums are within ROW_SUM_TOL of 1; reject others.
-
-    A row whose sum is within round-off of 1 (S ulps for S entries) is kept
-    bit for bit: dividing it by its sum would move entries by an ulp or two
-    without making it any more stochastic, and a saved instance must reload
-    as the very instance it was.
-    """
-    P = np.array(P, dtype=float)
-    sums = P.sum(axis=-1)
-    deviation = np.abs(sums - 1.0)
-    if np.any(deviation > ROW_SUM_TOL):
-        raise ValueError(f"transition row sums deviate from 1 by up to {deviation.max():.3g} "
-                         f"(tolerance {ROW_SUM_TOL:g})")
-    off = deviation > P.shape[-1] * np.finfo(float).eps
-    P[off] /= sums[off][:, None]
-    return P
-
-
 def save_instance(instance: Instance, path: str):
     """Serialize an (unexpanded) instance to the JSON model file format."""
     doc = {
@@ -330,20 +311,20 @@ def save_instance(instance: Instance, path: str):
 
 
 def load_instance(path: str) -> Instance:
-    """Load an instance document; construction checks it.
+    """Load an instance document as written; construction checks it.
 
-    Transition rows off by more than round-off are renormalized (within
-    ROW_SUM_TOL), and the others are kept bit for bit.
+    Every entry is kept bit for bit, so a saved instance reloads as the very
+    instance it was: a row whose sum is off 1 by up to ROW_SUM_TOL is valid
+    and kept as it is, and validation rejects the others.
     """
     with open(path) as fh:
         doc = json.load(fh)
     types = []
     for td in doc["types"]:
-        P = _renormalize_rows(np.asarray(td["transitions"], dtype=float))
         types.append(
             ArmModel(
                 n_states=int(td["n_states"]),
-                transitions=P,
+                transitions=np.asarray(td["transitions"], dtype=float),
                 rewards=np.asarray(td["rewards"], dtype=float),
                 label=str(td.get("label", "")),
             )

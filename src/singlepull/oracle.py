@@ -1,11 +1,15 @@
 """Exact optimum and exact policy values for tiny instances.
 
-Both routines work on the joint product space of the dummy-expanded arms,
-so pulled-ness is part of the state and the single-pull rule is structural.
-The optimum is a backward induction maximizing over all action vectors
-within the step budget; the policy value is a forward propagation of the
-joint distribution under a given (deterministic or explicitly enumerated
-stochastic) selection rule. Both read the instance's expanded types, which
+Both routines run one backward induction over the joint product space of
+the dummy-expanded arms, so pulled-ness is part of the state and the
+single-pull rule is structural. Each epoch t, from the last to the first,
+forms for every joint state x and every 0/1 action vector a within the
+step budget Q_a(x) = r_a(x) + E[V_{t+1} | x, a]; a combine step then folds
+the Q_a into V_t. The optimum keeps max_a Q_a. A policy's value keeps
+sum_a w_t(x, a) Q_a, where w_t(x, a) is the probability that its
+select(states_row, t) gives a on x. select is called on every joint state,
+reachable or not, epoch by epoch in reverse time order, so it must depend
+on (states_row, t) alone. Both read the instance's expanded types, which
 construction checked and expanded once. Sizes are hard-capped: these are
 desk-scale certification tools, not solvers.
 """
@@ -28,93 +32,60 @@ class CapExceeded(ValueError):
     """Instance is too large for exact joint-state enumeration."""
 
 
-def _check_cap(instance: Instance):
-    n_arms = instance.n_arms
-    max_s = max(m.n_states for m in instance.types)
-    joint = (2 * max_s) ** n_arms
-    if n_arms > CAP_ARMS or max_s > CAP_STATES or instance.horizon > CAP_HORIZON:
-        raise CapExceeded(
-            f"instance needs ~{joint * instance.horizon} joint state evaluations; "
-            f"cap is arms<={CAP_ARMS}, states<={CAP_STATES}, horizon<={CAP_HORIZON}"
-        )
+def _induction(instance: Instance, combine) -> float:
+    """E[V_0(x_0)] of the joint backward induction that combine closes.
 
-
-def _arm_setup(instance: Instance):
-    """Per-arm expanded models, expanded initial vectors and joint-space dims.
-
-    Arms run type by type, rho arms of each type.
+    Arms run type by type, rho arms of each type. V_T = 0, and
+    V_t = combine(t, Q, actions, states): actions lists the action vectors
+    within the step budget as tuples, states holds each joint state's
+    per-arm expanded states, one row per state in C order, and Q[k, j] is
+    Q_a(x) for a = actions[k] and x = states[j].
     """
-    initials = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)]
-    arm_models = [m for m in instance.expanded for _ in range(instance.rho)]
-    arm_init = [d for d in initials for _ in range(instance.rho)]
-    dims = tuple(m.n_states for m in arm_models)
-    return arm_models, arm_init, dims
+    arms = [m for m in instance.expanded for _ in range(instance.rho)]
+    max_s = max(m.n_states for m in instance.types)
+    if len(arms) > CAP_ARMS or max_s > CAP_STATES or instance.horizon > CAP_HORIZON:
+        raise CapExceeded(
+            f"instance needs ~{(2 * max_s) ** len(arms) * instance.horizon} joint state "
+            f"evaluations; cap is arms<={CAP_ARMS}, states<={CAP_STATES}, "
+            f"horizon<={CAP_HORIZON}"
+        )
+    dims = tuple(m.n_states for m in arms)
+    states = np.indices(dims).reshape(len(dims), -1).T
+    actions = [tuple(int(i in pulled) for i in range(len(arms)))
+               for k in range(min(instance.step_budget, len(arms)) + 1)
+               for pulled in itertools.combinations(range(len(arms)), k)]
+    pulls = np.array(actions)
+    rewards = np.zeros((len(actions), len(states)))
+    for i, m in enumerate(arms):
+        rewards += m.rewards[states[:, i], pulls[:, [i]]]
 
+    V = np.zeros(dims)
+    for t in reversed(range(instance.horizon)):
+        Q = np.empty_like(rewards)
+        for k, a in enumerate(actions):
+            expected = V
+            for i, m in enumerate(arms):
+                P = m.transitions[:, a[i], :]
+                expected = np.moveaxis(np.tensordot(P, expected, axes=(1, i)), 0, i)
+            Q[k] = rewards[k] + expected.reshape(-1)
+        V = combine(t, Q, actions, states).reshape(dims)
 
-def _action_vectors(n_arms: int, cap: int):
-    vecs = []
-    for k in range(min(cap, n_arms) + 1):
-        for subset in itertools.combinations(range(n_arms), k):
-            a = np.zeros(n_arms, dtype=np.int64)
-            a[list(subset)] = 1
-            vecs.append(a)
-    return vecs
-
-
-def _reward_tensor(arm_models, a: np.ndarray, dims):
-    total = np.zeros(dims)
-    for i, m in enumerate(arm_models):
-        shape = [1] * len(dims)
-        shape[i] = dims[i]
-        total = total + m.rewards[:, a[i]].reshape(shape)
-    return total
-
-
-def _propagate(W: np.ndarray, arm_models, a: np.ndarray):
-    """E[W(next) | current] for a fixed action vector, arm by arm."""
-    out = W
-    for i, m in enumerate(arm_models):
-        P = m.transitions[:, a[i], :]
-        out = np.moveaxis(np.tensordot(P, out, axes=(1, i)), 0, i)
-    return out
+    starts = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)
+              for _ in range(instance.rho)]
+    initial = np.ones(len(states))
+    for i, d in enumerate(starts):
+        initial *= d[states[:, i]]
+    return float((initial.reshape(dims) * V).sum())
 
 
 def exact_optimum(instance: Instance) -> float:
-    """Optimal expected total reward by joint backward induction.
+    """Optimal expected total reward: the induction that keeps max_a Q_a.
 
     Action vectors that activate a dummy arm duplicate a cheaper vector
-    (dummy actions are indifferent), so enumerating all vectors within the
-    budget and maximizing is exact for the single-pull problem.
+    (dummy actions are indifferent), so maximizing over all vectors within
+    the budget is exact for the single-pull problem.
     """
-    _check_cap(instance)
-    arm_models, arm_init, dims = _arm_setup(instance)
-    cap = instance.step_budget
-    vectors = _action_vectors(len(arm_models), cap)
-    rewards = [_reward_tensor(arm_models, a, dims) for a in vectors]
-
-    V = np.zeros(dims)
-    for _ in range(instance.horizon):
-        best = None
-        for a, R in zip(vectors, rewards):
-            Q = R + _propagate(V, arm_models, a)
-            best = Q if best is None else np.maximum(best, Q)
-        V = best
-    dist = _joint_initial(arm_init, dims)
-    return float((dist * V).sum())
-
-
-def _joint_initial(arm_init, dims):
-    dist = np.ones(dims)
-    for i, d in enumerate(arm_init):
-        shape = [1] * len(dims)
-        shape[i] = dims[i]
-        dist = dist * d.reshape(shape)
-    return dist
-
-
-def _joint_states(dims) -> np.ndarray:
-    grids = np.indices(dims)
-    return grids.reshape(len(dims), -1).T  # (J, M)
+    return _induction(instance, lambda t, Q, actions, states: Q.max(axis=0))
 
 
 def policy_select_adapter(instance: Instance, policy):
@@ -149,10 +120,7 @@ def uniform_random_select(instance: Instance):
 
     def select(states_row, t):
         free = np.flatnonzero(states_row < n_states)
-        k = min(cap, free.size)
-        if k == 0:
-            return [(1.0, np.zeros(len(states_row), dtype=np.int64))]
-        subsets = list(itertools.combinations(free, k))
+        subsets = list(itertools.combinations(free, min(cap, free.size)))  # [()]: pull none
         out = []
         for subset in subsets:
             a = np.zeros(len(states_row), dtype=np.int64)
@@ -166,36 +134,26 @@ def uniform_random_select(instance: Instance):
 def exact_policy_value(instance: Instance, select) -> float:
     """Exact expected total reward of a selection rule, no sampling.
 
-    select(states_row, t) returns an action vector, or a list of
-    (probability, action vector) pairs for stochastic rules; states_row
-    holds each arm's expanded state, s + S_n once the arm is pulled.
+    The induction keeps sum_a w_t(x, a) Q_a. select(states_row, t) returns
+    an action vector, or a list of (probability, action vector) pairs for
+    stochastic rules; states_row holds each arm's expanded state, s + S_n
+    once the arm is pulled. An action that is not a 0/1 vector over the
+    arms with at most step_budget ones raises ValueError naming t.
     """
-    _check_cap(instance)
-    arm_models, arm_init, dims = _arm_setup(instance)
-    states = _joint_states(dims)
-    dist = _joint_initial(arm_init, dims).reshape(-1)
-
-    total = 0.0
-    for t in range(instance.horizon):
-        groups: dict[tuple, np.ndarray] = {}
-        support = np.flatnonzero(dist > 0)
-        for j in support:
-            chosen = select(states[j], t)
+    def combine(t, Q, actions, states):
+        row = {a: k for k, a in enumerate(actions)}
+        weights = np.zeros_like(Q)
+        for j, x in enumerate(states):
+            chosen = select(x, t)
             if isinstance(chosen, np.ndarray):
                 chosen = [(1.0, chosen)]
             for p, a in chosen:
-                key = tuple(int(x) for x in a)
-                vec = groups.setdefault(key, np.zeros(dist.size))
-                vec[j] += p * dist[j]
-        nxt = np.zeros(dims)
-        for key, weights in groups.items():
-            a = np.array(key, dtype=np.int64)
-            W = weights.reshape(dims)
-            total += float((W * _reward_tensor(arm_models, a, dims)).sum())
-            moved = W
-            for i, m in enumerate(arm_models):
-                P = m.transitions[:, a[i], :]
-                moved = np.moveaxis(np.tensordot(P.T, moved, axes=(1, i)), 0, i)
-            nxt += moved
-        dist = nxt.reshape(-1)
-    return total
+                k = row.get(tuple(np.asarray(a).tolist()))
+                if k is None:
+                    raise ValueError(f"select gave {a} at t={t} on state {x}; an action is "
+                                     f"a 0/1 vector over the {len(x)} arms with at most "
+                                     f"{instance.step_budget} ones")
+                weights[k, j] += p
+        return (weights * Q).sum(axis=0)
+
+    return _induction(instance, combine)

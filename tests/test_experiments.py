@@ -503,6 +503,14 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "out" / "gap_curve.csv").exists()
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep-rho", "1,2"]], ids=["run", "sweep"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, sweep):
+        (tmp_path / "file").write_text("")
+        argv = ["--config", self.write_config(tmp_path, policies=["spi"], episodes=2),
+                "--out", str(tmp_path / "file" / "sub")] + sweep
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--seeds", "3-4"], ["--policies", ","],
                                        ["--policies", "spi,nosuch"],
                                        ["--episodes", "1"], ["--seeds", "4..3"]])

@@ -243,7 +243,20 @@ class TestInstanceIo:
             for a, b in zip(inst.initial, loaded.initial):
                 assert np.array_equal(a, b)
 
-    def test_loader_renormalizes_within_tolerance(self, tmp_path):
+    def test_round_trip_keeps_a_row_off_one_within_tolerance(self, tmp_path):
+        # a replay file must reload as the instance that failed, even one whose
+        # rows are stochastic only to ROW_SUM_TOL
+        m = two_state_arm()
+        P = m.transitions.copy()
+        P[0, 0] = [0.5, 0.5 + 1e-12]
+        inst = Instance(types=(ArmModel(n_states=2, transitions=P, rewards=m.rewards),),
+                        rho=1, budget=1, horizon=2, initial=(point_initial(2, 0),))
+        path = tmp_path / "inst.json"
+        save_instance(inst, str(path))
+        loaded = load_instance(str(path))
+        assert np.array_equal(loaded.types[0].transitions, P)
+
+    def test_loader_keeps_a_row_edited_within_tolerance(self, tmp_path):
         m = two_state_arm()
         inst = Instance(types=(m,), rho=1, budget=1, horizon=2,
                         initial=(point_initial(2, 0),))
@@ -254,7 +267,7 @@ class TestInstanceIo:
         doc["types"][0]["transitions"][0][0][0] += 5e-10  # inside tolerance
         path.write_text(json.dumps(doc))
         loaded = load_instance(str(path))
-        assert np.allclose(loaded.types[0].transitions.sum(axis=2), 1.0, atol=1e-15)
+        assert np.array_equal(loaded.types[0].transitions, doc["types"][0]["transitions"])
 
     def test_loader_rejects_beyond_tolerance(self, tmp_path):
         m = two_state_arm()

@@ -17,6 +17,16 @@ from singlepull.oracle import policy_select_adapter, uniform_random_select
 from conftest import random_arm, random_tiny_instance
 
 
+def drift_instance(rho=1, budget=1, horizon=2):
+    """rho arms that drift 0 -> 1 for sure; a pull pays 4 in state 0 and 5 in state 1."""
+    P = np.zeros((2, 2, 2))
+    P[:, :, 1] = 1.0
+    r = np.array([[0.0, 4.0], [0.0, 5.0]])
+    m = ArmModel(n_states=2, transitions=P, rewards=r)
+    return Instance(types=(m,), rho=rho, budget=budget, horizon=horizon,
+                    initial=(point_initial(2, 0),))
+
+
 class TestExactOptimum:
     def test_single_decision(self):
         P = np.ones((1, 2, 1))
@@ -88,6 +98,18 @@ class TestExactPolicyValue:
         v0 = exact_policy_value(inst, pull_first(0))
         v1 = exact_policy_value(inst, pull_first(1))
         assert v0 == pytest.approx(v1, abs=1e-10)  # symmetry of identical arms
+
+    def test_pull_now_and_pull_later_match_hand_values(self):
+        # the arm of test_waiting_beats_pulling_now: a pull at t=0 pays 4 in
+        # state 0, a pull at t=1 pays 5 in state 1, and the passive action 0
+        inst = drift_instance()
+        assert exact_policy_value(inst, lambda s, t: np.array([int(t == 0)])) == 4.0
+        assert exact_policy_value(inst, lambda s, t: np.array([int(t == 1)])) == 5.0
+
+    def test_action_beyond_the_step_budget_is_rejected(self):
+        inst = drift_instance(rho=2, budget=0, horizon=1)
+        with pytest.raises(ValueError, match="t=0"):
+            exact_policy_value(inst, lambda s, t: np.ones(2, dtype=int))
 
     def test_random_exact_vs_monte_carlo(self, rng):
         inst = random_tiny_instance(rng)
