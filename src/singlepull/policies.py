@@ -272,9 +272,10 @@ class FiniteWhittlePolicy(_GreedyIndexPolicy):
     """Exact time-dependent Whittle indices of the dummy-expanded arms.
 
     A pull costs the subsidy once, so each index is the subsidy of a
-    retirement problem, found by one backward pass per type with no
-    bisection; an entry indifferent over a whole interval of subsidies
-    takes its left end (whittle.whittle_index_finite).
+    retirement problem, found with no bisection by one backward pass per
+    state count that tracks every type's kinks in lockstep; an entry
+    indifferent over a whole interval of subsidies takes its left end
+    (whittle.whittle_index_finite).
     """
 
     name = "whittle-finite"

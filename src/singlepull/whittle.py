@@ -34,13 +34,21 @@ lambda < 0 the dummies pull as well, and the slope is <= -1. So the gap is
 nonincreasing and every expanded arm is indexable. The value
 V_t(.; lambda) is piecewise linear in lambda, with kinks only at 0 (the
 dummies' index) and at the indices of later epochs. One backward pass per
-type keeps V_{t+1} at its kinks, starting from 0 and the sentinels +-H,
-H = T * (reward span) + 1: beyond them never pulling and pulling now are
-optimal, so they bracket every root. Between kinks the gap is linear, so
-each entry's root is one interpolation. An entry whose gap is 0 on a whole
-interval of subsidies takes its left end, inf{lambda : gap <= 0}. Roots
-of one epoch that differ by round-off only are merged to the smallest, so
-genuine ties stay bit-equal. The roots then join the kink set.
+state count keeps every type's V_{t+1} at its kinks, in lockstep, starting
+from 0 and the type's own sentinels +-H, H = T * (its reward span) + 1:
+beyond them never pulling and pulling now are optimal, so they bracket
+every root. Between kinks the gap is linear, so each entry's root is one
+interpolation. An entry whose gap is 0 on a whole interval of subsidies
+takes its left end, inf{lambda : gap <= 0}. Roots of one epoch that differ
+by round-off only are merged to the smallest, so genuine ties stay
+bit-equal. The roots then join the kink set. The types' kink lists grow by
+different counts, so a list shorter than the longest is padded by
+repeating its last kink, +H, and that kink's value row: every entry stays
+finite, and no root or interpolation reads a padded row. Each epoch is one
+stacked product per action, one root search with its interpolation, one
+merge of round-off twins and one insertion of the new kinks by position,
+for all the types at once, and each table is bit for bit a pass of its
+type alone.
 """
 
 from __future__ import annotations
@@ -131,7 +139,17 @@ def _evaluate(P: np.ndarray, R: np.ndarray, active: np.ndarray):
     return bias.transpose(0, 2, 1)[:, None] @ P.transpose(0, 2, 3, 1), gains
 
 
-def _sweep_index(models: list[ArmModel], ids: list[int], values: dict, errors: dict) -> None:
+def _per_state_count(models: list[ArmModel], build) -> list:
+    """build(ids) on the type numbers ids of each state count; its results in type order."""
+    out = [None] * len(models)
+    for S in sorted({m.n_states for m in models}):
+        ids = [n for n, m in enumerate(models) if m.n_states == S]
+        for n, result in zip(ids, build(ids)):
+            out[n] = result
+    return out
+
+
+def _sweep_index(models: list[ArmModel], ids: list[int]) -> list:
     """The stationary index of the types ids, all with one state count, by one lockstep sweep.
 
     On a type's piece each gap is c + lam * d. The piece ends at the smallest
@@ -139,8 +157,9 @@ def _sweep_index(models: list[ArmModel], ids: list[int], values: dict, errors: d
     state whose root lies behind lam (a jump root), and every active state
     whose gap there is a tie take the end as their index and turn passive.
     The checks run at the end of each piece. A type leaves the batch with
-    its table in values[n] or its error in errors[n].
+    its table (S, 1) or its error, and the list holds them in the order of ids.
     """
+    done, all_ids = {}, ids
     P = np.array([models[n].transitions for n in ids])
     R = np.zeros((len(ids), 2, 2, P.shape[1]))
     R[:, :, 0], R[:, 0, 1] = [models[n].rewards.T for n in ids], 1.0
@@ -166,22 +185,22 @@ def _sweep_index(models: list[ArmModel], ids: list[int], values: dict, errors: d
         fails = split | rising.any(axis=1) | ~leaving.any(axis=1)
         out = fails | ~active.any(axis=1)
         if out[out.argmax()]:  # some type is done or fails a check
-            values.update(zip(ids[out & ~fails], index[out & ~fails, :, None]))
+            done.update(zip(ids[out & ~fails], index[out & ~fails, :, None]))
             for b in np.flatnonzero(fails):
                 n, s = ids[b], np.argmax(rising[b] if rising[b].any() else active[b])
                 if split[b]:
-                    errors[n] = NonConvergent(
+                    done[n] = NonConvergent(
                         f"type {n}: optimal gain differs across states for subsidies "
                         f"in [{lam[b]:g}, {end[b]:g}], so relative values are undefined")
                 elif rising[b, s]:
-                    errors[n] = NotIndexable(f"type {n}, state {s}: passive from subsidy "
-                                             f"{index[b, s]:g}, but its gap is {gap[b, s]:.3g} "
-                                             f"> 0 at {end[b]:g}")
+                    done[n] = NotIndexable(f"type {n}, state {s}: passive from subsidy "
+                                           f"{index[b, s]:g}, but its gap is {gap[b, s]:.3g} "
+                                           f"> 0 at {end[b]:g}")
                 else:
-                    errors[n] = NotIndexable(f"type {n}, state {s}: its gap {gap[b, s]:.3g} "
-                                             f"does not fall to 0 for subsidies above {lam[b]:g}")
+                    done[n] = NotIndexable(f"type {n}, state {s}: its gap {gap[b, s]:.3g} "
+                                           f"does not fall to 0 for subsidies above {lam[b]:g}")
             if out.all():
-                return
+                return [done[n] for n in all_ids]
             P, R, ids, index, active, end = (a[~out] for a in (P, R, ids, index, active, end))
         lam = end
 
@@ -191,12 +210,11 @@ def whittle_index_infinite(models: list[ArmModel]) -> IndexTable:
 
     Bit for bit a sweep of each type alone; the lowest-numbered failing type's error is raised.
     """
-    values, errors = {}, {}
-    for S in sorted({m.n_states for m in models}):
-        _sweep_index(models, [n for n, m in enumerate(models) if m.n_states == S], values, errors)
-    if errors:
-        raise errors[min(errors)]
-    return IndexTable(values=[values[n] for n in range(len(models))], time_dependent=False)
+    values = _per_state_count(models, lambda ids: _sweep_index(models, ids))
+    failed = [v for v in values if isinstance(v, Exception)]
+    if failed:
+        raise failed[0]
+    return IndexTable(values=values, time_dependent=False)
 
 
 def finite_horizon_qdiff(model: ArmModel, T: int, lam):
@@ -219,54 +237,82 @@ def finite_horizon_qdiff(model: ArmModel, T: int, lam):
     return qdiff
 
 
-def _retirement_index(model: ArmModel, T: int) -> np.ndarray:
-    """One dummy-expanded type's exact index (S, T), one backward pass over the kinks of V.
+def _retirement_index(models: list[ArmModel], ids: list[int], T: int) -> list[np.ndarray]:
+    """Exact tables (S, T) of the dummy-expanded types ids, all with one state count, in lockstep.
 
-    lam holds the kinks of V_{t+1}(.; lambda) in ascending order and v its
-    values there, one row per kink. A gap within ROOT_TOL times the
-    values' scale at its kink counts as zero, and so does the distance
-    between two roots of one epoch.
+    Row b of the kinks holds the kinks of type b's V_{t+1}(.; lambda) in
+    ascending order and v[b] its values there, one row per kink. A type
+    with fewer kinks than the longest repeats its last kink, +H, and that
+    kink's value row, so every entry stays finite. A kink, and a root, of
+    type b is stored as the complex number b + 1j * lambda: complex numbers
+    order by real part, then imaginary part, so one np.searchsorted over the
+    flat kinks finds each root's slot among its own type's kinks. A gap
+    within ROOT_TOL times the values' scale at its kink counts as zero, and
+    so does the distance between two roots of one epoch.
     """
-    PT = model.transitions.transpose(1, 2, 0)  # PT[a] = P_a.T
-    r = model.rewards.T[:, None, :]
-    H = T * float(np.ptp(model.rewards)) + 1.0
-    lam = np.array([-H, 0.0, H])
-    v = np.zeros((3, model.n_states))
-    states = np.arange(model.n_states)
-    index = np.empty((model.n_states, T))
+    P = np.array([models[n].transitions for n in ids])
+    PT = P.transpose(2, 0, 3, 1)  # PT[a, b] = P_a.T of type b; a contiguous copy moves the bits
+    R = np.array([models[n].rewards for n in ids])
+    r = R.transpose(2, 0, 1)[:, :, None]
+    H = T * (R.max(axis=(1, 2)) - R.min(axis=(1, 2))) + 1.0  # each type's own sentinel
+    B, S = P.shape[:2]
+    rows, states = np.arange(B)[:, None], np.tile(np.arange(S), (B, 1))
+    first = S * rows  # each type's first root in the flat roots
+    kinks = (rows + 1j * H[:, None] * [-1.0, 0.0, 1.0]).ravel()
+    v, length = np.zeros((B, 3, S)), 3  # length: each type's own kink count, 3 at first
+    index = np.empty((B, S, T))
     for t in range(T - 1, -1, -1):
-        q = v @ PT + r  # (action, kink, state)
-        q[0] += lam[:, None]
+        K, lam = kinks.size // B, kinks.imag
+        q = v @ PT + r  # (action, type, kink, state)
+        q[0] += lam.reshape(B, K, 1)
         gap = q[1] - q[0]
-        tol = ROOT_TOL * np.abs(q).max(axis=(0, 2))
-        k = np.argmax(gap <= tol[:, None], axis=0)  # each state's first kink at or past its root
-        root = lam[k]
+        tol = ROOT_TOL * np.abs(q).max(axis=(0, 3))
+        k = (gap <= tol[..., None]).argmax(axis=1) + K * rows  # flat: first kink at or past root
+        gap, tol = gap.reshape(-1, S), tol.ravel()
+        root = kinks[k]  # b + 1j * (each entry's root), stored as the kinks are
         inside = gap[k, states] < -tol[k]  # the root lies strictly between kinks k - 1 and k
         kc, sc = k[inside], states[inside]
-        left, right = gap[kc - 1, sc], gap[kc, sc]
-        root[inside] = lam[kc - 1] + (lam[kc] - lam[kc - 1]) * left / (left - right)
-        order = np.argsort(root)
-        ranked = root[order]
-        apart = np.ones(root.size, dtype=bool)
-        apart[1:] = ranked[1:] - ranked[:-1] > tol[k[order[1:]]]
-        roots = ranked[apart]  # ascending, round-off twins merged to the smallest
-        root[order] = roots[np.cumsum(apart) - 1]
-        index[:, t] = root
-        at = np.searchsorted(lam, roots)
-        new = lam[at] != roots  # V_t is linear between the old kinks and these
+        left, right, lo = gap[kc - 1, sc], gap[kc, sc], lam[kc - 1]
+        root.imag[inside] = lo + (lam[kc] - lo) * left / (left - right)
+        order = (root.imag.argsort(axis=1) + first).ravel()
+        ranked = root.ravel()[order]
+        apart = np.empty(B * S, dtype=bool)
+        x = ranked.imag
+        apart[1:] = x[1:] - x[:-1] > tol[k.ravel()[order[1:]]]
+        apart[::S] = True  # each type's first root
+        roots = ranked[apart]  # ascending per type, round-off twins merged to the smallest
+        root.ravel()[order] = roots[apart.cumsum() - 1]
+        index[..., t] = root.imag
+        at = kinks.searchsorted(roots)  # flat: row b's start + np.searchsorted(lam[b], root)
+        new = kinks[at] != roots  # V_t is linear between the old kinks and these
         roots, at = roots[new], at[new]
-        w = ((roots - lam[at - 1]) / (lam[at] - lam[at - 1]))[:, None]
-        between = q[:, at - 1] + w * (q[:, at] - q[:, at - 1])
-        pos = at + np.arange(len(roots))  # the rows np.insert(lam, at, roots) gives the roots
-        kept = np.ones(len(lam) + len(roots), dtype=bool)
+        lo = lam[at - 1]
+        w = ((roots.imag - lo) / (lam[at] - lo))[:, None]
+        q = q.reshape(2, -1, S)
+        below = q[:, at - 1]
+        between = below + w * (q[:, at] - below)
+        pos = at + np.arange(len(roots))  # the slots np.insert(kinks, at, roots) gives the roots
+        kept = np.ones(kinks.size + len(roots), dtype=bool)
         kept[pos] = False
-        lam, old, v = np.empty(kept.size), lam, np.empty((kept.size, model.n_states))
-        lam[kept], lam[pos], v[kept], v[pos] = old, roots, q.max(axis=0), between.max(axis=0)
-    return index
+        kinks, old, v = np.empty(kept.size, dtype=complex), kinks, np.empty((kept.size, S))
+        kinks[kept], kinks[pos], v[kept], v[pos] = old, roots, q.max(axis=0), between.max(axis=0)
+        if B > 1:  # a lone type's kinks always fill its row
+            gained = np.bincount(roots.real.astype(int), minlength=B)
+            length = length + gained
+            if gained.min() < gained.max():  # the rows no longer line up: re-pad to the longest
+                start, end = K * rows + (np.cumsum(gained) - gained)[:, None], K + gained[:, None]
+                # slots past a row's end repeat its last entry, +H with its value row
+                slots = start + np.minimum(np.arange(length.max()), end - 1)
+                kinks, v = kinks[slots].ravel(), v[slots]
+        v = v.reshape(B, -1, S)
+    return [table.copy() for table in index]  # each type's own array
 
 
 def whittle_index_finite(models: list[ArmModel], T: int) -> IndexTable:
-    """Time-dependent index per (type, state, t) of dummy-expanded types, exact, one pass per type.
+    """Time-dependent index per (type, state, t) of dummy-expanded types, exact.
+
+    One lockstep backward pass per state count gives each type's table, bit
+    for bit a pass of that type alone.
 
     The pass relies on each gap crossing zero once, which the retirement
     argument proves for dummy-expanded arms only, so other arms raise
@@ -274,7 +320,8 @@ def whittle_index_finite(models: list[ArmModel], T: int) -> IndexTable:
     """
     if not all(m.expanded for m in models):
         raise ValueError("the exact finite-horizon index needs dummy-expanded types")
-    return IndexTable(values=[_retirement_index(m, T) for m in models], time_dependent=True)
+    values = _per_state_count(models, lambda ids: _retirement_index(models, ids, T))
+    return IndexTable(values=values, time_dependent=True)
 
 
 def q_difference_indices(models: list[ArmModel], T: int) -> IndexTable:

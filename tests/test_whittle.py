@@ -18,7 +18,7 @@ from singlepull.whittle import (
 )
 
 from conftest import random_arm
-from whittle_reference import backward_qdiff, cesaro_limit, rvi_qdiff
+from whittle_reference import backward_qdiff, cesaro_limit, retirement_index, rvi_qdiff
 
 
 def cpap3_arm(q=0.6):
@@ -402,10 +402,12 @@ class TestSubsidyIndex:
 
 
 class TestStackedTypes:
-    """The stationary index is one lockstep sweep per state count: no row of a
-    stacked call reads another, and each type stops at its own settle and its
-    own last kink, so every type's table is bit for bit a sweep of that type
-    alone, even where the types take different numbers of pieces."""
+    """Both indices run in lockstep over the types of one state count. The
+    stationary sweep's rows read no other row, and each type stops at its own
+    settle and its own last kink. The finite pass pads each type's kink list
+    with its own last kink, +H, and that kink's value row. So every type's
+    table is bit for bit a pass of that type alone, even where the types take
+    different numbers of pieces or grow different numbers of kinks."""
 
     def instances(self):
         out = []
@@ -424,15 +426,47 @@ class TestStackedTypes:
                 for m, values in zip(models, stacked.values):
                     assert np.array_equal(values, whittle_index_infinite([m]).values[0])
 
+    def assert_finite_equals_per_type(self, models, T):
+        # under errstate(all="raise") padding cannot hide inf or NaN arithmetic
+        with np.errstate(all="raise"):
+            stacked = whittle_index_finite(models, T).values
+            for m, values in zip(models, stacked):
+                assert values.shape == (m.n_states, T)
+                assert np.array_equal(values, retirement_index(m, T))
+                assert np.array_equal(values, whittle_index_finite([m], T).values[0])
+        for a, b in itertools.combinations(stacked, 2):
+            assert not np.shares_memory(a, b)  # each table is its type's own array
+        return stacked
+
     def test_finite_and_qdiff_equal_per_type_calls(self):
-        rng = np.random.default_rng(4)
-        models = [expand_with_dummies(random_arm(rng, S, active_only_rewards=False))
-                  for S in (2, 3, 2)]
-        for build in (lambda ms: whittle_index_finite(ms, 4),
-                      lambda ms: q_difference_indices(ms, 4)):
-            stacked = build(models)
+        for types, T in itertools.product(self.instances(), (1, 6, 20)):
+            models = [expand_with_dummies(m) for m in types]
+            self.assert_finite_equals_per_type(models, T)
+            stacked = q_difference_indices(models, T)
             for m, values in zip(models, stacked.values):
-                assert np.array_equal(values, build([m]).values[0])
+                assert np.array_equal(values, q_difference_indices([m], T).values[0])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_degenerate_types_grow_different_kink_counts(self, seed):
+        # zero rewards (H = 1), identical action rows and 0/1 kernels beside
+        # plain random arms, all with one state count: the types of the group
+        # end with different numbers of distinct roots, so the shorter kink
+        # lists are padded while the longer ones grow
+        rng = np.random.default_rng(seed)
+        models = []
+        for kind in ("zero", "same-rows", "0/1", "plain", "0/1", "plain"):
+            arm = random_arm(rng, 3, active_only_rewards=bool(seed % 2))
+            P, r = arm.transitions.copy(), arm.rewards.copy()
+            if kind == "zero":
+                r[:] = 0.0
+            elif kind == "same-rows":
+                P[:, 1] = P[:, 0]
+            elif kind == "0/1":
+                P = np.eye(3)[rng.integers(0, 3, size=(3, 2))]
+            models.append(expand_with_dummies(ArmModel(n_states=3, transitions=P, rewards=r)))
+        stacked = self.assert_finite_equals_per_type(models, 8)
+        roots = {np.unique(values[:, 1:]).size for values in stacked}
+        assert len(roots) > 1
 
     def test_cesaro_limit_stops_at_its_first_settle(self):
         # B mixes fast inside two blocks joined by 1e-15: its squares move by

@@ -6,12 +6,14 @@ policies, with its own span tolerance and sweep cap: the tests check that
 every stationary index zeroes its entry's gap under it, and that the
 slopes of the sweep's pieces are its difference quotients. The finite-horizon reference is
 scalar backward induction, against which the tests check that every finite
-index zeroes its entry's gap.
+index zeroes its entry's gap. The per-type retirement pass is the finite
+index of one type alone, which the package's lockstep pass over the types
+of one state count must equal bit for bit.
 """
 
 import numpy as np
 
-from singlepull.whittle import CESARO_MAX_SQUARINGS, TIE_TOL, NonConvergent
+from singlepull.whittle import CESARO_MAX_SQUARINGS, ROOT_TOL, TIE_TOL, NonConvergent
 
 RVI_SPAN_TOL = 1e-9
 RVI_MAX_SWEEPS = 100_000
@@ -68,3 +70,49 @@ def cesaro_limit(P):
         if moved <= TIE_TOL:
             break
     return M
+
+
+def retirement_index(model, T):
+    """One dummy-expanded type's exact index (S, T), one backward pass over the kinks of V.
+
+    lam holds the kinks of V_{t+1}(.; lambda) in ascending order and v its
+    values there, one row per kink. A gap within ROOT_TOL times the
+    values' scale at its kink counts as zero, and so does the distance
+    between two roots of one epoch.
+    """
+    PT = model.transitions.transpose(1, 2, 0)  # PT[a] = P_a.T
+    r = model.rewards.T[:, None, :]
+    H = T * float(np.ptp(model.rewards)) + 1.0
+    lam = np.array([-H, 0.0, H])
+    v = np.zeros((3, model.n_states))
+    states = np.arange(model.n_states)
+    index = np.empty((model.n_states, T))
+    for t in range(T - 1, -1, -1):
+        q = v @ PT + r  # (action, kink, state)
+        q[0] += lam[:, None]
+        gap = q[1] - q[0]
+        tol = ROOT_TOL * np.abs(q).max(axis=(0, 2))
+        k = np.argmax(gap <= tol[:, None], axis=0)  # each state's first kink at or past its root
+        root = lam[k]
+        inside = gap[k, states] < -tol[k]  # the root lies strictly between kinks k - 1 and k
+        kc, sc = k[inside], states[inside]
+        left, right = gap[kc - 1, sc], gap[kc, sc]
+        root[inside] = lam[kc - 1] + (lam[kc] - lam[kc - 1]) * left / (left - right)
+        order = np.argsort(root)
+        ranked = root[order]
+        apart = np.ones(root.size, dtype=bool)
+        apart[1:] = ranked[1:] - ranked[:-1] > tol[k[order[1:]]]
+        roots = ranked[apart]  # ascending, round-off twins merged to the smallest
+        root[order] = roots[np.cumsum(apart) - 1]
+        index[:, t] = root
+        at = np.searchsorted(lam, roots)
+        new = lam[at] != roots  # V_t is linear between the old kinks and these
+        roots, at = roots[new], at[new]
+        w = ((roots - lam[at - 1]) / (lam[at] - lam[at - 1]))[:, None]
+        between = q[:, at - 1] + w * (q[:, at] - q[:, at - 1])
+        pos = at + np.arange(len(roots))  # the rows np.insert(lam, at, roots) gives the roots
+        kept = np.ones(len(lam) + len(roots), dtype=bool)
+        kept[pos] = False
+        lam, old, v = np.empty(kept.size), lam, np.empty((kept.size, model.n_states))
+        lam[kept], lam[pos], v[kept], v[pos] = old, roots, q.max(axis=0), between.max(axis=0)
+    return index
