@@ -58,7 +58,6 @@ from .domains import (
     MHMH,
     RANDOM,
     DomainSpec,
-    closed_form_whittle,
     make_instance,
     make_models,
 )

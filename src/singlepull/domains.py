@@ -5,8 +5,8 @@ CPAP        -- adherence birth-death chains: passive steps decay one level
                per-type probability; the reward is the adherence level.
 MHMH        -- mobile-health engagement chains with greedy and reliable
                beneficiary types; rewards are collected on pull only.
-EHRENFEST   -- discretized birth-death energy model with a closed-form
-               stationary subsidy index used as a reference.
+EHRENFEST   -- discretized birth-death energy model; its stationary
+               subsidy index has a closed-form bulk approximation.
 RANDOM      -- fully random kernels (flat Dirichlet rows) with
                active-collected rewards.
 
@@ -176,11 +176,6 @@ def make_mhmh(spec: DomainSpec) -> list[ArmModel]:
         label = f"mhmh-{'greedy' if greedy else 'reliable'}-{i}"
         models.append(ArmModel(n_states=3, transitions=P, rewards=r, label=label))
     return models
-
-
-def closed_form_whittle(c: float, mu: float, lam: float, S: int, s: int) -> float:
-    """Reference stationary index for the energy birth-death model (rate units)."""
-    return c / (mu * S) * (mu * s**2 - lam * (S - s) ** 2)
 
 
 def make_ehrenfest(spec: DomainSpec) -> list[ArmModel]:

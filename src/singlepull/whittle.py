@@ -48,7 +48,9 @@ finite, and no root or interpolation reads a padded row. Each epoch is one
 stacked product per action, one root search with its interpolation, one
 merge of round-off twins and one insertion of the new kinks by position,
 for all the types at once, and each table is bit for bit a pass of its
-type alone.
+type alone. The Q-difference table is the gap at subsidy 0, one stacked
+backward induction per state count. One helper groups the types of all
+three tables by state count and stacks their transitions and rewards once.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ArmModel, stack_types
+from .model import ArmModel
 
 TIE_TOL = 1e-10  # value gaps below TIE_TOL times the values' scale are ties
 ROOT_TOL = 64 * np.finfo(float).eps  # finite-index gaps below ROOT_TOL times the scale are zero
@@ -86,7 +88,7 @@ class IndexTable:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat = np.asarray(stack_types(self.values)[1], dtype=float)
+        self.flat = np.concatenate(self.values, dtype=float)
 
     def column(self, t: int) -> np.ndarray:
         """The index of every global state id at time t."""
@@ -140,16 +142,19 @@ def _evaluate(P: np.ndarray, R: np.ndarray, active: np.ndarray):
 
 
 def _per_state_count(models: list[ArmModel], build) -> list:
-    """build(ids) on the type numbers ids of each state count; its results in type order."""
+    """build(ids, P, R) per state count on its types ids, with their transitions P (B, S, 2, S)
+    and rewards R (B, S, 2) stacked once; its results in type order."""
     out = [None] * len(models)
     for S in sorted({m.n_states for m in models}):
         ids = [n for n, m in enumerate(models) if m.n_states == S]
-        for n, result in zip(ids, build(ids)):
+        P = np.array([models[n].transitions for n in ids])
+        R = np.array([models[n].rewards for n in ids])
+        for n, result in zip(ids, build(ids, P, R)):
             out[n] = result
     return out
 
 
-def _sweep_index(models: list[ArmModel], ids: list[int]) -> list:
+def _sweep_index(ids: list[int], P: np.ndarray, rewards: np.ndarray) -> list:
     """The stationary index of the types ids, all with one state count, by one lockstep sweep.
 
     On a type's piece each gap is c + lam * d. The piece ends at the smallest
@@ -160,9 +165,8 @@ def _sweep_index(models: list[ArmModel], ids: list[int]) -> list:
     its table (S, 1) or its error, and the list holds them in the order of ids.
     """
     done, all_ids = {}, ids
-    P = np.array([models[n].transitions for n in ids])
     R = np.zeros((len(ids), 2, 2, P.shape[1]))
-    R[:, :, 0], R[:, 0, 1] = [models[n].rewards.T for n in ids], 1.0
+    R[:, :, 0], R[:, 0, 1] = rewards.transpose(0, 2, 1), 1.0
     ids, lam = np.array(ids), np.full(len(ids), -np.inf)
     index, active = np.empty(P.shape[:2]), np.ones(P.shape[:2], dtype=bool)
     while ids.size:
@@ -210,35 +214,35 @@ def whittle_index_infinite(models: list[ArmModel]) -> IndexTable:
 
     Bit for bit a sweep of each type alone; the lowest-numbered failing type's error is raised.
     """
-    values = _per_state_count(models, lambda ids: _sweep_index(models, ids))
+    values = _per_state_count(models, _sweep_index)
     failed = [v for v in values if isinstance(v, Exception)]
     if failed:
         raise failed[0]
     return IndexTable(values=values, time_dependent=False)
 
 
-def finite_horizon_qdiff(model: ArmModel, T: int, lam):
-    """Q_t(s,1) - Q_t(s,0) under passive subsidy lam (scalar or (B,)), shaped lam.shape + (S, T).
+def finite_horizon_qdiff(P: np.ndarray, R: np.ndarray, T: int) -> np.ndarray:
+    """Q_t(s, 1) - Q_t(s, 0) at subsidy 0 of the types stacked in P (B, S, 2, S) and R (B, S, 2).
 
-    Plain backward induction of one type from V_T = 0, every subsidy at
-    once: each epoch is one (B, S) @ P_a.T product per action.
+    Backward induction from V_T = 0, shaped (B, S, T): each epoch is one (1, S) @ P_a.T
+    product per action and type, bit for bit a pass of each type alone.
     """
-    lam = np.asarray(lam, dtype=float)
-    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T
-    r0 = model.rewards[:, 0] + lam[..., None]
-    r1 = model.rewards[:, 1]
-    qdiff = np.empty(lam.shape + (model.n_states, T))
-    v = np.zeros(lam.shape + (model.n_states,))
-    for t in range(T - 1, -1, -1):
-        q0 = v @ P0T + r0
-        q1 = v @ P1T + r1
-        qdiff[..., t] = q1 - q0
+    B, S = P.shape[:2]
+    PT = P.transpose(2, 0, 3, 1)  # PT[a, b] = P_a.T of type b
+    r = R.transpose(2, 0, 1)[:, :, None]  # r[a, b, 0] = r_a of type b
+    qdiff, v = np.empty((B, S, T)), np.zeros((B, 1, S))
+    columns = qdiff.transpose(2, 0, 1)[:, :, None]  # columns[t] views qdiff[..., t] as (B, 1, S)
+    q0, q1 = q = np.empty((2, B, 1, S))
+    for column in columns[::-1]:
+        np.matmul(v, PT, out=q)
+        q += r
+        np.subtract(q1, q0, out=column)
         v = np.maximum(q0, q1)
     return qdiff
 
 
-def _retirement_index(models: list[ArmModel], ids: list[int], T: int) -> list[np.ndarray]:
-    """Exact tables (S, T) of the dummy-expanded types ids, all with one state count, in lockstep.
+def _retirement_index(P: np.ndarray, R: np.ndarray, T: int) -> list[np.ndarray]:
+    """Exact tables (S, T) of a stack of dummy-expanded types of one state count, in lockstep.
 
     Row b of the kinks holds the kinks of type b's V_{t+1}(.; lambda) in
     ascending order and v[b] its values there, one row per kink. A type
@@ -250,9 +254,7 @@ def _retirement_index(models: list[ArmModel], ids: list[int], T: int) -> list[np
     within ROOT_TOL times the values' scale at its kink counts as zero, and
     so does the distance between two roots of one epoch.
     """
-    P = np.array([models[n].transitions for n in ids])
     PT = P.transpose(2, 0, 3, 1)  # PT[a, b] = P_a.T of type b; a contiguous copy moves the bits
-    R = np.array([models[n].rewards for n in ids])
     r = R.transpose(2, 0, 1)[:, :, None]
     H = T * (R.max(axis=(1, 2)) - R.min(axis=(1, 2))) + 1.0  # each type's own sentinel
     B, S = P.shape[:2]
@@ -320,11 +322,11 @@ def whittle_index_finite(models: list[ArmModel], T: int) -> IndexTable:
     """
     if not all(m.expanded for m in models):
         raise ValueError("the exact finite-horizon index needs dummy-expanded types")
-    values = _per_state_count(models, lambda ids: _retirement_index(models, ids, T))
+    values = _per_state_count(models, lambda ids, P, R: _retirement_index(P, R, T))
     return IndexTable(values=values, time_dependent=True)
 
 
 def q_difference_indices(models: list[ArmModel], T: int) -> IndexTable:
-    """Plain Q-value gaps from unsubsidized backward induction, one DP per type."""
-    return IndexTable(values=[finite_horizon_qdiff(m, T, 0.0) for m in models],
-                      time_dependent=True)
+    """Plain Q-value gaps at subsidy 0, one stacked backward induction per state count."""
+    values = _per_state_count(models, lambda ids, P, R: finite_horizon_qdiff(P, R, T))
+    return IndexTable(values=values, time_dependent=True)

@@ -7,7 +7,6 @@ from singlepull.domains import (
     MHMH_DROPOUT,
     MHMH_ENGAGED,
     MHMH_START,
-    closed_form_whittle,
     ehrenfest_arm,
     make_cpap,
     make_ehrenfest,
@@ -15,6 +14,8 @@ from singlepull.domains import (
     make_random,
 )
 from singlepull.whittle import whittle_index_infinite
+
+from whittle_reference import closed_form_whittle
 
 
 class TestCpap:

@@ -4,21 +4,27 @@ import numpy as np
 import pytest
 
 from singlepull import ArmModel, domains, expand_with_dummies, make_policy, whittle
-from singlepull.domains import DomainSpec, closed_form_whittle, ehrenfest_arm
+from singlepull.domains import DomainSpec, ehrenfest_arm
 from singlepull.whittle import (
     TIE_TOL,
     NonConvergent,
     NotIndexable,
     _cesaro_limit,
     _evaluate,
-    finite_horizon_qdiff,
     q_difference_indices,
     whittle_index_finite,
     whittle_index_infinite,
 )
 
 from conftest import random_arm
-from whittle_reference import backward_qdiff, cesaro_limit, retirement_index, rvi_qdiff
+from whittle_reference import (
+    backward_qdiff,
+    cesaro_limit,
+    closed_form_whittle,
+    per_type_qdiff,
+    retirement_index,
+    rvi_qdiff,
+)
 
 
 def cpap3_arm(q=0.6):
@@ -241,12 +247,13 @@ class TestBatchedDp:
             assert np.allclose(qd, rvi_qdiff(model, lam), rtol=0, atol=1e-9)
 
     def test_finite_rows_match_scalar_solves(self, rng):
+        # the reference's rows, one per subsidy, are the scalar backward inductions
         model = expand_with_dummies(random_arm(rng, 3, active_only_rewards=False))
         T = 5
         lams = np.array([-0.7, 0.0, 1.1])
-        qd = finite_horizon_qdiff(model, T, lams)
+        qd = per_type_qdiff(model, T, lams)
         assert qd.shape == (3, model.n_states, T)
-        assert finite_horizon_qdiff(model, T, 0.4).shape == (model.n_states, T)
+        assert per_type_qdiff(model, T, 0.4).shape == (model.n_states, T)
         for lam, block in zip(lams, qd):
             assert np.allclose(block, backward_qdiff(model, T, lam), rtol=0, atol=1e-12)
 
@@ -402,12 +409,13 @@ class TestSubsidyIndex:
 
 
 class TestStackedTypes:
-    """Both indices run in lockstep over the types of one state count. The
-    stationary sweep's rows read no other row, and each type stops at its own
-    settle and its own last kink. The finite pass pads each type's kink list
-    with its own last kink, +H, and that kink's value row. So every type's
-    table is bit for bit a pass of that type alone, even where the types take
-    different numbers of pieces or grow different numbers of kinks."""
+    """Both indices and qdiff run in lockstep over the types of one state
+    count. The stationary sweep's rows read no other row, and each type stops
+    at its own settle and its own last kink. The finite pass pads each type's
+    kink list with its own last kink, +H, and that kink's value row. qdiff's
+    products are one per type and action. So every type's table is bit for
+    bit a pass of that type alone, even where the types take different
+    numbers of pieces or grow different numbers of kinks."""
 
     def instances(self):
         out = []
@@ -442,9 +450,12 @@ class TestStackedTypes:
         for types, T in itertools.product(self.instances(), (1, 6, 20)):
             models = [expand_with_dummies(m) for m in types]
             self.assert_finite_equals_per_type(models, T)
-            stacked = q_difference_indices(models, T)
-            for m, values in zip(models, stacked.values):
-                assert np.array_equal(values, q_difference_indices([m], T).values[0])
+            with np.errstate(all="raise"):
+                stacked = q_difference_indices(models, T)
+                for m, values in zip(models, stacked.values):
+                    assert values.shape == (m.n_states, T)
+                    assert values.tobytes() == per_type_qdiff(m, T).tobytes()
+                    assert values.tobytes() == q_difference_indices([m], T).values[0].tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_degenerate_types_grow_different_kink_counts(self, seed):
@@ -534,10 +545,10 @@ class TestStackedTypes:
 
 
 class TestFinite:
-    def test_a_type_takes_at_most_s_policy_evaluations(self, monkeypatch):
+    def test_a_type_takes_at_most_s_policy_evaluations(self, monkeypatch, rng):
         # the stationary sweep evaluates each policy of its pieces once, at
         # most S per type; the exact finite index takes no DP call, and the
-        # Q-value gaps one per type
+        # Q-value gaps one per state count
         models = [expand_with_dummies(m)
                   for m in domains.make_models(DomainSpec(domains.CPAP, 3, 3, seed=0))]
         calls = []
@@ -553,7 +564,11 @@ class TestFinite:
         whittle_index_finite(models, 5)
         assert len(calls) == 0
         q_difference_indices(models, 5)
-        assert len(calls) == 3
+        assert len(calls) == 1
+        calls.clear()
+        mixed = models + [expand_with_dummies(random_arm(rng, 2)), models[0]]
+        q_difference_indices(mixed, 5)
+        assert len(calls) == 2
 
     def test_rejects_unexpanded_types(self, rng):
         with pytest.raises(ValueError, match="dummy-expanded"):
@@ -580,7 +595,7 @@ class TestFinite:
         table = whittle_index_finite([model], T)
         span = float(model.rewards.max() - model.rewards.min())
         grid = np.arange(-2 * span, 2 * span + 1e-12, 1e-4)
-        qd = finite_horizon_qdiff(model, T, grid)  # (G, S, T)
+        qd = per_type_qdiff(model, T, grid)  # (G, S, T)
         for s in range(model.n_states):
             for t in range(T):
                 best = grid[np.argmin(np.abs(qd[:, s, t]))]

@@ -7,8 +7,10 @@ every stationary index zeroes its entry's gap under it, and that the
 slopes of the sweep's pieces are its difference quotients. The finite-horizon reference is
 scalar backward induction, against which the tests check that every finite
 index zeroes its entry's gap. The per-type retirement pass is the finite
-index of one type alone, which the package's lockstep pass over the types
-of one state count must equal bit for bit.
+index of one type alone, and the per-type Q-difference pass the plain gaps
+of one type alone: the package's lockstep passes over the types of one
+state count must equal them bit for bit. The closed-form EHRENFEST index is
+a bulk approximation of the stationary index.
 """
 
 import numpy as np
@@ -52,6 +54,32 @@ def backward_qdiff(model, T, lam):
         qdiff[:, t] = q1 - q0
         v = np.maximum(q0, q1)
     return qdiff
+
+
+def per_type_qdiff(model, T, lam=0.0):
+    """One type's Q_t(s,1) - Q_t(s,0) under passive subsidy lam (scalar or (G,)).
+
+    Plain backward induction from V_T = 0, every subsidy at once, shaped
+    lam.shape + (S, T): each epoch is one (G, S) @ P_a.T product per action.
+    At lam = 0 it is the type's Q-difference table.
+    """
+    lam = np.asarray(lam, dtype=float)
+    P0T, P1T = model.transitions.transpose(1, 2, 0)  # P_a.T
+    r0 = model.rewards[:, 0] + lam[..., None]
+    r1 = model.rewards[:, 1]
+    qdiff = np.empty(lam.shape + (model.n_states, T))
+    v = np.zeros(lam.shape + (model.n_states,))
+    for t in range(T - 1, -1, -1):
+        q0 = v @ P0T + r0
+        q1 = v @ P1T + r1
+        qdiff[..., t] = q1 - q0
+        v = np.maximum(q0, q1)
+    return qdiff
+
+
+def closed_form_whittle(c, mu, lam, S, s):
+    """Closed-form stationary index of the EHRENFEST energy birth-death model (rate units)."""
+    return c / (mu * S) * (mu * s**2 - lam * (S - s) ** 2)
 
 
 def cesaro_limit(P):
