@@ -16,7 +16,10 @@ The corpus is small enough for tier-1:
   jump root of the stationary index (type 1, state 1);
 - every deterministic policy's visiting orders, and the HiGHS vertex (the
   occupancy of lp.solve_lp) of the DUMMY and MEAN_FIELD programs, on each
-  of those four instances.
+  of those four instances;
+- the objective, right-hand sides and both CSR matrices of all three
+  programs, on those four instances and on one instance that alternates
+  RANDOM S=5 and CPAP S=3 types (seed 0).
 
 A digest moves only with a change that is meant to move outputs. The
 digests depend on numpy's and scipy's arithmetic, so they are recorded with
@@ -37,6 +40,7 @@ import pytest
 import scipy
 
 from singlepull import cli, domains, lp, policies
+from singlepull.model import Instance
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CLI_SETTING = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
@@ -52,6 +56,7 @@ TABLE_CASES = {  # label -> (family, n_types, n_states, horizon, seed, policies)
     "RANDOM-N4-S10-T20": (domains.RANDOM, 4, 10, 20, 0, INDEX_POLICIES),
     "CPAP-N4-S10-T10-seed1": (domains.CPAP, 4, 10, 10, 1, ("whittle-original",)),
 }
+MIXED = "RANDOM-S5+CPAP-S3-N4-T4"
 
 
 def _sha(data: bytes) -> str:
@@ -130,6 +135,26 @@ def orders_digest(label: str, policy: str) -> str:
     return _array_digest(prepared(label, policy).orders, np.int64)
 
 
+def mixed_instance():
+    """Two RANDOM S=5 types and two CPAP S=3 types, seed 0, alternating in one instance."""
+    parts = [domains.make_instance(domains.DomainSpec(family, 2, S, seed=0),
+                                   budget=1, rho=2, horizon=4)
+             for family, S in ((domains.RANDOM, 5), (domains.CPAP, 3))]
+    return Instance(types=[m for pair in zip(*(p.types for p in parts)) for m in pair],
+                    initial=[d for pair in zip(*(p.initial for p in parts)) for d in pair],
+                    rho=2, budget=1, horizon=4)
+
+
+def matrices_digest(label: str, variant: str) -> str:
+    """Digest of one program's objective, right-hand sides and both CSR matrices."""
+    inst = mixed_instance() if label == MIXED else table_instance(label)
+    prob = lp.build_occupancy_lp(inst, variant)
+    csr = (prob.A_ub, prob.A_eq)
+    values = _array_digest([prob.objective, prob.b_ub, prob.b_eq, *(A.data for A in csr)], float)
+    ids = _array_digest([x for A in csr for x in (A.indptr, A.indices)], np.int64)
+    return _sha((values + ids).encode())
+
+
 def vertex_digest(label: str, variant: str) -> str:
     """Digest of the occupancy HiGHS returns for one program, every type's block."""
     solution = lp.solve_lp(lp.build_occupancy_lp(table_instance(label), variant))
@@ -187,6 +212,15 @@ def test_highs_vertices_match_the_corpus(recorded):
     assert vertex_digests() == recorded["vertices"]
 
 
+def matrices_digests() -> dict:
+    return {f"{label}/{variant}": matrices_digest(label, variant)
+            for label in (*TABLE_CASES, MIXED) for variant in lp.VARIANTS}
+
+
+def test_lp_matrices_match_the_corpus(recorded):
+    assert matrices_digests() == recorded["matrices"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         doc = {
@@ -199,6 +233,7 @@ if __name__ == "__main__":
             "tables": table_digests(),
             "orders": orders_digests(),
             "vertices": vertex_digests(),
+            "matrices": matrices_digests(),
         }
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
