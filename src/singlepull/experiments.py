@@ -416,13 +416,13 @@ def sweep_rho(config: ExperimentConfig, rho_list):
 
     Evaluates the configured policy at each rho (ascending), reports
     the per-arm gap (upper_bound - mean) / (rho * N) and the normalized gap
-    1 - mean / upper_bound, and fits a log-log slope of the normalized gap
-    against rho over the points whose normalized gap is positive; the
-    fitted_rho comment line under the slope names them. The bound is
-    solved at the first rho and scaled by rho / rho_0 for the others. A
-    solver or index failure saves the instance at the failing rho and
-    raises SolverStall, as in run_experiment. Raises ConfigError, before
-    anything is written, when
+    1 - mean / upper_bound (nan, an empty field, when the bound is 0), and
+    fits a log-log slope of the normalized gap against rho over the points
+    whose normalized gap is positive; the fitted_rho comment line under the
+    slope names them. The bound is solved at the first rho and scaled by
+    rho / rho_0 for the others. A solver or index failure saves the
+    instance at the failing rho and raises SolverStall, as in
+    run_experiment. Raises ConfigError, before anything is written, when
       - rho_list is not a non-empty strictly ascending list of rho >= 1;
       - the config asks for timing or a trajectory dump, which a sweep does
         not write;
@@ -460,7 +460,7 @@ def sweep_rho(config: ExperimentConfig, rho_list):
             "rho": int(rho),
             "gap": (ub - summary.mean) / n_arms,
             "ci": summary.half_width / n_arms,
-            "normalized_gap": 1.0 - summary.mean / ub,
+            "normalized_gap": 1.0 - summary.mean / ub if ub else float("nan"),
         })
     fitted = [r for r in rows if r["normalized_gap"] > 0]  # the points a log-log fit can use
     slope = fit_loglog_slope([r["rho"] for r in fitted], [r["normalized_gap"] for r in fitted])

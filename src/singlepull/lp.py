@@ -15,9 +15,9 @@ the replication factor rho as an objective weight and the activation budget
 normalized to K per class. This keeps the LP size independent of rho.
 
 Each constraint matrix is written once as a COO triple, from column
-arithmetic over (type, t, s, a) on the stacked transition tensors of the
-types that share a state count, and converted once to canonical CSR; no
-per-type sparse blocks (Kronecker products, block diagonals) are built.
+arithmetic over (type, t, s, a) on the stacked transitions of each group
+of model.by_state_count, the grouping the index passes use too, and
+converted once to canonical CSR, which does not depend on the group order.
 `simplex.solve` hands the matrices to HiGHS in one call. Every variant is
 feasible and bounded, so a solve either returns the optimum or raises
 SolverStall.
@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import simplex
-from .model import Instance, expand_initial
+from .model import Instance, by_state_count, expand_initial
 
 MEAN_FIELD = "mean_field"
 SPRMAB_LP = "sprmab_lp"
@@ -39,44 +39,26 @@ DUMMY = "dummy"
 VARIANTS = (MEAN_FIELD, SPRMAB_LP, DUMMY)
 
 
-@dataclass(frozen=True)
-class VarIndex:
-    """Bijection (type n, state s, action a, time t) <-> column index.
-
-    Times are 0-based decision epochs 0..T-1. Types may have different
-    state counts; columns are laid out type-major, then time, state, action.
-    """
-
-    n_states: tuple[int, ...]
-    horizon: int
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.n_states:
-            out.append(acc)
-            acc += s * 2 * self.horizon
-        return tuple(out)
-
-    @property
-    def n_vars(self) -> int:
-        return sum(s * 2 * self.horizon for s in self.n_states)
-
-
 @dataclass
 class LpProblem:
-    """maximize objective @ x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0."""
+    """maximize objective @ x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+
+    Columns are type-major, then epoch t = 0..horizon-1, state, action: type
+    n's block has 2 n_states[n] horizon columns, and its (s, a, t) column is
+    the block's first plus (t n_states[n] + s) 2 + a.
+    """
 
     objective: np.ndarray
     A_ub: sps.csr_matrix
     b_ub: np.ndarray
     A_eq: sps.csr_matrix
     b_eq: np.ndarray
-    var_index: VarIndex
+    n_states: tuple[int, ...]
+    horizon: int
 
     @property
     def n_vars(self) -> int:
-        return self.var_index.n_vars
+        return 2 * self.horizon * sum(self.n_states)
 
 
 @dataclass
@@ -104,20 +86,18 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
         initials = list(instance.initial)
 
     T = instance.horizon
-    vi = VarIndex(n_states=tuple(m.n_states for m in models), horizon=T)
-    sizes = np.array(vi.n_states)
-    offsets = np.array(vi.offsets)
+    n_states = tuple(m.n_states for m in models)
+    sizes = np.array(n_states)
     eq_first = T * (np.cumsum(sizes) - sizes)  # each type's first flow row, (t, s) order
-    objective = np.empty(vi.n_vars)
+    offsets = 2 * eq_first  # each type's first column
+    objective = np.empty(2 * T * sizes.sum())
     b_eq = np.zeros(T * sizes.sum())
     t = np.arange(T)
     ub, eq = ([], [], []), ([], [], [])  # (rows, cols, vals) of each matrix
     # Types that share a state count share one index arithmetic: type n's
     # column of (t, s, a) is offsets[n] + (t S + s) 2 + a.
-    for S in dict.fromkeys(vi.n_states):
-        members = np.flatnonzero(sizes == S)
-        P = np.stack([models[n].transitions for n in members])  # (type, s', a, s)
-        rewards = np.stack([models[n].rewards for n in members])
+    for ids, P, rewards in by_state_count(models):  # P[type, s', a, s]
+        members, S = np.array(ids), P.shape[1]
         col = offsets[members, None, None, None] + (t[:, None, None] * S
                                                      + np.arange(S)[:, None]) * 2 + np.arange(2)
         objective[col] = instance.rho * rewards[:, None]
@@ -133,17 +113,18 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
         _append(eq, row[..., None], col, 1.0)
         k, sp, a, s2 = np.nonzero(P)
         _append(eq, row[k, 1:, s2].T, col[k, :-1, sp, a].T, -P[k, sp, a, s2])
-        b_eq[row[:, 0]] = [initials[n] for n in members]
+        b_eq[row[:, 0]] = [initials[n] for n in ids]
     b_ub = np.full(T, float(instance.budget))
     if variant == SPRMAB_LP:
         b_ub = np.concatenate([b_ub, np.ones(len(models))])
     return LpProblem(
         objective=objective,
-        A_ub=_csr(ub, (b_ub.size, vi.n_vars)),
+        A_ub=_csr(ub, (b_ub.size, objective.size)),
         b_ub=b_ub,
-        A_eq=_csr(eq, (b_eq.size, vi.n_vars)),
+        A_eq=_csr(eq, (b_eq.size, objective.size)),
         b_eq=b_eq,
-        var_index=vi,
+        n_states=n_states,
+        horizon=T,
     )
 
 
@@ -164,10 +145,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve to a deterministic basic optimum; raises SolverStall on failure."""
     res = simplex.solve(problem.objective, problem.A_ub, problem.b_ub,
                         problem.A_eq, problem.b_eq)
-    vi = problem.var_index
-    T = vi.horizon
-    occupancy = [res.x[off:off + 2 * S * T].reshape(T, S, 2).transpose(1, 2, 0)
-                 for off, S in zip(vi.offsets, vi.n_states)]
+    T, sizes = problem.horizon, problem.n_states
+    blocks = np.split(res.x, 2 * T * np.cumsum(sizes[:-1]))
+    occupancy = [x.reshape(T, S, 2).transpose(1, 2, 0) for x, S in zip(blocks, sizes)]
     return LpSolution(res.objective, occupancy, res.iterations)
 
 

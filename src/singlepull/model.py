@@ -211,6 +211,19 @@ def stack_types(blocks) -> tuple[np.ndarray, np.ndarray]:
     return offset, np.concatenate(blocks)
 
 
+def by_state_count(models):
+    """The one grouping of arm types by state count: (ids, P, R) per state count, ascending.
+
+    ids are the positions in models of the types with that state count, in
+    type order; their transitions are stacked once as P (B, S, 2, S) and
+    their rewards as R (B, S, 2), in the order of ids.
+    """
+    for S in sorted({m.n_states for m in models}):
+        ids = [n for n, m in enumerate(models) if m.n_states == S]
+        yield (ids, np.array([models[n].transitions for n in ids]),
+               np.array([models[n].rewards for n in ids]))
+
+
 def stochastic_rows(P: np.ndarray, width: int) -> np.ndarray:
     """Probability rows of width entries from rows over S <= width states.
 

@@ -188,16 +188,12 @@ class SpiPolicy(BasePolicy):
 
     def __init__(self):
         super().__init__()
-        self.solution = None
-        self.chi = None
         self.table = None
 
     def prepare(self, instance: Instance):
         super().prepare(instance)
-        problem = lp.build_occupancy_lp(instance, lp.DUMMY)
-        self.solution = lp.solve_lp(problem)
-        self.chi = compute_chi(self.solution)
-        self.table = spi_indices(self.chi, instance.expanded)
+        solution = lp.solve_lp(lp.build_occupancy_lp(instance, lp.DUMMY))
+        self.table = spi_indices(compute_chi(solution), instance.expanded)
         self.orders = spi_orders(self.table, instance.horizon)
 
 

@@ -49,8 +49,9 @@ stacked product per action, one root search with its interpolation, one
 merge of round-off twins and one insertion of the new kinks by position,
 for all the types at once, and each table is bit for bit a pass of its
 type alone. The Q-difference table is the gap at subsidy 0, one stacked
-backward induction per state count. One helper groups the types of all
-three tables by state count and stacks their transitions and rewards once.
+backward induction per state count. All three passes read their groups
+from model.by_state_count, the grouping the occupancy LP builder uses too,
+and reassemble the tables in type order.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ArmModel
+from .model import ArmModel, by_state_count
 
 TIE_TOL = 1e-10  # value gaps below TIE_TOL times the values' scale are ties
 ROOT_TOL = 64 * np.finfo(float).eps  # finite-index gaps below ROOT_TOL times the scale are zero
@@ -142,13 +143,9 @@ def _evaluate(P: np.ndarray, R: np.ndarray, active: np.ndarray):
 
 
 def _per_state_count(models: list[ArmModel], build) -> list:
-    """build(ids, P, R) per state count on its types ids, with their transitions P (B, S, 2, S)
-    and rewards R (B, S, 2) stacked once; its results in type order."""
+    """build(ids, P, R) on each group of model.by_state_count; its results in type order."""
     out = [None] * len(models)
-    for S in sorted({m.n_states for m in models}):
-        ids = [n for n, m in enumerate(models) if m.n_states == S]
-        P = np.array([models[n].transitions for n in ids])
-        R = np.array([models[n].rewards for n in ids])
+    for ids, P, R in by_state_count(models):
         for n, result in zip(ids, build(ids, P, R)):
             out[n] = result
     return out

@@ -503,6 +503,19 @@ class TestCli:
         assert rc == cli.EXIT_OK
         assert (tmp_path / "out" / "gap_curve.csv").exists()
 
+    def test_sweep_on_a_zero_bound_leaves_the_normalized_gap_empty(self, tmp_path):
+        # with no budget MHMH's bound is 0, so 1 - mean / bound is undefined
+        setting = {"n_types": 2, "n_states": 3, "budget": 0, "rho": 1, "horizon": 3}
+        rc = cli.main(["--config", self.write_config(
+            tmp_path, domain={"family": "MHMH"}, setting=setting, policies=["spi"], episodes=4),
+            "--sweep-rho", "1,2"])
+        assert rc == cli.EXIT_OK
+        lines = (tmp_path / "out" / "gap_curve.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+        assert [row[0] for row in rows] == ["1", "2"]
+        assert all(row[3] == "" for row in rows)
+        assert "# fitted_rho=" in lines
+
     @pytest.mark.parametrize("sweep", [[], ["--sweep-rho", "1,2"]], ids=["run", "sweep"])
     def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, sweep):
         (tmp_path / "file").write_text("")

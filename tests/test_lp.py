@@ -58,17 +58,19 @@ class TestBuilder:
         assert np.array_equal(plus.b_ub[-3:], np.ones(3))
 
     def test_var_index_bijection(self, rng):
-        # the reference layout starts each type at VarIndex.offsets and
-        # covers 0..n_vars-1 exactly once
+        # the reference layout over the problem's state counts and horizon
+        # starts each type where the types before it end and covers
+        # 0..n_vars-1 exactly once
         inst = mixed_size_instance(rng)
         prob = build_occupancy_lp(inst, lp.DUMMY)
-        vi = prob.var_index
+        assert prob.n_states == tuple(m.n_states for m in inst.expanded)
+        assert prob.horizon == inst.horizon
         seen = []
-        for n, S in enumerate(vi.n_states):
-            assert col(vi.n_states, vi.horizon, n, 0, 0, 0) == vi.offsets[n]
-            seen += [col(vi.n_states, vi.horizon, n, s, a, t)
-                     for t in range(vi.horizon) for s in range(S) for a in (0, 1)]
-        assert seen == list(range(vi.n_vars)) and vi.n_vars == prob.n_vars
+        for n, S in enumerate(prob.n_states):
+            assert col(prob.n_states, prob.horizon, n, 0, 0, 0) == len(seen)
+            seen += [col(prob.n_states, prob.horizon, n, s, a, t)
+                     for t in range(prob.horizon) for s in range(S) for a in (0, 1)]
+        assert seen == list(range(prob.n_vars)) and prob.n_vars == prob.objective.size
 
     def test_matrices_are_canonical_csr(self, rng):
         instances = [mixed_size_instance(rng) for _ in range(3)]
@@ -124,12 +126,11 @@ class TestSolve:
                 assert block.min() > -1e-9
             # every constraint satisfied within 1e-7
             x = np.zeros(prob.n_vars)
-            vi = prob.var_index
-            for n, S in enumerate(vi.n_states):
-                for t in range(vi.horizon):
+            for n, S in enumerate(prob.n_states):
+                for t in range(prob.horizon):
                     for s in range(S):
                         for a in (0, 1):
-                            x[col(vi.n_states, vi.horizon, n, s, a, t)] = \
+                            x[col(prob.n_states, prob.horizon, n, s, a, t)] = \
                                 sol.occupancy[n][s, a, t]
             assert np.allclose(prob.A_eq @ x, prob.b_eq, rtol=0.0, atol=1e-7)
             assert np.all(prob.A_ub @ x <= prob.b_ub + 1e-7)

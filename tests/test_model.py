@@ -11,7 +11,7 @@ from singlepull import (
     validate_arm,
     validate_instance,
 )
-from singlepull.model import ArmTables, point_initial, stochastic_rows
+from singlepull.model import ArmTables, by_state_count, point_initial, stochastic_rows
 
 from conftest import random_arm
 
@@ -139,6 +139,25 @@ class TestExpandWithDummies:
             new_mass = dist[3:].sum()
             assert new_mass >= mass - 1e-12
             mass = new_mass
+
+
+class TestByStateCount:
+    def test_groups_ascend_with_ids_in_type_order(self, rng):
+        models = [random_arm(rng, S) for S in (4, 2, 3, 2)]
+        groups = list(by_state_count(models))
+        assert [ids for ids, _, _ in groups] == [[1, 3], [2], [0]]
+        for ids, P, R in groups:
+            S = models[ids[0]].n_states
+            assert P.shape == (len(ids), S, 2, S) and R.shape == (len(ids), S, 2)
+            assert np.array_equal(P, np.array([models[n].transitions for n in ids]))
+            assert np.array_equal(R, np.array([models[n].rewards for n in ids]))
+
+    def test_one_type_is_one_group(self, rng):
+        model = random_arm(rng, 3)
+        [(ids, P, R)] = by_state_count([model])
+        assert ids == [0]
+        assert np.array_equal(P, model.transitions[None])
+        assert np.array_equal(R, model.rewards[None])
 
 
 class TestStochasticRows:
