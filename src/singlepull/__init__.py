@@ -1,8 +1,9 @@
 """Finite-horizon single-pull restless bandits.
 
-Occupancy-measure LP relaxations solved by HiGHS dual simplex, the SPI
-index policy and baselines, a constraint-enforcing simulator, exact
-small-instance oracles, and experiment domains.
+Occupancy-measure LP relaxations solved by one direct call into the HiGHS
+dual simplex that scipy ships, the SPI index policy and baselines, a
+constraint-enforcing simulator, exact small-instance oracles, and
+experiment domains.
 """
 
 from .model import (

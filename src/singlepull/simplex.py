@@ -5,11 +5,14 @@ Solves
     maximize    c @ x
     subject to  A_ub @ x <= b_ub,  A_eq @ x = b_eq,  x >= 0
 
-with one call to scipy's HiGHS dual simplex (``linprog(method="highs-ds")``),
-which returns a basic optimum and is deterministic for a given input. The
-occupancy LPs are feasible (the all-passive flow meets every budget row)
-and bounded (each (type, t) block carries mass 1), so any other outcome is
-a solver failure and raises SolverStall.
+with one direct call into the HiGHS binding that scipy ships
+(``scipy.optimize._highspy._core``). It sets the options that
+``linprog(method="highs-ds")`` sets, so on the same input HiGHS returns the
+same basic optimum and iteration count as through that wrapper, without
+the wrapper's per-column loop over bound marginals this module never reads.
+The occupancy LPs are feasible (the all-passive flow meets every budget
+row) and bounded (each (type, t) block carries mass 1), so any other
+outcome is a solver failure and raises SolverStall.
 """
 
 from __future__ import annotations
@@ -17,6 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sps
+
+# linprog's check of a reported optimum against its rows and bounds:
+# 10 sqrt(tol) at its default tol of 1e-9.
+RESIDUAL_TOL = 10 * np.sqrt(1e-9)
 
 
 class SolverStall(RuntimeError):
@@ -31,15 +39,64 @@ class SimplexResult:
 
 
 def solve(c, A_ub, b_ub, A_eq, b_eq) -> SimplexResult:
-    """Solve max c@x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+    """Solve max c@x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+
+    A matrix and its right-hand side may both be None for no rows of that
+    kind. A non-finite entry in c, a matrix or a right-hand side raises
+    ValueError before HiGHS sees it.
+    """
     # Imported here: scipy.optimize is the slowest import in the package
     # and only runs that solve a program need it.
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
-    c = np.asarray(c, dtype=float)
-    res = linprog(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs-ds")
-    if res.status != 0:
-        raise SolverStall(f"HiGHS ended with status {res.status} ({res.message})")
-    x = np.asarray(res.x, dtype=float)
-    return SimplexResult(x, float(c @ x), int(res.nit))
+    c = np.asarray(c, dtype=float).reshape(-1)
+    A_ub, b_ub = _rows(A_ub, b_ub, c.size)
+    A_eq, b_eq = _rows(A_eq, b_eq, c.size)
+    A = sps.vstack((A_ub, A_eq), format="csc")
+    if not all(np.isfinite(v).all() for v in (c, A.data, b_ub, b_eq)):
+        raise ValueError("c, the constraint matrices and right-hand sides must be finite")
+
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = c.size
+    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
+        A.indptr, A.indices, A.data)
+    model.col_cost_ = -c
+    model.col_lower_, model.col_upper_ = np.zeros(c.size), np.full(c.size, np.inf)
+    model.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+    model.row_upper_ = np.concatenate((b_ub, b_eq))
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.solver = "simplex"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+
+    # A fresh object per call: a reused one warm-starts from its last basis,
+    # which can end at another optimal vertex.
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(model)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverStall(f"HiGHS ended with model status {status.name} "
+                          f"({solver.modelStatusToString(status)})")
+    x = np.array(solver.getSolution().col_value)
+    row = A @ x
+    residual = max(np.max(-x, initial=0.0), np.max(row[:b_ub.size] - b_ub, initial=0.0),
+                   np.max(np.abs(row[b_ub.size:] - b_eq), initial=0.0))
+    if residual > RESIDUAL_TOL:
+        raise SolverStall(f"HiGHS's optimum misses its constraints by {residual:.2e}")
+    return SimplexResult(x, float(c @ x), int(solver.getInfo().simplex_iteration_count))
+
+
+def _rows(A, b, n_cols):
+    """One kind of constraint rows as (CSR matrix, right-hand side); None means none."""
+    A = sps.csr_array((0, n_cols)) if A is None else sps.csr_array(A, dtype=float)
+    b = np.asarray([] if b is None else b, dtype=float).reshape(-1)
+    if A.shape != (b.size, n_cols):
+        raise ValueError(f"a {A.shape} constraint matrix does not fit {b.size} "
+                         f"right-hand sides and {n_cols} columns")
+    return A, b

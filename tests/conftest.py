@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from singlepull import ArmModel, Instance
+from singlepull import ArmModel, Instance, domains
 from singlepull.model import point_initial
 from singlepull.policies import BasePolicy
 
@@ -29,6 +29,29 @@ def random_tiny_instance(rng, max_arms=4, max_states=3, max_horizon=4):
     types = tuple(random_arm(rng, S, label=f"t{i}") for i in range(n_types))
     initial = tuple(point_initial(S, int(rng.integers(0, S))) for _ in range(n_types))
     return Instance(types=types, rho=rho, budget=budget, horizon=T, initial=initial)
+
+
+def mixed_instance():
+    """Two RANDOM S=5 types and two CPAP S=3 types, seed 0, alternating in one instance."""
+    parts = [domains.make_instance(domains.DomainSpec(family, 2, S, seed=0),
+                                   budget=1, rho=2, horizon=4)
+             for family, S in ((domains.RANDOM, 5), (domains.CPAP, 3))]
+    return Instance(types=[m for pair in zip(*(p.types for p in parts)) for m in pair],
+                    initial=[d for pair in zip(*(p.initial for p in parts)) for d in pair],
+                    rho=2, budget=1, horizon=4)
+
+
+def stall_highs(monkeypatch, status_name):
+    """Make every later HiGHS solve end with the model status of that name."""
+    from scipy.optimize._highspy import _core
+
+    status = getattr(_core.HighsModelStatus, status_name)
+
+    class Stalled(_core._Highs):
+        def getModelStatus(self):
+            return status
+
+    monkeypatch.setattr(_core, "_Highs", Stalled)
 
 
 def planned_select(orders, tables, counts, t, budget):

@@ -4,7 +4,6 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
-import scipy.optimize
 
 from singlepull import cli
 from singlepull.experiments import (
@@ -26,7 +25,7 @@ from singlepull import evaluate, experiments, lp, model, oracle, policies
 from singlepull.domains import FAMILIES, make_instance
 from singlepull.policies import POLICY_NAMES, BasePolicy, make_policy
 
-from conftest import trajectory_records
+from conftest import stall_highs, trajectory_records
 
 
 def small_config(tmp_path, **overrides):
@@ -668,10 +667,7 @@ class TestCli:
         assert rc == cli.EXIT_AUDIT
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch):
-        def numerical_difficulties(c, **kwargs):
-            return scipy.optimize.OptimizeResult(status=4, nit=0, x=None, message="injected")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", numerical_difficulties)
+        stall_highs(monkeypatch, "kSolveError")
         rc = cli.main(["--config", self.write_config(tmp_path), "--episodes", "2"])
         assert rc == cli.EXIT_SOLVER
         assert (tmp_path / "out" / "failed_instance_0.json").exists()
@@ -702,10 +698,7 @@ class TestCli:
         assert not (tmp_path / "out" / "timing.csv").exists()
 
     def test_sweep_bound_failure_saves_its_instance_and_exits_3(self, tmp_path, monkeypatch):
-        def numerical_difficulties(c, **kwargs):
-            return scipy.optimize.OptimizeResult(status=4, nit=0, x=None, message="injected")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", numerical_difficulties)
+        stall_highs(monkeypatch, "kSolveError")
         path = self.write_config(tmp_path, policies=["spi"], instance_seeds=[3])
         rc = cli.main(["--config", path, "--episodes", "2", "--sweep-rho", "1,2"])
         assert rc == cli.EXIT_SOLVER

@@ -40,7 +40,8 @@ import pytest
 import scipy
 
 from singlepull import cli, domains, lp, policies
-from singlepull.model import Instance
+
+from conftest import mixed_instance
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CLI_SETTING = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
@@ -133,16 +134,6 @@ def table_digest(label: str, policy: str) -> str:
 def orders_digest(label: str, policy: str) -> str:
     """Digest of one deterministic policy's orders, every epoch's length and ids."""
     return _array_digest(prepared(label, policy).orders, np.int64)
-
-
-def mixed_instance():
-    """Two RANDOM S=5 types and two CPAP S=3 types, seed 0, alternating in one instance."""
-    parts = [domains.make_instance(domains.DomainSpec(family, 2, S, seed=0),
-                                   budget=1, rho=2, horizon=4)
-             for family, S in ((domains.RANDOM, 5), (domains.CPAP, 3))]
-    return Instance(types=[m for pair in zip(*(p.types for p in parts)) for m in pair],
-                    initial=[d for pair in zip(*(p.initial for p in parts)) for d in pair],
-                    rho=2, budget=1, horizon=4)
 
 
 def matrices_digest(label: str, variant: str) -> str:

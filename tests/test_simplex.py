@@ -3,7 +3,9 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sps
 
-from singlepull import simplex
+from singlepull import domains, lp, simplex
+
+from conftest import mixed_instance, stall_highs
 
 
 def solve_dense(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -19,7 +21,7 @@ class TestBasics:
 
     def test_infeasible(self):
         # x <= -1 with x >= 0
-        with pytest.raises(simplex.SolverStall, match="status 2"):
+        with pytest.raises(simplex.SolverStall, match=r"model status kInfeasible \(Infeasible\)"):
             solve_dense([1], [[1]], [-1])
 
     def test_unbounded(self):
@@ -102,15 +104,79 @@ class TestAgainstScipy:
         assert res.objective == pytest.approx(n, abs=1e-8)
 
 
-# scipy.optimize.linprog's non-optimal statuses: iteration limit, infeasible,
-# unbounded, numerical difficulties.
-@pytest.mark.parametrize("status", [1, 2, 3, 4])
-def test_non_optimal_status_raises_solver_stall(monkeypatch, status):
-    def fake_linprog(c, **kw):
-        return scipy.optimize.OptimizeResult(status=status, nit=1, x=None,
-                                             message=f"injected message {status}")
+class TestMatchesLinprog:
+    """The direct HiGHS call against linprog(method="highs-ds") on the same matrices.
 
-    monkeypatch.setattr(scipy.optimize, "linprog", fake_linprog)
-    with pytest.raises(simplex.SolverStall,
-                       match=rf"status {status} \(injected message {status}\)"):
+    Same input and same options: the same vertex to the byte, the same
+    objective and the same iteration count, on every occupancy program.
+    """
+
+    @staticmethod
+    def instances():
+        for family in domains.FAMILIES:
+            for seed in (0, 1):
+                yield domains.make_instance(domains.DomainSpec(family, 2, 3, seed=seed),
+                                            budget=1, rho=2, horizon=4)
+        yield mixed_instance()
+
+    @pytest.mark.parametrize("variant", lp.VARIANTS)
+    def test_occupancy_programs_are_bit_identical(self, variant):
+        for inst in self.instances():
+            prob = lp.build_occupancy_lp(inst, variant)
+            mine = simplex.solve(prob.objective, prob.A_ub, prob.b_ub, prob.A_eq, prob.b_eq)
+            ref = scipy.optimize.linprog(-prob.objective, A_ub=prob.A_ub, b_ub=prob.b_ub,
+                                         A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(0, None),
+                                         method="highs-ds")
+            assert ref.status == 0
+            x = np.asarray(ref.x, dtype=float)
+            assert mine.x.tobytes() == x.tobytes()
+            assert mine.objective == float(prob.objective @ x)
+            assert mine.iterations == ref.nit
+
+    def test_solves_without_linprog(self, monkeypatch):
+        def no_linprog(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_linprog)
+        res = solve_dense([1, 1], [[1, 0], [0, 1]], [1, 1])
+        assert np.array_equal(res.x, [1.0, 1.0])
+
+
+def test_non_finite_input_raises_value_error():
+    parts = {"c": [1.0, 1.0], "A_ub": [[1.0, 0.0]], "b_ub": [1.0],
+             "A_eq": [[0.0, 1.0]], "b_eq": [1.0]}
+    for entry in parts:
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.array(parts[entry])
+            bad.flat[-1] = value
+            with pytest.raises(ValueError, match="finite"):
+                solve_dense(**{**parts, entry: bad})
+
+
+# HiGHS model statuses that end a solve without an optimum, with their
+# descriptions: iteration limit, infeasible, unbounded, solver error.
+STALLS = {"kIterationLimit": "Iteration limit reached", "kInfeasible": "Infeasible",
+          "kUnbounded": "Unbounded", "kSolveError": "Solve error"}
+
+
+@pytest.mark.parametrize("status", STALLS)
+def test_non_optimal_status_raises_solver_stall(monkeypatch, status):
+    stall_highs(monkeypatch, status)
+    with pytest.raises(simplex.SolverStall, match=rf"model status {status} \({STALLS[status]}\)"):
         solve_dense([1.0], [[1.0]], [1.0])
+
+
+def test_an_optimum_off_its_rows_raises_solver_stall(monkeypatch):
+    # linprog rejects a reported optimum that misses a row by more than
+    # 10 sqrt(1e-9); so does solve
+    from scipy.optimize._highspy import _core
+
+    class OffRows(_core._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            solution.col_value = [v + 1e-3 for v in solution.col_value]
+            return solution
+
+    monkeypatch.setattr(_core, "_Highs", OffRows)
+    with pytest.raises(simplex.SolverStall, match="misses its constraints by 1.00e-03"):
+        solve_dense([1, 1], [[1, 0], [0, 1]], [1, 1])
