@@ -5,8 +5,9 @@ CPAP        -- adherence birth-death chains: passive steps decay one level
                per-type probability; the reward is the adherence level.
 MHMH        -- mobile-health engagement chains with greedy and reliable
                beneficiary types; rewards are collected on pull only.
-EHRENFEST   -- discretized birth-death energy model; its stationary
-               subsidy index has a closed-form bulk approximation.
+EHRENFEST   -- discretized birth-death energy model on levels 0..S: n_states=S
+               gives S + 1 states, though reports print S. A draw with
+               dt*max(mu, lam)*S >= 1 is rejected: never at dt=0.01, S <= 10.
 RANDOM      -- fully random kernels (flat Dirichlet rows) with
                active-collected rewards.
 
@@ -35,6 +36,9 @@ FAMILIES = (CPAP, MHMH, EHRENFEST, RANDOM)
 
 @dataclass
 class DomainSpec:
+    """A family's generator input. EHRENFEST's n_states=S gives S + 1 states, levels 0..S;
+    a draw with dt*max(mu, lam)*S >= 1 is rejected, never at the default dt=0.01 if S <= 10."""
+
     family: str
     n_types: int
     n_states: int

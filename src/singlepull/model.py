@@ -291,10 +291,6 @@ class ArmTables:
             start=np.stack([stochastic_rows(d, width) for d in initial]),
         )
 
-    def ids(self, type_of: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Global state id of every arm."""
-        return self.offset[type_of] + states
-
 
 def point_initial(n_states: int, s: int) -> np.ndarray:
     d = np.zeros(n_states)

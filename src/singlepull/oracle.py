@@ -3,15 +3,12 @@
 Both routines run one backward induction over the joint product space of
 the dummy-expanded arms, so pulled-ness is part of the state and the
 single-pull rule is structural. Each epoch t, from the last to the first,
-forms for every joint state x and every 0/1 action vector a within the
-step budget Q_a(x) = r_a(x) + E[V_{t+1} | x, a]; a combine step then folds
-the Q_a into V_t. The optimum keeps max_a Q_a. A policy's value keeps
-sum_a w_t(x, a) Q_a, where w_t(x, a) is the probability that its
-select(states_row, t) gives a on x. select is called on every joint state,
-reachable or not, epoch by epoch in reverse time order, so it must depend
-on (states_row, t) alone. Both read the instance's expanded types, which
-construction checked and expanded once. Sizes are hard-capped: these are
-desk-scale certification tools, not solvers.
+forms Q_a(x) = r_a(x) + E[V_{t+1} | x, a] for every joint state x and
+every 0/1 action vector a within the step budget, and a combine step folds
+the Q_a into V_t: the optimum keeps max_a Q_a, and a policy's value
+sum_a w_t(x, a) Q_a, where w_t(x, a) is the probability that its select,
+called once per epoch on every joint state, reachable or not, gives a on
+x. Sizes are hard-capped: desk-scale certification tools, not solvers.
 """
 
 from __future__ import annotations
@@ -32,14 +29,20 @@ class CapExceeded(ValueError):
     """Instance is too large for exact joint-state enumeration."""
 
 
+def _action_vectors(n_arms: int, cap: int) -> np.ndarray:
+    """The 0/1 vectors over n_arms with at most cap ones, by count, then in combinations order."""
+    return np.array([np.isin(range(n_arms), c) for k in range(min(cap, n_arms) + 1)
+                     for c in itertools.combinations(range(n_arms), k)], dtype=np.int64)
+
+
 def _induction(instance: Instance, combine) -> float:
     """E[V_0(x_0)] of the joint backward induction that combine closes.
 
     Arms run type by type, rho arms of each type. V_T = 0, and
-    V_t = combine(t, Q, actions, states): actions lists the action vectors
-    within the step budget as tuples, states holds each joint state's
-    per-arm expanded states, one row per state in C order, and Q[k, j] is
-    Q_a(x) for a = actions[k] and x = states[j].
+    V_t = combine(t, Q, actions, states): actions holds the 0/1 action
+    vectors within the step budget, one row each, states holds each joint
+    state's per-arm expanded states, one row per state in C order, and
+    Q[k, j] is Q_a(x) for a = actions[k] and x = states[j].
     """
     arms = [m for m in instance.expanded for _ in range(instance.rho)]
     max_s = max(m.n_states for m in instance.types)
@@ -51,13 +54,10 @@ def _induction(instance: Instance, combine) -> float:
         )
     dims = tuple(m.n_states for m in arms)
     states = np.indices(dims).reshape(len(dims), -1).T
-    actions = [tuple(int(i in pulled) for i in range(len(arms)))
-               for k in range(min(instance.step_budget, len(arms)) + 1)
-               for pulled in itertools.combinations(range(len(arms)), k)]
-    pulls = np.array(actions)
+    actions = _action_vectors(len(arms), instance.step_budget)
     rewards = np.zeros((len(actions), len(states)))
     for i, m in enumerate(arms):
-        rewards += m.rewards[states[:, i], pulls[:, [i]]]
+        rewards += m.rewards[states[:, i], actions[:, [i]]]
 
     V = np.zeros(dims)
     for t in reversed(range(instance.horizon)):
@@ -89,44 +89,40 @@ def exact_optimum(instance: Instance) -> float:
 
 
 def policy_select_adapter(instance: Instance, policy):
-    """Wrap a policy prepared on instance as select(states_row, t).
+    """Wrap a deterministic policy prepared on instance as select(states, t).
 
-    The oracle's joint states are the dummy-expanded states every policy
-    reads pulled-ness from; the policy selects once on their counts over
-    instance.tables, and its pulls are lifted to the lowest-id arms of each
-    group, as a recorded episode lifts them.
+    The policy selects once on the (J, G) stack of the joint states' counts
+    over instance.tables; one lift of the flattened stack, row j's group ids
+    offset by j * G, gives each group's pulls to its lowest-id arms.
     """
-    arm_type = np.repeat(np.arange(instance.n_types), instance.rho)
-    cap = instance.step_budget
-    tables = instance.tables
-    rng = np.random.default_rng(0)  # deterministic policies never draw
+    n_groups = len(instance.tables.dummy)
+    offset = np.repeat(instance.tables.offset, instance.rho)
 
-    def select(states_row, t):
-        ids = tables.ids(arm_type, states_row)
-        counts = np.bincount(ids, minlength=len(tables.dummy))
-        return lift(policy.select(counts, t, cap, rng), ids)
+    def select(states, t):
+        ids = offset + states + n_groups * np.arange(len(states))[:, None]
+        counts = np.bincount(ids.reshape(-1), minlength=len(states) * n_groups)
+        pulls = policy.select(counts.reshape(-1, n_groups), t, instance.step_budget, None)
+        return lift(pulls.reshape(-1), ids.reshape(-1)).reshape(states.shape)
 
     return select
 
 
 def uniform_random_select(instance: Instance):
-    """Exact action distribution of the uniform random policy.
+    """Exact action law of the uniform random policy, as select(states, t).
 
-    An arm is free while its expanded state is below its type's S, that is
-    in the normal half.
+    An arm is free while its expanded state is below its type's S. Each
+    subset of min(cap, free arms) free arms is alike; the law lists every
+    subset of at most cap arms once, with its probability on each row.
     """
     cap = instance.step_budget
     n_states = np.repeat([m.n_states for m in instance.types], instance.rho)
+    subsets = _action_vectors(len(n_states), cap)
+    sizes = subsets.sum(axis=1)
 
-    def select(states_row, t):
-        free = np.flatnonzero(states_row < n_states)
-        subsets = list(itertools.combinations(free, min(cap, free.size)))  # [()]: pull none
-        out = []
-        for subset in subsets:
-            a = np.zeros(len(states_row), dtype=np.int64)
-            a[list(subset)] = 1
-            out.append((1.0 / len(subsets), a))
-        return out
+    def select(states, t):
+        free = states < n_states
+        fits = (free @ subsets.T == sizes) & (sizes == np.minimum(cap, free.sum(axis=1))[:, None])
+        return list(zip((fits / fits.sum(axis=1, keepdims=True)).T, subsets))
 
     return select
 
@@ -134,26 +130,28 @@ def uniform_random_select(instance: Instance):
 def exact_policy_value(instance: Instance, select) -> float:
     """Exact expected total reward of a selection rule, no sampling.
 
-    The induction keeps sum_a w_t(x, a) Q_a. select(states_row, t) returns
-    an action vector, or a list of (probability, action vector) pairs for
-    stochastic rules; states_row holds each arm's expanded state, s + S_n
-    once the arm is pulled. An action that is not a 0/1 vector over the
-    arms with at most step_budget ones raises ValueError naming t.
+    The induction keeps sum_a w_t(x, a) Q_a. select(states, t) gets the
+    (J, n_arms) stack of all joint states, each arm's expanded state (s +
+    S_n once pulled), and returns their actions or, if stochastic, pairs of
+    (probabilities per row, one action or a stack). Raises ValueError
+    naming t on an action not 0/1 with at most step_budget ones, and on
+    probabilities that are negative or do not sum to 1 within 1e-12.
     """
     def combine(t, Q, actions, states):
-        row = {a: k for k, a in enumerate(actions)}
+        bits = 1 << np.arange(states.shape[1])
+        index = np.full(2 * bits[-1], -1)
+        index[actions @ bits] = np.arange(len(actions))
+        chosen = select(states, t)
         weights = np.zeros_like(Q)
-        for j, x in enumerate(states):
-            chosen = select(x, t)
-            if isinstance(chosen, np.ndarray):
-                chosen = [(1.0, chosen)]
-            for p, a in chosen:
-                k = row.get(tuple(np.asarray(a).tolist()))
-                if k is None:
-                    raise ValueError(f"select gave {a} at t={t} on state {x}; an action is "
-                                     f"a 0/1 vector over the {len(x)} arms with at most "
-                                     f"{instance.step_budget} ones")
-                weights[k, j] += p
+        for p, a in [(1.0, chosen)] if isinstance(chosen, np.ndarray) else chosen:
+            a = np.broadcast_to(a, states.shape)
+            k = np.where(((a == 0) | (a == 1)).all(axis=1), index[(a == 1) @ bits], -1)
+            if (k < 0).any():
+                raise ValueError(f"select gave {a[k < 0][0]} at t={t}: not 0/1 within budget")
+            weights[k, np.arange(len(states))] += p
+        off = (weights < 0).any(axis=0) | (np.abs(weights.sum(axis=0) - 1.0) > 1e-12)
+        if off.any():
+            raise ValueError(f"select's law at t={t} on {states[off][0]}: not >= 0 summing to 1")
         return (weights * Q).sum(axis=0)
 
     return _induction(instance, combine)

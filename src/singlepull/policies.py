@@ -80,13 +80,14 @@ def _by_key(groups: np.ndarray, key: np.ndarray) -> np.ndarray:
 def budget_fill(counts: np.ndarray, order: np.ndarray, budget: int) -> np.ndarray:
     """Pulls per group when the groups in order each give arms until budget runs out.
 
-    The first i groups of order give min(their arms, budget) in all, so
-    group i gives the difference of two such running totals; budget >= 0.
+    counts is one vector or a (J, G) stack, each row filled on its own. The
+    first i groups of order give min(their arms, budget) in all, so group i
+    gives the difference of two such running totals; budget >= 0.
     """
-    given = np.minimum(np.add.accumulate(counts[order]), budget)
+    given = np.minimum(np.add.accumulate(counts.T[order]), budget)  # groups first: no 1-D cost
     given[1:] -= given[:-1]  # ufuncs buffer overlapping operands: this reads the old values
     pulls = np.zeros(counts.shape, counts.dtype)
-    pulls[order] = given
+    pulls.T[order] = given
     return pulls
 
 
@@ -178,6 +179,7 @@ class BasePolicy:
         self.instance = instance
 
     def select(self, counts, t, budget, rng) -> np.ndarray:
+        """Pulls per group of one count vector or a (J, G) stack; random takes one vector."""
         pulls = budget_fill(counts, self.orders[t], budget)
         pulls *= self.instance.tables.normal
         return pulls

@@ -9,7 +9,6 @@ from singlepull.domains import (
     MHMH_START,
     ehrenfest_arm,
     make_cpap,
-    make_ehrenfest,
     make_mhmh,
     make_random,
 )
@@ -116,6 +115,28 @@ class TestEhrenfest:
     def test_rejects_invalid_discretization(self):
         with pytest.raises(ValueError):
             ehrenfest_arm(c=1.0, mu=20.0, lam=1.0, S=10, dt=0.01)
+
+    def test_n_states_s_gives_levels_0_to_s(self):
+        # a spec's n_states is the top level S, so each arm has S + 1 states
+        for m in make_models(DomainSpec(domains.EHRENFEST, 3, 4, seed=0)):
+            assert m.n_states == 5
+            assert m.transitions.shape == (5, 2, 5) and m.rewards.shape == (5, 2)
+
+    def test_default_dt_rejects_no_draw_up_to_s_10(self):
+        # a draw is rejected when dt*max(mu, lam)*S >= 1; with mu, lam < 10
+        # and dt = 0.01 that needs S > 10
+        assert ehrenfest_arm(c=1.0, mu=9.99, lam=9.99, S=10, dt=0.01).n_states == 11
+        with pytest.raises(ValueError, match="invalid discretization"):
+            ehrenfest_arm(c=1.0, mu=9.1, lam=0.0, S=11, dt=0.01)
+        for seed in range(20):
+            make_models(DomainSpec(domains.EHRENFEST, 10, 10, seed=seed))
+        rejected = 0
+        for seed in range(20):
+            try:
+                make_models(DomainSpec(domains.EHRENFEST, 10, 12, seed=seed))
+            except ValueError:
+                rejected += 1
+        assert rejected == 18
 
     def test_ranking_matches_closed_form(self):
         # The closed form is a bulk approximation of the true average-reward

@@ -9,7 +9,6 @@ from singlepull import cli
 from singlepull.experiments import (
     CONFIG_SCHEMA,
     ConfigError,
-    ExperimentConfig,
     fit_loglog_slope,
     parse_config,
     read_config,

@@ -3,7 +3,6 @@ import pytest
 import scipy.optimize
 
 from singlepull import (
-    ArmModel,
     Instance,
     build_occupancy_lp,
     exact_optimum,

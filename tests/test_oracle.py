@@ -11,9 +11,13 @@ from singlepull import (
     make_policy,
     upper_bound,
 )
+from singlepull.domains import CPAP, EHRENFEST, FAMILIES, DomainSpec, make_instance
 from singlepull.model import point_initial
 from singlepull.oracle import policy_select_adapter, uniform_random_select
+from singlepull.policies import POLICY_NAMES
+from singlepull.simulator import lift
 
+import oracle_reference as ref
 from conftest import random_arm, random_tiny_instance
 
 
@@ -25,6 +29,35 @@ def drift_instance(rho=1, budget=1, horizon=2):
     m = ArmModel(n_states=2, transitions=P, rewards=r)
     return Instance(types=(m,), rho=rho, budget=budget, horizon=horizon,
                     initial=(point_initial(2, 0),))
+
+
+def family_instance(family, n_types, rho, budget=1, seed=0):
+    """An oracle-sized instance of family at T=4: S=3, or S=2 (three levels) for EHRENFEST."""
+    S = 2 if family == EHRENFEST else 3
+    return make_instance(DomainSpec(family, n_types, S, seed=seed),
+                         budget=budget, rho=rho, horizon=4)
+
+
+def prepared_rule(inst, name):
+    """The exact oracle's rule for policy name prepared on inst, and the policy."""
+    pol = make_policy(name)
+    pol.prepare(inst)
+    select = (uniform_random_select(inst) if name == "random"
+              else policy_select_adapter(inst, pol))
+    return select, pol
+
+
+@pytest.fixture(scope="module")
+def dominance_cases():
+    """Per family, (instance, exact optimum, LP bound) at N=2 with rho 1 and 2
+    and N=4 with rho 1, each at K 1 and 2, seeds 0 and 1."""
+    cases = {}
+    for family in FAMILIES:
+        instances = [family_instance(family, n, rho, budget, seed)
+                     for n, rho in ((2, 1), (2, 2), (4, 1)) for budget in (1, 2)
+                     for seed in (0, 1)]
+        cases[family] = [(inst, exact_optimum(inst), upper_bound(inst)) for inst in instances]
+    return cases
 
 
 class TestExactOptimum:
@@ -86,12 +119,13 @@ class TestExactPolicyValue:
 
         def pull_first(which):
             def sel(states, t):
-                a = np.zeros(2, dtype=int)
+                a = np.zeros_like(states)
                 order = [which, 1 - which]
-                for i in order:
-                    if states[i] < m.n_states:  # not pulled: still in the normal half
-                        a[i] = 1
-                        break
+                for row, x in zip(a, states):
+                    for i in order:
+                        if x[i] < m.n_states:  # not pulled: still in the normal half
+                            row[i] = 1
+                            break
                 return a
             return sel
 
@@ -111,6 +145,56 @@ class TestExactPolicyValue:
         with pytest.raises(ValueError, match="t=0"):
             exact_policy_value(inst, lambda s, t: np.ones(2, dtype=int))
 
+    def test_probabilities_that_sum_short_of_one_are_rejected(self):
+        # half a pull at t=1 and nothing else would read 1.25, where that pull is worth 5
+        with pytest.raises(ValueError, match="t=1"):
+            exact_policy_value(drift_instance(), lambda s, t: [(0.5, np.array([int(t == 1)]))])
+
+    def test_negative_probabilities_are_rejected(self):
+        # -1 on the pull and 2 on the pass sum to 1, and would read -5
+        def rule(states, t):
+            return [(-1.0, np.array([int(t == 1)])), (2.0, np.array([0]))]
+        with pytest.raises(ValueError, match="t=1"):
+            exact_policy_value(drift_instance(), rule)
+
+    def test_select_is_called_once_per_epoch(self):
+        inst = family_instance(CPAP, 2, 2)  # 4 arms of 6 expanded states
+        select, _ = prepared_rule(inst, "spi")
+        calls = []
+
+        def counted(states, t):
+            calls.append((t, states.shape))
+            return select(states, t)
+        exact_policy_value(inst, counted)
+        assert calls == [(t, (6 ** 4, 4)) for t in reversed(range(inst.horizon))]
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_stacked_rule_equals_the_per_state_reference(self, name):
+        # the per-state loop the oracle ran before select took stacks, on one-row stacks
+        for family in FAMILIES:
+            inst = family_instance(family, 2, 1)
+            select, _ = prepared_rule(inst, name)
+            assert exact_policy_value(inst, select) == ref.exact_policy_value(inst, select)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_adapter_lifts_each_row_as_simulator_lift_does(self, family):
+        inst = family_instance(family, 2, 2, budget=2)
+        tables = inst.tables
+        type_of = np.repeat(np.arange(inst.n_types), inst.rho)
+        dims = [m.n_states for m in inst.expanded for _ in range(inst.rho)]
+        joint = np.indices(dims).reshape(len(dims), -1).T
+        states = joint[np.random.default_rng(3).choice(len(joint), 200, replace=False)]
+        for name in (n for n in POLICY_NAMES if n != "random"):
+            select, pol = prepared_rule(inst, name)
+            for t in range(inst.horizon):
+                got = select(states, t)
+                assert got.shape == states.shape
+                for x, actions in zip(states, got):
+                    ids = tables.offset[type_of] + x
+                    counts = np.bincount(ids, minlength=len(tables.dummy))
+                    want = lift(pol.select(counts, t, inst.step_budget, None), ids)
+                    assert np.array_equal(actions, want), (name, t, x)
+
     def test_random_exact_vs_monte_carlo(self, rng):
         inst = random_tiny_instance(rng)
         exact = exact_policy_value(inst, uniform_random_select(inst))
@@ -127,13 +211,13 @@ class TestExactPolicyValue:
         summary = evaluate(inst, pol, 4000, base_seed=0, prepared=True)
         assert abs(summary.mean - exact) <= 3 * max(summary.half_width, 1e-9)
 
-    def test_spi_never_beats_exact_optimum(self, rng):
-        for _ in range(8):
-            inst = random_tiny_instance(rng)
-            pol = make_policy("spi")
-            pol.prepare(inst)
-            val = exact_policy_value(inst, policy_select_adapter(inst, pol))
-            assert val <= exact_optimum(inst) + 1e-9
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_policy_never_beats_exact_optimum(self, name, family, dominance_cases):
+        for inst, optimum, bound in dominance_cases[family]:
+            value = exact_policy_value(inst, prepared_rule(inst, name)[0])
+            assert value <= optimum + 1e-9
+            assert optimum <= bound + 1e-9
 
     def test_mask_space_policy_through_adapter(self, rng):
         assert_monte_carlo_matches_exact(random_tiny_instance(rng), "whittle-original")
@@ -155,16 +239,13 @@ class TestExactPolicyValue:
         pol = make_policy("whittle-finite")
         pol.prepare(inst)
         select = policy_select_adapter(inst, pol)
-        assert select(np.array([1, 0, 0, 0]), 0).tolist() == [1, 1, 0, 0]
-        assert select(np.array([0, 2, 0, 0]), 0).tolist() == [1, 0, 1, 0]
+        assert select(np.array([[1, 0, 0, 0]]), 0).tolist() == [[1, 1, 0, 0]]
+        assert select(np.array([[0, 2, 0, 0]]), 0).tolist() == [[1, 0, 1, 0]]
 
 
 def assert_monte_carlo_matches_exact(inst, name):
     """The simulated mean lies within 3 half-widths of the policy's exact value."""
-    pol = make_policy(name)
-    pol.prepare(inst)
-    select = (uniform_random_select(inst) if name == "random"
-              else policy_select_adapter(inst, pol))
+    select, pol = prepared_rule(inst, name)
     val = exact_policy_value(inst, select)
     summary = evaluate(inst, pol, 3000, base_seed=0, prepared=True)
     assert abs(summary.mean - val) <= 3 * max(summary.half_width, 1e-9)

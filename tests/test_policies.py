@@ -20,7 +20,7 @@ from singlepull import (
 from singlepull import lp
 from singlepull.domains import CPAP, FAMILIES, RANDOM, DomainSpec, make_instance
 from singlepull.model import ArmTables, point_initial, stack_types
-from singlepull.policies import POLICY_NAMES
+from singlepull.policies import POLICY_NAMES, budget_fill
 from singlepull.simulator import lift
 from singlepull.whittle import IndexTable
 
@@ -235,6 +235,20 @@ class TestPlannedOrders:
                         want = ref.select(pol, counts, t, budget)
                         assert np.array_equal(got, want), (inst.types[0].label, t, budget)
 
+    @pytest.mark.parametrize("name", DETERMINISTIC)
+    def test_a_stack_selects_each_row_as_one_vector(self, name, instances):
+        rng = np.random.default_rng(6)
+        for inst in instances:
+            pol = make_policy(name)
+            pol.prepare(inst)
+            stack = rng.integers(0, inst.rho + 1, size=(40, len(inst.tables.dummy)))
+            totals = stack.sum(axis=1)
+            for t in range(inst.horizon):
+                for budget in (0, int(totals.min()) // 2, int(totals.max()) + 1):
+                    got = pol.select(stack, t, budget, None)
+                    want = np.stack([pol.select(row, t, budget, None) for row in stack])
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", ["whittle-finite", "qdiff"])
     def test_the_cpap_instance_ties_within_a_type(self, name, instances):
         # keeps the tie-break above exercised: equal indices on different
@@ -257,6 +271,22 @@ class TestPlannedOrders:
         pol.prepare(instances[0])
         assert len(pol.orders) == instances[0].horizon
         assert all(order is pol.orders[0] for order in pol.orders)
+
+
+class TestBudgetFill:
+    def test_a_stack_fills_each_row_as_one_vector(self):
+        # budgets 0, 1 and 4, below every row's arms, and above every row's arms
+        rng = np.random.default_rng(9)
+        stack = rng.integers(0, 5, size=(60, 12))
+        assert stack.sum(axis=1).min() > 4
+        for order in (np.arange(12), rng.permutation(12), rng.permutation(12)[:7],
+                      np.arange(0)):
+            for budget in (0, 1, 4, int(stack.sum(axis=1).max()) + 1):
+                got = budget_fill(stack, order, budget)
+                want = np.stack([budget_fill(row, order, budget) for row in stack])
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert np.array_equal(want, np.stack([ref.budget_fill(row, order, budget)
+                                                      for row in stack]))
 
 
 class TestRandomSelect:
@@ -296,7 +326,7 @@ class TestSelectorInvariants:
             local = np.random.default_rng(7)
             pulled = np.array([True, False, False, True, False, False])
             states = np.where(pulled, 3, 0) + np.array([1, 2, 1, 2, 0, 1])
-            counts = np.bincount(inst.tables.ids(np.repeat([0, 1], 3), states), minlength=12)
+            counts = np.bincount(inst.tables.offset[np.repeat([0, 1], 3)] + states, minlength=12)
             for budget in (0, 1, 3, 10):
                 pulls = pol.select(counts, 0, budget, local)
                 assert pulls.sum() <= budget

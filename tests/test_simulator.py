@@ -57,7 +57,7 @@ def tables_of(types):
 
 
 def counts_of(tables, type_of, states):
-    return np.bincount(tables.ids(np.asarray(type_of), np.asarray(states)),
+    return np.bincount(tables.offset[np.asarray(type_of)] + np.asarray(states),
                        minlength=len(tables.dummy))
 
 
@@ -357,7 +357,7 @@ class TestRunEpisode:
                 type_of = arms // inst.rho
                 for t, counts in enumerate(stepped):
                     at = records[:, 0] == t
-                    ids = inst.tables.ids(type_of[at], records[at, 2].astype(int))
+                    ids = inst.tables.offset[type_of[at]] + records[at, 2].astype(int)
                     assert np.array_equal(np.bincount(ids, minlength=len(counts)), counts)
                     assert records[at, 3].sum() == plain.per_step_pulls[t]
                 assert records[:, 4].sum() == pytest.approx(plain.total_reward, rel=1e-12)
@@ -513,7 +513,7 @@ class TestAgainstLoopReference:
             tables = tables_of(types)
             models = [expand_with_dummies(m) for m in types]
             type_of, states = shuffled_population(rng, models, 40)
-            pulled = tables.dummy[tables.ids(type_of, states)]
+            pulled = tables.dummy[tables.offset[type_of] + states]
             actions = ((rng.random(40) < 0.5) & ~pulled).astype(np.int64)
             counts = counts_of(tables, type_of, states)
             pulls = counts_of(tables, type_of[actions == 1], states[actions == 1])
@@ -540,7 +540,7 @@ class TestAgainstLoopReference:
             table = IndexTable(values=values, time_dependent=True)
             stationary = IndexTable(values=[v[:, :1] for v in values], time_dependent=False)
             type_of, states = shuffled_population(rng, models, 17)
-            ids = tables.ids(type_of, states)
+            ids = tables.offset[type_of] + states
             counts = counts_of(tables, type_of, states)
             orders = spi_orders(table, T)
             for t in range(T):
@@ -566,7 +566,7 @@ class TestAgainstLoopReference:
             tables = tables_of(types)
             models = [expand_with_dummies(m) for m in types]
             type_of, states = shuffled_population(rng, models, 15)
-            ids = tables.ids(type_of, states)
+            ids = tables.offset[type_of] + states
             counts = counts_of(tables, type_of, states)
             orders = mean_field_orders(occupancy)
             for t in range(T):
@@ -585,7 +585,7 @@ class TestAgainstLoopReference:
             for _ in range(5):
                 type_of = rng.permutation(np.repeat(np.arange(inst.n_types), inst.rho))
                 states = np.array([rng.integers(0, models[n].n_states) for n in type_of])
-                ids = inst.tables.ids(type_of, states)
+                ids = inst.tables.offset[type_of] + states
                 counts = counts_of(inst.tables, type_of, states)
                 for t in range(inst.horizon):
                     for budget in (0, 1, 3, 5, len(ids)):
