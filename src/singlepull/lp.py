@@ -1,14 +1,15 @@
 """Occupancy-measure linear programs for replicated bandit instances.
 
-Three variants share the flow/initial structure and differ in the state
-space and in whether an expected single-activation row is present:
+Three variants share the original states, the column layout, the budget
+rows and the flow/initial structure:
 
-* MEAN_FIELD   -- original states, per-step activation budget only.
-* SPRMAB_LP    -- original states, plus one expected single-activation row
-                  per type (total activation mass over the horizon <= 1).
-* DUMMY        -- dummy-expanded states, no single-activation row; the
-                  absorbing dummy copies make repeated activation worthless,
-                  so the single-pull behaviour emerges from the dynamics.
+* MEAN_FIELD   -- per-step activation budget only.
+* SPRMAB_LP    -- plus one expected single-activation row per type (total
+                  activation mass over the horizon <= 1).
+* DUMMY        -- a pull retires the arm onto the passive chain (Whittle's
+                  retirement option): it also pays the passive value-to-go
+                  W_{t+1} (W_T = 0, W_t = r(., 0) + P(., 0) W_{t+1}) and sends
+                  no mass on. Same optimum as the dummy-expanded program.
 
 The program is posed per class: one occupancy measure per arm type, with
 the replication factor rho as an objective weight and the activation budget
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import simplex
-from .model import Instance, by_state_count, expand_initial
+from .model import Instance, by_state_count
 
 MEAN_FIELD = "mean_field"
 SPRMAB_LP = "sprmab_lp"
@@ -71,23 +72,15 @@ class LpSolution:
 
 
 def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
-    """Assemble one of the three occupancy LPs.
+    """Assemble one of the three occupancy LPs over the instance's types.
 
-    The instance was checked when it was made; the DUMMY variant reads its
-    dummy-expanded types, instance.expanded.
+    The instance was checked when it was made.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
 
-    if variant == DUMMY:
-        models = instance.expanded
-        initials = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)]
-    else:
-        models = list(instance.types)
-        initials = list(instance.initial)
-
     T = instance.horizon
-    n_states = tuple(m.n_states for m in models)
+    n_states = tuple(m.n_states for m in instance.types)
     sizes = np.array(n_states)
     eq_first = T * (np.cumsum(sizes) - sizes)  # each type's first flow row, (t, s) order
     offsets = 2 * eq_first  # each type's first column
@@ -97,27 +90,36 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
     ub, eq = ([], [], []), ([], [], [])  # (rows, cols, vals) of each matrix
     # Types that share a state count share one index arithmetic: type n's
     # column of (t, s, a) is offsets[n] + (t S + s) 2 + a.
-    for ids, P, rewards in by_state_count(models):  # P[type, s', a, s]
+    for ids, P, rewards in by_state_count(instance.types):  # P[type, s', a, s]
         members, S = np.array(ids), P.shape[1]
         col = offsets[members, None, None, None] + (t[:, None, None] * S
                                                      + np.arange(S)[:, None]) * 2 + np.arange(2)
-        objective[col] = instance.rho * rewards[:, None]
+        gain = rewards[:, None]  # what column (t, s, a) pays, broadcast over t
+        if variant == DUMMY:
+            # after[:, t] is W_{t+1}, the passive chain's value-to-go from t + 1.
+            after = np.zeros((len(ids), T, S))
+            for u in range(T - 2, -1, -1):
+                after[:, u] = rewards[..., 0] + (P[:, :, 0] @ after[:, u + 1, :, None])[..., 0]
+            gain = np.repeat(gain, T, axis=1)
+            gain[..., 1] += (P[:, None, :, 1] @ after[..., None])[..., 0]
+        objective[col] = instance.rho * gain
         # Per-step activation budget, normalized per class: row t.
         _append(ub, t[:, None], col[..., 1], 1.0)
         if variant == SPRMAB_LP:
             # Expected single-activation row per type.
             _append(ub, T + members[:, None, None], col[..., 1], 1.0)
         # Row (t, s) of a type sums both actions of (s, t): at t = 0 it equals
-        # the initial mass (zero on dummy states), for t >= 1 the inflow,
-        # sum over (s', a) of P[s', a, s] mu(s', a, t - 1).
+        # the initial mass, for t >= 1 the inflow, sum over (s', a) of
+        # P[s', a, s] mu(s', a, t - 1), over a = 0 alone in DUMMY.
         row = eq_first[members, None, None] + t[:, None] * S + np.arange(S)
         _append(eq, row[..., None], col, 1.0)
-        k, sp, a, s2 = np.nonzero(P)
-        _append(eq, row[k, 1:, s2].T, col[k, :-1, sp, a].T, -P[k, sp, a, s2])
-        b_eq[row[:, 0]] = [initials[n] for n in ids]
+        inflow = P[:, :, :1] if variant == DUMMY else P
+        k, sp, a, s2 = np.nonzero(inflow)
+        _append(eq, row[k, 1:, s2].T, col[k, :-1, sp, a].T, -inflow[k, sp, a, s2])
+        b_eq[row[:, 0]] = [instance.initial[n] for n in ids]
     b_ub = np.full(T, float(instance.budget))
     if variant == SPRMAB_LP:
-        b_ub = np.concatenate([b_ub, np.ones(len(models))])
+        b_ub = np.concatenate([b_ub, np.ones(instance.n_types)])
     return LpProblem(
         objective=objective,
         A_ub=_csr(ub, (b_ub.size, objective.size)),
@@ -153,8 +155,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
 
 def upper_bound(instance: Instance) -> float:
-    """Total-reward upper bound: optimum of the dummy-expanded LP.
+    """Total-reward upper bound: optimum of the DUMMY LP.
 
+    It equals the optimum of the occupancy LP over dummy-expanded states.
     The objective already carries the per-class weight rho, so the LP value
     bounds the expected total reward of any feasible policy on the
     replicated population from above.

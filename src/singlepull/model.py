@@ -7,9 +7,10 @@ entered when s is pulled, evolves like s under the passive kernel, and pays
 the passive reward under both actions, so a pulled arm can never gain from
 further activation.
 
-An Instance is checked and dummy-expanded once, when it is made. The LP
-builder, the policies, the simulator and the oracle read its expanded types
-and ArmTables, and none of them checks or expands again.
+An Instance is checked and dummy-expanded once, when it is made. The
+policies, the simulator and the oracle read its expanded types and
+ArmTables, and none of them checks or expands again. The LP builder reads
+the unexpanded types: there a pulled arm retires with its passive value.
 """
 
 from __future__ import annotations
@@ -193,11 +194,9 @@ def expand_with_dummies(model: ArmModel) -> ArmModel:
     )
 
 
-def expand_initial(model: ArmModel, initial: np.ndarray) -> np.ndarray:
-    """Pad an initial distribution with zero mass on the dummy half."""
-    out = np.zeros(2 * model.n_states)
-    out[: model.n_states] = initial
-    return out
+def on_expanded(blocks) -> list[np.ndarray]:
+    """Per-type arrays over original states placed on the expanded ones, 0 on the dummy half."""
+    return [np.concatenate([b, np.zeros_like(b)]) for b in blocks]
 
 
 def stack_types(blocks) -> tuple[np.ndarray, np.ndarray]:

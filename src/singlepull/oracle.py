@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .model import Instance, expand_initial
+from .model import Instance, on_expanded
 from .simulator import lift
 
 CAP_ARMS = 4
@@ -70,8 +70,7 @@ def _induction(instance: Instance, combine) -> float:
             Q[k] = rewards[k] + expected.reshape(-1)
         V = combine(t, Q, actions, states).reshape(dims)
 
-    starts = [expand_initial(m, d) for m, d in zip(instance.types, instance.initial)
-              for _ in range(instance.rho)]
+    starts = [d for d in on_expanded(instance.initial) for _ in range(instance.rho)]
     initial = np.ones(len(states))
     for i, d in enumerate(starts):
         initial *= d[states[:, i]]

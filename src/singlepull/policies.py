@@ -14,21 +14,19 @@ wherever no two groups tie at the budget cut.
 
 The keys of every deterministic policy depend on its table and on t,
 never on the counts. So prepare ranks the groups once per decision epoch
-into orders[t] (one order shared by all epochs for a stationary table),
-and the one select they share fills the budget along orders[t] and zeroes
-the dummy groups: a handful of array operations per step, whatever the
-table or rho.
+into orders[t] (one order shared by all epochs for a stationary table).
+No order holds a dummy group, so the one select they share is a budget
+fill along orders[t]: a handful of array operations per step, whatever
+the table or rho.
 
-The SPI policy solves the dummy-expanded occupancy LP once, converts the
-optimal measure into per-(state, time) activation probabilities chi (one
-(2 S_n, T) array per type), and ranks groups by chi * active reward. Its
-selection walk follows the budget rule of the single-pull algorithm: arms
-are visited in decreasing index order, every visited arm consumes one
-budget unit, but an arm sitting in a dummy state is never actually pulled.
-The walk stops at the first non-positive index, which conserves budget
-exactly where the LP never activates: its orders hold the groups with a
-positive index only, dummy groups included, and the zeroing is what keeps
-those unpulled. An LP solve in `prepare` returns the optimum or raises
+The SPI policy solves the DUMMY occupancy LP once, over the original
+states, converts the optimal measure into per-(state, time) activation
+probabilities chi (one (S_n, T) array per type, zero over the dummy half
+once placed on the expanded groups), and ranks groups by chi * active
+reward. Arms are pulled in decreasing index order, and the walk stops at
+the first non-positive index, which conserves budget exactly where the LP
+never activates: its orders hold the groups outside the dummy half with a
+positive index only. An LP solve in `prepare` returns the optimum or raises
 SolverStall; there is no other outcome to handle.
 
 Baselines: the mean-field LP priority policy, the original stationary
@@ -41,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lp
-from .model import ArmModel, ArmTables, Instance, stack_types
+from .model import ArmModel, ArmTables, Instance, on_expanded, stack_types
 from .whittle import (
     IndexTable,
     q_difference_indices,
@@ -67,7 +65,7 @@ def compute_chi(solution: lp.LpSolution) -> list[np.ndarray]:
 
 
 def spi_indices(chi: list[np.ndarray], types: list[ArmModel]) -> IndexTable:
-    """index(n, s, t) = chi_n(s, t) * r_n(s, 1) over the expanded state space."""
+    """index(n, s, t) = chi_n(s, t) * r_n(s, 1) over the states of types."""
     values = [c * m.rewards[:, 1][:, None] for c, m in zip(chi, types)]
     return IndexTable(values=values, time_dependent=True)
 
@@ -98,16 +96,15 @@ def _per_epoch(horizon: int, time_dependent: bool, order_at) -> list[np.ndarray]
     return [order_at(0)] * horizon
 
 
-def spi_orders(indices: IndexTable, horizon: int) -> list[np.ndarray]:
-    """Per epoch, the groups with a positive index in decreasing index order.
-
-    The budget walk visits them in this order and every visited arm
-    consumes a budget unit; the dummy groups among them are visited but
-    never pulled.
+def spi_orders(indices: IndexTable, tables: ArmTables, horizon: int) -> list[np.ndarray]:
+    """Per epoch, the groups outside the dummy half with a positive index, in
+    decreasing index order.
     """
+    groups = np.flatnonzero(~tables.dummy)
+
     def order_at(t):
         idx = indices.column(t)
-        return _by_key(np.flatnonzero(idx > 0), idx)
+        return _by_key(groups[idx[groups] > 0], idx)
     return _per_epoch(horizon, indices.time_dependent, order_at)
 
 
@@ -160,8 +157,8 @@ class BasePolicy:
     """Shared plumbing: prepare() records the instance whose tables select reads.
 
     A deterministic policy's prepare also plans orders[t], the groups it
-    visits at epoch t; select fills the budget along them and zeroes the
-    dummy groups. RandomPolicy plans nothing and has a select of its own.
+    visits at epoch t, none of them in the dummy half; select fills the
+    budget along them. RandomPolicy plans nothing and has a select of its own.
     """
 
     name = "base"
@@ -180,12 +177,12 @@ class BasePolicy:
 
     def select(self, counts, t, budget, rng) -> np.ndarray:
         """Pulls per group of one count vector or a (J, G) stack; random takes one vector."""
-        pulls = budget_fill(counts, self.orders[t], budget)
-        pulls *= self.instance.tables.normal
-        return pulls
+        return budget_fill(counts, self.orders[t], budget)
 
 
 class SpiPolicy(BasePolicy):
+    """chi * r(s, 1) from the DUMMY LP over the original states, 0 on the dummy half."""
+
     name = "spi"
 
     def __init__(self):
@@ -195,8 +192,8 @@ class SpiPolicy(BasePolicy):
     def prepare(self, instance: Instance):
         super().prepare(instance)
         solution = lp.solve_lp(lp.build_occupancy_lp(instance, lp.DUMMY))
-        self.table = spi_indices(compute_chi(solution), instance.expanded)
-        self.orders = spi_orders(self.table, instance.horizon)
+        self.table = spi_indices(on_expanded(compute_chi(solution)), instance.expanded)
+        self.orders = spi_orders(self.table, instance.tables, instance.horizon)
 
 
 class MeanFieldPolicy(BasePolicy):
@@ -211,9 +208,7 @@ class MeanFieldPolicy(BasePolicy):
         super().prepare(instance)
         problem = lp.build_occupancy_lp(instance, lp.MEAN_FIELD)
         self.solution = lp.solve_lp(problem)
-        _, self.occupancy = stack_types(
-            [np.concatenate([b, np.zeros_like(b)]) for b in self.solution.occupancy]
-        )
+        _, self.occupancy = stack_types(on_expanded(self.solution.occupancy))
         self.orders = mean_field_orders(self.occupancy)
 
 

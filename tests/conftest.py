@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -54,10 +52,9 @@ def stall_highs(monkeypatch, status_name):
     monkeypatch.setattr(_core, "_Highs", Stalled)
 
 
-def planned_select(orders, tables, counts, t, budget):
-    """The shared select of the deterministic policies, on the given orders and tables."""
+def planned_select(orders, counts, t, budget):
+    """The shared select of the deterministic policies, on the given orders."""
     policy = BasePolicy()
-    policy.instance = SimpleNamespace(tables=tables)
     policy.orders = orders
     return policy.select(counts, t, budget, None)
 

@@ -25,15 +25,11 @@ def budget_fill(counts, order, budget):
 
 
 def spi_select(indices, tables, counts, t, budget):
-    """Budget walk over the groups with a positive index, in decreasing index order.
-
-    Every visited arm consumes a budget unit; only the arms of non-dummy
-    groups are pulled.
+    """Budget walk over the groups outside the dummy half with a positive index,
+    in decreasing index order; a dummy group is never visited and spends no budget.
     """
     idx = indices.column(t)
-    visited = budget_fill(counts, _by_key(np.flatnonzero(idx > 0), idx), budget)
-    visited[tables.dummy] = 0
-    return visited
+    return budget_fill(counts, _by_key(np.flatnonzero(~tables.dummy & (idx > 0)), idx), budget)
 
 
 def mean_field_select(occupancy, counts, t, budget):

@@ -80,9 +80,8 @@ def ranked(arms, key, gid):
 def spi_select(values, models, type_of, states, t, budget):
     actions = np.zeros(len(type_of), dtype=np.int64)
     idx = lookup(values, True, type_of, states, t)
-    order = ranked(np.flatnonzero(idx > 0), idx, global_ids(models, type_of, states))
-    visited = order[:budget]
-    actions[visited[~dummy_mask_for(models, type_of[visited], states[visited])]] = 1
+    free = np.flatnonzero(~dummy_mask_for(models, type_of, states) & (idx > 0))
+    actions[ranked(free, idx, global_ids(models, type_of, states))[:budget]] = 1
     return actions
 
 

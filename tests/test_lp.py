@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sps
 
 from singlepull import (
     Instance,
@@ -10,10 +11,10 @@ from singlepull import (
     upper_bound,
 )
 from singlepull import domains, lp
-from singlepull.model import expand_initial, expand_with_dummies, point_initial
+from singlepull.model import expand_with_dummies, on_expanded, point_initial
 
-from conftest import random_arm, random_tiny_instance
-from lp_reference import canonical_rows, col, problem_rows, reference_lp
+from conftest import mixed_instance, random_arm, random_tiny_instance
+from lp_reference import EXPANDED, canonical_rows, col, problem_rows, reference_lp, solve_reference
 
 
 def tiny_instance(rng, n_types=1, S=2, T=2, rho=1, budget=1):
@@ -39,7 +40,7 @@ class TestBuilder:
     def test_dummy_variable_count(self, rng):
         inst = tiny_instance(rng, n_types=2, S=2, T=3)
         prob = build_occupancy_lp(inst, lp.DUMMY)
-        assert prob.n_vars == 2 * 4 * 2 * 3  # N * |S'| * |A| * T
+        assert prob.n_vars == 2 * 2 * 2 * 3  # N * |S| * |A| * T: 2 S T per type
 
     def test_mean_field_constraint_count(self, rng):
         inst = tiny_instance(rng, n_types=1, S=2, T=2)
@@ -62,7 +63,7 @@ class TestBuilder:
         # 0..n_vars-1 exactly once
         inst = mixed_size_instance(rng)
         prob = build_occupancy_lp(inst, lp.DUMMY)
-        assert prob.n_states == tuple(m.n_states for m in inst.expanded)
+        assert prob.n_states == tuple(m.n_states for m in inst.types)
         assert prob.horizon == inst.horizon
         seen = []
         for n, S in enumerate(prob.n_states):
@@ -87,7 +88,11 @@ class TestBuilder:
                     assert np.all(A.data != 0.0)
 
     def test_matches_reference_builder(self, rng):
-        """Same objective and rows, entry for entry, as the loop-by-loop builder."""
+        """Same objective and rows, entry for entry, as the loop-by-loop builder.
+
+        For DUMMY that is the folded statement; the mixed-size instances pay
+        passive rewards, so their pull columns carry a nonzero W.
+        """
         instances = [mixed_size_instance(rng) for _ in range(6)]
         # domain kernels carry exact zeros, which the reference builder skips
         for family in domains.FAMILIES:
@@ -97,7 +102,10 @@ class TestBuilder:
             for variant in lp.VARIANTS:
                 prob = build_occupancy_lp(inst, variant)
                 c, rows = reference_lp(inst, variant)
-                assert np.array_equal(prob.objective, c)
+                if variant == lp.DUMMY:  # the reference sums W in its own order
+                    assert np.allclose(prob.objective, c, rtol=1e-15, atol=0.0)
+                else:
+                    assert np.array_equal(prob.objective, c)
                 assert prob.n_vars == c.size
                 assert canonical_rows(problem_rows(prob)) == canonical_rows(rows)
 
@@ -113,6 +121,51 @@ class TestBuilder:
             Instance(types=(m,), rho=1, budget=1, horizon=2, initial=(point_initial(4, 0),))
 
 
+def fold_instances():
+    """The four families at two sizes each, CPAP also paying passive rewards
+    (W != 0), and the mixed-state-count instance."""
+    out = [mixed_instance()]
+    for family in domains.FAMILIES:
+        for n_types, S, budget, rho, horizon, seed in ((2, 3, 1, 2, 4, 0), (4, 4, 2, 3, 6, 1)):
+            S = 3 if family == domains.MHMH else S
+            params = {"active_only_rewards": False} if family == domains.CPAP else {}
+            spec = domains.DomainSpec(family, n_types, S, seed=seed, params=params)
+            out.append(domains.make_instance(spec, budget=budget, rho=rho, horizon=horizon))
+    return out
+
+
+class TestFold:
+    """The DUMMY program over the original states, where a pull retires the
+    arm with its passive value W, against the expanded program it replaces."""
+
+    def test_upper_bound_equals_the_expanded_optimum(self):
+        passive_value_seen = False
+        for inst in fold_instances():
+            dummy = build_occupancy_lp(inst, lp.DUMMY)
+            passive_value_seen |= not np.array_equal(
+                dummy.objective, build_occupancy_lp(inst, lp.MEAN_FIELD).objective)
+            expanded, _ = solve_reference(inst, EXPANDED)
+            assert upper_bound(inst) == pytest.approx(expanded, rel=1e-12, abs=0.0)
+        assert passive_value_seen  # some pull column carries a nonzero W
+
+    def test_mean_field_program_without_the_pull_inflow(self):
+        for inst in fold_instances():
+            dummy = build_occupancy_lp(inst, lp.DUMMY)
+            mean_field = build_occupancy_lp(inst, lp.MEAN_FIELD)
+            assert (dummy.n_states, dummy.horizon, dummy.n_vars) == \
+                (mean_field.n_states, mean_field.horizon, mean_field.n_vars)
+            assert (dummy.A_ub != mean_field.A_ub).nnz == 0
+            assert np.array_equal(dummy.b_ub, mean_field.b_ub)
+            assert np.array_equal(dummy.b_eq, mean_field.b_eq)
+            # the inflow entries are the negative ones; odd columns are pulls
+            A = mean_field.A_eq.tocoo()
+            pull_inflow = (A.data < 0) & (A.col % 2 == 1)
+            assert pull_inflow.any() or inst.horizon == 1
+            keep = ~pull_inflow
+            expected = sps.csr_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
+            assert dummy.A_eq.nnz == expected.nnz and (dummy.A_eq != expected).nnz == 0
+
+
 class TestSolve:
     def test_measure_property_and_flow_residuals(self, rng):
         inst = tiny_instance(rng, n_types=2, S=3, T=4, rho=3, budget=1)
@@ -120,8 +173,12 @@ class TestSolve:
             prob = build_occupancy_lp(inst, variant)
             sol = solve_lp(prob)
             for block in sol.occupancy:
-                # a measure: mass 1 on every (type, t)
-                assert np.abs(block.sum(axis=(0, 1)) - 1.0).max() < 1e-7
+                # a measure: mass 1 on every (type, t); in DUMMY a pull retires
+                # its mass, so the unpulled mass at t plus the pulls before t is 1
+                mass = block.sum(axis=(0, 1))
+                if variant == lp.DUMMY:
+                    mass += np.cumsum(block[:, 1].sum(axis=0)) - block[:, 1].sum(axis=0)
+                assert np.abs(mass - 1.0).max() < 1e-7
                 assert block.min() > -1e-9
             # every constraint satisfied within 1e-7
             x = np.zeros(prob.n_vars)
@@ -185,12 +242,12 @@ class TestOrderings:
         instances.append(domains.make_instance(spec, budget=10, rho=10, horizon=20))
         for inst in instances:
             expected = 0.0
-            for m, d in zip(inst.types, inst.initial):
+            for m, d in zip(inst.types, on_expanded(inst.initial)):
                 big = expand_with_dummies(m)
                 v = np.zeros(big.n_states)
                 for _ in range(inst.horizon):
                     v = (big.rewards + big.transitions @ v).max(axis=1)
-                expected += inst.rho * float(expand_initial(m, d) @ v)
+                expected += inst.rho * float(d @ v)
             assert upper_bound(inst) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_upper_bound_k0_equals_passive_reward(self, rng):
@@ -208,19 +265,20 @@ class TestOrderings:
         assert upper_bound(inst) == pytest.approx(expected, abs=1e-7)
 
     def test_dummy_activation_mass_is_reward_neutral(self, rng):
+        # on the expanded reference program, whose dummy half the fold removes
         inst = tiny_instance(rng, n_types=2, S=2, T=3, rho=2)
-        prob = build_occupancy_lp(inst, lp.DUMMY)
-        sol = solve_lp(prob)
+        objective, x = solve_reference(inst, EXPANDED)
         models = [expand_with_dummies(m) for m in inst.types]
+        blocks = np.split(x, 2 * inst.horizon * np.cumsum([m.n_states for m in models[:-1]]))
         # move all dummy activation mass onto action 0 and recompute the objective
         moved = 0.0
         base = 0.0
         for n, m in enumerate(models):
-            block = sol.occupancy[n].copy()
+            block = blocks[n].reshape(inst.horizon, m.n_states, 2).transpose(1, 2, 0).copy()
             base += inst.rho * float((block * m.rewards[:, :, None]).sum())
             for sd in np.flatnonzero(m.dummy_mask):
                 block[sd, 0, :] += block[sd, 1, :]
                 block[sd, 1, :] = 0.0
             moved += inst.rho * float((block * m.rewards[:, :, None]).sum())
         assert moved == pytest.approx(base, abs=1e-9)
-        assert base == pytest.approx(sol.objective, abs=1e-7)
+        assert base == pytest.approx(objective, abs=1e-7)

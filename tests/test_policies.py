@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ from singlepull.simulator import lift
 from singlepull.whittle import IndexTable
 
 import select_reference as ref
-from conftest import planned_select, random_arm
+from conftest import mixed_instance, planned_select, random_arm
 from whittle_reference import rvi_qdiff
 
 DETERMINISTIC = tuple(name for name in POLICY_NAMES if name != "random")
@@ -95,24 +93,22 @@ def counts_of(tables, states):
     return np.bincount(np.asarray(states), minlength=len(tables.dummy))
 
 
-def all_normal(n_groups):
-    """Tables stand-in without a dummy half, for occupancy-only tests."""
-    return SimpleNamespace(normal=np.ones(n_groups, dtype=np.int64))
-
-
 class TestSpiSelect:
     def setup_method(self):
         self.tables = identity_tables()  # 2 normal states (0, 1) + dummies (2, 3)
 
     def select(self, idx_by_state, states, budget):
         table = manual_table(np.asarray(idx_by_state, dtype=float)[:, None])
-        return planned_select(spi_orders(table, 1), self.tables,
+        return planned_select(spi_orders(table, self.tables, 1),
                               counts_of(self.tables, states), 0, budget)
 
-    def test_dummy_arm_consumes_budget(self):
-        # highest index sits on a dummy arm; budget one unit -> nothing pulled
+    def test_dummy_arm_spends_no_budget(self):
+        # highest index sits on a dummy arm: it is never visited, and the one
+        # budget unit goes to the best normal arm
+        table = manual_table(np.array([[0.1], [0.8], [0.9], [0.0]]))
+        assert 2 not in spi_orders(table, self.tables, 1)[0]
         pulls = self.select([0.1, 0.8, 0.9, 0.0], states=[2, 1, 0], budget=1)
-        assert pulls.sum() == 0
+        assert pulls.tolist() == [0, 1, 0, 0]
 
     def test_two_pulls_within_budget(self):
         pulls = self.select([0.8, 0.5, 0.0, 0.0], states=[0, 1], budget=2)
@@ -143,8 +139,7 @@ class TestMeanFieldSelect:
         return stack_types([block])[1]
 
     def select(self, occupancy, counts, t, budget):
-        return planned_select(mean_field_orders(occupancy), all_normal(len(counts)),
-                              counts, t, budget)
+        return planned_select(mean_field_orders(occupancy), counts, t, budget)
 
     def test_high_priority_pulled_first(self):
         occupancy = self.make_occupancy([0.0, 0.5], [0.4, 0.1])
@@ -180,7 +175,7 @@ class TestGreedySelect:
     def select(self, values, states, budget, n_states=3):
         tables = identity_tables(n_states)
         table = manual_table(values)
-        return planned_select(greedy_orders(table, tables, 1), tables,
+        return planned_select(greedy_orders(table, tables, 1),
                               counts_of(tables, states), 0, budget)
 
     def test_descending_order(self):
@@ -271,6 +266,29 @@ class TestPlannedOrders:
         pol.prepare(instances[0])
         assert len(pol.orders) == instances[0].horizon
         assert all(order is pol.orders[0] for order in pol.orders)
+
+
+class TestNoDummyGroupIsPlanned:
+    """What lets select be a plain budget fill: no planned order holds a dummy group."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        return planning_instances() + [mixed_instance()]
+
+    @pytest.mark.parametrize("name", DETERMINISTIC)
+    def test_orders_hold_no_dummy_group(self, name, instances):
+        for inst in instances:
+            pol = make_policy(name)
+            pol.prepare(inst)
+            assert len(pol.orders) == inst.horizon
+            assert not any(inst.tables.dummy[order].any() for order in pol.orders)
+
+    def test_spi_table_is_zero_on_the_dummy_half(self, instances):
+        for inst in instances:
+            pol = make_policy("spi")
+            pol.prepare(inst)
+            for values, m in zip(pol.table.values, inst.expanded):
+                assert np.all(values[m.dummy_mask] == 0.0)
 
 
 class TestBudgetFill:

@@ -542,7 +542,7 @@ class TestAgainstLoopReference:
             type_of, states = shuffled_population(rng, models, 17)
             ids = tables.offset[type_of] + states
             counts = counts_of(tables, type_of, states)
-            orders = spi_orders(table, T)
+            orders = spi_orders(table, tables, T)
             for t in range(T):
                 assert np.array_equal(table.column(t)[ids],
                                       ref.lookup(values, True, type_of, states, t))
@@ -550,7 +550,7 @@ class TestAgainstLoopReference:
                                       ref.lookup(stationary.values, False, type_of, states, t))
                 for budget in (0, 3, 17):
                     assert np.array_equal(
-                        lift(planned_select(orders, tables, counts, t, budget), ids),
+                        lift(planned_select(orders, counts, t, budget), ids),
                         ref.spi_select(values, models, type_of, states, t, budget))
             assert np.array_equal(tables.dummy[ids], ref.dummy_mask_for(models, type_of, states))
 
@@ -561,8 +561,7 @@ class TestAgainstLoopReference:
             blocks = [rng.random((m.n_states, 2, T)) * (rng.random((m.n_states, 2, T)) < 0.7)
                       for m in types]
             blocks[1][1] = blocks[0][1]  # equal chi in two groups
-            _, occupancy = model.stack_types(
-                [np.concatenate([b, np.zeros_like(b)]) for b in blocks])
+            _, occupancy = model.stack_types(model.on_expanded(blocks))
             tables = tables_of(types)
             models = [expand_with_dummies(m) for m in types]
             type_of, states = shuffled_population(rng, models, 15)
@@ -572,7 +571,7 @@ class TestAgainstLoopReference:
             for t in range(T):
                 for budget in (0, 2, 15):
                     assert np.array_equal(
-                        lift(planned_select(orders, tables, counts, t, budget), ids),
+                        lift(planned_select(orders, counts, t, budget), ids),
                         ref.mean_field_select(blocks, models, type_of, states, t, budget))
 
     @pytest.mark.parametrize("name", DETERMINISTIC)
