@@ -49,7 +49,6 @@ import logging
 import os
 from dataclasses import dataclass, field, fields, replace
 
-import jsonschema
 import numpy as np
 
 from . import lp
@@ -157,9 +156,11 @@ _INT_FIELDS = frozenset(f.name for f in fields(ExperimentConfig) if f.type == "i
 def _config_validator():
     """The validator of CONFIG_SCHEMA, made on first use.
 
-    The schema is a constant, so it is not checked against its metaschema
-    here; the test suite checks it once.
+    jsonschema is imported here, so importing the package or the CLI does
+    not load it. The schema is a constant, so it is not checked against its
+    metaschema here; the test suite checks it once.
     """
+    import jsonschema
     return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
@@ -169,6 +170,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     A key left out takes the ExperimentConfig default, and integer fields go
     through int(), since JSON's integer type admits integral floats (2.0).
     """
+    import jsonschema
     # the error jsonschema.validate would raise, without its per-call schema check
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(doc))
     if error is not None:

@@ -20,7 +20,8 @@ arithmetic over (type, t, s, a) on the stacked transitions of each group
 of model.by_state_count, the grouping the index passes use too, and
 converted once to canonical CSR, which does not depend on the group order.
 `simplex.solve` hands the matrices to HiGHS in one direct call into the
-binding scipy ships, with the options of linprog's dual simplex. Every
+binding scipy ships, loaded from its file without importing scipy.optimize,
+with the options of linprog's dual simplex. Every
 variant is feasible and bounded, so a solve either returns the optimum or
 raises SolverStall.
 """

@@ -6,7 +6,8 @@ Solves
     subject to  A_ub @ x <= b_ub,  A_eq @ x = b_eq,  x >= 0
 
 with one direct call into the HiGHS binding that scipy ships
-(``scipy.optimize._highspy._core``). It sets the options that
+(``scipy.optimize._highspy._core``), loaded from its file so that
+scipy.optimize's __init__ never runs. It sets the options that
 ``linprog(method="highs-ds")`` sets, so on the same input HiGHS returns the
 same basic optimum and iteration count as through that wrapper, without
 the wrapper's per-column loop over bound marginals this module never reads.
@@ -17,9 +18,14 @@ outcome is a solver failure and raises SolverStall.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sps
 
 # linprog's check of a reported optimum against its rows and bounds:
@@ -38,6 +44,20 @@ class SimplexResult:
     iterations: int  # simplex iterations reported by HiGHS
 
 
+@functools.cache
+def _highs():
+    """scipy's HiGHS binding, loaded from its file: importing it by name first
+    runs scipy.optimize's __init__, every optimizer with it, which no solve uses.
+    It is the module ``from scipy.optimize._highspy import _core`` returns."""
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._highspy._core", [where])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no HiGHS binding _core in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def solve(c, A_ub, b_ub, A_eq, b_eq) -> SimplexResult:
     """Solve max c@x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
@@ -45,9 +65,8 @@ def solve(c, A_ub, b_ub, A_eq, b_eq) -> SimplexResult:
     kind. A non-finite entry in c, a matrix or a right-hand side raises
     ValueError before HiGHS sees it.
     """
-    # Imported here: scipy.optimize is the slowest import in the package
-    # and only runs that solve a program need it.
-    from scipy.optimize._highspy import _core as highs
+    # Loaded here: only runs that solve a program need the binding.
+    highs = _highs()
 
     c = np.asarray(c, dtype=float).reshape(-1)
     A_ub, b_ub = _rows(A_ub, b_ub, c.size)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from singlepull import ArmModel, Instance, domains
+from singlepull import ArmModel, Instance, domains, simplex
 from singlepull.model import point_initial
 from singlepull.policies import BasePolicy
 
@@ -41,7 +41,7 @@ def mixed_instance():
 
 def stall_highs(monkeypatch, status_name):
     """Make every later HiGHS solve end with the model status of that name."""
-    from scipy.optimize._highspy import _core
+    _core = simplex._highs()
 
     status = getattr(_core.HighsModelStatus, status_name)
 

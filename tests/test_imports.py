@@ -1,8 +1,12 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 import singlepull
 
@@ -13,14 +17,58 @@ STALE_SITES = {("singlepull.simulator", "replicate"),
                ("singlepull.cli", "time_policies")}
 
 
-def test_import_does_not_load_scipy_optimize():
-    """scipy.optimize is imported inside simplex.solve, on the first LP solve only."""
+def run_fresh(code):
+    """What `code` prints in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(singlepull.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, singlepull; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_optimize():
+    """No import of the package loads scipy.optimize; simplex loads HiGHS's binding
+    from its file on the first LP solve, which does not load it either (below)."""
+    assert run_fresh("import sys, singlepull; print('scipy.optimize' in sys.modules)") == "False"
+
+
+def test_a_solve_and_a_cli_run_do_not_load_scipy_optimize(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "domain": {"family": "CPAP"},
+        "setting": {"n_types": 2, "n_states": 3, "budget": 1, "rho": 2, "horizon": 3},
+        "policies": list(singlepull.POLICY_NAMES), "episodes": 4,
+        "out_dir": str(tmp_path / "out")}))
+    code = textwrap.dedent(f"""\
+        import sys
+        from singlepull import cli, domains, lp
+        instance = domains.make_instance(domains.DomainSpec("RANDOM", 2, 3),
+                                         budget=1, rho=2, horizon=3)
+        assert lp.upper_bound(instance) > 0
+        after_solve = 'scipy.optimize' in sys.modules
+        assert cli.main(["--config", {str(config)!r}]) == cli.EXIT_OK
+        print(after_solve, 'scipy.optimize' in sys.modules)""")
+    assert run_fresh(code).splitlines()[-1] == "False False"
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+def test_cli_import_does_not_load_jsonschema():
+    """jsonschema is imported on the first config check, not with the CLI."""
+    assert run_fresh("import sys, singlepull.cli; print('jsonschema' in sys.modules)") == "False"
+
+
+LOAD = "binding = simplex._highs()"
+IMPORT = "from scipy.optimize._highspy import _core"
+
+
+@pytest.mark.parametrize("steps", [[LOAD, IMPORT], [IMPORT, LOAD]],
+                         ids=["loader-first", "scipy-first"])
+def test_the_solver_uses_scipys_binding_module_in_either_import_order(steps):
+    """The loader's module is the one scipy.optimize imports, whichever runs first,
+    so a patch of scipy's binding reaches the solver and the other way round."""
+    code = "; ".join(["import sys", "from singlepull import simplex", *steps,
+                      "print(binding is _core is sys.modules[_core.__name__], _core.__name__)"])
+    assert run_fresh(code) == "True scipy.optimize._highspy._core"
 
 
 def test_tracer_sites_resolve_but_the_known_stale_ones(monkeypatch):

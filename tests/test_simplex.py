@@ -1,3 +1,7 @@
+import importlib.machinery
+import os
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -169,7 +173,7 @@ def test_non_optimal_status_raises_solver_stall(monkeypatch, status):
 def test_an_optimum_off_its_rows_raises_solver_stall(monkeypatch):
     # linprog rejects a reported optimum that misses a row by more than
     # 10 sqrt(1e-9); so does solve
-    from scipy.optimize._highspy import _core
+    _core = simplex._highs()
 
     class OffRows(_core._Highs):
         def getSolution(self):
@@ -180,3 +184,14 @@ def test_an_optimum_off_its_rows_raises_solver_stall(monkeypatch):
     monkeypatch.setattr(_core, "_Highs", OffRows)
     with pytest.raises(simplex.SolverStall, match="misses its constraints by 1.00e-03"):
         solve_dense([1, 1], [[1, 0], [0, 1]], [1, 1])
+
+
+def test_a_missing_binding_raises_import_error(monkeypatch):
+    # no fallback: without the binding's file the first solve names where it looked
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    monkeypatch.setattr(simplex, "_highs", simplex._highs.__wrapped__)  # uncached
+    with pytest.raises(ImportError, match=re.escape(
+            f"scipy {scipy.__version__} has no HiGHS binding _core in {where}")):
+        solve_dense([1.0], [[1.0]], [1.0])
