@@ -15,15 +15,16 @@ The program is posed per class: one occupancy measure per arm type, with
 the replication factor rho as an objective weight and the activation budget
 normalized to K per class. This keeps the LP size independent of rho.
 
-Each constraint matrix is written once as a COO triple, from column
-arithmetic over (type, t, s, a) on the stacked transitions of each group
-of model.by_state_count, the grouping the index passes use too, and
-converted once to canonical CSR, which does not depend on the group order.
-`simplex.solve` hands the matrices to HiGHS in one direct call into the
-binding scipy ships, loaded from its file without importing scipy.optimize,
-with the options of linprog's dual simplex. Every
-variant is feasible and bounded, so a solve either returns the optimum or
-raises SolverStall.
+The program is held as HiGHS states it: one canonical CSR matrix A and row
+bounds lower <= A x <= upper (LpProblem gives the row order). A is built
+once from a COO triple, written by column arithmetic over (type, t, s, a)
+on the stacked transitions of each group of model.by_state_count, the
+grouping the index passes use too; its CSR form does not depend on the
+group order. `simplex.solve` hands A and the bounds to HiGHS in one direct
+call into the binding scipy ships, loaded from its file without importing
+scipy.optimize, with the options of linprog's dual simplex. Every variant
+is feasible and bounded, so a solve either returns the optimum or raises
+SolverStall.
 """
 
 from __future__ import annotations
@@ -44,18 +45,22 @@ VARIANTS = (MEAN_FIELD, SPRMAB_LP, DUMMY)
 
 @dataclass
 class LpProblem:
-    """maximize objective @ x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+    """maximize objective @ x  s.t.  lower <= A x <= upper,  x >= 0.
 
     Columns are type-major, then epoch t = 0..horizon-1, state, action: type
     n's block has 2 n_states[n] horizon columns, and its (s, a, t) column is
     the block's first plus (t n_states[n] + s) 2 + a.
+
+    A is canonical CSR (sorted columns, no duplicates). Row t < horizon is
+    epoch t's budget row: its pull columns sum to at most K. In SPRMAB_LP the
+    next n_types rows each sum a type's pull columns over the horizon to at
+    most 1. lower is -inf on these rows and equals upper on the flow rows.
     """
 
     objective: np.ndarray
-    A_ub: sps.csr_matrix
-    b_ub: np.ndarray
-    A_eq: sps.csr_matrix
-    b_eq: np.ndarray
+    A: sps.csr_matrix
+    lower: np.ndarray
+    upper: np.ndarray
     n_states: tuple[int, ...]
     horizon: int
 
@@ -83,12 +88,14 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
     T = instance.horizon
     n_states = tuple(m.n_states for m in instance.types)
     sizes = np.array(n_states)
-    eq_first = T * (np.cumsum(sizes) - sizes)  # each type's first flow row, (t, s) order
-    offsets = 2 * eq_first  # each type's first column
+    n_ub = T + (instance.n_types if variant == SPRMAB_LP else 0)
+    offsets = 2 * T * (np.cumsum(sizes) - sizes)  # each type's first column
+    flow_first = n_ub + offsets // 2  # each type's first flow row, (t, s) order
     objective = np.empty(2 * T * sizes.sum())
-    b_eq = np.zeros(T * sizes.sum())
+    upper = np.zeros(n_ub + T * sizes.sum())
+    upper[:T], upper[T:n_ub] = instance.budget, 1.0
     t = np.arange(T)
-    ub, eq = ([], [], []), ([], [], [])  # (rows, cols, vals) of each matrix
+    entries = ([], [], [])  # (rows, cols, vals) of A
     # Types that share a state count share one index arithmetic: type n's
     # column of (t, s, a) is offsets[n] + (t S + s) 2 + a.
     for ids, P, rewards in by_state_count(instance.types):  # P[type, s', a, s]
@@ -105,31 +112,24 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
             gain[..., 1] += (P[:, None, :, 1] @ after[..., None])[..., 0]
         objective[col] = instance.rho * gain
         # Per-step activation budget, normalized per class: row t.
-        _append(ub, t[:, None], col[..., 1], 1.0)
+        _append(entries, t[:, None], col[..., 1], 1.0)
         if variant == SPRMAB_LP:
             # Expected single-activation row per type.
-            _append(ub, T + members[:, None, None], col[..., 1], 1.0)
+            _append(entries, T + members[:, None, None], col[..., 1], 1.0)
         # Row (t, s) of a type sums both actions of (s, t): at t = 0 it equals
         # the initial mass, for t >= 1 the inflow, sum over (s', a) of
         # P[s', a, s] mu(s', a, t - 1), over a = 0 alone in DUMMY.
-        row = eq_first[members, None, None] + t[:, None] * S + np.arange(S)
-        _append(eq, row[..., None], col, 1.0)
+        row = flow_first[members, None, None] + t[:, None] * S + np.arange(S)
+        _append(entries, row[..., None], col, 1.0)
         inflow = P[:, :, :1] if variant == DUMMY else P
         k, sp, a, s2 = np.nonzero(inflow)
-        _append(eq, row[k, 1:, s2].T, col[k, :-1, sp, a].T, -inflow[k, sp, a, s2])
-        b_eq[row[:, 0]] = [instance.initial[n] for n in ids]
-    b_ub = np.full(T, float(instance.budget))
-    if variant == SPRMAB_LP:
-        b_ub = np.concatenate([b_ub, np.ones(instance.n_types)])
-    return LpProblem(
-        objective=objective,
-        A_ub=_csr(ub, (b_ub.size, objective.size)),
-        b_ub=b_ub,
-        A_eq=_csr(eq, (b_eq.size, objective.size)),
-        b_eq=b_eq,
-        n_states=n_states,
-        horizon=T,
-    )
+        _append(entries, row[k, 1:, s2].T, col[k, :-1, sp, a].T, -inflow[k, sp, a, s2])
+        upper[row[:, 0]] = [instance.initial[n] for n in ids]
+    rows, cols, vals = (np.concatenate(part) for part in entries)
+    A = sps.coo_matrix((vals, (rows, cols)), shape=(upper.size, objective.size)).tocsr()
+    lower = np.concatenate((np.full(n_ub, -np.inf), upper[n_ub:]))
+    return LpProblem(objective=objective, A=A, lower=lower, upper=upper,
+                     n_states=n_states, horizon=T)
 
 
 def _append(triple, rows, cols, vals):
@@ -139,16 +139,9 @@ def _append(triple, rows, cols, vals):
         part.append(x.ravel())
 
 
-def _csr(triple, shape) -> sps.csr_matrix:
-    """The canonical CSR matrix (sorted columns, no duplicates) of a COO triple."""
-    rows, cols, vals = (np.concatenate(part) for part in triple)
-    return sps.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve to a deterministic basic optimum; raises SolverStall on failure."""
-    res = simplex.solve(problem.objective, problem.A_ub, problem.b_ub,
-                        problem.A_eq, problem.b_eq)
+    res = simplex.solve(problem.objective, problem.A, problem.lower, problem.upper)
     T, sizes = problem.horizon, problem.n_states
     blocks = np.split(res.x, 2 * T * np.cumsum(sizes[:-1]))
     occupancy = [x.reshape(T, S, 2).transpose(1, 2, 0) for x, S in zip(blocks, sizes)]

@@ -130,6 +130,8 @@ def validate_arm(model: ArmModel) -> list[str]:
 def validate_instance(instance: Instance) -> list[str]:
     """The instance-level errors, on top of each type's validate_arm errors."""
     errors = []
+    if not instance.types:
+        errors.append("an instance needs at least one arm type")
     if instance.rho < 1:
         errors.append(f"rho must be positive, got {instance.rho}")
     if instance.horizon < 1:

@@ -3,17 +3,18 @@
 Solves
 
     maximize    c @ x
-    subject to  A_ub @ x <= b_ub,  A_eq @ x = b_eq,  x >= 0
+    subject to  lower <= A @ x <= upper,  x >= 0
 
-with one direct call into the HiGHS binding that scipy ships
-(``scipy.optimize._highspy._core``), loaded from its file so that
-scipy.optimize's __init__ never runs. It sets the options that
-``linprog(method="highs-ds")`` sets, so on the same input HiGHS returns the
-same basic optimum and iteration count as through that wrapper, without
-the wrapper's per-column loop over bound marginals this module never reads.
-The occupancy LPs are feasible (the all-passive flow meets every budget
-row) and bounded (each (type, t) block carries mass 1), so any other
-outcome is a solver failure and raises SolverStall.
+in HiGHS's own form: a canonical CSR matrix A goes in as its row-wise
+matrix, lower and upper as its row bounds (-inf in lower on an inequality
+row, lower == upper on an equality). One direct call into the HiGHS binding
+that scipy ships (``scipy.optimize._highspy._core``), loaded from its file
+so that scipy.optimize's __init__ never runs, sets the options that
+``linprog(method="highs-ds")`` sets: on the same program HiGHS returns the
+same basic optimum and iteration count as through that wrapper. The
+occupancy LPs are feasible (the all-passive flow meets every budget row)
+and bounded (each (type, t) block carries mass 1), so any other outcome is
+a solver failure and raises SolverStall.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-import scipy.sparse as sps
 
 # linprog's check of a reported optimum against its rows and bounds:
 # 10 sqrt(tol) at its default tol of 1e-9.
@@ -58,33 +58,26 @@ def _highs():
     return module
 
 
-def solve(c, A_ub, b_ub, A_eq, b_eq) -> SimplexResult:
-    """Solve max c@x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+def solve(c, A, lower, upper) -> SimplexResult:
+    """Solve max c@x s.t. lower <= A x <= upper, x >= 0, for a canonical CSR matrix A.
 
-    A matrix and its right-hand side may both be None for no rows of that
-    kind. A non-finite entry in c, a matrix or a right-hand side raises
-    ValueError before HiGHS sees it.
+    A NaN anywhere, a non-finite entry in c, A or upper, or +inf in lower
+    raises ValueError before HiGHS sees it.
     """
     # Loaded here: only runs that solve a program need the binding.
     highs = _highs()
-
-    c = np.asarray(c, dtype=float).reshape(-1)
-    A_ub, b_ub = _rows(A_ub, b_ub, c.size)
-    A_eq, b_eq = _rows(A_eq, b_eq, c.size)
-    A = sps.vstack((A_ub, A_eq), format="csc")
-    if not all(np.isfinite(v).all() for v in (c, A.data, b_ub, b_eq)):
-        raise ValueError("c, the constraint matrices and right-hand sides must be finite")
+    if not (all(np.isfinite(v).all() for v in (c, A.data, upper)) and np.all(lower < np.inf)):
+        raise ValueError("c, A and upper must be finite, and lower finite or -inf")
 
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = c.size
     model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.format_ = highs.MatrixFormat.kRowwise
     model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
         A.indptr, A.indices, A.data)
     model.col_cost_ = -c
     model.col_lower_, model.col_upper_ = np.zeros(c.size), np.full(c.size, np.inf)
-    model.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
-    model.row_upper_ = np.concatenate((b_ub, b_eq))
+    model.row_lower_, model.row_upper_ = lower, upper
     options = highs.HighsOptions()
     options.presolve = "on"
     options.solver = "simplex"
@@ -104,18 +97,8 @@ def solve(c, A_ub, b_ub, A_eq, b_eq) -> SimplexResult:
                           f"({solver.modelStatusToString(status)})")
     x = np.array(solver.getSolution().col_value)
     row = A @ x
-    residual = max(np.max(-x, initial=0.0), np.max(row[:b_ub.size] - b_ub, initial=0.0),
-                   np.max(np.abs(row[b_ub.size:] - b_eq), initial=0.0))
+    residual = max(np.max(-x, initial=0.0), np.max(lower - row, initial=0.0),
+                   np.max(row - upper, initial=0.0))
     if residual > RESIDUAL_TOL:
         raise SolverStall(f"HiGHS's optimum misses its constraints by {residual:.2e}")
     return SimplexResult(x, float(c @ x), int(solver.getInfo().simplex_iteration_count))
-
-
-def _rows(A, b, n_cols):
-    """One kind of constraint rows as (CSR matrix, right-hand side); None means none."""
-    A = sps.csr_array((0, n_cols)) if A is None else sps.csr_array(A, dtype=float)
-    b = np.asarray([] if b is None else b, dtype=float).reshape(-1)
-    if A.shape != (b.size, n_cols):
-        raise ValueError(f"a {A.shape} constraint matrix does not fit {b.size} "
-                         f"right-hand sides and {n_cols} columns")
-    return A, b

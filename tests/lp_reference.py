@@ -116,11 +116,24 @@ def canonical_rows(rows):
     )
 
 
+def linprog_form(problem):
+    """An lp.LpProblem's rows as linprog's keyword arguments A_ub, b_ub, A_eq, b_eq.
+
+    The rows whose lower bound is -inf are the inequalities and come first;
+    on every other row lower equals upper.
+    """
+    n_ub = int(np.isneginf(problem.lower).sum())
+    assert np.isneginf(problem.lower[:n_ub]).all()
+    assert np.array_equal(problem.lower[n_ub:], problem.upper[n_ub:])
+    A, b = problem.A, problem.upper
+    return {"A_ub": A[:n_ub], "b_ub": b[:n_ub], "A_eq": A[n_ub:], "b_eq": b[n_ub:]}
+
+
 def problem_rows(problem):
     """The rows an lp.LpProblem stores, in the shape reference_lp returns."""
+    form = linprog_form(problem)
     rows = []
-    for A, b, relation in ((problem.A_ub, problem.b_ub, "<="), (problem.A_eq, problem.b_eq, "=")):
-        A = A.tocsr()
+    for A, b, relation in ((form["A_ub"], form["b_ub"], "<="), (form["A_eq"], form["b_eq"], "=")):
         for i in range(A.shape[0]):
             lo, hi = A.indptr[i], A.indptr[i + 1]
             rows.append((A.indices[lo:hi], A.data[lo:hi], relation, float(b[i])))

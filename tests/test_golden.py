@@ -42,6 +42,7 @@ import scipy
 from singlepull import cli, domains, lp, policies
 
 from conftest import mixed_instance
+from lp_reference import linprog_form
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 CLI_SETTING = {"n_types": 2, "n_states": 3, "budget": 1, "rho": 3, "horizon": 4}
@@ -140,8 +141,10 @@ def matrices_digest(label: str, variant: str) -> str:
     """Digest of one program's objective, right-hand sides and both CSR matrices."""
     inst = mixed_instance() if label == MIXED else table_instance(label)
     prob = lp.build_occupancy_lp(inst, variant)
-    csr = (prob.A_ub, prob.A_eq)
-    values = _array_digest([prob.objective, prob.b_ub, prob.b_eq, *(A.data for A in csr)], float)
+    form = linprog_form(prob)
+    csr = (form["A_ub"], form["A_eq"])
+    values = _array_digest([prob.objective, form["b_ub"], form["b_eq"], *(A.data for A in csr)],
+                           float)
     ids = _array_digest([x for A in csr for x in (A.indptr, A.indices)], np.int64)
     return _sha((values + ids).encode())
 

@@ -14,7 +14,8 @@ from singlepull import domains, lp
 from singlepull.model import expand_with_dummies, on_expanded, point_initial
 
 from conftest import mixed_instance, random_arm, random_tiny_instance
-from lp_reference import EXPANDED, canonical_rows, col, problem_rows, reference_lp, solve_reference
+from lp_reference import (EXPANDED, canonical_rows, col, linprog_form, problem_rows, reference_lp,
+                          solve_reference)
 
 
 def tiny_instance(rng, n_types=1, S=2, T=2, rho=1, budget=1):
@@ -46,16 +47,17 @@ class TestBuilder:
         inst = tiny_instance(rng, n_types=1, S=2, T=2)
         prob = build_occupancy_lp(inst, lp.MEAN_FIELD)
         # T activation rows + |S| flow rows at t=1 + |S| initial rows
-        assert prob.A_ub.shape == (2, prob.n_vars)
-        assert prob.A_eq.shape == (2 + 2, prob.n_vars)
+        form = linprog_form(prob)
+        assert form["A_ub"].shape == (2, prob.n_vars)
+        assert form["A_eq"].shape == (2 + 2, prob.n_vars)
 
     def test_sprmab_adds_one_row_per_type(self, rng):
         inst = tiny_instance(rng, n_types=3, S=2, T=2)
-        base = build_occupancy_lp(inst, lp.MEAN_FIELD)
-        plus = build_occupancy_lp(inst, lp.SPRMAB_LP)
-        assert plus.A_ub.shape[0] == base.A_ub.shape[0] + 3
-        assert (plus.A_eq != base.A_eq).nnz == 0
-        assert np.array_equal(plus.b_ub[-3:], np.ones(3))
+        base = linprog_form(build_occupancy_lp(inst, lp.MEAN_FIELD))
+        plus = linprog_form(build_occupancy_lp(inst, lp.SPRMAB_LP))
+        assert plus["A_ub"].shape[0] == base["A_ub"].shape[0] + 3
+        assert (plus["A_eq"] != base["A_eq"]).nnz == 0
+        assert np.array_equal(plus["b_ub"][-3:], np.ones(3))
 
     def test_var_index_bijection(self, rng):
         # the reference layout over the problem's state counts and horizon
@@ -78,14 +80,33 @@ class TestBuilder:
                                                budget=1, rho=2, horizon=3))
         for inst in instances:
             for variant in lp.VARIANTS:
+                A = build_occupancy_lp(inst, variant).A
+                assert A.format == "csr" and A.has_canonical_format
+                assert np.all(np.diff(A.indptr) > 0)  # no empty row
+                for i in range(A.shape[0]):
+                    cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+                    assert np.all(np.diff(cols) > 0)  # sorted, no duplicates
+                assert np.all(A.data != 0.0)
+
+    def test_row_layout(self):
+        """The T budget rows come first, then SPRMAB_LP's N single-pull rows,
+        then the flow rows; the rows with lower -inf are exactly those before
+        the flow rows. The budget duals are the first T row duals."""
+        for inst in fold_instances():
+            T, N = inst.horizon, inst.n_types
+            for variant in lp.VARIANTS:
                 prob = build_occupancy_lp(inst, variant)
-                for A in (prob.A_ub, prob.A_eq):
-                    assert A.format == "csr" and A.has_canonical_format
-                    assert np.all(np.diff(A.indptr) > 0)  # no empty row
-                    for i in range(A.shape[0]):
-                        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-                        assert np.all(np.diff(cols) > 0)  # sorted, no duplicates
-                    assert np.all(A.data != 0.0)
+                A, lower, upper = prob.A, prob.lower, prob.upper
+                n_ub = T + (N if variant == lp.SPRMAB_LP else 0)
+                for t in range(T):
+                    pulls = sorted(col(prob.n_states, T, n, s, 1, t)
+                                   for n, S in enumerate(prob.n_states) for s in range(S))
+                    assert A.indices[A.indptr[t]:A.indptr[t + 1]].tolist() == pulls
+                    assert np.all(A.data[A.indptr[t]:A.indptr[t + 1]] == 1.0)
+                assert np.all(lower[:T] == -np.inf) and np.all(upper[:T] == inst.budget)
+                assert np.all(upper[T:n_ub] == 1.0)
+                assert np.array_equal(lower[n_ub:], upper[n_ub:])
+                assert np.flatnonzero(np.isneginf(lower)).tolist() == list(range(n_ub))
 
     def test_matches_reference_builder(self, rng):
         """Same objective and rows, entry for entry, as the loop-by-loop builder.
@@ -154,16 +175,17 @@ class TestFold:
             mean_field = build_occupancy_lp(inst, lp.MEAN_FIELD)
             assert (dummy.n_states, dummy.horizon, dummy.n_vars) == \
                 (mean_field.n_states, mean_field.horizon, mean_field.n_vars)
-            assert (dummy.A_ub != mean_field.A_ub).nnz == 0
-            assert np.array_equal(dummy.b_ub, mean_field.b_ub)
-            assert np.array_equal(dummy.b_eq, mean_field.b_eq)
+            dummy, mean_field = linprog_form(dummy), linprog_form(mean_field)
+            assert (dummy["A_ub"] != mean_field["A_ub"]).nnz == 0
+            assert np.array_equal(dummy["b_ub"], mean_field["b_ub"])
+            assert np.array_equal(dummy["b_eq"], mean_field["b_eq"])
             # the inflow entries are the negative ones; odd columns are pulls
-            A = mean_field.A_eq.tocoo()
+            A = mean_field["A_eq"].tocoo()
             pull_inflow = (A.data < 0) & (A.col % 2 == 1)
             assert pull_inflow.any() or inst.horizon == 1
             keep = ~pull_inflow
             expected = sps.csr_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
-            assert dummy.A_eq.nnz == expected.nnz and (dummy.A_eq != expected).nnz == 0
+            assert dummy["A_eq"].nnz == expected.nnz and (dummy["A_eq"] != expected).nnz == 0
 
 
 class TestSolve:
@@ -188,8 +210,9 @@ class TestSolve:
                         for a in (0, 1):
                             x[col(prob.n_states, prob.horizon, n, s, a, t)] = \
                                 sol.occupancy[n][s, a, t]
-            assert np.allclose(prob.A_eq @ x, prob.b_eq, rtol=0.0, atol=1e-7)
-            assert np.all(prob.A_ub @ x <= prob.b_ub + 1e-7)
+            form = linprog_form(prob)
+            assert np.allclose(form["A_eq"] @ x, form["b_eq"], rtol=0.0, atol=1e-7)
+            assert np.all(form["A_ub"] @ x <= form["b_ub"] + 1e-7)
 
     def test_matches_scipy_on_all_variants(self, rng):
         for _ in range(5):
@@ -197,10 +220,11 @@ class TestSolve:
             for variant in lp.VARIANTS:
                 prob = build_occupancy_lp(inst, variant)
                 sol = solve_lp(prob)
+                form = linprog_form(prob)
                 ref = scipy.optimize.linprog(
                     -prob.objective,
-                    A_ub=prob.A_ub.toarray(), b_ub=prob.b_ub,
-                    A_eq=prob.A_eq.toarray(), b_eq=prob.b_eq,
+                    A_ub=form["A_ub"].toarray(), b_ub=form["b_ub"],
+                    A_eq=form["A_eq"].toarray(), b_eq=form["b_eq"],
                     bounds=[(0, None)] * prob.n_vars, method="highs",
                 )
                 assert ref.status == 0

@@ -218,6 +218,25 @@ class TestValidateInstance:
                                                  "initial probabilities$"):
                 Instance(types=(m,), rho=1, budget=1, horizon=2, initial=(np.array(dist),))
 
+    def test_no_arm_types_rejected(self, tmp_path):
+        # made directly, drawn from a family with zero types, or loaded from a
+        # replay file that lists none
+        message = "invalid instance: an instance needs at least one arm type$"
+        with pytest.raises(ValueError, match=message):
+            Instance(types=(), rho=1, budget=1, horizon=2, initial=())
+        for family in domains.FAMILIES:
+            with pytest.raises(ValueError, match=message):
+                domains.make_instance(domains.DomainSpec(family, 0, 3), budget=1, rho=1, horizon=2)
+        path = tmp_path / "inst.json"
+        save_instance(Instance(types=(two_state_arm(),), rho=1, budget=1, horizon=2,
+                               initial=(point_initial(2, 0),)), str(path))
+        import json
+        doc = json.loads(path.read_text())
+        doc["types"], doc["initial"] = [], []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_instance(str(path))
+
     def test_valid_instance_holds_its_expansion_and_tables(self, rng):
         types = (random_arm(rng, 2), random_arm(rng, 3))
         inst = Instance(types=types, rho=2, budget=1, horizon=2,

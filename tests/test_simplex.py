@@ -10,11 +10,17 @@ import scipy.sparse as sps
 from singlepull import domains, lp, simplex
 
 from conftest import mixed_instance, stall_highs
+from lp_reference import linprog_form
 
 
 def solve_dense(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    as_csr = lambda A: None if A is None else sps.csr_matrix(np.atleast_2d(A), dtype=float)
-    return simplex.solve(np.asarray(c, float), as_csr(A_ub), b_ub, as_csr(A_eq), b_eq)
+    """simplex.solve on linprog-style rows A_ub x <= b_ub and A_eq x = b_eq; None for none."""
+    c = np.asarray(c, float)
+    A_ub, A_eq = (np.zeros((0, c.size)) if A is None else np.atleast_2d(A) for A in (A_ub, A_eq))
+    b_ub, b_eq = (np.asarray([] if b is None else b, float) for b in (b_ub, b_eq))
+    A = sps.csr_matrix(np.vstack((A_ub, A_eq)), dtype=float)
+    lower = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+    return simplex.solve(c, A, lower, np.concatenate((b_ub, b_eq)))
 
 
 class TestBasics:
@@ -127,9 +133,8 @@ class TestMatchesLinprog:
     def test_occupancy_programs_are_bit_identical(self, variant):
         for inst in self.instances():
             prob = lp.build_occupancy_lp(inst, variant)
-            mine = simplex.solve(prob.objective, prob.A_ub, prob.b_ub, prob.A_eq, prob.b_eq)
-            ref = scipy.optimize.linprog(-prob.objective, A_ub=prob.A_ub, b_ub=prob.b_ub,
-                                         A_eq=prob.A_eq, b_eq=prob.b_eq, bounds=(0, None),
+            mine = simplex.solve(prob.objective, prob.A, prob.lower, prob.upper)
+            ref = scipy.optimize.linprog(-prob.objective, **linprog_form(prob), bounds=(0, None),
                                          method="highs-ds")
             assert ref.status == 0
             x = np.asarray(ref.x, dtype=float)
@@ -155,6 +160,18 @@ def test_non_finite_input_raises_value_error():
             bad.flat[-1] = value
             with pytest.raises(ValueError, match="finite"):
                 solve_dense(**{**parts, entry: bad})
+
+
+def test_row_bounds_are_checked():
+    # lower may be -inf on a row with no lower side; any other non-finite
+    # bound, and a NaN in either, is rejected before HiGHS sees it
+    c, A = np.ones(1), sps.csr_matrix([[1.0]])
+    for lower, upper in ((np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0),
+                         (0.0, np.inf), (-np.inf, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            simplex.solve(c, A, np.array([lower]), np.array([upper]))
+    res = simplex.solve(c, A, np.array([-np.inf]), np.array([1.0]))
+    assert res.x.tolist() == [1.0] and res.objective == 1.0
 
 
 # HiGHS model statuses that end a solve without an optimum, with their
