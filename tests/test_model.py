@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -230,7 +232,6 @@ class TestValidateInstance:
         path = tmp_path / "inst.json"
         save_instance(Instance(types=(two_state_arm(),), rho=1, budget=1, horizon=2,
                                initial=(point_initial(2, 0),)), str(path))
-        import json
         doc = json.loads(path.read_text())
         doc["types"], doc["initial"] = [], []
         path.write_text(json.dumps(doc))
@@ -300,7 +301,6 @@ class TestInstanceIo:
                         initial=(point_initial(2, 0),))
         path = tmp_path / "inst.json"
         save_instance(inst, str(path))
-        import json
         doc = json.loads(path.read_text())
         doc["types"][0]["transitions"][0][0][0] += 5e-10  # inside tolerance
         path.write_text(json.dumps(doc))
@@ -313,7 +313,6 @@ class TestInstanceIo:
                         initial=(point_initial(2, 0),))
         path = tmp_path / "inst.json"
         save_instance(inst, str(path))
-        import json
         doc = json.loads(path.read_text())
         doc["types"][0]["transitions"][0][0][0] += 1e-3
         path.write_text(json.dumps(doc))
@@ -327,7 +326,6 @@ class TestInstanceIo:
                         initial=(point_initial(2, 0),))
         path = tmp_path / "inst.json"
         save_instance(inst, str(path))
-        import json
         doc = json.loads(path.read_text())
         if where == "transitions":
             doc["types"][0]["transitions"][1][0] = [float("nan")] * 2
