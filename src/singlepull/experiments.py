@@ -190,10 +190,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"episode seeds run to base_seed + episodes - 1 = {last_seed}, "
                           f"above the largest uint64 seed {MAX_EPISODE_SEED}")
     _check_random_size(cfg.policies, cfg.n_types, cfg.rho)
-    if cfg.budget > cfg.n_types * cfg.rho:
-        # a never-binding budget is legal: warn only
-        log.warning("budget %d exceeds n_types*rho = %d; the budget never binds",
-                    cfg.budget, cfg.n_types * cfg.rho)
+    if cfg.budget >= cfg.n_types:
+        # budget * rho arms a step out of n_types * rho: legal, so warn only
+        log.warning("budget %d is at least n_types = %d; the budget never binds",
+                    cfg.budget, cfg.n_types)
     return cfg
 
 

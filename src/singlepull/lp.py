@@ -25,6 +25,12 @@ call into the binding scipy ships, loaded from its file without importing
 scipy.optimize, with the options of linprog's dual simplex. Every variant
 is feasible and bounded, so a solve either returns the optimum or raises
 SolverStall.
+
+With K >= N the budget rows never bind (each type's pull mass per epoch is
+at most 1) and the program is N independent per-type programs (Hawkins
+2003). Presolve cannot see that without summing each type's flow rows, so
+`solve_lp` leaves the budget rows out of the HiGHS call there; their duals
+are 0. The builder's row layout is the same at every K.
 """
 
 from __future__ import annotations
@@ -140,9 +146,17 @@ def _append(triple, rows, cols, vals):
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve to a deterministic basic optimum; raises SolverStall on failure."""
-    res = simplex.solve(problem.objective, problem.A, problem.lower, problem.upper)
+    """Solve to a deterministic basic optimum; raises SolverStall on failure.
+
+    When the budget K is at least the number of types N, HiGHS gets every row
+    but the T budget rows: a type's pull mass per epoch is at most 1, so they
+    cannot bind, and the program splits into one program per type, which
+    presolve solves outright. Their duals are 0. Below that, every row goes in.
+    """
     T, sizes = problem.horizon, problem.n_states
+    first = T if np.all(problem.upper[:T] >= len(sizes)) else 0
+    res = simplex.solve(problem.objective, problem.A[first:], problem.lower[first:],
+                        problem.upper[first:])
     blocks = np.split(res.x, 2 * T * np.cumsum(sizes[:-1]))
     occupancy = [x.reshape(T, S, 2).transpose(1, 2, 0) for x, S in zip(blocks, sizes)]
     return LpSolution(res.objective, occupancy, res.iterations)

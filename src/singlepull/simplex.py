@@ -61,11 +61,16 @@ def _highs():
 def solve(c, A, lower, upper) -> SimplexResult:
     """Solve max c@x s.t. lower <= A x <= upper, x >= 0, for a canonical CSR matrix A.
 
-    A NaN anywhere, a non-finite entry in c, A or upper, or +inf in lower
-    raises ValueError before HiGHS sees it.
+    Bounds that do not have one entry per row of A, a c that does not have
+    one entry per column, a NaN anywhere, a non-finite entry in c, A or
+    upper, or +inf in lower raises ValueError before HiGHS sees it.
     """
     # Loaded here: only runs that solve a program need the binding.
     highs = _highs()
+    m, n = A.shape
+    if not (np.shape(c) == (n,) and np.shape(lower) == np.shape(upper) == (m,)):
+        raise ValueError(f"A is {m} x {n}, so c needs {n} entries and lower and upper {m} "
+                         f"each; got {np.size(c)}, {np.size(lower)} and {np.size(upper)}")
     if not (all(np.isfinite(v).all() for v in (c, A.data, upper)) and np.all(lower < np.inf)):
         raise ValueError("c, A and upper must be finite, and lower finite or -inf")
 

@@ -72,13 +72,27 @@ class TestConfig:
 
     def test_never_binding_budget_warns_through_logging(self, tmp_path, caplog, capsys):
         doc = small_config(tmp_path)
-        doc["setting"]["budget"] = 5  # n_types * rho = 4
+        doc["setting"]["budget"] = 5  # n_types = 2, rho = 2
         with caplog.at_level("WARNING", logger="singlepull.experiments"):
             cfg = parse_config(doc)
         assert cfg.budget == 5
         assert [r.levelname for r in caplog.records] == ["WARNING"]
-        assert "budget 5 exceeds n_types*rho = 4" in caplog.records[0].getMessage()
+        assert "budget 5 is at least n_types = 2" in caplog.records[0].getMessage()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n_types, rho, budget, warns", [
+        (2, 2, 2, True), (2, 2, 1, False), (3, 1, 3, True), (3, 1, 2, False),
+        (10, 10, 10, True), (10, 10, 9, False)])
+    def test_budget_warns_from_budget_n_types_on(self, tmp_path, caplog,
+                                                 n_types, rho, budget, warns):
+        # budget * rho arms a step out of n_types * rho: K = N pulls every arm
+        doc = small_config(tmp_path)
+        doc["setting"].update(n_types=n_types, rho=rho, budget=budget)
+        with caplog.at_level("WARNING", logger="singlepull.experiments"):
+            parse_config(doc)
+        assert [r.getMessage() for r in caplog.records] == (
+            [f"budget {budget} is at least n_types = {n_types}; the budget never binds"]
+            if warns else [])
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"

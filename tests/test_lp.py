@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -10,7 +12,7 @@ from singlepull import (
     solve_lp,
     upper_bound,
 )
-from singlepull import domains, lp
+from singlepull import domains, lp, simplex
 from singlepull.model import expand_with_dummies, on_expanded, point_initial
 
 from conftest import mixed_instance, random_arm, random_tiny_instance
@@ -230,6 +232,33 @@ class TestSolve:
                 assert ref.status == 0
                 assert sol.objective == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
 
+    def test_budget_rows_left_out_when_budget_covers_types(self, monkeypatch):
+        """At K >= N HiGHS gets the rows after the T budget rows, at K = N - 1
+        every row; the optimum meets the rows left out."""
+        calls, solve = [], simplex.solve
+
+        def spy(c, A, lower, upper):
+            calls.append((A, lower, upper))
+            return solve(c, A, lower, upper)
+
+        monkeypatch.setattr(simplex, "solve", spy)
+        for inst in fold_instances():
+            T, N = inst.horizon, inst.n_types
+            for budget in (N - 1, N, N + 1):
+                for variant in lp.VARIANTS:
+                    prob = build_occupancy_lp(replace(inst, budget=budget), variant)
+                    sol = solve_lp(prob)
+                    A, lower, upper = calls.pop()
+                    first = T if budget >= N else 0
+                    assert A.shape == (prob.A.shape[0] - first, prob.n_vars)
+                    assert (A != prob.A[first:]).nnz == 0
+                    assert np.array_equal(lower, prob.lower[first:])
+                    assert np.array_equal(upper, prob.upper[first:])
+                    x = np.concatenate([block.transpose(2, 0, 1).ravel()
+                                        for block in sol.occupancy])
+                    assert np.all(prob.A[:T] @ x <= budget + 1e-9)
+        assert not calls
+
     def test_deterministic_resolve(self, rng):
         inst = tiny_instance(rng, n_types=2, S=2, T=3)
         prob = build_occupancy_lp(inst, lp.DUMMY)
@@ -273,6 +302,22 @@ class TestOrderings:
                     v = (big.rewards + big.transitions @ v).max(axis=1)
                 expected += inst.rho * float(d @ v)
             assert upper_bound(inst) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_mean_field_bound_decouples_when_budget_covers_types(self, rng):
+        """With K >= N the MEAN_FIELD bound is rho times the sum of the
+        per-type finite-horizon optima on the original models."""
+        instances = [mixed_size_instance(rng, covering_budget=True) for _ in range(4)]
+        spec = domains.DomainSpec(domains.CPAP, 10, 5, seed=0)
+        instances.append(domains.make_instance(spec, budget=10, rho=10, horizon=20))
+        for inst in instances:
+            expected = 0.0
+            for m, d in zip(inst.types, inst.initial):
+                v = np.zeros(m.n_states)
+                for _ in range(inst.horizon):
+                    v = (m.rewards + m.transitions @ v).max(axis=1)
+                expected += inst.rho * float(d @ v)
+            objective = solve_lp(build_occupancy_lp(inst, lp.MEAN_FIELD)).objective
+            assert objective == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_upper_bound_k0_equals_passive_reward(self, rng):
         types = tuple(random_arm(rng, 3, active_only_rewards=False) for _ in range(2))

@@ -174,6 +174,28 @@ def test_row_bounds_are_checked():
     assert res.x.tolist() == [1.0] and res.objective == 1.0
 
 
+def test_bounds_need_one_entry_per_row():
+    # one row: two entries in either bound, or none, are rejected before HiGHS
+    c, A = np.ones(2), sps.csr_matrix([[1.0, 1.0]])
+    one, two = np.array([1.0]), np.array([-np.inf, -np.inf])
+    for lower, upper in ((two, np.ones(2)), (np.array([-np.inf]), np.ones(2)), (two, one),
+                         (np.array([]), one)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"A is 1 x 2, so c needs 2 entries and lower and upper 1 each; "
+                f"got 2, {lower.size} and {upper.size}")):
+            simplex.solve(c, A, lower, upper)
+
+
+def test_a_needs_one_column_per_entry_of_c():
+    A, lower, upper = sps.csr_matrix([[1.0, 1.0]]), np.array([-np.inf]), np.array([1.0])
+    for c in (np.ones(1), np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"A is 1 x 2, so c needs 2 entries and lower and upper 1 each; "
+                f"got {c.size}, 1 and 1")):
+            simplex.solve(c, A, lower, upper)
+    assert simplex.solve(np.ones(2), A, lower, upper).objective == 1.0
+
+
 # HiGHS model statuses that end a solve without an optimum, with their
 # descriptions: iteration limit, infeasible, unbounded, solver error.
 STALLS = {"kIterationLimit": "Iteration limit reached", "kInfeasible": "Infeasible",
