@@ -22,15 +22,30 @@ on the stacked transitions of each group of model.by_state_count, the
 grouping the index passes use too; its CSR form does not depend on the
 group order. `simplex.solve` hands A and the bounds to HiGHS in one direct
 call into the binding scipy ships, loaded from its file without importing
-scipy.optimize, with the options of linprog's dual simplex. Every variant
-is feasible and bounded, so a solve either returns the optimum or raises
+scipy.optimize, with the options of linprog's simplex. Every variant is
+feasible and bounded, so a solve either returns the optimum or raises
 SolverStall.
 
 With K >= N the budget rows never bind (each type's pull mass per epoch is
 at most 1) and the program is N independent per-type programs (Hawkins
-2003). Presolve cannot see that without summing each type's flow rows, so
-`solve_lp` leaves the budget rows out of the HiGHS call there; their duals
-are 0. The builder's row layout is the same at every K.
+2003). There `solve_lp` solves DUMMY and MEAN_FIELD by the per-type DP, with
+no HiGHS call, and returns the DP's value and the occupancy of its policy
+(ties rest). SPRMAB_LP's per-type rows are not a DP, so HiGHS gets its rows
+after the T budget rows. Either way the budget duals are 0. The builder's
+row layout is the same at every K.
+
+The bound is certified by weak Lagrangian duality (Hawkins 2003; Brown &
+Smith 2020): for any prices pi >= 0 on the T budget rows,
+
+    L(pi) = K sum_t pi_t + sum_n mu_n . V_n(pi)  >=  the LP optimum,
+
+where V_n is type n's per-type DP in which a pull at t also costs pi_t. So
+`upper_bound` returns L(pi) at the budget duals HiGHS reports, a bound that
+does not depend on which optimal vertex HiGHS stops at, and that solve may
+use the primal simplex, which is faster on these programs. SPI and
+meanfield read the vertex itself, so their solves keep the dual simplex, the
+default: its vertex is the one linprog(method="highs-ds") returns, and the
+golden digests pin the orders read from it.
 """
 
 from __future__ import annotations
@@ -41,12 +56,16 @@ import numpy as np
 import scipy.sparse as sps
 
 from . import simplex
-from .model import Instance, by_state_count
+from .model import ArmModel, Instance, by_state_count
 
 MEAN_FIELD = "mean_field"
 SPRMAB_LP = "sprmab_lp"
 DUMMY = "dummy"
 VARIANTS = (MEAN_FIELD, SPRMAB_LP, DUMMY)
+
+# upper_bound's certificate check: L(pi) may exceed HiGHS's c @ x by this
+# much relative before the solve counts as stopped short of the optimum.
+CERTIFICATE_TOL = 1e-9
 
 
 @dataclass
@@ -61,6 +80,8 @@ class LpProblem:
     epoch t's budget row: its pull columns sum to at most K. In SPRMAB_LP the
     next n_types rows each sum a type's pull columns over the horizon to at
     most 1. lower is -inf on these rows and equals upper on the flow rows.
+
+    variant, types, initial and rho are what the per-type DP reads.
     """
 
     objective: np.ndarray
@@ -69,6 +90,10 @@ class LpProblem:
     upper: np.ndarray
     n_states: tuple[int, ...]
     horizon: int
+    variant: str
+    types: tuple[ArmModel, ...]
+    initial: tuple[np.ndarray, ...]
+    rho: int
 
     @property
     def n_vars(self) -> int:
@@ -80,6 +105,7 @@ class LpSolution:
     objective: float
     occupancy: list[np.ndarray]  # per type, shape (S_n, 2, T)
     iterations: int = 0
+    budget_dual: np.ndarray | None = None  # pi >= 0 on the T budget rows
     status = "OPTIMAL"  # not a field: solve_lp returns only optima
 
 
@@ -135,7 +161,8 @@ def build_occupancy_lp(instance: Instance, variant: str) -> LpProblem:
     A = sps.coo_matrix((vals, (rows, cols)), shape=(upper.size, objective.size)).tocsr()
     lower = np.concatenate((np.full(n_ub, -np.inf), upper[n_ub:]))
     return LpProblem(objective=objective, A=A, lower=lower, upper=upper,
-                     n_states=n_states, horizon=T)
+                     n_states=n_states, horizon=T, variant=variant, types=instance.types,
+                     initial=instance.initial, rho=instance.rho)
 
 
 def _append(triple, rows, cols, vals):
@@ -145,29 +172,108 @@ def _append(triple, rows, cols, vals):
         part.append(x.ravel())
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve to a deterministic basic optimum; raises SolverStall on failure.
+def solve_lp(problem: LpProblem, strategy: str = simplex.DUAL) -> LpSolution:
+    """Solve to a deterministic optimum; raises SolverStall on failure.
 
-    When the budget K is at least the number of types N, HiGHS gets every row
-    but the T budget rows: a type's pull mass per epoch is at most 1, so they
-    cannot bind, and the program splits into one program per type, which
-    presolve solves outright. Their duals are 0. Below that, every row goes in.
+    When the budget K is at least the number of types N the budget rows
+    cannot bind (a type's pull mass per epoch is at most 1), and the program
+    splits into one program per type. DUMMY and MEAN_FIELD are then solved
+    by the per-type DP with no HiGHS call: the DP's value, the occupancy of
+    its policy, which rests on ties, and 0 iterations. SPRMAB_LP goes to
+    HiGHS without the budget rows. Their duals are 0. Below that, every row
+    goes to HiGHS's simplex with strategy (simplex.DUAL or simplex.PRIMAL):
+    the dual simplex ends at linprog(method="highs-ds")'s vertex, which SPI
+    and meanfield read; upper_bound, which reads only the duals, asks for
+    the primal one.
     """
     T, sizes = problem.horizon, problem.n_states
-    first = T if np.all(problem.upper[:T] >= len(sizes)) else 0
+    covers = bool(np.all(problem.upper[:T] >= len(sizes)))
+    if covers and problem.variant != SPRMAB_LP:
+        return _dp_solution(problem)
+    first = T if covers else 0
     res = simplex.solve(problem.objective, problem.A[first:], problem.lower[first:],
-                        problem.upper[first:])
+                        problem.upper[first:], strategy=strategy)
     blocks = np.split(res.x, 2 * T * np.cumsum(sizes[:-1]))
     occupancy = [x.reshape(T, S, 2).transpose(1, 2, 0) for x, S in zip(blocks, sizes)]
-    return LpSolution(res.objective, occupancy, res.iterations)
+    budget_dual = np.zeros(T) if first else np.maximum(-res.row_dual[:T], 0.0)
+    return LpSolution(res.objective, occupancy, res.iterations, budget_dual)
+
+
+def _per_type_dp(problem: LpProblem, pi: np.ndarray):
+    """The per-type DP at budget prices pi, one stacked backward pass per state count.
+
+    Yields (ids, P, Q) per group of model.by_state_count: Q[b, t, s, a] is
+    the value of action a in state s at epoch t for type ids[b]. Resting
+    pays rho r(s, 0) and moves by P(.|s, 0); a pull pays rho r(s, 1) - pi_t
+    and moves by P(.|s, 1), and in DUMMY it retires the arm, which then
+    collects its passive value-to-go W_{t+1}. V_t(s) = max_a Q[t, s, a].
+    """
+    if problem.variant == SPRMAB_LP:
+        raise ValueError("the per-type DP solves DUMMY and MEAN_FIELD only")
+    retire = problem.variant == DUMMY
+    for ids, P, R in by_state_count(problem.types):  # P[type, s, a, s']
+        gain = problem.rho * R
+        Q = np.empty((len(ids), problem.horizon) + R.shape[1:])
+        after = np.zeros(R.shape[:2] + (2,))  # (V_{t+1}, W_{t+1}) per (type, state)
+        for t in range(problem.horizon - 1, -1, -1):
+            ahead = P @ after[:, None]  # [b, s, a, k]: P(.|s, a) @ column k of after
+            Q[:, t, :, 0] = gain[..., 0] + ahead[:, :, 0, 0]
+            Q[:, t, :, 1] = gain[..., 1] + ahead[:, :, 1, int(retire)] - pi[t]
+            after = np.stack((Q[:, t].max(axis=-1), gain[..., 0] + ahead[:, :, 0, 1]), axis=-1)
+        yield ids, P, Q
+
+
+def lagrangian_bound(problem: LpProblem, pi: np.ndarray) -> float:
+    """L(pi) = sum_t K_t pi_t + sum_n mu_n . V_n(pi), for prices pi >= 0 on the budget rows.
+
+    By weak Lagrangian duality it bounds the optimum of DUMMY or MEAN_FIELD
+    from above, whatever pi >= 0; K_t is budget row t's upper bound.
+    """
+    total = problem.upper[:problem.horizon] @ pi
+    for ids, _, Q in _per_type_dp(problem, pi):
+        mu = np.array([problem.initial[n] for n in ids])
+        total += np.sum(mu * Q[:, 0].max(axis=-1))
+    return float(total)
+
+
+def _dp_solution(problem: LpProblem) -> LpSolution:
+    """The per-type DP at pi = 0: its value and the occupancy of its policy, ties resting."""
+    T = problem.horizon
+    value, occupancy = 0.0, [None] * len(problem.types)
+    moves = slice(None) if problem.variant == MEAN_FIELD else slice(0, 1)  # DUMMY: rest only
+    for ids, P, Q in _per_type_dp(problem, np.zeros(T)):
+        mass = np.array([problem.initial[n] for n in ids])
+        value += float(np.sum(mass * Q[:, 0].max(axis=-1)))
+        pull = Q[..., 1] > Q[..., 0]
+        block = np.empty(mass.shape + (2, T))
+        for t in range(T):
+            block[:, :, 1, t] = np.where(pull[:, t], mass, 0.0)
+            block[:, :, 0, t] = np.where(pull[:, t], 0.0, mass)
+            mass = np.einsum("bsa,bsap->bp", block[:, :, moves, t], P[:, :, moves])
+        for b, n in enumerate(ids):
+            occupancy[n] = block[b]
+    return LpSolution(value, occupancy, 0, np.zeros(T))
 
 
 def upper_bound(instance: Instance) -> float:
-    """Total-reward upper bound: optimum of the DUMMY LP.
+    """Total-reward upper bound: L(pi) of the DUMMY LP at HiGHS's budget duals.
 
-    It equals the optimum of the occupancy LP over dummy-expanded states.
-    The objective already carries the per-class weight rho, so the LP value
-    bounds the expected total reward of any feasible policy on the
-    replicated population from above.
+    The DUMMY LP's optimum equals the optimum of the occupancy LP over
+    dummy-expanded states, and its objective carries the per-class weight
+    rho, so it bounds the expected total reward of any feasible policy on the
+    replicated population from above. The bound returned is L(pi) with
+    pi = max(-row_dual, 0) on the budget rows, which bounds the LP optimum
+    whatever vertex or tolerance HiGHS ends at; the solve uses the primal
+    simplex, since only its duals are read. At K >= N, pi = 0 and L(0) is
+    the per-type DP's value. Raises SolverStall, naming both values, when
+    L(pi) exceeds c @ x by more than CERTIFICATE_TOL relative: HiGHS then
+    stopped short of the optimum.
     """
-    return solve_lp(build_occupancy_lp(instance, DUMMY)).objective
+    problem = build_occupancy_lp(instance, DUMMY)
+    solution = solve_lp(problem, strategy=simplex.PRIMAL)
+    bound = lagrangian_bound(problem, solution.budget_dual)
+    if bound - solution.objective > CERTIFICATE_TOL * abs(bound):
+        raise simplex.SolverStall(f"the duality certificate L(pi) = {bound!r} exceeds HiGHS's "
+                                  f"objective {solution.objective!r} by more than "
+                                  f"{CERTIFICATE_TOL:g} relative")
+    return bound

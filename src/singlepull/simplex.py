@@ -1,4 +1,4 @@
-"""Linear-program solver adapter over HiGHS dual simplex.
+"""Linear-program solver adapter over HiGHS's simplex.
 
 Solves
 
@@ -9,12 +9,21 @@ in HiGHS's own form: a canonical CSR matrix A goes in as its row-wise
 matrix, lower and upper as its row bounds (-inf in lower on an inequality
 row, lower == upper on an equality). One direct call into the HiGHS binding
 that scipy ships (``scipy.optimize._highspy._core``), loaded from its file
-so that scipy.optimize's __init__ never runs, sets the options that
+so that scipy.optimize's __init__ never runs, passes the arrays through the
+binding's array overload of passModel and sets the options that
 ``linprog(method="highs-ds")`` sets: on the same program HiGHS returns the
 same basic optimum and iteration count as through that wrapper. The
 occupancy LPs are feasible (the all-passive flow meets every budget row)
 and bounded (each (type, t) block carries mass 1), so any other outcome is
 a solver failure and raises SolverStall.
+
+The simplex strategy is DUAL unless the caller asks for PRIMAL. Callers
+that read the vertex, SPI's and meanfield's solves, keep the dual simplex:
+a degenerate program has many optimal vertices, and the dual simplex's is
+linprog's, the one their orders and the golden digests were read from.
+`lp.upper_bound` reads only the row duals, through a bound that holds at
+any dual-feasible point, so it takes the primal simplex, which pivots less
+on the bound's programs.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ import scipy
 # 10 sqrt(tol) at its default tol of 1e-9.
 RESIDUAL_TOL = 10 * np.sqrt(1e-9)
 
+# The simplex strategies solve accepts.
+DUAL, PRIMAL = "dual", "primal"
+
 
 class SolverStall(RuntimeError):
     """Raised when HiGHS ends without an optimum."""
@@ -42,6 +54,7 @@ class SimplexResult:
     x: np.ndarray
     objective: float
     iterations: int  # simplex iterations reported by HiGHS
+    row_dual: np.ndarray  # HiGHS's row duals of min -c @ x: <= 0 on a binding upper side
 
 
 @functools.cache
@@ -58,12 +71,13 @@ def _highs():
     return module
 
 
-def solve(c, A, lower, upper) -> SimplexResult:
+def solve(c, A, lower, upper, *, strategy=DUAL) -> SimplexResult:
     """Solve max c@x s.t. lower <= A x <= upper, x >= 0, for a canonical CSR matrix A.
 
-    Bounds that do not have one entry per row of A, a c that does not have
-    one entry per column, a NaN anywhere, a non-finite entry in c, A or
-    upper, or +inf in lower raises ValueError before HiGHS sees it.
+    strategy is DUAL or PRIMAL, HiGHS's dual or primal simplex. Bounds that
+    do not have one entry per row of A, a c that does not have one entry
+    per column, a NaN anywhere, a non-finite entry in c, A or upper, or +inf
+    in lower raises ValueError before HiGHS sees it.
     """
     # Loaded here: only runs that solve a program need the binding.
     highs = _highs()
@@ -73,20 +87,12 @@ def solve(c, A, lower, upper) -> SimplexResult:
                          f"each; got {np.size(c)}, {np.size(lower)} and {np.size(upper)}")
     if not (all(np.isfinite(v).all() for v in (c, A.data, upper)) and np.all(lower < np.inf)):
         raise ValueError("c, A and upper must be finite, and lower finite or -inf")
-
-    model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = c.size
-    model.num_row_ = model.a_matrix_.num_row_ = A.shape[0]
-    model.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-        A.indptr, A.indices, A.data)
-    model.col_cost_ = -c
-    model.col_lower_, model.col_upper_ = np.zeros(c.size), np.full(c.size, np.inf)
-    model.row_lower_, model.row_upper_ = lower, upper
+    strategies = highs.simplex_constants.SimplexStrategy
     options = highs.HighsOptions()
     options.presolve = "on"
     options.solver = "simplex"
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_strategy = {DUAL: strategies.kSimplexStrategyDual,
+                                PRIMAL: strategies.kSimplexStrategyPrimal}[strategy]
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = options.log_to_console = False
 
@@ -94,16 +100,20 @@ def solve(c, A, lower, upper) -> SimplexResult:
     # which can end at another optimal vertex.
     solver = highs._Highs()
     solver.passOptions(options)
-    solver.passModel(model)
+    solver.passModel(n, m, A.nnz, highs.MatrixFormat.kRowwise, highs.ObjSense.kMinimize, 0.0,
+                     -c, np.zeros(n), np.full(n, np.inf), lower, upper,
+                     A.indptr, A.indices, A.data, np.zeros(n, dtype=np.int32))
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverStall(f"HiGHS ended with model status {status.name} "
                           f"({solver.modelStatusToString(status)})")
-    x = np.array(solver.getSolution().col_value)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
     row = A @ x
     residual = max(np.max(-x, initial=0.0), np.max(lower - row, initial=0.0),
                    np.max(row - upper, initial=0.0))
     if residual > RESIDUAL_TOL:
         raise SolverStall(f"HiGHS's optimum misses its constraints by {residual:.2e}")
-    return SimplexResult(x, float(c @ x), int(solver.getInfo().simplex_iteration_count))
+    return SimplexResult(x, float(c @ x), int(solver.getInfo().simplex_iteration_count),
+                         np.array(solution.row_dual))

@@ -12,12 +12,46 @@ from singlepull import (
     solve_lp,
     upper_bound,
 )
-from singlepull import domains, lp, simplex
-from singlepull.model import expand_with_dummies, on_expanded, point_initial
+from singlepull import domains, experiments, lp, simplex
+from singlepull.model import ArmModel, expand_with_dummies, load_instance, on_expanded, point_initial
 
 from conftest import mixed_instance, random_arm, random_tiny_instance
 from lp_reference import (EXPANDED, canonical_rows, col, linprog_form, problem_rows, reference_lp,
                           solve_reference)
+
+
+def decoupled_optimum(inst, variant):
+    """rho times the sum of the per-type finite-horizon optima: on the
+    dummy-expanded types for DUMMY, on the original types for MEAN_FIELD.
+    With K >= N that is the program's optimum."""
+    total = 0.0
+    if variant == lp.DUMMY:
+        pairs = zip(map(expand_with_dummies, inst.types), on_expanded(inst.initial))
+    else:
+        pairs = zip(inst.types, inst.initial)
+    for m, d in pairs:
+        v = np.zeros(m.n_states)
+        for _ in range(inst.horizon):
+            v = (m.rewards + m.transitions @ v).max(axis=1)
+        total += inst.rho * float(d @ v)
+    return total
+
+
+def covering_instances(rng):
+    """K >= N instances: mixed sizes with passive rewards, CPAP at lp-bound's
+    K=10 size, and each family at K = N and N + 1, RANDOM S=3 N=10 K=10 rho=2
+    T=20 seed 2 among them, where HiGHS's point once fell 7.6e-10 short."""
+    out = [mixed_size_instance(rng, covering_budget=True) for _ in range(4)]
+    out.append(domains.make_instance(domains.DomainSpec(domains.CPAP, 10, 5, seed=0),
+                                     budget=10, rho=10, horizon=20))
+    out.append(domains.make_instance(domains.DomainSpec(domains.RANDOM, 10, 3, seed=2),
+                                     budget=10, rho=2, horizon=20))
+    for family in domains.FAMILIES:
+        S = 3 if family == domains.MHMH else 4
+        params = {"active_only_rewards": False} if family == domains.CPAP else {}
+        spec = domains.DomainSpec(family, 3, S, seed=1, params=params)
+        out += [domains.make_instance(spec, budget=K, rho=3, horizon=6) for K in (3, 4)]
+    return out
 
 
 def tiny_instance(rng, n_types=1, S=2, T=2, rho=1, budget=1):
@@ -233,13 +267,15 @@ class TestSolve:
                 assert sol.objective == pytest.approx(-ref.fun, abs=1e-7, rel=1e-7)
 
     def test_budget_rows_left_out_when_budget_covers_types(self, monkeypatch):
-        """At K >= N HiGHS gets the rows after the T budget rows, at K = N - 1
-        every row; the optimum meets the rows left out."""
+        """At K >= N DUMMY and MEAN_FIELD make no HiGHS call and SPRMAB_LP's
+        gets the rows after the T budget rows; at K = N - 1 every variant's
+        gets every row. Each solution meets every row, the budget rows
+        included, and its occupancy pays its objective."""
         calls, solve = [], simplex.solve
 
-        def spy(c, A, lower, upper):
+        def spy(c, A, lower, upper, **kwargs):
             calls.append((A, lower, upper))
-            return solve(c, A, lower, upper)
+            return solve(c, A, lower, upper, **kwargs)
 
         monkeypatch.setattr(simplex, "solve", spy)
         for inst in fold_instances():
@@ -248,16 +284,35 @@ class TestSolve:
                 for variant in lp.VARIANTS:
                     prob = build_occupancy_lp(replace(inst, budget=budget), variant)
                     sol = solve_lp(prob)
-                    A, lower, upper = calls.pop()
-                    first = T if budget >= N else 0
-                    assert A.shape == (prob.A.shape[0] - first, prob.n_vars)
-                    assert (A != prob.A[first:]).nnz == 0
-                    assert np.array_equal(lower, prob.lower[first:])
-                    assert np.array_equal(upper, prob.upper[first:])
+                    if budget >= N and variant != lp.SPRMAB_LP:
+                        assert not calls and sol.iterations == 0
+                    else:
+                        A, lower, upper = calls.pop()
+                        first = T if budget >= N else 0
+                        assert A.shape == (prob.A.shape[0] - first, prob.n_vars)
+                        assert (A != prob.A[first:]).nnz == 0
+                        assert np.array_equal(lower, prob.lower[first:])
+                        assert np.array_equal(upper, prob.upper[first:])
+                    if budget >= N:
+                        assert np.array_equal(sol.budget_dual, np.zeros(T))
                     x = np.concatenate([block.transpose(2, 0, 1).ravel()
                                         for block in sol.occupancy])
-                    assert np.all(prob.A[:T] @ x <= budget + 1e-9)
+                    row = prob.A @ x
+                    assert x.min() >= 0.0
+                    assert np.all(row <= prob.upper + 1e-9) and np.all(row >= prob.lower - 1e-9)
+                    assert prob.objective @ x == pytest.approx(sol.objective, rel=1e-12, abs=0.0)
         assert not calls
+
+    def test_per_type_dp_rests_on_ties(self):
+        # state 0 pays 0 either way at the last epoch, state 1 pays 1 on a pull
+        arm = ArmModel(n_states=2, transitions=np.full((2, 2, 2), 0.5),
+                       rewards=np.array([[0.0, 0.0], [0.0, 1.0]]))
+        inst = Instance(types=(arm,), rho=1, budget=1, horizon=1,
+                        initial=(np.array([0.5, 0.5]),))
+        for variant in (lp.DUMMY, lp.MEAN_FIELD):
+            sol = solve_lp(build_occupancy_lp(inst, variant))
+            assert sol.objective == 0.5
+            assert sol.occupancy[0][:, :, 0].tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
     def test_deterministic_resolve(self, rng):
         inst = tiny_instance(rng, n_types=2, S=2, T=3)
@@ -294,14 +349,8 @@ class TestOrderings:
         spec = domains.DomainSpec(domains.CPAP, 10, 5, seed=0)
         instances.append(domains.make_instance(spec, budget=10, rho=10, horizon=20))
         for inst in instances:
-            expected = 0.0
-            for m, d in zip(inst.types, on_expanded(inst.initial)):
-                big = expand_with_dummies(m)
-                v = np.zeros(big.n_states)
-                for _ in range(inst.horizon):
-                    v = (big.rewards + big.transitions @ v).max(axis=1)
-                expected += inst.rho * float(d @ v)
-            assert upper_bound(inst) == pytest.approx(expected, rel=1e-9, abs=0.0)
+            expected = decoupled_optimum(inst, lp.DUMMY)
+            assert upper_bound(inst) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_mean_field_bound_decouples_when_budget_covers_types(self, rng):
         """With K >= N the MEAN_FIELD bound is rho times the sum of the
@@ -310,14 +359,9 @@ class TestOrderings:
         spec = domains.DomainSpec(domains.CPAP, 10, 5, seed=0)
         instances.append(domains.make_instance(spec, budget=10, rho=10, horizon=20))
         for inst in instances:
-            expected = 0.0
-            for m, d in zip(inst.types, inst.initial):
-                v = np.zeros(m.n_states)
-                for _ in range(inst.horizon):
-                    v = (m.rewards + m.transitions @ v).max(axis=1)
-                expected += inst.rho * float(d @ v)
+            expected = decoupled_optimum(inst, lp.MEAN_FIELD)
             objective = solve_lp(build_occupancy_lp(inst, lp.MEAN_FIELD)).objective
-            assert objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+            assert objective == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_upper_bound_k0_equals_passive_reward(self, rng):
         types = tuple(random_arm(rng, 3, active_only_rewards=False) for _ in range(2))
@@ -351,3 +395,91 @@ class TestOrderings:
             moved += inst.rho * float((block * m.rewards[:, :, None]).sum())
         assert moved == pytest.approx(base, abs=1e-9)
         assert base == pytest.approx(objective, abs=1e-7)
+
+
+class TestCertificate:
+    """upper_bound is L(pi) = K sum_t pi_t + sum_n mu_n V_n(pi), which bounds the
+    LP optimum from above for every pi >= 0 (weak Lagrangian duality)."""
+
+    def test_bound_at_least_the_per_type_dp_when_budget_covers_types(self, rng):
+        for inst in covering_instances(rng):
+            expected = decoupled_optimum(inst, lp.DUMMY)
+            bound = upper_bound(inst)
+            assert bound >= expected - 1e-12 * abs(expected)
+            assert bound == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_lagrangian_bound_dominates_the_exact_optimum(self, rng):
+        for _ in range(8):
+            inst = random_tiny_instance(rng)
+            opt = exact_optimum(inst)
+            for variant in (lp.DUMMY, lp.MEAN_FIELD):
+                prob = build_occupancy_lp(inst, variant)
+                optimum = solve_lp(prob).objective
+                for scale in (0.0, 0.1, 1.0, 10.0):
+                    pi = scale * inst.rho * rng.exponential(size=inst.horizon)
+                    bound = lp.lagrangian_bound(prob, pi)
+                    assert bound >= optimum - 1e-12 * abs(optimum)
+                    assert bound >= opt - 1e-12 * abs(opt)
+
+    def test_bound_does_not_depend_on_the_strategy(self):
+        for inst in fold_instances():
+            prob = build_occupancy_lp(inst, lp.DUMMY)
+            primal, dual = (lp.lagrangian_bound(prob, solve_lp(prob, strategy).budget_dual)
+                            for strategy in (simplex.PRIMAL, simplex.DUAL))
+            assert primal == pytest.approx(dual, rel=1e-12, abs=0.0)
+            assert upper_bound(inst) == primal
+
+    def test_bound_reads_the_budget_duals(self):
+        """Where the budget binds, L(0) is far above the optimum and L at
+        HiGHS's duals reaches it."""
+        binding = 0
+        for inst in fold_instances():
+            prob = build_occupancy_lp(inst, lp.DUMMY)
+            sol = solve_lp(prob)
+            assert sol.budget_dual.shape == (inst.horizon,) and sol.budget_dual.min() >= 0.0
+            binding += lp.lagrangian_bound(prob, np.zeros(inst.horizon)) > sol.objective * 1.01
+            assert upper_bound(inst) == pytest.approx(sol.objective, rel=1e-12, abs=0.0)
+        assert binding >= 4
+
+    def test_bound_is_a_python_float(self, rng):
+        inst = random_tiny_instance(rng)
+        for budget in (1, inst.n_types):
+            assert type(upper_bound(replace(inst, budget=budget))) is float
+
+    @staticmethod
+    def short_of_the_optimum(monkeypatch):
+        """Make every HiGHS solve report an objective 1e-6 below its x's."""
+        solve = simplex.solve
+
+        def short(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            return replace(res, objective=res.objective * (1 - 1e-6))
+
+        monkeypatch.setattr(simplex, "solve", short)
+
+    def test_a_certificate_gap_raises_solver_stall(self, monkeypatch):
+        inst = fold_instances()[1]
+        bound = upper_bound(inst)
+        self.short_of_the_optimum(monkeypatch)
+        objective = bound * (1 - 1e-6)
+        with pytest.raises(simplex.SolverStall, match="certificate") as caught:
+            upper_bound(inst)
+        message = str(caught.value)
+        assert repr(bound) in message
+        assert f"{objective:.9g}"[:8] in message
+
+    def test_a_certificate_gap_saves_the_instance(self, tmp_path, monkeypatch):
+        config = experiments.parse_config({
+            "domain": {"family": "RANDOM"},
+            "setting": {"n_types": 2, "n_states": 3, "budget": 1, "rho": 2, "horizon": 3},
+            "policies": ["spi"], "episodes": 2, "base_seed": 0,
+            "out_dir": str(tmp_path / "out")})
+        inst = config.instance(0)
+        self.short_of_the_optimum(monkeypatch)
+        path = tmp_path / "out" / "failed_instance_0.json"
+        with pytest.raises(simplex.SolverStall, match="upper-bound solve failed on seed 0"):
+            experiments._run_or_stall(config, 0, inst)
+        saved = load_instance(str(path))
+        for a, b in zip(saved.types, inst.types):
+            assert np.array_equal(a.transitions, b.transitions)
+            assert np.array_equal(a.rewards, b.rewards)

@@ -141,6 +141,18 @@ class TestMatchesLinprog:
             assert mine.x.tobytes() == x.tobytes()
             assert mine.objective == float(prob.objective @ x)
             assert mine.iterations == ref.nit
+            duals = np.concatenate((ref.ineqlin.marginals, ref.eqlin.marginals))
+            assert mine.row_dual.tobytes() == duals.tobytes()
+
+    @pytest.mark.parametrize("variant", lp.VARIANTS)
+    def test_primal_simplex_reaches_the_same_optimum(self, variant):
+        for inst in self.instances():
+            prob = lp.build_occupancy_lp(inst, variant)
+            dual, primal = (simplex.solve(prob.objective, prob.A, prob.lower, prob.upper,
+                                          strategy=strategy)
+                            for strategy in (simplex.DUAL, simplex.PRIMAL))
+            assert primal.objective == pytest.approx(dual.objective, rel=1e-9, abs=0.0)
+            assert primal.row_dual.shape == (prob.A.shape[0],)
 
     def test_solves_without_linprog(self, monkeypatch):
         def no_linprog(*args, **kwargs):
