@@ -21,9 +21,9 @@ The simplex strategy is DUAL unless the caller asks for PRIMAL. Callers
 that read the vertex, SPI's and meanfield's solves, keep the dual simplex:
 a degenerate program has many optimal vertices, and the dual simplex's is
 linprog's, the one their orders and the golden digests were read from.
-`lp.upper_bound` reads only the row duals, through a bound that holds at
-any dual-feasible point, so it takes the primal simplex, which pivots less
-on the bound's programs.
+`lp.upper_bound` reads only the budget rows' duals, as the prices of its
+Lagrangian bound L(pi), which holds at any prices pi >= 0; so it takes the
+primal simplex, which is faster on most of the bound's programs.
 """
 
 from __future__ import annotations
