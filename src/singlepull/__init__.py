@@ -1,9 +1,10 @@
 """Finite-horizon single-pull restless bandits.
 
 Occupancy-measure LP relaxations solved by one direct call into the HiGHS
-dual simplex that scipy ships, the SPI index policy and baselines, a
-constraint-enforcing simulator, exact small-instance oracles, and
-experiment domains.
+simplex that scipy ships (the dual simplex for the vertex SPI and meanfield
+read, the primal simplex for the bound, which reads only the duals), the
+SPI index policy and baselines, a constraint-enforcing simulator, exact
+small-instance oracles, and experiment domains.
 """
 
 from .model import (

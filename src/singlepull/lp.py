@@ -39,7 +39,9 @@ Smith 2020): for any prices pi >= 0 on the T budget rows,
 
     L(pi) = K sum_t pi_t + sum_n mu_n . V_n(pi)  >=  the LP optimum,
 
-where V_n is type n's per-type DP in which a pull at t also costs pi_t. So
+where V_n is type n's per-type DP in which a pull at t also costs pi_t:
+whittle.finite_horizon_q, the package's one finite-horizon backward
+induction, which the Q-difference index reads at pi = 0 too. So
 `upper_bound` returns L(pi) at the budget duals HiGHS reports, a bound that
 does not depend on which optimal vertex HiGHS stops at, and that solve may
 use the primal simplex, which is faster on these programs. SPI and
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
-from . import simplex
+from . import simplex, whittle
 from .model import ArmModel, Instance, by_state_count
 
 MEAN_FIELD = "mean_field"
@@ -172,6 +174,11 @@ def _append(triple, rows, cols, vals):
         part.append(x.ravel())
 
 
+def _covers(problem: LpProblem) -> bool:
+    """Whether every budget row allows a pull of each type, so that none can bind."""
+    return bool(np.all(problem.upper[:problem.horizon] >= len(problem.n_states)))
+
+
 def solve_lp(problem: LpProblem, strategy: str = simplex.DUAL) -> LpSolution:
     """Solve to a deterministic optimum; raises SolverStall on failure.
 
@@ -187,7 +194,7 @@ def solve_lp(problem: LpProblem, strategy: str = simplex.DUAL) -> LpSolution:
     the primal one.
     """
     T, sizes = problem.horizon, problem.n_states
-    covers = bool(np.all(problem.upper[:T] >= len(sizes)))
+    covers = _covers(problem)
     if covers and problem.variant != SPRMAB_LP:
         return _dp_solution(problem)
     first = T if covers else 0
@@ -200,27 +207,19 @@ def solve_lp(problem: LpProblem, strategy: str = simplex.DUAL) -> LpSolution:
 
 
 def _per_type_dp(problem: LpProblem, pi: np.ndarray):
-    """The per-type DP at budget prices pi, one stacked backward pass per state count.
+    """The per-type DP at budget prices pi, one whittle.finite_horizon_q pass per state count.
 
-    Yields (ids, P, Q) per group of model.by_state_count: Q[b, t, s, a] is
-    the value of action a in state s at epoch t for type ids[b]. Resting
-    pays rho r(s, 0) and moves by P(.|s, 0); a pull pays rho r(s, 1) - pi_t
-    and moves by P(.|s, 1), and in DUMMY it retires the arm, which then
-    collects its passive value-to-go W_{t+1}. V_t(s) = max_a Q[t, s, a].
+    Yields (ids, P, Q, mu) per group of model.by_state_count: Q[b, t, s, a]
+    is the value of action a in state s at epoch t for type ids[b], with
+    reward rho r and a pull cost pi_t, and mu[b] is that type's initial
+    distribution. In DUMMY a pull retires the arm, which then collects its
+    passive value-to-go W_{t+1}. V_t(s) = max_a Q[t, s, a].
     """
     if problem.variant == SPRMAB_LP:
         raise ValueError("the per-type DP solves DUMMY and MEAN_FIELD only")
-    retire = problem.variant == DUMMY
     for ids, P, R in by_state_count(problem.types):  # P[type, s, a, s']
-        gain = problem.rho * R
-        Q = np.empty((len(ids), problem.horizon) + R.shape[1:])
-        after = np.zeros(R.shape[:2] + (2,))  # (V_{t+1}, W_{t+1}) per (type, state)
-        for t in range(problem.horizon - 1, -1, -1):
-            ahead = P @ after[:, None]  # [b, s, a, k]: P(.|s, a) @ column k of after
-            Q[:, t, :, 0] = gain[..., 0] + ahead[:, :, 0, 0]
-            Q[:, t, :, 1] = gain[..., 1] + ahead[:, :, 1, int(retire)] - pi[t]
-            after = np.stack((Q[:, t].max(axis=-1), gain[..., 0] + ahead[:, :, 0, 1]), axis=-1)
-        yield ids, P, Q
+        yield (ids, P, whittle.finite_horizon_q(P, problem.rho * R, pi, problem.variant == DUMMY),
+               np.array([problem.initial[n] for n in ids]))
 
 
 def lagrangian_bound(problem: LpProblem, pi: np.ndarray) -> float:
@@ -230,8 +229,7 @@ def lagrangian_bound(problem: LpProblem, pi: np.ndarray) -> float:
     from above, whatever pi >= 0; K_t is budget row t's upper bound.
     """
     total = problem.upper[:problem.horizon] @ pi
-    for ids, _, Q in _per_type_dp(problem, pi):
-        mu = np.array([problem.initial[n] for n in ids])
+    for _, _, Q, mu in _per_type_dp(problem, pi):
         total += np.sum(mu * Q[:, 0].max(axis=-1))
     return float(total)
 
@@ -241,8 +239,7 @@ def _dp_solution(problem: LpProblem) -> LpSolution:
     T = problem.horizon
     value, occupancy = 0.0, [None] * len(problem.types)
     moves = slice(None) if problem.variant == MEAN_FIELD else slice(0, 1)  # DUMMY: rest only
-    for ids, P, Q in _per_type_dp(problem, np.zeros(T)):
-        mass = np.array([problem.initial[n] for n in ids])
+    for ids, P, Q, mass in _per_type_dp(problem, np.zeros(T)):
         value += float(np.sum(mass * Q[:, 0].max(axis=-1)))
         pull = Q[..., 1] > Q[..., 0]
         block = np.empty(mass.shape + (2, T))
@@ -264,13 +261,15 @@ def upper_bound(instance: Instance) -> float:
     replicated population from above. The bound returned is L(pi) with
     pi = max(-row_dual, 0) on the budget rows, which bounds the LP optimum
     whatever vertex or tolerance HiGHS ends at; the solve uses the primal
-    simplex, since only its duals are read. At K >= N, pi = 0 and L(0) is
-    the per-type DP's value. Raises SolverStall, naming both values, when
-    L(pi) exceeds c @ x by more than CERTIFICATE_TOL relative: HiGHS then
-    stopped short of the optimum.
+    simplex, since only its duals are read. At K >= N, pi = 0, and L(0) is
+    the value of solve_lp's per-type DP, returned from that one pass. Raises
+    SolverStall, naming both values, when L(pi) exceeds c @ x by more than
+    CERTIFICATE_TOL relative: HiGHS then stopped short of the optimum.
     """
     problem = build_occupancy_lp(instance, DUMMY)
     solution = solve_lp(problem, strategy=simplex.PRIMAL)
+    if _covers(problem):
+        return solution.objective  # L(0), the per-type DP's value
     bound = lagrangian_bound(problem, solution.budget_dual)
     if bound - solution.objective > CERTIFICATE_TOL * abs(bound):
         raise simplex.SolverStall(f"the duality certificate L(pi) = {bound!r} exceeds HiGHS's "

@@ -8,9 +8,13 @@ the passive reward under both actions, so a pulled arm can never gain from
 further activation.
 
 An Instance is checked and dummy-expanded once, when it is made. The
-policies, the simulator and the oracle read its expanded types and
-ArmTables, and none of them checks or expands again. The LP builder reads
-the unexpanded types: there a pulled arm retires with its passive value.
+policies and the simulator run on its ArmTables, built from the expanded
+types, and none of them checks or expands again. Only ArmTables.build, the
+whittle-infinite policy's prepare and the oracle read Instance.expanded.
+The LP builder and the finite-horizon index passes read the unexpanded
+types: there a pulled arm retires with its passive value. SPI, meanfield,
+whittle-finite and qdiff place their per-state tables on the expanded
+groups with on_expanded.
 """
 
 from __future__ import annotations

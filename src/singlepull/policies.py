@@ -21,17 +21,20 @@ the table or rho.
 
 The SPI policy solves the DUMMY occupancy LP once, over the original
 states, converts the optimal measure into per-(state, time) activation
-probabilities chi (one (S_n, T) array per type, zero over the dummy half
-once placed on the expanded groups), and ranks groups by chi * active
-reward. Arms are pulled in decreasing index order, and the walk stops at
-the first non-positive index, which conserves budget exactly where the LP
-never activates: its orders hold the groups outside the dummy half with a
-positive index only. An LP solve in `prepare` returns the optimum or raises
-SolverStall; there is no other outcome to handle.
+probabilities chi (one (S_n, T) array per type), and ranks groups by
+chi * active reward, computed on the original states and placed on the
+expanded groups, zero over the dummy half. Arms are pulled in decreasing
+index order, and the walk stops at the first non-positive index, which
+conserves budget exactly where the LP never activates: its orders hold the
+groups outside the dummy half with a positive index only. An LP solve in
+`prepare` returns the optimum or raises SolverStall; there is no other
+outcome to handle.
 
 Baselines: the mean-field LP priority policy, the original stationary
-Whittle indices, modified infinite/finite Whittle and Q-difference indices
-of the expanded arms, and uniform random selection among unpulled arms.
+Whittle indices, the modified infinite-horizon Whittle indices of the
+expanded arms, the finite-horizon Whittle and Q-difference indices of the
+arms whose pull retires them (computed on the original states and placed
+like SPI's), and uniform random selection among unpulled arms.
 """
 
 from __future__ import annotations
@@ -66,8 +69,12 @@ def compute_chi(solution: lp.LpSolution) -> list[np.ndarray]:
 
 def spi_indices(chi: list[np.ndarray], types: list[ArmModel]) -> IndexTable:
     """index(n, s, t) = chi_n(s, t) * r_n(s, 1) over the states of types."""
-    values = [c * m.rewards[:, 1][:, None] for c, m in zip(chi, types)]
-    return IndexTable(values=values, time_dependent=True)
+    return IndexTable([c * m.rewards[:, 1][:, None] for c, m in zip(chi, types)], True)
+
+
+def _placed(table: IndexTable) -> IndexTable:
+    """A table over the types' original states placed on the expanded groups, 0 on the dummies."""
+    return IndexTable(values=on_expanded(table.values), time_dependent=table.time_dependent)
 
 
 def _by_key(groups: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -192,7 +199,7 @@ class SpiPolicy(BasePolicy):
     def prepare(self, instance: Instance):
         super().prepare(instance)
         solution = lp.solve_lp(lp.build_occupancy_lp(instance, lp.DUMMY))
-        self.table = spi_indices(on_expanded(compute_chi(solution)), instance.expanded)
+        self.table = _placed(spi_indices(compute_chi(solution), instance.types))
         self.orders = spi_orders(self.table, instance.tables, instance.horizon)
 
 
@@ -262,26 +269,32 @@ class InfiniteWhittlePolicy(_GreedyIndexPolicy):
 
 
 class FiniteWhittlePolicy(_GreedyIndexPolicy):
-    """Exact time-dependent Whittle indices of the dummy-expanded arms.
+    """Exact time-dependent Whittle indices of the arms, where a pull retires the arm.
 
     A pull costs the subsidy once, so each index is the subsidy of a
-    retirement problem, found with no bisection by one backward pass per
-    state count that tracks every type's kinks in lockstep; an entry
-    indifferent over a whole interval of subsidies takes its left end
-    (whittle.whittle_index_finite).
+    retirement problem over the original states, found with no bisection by
+    one backward pass per state count that tracks every type's kinks in
+    lockstep; an entry indifferent over a whole interval of subsidies takes
+    its left end (whittle.whittle_index_finite). The table is placed on the
+    expanded groups, 0 on the dummy half.
     """
 
     name = "whittle-finite"
 
     def _build_table(self, instance):
-        return whittle_index_finite(list(instance.expanded), instance.horizon)
+        return _placed(whittle_index_finite(list(instance.types), instance.horizon))
 
 
 class QDifferencePolicy(_GreedyIndexPolicy):
+    """Q_t(s, 1) - Q_t(s, 0) at subsidy 0, where a pull retires the arm with its passive
+    value-to-go (whittle.q_difference_indices), placed on the expanded groups, 0 on the
+    dummy half.
+    """
+
     name = "qdiff"
 
     def _build_table(self, instance):
-        return q_difference_indices(list(instance.expanded), instance.horizon)
+        return _placed(q_difference_indices(list(instance.types), instance.horizon))
 
 
 class RandomPolicy(BasePolicy):

@@ -1,4 +1,4 @@
-"""Whittle-style subsidy indices of single arms.
+"""Whittle-style subsidy indices of single arms, and their finite-horizon DP in a pull price.
 
 The infinite-horizon index of a state is the passive subsidy at which
 activating and resting are equally attractive under the average-reward
@@ -24,34 +24,41 @@ positive at the end of a piece, or an active state whose gap never falls
 to 0, raises NotIndexable. A gain that differs across states at the end
 of a piece leaves the relative values undefined and raises NonConvergent.
 
-The finite-horizon index of a dummy-expanded arm is exact and needs no
-bisection. A pull moves the arm into the dummy half, which earns the
-subsidy lambda every later step just as resting would, so a pull costs
-lambda exactly once and the index problem is a retirement (optimal
-stopping) problem (Whittle 1980). For lambda >= 0 the slope in lambda of
-the gap Q_t(s, 1) - Q_t(s, 0) is -1 + Pr(pull later), in [-1, 0]; for
-lambda < 0 the dummies pull as well, and the slope is <= -1. So the gap is
-nonincreasing and every expanded arm is indexable. The value
-V_t(.; lambda) is piecewise linear in lambda, with kinks only at 0 (the
-dummies' index) and at the indices of later epochs. One backward pass per
-state count keeps every type's V_{t+1} at its kinks, in lockstep, starting
-from 0 and the type's own sentinels +-H, H = T * (its reward span) + 1:
-beyond them never pulling and pulling now are optimal, so they bracket
-every root. Between kinks the gap is linear, so each entry's root is one
-interpolation. An entry whose gap is 0 on a whole interval of subsidies
-takes its left end, inf{lambda : gap <= 0}. Roots of one epoch that differ
-by round-off only are merged to the smallest, so genuine ties stay
-bit-equal. The roots then join the kink set. The types' kink lists grow by
-different counts, so a list shorter than the longest is padded by
-repeating its last kink, +H, and that kink's value row: every entry stays
-finite, and no root or interpolation reads a padded row. Each epoch is one
-stacked product per action, one root search with its interpolation, one
-merge of round-off twins and one insertion of the new kinks by position,
-for all the types at once, and each table is bit for bit a pass of its
-type alone. The Q-difference table is the gap at subsidy 0, one stacked
-backward induction per state count. All three passes read their groups
-from model.by_state_count, the grouping the occupancy LP builder uses too,
-and reassemble the tables in type order.
+The finite-horizon index is exact and needs no bisection. It runs on the
+S states of an arm whose pull retires it, Whittle's (1980) retirement
+problem: after a pull at t the arm follows its passive chain, and at
+subsidy lambda it is worth W_{t+1}(s') + max(lambda, 0) (T - t - 1), with
+W_t = r(., 0) + P(., 0) W_{t+1} its passive value-to-go. That is the value
+of the dummy copy of s' on the dummy-expanded arm, so both arms have one
+index on the normal states. For lambda >= 0 a pull costs lambda exactly
+once, and the slope in lambda of the gap Q_t(s, 1) - Q_t(s, 0) is
+-1 + Pr(pull later), in [-1, 0]; for lambda < 0 the retired arm forgoes
+the subsidy too, and the slope is <= -1. So the gap is nonincreasing and
+every arm is indexable. The value V_t(.; lambda) is piecewise linear in
+lambda, with kinks only at 0 (the retired arm's max(lambda, 0)) and at the
+indices of later epochs. One backward pass per state count keeps every
+type's V_{t+1} at its kinks, in lockstep, starting from 0 and the type's
+own sentinels +-H, H = T * (its reward span) + 1: beyond them never
+pulling and pulling now are optimal, so they bracket every root. Between
+kinks the gap is linear, and so is the retired value, 0 being a kink, so
+each entry's root is one interpolation. An entry whose gap is 0 on a whole
+interval of subsidies takes its left end, inf{lambda : gap <= 0}. Roots of
+one epoch that differ by round-off only are merged to the smallest, so
+genuine ties stay bit-equal. The roots then join the kink set. The types'
+kink lists grow by different counts, so a list shorter than the longest is
+padded by repeating its last kink, +H, and that kink's value row: every
+entry stays finite, and no root or interpolation reads a padded row. Each
+epoch is one stacked product per action, one root search with its
+interpolation, one merge of round-off twins and one insertion of the new
+kinks by position, for all the types at once, and each table is bit for
+bit a pass of its type alone.
+
+finite_horizon_q is the package's one finite-horizon backward induction:
+the per-type DP in a pull price pi_t, where a pull may retire the arm. The
+Q-difference table is its gap at pi = 0, and the occupancy LP's bound and
+its K >= N solve run it with the rewards rho r (lp._per_type_dp). All the
+passes read their groups from model.by_state_count, the grouping the
+occupancy LP builder uses too, and reassemble the tables in type order.
 """
 
 from __future__ import annotations
@@ -218,38 +225,52 @@ def whittle_index_infinite(models: list[ArmModel]) -> IndexTable:
     return IndexTable(values=values, time_dependent=False)
 
 
+def finite_horizon_q(P: np.ndarray, R: np.ndarray, pi: np.ndarray, retire: bool = True):
+    """Q_t(s, a) of the types stacked in P (B, S, 2, S) and R (B, S, 2) at pull prices pi (T,).
+
+    Backward induction from V_T = W_T = 0, shaped (B, T, S, 2). Resting pays
+    R(s, 0) and moves by P(.|s, 0); a pull pays R(s, 1) - pi_t and moves by
+    P(.|s, 1). Where the pull retires the arm, the arm then collects its
+    passive value-to-go W_{t+1}, W_t = R(., 0) + P(., 0) W_{t+1}; else it
+    goes on with V_{t+1} = max_a Q_{t+1}. Each epoch is one product of every
+    row P(.|s, a) with (V_{t+1}, W_{t+1}), bit for bit a pass of each type alone.
+    """
+    Q = np.empty((len(R), len(pi)) + R.shape[1:])
+    after = np.zeros((len(R), 1) + R.shape[1:])  # (V_{t+1}, W_{t+1}) per (type, state)
+    ahead = np.empty(P.shape[:3] + (2,))  # ahead[b, s, a, k] = P(.|s, a) @ column k of after
+    goes_on = ahead.diagonal(axis1=2, axis2=3) if retire else ahead[..., 0]  # each action's k
+    for t in range(len(pi) - 1, -1, -1):
+        np.matmul(P, after, out=ahead)
+        np.add(R, goes_on, out=Q[:, t])
+        Q[:, t, :, 1] -= pi[t]
+        np.maximum(Q[:, t, :, 0], Q[:, t, :, 1], out=after[:, 0, :, 0])
+        np.add(R[..., 0], ahead[:, :, 0, 1], out=after[:, 0, :, 1])
+    return Q
+
+
 def finite_horizon_qdiff(P: np.ndarray, R: np.ndarray, T: int) -> np.ndarray:
     """Q_t(s, 1) - Q_t(s, 0) at subsidy 0 of the types stacked in P (B, S, 2, S) and R (B, S, 2).
 
-    Backward induction from V_T = 0, shaped (B, S, T): each epoch is one (1, S) @ P_a.T
-    product per action and type, bit for bit a pass of each type alone.
+    finite_horizon_q at pi = 0, where a pull retires the arm, shaped (B, S, T).
     """
-    B, S = P.shape[:2]
-    PT = P.transpose(2, 0, 3, 1)  # PT[a, b] = P_a.T of type b
-    r = R.transpose(2, 0, 1)[:, :, None]  # r[a, b, 0] = r_a of type b
-    qdiff, v = np.empty((B, S, T)), np.zeros((B, 1, S))
-    columns = qdiff.transpose(2, 0, 1)[:, :, None]  # columns[t] views qdiff[..., t] as (B, 1, S)
-    q0, q1 = q = np.empty((2, B, 1, S))
-    for column in columns[::-1]:
-        np.matmul(v, PT, out=q)
-        q += r
-        np.subtract(q1, q0, out=column)
-        v = np.maximum(q0, q1)
-    return qdiff
+    Q = finite_horizon_q(P, R, np.zeros(T))
+    return (Q[..., 1] - Q[..., 0]).transpose(0, 2, 1)
 
 
 def _retirement_index(P: np.ndarray, R: np.ndarray, T: int) -> list[np.ndarray]:
-    """Exact tables (S, T) of a stack of dummy-expanded types of one state count, in lockstep.
+    """Exact tables (S, T) of a stack of types of one state count, in lockstep.
 
-    Row b of the kinks holds the kinks of type b's V_{t+1}(.; lambda) in
-    ascending order and v[b] its values there, one row per kink. A type
-    with fewer kinks than the longest repeats its last kink, +H, and that
-    kink's value row, so every entry stays finite. A kink, and a root, of
-    type b is stored as the complex number b + 1j * lambda: complex numbers
-    order by real part, then imaginary part, so one np.searchsorted over the
-    flat kinks finds each root's slot among its own type's kinks. A gap
-    within ROOT_TOL times the values' scale at its kink counts as zero, and
-    so does the distance between two roots of one epoch.
+    A pull retires the arm, which is then worth W_{t+1} + max(lambda, 0)
+    (T - t - 1), with W_{t+1} its passive value-to-go. Row b of the kinks
+    holds the kinks of type b's V_{t+1}(.; lambda) in ascending order and
+    v[b] its values there, one row per kink. A type with fewer kinks than
+    the longest repeats its last kink, +H, and that kink's value row, so
+    every entry stays finite. A kink, and a root, of type b is stored as the
+    complex number b + 1j * lambda: complex numbers order by real part, then
+    imaginary part, so one np.searchsorted over the flat kinks finds each
+    root's slot among its own type's kinks. A gap within ROOT_TOL times the
+    values' scale at its kink counts as zero, and so does the distance
+    between two roots of one epoch.
     """
     PT = P.transpose(2, 0, 3, 1)  # PT[a, b] = P_a.T of type b; a contiguous copy moves the bits
     r = R.transpose(2, 0, 1)[:, :, None]
@@ -259,11 +280,13 @@ def _retirement_index(P: np.ndarray, R: np.ndarray, T: int) -> list[np.ndarray]:
     first = S * rows  # each type's first root in the flat roots
     kinks = (rows + 1j * H[:, None] * [-1.0, 0.0, 1.0]).ravel()
     v, length = np.zeros((B, 3, S)), 3  # length: each type's own kink count, 3 at first
-    index = np.empty((B, S, T))
+    index, W = np.empty((B, S, T)), np.zeros((B, 1, S))
     for t in range(T - 1, -1, -1):
         K, lam = kinks.size // B, kinks.imag
-        q = v @ PT + r  # (action, type, kink, state)
-        q[0] += lam.reshape(B, K, 1)
+        subsidy = lam.reshape(B, K, 1)  # a pull retires, to W + max(subsidy, 0) (T - t - 1)
+        q = np.stack((v, W + np.maximum(subsidy, 0.0) * (T - t - 1))) @ PT + r  # (a, b, kink, s)
+        q[0] += subsidy
+        W = W @ PT[0] + r[0]
         gap = q[1] - q[0]
         tol = ROOT_TOL * np.abs(q).max(axis=(0, 3))
         k = (gap <= tol[..., None]).argmax(axis=1) + K * rows  # flat: first kink at or past root
@@ -276,8 +299,7 @@ def _retirement_index(P: np.ndarray, R: np.ndarray, T: int) -> list[np.ndarray]:
         order = (root.imag.argsort(axis=1) + first).ravel()
         ranked = root.ravel()[order]
         apart = np.empty(B * S, dtype=bool)
-        x = ranked.imag
-        apart[1:] = x[1:] - x[:-1] > tol[k.ravel()[order[1:]]]
+        apart[1:] = ranked.imag[1:] - ranked.imag[:-1] > tol[k.ravel()[order[1:]]]
         apart[::S] = True  # each type's first root
         roots = ranked[apart]  # ascending per type, round-off twins merged to the smallest
         root.ravel()[order] = roots[apart.cumsum() - 1]
@@ -307,23 +329,26 @@ def _retirement_index(P: np.ndarray, R: np.ndarray, T: int) -> list[np.ndarray]:
     return [table.copy() for table in index]  # each type's own array
 
 
+def _finite_table(models: list[ArmModel], T: int, build) -> IndexTable:
+    """build(P, R, T) on each group of model.by_state_count, as one time-dependent table."""
+    if any(m.expanded for m in models):
+        raise ValueError("the finite-horizon passes take unexpanded types: a pull retires the arm")
+    return IndexTable(_per_state_count(models, lambda ids, P, R: build(P, R, T)), True)
+
+
 def whittle_index_finite(models: list[ArmModel], T: int) -> IndexTable:
-    """Time-dependent index per (type, state, t) of dummy-expanded types, exact.
+    """Exact time-dependent index per (type, state, t) of unexpanded types, where a pull retires.
 
     One lockstep backward pass per state count gives each type's table, bit
-    for bit a pass of that type alone.
-
-    The pass relies on each gap crossing zero once, which the retirement
-    argument proves for dummy-expanded arms only, so other arms raise
-    ValueError.
+    for bit a pass of that type alone. The retirement argument proves that
+    each gap crosses zero once; an expanded type raises ValueError.
     """
-    if not all(m.expanded for m in models):
-        raise ValueError("the exact finite-horizon index needs dummy-expanded types")
-    values = _per_state_count(models, lambda ids, P, R: _retirement_index(P, R, T))
-    return IndexTable(values=values, time_dependent=True)
+    return _finite_table(models, T, _retirement_index)
 
 
 def q_difference_indices(models: list[ArmModel], T: int) -> IndexTable:
-    """Plain Q-value gaps at subsidy 0, one stacked backward induction per state count."""
-    values = _per_state_count(models, lambda ids, P, R: finite_horizon_qdiff(P, R, T))
-    return IndexTable(values=values, time_dependent=True)
+    """Q_t(s, 1) - Q_t(s, 0) at subsidy 0 of unexpanded types, where a pull retires.
+
+    One finite_horizon_q pass per state count; an expanded type raises ValueError.
+    """
+    return _finite_table(models, T, finite_horizon_qdiff)

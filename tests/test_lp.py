@@ -12,7 +12,7 @@ from singlepull import (
     solve_lp,
     upper_bound,
 )
-from singlepull import domains, experiments, lp, simplex
+from singlepull import domains, experiments, lp, simplex, whittle
 from singlepull.model import ArmModel, expand_with_dummies, load_instance, on_expanded, point_initial
 
 from conftest import mixed_instance, random_arm, random_tiny_instance
@@ -433,6 +433,23 @@ class TestCertificate:
             binding += lp.lagrangian_bound(prob, np.zeros(inst.horizon)) > sol.objective * 1.01
             assert upper_bound(inst) == pytest.approx(sol.objective, rel=1e-12, abs=0.0)
         assert binding >= 4
+
+    def test_one_dp_pass_when_budget_covers_types(self, rng, monkeypatch):
+        # at K >= N, pi = 0 and the bound is the value of solve_lp's per-type
+        # DP: one whittle.finite_horizon_q pass per state-count group, and the
+        # very float a call of lagrangian_bound at pi = 0 returns
+        calls, groups = [], 0
+        kernel = whittle.finite_horizon_q
+        monkeypatch.setattr(whittle, "finite_horizon_q",
+                            lambda *args: calls.append(args[0].shape[1]) or kernel(*args))
+        for inst in covering_instances(rng):
+            calls.clear()
+            bound = upper_bound(inst)
+            assert calls == sorted({m.n_states for m in inst.types})  # one pass per group
+            groups = max(groups, len(calls))
+            prob = build_occupancy_lp(inst, lp.DUMMY)
+            assert bound == lp.lagrangian_bound(prob, np.zeros(inst.horizon))
+        assert groups > 1
 
     def test_bound_is_a_python_float(self, rng):
         inst = random_tiny_instance(rng)

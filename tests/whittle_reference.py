@@ -7,10 +7,13 @@ every stationary index zeroes its entry's gap under it, and that the
 slopes of the sweep's pieces are its difference quotients. The finite-horizon reference is
 scalar backward induction, against which the tests check that every finite
 index zeroes its entry's gap. The per-type retirement pass is the finite
-index of one type alone, and the per-type Q-difference pass the plain gaps
-of one type alone: the package's lockstep passes over the types of one
-state count must equal them bit for bit. The closed-form EHRENFEST index is
-a bulk approximation of the stationary index.
+index of one type alone, on the arm whose pull retires it or on the
+dummy-expanded arm, and the folded Q-difference pass the gaps of one type
+alone where a pull retires the arm: the package's lockstep passes over the
+types of one state count must equal them bit for bit. On the expanded arm
+the retirement pass and the plain gaps of per_type_qdiff give the same
+normal-state tables up to round-off. The closed-form EHRENFEST index is a
+bulk approximation of the stationary index.
 """
 
 import numpy as np
@@ -77,6 +80,26 @@ def per_type_qdiff(model, T, lam=0.0):
     return qdiff
 
 
+def folded_qdiff(model, T):
+    """One type's Q_t(s, 1) - Q_t(s, 0) at subsidy 0 where a pull retires the arm, shaped (S, T).
+
+    Backward induction from V_T = W_T = 0: resting pays r(s, 0) and goes on
+    with V_{t+1}; a pull pays r(s, 1) and retires with the passive
+    value-to-go W_{t+1}, W_t = r(., 0) + P(., 0) W_{t+1}. Each epoch is one
+    (2, S) @ (S, 2) product per state: P(.|s, a) times (V_{t+1}, W_{t+1}).
+    """
+    P, r = model.transitions, model.rewards
+    qdiff = np.empty((model.n_states, T))
+    after = np.zeros((model.n_states, 2))  # (V_{t+1}, W_{t+1})
+    for t in range(T - 1, -1, -1):
+        ahead = P @ after  # ahead[s, a, k] = P(.|s, a) @ after[:, k]
+        q0 = r[:, 0] + ahead[:, 0, 0]
+        q1 = r[:, 1] + ahead[:, 1, 1]
+        qdiff[:, t] = q1 - q0
+        after = np.stack((np.maximum(q0, q1), r[:, 0] + ahead[:, 0, 1]), axis=1)
+    return qdiff
+
+
 def closed_form_whittle(c, mu, lam, S, s):
     """Closed-form stationary index of the EHRENFEST energy birth-death model (rate units)."""
     return c / (mu * S) * (mu * s**2 - lam * (S - s) ** 2)
@@ -101,23 +124,28 @@ def cesaro_limit(P):
 
 
 def retirement_index(model, T):
-    """One dummy-expanded type's exact index (S, T), one backward pass over the kinks of V.
+    """One type's exact index (S, T), one backward pass over the kinks of V.
 
-    lam holds the kinks of V_{t+1}(.; lambda) in ascending order and v its
-    values there, one row per kink. A gap within ROOT_TOL times the
-    values' scale at its kink counts as zero, and so does the distance
-    between two roots of one epoch.
+    On a dummy-expanded type a pull moves the arm into the dummy half, whose
+    values v holds too; on any other type a pull retires the arm, worth
+    W_{t+1} + max(lambda, 0) (T - t - 1) then, with W_{t+1} its passive
+    value-to-go. lam holds the kinks of V_{t+1}(.; lambda) in ascending
+    order and v its values there, one row per kink. A gap within ROOT_TOL
+    times the values' scale at its kink counts as zero, and so does the
+    distance between two roots of one epoch.
     """
     PT = model.transitions.transpose(1, 2, 0)  # PT[a] = P_a.T
     r = model.rewards.T[:, None, :]
     H = T * float(np.ptp(model.rewards)) + 1.0
     lam = np.array([-H, 0.0, H])
-    v = np.zeros((3, model.n_states))
+    v, W = np.zeros((3, model.n_states)), np.zeros(model.n_states)
     states = np.arange(model.n_states)
     index = np.empty((model.n_states, T))
     for t in range(T - 1, -1, -1):
-        q = v @ PT + r  # (action, kink, state)
+        retired = v if model.expanded else W + np.maximum(lam, 0.0)[:, None] * (T - t - 1)
+        q = np.stack((v, retired)) @ PT + r  # (action, kink, state)
         q[0] += lam[:, None]
+        W = r[0, 0] + W @ PT[0]
         gap = q[1] - q[0]
         tol = ROOT_TOL * np.abs(q).max(axis=(0, 2))
         k = np.argmax(gap <= tol[:, None], axis=0)  # each state's first kink at or past its root
