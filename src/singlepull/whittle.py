@@ -283,7 +283,7 @@ def _retirement_index(P: np.ndarray, R: np.ndarray, T: int) -> list[np.ndarray]:
     index, W = np.empty((B, S, T)), np.zeros((B, 1, S))
     for t in range(T - 1, -1, -1):
         K, lam = kinks.size // B, kinks.imag
-        subsidy = lam.reshape(B, K, 1)  # a pull retires, to W + max(subsidy, 0) (T - t - 1)
+        subsidy = lam.reshape(B, K, 1)  # a retired arm's value is linear between kinks: 0 is one
         q = np.stack((v, W + np.maximum(subsidy, 0.0) * (T - t - 1))) @ PT + r  # (a, b, kink, s)
         q[0] += subsidy
         W = W @ PT[0] + r[0]

@@ -44,7 +44,7 @@ def cpap3_arm(q=0.6):
 FOLD_TOL = {"finite": 1e-12, "qdiff": 1e-14}
 
 
-def assert_matches_expanded(model, T, values, expanded_values, kind):
+def assert_matches_expanded(model, values, expanded_values, kind):
     """The folded table of model agrees with the expanded pass's normal half to FOLD_TOL."""
     normal = expanded_values[:model.n_states]
     scale = max(1.0, np.abs(normal).max())
@@ -473,8 +473,8 @@ class TestStackedTypes:
                 assert values.shape == (m.n_states, T)
                 assert np.array_equal(values, retirement_index(m, T))
                 assert np.array_equal(values, whittle_index_finite([m], T).values[0])
-                assert_matches_expanded(m, T, values,
-                                        retirement_index(expand_with_dummies(m), T), "finite")
+                assert_matches_expanded(m, values, retirement_index(expand_with_dummies(m), T),
+                                        "finite")
         for a, b in itertools.combinations(stacked, 2):
             assert not np.shares_memory(a, b)  # each table is its type's own array
         return stacked
@@ -488,8 +488,8 @@ class TestStackedTypes:
                     assert values.shape == (m.n_states, T)
                     assert values.tobytes() == folded_qdiff(m, T).tobytes()
                     assert values.tobytes() == q_difference_indices([m], T).values[0].tobytes()
-                    assert_matches_expanded(m, T, values,
-                                            per_type_qdiff(expand_with_dummies(m), T), "qdiff")
+                    assert_matches_expanded(m, values, per_type_qdiff(expand_with_dummies(m), T),
+                                            "qdiff")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_degenerate_types_grow_different_kink_counts(self, seed):
