@@ -233,18 +233,20 @@ def finite_horizon_q(P: np.ndarray, R: np.ndarray, pi: np.ndarray, retire: bool 
     P(.|s, 1). Where the pull retires the arm, the arm then collects its
     passive value-to-go W_{t+1}, W_t = R(., 0) + P(., 0) W_{t+1}; else it
     goes on with V_{t+1} = max_a Q_{t+1}. Each epoch is one product of every
-    row P(.|s, a) with (V_{t+1}, W_{t+1}), bit for bit a pass of each type alone.
+    row P(.|s, a) with (V_{t+1}, W_{t+1}), bit for bit a pass of each type
+    alone and the product of each row alone.
     """
     Q = np.empty((len(R), len(pi)) + R.shape[1:])
-    after = np.zeros((len(R), 1) + R.shape[1:])  # (V_{t+1}, W_{t+1}) per (type, state)
+    after = np.zeros(R.shape[:2] + (2,))  # (V_{t+1}, W_{t+1}) per (type, state)
     ahead = np.empty(P.shape[:3] + (2,))  # ahead[b, s, a, k] = P(.|s, a) @ column k of after
     goes_on = ahead.diagonal(axis1=2, axis2=3) if retire else ahead[..., 0]  # each action's k
-    for t in range(len(pi) - 1, -1, -1):
-        np.matmul(P, after, out=ahead)
-        np.add(R, goes_on, out=Q[:, t])
-        Q[:, t, :, 1] -= pi[t]
-        np.maximum(Q[:, t, :, 0], Q[:, t, :, 1], out=after[:, 0, :, 0])
-        np.add(R[..., 0], ahead[:, :, 0, 1], out=after[:, 0, :, 1])
+    rows, columns, products = (x.reshape(len(R), -1, x.shape[-1]) for x in (P, after, ahead))
+    for q, price in zip(Q.transpose(1, 0, 2, 3)[::-1], pi[::-1]):  # q = Q[:, t], t = T-1..0
+        np.matmul(rows, columns, out=products)  # into ahead: one (2S, S) @ (S, 2) per type
+        np.add(R, goes_on, out=q)
+        q[..., 1] -= price
+        np.maximum(q[..., 0], q[..., 1], out=after[..., 0])
+        np.add(R[..., 0], ahead[:, :, 0, 1], out=after[..., 1])
     return Q
 
 
