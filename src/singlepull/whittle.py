@@ -240,9 +240,9 @@ def finite_horizon_q(P: np.ndarray, R: np.ndarray, pi: np.ndarray, retire: bool 
     after = np.zeros(R.shape[:2] + (2,))  # (V_{t+1}, W_{t+1}) per (type, state)
     ahead = np.empty(P.shape[:3] + (2,))  # ahead[b, s, a, k] = P(.|s, a) @ column k of after
     goes_on = ahead.diagonal(axis1=2, axis2=3) if retire else ahead[..., 0]  # each action's k
-    rows, columns, products = (x.reshape(len(R), -1, x.shape[-1]) for x in (P, after, ahead))
+    rows, products = (x.reshape(len(R), -1, x.shape[-1]) for x in (P, ahead))
     for q, price in zip(Q.transpose(1, 0, 2, 3)[::-1], pi[::-1]):  # q = Q[:, t], t = T-1..0
-        np.matmul(rows, columns, out=products)  # into ahead: one (2S, S) @ (S, 2) per type
+        np.matmul(rows, after, out=products)  # into ahead: one (2S, S) @ (S, 2) per type
         np.add(R, goes_on, out=q)
         q[..., 1] -= price
         np.maximum(q[..., 0], q[..., 1], out=after[..., 0])

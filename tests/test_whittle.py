@@ -442,7 +442,8 @@ class TestStackedTypes:
     count. The stationary sweep's rows read no other row, and each type stops
     at its own settle and its own last kink. The finite pass pads each type's
     kink list with its own last kink, +H, and that kink's value row. qdiff's
-    products are one per type, state and action. So every type's table is bit
+    product per type and epoch gives each row P(.|s, a) what a product of
+    that row alone gives. So every type's table is bit
     for bit a pass of that type alone, even where the types take different
     numbers of pieces or grow different numbers of kinks. The finite pass and
     qdiff run where a pull retires the arm; on its dummy-expanded copy the
